@@ -17,9 +17,6 @@ from fractions import Fraction
 
 from .errors import DomainError, InvariantViolation, KindMismatchError
 
-# The exact rational carrier used everywhere in the package.
-Rational = Fraction
-
 
 @dataclass(frozen=True, slots=True)
 class DivisionAlgebraKind:
@@ -202,17 +199,6 @@ def basis(kind: DivisionAlgebraKind) -> tuple[AlgebraElement, ...]:
         coeffs[pos] = Fraction(1)
         out.append(AlgebraElement(kind, tuple(coeffs)))
     return tuple(out)
-
-
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Exact product; raises KindMismatchError on mixed kinds."""
-    _require_same_kind(a, b)
-    return a * b
-
-
-def invert(a: AlgebraElement) -> AlgebraElement:
-    """Exact two-sided inverse; raises ZeroDivisionError at zero."""
-    return a.inverse()
 
 
 # ---------------------------------------------------------------------------

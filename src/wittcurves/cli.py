@@ -30,16 +30,13 @@ from .weighted_curve import (
     WeightedCurve,
     WeightedPoint,
     classify,
+    curve_profile,
     ghost_group,
-    invariants_report,
 )
 from .witt_surface import (
     KleinTopology,
     WittSurface,
     catalog,
-    constants_field,
-    euler_characteristics,
-    genus,
     segmented_oval,
     whole_oval,
 )
@@ -144,13 +141,7 @@ def _surface_from_record(record) -> WittSurface:
     return WittSurface(KleinTopology(g, t, s), tuple(ovals), commutative=commutative)
 
 
-_POINT_CLASSES = {
-    "inner": WittPointClass.INNER,
-    "real_boundary": WittPointClass.REAL_BOUNDARY,
-    "quaternion_boundary": WittPointClass.QUATERNION_BOUNDARY,
-    "segmentation": WittPointClass.SEGMENTATION,
-    "point": COMPLEX_POINT,
-}
+_POINT_CLASSES = {cls.value: cls for cls in WittPointClass} | {COMPLEX_POINT: COMPLEX_POINT}
 
 
 def _weighted_point(record) -> WeightedPoint:
@@ -255,24 +246,20 @@ def _slope_str(slope) -> str:
 
 
 def _curve_payload(c: WeightedCurve) -> dict:
-    report = invariants_report(c)
-    if isinstance(c.base, AbstractBase):
-        genus_val = chi = chi_normalized = constants = None
-    else:
-        genus_val = genus(c.base)
-        chi, chi_normalized = euler_characteristics(c.base)
-        constants = _ASCII_FIELD[constants_field(c.base).tag]
+    profile = curve_profile(c)
+    report = profile.report()
+    surface = profile.chi is not None
     picard = report["picard"]
     return {
-        "genus": genus_val,
-        "chi": _rational_json(chi),
-        "chi_normalized": _rational_json(chi_normalized),
+        "genus": profile.genus,
+        "chi": _rational_json(profile.chi),
+        "chi_normalized": _rational_json(profile.chi_prime if surface else None),
         "chi_orb": _rational_json(report["chi_orb"]),
         "class": report["curve_class"].upper(),
         "wrv": list(report["weight_ram_vector"]),
         "tau_order": report["tau_order"],
         "cy": list(report["cy_dimension"]) if report["cy_dimension"] is not None else None,
-        "constants_field": constants,
+        "constants_field": _ASCII_FIELD[profile.constants.tag] if surface else None,
         "picard": None
         if picard is None
         else {

@@ -14,8 +14,20 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError, InconsistentDataError, ValidationError
+from .weighted_curve import WeightedCurve, curve_profile
+from .witt_surface import catalog
 
-INFINITY = float("inf")
+
+class _Infinity:
+    """The slope of a torsion class: hashable, equal only to itself, not a number."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "INFINITY"
+
+
+INFINITY = _Infinity()
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
 
@@ -60,22 +72,19 @@ class CurveNumerics:
             raise ValidationError(f"epsilon must be 1 or 2, got {self.epsilon}", code="epsilon")
 
 
-_ELLIPTIC_NUMERICS = {
-    "A": CurveNumerics(kappa=1, epsilon=1, genus=1, end_S_dim=1),
-    "M": CurveNumerics(kappa=1, epsilon=1, genus=1, end_S_dim=1),
-    "K": CurveNumerics(kappa=1, epsilon=2, genus=1, end_S_dim=2),
-    "A_RH": CurveNumerics(kappa=2, epsilon=2, genus=1, end_S_dim=4),
-    "A_HH": CurveNumerics(kappa=4, epsilon=1, genus=1, end_S_dim=4),
-    "M_H": CurveNumerics(kappa=4, epsilon=1, genus=1, end_S_dim=4),
-    "D_2222": CurveNumerics(kappa=2, epsilon=1, genus=1, end_S_dim=2),
-}
+# real dimension of End(S) for the designated degree-one simple object S
+_END_S_DIM = {"A": 1, "M": 1, "K": 2, "A_RH": 4, "A_HH": 4, "M_H": 4, "D_2222": 2}
 
 
 def elliptic_numerics(name: str) -> CurveNumerics:
-    try:
-        return _ELLIPTIC_NUMERICS[name]
-    except KeyError:
-        raise ValidationError(f"{name!r} is not a real elliptic type", code="unknown-name") from None
+    """Riemann-Roch data of a real elliptic type; kappa, epsilon and the
+    genus are those of its catalog surface."""
+    if name not in _END_S_DIM:
+        raise ValidationError(f"{name!r} is not a real elliptic type", code="unknown-name")
+    profile = curve_profile(WeightedCurve(catalog(name)))
+    return CurveNumerics(
+        kappa=profile.kappa, epsilon=profile.epsilon, genus=profile.genus, end_S_dim=_END_S_DIM[name]
+    )
 
 
 def _det(e: ClassVector, f: ClassVector) -> int:

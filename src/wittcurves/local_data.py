@@ -32,6 +32,16 @@ class WittPointClass(enum.Enum):
     SEGMENTATION = "segmentation"
 
 
+# The short name of each class: the prefix of its point labels and its name
+# in the zoo's weight lists.
+SHORT_NAMES = {
+    WittPointClass.INNER: "inner",
+    WittPointClass.REAL_BOUNDARY: "real",
+    WittPointClass.QUATERNION_BOUNDARY: "quat",
+    WittPointClass.SEGMENTATION: "seg",
+}
+
+
 @dataclass(frozen=True, slots=True)
 class PointDatum:
     """Numerical data of one closed point.

@@ -81,6 +81,7 @@ class TwistedSeries:
         return self + (-other)
 
     def __mul__(self, other: "TwistedSeries") -> "TwistedSeries":
+        """Twisted Cauchy product, c_k = sum over i+j=k of a_i sigma^i(b_j)."""
         _require_same_ring(self, other)
         acc: dict[int, AlgebraElement] = {}
         for i, a in self.coeffs:
@@ -133,11 +134,6 @@ def series(kind, twist, truncation, coeffs) -> TwistedSeries:
 
 def monomial(kind, twist, truncation, exponent: int, coefficient=1) -> TwistedSeries:
     return series(kind, twist, truncation, {exponent: coefficient})
-
-
-def series_multiply(f: TwistedSeries, g: TwistedSeries) -> TwistedSeries:
-    """Twisted Cauchy product, c_k = sum over i+j=k of a_i sigma^i(b_j)."""
-    return f * g
 
 
 def valuation(f: TwistedSeries) -> Fraction:

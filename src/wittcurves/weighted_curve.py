@@ -6,10 +6,18 @@ weight insertions p >= 2 at chosen points. Every numerical invariant is
 driven by the effective point list: each point contributes through its
 weight p, its ramification index e_tau, and its residue degree f.
 
+curve_profile reads a curve once into a CurveProfile: the effective
+points and the numerics of the base. It is the only place, apart from
+validation, that looks at the kind of base. Every public invariant is a
+view of a profile built afresh for the call, and a report reads all of
+its entries from one profile.
+
 The normalized orbifold Euler characteristic is computed by three
 independent routes (the general formula over the centre, the split through
 the non-weighted curve, and a Thurston-style count for real bases) which
 must agree exactly; a fourth genus-zero route is checked where it applies.
+A profile runs them once, when its chi_orb is first read, so the accessors
+that need only base numerics never run them.
 """
 
 from __future__ import annotations
@@ -17,15 +25,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
-from .errors import (
-    DomainError,
-    InconsistentDataError,
-    InvariantViolation,
-    ValidationError,
-)
-from .local_data import WittPointClass
+from .algebra import DivisionAlgebraKind
+from .errors import DomainError, InconsistentDataError, InvariantViolation, ValidationError
+from .local_data import SHORT_NAMES, WittPointClass, witt_local_datum
 from .witt_surface import (
     MINUS,
     PLUS,
@@ -45,6 +50,10 @@ from .witt_surface import (
 COMPLEX_POINT = "point"
 
 TUBULAR_VECTORS = frozenset({(2, 2, 2, 2), (2, 3, 6), (2, 4, 4), (3, 3, 3)})
+
+# the one surface whose weightless curve (with its four segmentation
+# points) has a known Pic_0
+_BARE_D2222 = canonical_key(catalog("D_2222"))
 
 
 class CurveClass(enum.Enum):
@@ -133,6 +142,8 @@ def _validate_curve(c: WeightedCurve) -> None:
                 raise ValidationError(f"point {p.label} has a nonpositive entry", code="nonpositive")
         if base.s < 1 or base.kappa < 1 or base.epsilon < 1:
             raise ValidationError("base numerics must be positive", code="nonpositive")
+        if base.epsilon not in (1, 2):
+            raise ValidationError(f"epsilon must be 1 or 2, got {base.epsilon}", code="epsilon")
         return
 
     validate(base)
@@ -179,145 +190,276 @@ def _validate_curve(c: WeightedCurve) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Effective points
+# The profile of a curve
 
-_RESIDUE = {
-    WittPointClass.INNER: 2,
-    WittPointClass.REAL_BOUNDARY: 1,
-    WittPointClass.QUATERNION_BOUNDARY: 1,
-}
-_SHORT = {
-    WittPointClass.INNER: "inner",
-    WittPointClass.REAL_BOUNDARY: "real",
-    WittPointClass.QUATERNION_BOUNDARY: "quat",
-}
+@dataclass(frozen=True)
+class CurveProfile:
+    """Everything the invariants of one curve are read from.
+
+    points lists every point that can contribute to an invariant: the
+    segmentation points and the weighted ones (an unweighted boundary or
+    inner point has e_tau = 1 and weight 1 and adds nothing). chi_centre
+    belongs to the centre curve, chi_prime (normalized) to the
+    non-weighted curve. The rest describe a surface base and are None for
+    an abstract one: centre is the field of the centre curve ("R" or "C"),
+    ovals counts the ovals of a real base (None on "C"), and genus, chi
+    and constants belong to the function field. chi_orb runs the
+    cross-checked routes when first read, so a profile asked only for base
+    numerics never does; it and weight_ram_vector are then kept with the
+    profile, which lives for one public call.
+    """
+
+    curve: WeightedCurve
+    points: tuple[EffectivePoint, ...]
+    kappa: int
+    epsilon: int
+    skewness: int
+    centre_genus: int | None
+    pbar: int
+    chi_centre: Fraction
+    chi_prime: Fraction
+    centre: str | None = None
+    ovals: int | None = None
+    genus: int | None = None
+    chi: Fraction | None = None
+    constants: DivisionAlgebraKind | None = None
+
+    @cached_property
+    def chi_orb(self) -> Fraction:
+        """Normalized orbifold Euler characteristic, cross-checked three ways."""
+        pts = self.points
+        general = self.chi_centre - Fraction(1, 2) * sum(
+            (1 - Fraction(1, pt.weight * pt.e_tau)) * pt.residue_degree for pt in pts
+        )
+        split = self.chi_prime - Fraction(1, 2) * sum(
+            Fraction(1, pt.e_tau) * (1 - Fraction(1, pt.weight)) * pt.residue_degree
+            for pt in pts
+        )
+        if general != split:
+            raise InvariantViolation(
+                f"Euler characteristic mismatch: general {general}, split {split}"
+            )
+        if self.centre == "R":
+            thurston = self.chi_prime
+            for pt in pts:
+                share = 1 - Fraction(1, pt.weight)
+                if pt.kind == "segmentation":
+                    thurston -= Fraction(1, 4) * share
+                elif pt.kind == "inner":
+                    thurston -= share
+                else:
+                    thurston -= Fraction(1, 2) * share
+            if thurston != general:
+                raise InvariantViolation(
+                    f"Euler characteristic mismatch: general {general}, boundary count {thurston}"
+                )
+        if self.genus == 0:
+            anyfield = genus_zero_orbifold_euler(
+                self.kappa, self.skewness, self.epsilon, self.any_field_triples()
+            )
+            if anyfield != general:
+                raise InvariantViolation(
+                    f"Euler characteristic mismatch: general {general}, genus-zero form {anyfield}"
+                )
+        return general
+
+    def any_field_triples(self) -> tuple[tuple[int, Fraction, int], ...]:
+        s, kap, eps = self.skewness, self.kappa, self.epsilon
+        return tuple(
+            (1, Fraction(s * s * pt.residue_degree, kap * eps * pt.e_tau), pt.weight)
+            for pt in self.points
+        )
+
+    @cached_property
+    def weight_ram_vector(self) -> tuple[int, ...]:
+        entries: list[int] = []
+        for pt in self.points:
+            v = pt.weight * pt.e_tau
+            if v > 1:
+                entries.extend([v] * pt.residue_degree)
+        return tuple(sorted(entries))
+
+    def curve_class(self) -> CurveClass:
+        chi = self.chi_orb
+        if chi > 0:
+            result = CurveClass.DOMESTIC
+        elif chi == 0:
+            result = CurveClass.ELLIPTIC if self.pbar == 1 else CurveClass.TUBULAR
+        else:
+            result = CurveClass.WILD
+        vector = self.weight_ram_vector
+        cg = self.centre_genus
+        if result is CurveClass.TUBULAR:
+            if vector not in TUBULAR_VECTORS:
+                raise InvariantViolation(f"tubular curve with vector {vector}")
+            if cg is not None and cg != 0:
+                raise InvariantViolation("tubular curve with a positive-genus centre")
+        if result is CurveClass.DOMESTIC and cg == 0 and not _domestic_genus_zero_vector(vector):
+            raise InvariantViolation(f"domestic genus-zero curve with vector {vector}")
+        return result
+
+    def tau_exponents(self) -> dict[str, int]:
+        out = {}
+        for pt in self.points:
+            exp = pt.weight * pt.e_tau - 1
+            if exp:
+                out[pt.label] = exp
+        return out
+
+    def tau_order(self) -> int:
+        if self.chi_orb != 0:
+            raise DomainError("tau has finite order only when the orbifold characteristic vanishes")
+        order = max([pt.weight * pt.e_tau for pt in self.points], default=1)
+        if order not in (1, 2, 3, 4, 6):
+            raise InvariantViolation(f"unexpected tau order {order}")
+        return order
+
+    def picard(self) -> PicardDescriptor:
+        cg = self.centre_genus
+        if cg is None:
+            raise DomainError("the Picard description needs a known centre genus")
+        fg = cg == 0
+        base_part = "Z" if fg else "not finitely generated (Pic_0 of positive-genus X)"
+        bare_d2222 = (
+            self.centre == "R"
+            and not self.curve.points
+            and len(self.points) == 4
+            and canonical_key(self.curve.base) == _BARE_D2222
+        )
+        return PicardDescriptor(
+            base_part=base_part,
+            torsion_quotient=self.weight_ram_vector,
+            finitely_generated_rank_one=fg,
+            pic_zero="C2 x C2" if bare_d2222 else None,
+        )
+
+    def report(self) -> dict:
+        chi = self.chi_orb
+        report = {
+            "kappa": self.kappa,
+            "epsilon": self.epsilon,
+            "skewness": self.skewness,
+            "pbar": self.pbar,
+            "chi_orb": chi,
+            "curve_class": self.curve_class().value,
+            "weight_ram_vector": self.weight_ram_vector,
+            "tau_order": None,
+            "cy_dimension": None,
+            "picard": None,
+        }
+        if chi == 0:
+            order = self.tau_order()
+            report["tau_order"] = order
+            report["cy_dimension"] = (order, order)
+        if self.centre_genus is not None:
+            report["picard"] = self.picard()
+        return report
 
 
-def effective_points(c: WeightedCurve) -> tuple[EffectivePoint, ...]:
-    """All points that can contribute to an invariant.
+def curve_profile(c: WeightedCurve) -> CurveProfile:
+    """Read a curve once: its effective points and the numerics of its base.
 
-    Unweighted boundary and inner points have e_tau = 1 and weight 1, so
-    every formula sees them as zero; only segmentation points and weighted
-    points are ever listed.
+    Apart from validation, this is the only place that looks at the kind
+    of base. Points of a real base take e_tau, the residue degree and the
+    label prefix from local_data.
     """
     base = c.base
+    surface = {}
     if isinstance(base, AbstractBase):
-        return tuple(
+        points = tuple(
             EffectivePoint(p.label, "abstract", p.e_tau, p.residue_degree, p.weight)
             for p in base.points
         )
-    if isinstance(base, ComplexCentreBase):
-        return tuple(
-            EffectivePoint(f"pt{i}", COMPLEX_POINT, 1, 1, wp.weight)
-            for i, wp in enumerate(c.points)
+        kappa, epsilon, s, cg = base.kappa, base.epsilon, base.s, base.centre_genus
+        chi_centre = Fraction(base.chi_x)
+        chi_prime = chi_centre - Fraction(1, 2) * sum(
+            (1 - Fraction(1, p.e_tau)) * p.residue_degree for p in points
         )
-    out = []
-    seg_weight = {
-        (wp.oval, wp.segment): wp.weight
-        for wp in c.points
-        if wp.location is WittPointClass.SEGMENTATION
-    }
-    for oi, oval in enumerate(base.ovals):
-        for si in range(len(oval.segments)):
-            out.append(
-                EffectivePoint(
-                    f"seg{oi}.{si}", "segmentation", 2, 1, seg_weight.get((oi, si), 1)
-                )
+    else:
+        chi, chi_prime = euler_characteristics(base)
+        constants = constants_field(base)
+        s = surface_skewness(base)
+        if isinstance(base, ComplexCentreBase):
+            points = tuple(
+                EffectivePoint(f"pt{i}", COMPLEX_POINT, 1, 1, wp.weight)
+                for i, wp in enumerate(c.points)
             )
-    counters = {cls: 0 for cls in _SHORT}
-    for wp in c.points:
-        if wp.location is WittPointClass.SEGMENTATION:
-            continue
-        n = counters[wp.location]
-        counters[wp.location] = n + 1
-        out.append(
-            EffectivePoint(
-                f"{_SHORT[wp.location]}{n}",
-                wp.location.value,
-                1,
-                _RESIDUE[wp.location],
-                wp.weight,
-            )
-        )
+            # a complex-centre curve lives over its own constants field, so
+            # the constants contribute dimension 1, not [C:R]
+            kappa = epsilon = 1
+            cg, centre, ovals = base.genus, "C", None
+        else:
+            points = _real_points(base, c.points)
+            kappa = constants.dim_over_k
+            # epsilon is 2 exactly when no rational section of odd degree
+            # exists: a commutative curve with empty real locus, or a
+            # noncommutative one whose ovals are whole and not all quaternion
+            if base.commutative:
+                epsilon = 2 if base.topology.t == 0 else 1
+            else:
+                m, r, _ = counts(base)
+                epsilon = 2 if (m == 0 and r > 0) else 1
+            cg, centre, ovals = base.topology.g, "R", base.topology.t
+        chi_centre = Fraction(1 - cg)
+        surface = dict(centre=centre, ovals=ovals, genus=genus(base), chi=chi, constants=constants)
+    pbar = lcm(*(pt.weight for pt in points))
+    return CurveProfile(c, points, kappa, epsilon, s, cg, pbar, chi_centre, chi_prime, **surface)
+
+
+# label prefix, kind, e_tau and residue degree of the points of each class
+_SHAPES = {
+    cls: (SHORT_NAMES[cls], cls.value, witt_local_datum(cls).e_tau, witt_local_datum(cls).residue_degree)
+    for cls in WittPointClass
+}
+
+
+def _real_points(base: WittSurface, weights) -> tuple[EffectivePoint, ...]:
+    seg = WittPointClass.SEGMENTATION
+    prefix, kind, e_tau, f = _SHAPES[seg]
+    seg_weight = {(wp.oval, wp.segment): wp.weight for wp in weights if wp.location is seg}
+    out = [
+        EffectivePoint(f"{prefix}{oi}.{si}", kind, e_tau, f, seg_weight.get((oi, si), 1))
+        for oi, oval in enumerate(base.ovals)
+        for si in range(len(oval.segments))
+    ]
+    counters: dict[str, int] = {}
+    for wp in weights:
+        if wp.location is not seg:
+            prefix, kind, e_tau, f = _SHAPES[wp.location]
+            n = counters.get(prefix, 0)
+            counters[prefix] = n + 1
+            out.append(EffectivePoint(f"{prefix}{n}", kind, e_tau, f, wp.weight))
     return tuple(out)
 
 
 # ---------------------------------------------------------------------------
-# Base numerics
+# Views of the profile
+
+def effective_points(c: WeightedCurve) -> tuple[EffectivePoint, ...]:
+    """All points that can contribute to an invariant."""
+    return curve_profile(c).points
+
 
 def curve_skewness(c: WeightedCurve) -> int:
-    if isinstance(c.base, AbstractBase):
-        return c.base.s
-    return surface_skewness(c.base)
+    return curve_profile(c).skewness
 
 
 def curve_kappa(c: WeightedCurve) -> int:
-    if isinstance(c.base, AbstractBase):
-        return c.base.kappa
-    # a complex-centre curve lives over its own constants field, so the
-    # constants contribute dimension 1, not [C:R]
-    if isinstance(c.base, ComplexCentreBase):
-        return 1
-    return constants_field(c.base).dim_over_k
+    return curve_profile(c).kappa
 
 
 def curve_epsilon(c: WeightedCurve) -> int:
-    """Smallest positive degree of a line bundle, as a normalizer.
-
-    For real bases this is 2 exactly when no rational section of odd
-    degree exists: a commutative curve with empty real locus, or a
-    noncommutative one whose ovals are whole and not all quaternion.
-    """
-    base = c.base
-    if isinstance(base, AbstractBase):
-        return base.epsilon
-    if isinstance(base, ComplexCentreBase):
-        return 1
-    if base.commutative:
-        return 2 if base.topology.t == 0 else 1
-    m, r, _ = counts(base)
-    return 2 if (m == 0 and r > 0) else 1
+    """Smallest positive degree of a line bundle, as a normalizer."""
+    return curve_profile(c).epsilon
 
 
 def pbar(c: WeightedCurve) -> int:
-    if isinstance(c.base, AbstractBase):
-        weights = [p.weight for p in c.base.points]
-    else:
-        weights = [wp.weight for wp in c.points]
-    return lcm(*weights) if weights else 1
+    return curve_profile(c).pbar
 
 
 def centre_genus(c: WeightedCurve) -> int | None:
-    base = c.base
-    if isinstance(base, AbstractBase):
-        return base.centre_genus
-    if isinstance(base, ComplexCentreBase):
-        return base.genus
-    return base.topology.g
+    return curve_profile(c).centre_genus
 
-
-def _chi_centre(c: WeightedCurve) -> Fraction:
-    base = c.base
-    if isinstance(base, AbstractBase):
-        return Fraction(base.chi_x)
-    if isinstance(base, ComplexCentreBase):
-        return Fraction(1 - base.genus)
-    return Fraction(1 - base.topology.g)
-
-
-def _chi_prime_nonweighted(c: WeightedCurve) -> Fraction:
-    base = c.base
-    if isinstance(base, AbstractBase):
-        return _chi_centre(c) - Fraction(1, 2) * sum(
-            (1 - Fraction(1, p.e_tau)) * p.residue_degree for p in base.points
-        )
-    if isinstance(base, ComplexCentreBase):
-        return Fraction(1 - base.genus)
-    return euler_characteristics(base)[1]
-
-
-# ---------------------------------------------------------------------------
-# Orbifold Euler characteristic
 
 def genus_zero_orbifold_euler(kappa, s, epsilon, points) -> Fraction:
     """Normalized orbifold characteristic over any field, genus-zero case.
@@ -335,65 +477,17 @@ def genus_zero_orbifold_euler(kappa, s, epsilon, points) -> Fraction:
 def any_field_triples(c: WeightedCurve) -> tuple[tuple[int, Fraction, int], ...]:
     """(e, f, p) data feeding the genus-zero formula, with e*f recovered
     from the real local data via e*f = (s^2 / (kappa*epsilon)) * f_res / e_tau."""
-    s = curve_skewness(c)
-    kap = curve_kappa(c)
-    eps = curve_epsilon(c)
-    return tuple(
-        (1, Fraction(s * s * pt.residue_degree, kap * eps * pt.e_tau), pt.weight)
-        for pt in effective_points(c)
-    )
+    return curve_profile(c).any_field_triples()
 
 
 def orbifold_euler(c: WeightedCurve) -> Fraction:
     """Normalized orbifold Euler characteristic, cross-checked three ways."""
-    pts = effective_points(c)
-    general = _chi_centre(c) - Fraction(1, 2) * sum(
-        (1 - Fraction(1, pt.weight * pt.e_tau)) * pt.residue_degree for pt in pts
-    )
-    split = _chi_prime_nonweighted(c) - Fraction(1, 2) * sum(
-        Fraction(1, pt.e_tau) * (1 - Fraction(1, pt.weight)) * pt.residue_degree
-        for pt in pts
-    )
-    if general != split:
-        raise InvariantViolation(
-            f"Euler characteristic mismatch: general {general}, split {split}"
-        )
-    if isinstance(c.base, WittSurface):
-        thurston = _chi_prime_nonweighted(c)
-        for pt in pts:
-            share = 1 - Fraction(1, pt.weight)
-            if pt.kind == "segmentation":
-                thurston -= Fraction(1, 4) * share
-            elif pt.kind == "inner":
-                thurston -= share
-            else:
-                thurston -= Fraction(1, 2) * share
-        if thurston != general:
-            raise InvariantViolation(
-                f"Euler characteristic mismatch: general {general}, boundary count {thurston}"
-            )
-    if not isinstance(c.base, AbstractBase) and genus(c.base) == 0:
-        anyfield = genus_zero_orbifold_euler(
-            curve_kappa(c), curve_skewness(c), curve_epsilon(c), any_field_triples(c)
-        )
-        if anyfield != general:
-            raise InvariantViolation(
-                f"Euler characteristic mismatch: general {general}, genus-zero form {anyfield}"
-            )
-    return general
+    return curve_profile(c).chi_orb
 
-
-# ---------------------------------------------------------------------------
-# Classification
 
 def weight_ram_vector(c: WeightedCurve) -> tuple[int, ...]:
     """Sorted multiset of p(x)*e_tau(x) > 1, each counted residue-degree times."""
-    entries: list[int] = []
-    for pt in effective_points(c):
-        v = pt.weight * pt.e_tau
-        if v > 1:
-            entries.extend([v] * pt.residue_degree)
-    return tuple(sorted(entries))
+    return curve_profile(c).weight_ram_vector
 
 
 def _domestic_genus_zero_vector(v: tuple[int, ...]) -> bool:
@@ -405,36 +499,12 @@ def _domestic_genus_zero_vector(v: tuple[int, ...]) -> bool:
 
 
 def classify(c: WeightedCurve) -> CurveClass:
-    chi = orbifold_euler(c)
-    if chi > 0:
-        result = CurveClass.DOMESTIC
-    elif chi == 0:
-        result = CurveClass.ELLIPTIC if pbar(c) == 1 else CurveClass.TUBULAR
-    else:
-        result = CurveClass.WILD
-    vector = weight_ram_vector(c)
-    cg = centre_genus(c)
-    if result is CurveClass.TUBULAR:
-        if vector not in TUBULAR_VECTORS:
-            raise InvariantViolation(f"tubular curve with vector {vector}")
-        if cg is not None and cg != 0:
-            raise InvariantViolation("tubular curve with a positive-genus centre")
-    if result is CurveClass.DOMESTIC and cg == 0 and not _domestic_genus_zero_vector(vector):
-        raise InvariantViolation(f"domestic genus-zero curve with vector {vector}")
-    return result
+    return curve_profile(c).curve_class()
 
-
-# ---------------------------------------------------------------------------
-# The canonical automorphism tau
 
 def tau_exponents(c: WeightedCurve) -> dict[str, int]:
     """Exponent p(x)*e_tau(x) - 1 of the Picard-shift at each point; zeros omitted."""
-    out = {}
-    for pt in effective_points(c):
-        exp = pt.weight * pt.e_tau - 1
-        if exp:
-            out[pt.label] = exp
-    return out
+    return curve_profile(c).tau_exponents()
 
 
 def tau_word(c: WeightedCurve) -> tuple[tuple[str, int], ...]:
@@ -445,35 +515,26 @@ def tau_word(c: WeightedCurve) -> tuple[tuple[str, int], ...]:
     Raised DomainError when the centre has positive genus or, as for the
     real conic without real points, no eligible x0 exists.
     """
-    if centre_genus(c) != 0:
+    profile = curve_profile(c)
+    if profile.centre_genus != 0:
         raise DomainError("the explicit word requires a genus-zero centre")
-    base = c.base
-    if isinstance(base, WittSurface) and base.topology.t == 0:
+    if profile.ovals == 0:
         raise DomainError("no rational point without ramification or weight exists")
-    eps = curve_epsilon(c)
-    prefix = ("x0", -(2 // eps))
-    body = tuple(sorted(tau_exponents(c).items()))
+    prefix = ("x0", -(2 // profile.epsilon))
+    body = tuple(sorted(profile.tau_exponents().items()))
     return (prefix,) + body
 
 
 def tau_order(c: WeightedCurve) -> int:
     """Order of tau on degree-zero classes; only finite when chi'_orb = 0."""
-    if orbifold_euler(c) != 0:
-        raise DomainError("tau has finite order only when the orbifold characteristic vanishes")
-    order = max((pt.weight * pt.e_tau for pt in effective_points(c)), default=1)
-    if order not in (1, 2, 3, 4, 6):
-        raise InvariantViolation(f"unexpected tau order {order}")
-    return order
+    return curve_profile(c).tau_order()
 
 
 def cy_dimension(c: WeightedCurve) -> tuple[int, int]:
     """Calabi-Yau dimension n/n, reported as the pair (n, n)."""
-    n = tau_order(c)
+    n = curve_profile(c).tau_order()
     return (n, n)
 
-
-# ---------------------------------------------------------------------------
-# Picard structure
 
 @dataclass(frozen=True, slots=True)
 class PicardDescriptor:
@@ -491,24 +552,12 @@ def picard_structure(c: WeightedCurve) -> PicardDescriptor:
     pinned down for the known genus-one case with four segmentation
     points, where it is the Klein four-group.
     """
-    cg = centre_genus(c)
-    if cg is None:
-        raise DomainError("the Picard description needs a known centre genus")
-    fg = cg == 0
-    base_part = "Z" if fg else "not finitely generated (Pic_0 of positive-genus X)"
-    pic_zero = None
-    if (
-        not c.points
-        and isinstance(c.base, WittSurface)
-        and canonical_key(c.base) == canonical_key(catalog("D_2222"))
-    ):
-        pic_zero = "C2 x C2"
-    return PicardDescriptor(
-        base_part=base_part,
-        torsion_quotient=weight_ram_vector(c),
-        finitely_generated_rank_one=fg,
-        pic_zero=pic_zero,
-    )
+    return curve_profile(c).picard()
+
+
+def invariants_report(c: WeightedCurve) -> dict:
+    """Everything the command line prints, as plain values."""
+    return curve_profile(c).report()
 
 
 # ---------------------------------------------------------------------------
@@ -557,29 +606,3 @@ def ghost_group(points, efficient_index: int) -> GhostGroup:
             orders.append(e_tau)
         shifts.append((i, d))
     return GhostGroup(orders=tuple(sorted(orders)), shifts=tuple(shifts))
-
-
-# ---------------------------------------------------------------------------
-# Reporting
-
-def invariants_report(c: WeightedCurve) -> dict:
-    """Everything the command line prints, as plain values."""
-    chi = orbifold_euler(c)
-    report = {
-        "kappa": curve_kappa(c),
-        "epsilon": curve_epsilon(c),
-        "skewness": curve_skewness(c),
-        "pbar": pbar(c),
-        "chi_orb": chi,
-        "curve_class": classify(c).value,
-        "weight_ram_vector": weight_ram_vector(c),
-        "tau_order": None,
-        "cy_dimension": None,
-        "picard": None,
-    }
-    if chi == 0:
-        report["tau_order"] = tau_order(c)
-        report["cy_dimension"] = cy_dimension(c)
-    if centre_genus(c) is not None:
-        report["picard"] = picard_structure(c)
-    return report

@@ -10,6 +10,10 @@ Configurations are identified up to the colour-preserving symmetries of
 the base surface; concretely, weights are recorded per placement class as
 multisets (the two segmentation points of the segmented disc are swapped
 by a reflection, so only the multiset of their weights matters).
+
+Each entry is read from one CurveProfile of its curve, so an entry runs
+the cross-checked orbifold characteristic once. Placement classes go by
+the short names of local_data, plus "point" on a complex-centre base.
 """
 
 from __future__ import annotations
@@ -19,22 +23,19 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from .errors import ValidationError
-from .local_data import WittPointClass
+from .local_data import SHORT_NAMES, WittPointClass
 from .weighted_curve import (
     COMPLEX_POINT,
     TUBULAR_VECTORS,
     CurveClass,
     WeightedCurve,
     WeightedPoint,
-    classify,
-    curve_skewness,
-    cy_dimension,
-    orbifold_euler,
-    tau_order,
-    weight_ram_vector,
+    curve_profile,
 )
-from .witt_surface import CATALOG_NAMES, ComplexCentreBase, catalog, genus, surface_skewness
+from .witt_surface import CATALOG_NAMES, catalog, genus
 
+# the genus-zero-centre bases: the tubular search runs over them, and their
+# weightless curves open the domestic zoo
 TUBULAR_BASE_NAMES = ("D", "RP2", "D_H", "D_22", "S2_C")
 
 _PLACEMENT_CLASSES = {
@@ -45,12 +46,7 @@ _PLACEMENT_CLASSES = {
     "S2_C": ("point",),
 }
 _SEG_SLOTS = {"D_22": ((0, 0), (0, 1))}
-_LOCATION = {
-    "inner": WittPointClass.INNER,
-    "real": WittPointClass.REAL_BOUNDARY,
-    "quat": WittPointClass.QUATERNION_BOUNDARY,
-    "point": COMPLEX_POINT,
-}
+_LOCATION = {short: cls for cls, short in SHORT_NAMES.items()} | {"point": COMPLEX_POINT}
 _CLASS_ORDER = {"seg": 0, "real": 1, "quat": 2, "inner": 3, "point": 4}
 
 # a weight entry is (placement class, p) with p an int, or a parameter
@@ -103,21 +99,20 @@ def _build_curve(base_name: str, weights: Weights) -> WeightedCurve:
 
 
 def _entry_for(base_name: str, weights: Weights) -> ZooEntry:
-    curve = _build_curve(base_name, weights)
-    cls = classify(curve)
-    chi = orbifold_euler(curve)
-    entry = ZooEntry(
+    profile = curve_profile(_build_curve(base_name, weights))
+    chi = profile.chi_orb
+    order = profile.tau_order() if chi == 0 else None
+    return ZooEntry(
         base=base_name,
         weights=weights,
-        curve_class=cls,
+        curve_class=profile.curve_class(),
         chi_orb=chi,
-        skewness=curve_skewness(curve),
-        wrv=weight_ram_vector(curve),
-        tau_order=tau_order(curve) if chi == 0 else None,
-        cy=cy_dimension(curve) if chi == 0 else None,
-        centre="C" if isinstance(curve.base, ComplexCentreBase) else "R",
+        skewness=profile.skewness,
+        wrv=profile.weight_ram_vector,
+        tau_order=order,
+        cy=(order, order) if order is not None else None,
+        centre=profile.centre,
     )
-    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -161,34 +156,23 @@ def _raw_tubular_configs(base_name: str):
     return found
 
 
-def enumerate_chi_zero(dedup: bool = True) -> list[ZooEntry]:
+def enumerate_chi_zero() -> list[ZooEntry]:
     """All curves with chi'_orb = 0: the weightless genus-one bases plus
-    every tubular weight configuration on a genus-zero-centre base.
-
-    With dedup=False the tubular configurations keep their segmentation
-    labels, so symmetric placements are double-counted; this exists only
-    to demonstrate that canonicalization is doing real work.
-    """
+    every tubular weight configuration on a genus-zero-centre base."""
     entries = []
     for name in sorted(n for n in CATALOG_NAMES if genus(catalog(n)) == 1):
         entries.append(_entry_for(name, ()))
     for base_name in TUBULAR_BASE_NAMES:
-        raw = _raw_tubular_configs(base_name)
-        if dedup:
-            weight_lists = sorted(
-                {_canonical_weights(sw, cw) for sw, cw in raw},
-                key=lambda ws: tuple(_weight_key(p) for p in ws),
-            )
-        else:
-            weight_lists = [_canonical_weights(sw, cw) for sw, cw in raw]
+        weight_lists = sorted(
+            {_canonical_weights(sw, cw) for sw, cw in _raw_tubular_configs(base_name)},
+            key=lambda ws: tuple(_weight_key(p) for p in ws),
+        )
         entries.extend(_entry_for(base_name, ws) for ws in weight_lists)
     return sorted(entries, key=entry_key)
 
 
 # ---------------------------------------------------------------------------
 # The domestic zoo
-
-_DOMESTIC_UNWEIGHTED = ("D", "RP2", "D_H", "D_22", "S2_C")
 
 def _boundary_families(cls: str) -> list[Weights]:
     return [
@@ -246,17 +230,17 @@ def _symbolic_wrv(base_name: str, weights: Weights) -> tuple:
 def _family_entry(base_name: str, weights: Weights) -> ZooEntry:
     if all(isinstance(w, int) for _, w in weights):
         return _entry_for(base_name, weights)
-    surface = catalog(base_name)
+    profile = curve_profile(_build_curve(base_name, ()))
     return ZooEntry(
         base=base_name,
         weights=weights,
         curve_class=CurveClass.DOMESTIC,
         chi_orb=None,
-        skewness=surface_skewness(surface),
+        skewness=profile.skewness,
         wrv=_symbolic_wrv(base_name, weights),
         tau_order=None,
         cy=None,
-        centre="C" if isinstance(surface, ComplexCentreBase) else "R",
+        centre=profile.centre,
     )
 
 
@@ -266,7 +250,7 @@ def enumerate_domestic() -> list[ZooEntry]:
     Parametric families use the symbols p, q, n (all ranging over
     integers >= 2); instantiate_domestic turns one into an honest curve.
     """
-    entries = [_entry_for(name, ()) for name in _DOMESTIC_UNWEIGHTED]
+    entries = [_entry_for(name, ()) for name in TUBULAR_BASE_NAMES]
     for base_name, families in _DOMESTIC_FAMILIES.items():
         entries.extend(_family_entry(base_name, ws) for ws in families)
     return sorted(entries, key=entry_key)

@@ -213,6 +213,16 @@ def test_validation_errors_exit_two(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["invariants", "classify"])
+def test_abstract_epsilon_outside_one_and_two_exits_two(runner, tmp_path, command):
+    path = _write(tmp_path, "e.json", {
+        "overrides": {"chi_x": 1, "s": 1, "kappa": 1, "epsilon": 3, "points": []},
+    })
+    res = runner.invoke(main, [command, path])
+    assert res.exit_code == 2
+    assert res.output == "error: epsilon must be 1 or 2, got 3\n"
+
+
 def test_domain_errors_exit_three(runner, tmp_path):
     inconsistent = _write(tmp_path, "g.json", {
         "points": [{"e_tau": 2, "f": 1}, {"e_tau": 2, "f": 2}],

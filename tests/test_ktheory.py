@@ -72,6 +72,7 @@ def test_mutations_need_genus_one():
 def test_slope_arithmetic():
     assert ClassVector(3, 6).slope() == Fraction(1, 2)
     assert ClassVector(5, 0).slope() == INFINITY
+    assert not isinstance(ClassVector(5, 0).slope(), (int, Fraction, float))
     with pytest.raises(DomainError):
         ClassVector(0, 0).slope()
 
