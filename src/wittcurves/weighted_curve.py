@@ -42,6 +42,7 @@ from .witt_surface import (
     counts,
     euler_characteristics,
     genus,
+    segmentation_points,
     surface_skewness,
     validate,
 )
@@ -419,8 +420,7 @@ def _real_points(base: WittSurface, weights) -> tuple[EffectivePoint, ...]:
     seg_weight = {(wp.oval, wp.segment): wp.weight for wp in weights if wp.location is seg}
     out = [
         EffectivePoint(f"{prefix}{oi}.{si}", kind, e_tau, f, seg_weight.get((oi, si), 1))
-        for oi, oval in enumerate(base.ovals)
-        for si in range(len(oval.segments))
+        for oi, si in segmentation_points(base)
     ]
     counters: dict[str, int] = {}
     for wp in weights:

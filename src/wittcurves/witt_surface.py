@@ -147,6 +147,13 @@ def counts(w: WittSurface | ComplexCentreBase) -> SurfaceCounts:
     return SurfaceCounts(n // 2, r, q)
 
 
+def segmentation_points(w: WittSurface | ComplexCentreBase) -> tuple[tuple[int, int], ...]:
+    """(oval, segment) of every segmentation point, oval by oval."""
+    if isinstance(w, ComplexCentreBase):
+        return ()
+    return tuple((oi, si) for oi, oval in enumerate(w.ovals) for si in range(len(oval.segments)))
+
+
 def surface_skewness(w: WittSurface | ComplexCentreBase) -> int:
     if isinstance(w, ComplexCentreBase):
         return 1

@@ -1,52 +1,53 @@
 """Enumeration of the real weighted curves with nonnegative orbifold characteristic.
 
-The chi' = 0 zoo is finite: 8 elliptic curves (the weightless genus-one
-bases) and 31 tubular ones, found by distributing weights over the five
-genus-zero-centre bases until the weight-ramification vector hits one of
-the four tubular vectors. The domestic zoo is a list of families with
-symbolic weight parameters.
+Nothing here lists bases, placements or weights; all is read off the
+catalog, validation and curve profiles. The catalog bases whose weightless
+curve has chi'_orb = 0 are the elliptic entries; those with chi'_orb > 0
+(D, RP2, D_H, D_22, S2_C) carry the weights. A placement class belongs to
+a base when validation accepts a weight of that class on it, and a probe
+curve's profile gives its e_tau and residue degree f; the segmentation
+points of the weightless profile are slots for one weight each.
 
-Configurations are identified up to the colour-preserving symmetries of
-the base surface; concretely, weights are recorded per placement class as
-multisets (the two segmentation points of the segmented disc are swapped
-by a reflection, so only the multiset of their weights matters).
+By the general formula a weight p at a point of (e_tau, f) lowers
+chi'_orb by c (1 - 1/p), with share c = f / (2 e_tau). The tubular
+entries are the weight multisets whose drops add up to the weightless
+chi'_orb exactly. A drop lies in [c/2, c), which bounds the weights per
+place; for fixed counts the weights solve sum c/p = sum c - chi'_orb,
+and taking c/p in decreasing order, the largest of m terms left is at
+least 1/m of what is left, which bounds each weight.
 
-Each entry is read from one CurveProfile of its curve, so an entry runs
-the cross-checked orbifold characteristic once. Placement classes go by
-the short names of local_data, plus "point" on a complex-centre base.
+The domestic zoo is the weightless bases with chi'_orb > 0 and a table
+of families with symbolic weights; their weight-ramification vectors come
+from the same (e_tau, f) per place.
+
+Weights are recorded per placement class as multisets, which identifies
+configurations up to the colour-preserving symmetries of the base (a
+reflection swaps the two segmentation points of the segmented disc).
+Each entry is read from one CurveProfile of its curve. Placement classes
+go by the short names of local_data, plus "point" on a complex-centre base.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import product
 
 from .errors import ValidationError
 from .local_data import SHORT_NAMES, WittPointClass
 from .weighted_curve import (
     COMPLEX_POINT,
-    TUBULAR_VECTORS,
     CurveClass,
+    CurveProfile,
     WeightedCurve,
     WeightedPoint,
     curve_profile,
 )
-from .witt_surface import CATALOG_NAMES, catalog, genus
+from .witt_surface import CATALOG_NAMES, catalog, segmentation_points
 
-# the genus-zero-centre bases: the tubular search runs over them, and their
-# weightless curves open the domestic zoo
-TUBULAR_BASE_NAMES = ("D", "RP2", "D_H", "D_22", "S2_C")
-
-_PLACEMENT_CLASSES = {
-    "D": ("inner", "real"),
-    "RP2": ("inner",),
-    "D_H": ("inner", "quat"),
-    "D_22": ("inner", "real", "quat"),
-    "S2_C": ("point",),
-}
-_SEG_SLOTS = {"D_22": ((0, 0), (0, 1))}
 _LOCATION = {short: cls for cls, short in SHORT_NAMES.items()} | {"point": COMPLEX_POINT}
+_SEG = SHORT_NAMES[WittPointClass.SEGMENTATION]
+_SEG_KIND = WittPointClass.SEGMENTATION.value
 _CLASS_ORDER = {"seg": 0, "real": 1, "quat": 2, "inner": 3, "point": 4}
 
 # a weight entry is (placement class, p) with p an int, or a parameter
@@ -78,19 +79,12 @@ def entry_key(entry: ZooEntry):
     return (entry.base, len(entry.weights), tuple(_weight_key(p) for p in entry.weights))
 
 
-def _canonical_weights(seg_weights, class_weights) -> Weights:
-    pairs = [("seg", w) for w in seg_weights if w > 1]
-    for cls, ws in class_weights:
-        pairs.extend((cls, w) for w in ws)
-    return tuple(sorted(pairs, key=_weight_key))
-
-
 def _build_curve(base_name: str, weights: Weights) -> WeightedCurve:
     base = catalog(base_name)
-    slots = iter(_SEG_SLOTS.get(base_name, ()))
+    slots = iter(segmentation_points(base))
     pts = []
     for cls, w in weights:
-        if cls == "seg":
+        if cls == _SEG:
             oval, segment = next(slots)
             pts.append(WeightedPoint(WittPointClass.SEGMENTATION, w, oval=oval, segment=segment))
         else:
@@ -98,8 +92,8 @@ def _build_curve(base_name: str, weights: Weights) -> WeightedCurve:
     return WeightedCurve(base, tuple(pts))
 
 
-def _entry_for(base_name: str, weights: Weights) -> ZooEntry:
-    profile = curve_profile(_build_curve(base_name, weights))
+def _entry_for(base_name: str, weights: Weights, profile: CurveProfile | None = None) -> ZooEntry:
+    profile = profile or curve_profile(_build_curve(base_name, weights))
     chi = profile.chi_orb
     order = profile.tau_order() if chi == 0 else None
     return ZooEntry(
@@ -115,59 +109,83 @@ def _entry_for(base_name: str, weights: Weights) -> ZooEntry:
     )
 
 
+def _bases():
+    """Each catalog name with the profile of its weightless curve. The
+    chi'_orb of that curve is its chi_prime: no weight enters the split route."""
+    return [(name, curve_profile(WeightedCurve(catalog(name)))) for name in CATALOG_NAMES]
+
+
+def _places(bare: CurveProfile) -> dict[str, tuple[int, int, int | None]]:
+    """(e_tau, f, most weights) of every place on the base of a weightless
+    curve: its segmentation points, one weight each, and any number of
+    weights of every other class that validation accepts on the base."""
+    base = bare.curve.base
+    seg = [(pt.e_tau, pt.residue_degree) for pt in bare.points if pt.kind == _SEG_KIND]
+    places = {_SEG: (*seg[0], len(seg))} if seg else {}
+    accepted = {}
+    for name, location in _LOCATION.items():
+        if name == _SEG:
+            continue  # segmentation weights go on the slots
+        try:
+            accepted[name] = WeightedCurve(base, (WeightedPoint(location, 2),)).points[0]
+        except ValidationError:
+            pass
+    # one probe curve carries a weight of each accepted class after the
+    # segmentation points
+    probe = curve_profile(WeightedCurve(base, tuple(accepted.values())))
+    for name, pt in zip(accepted, probe.points[len(seg):]):
+        places[name] = (pt.e_tau, pt.residue_degree, None)
+    return places
+
+
 # ---------------------------------------------------------------------------
 # The tubular search
 
-def _class_multisets(cls: str, budget: int):
-    per_weight = 2 if cls == "inner" else 1
-    for size in range(budget // per_weight + 1):
-        yield from combinations_with_replacement(range(2, 7), size)
-
-
-def _raw_tubular_configs(base_name: str):
-    """Labeled weight configurations on one base whose vector is tubular.
-
-    Segmentation slots are assigned individually here (weight 1 means no
-    insertion); the caller collapses symmetric assignments.
-    """
-    classes = _PLACEMENT_CLASSES[base_name]
-    slots = _SEG_SLOTS.get(base_name, ())
-    found = []
-    for seg_weights in product((1, 2, 3), repeat=len(slots)):
-        base_entries = tuple(2 * w for w in seg_weights)
-        budget = 4 - len(base_entries)
-        if budget < 0:
+def _fill(shares, counts, target, bound):
+    """Weights p >= 2, counts[i] of them at share shares[i][1], with
+    sum c/p = target, in decreasing order of (c/p, -i) up to bound."""
+    m = sum(counts)
+    for i, (name, c) in enumerate(shares):
+        if not counts[i]:
             continue
+        # c/p is at most the bound and the target, and the largest of the
+        # m terms left is at least target / m
+        for p in range(max(2, -(-c // min(bound[0], target))), c * m // target + 1):
+            key = (c / p, -i)
+            rest = target - key[0]
+            if key > bound or (rest == 0) != (m == 1):
+                continue
+            if m == 1:
+                yield ((name, p),)
+                continue
+            left = counts[:i] + (counts[i] - 1,) + counts[i + 1:]
+            for tail in _fill(shares, left, rest, key):
+                yield ((name, p),) + tail
 
-        def extend(index, entries, chosen):
-            if index == len(classes):
-                vector = tuple(sorted(base_entries + entries))
-                if vector in TUBULAR_VECTORS:
-                    found.append((seg_weights, tuple(chosen)))
-                return
-            cls = classes[index]
-            copies = 2 if cls == "inner" else 1
-            remaining = budget - len(entries)
-            for ws in _class_multisets(cls, remaining):
-                contribution = tuple(sorted(w for w in ws for _ in range(copies)))
-                extend(index + 1, entries + contribution, chosen + [(cls, ws)])
 
-        extend(0, (), [])
+def _tubular_weights(budget: Fraction, places) -> list[Weights]:
+    """Every weight multiset on the places whose drops add up to the budget."""
+    shares = [(name, Fraction(f, 2 * e_tau)) for name, (e_tau, f, _) in places.items()]
+    # a weight costs at least half its share
+    most = [min(n := 2 * budget // c, slots or n) for (_, c), (_, _, slots) in zip(shares, places.values())]
+    found = []
+    for counts in product(*(range(n + 1) for n in most)):
+        total = sum(n * c for n, (_, c) in zip(counts, shares))
+        if total / 2 <= budget < total:
+            for ws in _fill(shares, counts, total - budget, (total, 0)):
+                found.append(tuple(sorted(ws, key=_weight_key)))
     return found
 
 
 def enumerate_chi_zero() -> list[ZooEntry]:
-    """All curves with chi'_orb = 0: the weightless genus-one bases plus
-    every tubular weight configuration on a genus-zero-centre base."""
+    """All curves with chi'_orb = 0: the weightless bases with chi'_orb = 0
+    plus every tubular weight configuration on a base with chi'_orb > 0."""
     entries = []
-    for name in sorted(n for n in CATALOG_NAMES if genus(catalog(n)) == 1):
-        entries.append(_entry_for(name, ()))
-    for base_name in TUBULAR_BASE_NAMES:
-        weight_lists = sorted(
-            {_canonical_weights(sw, cw) for sw, cw in _raw_tubular_configs(base_name)},
-            key=lambda ws: tuple(_weight_key(p) for p in ws),
-        )
-        entries.extend(_entry_for(base_name, ws) for ws in weight_lists)
+    for name, bare in _bases():
+        if bare.chi_prime == 0:
+            entries.append(_entry_for(name, (), bare))
+        elif bare.chi_prime > 0:
+            entries.extend(_entry_for(name, ws) for ws in _tubular_weights(bare.chi_prime, _places(bare)))
     return sorted(entries, key=entry_key)
 
 
@@ -213,46 +231,36 @@ _DOMESTIC_FAMILIES: dict[str, list[Weights]] = {
 }
 
 
-def _symbolic_wrv(base_name: str, weights: Weights) -> tuple:
-    entries: list[object] = []
-    if base_name == "D_22":
-        entries.extend([2] * (2 - sum(1 for cls, _ in weights if cls == "seg")))
-    for cls, w in weights:
-        if cls == "seg":
-            entries.append(2 * w if isinstance(w, int) else f"2{w}")
-        elif cls == "inner":
-            entries.extend([w, w])
-        else:
-            entries.append(w)
-    return tuple(sorted(entries, key=lambda v: (isinstance(v, str), v if isinstance(v, int) else 0, str(v))))
-
-
-def _family_entry(base_name: str, weights: Weights) -> ZooEntry:
+def _family_entry(bare: ZooEntry, places, weights: Weights) -> ZooEntry:
     if all(isinstance(w, int) for _, w in weights):
-        return _entry_for(base_name, weights)
-    profile = curve_profile(_build_curve(base_name, ()))
-    return ZooEntry(
-        base=base_name,
-        weights=weights,
-        curve_class=CurveClass.DOMESTIC,
-        chi_orb=None,
-        skewness=profile.skewness,
-        wrv=_symbolic_wrv(base_name, weights),
-        tau_order=None,
-        cy=None,
-        centre=profile.centre,
-    )
+        return _entry_for(bare.base, weights)
+    # a weight w at a place of (e_tau, f) adds w * e_tau to the vector f
+    # times; a free segmentation slot counts as weight 1
+    free = places[_SEG][2] - sum(cls == _SEG for cls, _ in weights) if _SEG in places else 0
+    wrv = []
+    for cls, w in weights + ((_SEG, 1),) * free:
+        e_tau, f, _ = places[cls]
+        if isinstance(w, str):
+            wrv += [f"{e_tau}{w}" if e_tau > 1 else w] * f
+        elif w * e_tau > 1:
+            wrv += [w * e_tau] * f
+    wrv.sort(key=lambda v: (isinstance(v, str), v if isinstance(v, int) else 0, str(v)))
+    return replace(bare, weights=weights, chi_orb=None, wrv=tuple(wrv))
 
 
 def enumerate_domestic() -> list[ZooEntry]:
-    """The domestic zoo: five weightless curves and the weighted families.
+    """The domestic zoo: the weightless bases with chi'_orb > 0 and the
+    weighted families on them.
 
     Parametric families use the symbols p, q, n (all ranging over
     integers >= 2); instantiate_domestic turns one into an honest curve.
     """
-    entries = [_entry_for(name, ()) for name in TUBULAR_BASE_NAMES]
-    for base_name, families in _DOMESTIC_FAMILIES.items():
-        entries.extend(_family_entry(base_name, ws) for ws in families)
+    entries = []
+    for name, profile in _bases():
+        if profile.chi_prime > 0:
+            bare, places = _entry_for(name, (), profile), _places(profile)
+            entries.append(bare)
+            entries.extend(_family_entry(bare, places, ws) for ws in _DOMESTIC_FAMILIES[name])
     return sorted(entries, key=entry_key)
 
 
@@ -275,22 +283,10 @@ def instantiate_domestic(entry: ZooEntry, assignments: dict[str, int] | None = N
 # Reporting
 
 def _fmt_weights(weights: Weights) -> str:
-    if not weights:
-        return "{}"
     return "{" + ", ".join(f"{cls}:{w}" for cls, w in weights) + "}"
 
 
-def _fmt_rational(value: Fraction | None) -> str:
-    if value is None:
-        return "-"
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _fmt_vector(vector: tuple) -> str:
-    if not vector:
-        return "()"
     return "(" + ",".join(str(v) for v in vector) + ")"
 
 
@@ -304,7 +300,7 @@ def zoo_report(entries) -> str:
                 e.base,
                 _fmt_weights(e.weights),
                 e.curve_class.value,
-                _fmt_rational(e.chi_orb),
+                "-" if e.chi_orb is None else str(e.chi_orb),
                 str(e.skewness),
                 _fmt_vector(e.wrv),
                 str(e.tau_order) if e.tau_order is not None else "-",

@@ -1,13 +1,23 @@
 from collections import Counter
+from functools import cache
 
 import pytest
 
 from wittcurves.errors import ValidationError
-from wittcurves.weighted_curve import TUBULAR_VECTORS, CurveClass, classify, orbifold_euler
+from wittcurves.local_data import SHORT_NAMES, WittPointClass
+from wittcurves.weighted_curve import (
+    COMPLEX_POINT,
+    TUBULAR_VECTORS,
+    CurveClass,
+    WeightedCurve,
+    WeightedPoint,
+    classify,
+    curve_profile,
+    orbifold_euler,
+)
+from wittcurves.witt_surface import CATALOG_NAMES, catalog
 from wittcurves.zoo import (
-    TUBULAR_BASE_NAMES,
     ZooEntry,
-    _raw_tubular_configs,
     entry_key,
     enumerate_chi_zero,
     enumerate_domestic,
@@ -28,7 +38,6 @@ def test_tubular_counts_per_base():
     tubular = [e for e in enumerate_chi_zero() if e.curve_class is CurveClass.TUBULAR]
     per_base = Counter(e.base for e in tubular)
     assert per_base == {"D": 8, "RP2": 1, "D_H": 8, "D_22": 10, "S2_C": 4}
-    assert set(per_base) == set(TUBULAR_BASE_NAMES)
 
 
 def test_tubular_centre_split():
@@ -51,12 +60,70 @@ def test_elliptic_entries_are_the_weightless_genus_one_bases():
     assert all(e.weights == () for e in elliptic)
 
 
-def test_labelled_enumeration_overcounts():
-    entries = enumerate_chi_zero()
-    elliptic = [e for e in entries if e.curve_class is CurveClass.ELLIPTIC]
-    labelled = len(elliptic) + sum(len(_raw_tubular_configs(name)) for name in TUBULAR_BASE_NAMES)
-    assert labelled == 43
-    assert labelled > len(entries)
+# The completeness oracle: a brute force over small configurations on every
+# catalog base, sharing nothing with the zoo's search but the profiles.
+ORACLE_WEIGHTS = range(2, 7)
+ORACLE_WRV_LENGTH = 4
+_ORACLE_CLASSES = (
+    WittPointClass.INNER,
+    WittPointClass.REAL_BOUNDARY,
+    WittPointClass.QUATERNION_BOUNDARY,
+    COMPLEX_POINT,
+)
+_ORACLE_NAMES = SHORT_NAMES | {COMPLEX_POINT: "point"}
+
+
+def _accepts(base, location) -> bool:
+    try:
+        WeightedCurve(base, (WeightedPoint(location, 2),))
+    except ValidationError:
+        return False
+    return True
+
+
+@cache
+def oracle_configurations() -> dict[tuple, object]:
+    """chi'_orb >= 0 of every weighted configuration on a catalog base with
+    weights in ORACLE_WEIGHTS and at most ORACLE_WRV_LENGTH entries in its
+    weight-ramification vector, keyed by base and sorted weight multiset."""
+    seg = WittPointClass.SEGMENTATION
+    found = {}
+    for name in CATALOG_NAMES:
+        base = catalog(name)
+        slots = [(oi, si) for oi, oval in enumerate(getattr(base, "ovals", ())) for si in range(len(oval.segments))]
+        locations = [seg] if slots else []
+        locations += [loc for loc in _ORACLE_CLASSES if _accepts(base, loc)]
+        items = [(loc, p) for loc in locations for p in ORACLE_WEIGHTS]
+
+        def extend(chosen, start):
+            for k in range(start, len(items)):
+                config = chosen + [items[k]]
+                if sum(loc is seg for loc, _ in config) > len(slots):
+                    continue
+                segs = iter(slots)
+                points = tuple(WeightedPoint(loc, p, *(next(segs) if loc is seg else ())) for loc, p in config)
+                profile = curve_profile(WeightedCurve(base, points))
+                # a further weight lowers chi'_orb and never shortens the vector
+                if profile.chi_orb < 0 or len(profile.weight_ram_vector) > ORACLE_WRV_LENGTH:
+                    continue
+                weights = tuple(sorted((_ORACLE_NAMES[loc], p) for loc, p in config))
+                assert (name, weights) not in found
+                found[name, weights] = profile.chi_orb
+                extend(config, k)
+
+        extend([], 0)
+    return found
+
+
+def test_oracle_finds_exactly_the_tubular_entries():
+    zero = {key for key, chi in oracle_configurations().items() if chi == 0}
+    tubular = [
+        (e.base, tuple(sorted(e.weights)))
+        for e in enumerate_chi_zero()
+        if e.curve_class is CurveClass.TUBULAR
+    ]
+    assert len(set(tubular)) == len(tubular) == 31
+    assert zero == set(tubular)
 
 
 def test_enumeration_is_deterministic():
