@@ -38,12 +38,11 @@ from .local_data import SHORT_NAMES, WittPointClass
 from .weighted_curve import (
     COMPLEX_POINT,
     CurveClass,
-    CurveProfile,
     WeightedCurve,
     WeightedPoint,
     curve_profile,
 )
-from .witt_surface import CATALOG_NAMES, catalog, segmentation_points
+from .witt_surface import CATALOG_NAMES, catalog, euler_characteristics, segmentation_points
 
 _LOCATION = {short: cls for cls, short in SHORT_NAMES.items()} | {"point": COMPLEX_POINT}
 _SEG = SHORT_NAMES[WittPointClass.SEGMENTATION]
@@ -92,8 +91,8 @@ def _build_curve(base_name: str, weights: Weights) -> WeightedCurve:
     return WeightedCurve(base, tuple(pts))
 
 
-def _entry_for(base_name: str, weights: Weights, profile: CurveProfile | None = None) -> ZooEntry:
-    profile = profile or curve_profile(_build_curve(base_name, weights))
+def _entry_for(base_name: str, weights: Weights) -> ZooEntry:
+    profile = curve_profile(_build_curve(base_name, weights))
     chi = profile.chi_orb
     order = profile.tau_order() if chi == 0 else None
     return ZooEntry(
@@ -110,18 +109,16 @@ def _entry_for(base_name: str, weights: Weights, profile: CurveProfile | None = 
 
 
 def _bases():
-    """Each catalog name with the profile of its weightless curve. The
-    chi'_orb of that curve is its chi_prime: no weight enters the split route."""
-    return [(name, curve_profile(WeightedCurve(catalog(name)))) for name in CATALOG_NAMES]
+    """Each catalog name with the chi'_orb of its weightless curve: chi' of
+    the base, since no weight enters the split route."""
+    return [(name, euler_characteristics(catalog(name))[1]) for name in CATALOG_NAMES]
 
 
-def _places(bare: CurveProfile) -> dict[str, tuple[int, int, int | None]]:
-    """(e_tau, f, most weights) of every place on the base of a weightless
-    curve: its segmentation points, one weight each, and any number of
-    weights of every other class that validation accepts on the base."""
-    base = bare.curve.base
-    seg = [(pt.e_tau, pt.residue_degree) for pt in bare.points if pt.kind == _SEG_KIND]
-    places = {_SEG: (*seg[0], len(seg))} if seg else {}
+def _places(base_name: str) -> dict[str, tuple[int, int, int | None]]:
+    """(e_tau, f, most weights) of every place on a base: its segmentation
+    points, one weight each, and any number of weights of every other
+    class that validation accepts on the base."""
+    base = catalog(base_name)
     accepted = {}
     for name, location in _LOCATION.items():
         if name == _SEG:
@@ -130,10 +127,12 @@ def _places(bare: CurveProfile) -> dict[str, tuple[int, int, int | None]]:
             accepted[name] = WeightedCurve(base, (WeightedPoint(location, 2),)).points[0]
         except ValidationError:
             pass
-    # one probe curve carries a weight of each accepted class after the
-    # segmentation points
-    probe = curve_profile(WeightedCurve(base, tuple(accepted.values())))
-    for name, pt in zip(accepted, probe.points[len(seg):]):
+    # a probe curve with a weight of each accepted class
+    probe = curve_profile(WeightedCurve(base, tuple(accepted.values()))).points
+    seg = [(pt.e_tau, pt.residue_degree) for pt in probe if pt.kind == _SEG_KIND]
+    places = {_SEG: (*seg[0], len(seg))} if seg else {}
+    weighted = [pt for pt in probe if pt.kind != _SEG_KIND]
+    for name, pt in zip(accepted, weighted):
         places[name] = (pt.e_tau, pt.residue_degree, None)
     return places
 
@@ -181,11 +180,11 @@ def enumerate_chi_zero() -> list[ZooEntry]:
     """All curves with chi'_orb = 0: the weightless bases with chi'_orb = 0
     plus every tubular weight configuration on a base with chi'_orb > 0."""
     entries = []
-    for name, bare in _bases():
-        if bare.chi_prime == 0:
-            entries.append(_entry_for(name, (), bare))
-        elif bare.chi_prime > 0:
-            entries.extend(_entry_for(name, ws) for ws in _tubular_weights(bare.chi_prime, _places(bare)))
+    for name, chi in _bases():
+        if chi == 0:
+            entries.append(_entry_for(name, ()))
+        elif chi > 0:
+            entries.extend(_entry_for(name, ws) for ws in _tubular_weights(chi, _places(name)))
     return sorted(entries, key=entry_key)
 
 
@@ -220,12 +219,14 @@ _DOMESTIC_FAMILIES: dict[str, list[Weights]] = {
         (("seg", 2), ("real", 3)),
         (("seg", 2), ("quat", 3)),
     ],
-    # over the complex numbers the listed weight types are (p,q), (2,2,n),
-    # (2,3,3) and (2,3,5)
+    # over the complex numbers the weight types are those of Geigle-Lenzing:
+    # (p), (p,q), (2,2,n), (2,3,3), (2,3,4) and (2,3,5)
     "S2_C": [
+        (("point", "p"),),
         (("point", "p"), ("point", "q")),
         (("point", 2), ("point", 2), ("point", "n")),
         (("point", 2), ("point", 3), ("point", 3)),
+        (("point", 2), ("point", 3), ("point", 4)),
         (("point", 2), ("point", 3), ("point", 5)),
     ],
 }
@@ -256,9 +257,9 @@ def enumerate_domestic() -> list[ZooEntry]:
     integers >= 2); instantiate_domestic turns one into an honest curve.
     """
     entries = []
-    for name, profile in _bases():
-        if profile.chi_prime > 0:
-            bare, places = _entry_for(name, (), profile), _places(profile)
+    for name, chi in _bases():
+        if chi > 0:
+            bare, places = _entry_for(name, ()), _places(name)
             entries.append(bare)
             entries.extend(_family_entry(bare, places, ws) for ws in _DOMESTIC_FAMILIES[name])
     return sorted(entries, key=entry_key)

@@ -110,14 +110,14 @@ def test_classify_wild(runner, tmp_path):
 
 
 def test_zoo_table_sizes(runner):
-    for flag, rows in (("elliptic", 8), ("tubular", 31), ("domestic", 36), ("all", 75)):
+    for flag, rows in (("elliptic", 8), ("tubular", 31), ("domestic", 38), ("all", 77)):
         res = runner.invoke(main, ["zoo", "--class", flag])
         assert res.exit_code == 0
         assert len(res.output.splitlines()) == rows + 2
 
 
 def test_zoo_json_sizes(runner):
-    for flag, rows in (("elliptic", 8), ("tubular", 31), ("domestic", 36), ("all", 75)):
+    for flag, rows in (("elliptic", 8), ("tubular", 31), ("domestic", 38), ("all", 77)):
         res = runner.invoke(main, ["zoo", "--class", flag, "--format", "json"])
         assert res.exit_code == 0
         assert len(json.loads(res.output)) == rows

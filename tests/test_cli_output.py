@@ -186,10 +186,10 @@ EXPECTED_ZOO = {
     ('elliptic', 'json'): ('902a5257e3691fd3d91235b79e463148eeb19f4d215741fb9a67580fa797ecff', 1210),
     ('tubular', 'table'): ('18890285c50e61379c0d04a5eff171ec1917aa6d1db06ad26c080e63c5f59cd2', 2705),
     ('tubular', 'json'): ('3f95080b8bc3df5204b2dca1108084193f23c2190c765df70e1da4a7e58252e2', 5867),
-    ('domestic', 'table'): ('eae292be7556d5f7ceb572db372cee59b4d4d5d80334e8fab472adcf94759d14', 2700),
-    ('domestic', 'json'): ('019dbe24be3bd49bd8a3a168371670f17d6e54f23c864be2e4b8a8f20be627ca', 6221),
-    ('all', 'table'): ('64a267a4d2115fcf46171e08a5b34cabb20137f2c31dd03a35a0615a852e42e4', 6472),
-    ('all', 'json'): ('eae3a86e87f9b39d5ae5ec768b352885cc0212c130d8e570f479095680a79d6e', 13296),
+    ('domestic', 'table'): ('4ceb2ebb753aa20ccbef71ecb3201a2de05b92b01261425abfbf287b242e18ec', 2842),
+    ('domestic', 'json'): ('b5ea8b6d8f24ee21ec4299c6f330b71147212395394fc681c054471b3c8b8af5', 6574),
+    ('all', 'table'): ('c678874876883413a52e5333ee9ce5a313eb371baa1f532fe1dd4b8c46fffdf1', 6638),
+    ('all', 'json'): ('dc5e36305204041f96a3b4fea3bb9563ff863e275e6e244cd5b93f9e477a6cb9', 13649),
 }
 
 

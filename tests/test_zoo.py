@@ -1,5 +1,6 @@
 from collections import Counter
 from functools import cache
+from itertools import permutations, product
 
 import pytest
 
@@ -126,6 +127,39 @@ def test_oracle_finds_exactly_the_tubular_entries():
     assert zero == set(tubular)
 
 
+def _instantiates(weights, family) -> bool:
+    """Whether a numeric weight multiset is an instance of a family."""
+    for order in set(permutations(weights)):
+        values = {}
+        if all(
+            cls == fcls and (w == fw if isinstance(fw, int) else values.setdefault(fw, w) == w)
+            for (cls, w), (fcls, fw) in zip(order, family)
+        ):
+            return True
+    return False
+
+
+def test_oracle_domestic_configurations_are_family_instances():
+    families = {}
+    for e in enumerate_domestic():
+        families.setdefault(e.base, []).append(e.weights)
+    positive = [key for key, chi in oracle_configurations().items() if chi > 0]
+    assert len(positive) == 153
+    for base, weights in positive:
+        assert any(
+            len(f) == len(weights) and _instantiates(weights, f) for f in families[base]
+        ), (base, weights)
+
+
+def test_small_family_instances_are_domestic():
+    for entry in enumerate_domestic():
+        symbols = sorted({w for _, w in entry.weights if isinstance(w, str)})
+        for values in product(range(2, 5), repeat=len(symbols)):
+            c = instantiate_domestic(entry, dict(zip(symbols, values)))
+            assert classify(c) is CurveClass.DOMESTIC
+            assert orbifold_euler(c) > 0
+
+
 def test_enumeration_is_deterministic():
     first = enumerate_chi_zero()
     second = enumerate_chi_zero()
@@ -159,13 +193,13 @@ def test_report_layout():
 
 def test_domestic_families():
     dom = enumerate_domestic()
-    assert len(dom) == 36
+    assert len(dom) == 38
     assert all(e.curve_class is CurveClass.DOMESTIC for e in dom)
     weightless = [e for e in dom if not e.weights]
     assert sorted(e.base for e in weightless) == ["D", "D_22", "D_H", "RP2", "S2_C"]
     weighted = [e for e in dom if e.weights]
     centres = Counter(e.centre for e in weighted)
-    assert centres == {"R": 27, "C": 4}
+    assert centres == {"R": 27, "C": 6}
 
 
 def test_domestic_families_instantiate():
