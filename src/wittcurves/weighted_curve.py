@@ -229,12 +229,13 @@ class CurveProfile:
     def chi_orb(self) -> Fraction:
         """Normalized orbifold Euler characteristic, cross-checked three ways."""
         pts = self.points
+        # each term is built as one Fraction: (1 - 1/n) f = (n - 1) f / n
         general = self.chi_centre - Fraction(1, 2) * sum(
-            (1 - Fraction(1, pt.weight * pt.e_tau)) * pt.residue_degree for pt in pts
+            Fraction((pt.weight * pt.e_tau - 1) * pt.residue_degree, pt.weight * pt.e_tau)
+            for pt in pts
         )
         split = self.chi_prime - Fraction(1, 2) * sum(
-            Fraction(1, pt.e_tau) * (1 - Fraction(1, pt.weight)) * pt.residue_degree
-            for pt in pts
+            Fraction((pt.weight - 1) * pt.residue_degree, pt.e_tau * pt.weight) for pt in pts
         )
         if general != split:
             raise InvariantViolation(
@@ -243,13 +244,13 @@ class CurveProfile:
         if self.centre == "R":
             thurston = self.chi_prime
             for pt in pts:
-                share = 1 - Fraction(1, pt.weight)
+                # the share of the point times 1 - 1/p
                 if pt.kind == "segmentation":
-                    thurston -= Fraction(1, 4) * share
+                    thurston -= Fraction(pt.weight - 1, 4 * pt.weight)
                 elif pt.kind == "inner":
-                    thurston -= share
+                    thurston -= Fraction(pt.weight - 1, pt.weight)
                 else:
-                    thurston -= Fraction(1, 2) * share
+                    thurston -= Fraction(pt.weight - 1, 2 * pt.weight)
             if thurston != general:
                 raise InvariantViolation(
                     f"Euler characteristic mismatch: general {general}, boundary count {thurston}"
@@ -467,10 +468,7 @@ def genus_zero_orbifold_euler(kappa, s, epsilon, points) -> Fraction:
     points is an iterable of (e, f, p) triples; only the product e*f
     enters. No separability assumption is needed here.
     """
-    total = sum(
-        (Fraction(e) * Fraction(f) * (1 - Fraction(1, p)) for e, f, p in points),
-        start=Fraction(0),
-    )
+    total = sum((Fraction(e) * Fraction(f) * Fraction(p - 1, p) for e, f, p in points), start=Fraction(0))
     return Fraction(kappa, s * s) - Fraction(kappa * epsilon, 2 * s * s) * total
 
 
