@@ -142,6 +142,11 @@ def apply_slope_matrix(matrix: Matrix, slope):
     return num / den
 
 
+# The orbit scan walks a box of (2B + 1)(B + 1) vectors, twice; a bound of
+# 600 takes a few seconds, and the counts are stable from 50 on.
+MAX_HEIGHT_BOUND = 600
+
+
 @dataclass(frozen=True, slots=True)
 class SlopeOrbits:
     count: int
@@ -193,6 +198,8 @@ def slope_orbits(n: CurveNumerics, height_bound: int = 100) -> SlopeOrbits:
     """
     if height_bound < 50:
         raise ValidationError("height bound must be at least 50", code="height-bound")
+    if height_bound > MAX_HEIGHT_BOUND:
+        raise ValidationError(f"height bound must be at most {MAX_HEIGHT_BOUND}", code="height-bound")
     if n.genus != 1:
         raise DomainError("slope orbits are computed for elliptic numerics")
     k = n.epsilon * _simple_coefficient(n)

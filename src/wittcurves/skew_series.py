@@ -31,7 +31,7 @@ from .algebra import (
     one,
     zero,
 )
-from .errors import DomainError, InvariantViolation, KindMismatchError
+from .errors import DomainError, InvariantViolation, KindMismatchError, ValidationError
 
 
 def _coerce(kind: DivisionAlgebraKind, value) -> AlgebraElement:
@@ -233,6 +233,11 @@ def _in_span(vec, span_basis) -> bool:
     return all(v == 0 for v in target)
 
 
+# The centre search solves one linear system per exponent; a truncation of
+# 256 takes under a second.
+MAX_TRUNCATION = 256
+
+
 def centre_basis(kind: DivisionAlgebraKind, twist: Automorphism, truncation: int) -> CentreDescription:
     """Brute-force the centre of D[[T, sigma]] up to T^truncation.
 
@@ -246,6 +251,8 @@ def centre_basis(kind: DivisionAlgebraKind, twist: Automorphism, truncation: int
         raise KindMismatchError("twist acts on a different algebra")
     if twist.action == "inner":
         raise DomainError("centre with a nontrivial unit is not supported")
+    if truncation > MAX_TRUNCATION:
+        raise ValidationError(f"truncation must be at most {MAX_TRUNCATION}", code="truncation")
     r = galois_order(twist)
     if truncation < 2 * r:
         raise DomainError(f"truncation {truncation} cannot witness the period {r}")

@@ -52,6 +52,11 @@ COMPLEX_POINT = "point"
 
 TUBULAR_VECTORS = frozenset({(2, 2, 2, 2), (2, 3, 6), (2, 4, 4), (3, 3, 3)})
 
+# The largest e_tau, residue degree or weight a point may have. The
+# weight-ramification vector repeats an entry residue-degree times, so
+# larger values would cost unbounded memory; no curve of interest needs them.
+MAX_POINT_VALUE = 10_000
+
 # the one surface whose weightless curve (with its four segmentation
 # points) has a known Pic_0
 _BARE_D2222 = canonical_key(catalog("D_2222"))
@@ -141,6 +146,10 @@ def _validate_curve(c: WeightedCurve) -> None:
         for p in base.points:
             if p.e_tau < 1 or p.residue_degree < 1 or p.weight < 1:
                 raise ValidationError(f"point {p.label} has a nonpositive entry", code="nonpositive")
+            if max(p.e_tau, p.residue_degree, p.weight) > MAX_POINT_VALUE:
+                raise ValidationError(
+                    f"point {p.label} has an entry above {MAX_POINT_VALUE}", code="too-large"
+                )
         if base.s < 1 or base.kappa < 1 or base.epsilon < 1:
             raise ValidationError("base numerics must be positive", code="nonpositive")
         if base.epsilon not in (1, 2):
@@ -151,6 +160,8 @@ def _validate_curve(c: WeightedCurve) -> None:
     for wp in c.points:
         if wp.weight < 2:
             raise ValidationError("an inserted weight must be at least 2", code="weight")
+        if wp.weight > MAX_POINT_VALUE:
+            raise ValidationError(f"an inserted weight must be at most {MAX_POINT_VALUE}", code="too-large")
 
     if isinstance(base, ComplexCentreBase):
         for wp in c.points:
@@ -293,12 +304,17 @@ class CurveProfile:
         cg = self.centre_genus
         if result is CurveClass.TUBULAR:
             if vector not in TUBULAR_VECTORS:
-                raise InvariantViolation(f"tubular curve with vector {vector}")
+                raise self._inconsistent(f"tubular curve with vector {vector}")
             if cg is not None and cg != 0:
-                raise InvariantViolation("tubular curve with a positive-genus centre")
+                raise self._inconsistent("tubular curve with a positive-genus centre")
         if result is CurveClass.DOMESTIC and cg == 0 and not _domestic_genus_zero_vector(vector):
-            raise InvariantViolation(f"domestic genus-zero curve with vector {vector}")
+            raise self._inconsistent(f"domestic genus-zero curve with vector {vector}")
         return result
+
+    def _inconsistent(self, message: str) -> Exception:
+        """The error for numerics no actual curve has: bad input on an
+        abstract base, a bug on a surface base."""
+        return (InconsistentDataError if self.centre is None else InvariantViolation)(message)
 
     def tau_exponents(self) -> dict[str, int]:
         out = {}
@@ -313,7 +329,7 @@ class CurveProfile:
             raise DomainError("tau has finite order only when the orbifold characteristic vanishes")
         order = max([pt.weight * pt.e_tau for pt in self.points], default=1)
         if order not in (1, 2, 3, 4, 6):
-            raise InvariantViolation(f"unexpected tau order {order}")
+            raise self._inconsistent(f"unexpected tau order {order}")
         return order
 
     def picard(self) -> PicardDescriptor:

@@ -223,6 +223,40 @@ def test_abstract_epsilon_outside_one_and_two_exits_two(runner, tmp_path, comman
     assert res.output == "error: epsilon must be 1 or 2, got 3\n"
 
 
+@pytest.mark.parametrize("command", ["invariants", "classify"])
+def test_abstract_inconsistent_data_exits_three(runner, tmp_path, command):
+    path = _write(tmp_path, "t.json", {"overrides": {
+        "chi_x": {"num": 1, "den": 2}, "s": 2, "kappa": 1, "epsilon": 2,
+        "points": [{"label": "x0", "f": 2, "p": 2}],
+    }})
+    res = runner.invoke(main, [command, path])
+    assert res.exit_code == 3
+    assert res.output == "error: tubular curve with vector (2, 2)\n"
+
+
+@pytest.mark.parametrize("field", ["e_tau", "f", "p"])
+@pytest.mark.parametrize("value", [10**9, 2**70])
+def test_huge_abstract_point_entries_exit_two(runner, tmp_path, field, value):
+    path = _write(tmp_path, "h.json", {"overrides": {
+        "chi_x": 1, "s": 1, "kappa": 1, "epsilon": 1, "points": [{"label": "x0", field: value}],
+    }})
+    res = runner.invoke(main, ["invariants", path])
+    assert res.exit_code == 2
+    assert res.output == "error: point x0 has an entry above 10000\n"
+
+
+def test_slope_bound_ceiling_exits_two(runner):
+    res = runner.invoke(main, ["slopes", "K", "--bound", "10000"])
+    assert res.exit_code == 2
+    assert res.output == "error: height bound must be at most 600\n"
+
+
+def test_centre_order_ceiling_exits_two(runner):
+    res = runner.invoke(main, ["skew-centre", "--algebra", "H", "--twist", "id", "--order", "100000"])
+    assert res.exit_code == 2
+    assert res.output == "error: truncation must be at most 256\n"
+
+
 def test_domain_errors_exit_three(runner, tmp_path):
     inconsistent = _write(tmp_path, "g.json", {
         "points": [{"e_tau": 2, "f": 1}, {"e_tau": 2, "f": 2}],

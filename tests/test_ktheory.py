@@ -7,6 +7,7 @@ from wittcurves.errors import DomainError, ValidationError
 from wittcurves.ktheory import (
     ELLIPTIC_TYPES,
     INFINITY,
+    MAX_HEIGHT_BOUND,
     ClassVector,
     CurveNumerics,
     apply_slope_matrix,
@@ -126,6 +127,12 @@ def test_orbits_partition_primitive_classes():
 def test_height_bound_floor():
     with pytest.raises(ValidationError) as exc:
         slope_orbits(elliptic_numerics("K"), height_bound=30)
+    assert exc.value.code == "height-bound"
+
+
+def test_height_bound_ceiling():
+    with pytest.raises(ValidationError) as exc:
+        slope_orbits(elliptic_numerics("K"), height_bound=MAX_HEIGHT_BOUND + 1)
     assert exc.value.code == "height-bound"
 
 

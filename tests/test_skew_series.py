@@ -15,8 +15,9 @@ from wittcurves.algebra import (
     quat,
     real,
 )
-from wittcurves.errors import DomainError, KindMismatchError
+from wittcurves.errors import DomainError, KindMismatchError, ValidationError
 from wittcurves.skew_series import (
+    MAX_TRUNCATION,
     centre_basis,
     dim_over_centre,
     monomial,
@@ -135,3 +136,9 @@ def test_ring_laws_hold_for_random_series():
         assert f * (g + h) == f * g + f * h
         if not f.is_zero() and not g.is_zero() and not (f * g).is_zero():
             assert valuation(f * g) == valuation(f) * valuation(g)
+
+
+def test_centre_truncation_ceiling():
+    with pytest.raises(ValidationError) as exc:
+        centre_basis(COMPLEX, CONJ, MAX_TRUNCATION + 1)
+    assert exc.value.code == "truncation"

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from wittcurves.errors import DomainError, InconsistentDataError, ValidationError
+from wittcurves.errors import DomainError, InconsistentDataError, InvariantViolation, ValidationError
 from wittcurves.local_data import WittPointClass
 from wittcurves.weighted_curve import (
+    MAX_POINT_VALUE,
     TUBULAR_VECTORS,
     AbstractBase,
     AbstractPoint,
@@ -293,3 +294,30 @@ def test_random_curves_classify_consistently():
             assert weight_ram_vector(c) in TUBULAR_VECTORS or cls is CurveClass.ELLIPTIC
             n, n2 = cy_dimension(c)
             assert n == n2 == tau_order(c)
+
+
+def test_abstract_data_off_the_tubular_vectors_is_inconsistent():
+    base = AbstractBase(Fraction(1, 2), 2, 1, 2, (AbstractPoint("x0", residue_degree=2, weight=2),))
+    c = WeightedCurve(base)
+    for view in (classify, invariants_report):
+        with pytest.raises(InconsistentDataError) as exc:
+            view(c)
+        assert not isinstance(exc.value, InvariantViolation)
+        assert str(exc.value) == "tubular curve with vector (2, 2)"
+
+
+@pytest.mark.parametrize("field", ["e_tau", "residue_degree", "weight"])
+@pytest.mark.parametrize("value", [10**9, 2**70])
+def test_abstract_point_entries_are_bounded(field, value):
+    point = AbstractPoint("x0", **{field: value})
+    with pytest.raises(ValidationError) as exc:
+        invariants_report(WeightedCurve(AbstractBase(Fraction(1), 1, 1, 1, (point,))))
+    assert exc.value.code == "too-large"
+    point = AbstractPoint("x0", **{field: MAX_POINT_VALUE})
+    invariants_report(WeightedCurve(AbstractBase(Fraction(1), 1, 1, 1, (point,))))
+
+
+def test_inserted_weights_are_bounded():
+    with pytest.raises(ValidationError) as exc:
+        WeightedCurve(catalog("D"), (WeightedPoint(INNER, MAX_POINT_VALUE + 1),))
+    assert exc.value.code == "too-large"
