@@ -6,7 +6,7 @@ curve has chi'_orb = 0 are the elliptic entries; those with chi'_orb > 0
 (D, RP2, D_H, D_22, S2_C) carry the weights. A placement class belongs to
 a base when validation accepts a weight of that class on it, and a probe
 curve's profile gives its e_tau and residue degree f; the segmentation
-points of the weightless profile are slots for one weight each.
+points in that profile are slots for one weight each.
 
 By the general formula a weight p at a point of (e_tau, f) lowers
 chi'_orb by c (1 - 1/p), with share c = f / (2 e_tau). The tubular
