@@ -87,6 +87,13 @@ CURVES = {
     },
 }
 
+ONE_ORBIT = "1 orbit\nrepresentatives: inf\n"
+TWO_ORBITS = "2 orbits\nrepresentatives: inf, 0\n"
+EXPECTED_SLOPES = {
+    "A": ONE_ORBIT, "M": ONE_ORBIT, "K": TWO_ORBITS, "A_RH": TWO_ORBITS,
+    "A_HH": ONE_ORBIT, "M_H": ONE_ORBIT, "D_2222": ONE_ORBIT,
+}
+
 ZOO_RUNS = [(cls, fmt) for cls in ("elliptic", "tubular", "domestic", "all") for fmt in ("table", "json")]
 
 EXPECTED_CURVES = {
@@ -213,3 +220,10 @@ def test_zoo_output_is_pinned(runner, which, fmt):
     assert res.exit_code == 0
     digest = hashlib.sha256(res.output.encode()).hexdigest()
     assert (digest, len(res.output)) == EXPECTED_ZOO[which, fmt]
+
+
+@pytest.mark.parametrize("bound", [50, 100, 600])
+@pytest.mark.parametrize("name", sorted(EXPECTED_SLOPES))
+def test_slopes_output_is_pinned(runner, name, bound):
+    res = runner.invoke(main, ["slopes", name, "--bound", str(bound)])
+    assert (res.exit_code, res.output) == (0, EXPECTED_SLOPES[name])
