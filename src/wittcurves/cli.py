@@ -368,7 +368,10 @@ def local(point_class):
 
 @main.command()
 @click.argument("name")
-@click.option("--bound", type=int, default=100, show_default=True, help="Height bound for the orbit scan.")
+@click.option(
+    "--bound", type=int, default=100, show_default=True,
+    help="Height bound (50 to 600) of the box of classes; the orbits do not depend on it.",
+)
 @_reporting
 def slopes(name, bound):
     """Count the slope orbits of the mutation group for an elliptic type."""

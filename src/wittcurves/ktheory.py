@@ -3,8 +3,10 @@
 Classes of sheaves are tracked only through their (degree, rank) vectors.
 The Euler form is the Riemann-Roch pairing; on an elliptic curve the line
 bundle class and a degree-one simple class define two transvections of the
-lattice whose group action on slopes has finitely many orbits, tabulated
-for the seven real elliptic types.
+lattice. For the seven real elliptic types they generate a subgroup of
+finite index in SL2(Z), with one or two orbits on slopes; alternating
+division reduces every slope to its orbit's representative and returns
+the generator word that does it, so the count is exact and certified.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError, InconsistentDataError, ValidationError
+from .errors import DomainError, InconsistentDataError, InvariantViolation, ValidationError
 from .weighted_curve import WeightedCurve, curve_profile
 from .witt_surface import catalog
 
@@ -142,59 +144,78 @@ def apply_slope_matrix(matrix: Matrix, slope):
     return num / den
 
 
-# The orbit scan walks a box of (2B + 1)(B + 1) vectors, twice; a bound of
-# 600 takes a few seconds, and the counts are stable from 50 on.
+# slope_orbits never walks the height box; the bound only sizes the box
+# that SlopeOrbits.orbits lists when read, (2B + 1)(B + 1) reductions.
 MAX_HEIGHT_BOUND = 600
+
+def _rep_key(v: tuple[int, int]):
+    return (v[1], abs(v[0]), v[0])
+
+
+def reduce_class(vector: tuple[int, int], k: int) -> tuple[tuple[int, int], tuple[tuple[str, int], ...]]:
+    """Canonical form of a primitive (degree, rank) vector up to sign under
+    L^e: r -> r + e d and S^e: d -> d - e k r, and the word of (letter, e)
+    pairs that takes the vector there, its sign fixed as in the form.
+
+    Alternating division: r to r mod |d| when |d| <= r, else d to its
+    centred remainder mod k r. The rank at least halves every two steps and
+    the loop ends at (1, 0) or (0, 1); for k = 1, S then L joins the two.
+    """
+    if k not in (1, 2):
+        raise DomainError(f"mutation coefficient {k} generates a subgroup of infinite index")
+    d, r = vector if vector[1] >= 0 else (-vector[0], -vector[1])
+    if gcd(d, r) != 1:
+        raise DomainError(f"{vector} is not a primitive class")
+    word = []
+    while d and r:
+        if abs(d) <= r:
+            e = -(r // d) if d > 0 else r // -d
+            r += e * d
+            word.append(("L", e))
+        else:
+            e = (2 * d + k * r) // (2 * k * r)
+            d -= e * k * r
+            word.append(("S", e))
+    if (d, r) == (0, 1) and k == 1:
+        word += [("S", 1), ("L", 1)]
+        d, r = -1, 0
+    return (abs(d), 0) if r == 0 else (d, r), tuple(word)
 
 
 @dataclass(frozen=True, slots=True)
 class SlopeOrbits:
     count: int
     representatives: tuple
-    orbits: tuple[frozenset[tuple[int, int]], ...]
     height_bound: int
+    coefficient: int
 
-
-def _orbit_scan(gens, bound):
-    """Connected components of primitive (degree, rank) vectors mod sign
-    inside the box, under the given integer matrices."""
-    seen: dict[tuple[int, int], int] = {}
-    orbits: list[set[tuple[int, int]]] = []
-    for r in range(bound + 1):
-        d_values = (1,) if r == 0 else (d for d in range(-bound, bound + 1) if gcd(abs(d), r) == 1)
-        for d in d_values:
-            if (d, r) in seen:
-                continue
-            orbit_id = len(orbits)
-            current = {(d, r)}
-            orbits.append(current)
-            stack = [(d, r)]
-            seen[(d, r)] = orbit_id
-            while stack:
-                vd, vr = stack.pop()
-                for (a, b), (c, e) in gens:
-                    nd, nr = a * vd + b * vr, c * vd + e * vr
-                    if nr < 0 or (nr == 0 and nd < 0):
-                        nd, nr = -nd, -nr
-                    if abs(nd) > bound or nr > bound or (nd, nr) in seen:
-                        continue
-                    seen[(nd, nr)] = orbit_id
-                    current.add((nd, nr))
-                    stack.append((nd, nr))
-    return orbits
+    @property
+    def orbits(self) -> tuple[frozenset[tuple[int, int]], ...]:
+        """The primitive (degree, rank) vectors up to sign with both entries
+        at most height_bound, one set per orbit in the order of the
+        representatives; reduced afresh on each read."""
+        bound = self.height_bound
+        groups: dict[tuple[int, int], set] = {}
+        for r in range(bound + 1):
+            for d in (1,) if r == 0 else range(-bound, bound + 1):
+                if gcd(d, r) == 1:
+                    groups.setdefault(reduce_class((d, r), self.coefficient)[0], set()).add((d, r))
+        return tuple(frozenset(groups[form]) for form in sorted(groups, key=_rep_key))
 
 
 def slope_orbits(n: CurveNumerics, height_bound: int = 100) -> SlopeOrbits:
-    """Orbits of the mutation group on slopes, by finite search.
+    """Orbits of the mutation group on slopes, exactly.
 
-    The search walks primitive (degree, rank) vectors with both entries
-    bounded, using the transvections in the unnormalized degree form (the
-    lattice where the line-bundle mutation has coefficient 1 and the
-    simple mutation has coefficient epsilon * c); this is conjugate to the
-    normalized picture and realizes the even/odd numerator description of
-    the two-orbit cases. Generators come paired with their inverses, so
-    the sign ambiguity of the mutation direction is immaterial. The count
-    must agree at half the bound, otherwise the search is inconclusive.
+    The group acts on primitive (degree, rank) vectors up to sign through
+    the transvections in the unnormalized degree form (the lattice where
+    the line-bundle mutation has coefficient 1 and the simple mutation has
+    coefficient k = epsilon * c); this is conjugate to the normalized
+    picture and realizes the even/odd numerator description of the
+    two-orbit cases. `reduce_class` takes every vector to (1, 0) or
+    (0, 1), so the orbits are the distinct forms those two reduce to. Both
+    generators and the sign keep the degree mod k, which separates them.
+    The answer does not depend on height_bound; k outside {1, 2} raises
+    DomainError, since the group then has infinitely many orbits.
     """
     if height_bound < 50:
         raise ValidationError("height bound must be at least 50", code="height-bound")
@@ -203,32 +224,14 @@ def slope_orbits(n: CurveNumerics, height_bound: int = 100) -> SlopeOrbits:
     if n.genus != 1:
         raise DomainError("slope orbits are computed for elliptic numerics")
     k = n.epsilon * _simple_coefficient(n)
-    gens = (
-        ((1, 0), (1, 1)),
-        ((1, 0), (-1, 1)),
-        ((1, -k), (0, 1)),
-        ((1, k), (0, 1)),
-    )
-    half_count = len(_orbit_scan(gens, height_bound // 2))
-    orbits = _orbit_scan(gens, height_bound)
-    if len(orbits) != half_count:
-        raise DomainError(
-            f"orbit count changed between bounds {height_bound // 2} and {height_bound}"
-        )
-
-    def rep_key(v):
-        return (v[1], abs(v[0]), v[0])
-
-    ordered = sorted(orbits, key=lambda orbit: rep_key(min(orbit, key=rep_key)))
-    reps = []
-    for orbit in ordered:
-        d, r = min(orbit, key=rep_key)
-        reps.append(INFINITY if r == 0 else Fraction(d, r))
+    forms = sorted({reduce_class(v, k)[0] for v in ((1, 0), (0, 1))}, key=_rep_key)
+    if len({d % k for d, _ in forms}) != len(forms):
+        raise InvariantViolation(f"the degree mod {k} does not separate the forms {forms}")
     return SlopeOrbits(
-        count=len(ordered),
-        representatives=tuple(reps),
-        orbits=tuple(frozenset(orbit) for orbit in ordered),
+        count=len(forms),
+        representatives=tuple(ClassVector(d, r).slope() for d, r in forms),
         height_bound=height_bound,
+        coefficient=k,
     )
 
 

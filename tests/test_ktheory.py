@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from wittcurves.errors import DomainError, ValidationError
+from wittcurves.errors import DomainError, InconsistentDataError, ValidationError
 from wittcurves.ktheory import (
     ELLIPTIC_TYPES,
     INFINITY,
@@ -16,6 +17,7 @@ from wittcurves.ktheory import (
     euler_form,
     fm_partners,
     mutation_matrices,
+    reduce_class,
     slope_orbits,
 )
 
@@ -122,6 +124,92 @@ def test_orbits_partition_primitive_classes():
     assert len(members) == len(set(members))
     for deg, rank in members:
         assert rank >= 0
+
+
+def _orbit_scan(k, bound):
+    """Connected components of the primitive (degree, rank) vectors up to
+    sign inside the box, under L^(+-1) and S^(+-1): the brute-force oracle."""
+    gens = (((1, 0), (1, 1)), ((1, 0), (-1, 1)), ((1, -k), (0, 1)), ((1, k), (0, 1)))
+    seen = {}
+    orbits = []
+    for r in range(bound + 1):
+        d_values = (1,) if r == 0 else (d for d in range(-bound, bound + 1) if gcd(abs(d), r) == 1)
+        for d in d_values:
+            if (d, r) in seen:
+                continue
+            current = {(d, r)}
+            orbits.append(current)
+            stack = [(d, r)]
+            seen[(d, r)] = len(orbits) - 1
+            while stack:
+                vd, vr = stack.pop()
+                for (a, b), (c, e) in gens:
+                    nd, nr = a * vd + b * vr, c * vd + e * vr
+                    if nr < 0 or (nr == 0 and nd < 0):
+                        nd, nr = -nd, -nr
+                    if abs(nd) > bound or nr > bound or (nd, nr) in seen:
+                        continue
+                    seen[(nd, nr)] = len(orbits) - 1
+                    current.add((nd, nr))
+                    stack.append((nd, nr))
+    return {frozenset(orbit) for orbit in orbits}
+
+
+def _replay(word, vector, k):
+    """Apply a reduction word letter by letter, then fix the sign."""
+    d, r = vector
+    for letter, e in word:
+        if letter == "L":
+            r += e * d
+        else:
+            d -= e * k * r
+    return (-d, -r) if r < 0 or (r == 0 and d < 0) else (d, r)
+
+
+@pytest.mark.parametrize(
+    "name, bound", [(name, 50) for name in ELLIPTIC_TYPES] + [("K", 100), ("A_RH", 100)]
+)
+def test_reducer_partition_equals_the_box_scan(name, bound):
+    n = elliptic_numerics(name)
+    m_l, m_s = mutation_matrices(n)
+    k = m_l[1][0] * -m_s[0][1]  # epsilon * c
+    so = slope_orbits(n, height_bound=bound)
+    assert so.coefficient == k
+    assert set(so.orbits) == _orbit_scan(k, bound)
+
+
+def test_synthetic_coefficients():
+    for k in (1, 2):
+        so = slope_orbits(CurveNumerics(kappa=k, epsilon=1, genus=1), height_bound=50)
+        assert so.count == k // 2 + 1
+        assert set(so.orbits) == _orbit_scan(k, 50)
+    for k in (3, 4):
+        with pytest.raises(DomainError):
+            slope_orbits(CurveNumerics(kappa=k, epsilon=1, genus=1))
+        with pytest.raises(DomainError):
+            reduce_class((1, 1), k)
+
+
+def test_certificate_replays_to_the_canonical_form():
+    rng = random.Random(7)
+    for k in (1, 2):
+        for _ in range(300):
+            d, r = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
+            g = gcd(d, r)
+            if g == 0:
+                continue
+            v = (d // g, r // g)
+            form, word = reduce_class(v, k)
+            assert form in ((1, 0), (0, 1))
+            assert _replay(word, v, k) == form
+            assert form[0] % k == v[0] % k
+            assert len(word) <= 2 * abs(v[1]).bit_length() + 5
+
+
+def test_reducer_rejects_imprimitive_classes():
+    for v in ((0, 0), (2, 4), (-3, 0)):
+        with pytest.raises(DomainError):
+            reduce_class(v, 1)
 
 
 def test_height_bound_floor():
