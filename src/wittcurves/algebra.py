@@ -64,10 +64,6 @@ def comultiplicity(kind: DivisionAlgebraKind) -> int:
     return root
 
 
-def _as_rational_tuple(coeffs) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c) for c in coeffs)
-
-
 @dataclass(frozen=True, slots=True)
 class AlgebraElement:
     """An element of R, C or H with rational coefficients."""
@@ -168,7 +164,7 @@ def _require_same_kind(a: AlgebraElement, b: AlgebraElement) -> None:
 
 
 def element(kind: DivisionAlgebraKind, *coeffs) -> AlgebraElement:
-    return AlgebraElement(kind, _as_rational_tuple(coeffs))
+    return AlgebraElement(kind, tuple(Fraction(c) for c in coeffs))
 
 
 def real(x) -> AlgebraElement:
@@ -268,18 +264,25 @@ def apply(phi: Automorphism, a: AlgebraElement) -> AlgebraElement:
     return u.inverse() * a * u
 
 
+def power(phi: Automorphism, n: int) -> Automorphism:
+    """phi^n, negative n giving powers of the inverse; an inner phi has unit
+    u^n by binary powering, u^-1 being conj(u) up to a real scalar."""
+    if phi.action == "identity":
+        return phi
+    if phi.action == "conj":
+        return phi if n % 2 else identity(phi.kind)
+    step = phi.unit if n >= 0 else phi.unit.conjugate()
+    un = one(QUATERNION)
+    for bit in bin(abs(n))[2:]:
+        un = un * un
+        if bit == "1":
+            un = un * step
+    return inner(un)
+
+
 def apply_power(phi: Automorphism, n: int, a: AlgebraElement) -> AlgebraElement:
     """Apply phi n times; negative n applies the inverse automorphism."""
-    if phi.action == "identity":
-        return a
-    if phi.action == "conj":
-        return a if n % 2 == 0 else a.conjugate()
-    u = phi.unit
-    un = one(QUATERNION)
-    step = u if n >= 0 else u.inverse()
-    for _ in range(abs(n)):
-        un = un * step
-    return un.inverse() * a * un
+    return apply(power(phi, n), a)
 
 
 def galois_order(phi: Automorphism) -> int:

@@ -29,6 +29,7 @@ from .algebra import (
     comultiplicity,
     galois_order,
     one,
+    power,
     zero,
 )
 from .errors import DomainError, InvariantViolation, KindMismatchError, ValidationError
@@ -85,12 +86,10 @@ class TwistedSeries:
         _require_same_ring(self, other)
         acc: dict[int, AlgebraElement] = {}
         for i, a in self.coeffs:
+            sigma_i = power(self.twist, i)
             for j, b in other.coeffs:
-                k = i + j
-                if k >= self.truncation:
-                    continue
-                term = a * apply_power(self.twist, i, b)
-                acc[k] = acc.get(k, zero(self.kind)) + term
+                if i + j < self.truncation:
+                    acc[i + j] = acc.get(i + j, zero(self.kind)) + a * apply(sigma_i, b)
         return series(self.kind, self.twist, self.truncation, acc)
 
     def __repr__(self):
@@ -156,14 +155,10 @@ class CentreDescription:
     unit_exponent_note: str
 
 
-def _column(kind, x: AlgebraElement) -> list[Fraction]:
-    return list(x.coeffs)
-
-
 def _mat_from_action(kind, images: list[AlgebraElement]) -> list[list[Fraction]]:
     """Matrix (rows) of a linear map given by its images on the basis."""
     n = kind.dim_over_k
-    cols = [_column(kind, img) for img in images]
+    cols = [list(img.coeffs) for img in images]
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
@@ -306,25 +301,27 @@ def dim_over_centre(kind: DivisionAlgebraKind, twist: Automorphism) -> int:
 # ---------------------------------------------------------------------------
 # Jordan blocks under a twist
 
-def _side_diagonal(kind, twist, b: AlgebraElement, offset: int, n: int):
-    """The twisted side-diagonal matrix: entry (i, i+offset) is sigma^i(b)."""
+def _side_diagonal(kind, powers, b: AlgebraElement, offset: int):
+    """The n x n side-diagonal matrix with entry (i, i+offset) = sigma^i(b), powers[i] = sigma^i."""
+    n = len(powers)
     z = zero(kind)
     m = [[z] * n for _ in range(n)]
     for i in range(n - offset):
-        m[i][i + offset] = apply_power(twist, i, b)
+        m[i][i + offset] = apply(powers[i], b)
     return m
 
 
 def _matmul(kind, a, b):
+    """Matrix product skipping every zero factor; side-diagonal matrices are mostly zeros."""
     n = len(a)
-    z = zero(kind)
-    out = [[z] * n for _ in range(n)]
+    out = [[zero(kind)] * n for _ in range(n)]
     for i in range(n):
-        for j in range(n):
-            acc = z
-            for k in range(n):
-                acc = acc + a[i][k] * b[k][j]
-            out[i][j] = acc
+        for k in range(n):
+            if a[i][k].is_zero():
+                continue
+            for j in range(n):
+                if not b[k][j].is_zero():
+                    out[i][j] = out[i][j] + a[i][k] * b[k][j]
     return out
 
 
@@ -339,12 +336,14 @@ def verify_jordan_twist(kind: DivisionAlgebraKind, twist: Automorphism, n: int) 
         raise DomainError("matrix size n must be between 1 and 6")
     if twist.kind is not kind:
         raise KindMismatchError("twist acts on a different algebra")
-    j = _side_diagonal(kind, twist, one(kind), 1, n)
-    j_power = _side_diagonal(kind, twist, one(kind), 0, n)  # identity matrix
+    powers = [power(twist, i) for i in range(n)]
+    j = _side_diagonal(kind, powers, one(kind), 1)
+    j_power = _side_diagonal(kind, powers, one(kind), 0)  # identity matrix
+    scalars = [(a, _side_diagonal(kind, powers, a, 0)) for a in basis(kind)]
     for offset in range(n):
-        for a in basis(kind):
-            lhs = _matmul(kind, j_power, _side_diagonal(kind, twist, a, 0, n))
-            rhs = _side_diagonal(kind, twist, apply_power(twist, offset, a), offset, n)
+        for a, a_scalar in scalars:
+            lhs = _matmul(kind, j_power, a_scalar)
+            rhs = _side_diagonal(kind, powers, apply(powers[offset], a), offset)
             if lhs != rhs:
                 return False
         j_power = _matmul(kind, j_power, j)

@@ -19,6 +19,7 @@ from wittcurves.algebra import (
     identity,
     inner,
     one,
+    power,
     quat,
     real,
     zero,
@@ -113,6 +114,24 @@ def test_inner_action_by_i():
     assert apply(phi, i) == i
     assert apply(phi, j) == -j
     assert apply(phi, k) == -k
+
+
+def test_power_is_repeated_application():
+    rng = random.Random(11)
+    twists = [identity(QUATERNION), inner(quat(0, 1)), inner(quat(1, 2, -1, 3)), inner(quat(Fraction(1, 2), 0, 3))]
+    for phi in twists:
+        inverse = inner(phi.unit.inverse()) if phi.action == "inner" else phi
+        for n in range(-7, 8):
+            a = quat(*(rng.randint(-4, 4) for _ in range(4)))
+            expected = a
+            for _ in range(abs(n)):
+                expected = apply(phi if n >= 0 else inverse, expected)
+            assert apply(power(phi, n), a) == expected
+            assert apply_power(phi, n, a) == expected
+    sigma = complex_conjugation()
+    assert power(sigma, 4) == identity(COMPLEX)
+    assert power(sigma, -3) == sigma
+    assert power(identity(REAL), 5) == identity(REAL)
 
 
 def test_inner_unit_is_normalized():

@@ -18,6 +18,7 @@ from wittcurves.algebra import (
 from wittcurves.errors import DomainError, KindMismatchError, ValidationError
 from wittcurves.skew_series import (
     MAX_TRUNCATION,
+    _matmul,
     centre_basis,
     dim_over_centre,
     monomial,
@@ -118,6 +119,32 @@ def test_jordan_twist_checks():
         verify_jordan_twist(COMPLEX, CONJ, 0)
     with pytest.raises(DomainError):
         verify_jordan_twist(COMPLEX, CONJ, 7)
+
+
+def test_jordan_twist_holds_for_every_size_and_several_units():
+    units = [(0, 1, 0, 0), (1, 1, 0, 0), (1, 2, -1, 3), (0, 0, 3, -2), (2, -1, 1, 1)]
+    for n in range(1, 7):
+        for unit in units:
+            assert verify_jordan_twist(QUATERNION, inner(quat(*unit)), n), (n, unit)
+
+
+def test_sparse_matmul_matches_the_dense_product():
+    rng = random.Random(5)
+
+    def entry():
+        if rng.random() < 0.6:
+            return quat(0)
+        return quat(*(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(4)))
+
+    for n in (1, 2, 3, 5, 6):
+        for _ in range(10):
+            a = [[entry() for _ in range(n)] for _ in range(n)]
+            b = [[entry() for _ in range(n)] for _ in range(n)]
+            dense = [
+                [sum((a[i][k] * b[k][j] for k in range(n)), quat(0)) for j in range(n)]
+                for i in range(n)
+            ]
+            assert _matmul(QUATERNION, a, b) == dense
 
 
 def _random_series(rng, trunc):
