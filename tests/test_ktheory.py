@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from wittcurves.errors import DomainError, InconsistentDataError, ValidationError
+from wittcurves.errors import DomainError, ValidationError
 from wittcurves.ktheory import (
     ELLIPTIC_TYPES,
     INFINITY,
