@@ -12,7 +12,7 @@ without element arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, InvariantViolation, KindMismatchError
@@ -207,6 +207,10 @@ def _normalize_unit(unit: AlgebraElement) -> AlgebraElement:
     Units are only meaningful up to central (real) scaling, so a canonical
     representative makes equality of automorphisms decidable.
     """
+    if unit.kind is not QUATERNION:
+        raise KindMismatchError("inner automorphisms are registered only on H")
+    if unit.is_zero():
+        raise ZeroDivisionError("inner automorphism needs an invertible unit")
     denom_lcm = math.lcm(*(c.denominator for c in unit.coeffs))
     ints = [int(c * denom_lcm) for c in unit.coeffs]
     g = math.gcd(*ints)
@@ -217,6 +221,22 @@ def _normalize_unit(unit: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(unit.kind, tuple(Fraction(v) for v in ints))
 
 
+def _inner_rotation(unit: AlgebraElement) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows of the matrix of a -> u^-1 a u on the i, j, k coordinates.
+
+    For a normalised unit u = w + xi + yj + zk of norm N this is the
+    rotation by conj(u) / N, the transpose of the one by u.
+    """
+    w, x, y, z = (int(c) for c in unit.coeffs)
+    norm = w * w + x * x + y * y + z * z
+    rows = (
+        (w * w + x * x - y * y - z * z, 2 * (x * y + w * z), 2 * (x * z - w * y)),
+        (2 * (x * y - w * z), w * w - x * x + y * y - z * z, 2 * (y * z + w * x)),
+        (2 * (x * z + w * y), 2 * (y * z - w * x), w * w - x * x - y * y + z * z),
+    )
+    return tuple(tuple(Fraction(v, norm) for v in row) for row in rows)
+
+
 @dataclass(frozen=True, slots=True)
 class Automorphism:
     """A k-algebra automorphism of R, C or H.
@@ -224,11 +244,25 @@ class Automorphism:
     Only three shapes exist: the identity, complex conjugation on C, and
     inner automorphisms of H (every R-automorphism of H is inner by
     Skolem-Noether; Gal(C/R) is generated by conjugation; R is rigid).
+    An inner automorphism stores its unit normalised, so equal maps
+    compare equal however the unit was scaled.
     """
 
     kind: DivisionAlgebraKind
     action: str  # "identity" | "conj" | "inner"
     unit: AlgebraElement | None = None
+    # a -> u^-1 a u fixes the real part of a and rotates its i, j, k part
+    # by an exact rational 3 x 3 matrix, held here row by row. It is
+    # derived from the unit, so it takes no part in equality, hash or repr.
+    rotation: tuple[tuple[Fraction, ...], ...] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        if self.action == "inner":
+            unit = _normalize_unit(self.unit)
+            object.__setattr__(self, "unit", unit)
+            object.__setattr__(self, "rotation", _inner_rotation(unit))
 
     def __call__(self, a: AlgebraElement) -> AlgebraElement:
         return apply(self, a)
@@ -243,11 +277,7 @@ def complex_conjugation() -> Automorphism:
 
 
 def inner(unit: AlgebraElement) -> Automorphism:
-    if unit.kind is not QUATERNION:
-        raise KindMismatchError("inner automorphisms are registered only on H")
-    if unit.is_zero():
-        raise ZeroDivisionError("inner automorphism needs an invertible unit")
-    return Automorphism(QUATERNION, "inner", _normalize_unit(unit))
+    return Automorphism(QUATERNION, "inner", unit)
 
 
 def apply(phi: Automorphism, a: AlgebraElement) -> AlgebraElement:
@@ -260,8 +290,11 @@ def apply(phi: Automorphism, a: AlgebraElement) -> AlgebraElement:
         return a
     if phi.action == "conj":
         return a.conjugate()
-    u = phi.unit
-    return u.inverse() * a * u
+    c = a.coeffs
+    return AlgebraElement(
+        QUATERNION,
+        (c[0],) + tuple(r[0] * c[1] + r[1] * c[2] + r[2] * c[3] for r in phi.rotation),
+    )
 
 
 def power(phi: Automorphism, n: int) -> Automorphism:

@@ -7,6 +7,7 @@ from wittcurves.algebra import (
     COMPLEX,
     QUATERNION,
     REAL,
+    Automorphism,
     abstract_kind,
     apply,
     apply_power,
@@ -165,3 +166,39 @@ def test_basis_multiplication_table_is_closed():
         for y in table:
             prod = x * y
             assert sum(abs(c) for c in prod.coeffs) == 1
+
+
+def test_inner_rotation_matches_the_hamilton_products():
+    rng = random.Random(5150)
+    checked = 0
+    while checked < 500:
+        u = _random_quat(rng)
+        if u.is_zero():
+            continue
+        if checked % 3 == 0:
+            # a rescaled unit, which inner() normalises back
+            u = u * rng.choice([2, 3, -6, Fraction(7, 2)])
+        a = _random_quat(rng)
+        assert apply(inner(u), a) == u.inverse() * a * u
+        checked += 1
+
+
+def test_direct_inner_automorphism_applies():
+    rng = random.Random(77)
+    for u in (quat(0, 1), quat(2, 4, 0, -6), quat(Fraction(1, 3), Fraction(-5, 7), 2, 1)):
+        phi = Automorphism(QUATERNION, "inner", u)
+        assert phi == inner(u)
+        for _ in range(20):
+            a = _random_quat(rng)
+            assert apply(phi, a) == u.inverse() * a * u
+            assert phi(a) == apply(inner(u), a)
+    with pytest.raises(ZeroDivisionError):
+        Automorphism(QUATERNION, "inner", zero(QUATERNION))
+
+
+def test_rotation_leaves_equality_hash_and_repr_alone():
+    u = quat(1, 2, -1, 3)
+    assert inner(u) == inner(3 * u)
+    assert hash(inner(u)) == hash(inner(3 * u))
+    assert repr(inner(3 * u)) == "Automorphism(kind=ℍ, action='inner', unit=1 + 2i - j + 3k)"
+    assert inner(u) != inner(quat(1, 2, -1, 4))

@@ -257,6 +257,17 @@ def test_centre_order_ceiling_exits_two(runner):
     assert res.output == "error: truncation must be at most 256\n"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--algebra", "H", "--twist", "id", "--order", "-5"], "at least 2 to witness the period 1"),
+    (["--algebra", "R", "--twist", "id", "--order", "0"], "at least 2 to witness the period 1"),
+    (["--algebra", "C", "--twist", "conj", "--order", "3"], "at least 4 to witness the period 2"),
+])
+def test_centre_order_floor_exits_two(runner, args, message):
+    res = runner.invoke(main, ["skew-centre", *args])
+    assert res.exit_code == 2
+    assert res.output == f"error: truncation must be {message}\n"
+
+
 def test_domain_errors_exit_three(runner, tmp_path):
     inconsistent = _write(tmp_path, "g.json", {
         "points": [{"e_tau": 2, "f": 1}, {"e_tau": 2, "f": 2}],

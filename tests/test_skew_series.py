@@ -3,22 +3,31 @@ from fractions import Fraction
 
 import pytest
 
+from wittcurves import skew_series
 from wittcurves.algebra import (
     COMPLEX,
     QUATERNION,
     REAL,
+    apply_power,
+    basis,
     complex_conjugation,
     cplx,
+    galois_order,
     identity,
     inner,
     one,
     quat,
     real,
 )
-from wittcurves.errors import DomainError, KindMismatchError, ValidationError
+from wittcurves.errors import DomainError, InvariantViolation, KindMismatchError, ValidationError
 from wittcurves.skew_series import (
     MAX_TRUNCATION,
+    _centre_kernels,
+    _kernel,
+    _left_mul_matrix,
     _matmul,
+    _right_mul_matrix,
+    _twist_matrix,
     centre_basis,
     dim_over_centre,
     monomial,
@@ -28,6 +37,13 @@ from wittcurves.skew_series import (
 )
 
 CONJ = complex_conjugation()
+BUILTIN_PAIRS = [
+    (REAL, identity(REAL)),
+    (COMPLEX, identity(COMPLEX)),
+    (COMPLEX, CONJ),
+    (QUATERNION, identity(QUATERNION)),
+]
+PAIR_IDS = ["R-id", "C-id", "C-conj", "H-id"]
 
 
 def test_twist_moves_past_the_variable():
@@ -106,9 +122,13 @@ def test_inner_twist_has_no_series_centre_description():
 
 
 def test_centre_needs_room_for_one_period():
-    with pytest.raises(DomainError):
-        centre_basis(COMPLEX, CONJ, 3)
+    for kind, twist in BUILTIN_PAIRS:
+        for truncation in (-5, 0, 2 * galois_order(twist) - 1):
+            with pytest.raises(ValidationError) as exc:
+                centre_basis(kind, twist, truncation)
+            assert exc.value.code == "truncation"
     assert centre_basis(COMPLEX, CONJ, 4).period == 2
+    assert centre_basis(REAL, identity(REAL), 2).period == 1
 
 
 def test_jordan_twist_checks():
@@ -169,3 +189,52 @@ def test_centre_truncation_ceiling():
     with pytest.raises(ValidationError) as exc:
         centre_basis(COMPLEX, CONJ, MAX_TRUNCATION + 1)
     assert exc.value.code == "truncation"
+
+
+def _per_exponent_kernels(kind, twist, truncation):
+    """The centre system solved afresh at every exponent, tables and all."""
+    n = kind.dim_over_k
+    twist_m = _twist_matrix(kind, twist)
+    fix_rows = [[twist_m[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    kernels = []
+    for s in range(truncation):
+        rows = [row[:] for row in fix_rows]
+        for d in basis(kind):
+            right = _right_mul_matrix(kind, apply_power(twist, s, d))
+            left = _left_mul_matrix(kind, d)
+            rows.extend([a - b for a, b in zip(right[i], left[i])] for i in range(n))
+        kernels.append(_kernel(rows, n))
+    return kernels
+
+
+@pytest.mark.parametrize("kind, twist", BUILTIN_PAIRS, ids=PAIR_IDS)
+def test_centre_kernels_match_the_per_exponent_solve(kind, twist):
+    oracle = _per_exponent_kernels(kind, twist, 64)
+    for truncation in range(8, 65):
+        assert _centre_kernels(kind, twist, truncation) == oracle[:truncation]
+
+
+@pytest.mark.parametrize("kind, twist", BUILTIN_PAIRS, ids=PAIR_IDS)
+def test_wrong_period_trips_the_centre_check(monkeypatch, kind, twist):
+    monkeypatch.setattr(skew_series, "galois_order", lambda phi: 3)
+    with pytest.raises(InvariantViolation):
+        centre_basis(kind, twist, 8)
+
+
+@pytest.mark.parametrize("claimed", [1, 4])
+def test_conjugation_period_is_witnessed_not_assumed(monkeypatch, claimed):
+    # kernels looked up by s % claimed would take the claim on trust
+    monkeypatch.setattr(skew_series, "galois_order", lambda phi: claimed)
+    with pytest.raises(InvariantViolation):
+        centre_basis(COMPLEX, CONJ, 8)
+
+
+@pytest.mark.parametrize("kind, twist", BUILTIN_PAIRS, ids=PAIR_IDS)
+def test_wrong_constant_subfield_trips_the_centre_check(monkeypatch, kind, twist):
+    # the last basis line: of the wrong dimension on C/id, of the right
+    # dimension but the wrong span on C/conj and H/id; R gets no line at all
+    n = kind.dim_over_k
+    wrong = [[Fraction(int(i == n - 1)) for i in range(n)]] if n > 1 else []
+    monkeypatch.setattr(skew_series, "_constant_subfield_basis", lambda k, t: wrong)
+    with pytest.raises(InvariantViolation):
+        centre_basis(kind, twist, 8)
