@@ -10,7 +10,8 @@ class CurveError(Exception):
 
 
 class KindMismatchError(CurveError, TypeError):
-    """Operands live in different division algebras or different series rings."""
+    """Operands live in different division algebras or different series rings,
+    or a coefficient is not exact (an int or a Fraction)."""
 
 
 class ValidationError(CurveError, ValueError):

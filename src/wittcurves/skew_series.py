@@ -7,17 +7,20 @@ a sigma^i(b) T^(i+j). Everything is truncated: coefficients at exponents
 >= truncation are unrepresented and all identities hold modulo T^N.
 
 The centre computation solves the commutation conditions by brute force
-(exact linear algebra over the rationals) and cross-checks the result
-against the closed form K[[T^r]], K = Z(D) intersect Fix(sigma),
+(exact, fraction-free elimination on integer rows) and cross-checks the
+result against the closed form K[[T^r]], K = Z(D) intersect Fix(sigma),
 r = the order of sigma modulo inner automorphisms. The system at T^s
 depends on s only through sigma^s, so it is solved once per distinct
 sigma^s (one or two solves for the built-in twists) and the solution is
-checked at every exponent: on H this takes about 2.5 ms at truncation 8,
-4 ms at 64 and 8 ms at the ceiling of 256 (2-vCPU Xeon, Python 3.11).
+checked at every exponent: on H this takes about 0.16 ms at truncation
+8, 0.3 ms at 64 and 1 ms at the ceiling of 256 (2-vCPU Xeon, Python
+3.11). All of it, like the twisted products and the Jordan check, runs
+on the integer numerators of ``algebra``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +33,7 @@ from .algebra import (
     apply,
     basis,
     comultiplicity,
+    element,
     galois_order,
     one,
     power,
@@ -43,7 +47,7 @@ def _coerce(kind: DivisionAlgebraKind, value) -> AlgebraElement:
         if value.kind is not kind:
             raise KindMismatchError("coefficient kind does not match the series ring")
         return value
-    return one(kind) * Fraction(value)
+    return element(kind, value, *(0,) * (kind.dim_over_k - 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,7 +120,8 @@ def _require_same_ring(f: TwistedSeries, g: TwistedSeries) -> None:
 def series(kind, twist, truncation, coeffs) -> TwistedSeries:
     """Build a series from an {exponent: coefficient} mapping.
 
-    Coefficients may be AlgebraElements or plain rationals/ints. Exponents
+    Coefficients may be AlgebraElements, ints or Fractions; anything else
+    (a float, a string) raises KindMismatchError. Exponents
     at or above the truncation are rejected rather than silently dropped;
     negative exponents produce Laurent series.
     """
@@ -158,10 +163,14 @@ class CentreDescription:
     unit_exponent_note: str
 
 
-def _mat_from_action(kind, images: list[AlgebraElement]) -> list[list[Fraction]]:
-    """Matrix (rows) of a linear map given by its images on the basis."""
+def _mat_from_action(kind, images: list[AlgebraElement]) -> list[list[int | Fraction]]:
+    """Matrix (rows) of a linear map given by its images on the basis.
+
+    Entries are ints wherever an image is integral, as every image is for
+    the built-in twists, and Fractions elsewhere.
+    """
     n = kind.dim_over_k
-    cols = [list(img.coeffs) for img in images]
+    cols = [img.num if img.den == 1 else img.coeffs for img in images]
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
@@ -177,63 +186,84 @@ def _twist_matrix(kind, twist: Automorphism):
     return _mat_from_action(kind, [apply(twist, e) for e in basis(kind)])
 
 
-def _kernel(rows: list[list[Fraction]], n: int) -> list[list[Fraction]]:
-    """Basis of the null space of the given rational matrix, by elimination."""
-    m = [row[:] for row in rows]
+def _int_row(row) -> list[int]:
+    """A rational row scaled by the positive lcm of its denominators."""
+    scale = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (scale // v.denominator) for v in row]
+
+
+def _kernel(rows: list[list[int | Fraction]], n: int) -> list[list[int]]:
+    """Basis of the null space of a rational matrix, by fraction-free elimination.
+
+    Every equation is homogeneous, so scaling a row by a nonzero integer
+    leaves the kernel alone: rows are scaled to integers, zero rows are
+    dropped, and each row an elimination step changes is divided by the
+    gcd of its entries. The vector of a free column c is the primitive
+    integer vector that is positive at c and zero at the other free
+    columns, so equal kernels give equal bases.
+    """
+    m = [r for r in map(_int_row, rows) if any(r)]
     pivots: list[int] = []
-    rank = 0
     for col in range(n):
-        pivot_row = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        rank = len(pivots)
+        pivot_row = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if pivot_row is None:
             continue
         m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pv = m[rank][col]
-        m[rank] = [v / pv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        prow = m[rank]
+        pv = prow[col]
+        for r, row in enumerate(m):
+            factor = row[col]
+            if r != rank and factor:
+                row = [a * pv - factor * b for a, b in zip(row, prow)]
+                g = math.gcd(*row)
+                m[r] = [v // g for v in row] if g > 1 else row
         pivots.append(col)
-        rank += 1
-    free = [c for c in range(n) if c not in pivots]
+    scale = math.lcm(*(abs(m[r][pc]) for r, pc in enumerate(pivots)))
     out = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [0] * n
+        vec[fc] = scale
         for r, pc in enumerate(pivots):
-            vec[pc] = -m[r][fc]
-        out.append(vec)
+            vec[pc] = -m[r][fc] * scale // m[r][pc]
+        g = math.gcd(*vec)
+        out.append([v // g for v in vec])
     return out
 
 
-def _constant_subfield_basis(kind, twist) -> list[list[Fraction]]:
+def _constant_subfield_basis(kind, twist) -> list[list[int]]:
     """Closed-form basis of K = Z(D) intersect Fix(twist), as coordinate vectors."""
     n = kind.dim_over_k
-    e0 = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    e0 = [1] + [0] * (n - 1)
     if kind is COMPLEX and twist.action == "identity":
-        return [e0, [Fraction(0), Fraction(1)]]
+        return [e0, [0, 1]]
     # every remaining built-in case has K = R
     return [e0]
 
 
 def _in_span(vec, span_basis) -> bool:
-    """Membership test by eliminating against the (echelonized) span basis."""
-    work = [list(v) for v in span_basis]
+    """Membership test by eliminating against the (echelonized) span basis.
+
+    Fraction-free: target becomes b[lead] * target - target[lead] * b,
+    a nonzero multiple of target - (target[lead] / b[lead]) * b, which
+    leaves the final test for zero unchanged.
+    """
     target = list(vec)
     # reduce target against each basis vector's leading coordinate
-    for b in work:
+    for b in span_basis:
         lead = next((i for i, v in enumerate(b) if v != 0), None)
         if lead is None:
             continue
-        if target[lead] != 0:
-            factor = target[lead] / b[lead]
-            target = [t - factor * v for t, v in zip(target, b)]
-    return all(v == 0 for v in target)
+        t = target[lead]
+        if t != 0:
+            p = b[lead]
+            target = [x * p - t * v for x, v in zip(target, b)]
+    return not any(target)
 
 
 # The centre search solves one linear system per distinct sigma^s, at
 # most two of them, and checks every exponent against K[[T^r]], so the
-# cost grows slowly with the truncation: about 8 ms on H at 256.
+# cost grows slowly with the truncation: about 1 ms on H at 256.
 MAX_TRUNCATION = 256
 
 
@@ -247,11 +277,10 @@ def _centre_kernels(kind: DivisionAlgebraKind, twist: Automorphism, truncation: 
     assumed) and the left-multiplication matrices are built once.
     """
     n = kind.dim_over_k
-    ident = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     twist_m = _twist_matrix(kind, twist)
-    fix_rows = [[a - b for a, b in zip(twist_m[i], ident[i])] for i in range(n)]
+    fix_rows = [[v - int(i == j) for j, v in enumerate(twist_m[i])] for i in range(n)]
     lefts = [(d, _left_mul_matrix(kind, d)) for d in basis(kind)]
-    solved: dict[Automorphism, list[list[Fraction]]] = {}
+    solved: dict[Automorphism, list[list[int]]] = {}
     kernels = []
     for s in range(truncation):
         sigma_s = power(twist, s)
@@ -337,16 +366,27 @@ def _side_diagonal(kind, powers, b: AlgebraElement, offset: int):
 
 
 def _matmul(kind, a, b):
-    """Matrix product skipping every zero factor; side-diagonal matrices are mostly zeros."""
+    """Matrix product skipping every zero factor and every product by 1.
+
+    Side-diagonal matrices are mostly zeros, and J's side diagonal is all
+    ones, so most of the products left are by 1.
+    """
     n = len(a)
-    out = [[zero(kind)] * n for _ in range(n)]
+    z, unit = zero(kind), one(kind)
+    out = [[z] * n for _ in range(n)]
     for i in range(n):
+        row = out[i]
         for k in range(n):
-            if a[i][k].is_zero():
+            x = a[i][k]
+            if x.is_zero():
                 continue
+            x_is_one = x == unit
             for j in range(n):
-                if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + a[i][k] * b[k][j]
+                y = b[k][j]
+                if y.is_zero():
+                    continue
+                term = y if x_is_one else x if y == unit else x * y
+                row[j] = term if row[j].is_zero() else row[j] + term
     return out
 
 

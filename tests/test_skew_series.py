@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from wittcurves.errors import DomainError, InvariantViolation, KindMismatchError
 from wittcurves.skew_series import (
     MAX_TRUNCATION,
     _centre_kernels,
+    _in_span,
     _kernel,
     _left_mul_matrix,
     _matmul,
@@ -165,6 +167,68 @@ def test_sparse_matmul_matches_the_dense_product():
                 for i in range(n)
             ]
             assert _matmul(QUATERNION, a, b) == dense
+
+
+def _fraction_kernel(rows, n):
+    """The null space by Gauss-Jordan elimination on Fractions, free entries 1."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(n):
+        rank = len(pivots)
+        pivot_row = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        m[rank] = [v / m[rank][col] for v in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                m[r] = [a - m[r][col] * b for a, b in zip(m[r], m[rank])]
+        pivots.append(col)
+    out = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -m[r][fc]
+        out.append(vec)
+    return out
+
+
+def test_fraction_free_kernel_matches_the_fraction_elimination():
+    rng = random.Random(4242)
+
+    def value():
+        if rng.random() < 0.4:
+            return 0
+        v = rng.randint(-9, 9)
+        return Fraction(v, rng.choice([1, 2, 3, 7, 10**9 + 7])) if rng.random() < 0.3 else v
+
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        base = [[value() for _ in range(n)] for _ in range(rng.randint(0, 3))]
+        # rows that repeat others' combinations, so the rank often falls short
+        rows = base + [
+            [sum((rng.randint(-2, 2) * b[c] for b in base), 0) for c in range(n)]
+            for _ in range(rng.randint(0, 4))
+        ]
+        rng.shuffle(rows)
+        got, want = _kernel(rows, n), _fraction_kernel(rows, n)
+        assert len(got) == len(want)
+        for vec, expected in zip(got, want):
+            assert all(type(v) is int for v in vec) and math.gcd(*vec) == 1
+            scale = next(v for v in expected if v != 0)
+            factor = next(v for v in vec if v != 0) / scale
+            assert factor > 0 and [factor * v for v in expected] == vec
+
+
+def test_span_check_with_leads_other_than_one():
+    assert _in_span([2, 4, 0], [[2, 4, 0]])
+    assert _in_span([Fraction(1, 3), Fraction(2, 3)], [[3, 6]])
+    assert _in_span([6, 3, 9], [[2, 1, 0], [0, 0, 3]])
+    assert _in_span([0, 0], [])
+    assert not _in_span([1, 2, 1], [[3, 6, 0]])
+    assert not _in_span([6, 4, 9], [[2, 1, 0], [0, 0, 3]])
+    assert not _in_span([1, 0], [])
 
 
 def _random_series(rng, trunc):
