@@ -33,9 +33,6 @@ INFINITY = _Infinity()
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
 
-ELLIPTIC_TYPES = ("A", "M", "K", "A_RH", "A_HH", "M_H", "D_2222")
-
-
 @dataclass(frozen=True, slots=True)
 class ClassVector:
     degree: int
@@ -62,13 +59,12 @@ class CurveNumerics:
     kappa: int
     epsilon: int
     genus: int
-    deg_S: int = 1
     end_S_dim: int = 1
     pbar: int = 1
     g_orb: Fraction | None = None
 
     def __post_init__(self):
-        if self.kappa < 1 or self.genus < 0 or self.deg_S < 1 or self.end_S_dim < 1 or self.pbar < 1:
+        if self.kappa < 1 or self.genus < 0 or self.end_S_dim < 1 or self.pbar < 1:
             raise ValidationError("numerics entries out of range", code="nonpositive")
         if self.epsilon not in (1, 2):
             raise ValidationError(f"epsilon must be 1 or 2, got {self.epsilon}", code="epsilon")
@@ -76,6 +72,7 @@ class CurveNumerics:
 
 # real dimension of End(S) for the designated degree-one simple object S
 _END_S_DIM = {"A": 1, "M": 1, "K": 2, "A_RH": 4, "A_HH": 4, "M_H": 4, "D_2222": 2}
+ELLIPTIC_TYPES = tuple(_END_S_DIM)
 
 
 def elliptic_numerics(name: str) -> CurveNumerics:
@@ -107,7 +104,7 @@ def average_euler_form(e: ClassVector, f: ClassVector, n: CurveNumerics) -> Frac
 
 
 def _simple_coefficient(n: CurveNumerics) -> int:
-    num = n.kappa * n.epsilon * n.deg_S * n.deg_S
+    num = n.kappa * n.epsilon
     if num % n.end_S_dim != 0:
         raise InconsistentDataError(
             f"mutation coefficient {num}/{n.end_S_dim} is not an integer"
@@ -119,7 +116,7 @@ def mutation_matrices(n: CurveNumerics) -> tuple[Matrix, Matrix]:
     """Tubular mutations on (degree, rank) columns of an elliptic curve.
 
     M_L adds epsilon*deg to the rank, M_S subtracts
-    (kappa epsilon deg_S^2 / end_S_dim) * rank from the degree.
+    (kappa epsilon / end_S_dim) * rank from the degree.
     """
     if n.genus != 1:
         raise DomainError("mutations are defined for elliptic numerics")

@@ -19,10 +19,9 @@ from .algebra import (
     QUATERNION,
     REAL,
     DivisionAlgebraKind,
-    abstract_kind,
     comultiplicity,
 )
-from .errors import DomainError, InvariantViolation, ValidationError
+from .errors import InvariantViolation, ValidationError
 
 
 class WittPointClass(enum.Enum):
@@ -47,9 +46,7 @@ class PointDatum:
     """Numerical data of one closed point.
 
     weight = 1 marks an ordinary point; weight > 1 an inserted orbifold
-    weight. The separable flag exists because a single characteristic-2
-    counterexample is kept around as a fixture; everything over the reals
-    is separable.
+    weight.
     """
 
     e: int
@@ -58,7 +55,6 @@ class PointDatum:
     residue_degree: int
     simple_end: DivisionAlgebraKind
     weight: int = 1
-    separable: bool = True
 
     def __post_init__(self):
         for name in ("e", "e_star", "e_tau", "residue_degree", "weight"):
@@ -78,18 +74,6 @@ _TABLE = {
     WittPointClass.SEGMENTATION: PointDatum(e=1, e_star=1, e_tau=2, residue_degree=1, simple_end=COMPLEX),
 }
 
-# A quadratic inseparable extension in characteristic 2: the one known case
-# where the skewness product breaks down. Kept as data so callers can test
-# their error paths; never produced by the real-curve constructors.
-INSEPARABLE_EXAMPLE = PointDatum(
-    e=1,
-    e_star=1,
-    e_tau=1,
-    residue_degree=1,
-    simple_end=abstract_kind(2, 2, "k(t^1/2)"),
-    separable=False,
-)
-
 
 def witt_local_datum(point_class: WittPointClass) -> PointDatum:
     """Table row for one of the four point classes of a Witt curve."""
@@ -98,15 +82,11 @@ def witt_local_datum(point_class: WittPointClass) -> PointDatum:
 
 def skewness(d: PointDatum) -> int:
     """Ambient skewness recovered locally: e * e_star * e_tau."""
-    if not d.separable:
-        raise DomainError("the skewness product does not apply to an inseparable point")
     return d.e * d.e_star * d.e_tau
 
 
 def local_skewness(d: PointDatum) -> int:
     """PI-degree of the completed local algebra: e_star * e_tau."""
-    if not d.separable:
-        raise DomainError("local skewness is not defined for an inseparable point")
     return d.e_star * d.e_tau
 
 

@@ -160,7 +160,6 @@ class CentreDescription:
 
     constant_subfield: DivisionAlgebraKind
     period: int
-    unit_exponent_note: str
 
 
 def _mat_from_action(kind, images: list[AlgebraElement]) -> list[list[int | Fraction]]:
@@ -329,7 +328,7 @@ def centre_basis(kind: DivisionAlgebraKind, twist: Automorphism, truncation: int
                 raise InvariantViolation(f"unexpected central coefficient at T^{s}: {vec}")
 
     subfield = REAL if len(expected_k) == 1 else COMPLEX
-    return CentreDescription(constant_subfield=subfield, period=r, unit_exponent_note="u = 1")
+    return CentreDescription(constant_subfield=subfield, period=r)
 
 
 def dim_over_centre(kind: DivisionAlgebraKind, twist: Automorphism) -> int:

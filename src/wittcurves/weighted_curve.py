@@ -277,6 +277,8 @@ class CurveProfile:
         return general
 
     def any_field_triples(self) -> tuple[tuple[int, Fraction, int], ...]:
+        """(e, f, p) data feeding the genus-zero formula, with e*f recovered
+        from the real local data via e*f = (s^2 / (kappa*epsilon)) * f_res / e_tau."""
         s, kap, eps = self.skewness, self.kappa, self.epsilon
         return tuple(
             (1, Fraction(s * s * pt.residue_degree, kap * eps * pt.e_tau), pt.weight)
@@ -457,27 +459,6 @@ def effective_points(c: WeightedCurve) -> tuple[EffectivePoint, ...]:
     return curve_profile(c).points
 
 
-def curve_skewness(c: WeightedCurve) -> int:
-    return curve_profile(c).skewness
-
-
-def curve_kappa(c: WeightedCurve) -> int:
-    return curve_profile(c).kappa
-
-
-def curve_epsilon(c: WeightedCurve) -> int:
-    """Smallest positive degree of a line bundle, as a normalizer."""
-    return curve_profile(c).epsilon
-
-
-def pbar(c: WeightedCurve) -> int:
-    return curve_profile(c).pbar
-
-
-def centre_genus(c: WeightedCurve) -> int | None:
-    return curve_profile(c).centre_genus
-
-
 def genus_zero_orbifold_euler(kappa, s, epsilon, points) -> Fraction:
     """Normalized orbifold characteristic over any field, genus-zero case.
 
@@ -486,12 +467,6 @@ def genus_zero_orbifold_euler(kappa, s, epsilon, points) -> Fraction:
     """
     total = sum((Fraction(e) * Fraction(f) * Fraction(p - 1, p) for e, f, p in points), start=Fraction(0))
     return Fraction(kappa, s * s) - Fraction(kappa * epsilon, 2 * s * s) * total
-
-
-def any_field_triples(c: WeightedCurve) -> tuple[tuple[int, Fraction, int], ...]:
-    """(e, f, p) data feeding the genus-zero formula, with e*f recovered
-    from the real local data via e*f = (s^2 / (kappa*epsilon)) * f_res / e_tau."""
-    return curve_profile(c).any_field_triples()
 
 
 def orbifold_euler(c: WeightedCurve) -> Fraction:

@@ -200,13 +200,12 @@ def euler_characteristics(w: WittSurface | ComplexCentreBase) -> tuple[Fraction,
     s = surface_skewness(w)
     chi = Fraction(kappa) * (1 - genus(w))
     chi_normalized = chi / s ** 2
-    if isinstance(w, WittSurface):
-        m, _, _ = counts(w)
-        downstairs = Fraction(1 - w.topology.g) - Fraction(2 * m, 4)
-        if chi_normalized != downstairs:
-            raise InvariantViolation(
-                f"normalized characteristic {chi_normalized} != downstairs count {downstairs}"
-            )
+    m, _, _ = counts(w)
+    downstairs = Fraction(1 - w.topology.g) - Fraction(2 * m, 4)
+    if chi_normalized != downstairs:
+        raise InvariantViolation(
+            f"normalized characteristic {chi_normalized} != downstairs count {downstairs}"
+        )
     return chi, chi_normalized
 
 

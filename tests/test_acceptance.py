@@ -44,11 +44,8 @@ from wittcurves.weighted_curve import (
     CurveClass,
     WeightedCurve,
     WeightedPoint,
-    any_field_triples,
     classify,
-    curve_epsilon,
-    curve_kappa,
-    curve_skewness,
+    curve_profile,
     cy_dimension,
     genus_zero_orbifold_euler,
     ghost_group,
@@ -249,9 +246,10 @@ def test_c05_orbifold_euler_formulas_agree():
         c = _random_weighted_curve(rng)
         chi = orbifold_euler(c)
         if genus(c.base) == 0:
-            triples = any_field_triples(c)
-            s = curve_skewness(c)
-            assert genus_zero_orbifold_euler(curve_kappa(c), s, curve_epsilon(c), triples) == chi
+            profile = curve_profile(c)
+            triples = profile.any_field_triples()
+            s = profile.skewness
+            assert genus_zero_orbifold_euler(profile.kappa, s, profile.epsilon, triples) == chi
     assert orbifold_euler(_example_a()) == 0
     assert orbifold_euler(_example_b()) == 0
     assert orbifold_euler(_example_c()) == 0

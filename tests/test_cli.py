@@ -197,6 +197,21 @@ def test_parse_errors_exit_one(runner, tmp_path):
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize("command", ["invariants", "ghost"])
+@pytest.mark.parametrize("content", [
+    b'{"base": "\xff"}',
+    b"[" * 100_000 + b"]" * 100_000,
+    b'{"base": "D", "efficient": ' + b"7" * 5000 + b"}",
+], ids=["not-utf8", "deep-nesting", "long-integer"])
+def test_malformed_files_exit_one_without_a_traceback(runner, tmp_path, command, content):
+    path = tmp_path / "m.json"
+    path.write_bytes(content)
+    res = runner.invoke(main, [command, str(path)])
+    assert isinstance(res.exception, SystemExit)
+    assert res.exit_code == 1
+    assert res.output.startswith("error:")
+
+
 def test_validation_errors_exit_two(runner, tmp_path):
     unknown = _write(tmp_path, "u.json", {"base": "D_23"})
     res = runner.invoke(main, ["invariants", unknown])

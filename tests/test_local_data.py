@@ -3,9 +3,8 @@ from fractions import Fraction
 import pytest
 
 from wittcurves.algebra import COMPLEX, QUATERNION, REAL, complex_conjugation, identity
-from wittcurves.errors import DomainError, ValidationError
+from wittcurves.errors import ValidationError
 from wittcurves.local_data import (
-    INSEPARABLE_EXAMPLE,
     PointDatum,
     WittPointClass,
     degree_of_simple,
@@ -96,10 +95,3 @@ def test_e_star_must_match_the_simple_end():
     assert exc.value.code == "e-star-mismatch"
     with pytest.raises(ValidationError):
         PointDatum(1, 1, 1, 1, QUATERNION)
-
-
-def test_inseparable_points_have_no_skewness():
-    with pytest.raises(DomainError):
-        skewness(INSEPARABLE_EXAMPLE)
-    with pytest.raises(DomainError):
-        local_skewness(INSEPARABLE_EXAMPLE)

@@ -13,10 +13,8 @@ from wittcurves.weighted_curve import (
     CurveClass,
     WeightedCurve,
     WeightedPoint,
-    any_field_triples,
     classify,
-    curve_epsilon,
-    curve_kappa,
+    curve_profile,
     cy_dimension,
     effective_points,
     genus_zero_orbifold_euler,
@@ -71,9 +69,10 @@ def test_weighted_disc_with_orders_two_four_four():
     assert orbifold_euler(c) == 0
     assert weight_ram_vector(c) == (2, 4, 4)
     assert tau_order(c) == 4
-    triples = any_field_triples(c)
+    profile = curve_profile(c)
+    triples = profile.any_field_triples()
     assert sorted(e * f for e, f, _ in triples) == [1, 1, 2]
-    assert genus_zero_orbifold_euler(curve_kappa(c), 2, curve_epsilon(c), triples) == 0
+    assert genus_zero_orbifold_euler(profile.kappa, 2, profile.epsilon, triples) == 0
 
 
 def test_weighted_projective_plane():
