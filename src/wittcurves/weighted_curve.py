@@ -16,8 +16,11 @@ The normalized orbifold Euler characteristic is computed by three
 independent routes (the general formula over the centre, the split through
 the non-weighted curve, and a Thurston-style count for real bases) which
 must agree exactly; a fourth genus-zero route is checked where it applies.
-A profile runs them once, when its chi_orb is first read, so the accessors
-that need only base numerics never run them.
+Each route sums its point terms as one integer numerator over the lcm of
+their denominators and builds one Fraction, and the Fractions are compared;
+the chi' of an abstract base is summed the same way. A profile runs the
+routes once, when its chi_orb is first read, so the accessors that need
+only base numerics never run them.
 """
 
 from __future__ import annotations
@@ -56,6 +59,11 @@ TUBULAR_VECTORS = frozenset({(2, 2, 2, 2), (2, 3, 6), (2, 4, 4), (3, 3, 3)})
 # weight-ramification vector repeats an entry residue-degree times, so
 # larger values would cost unbounded memory; no curve of interest needs them.
 MAX_POINT_VALUE = 10_000
+# The most entries the weight-ramification vector of an abstract base may
+# have: the sum of f over its points with weight * e_tau > 1. It is at
+# least MAX_POINT_VALUE, so one point of any allowed size fits. On a
+# surface base f is 1 or 2, so the vector grows only with the input.
+MAX_VECTOR_LENGTH = MAX_POINT_VALUE
 
 # the one surface whose weightless curve (with its four segmentation
 # points) has a known Pic_0
@@ -134,75 +142,103 @@ def _oval_has_sign(oval, sign: str) -> bool:
 
 def _validate_curve(c: WeightedCurve) -> None:
     base = c.base
-    if isinstance(base, AbstractBase):
-        if c.points:
-            raise ValidationError(
-                "weights on an abstract base belong in its point records",
-                code="placement",
-            )
-        labels = [p.label for p in base.points]
-        if len(set(labels)) != len(labels):
-            raise ValidationError("abstract point labels must be unique", code="duplicate-placement")
-        for p in base.points:
-            if p.e_tau < 1 or p.residue_degree < 1 or p.weight < 1:
-                raise ValidationError(f"point {p.label} has a nonpositive entry", code="nonpositive")
-            if max(p.e_tau, p.residue_degree, p.weight) > MAX_POINT_VALUE:
-                raise ValidationError(
-                    f"point {p.label} has an entry above {MAX_POINT_VALUE}", code="too-large"
-                )
-        if base.s < 1 or base.kappa < 1 or base.epsilon < 1:
-            raise ValidationError("base numerics must be positive", code="nonpositive")
-        if base.epsilon not in (1, 2):
-            raise ValidationError(f"epsilon must be 1 or 2, got {base.epsilon}", code="epsilon")
-        return
-
-    validate(base)
+    if isinstance(base, AbstractBase) and c.points:
+        raise ValidationError(
+            "weights on an abstract base belong in its point records",
+            code="placement",
+        )
+    _validate_base(base)
     for wp in c.points:
         if wp.weight < 2:
             raise ValidationError("an inserted weight must be at least 2", code="weight")
         if wp.weight > MAX_POINT_VALUE:
             raise ValidationError(f"an inserted weight must be at most {MAX_POINT_VALUE}", code="too-large")
-
-    if isinstance(base, ComplexCentreBase):
-        for wp in c.points:
-            if wp.location != COMPLEX_POINT:
-                raise ValidationError(
-                    "a complex-centre base only accepts plain point placements",
-                    code="placement",
-                )
-        return
-
     seen_segments: set[tuple[int, int]] = set()
     for wp in c.points:
-        if not isinstance(wp.location, WittPointClass):
-            raise ValidationError(f"invalid placement {wp.location!r}", code="placement")
+        _validate_placement(base, wp)
         if wp.location is WittPointClass.SEGMENTATION:
-            if wp.oval is None or wp.segment is None:
-                raise ValidationError(
-                    "a segmentation weight needs oval and segment indices", code="placement"
-                )
-            if not 0 <= wp.oval < len(base.ovals) or not base.ovals[wp.oval].segmented:
-                raise ValidationError("no such segmented oval", code="placement")
-            if not 0 <= wp.segment < len(base.ovals[wp.oval].segments):
-                raise ValidationError("segment index out of range", code="placement")
             key = (wp.oval, wp.segment)
             if key in seen_segments:
                 raise ValidationError(
                     "two weights on the same segmentation point", code="duplicate-placement"
                 )
             seen_segments.add(key)
-        elif wp.location in (WittPointClass.REAL_BOUNDARY, WittPointClass.QUATERNION_BOUNDARY):
-            sign = PLUS if wp.location is WittPointClass.REAL_BOUNDARY else MINUS
-            if wp.oval is not None:
-                if not 0 <= wp.oval < len(base.ovals) or not _oval_has_sign(base.ovals[wp.oval], sign):
-                    raise ValidationError("that oval has no locus of the requested sign", code="placement")
-            elif not any(_oval_has_sign(o, sign) for o in base.ovals):
-                raise ValidationError("the surface has no locus of the requested sign", code="placement")
-        # inner placements are always available
+
+
+def _validate_base(base: Base) -> None:
+    """The part of validation that reads the base alone: realizability of
+    a surface, the point records and numerics of an abstract base."""
+    if not isinstance(base, AbstractBase):
+        validate(base)
+        return
+    labels = [p.label for p in base.points]
+    if len(set(labels)) != len(labels):
+        raise ValidationError("abstract point labels must be unique", code="duplicate-placement")
+    length = 0
+    for p in base.points:
+        if p.e_tau < 1 or p.residue_degree < 1 or p.weight < 1:
+            raise ValidationError(f"point {p.label} has a nonpositive entry", code="nonpositive")
+        if max(p.e_tau, p.residue_degree, p.weight) > MAX_POINT_VALUE:
+            raise ValidationError(
+                f"point {p.label} has an entry above {MAX_POINT_VALUE}", code="too-large"
+            )
+        if p.weight * p.e_tau > 1:
+            length += p.residue_degree
+    if length > MAX_VECTOR_LENGTH:
+        raise ValidationError(
+            f"the weight-ramification vector would have {length} entries, more than {MAX_VECTOR_LENGTH}",
+            code="too-large",
+        )
+    if base.s < 1 or base.kappa < 1 or base.epsilon < 1:
+        raise ValidationError("base numerics must be positive", code="nonpositive")
+    if base.epsilon not in (1, 2):
+        raise ValidationError(f"epsilon must be 1 or 2, got {base.epsilon}", code="epsilon")
+
+
+def _validate_placement(base: WittSurface | ComplexCentreBase, wp: WeightedPoint) -> None:
+    """The part of validation that reads one weight's placement against
+    its base; the base is taken as valid, and two weights on one
+    segmentation point are the caller's to catch."""
+    if isinstance(base, ComplexCentreBase):
+        if wp.location != COMPLEX_POINT:
+            raise ValidationError(
+                "a complex-centre base only accepts plain point placements",
+                code="placement",
+            )
+        return
+    if not isinstance(wp.location, WittPointClass):
+        raise ValidationError(f"invalid placement {wp.location!r}", code="placement")
+    if wp.location is WittPointClass.SEGMENTATION:
+        if wp.oval is None or wp.segment is None:
+            raise ValidationError(
+                "a segmentation weight needs oval and segment indices", code="placement"
+            )
+        if not 0 <= wp.oval < len(base.ovals) or not base.ovals[wp.oval].segmented:
+            raise ValidationError("no such segmented oval", code="placement")
+        if not 0 <= wp.segment < len(base.ovals[wp.oval].segments):
+            raise ValidationError("segment index out of range", code="placement")
+    elif wp.location in (WittPointClass.REAL_BOUNDARY, WittPointClass.QUATERNION_BOUNDARY):
+        sign = PLUS if wp.location is WittPointClass.REAL_BOUNDARY else MINUS
+        if wp.oval is not None:
+            if not 0 <= wp.oval < len(base.ovals) or not _oval_has_sign(base.ovals[wp.oval], sign):
+                raise ValidationError("that oval has no locus of the requested sign", code="placement")
+        elif not any(_oval_has_sign(o, sign) for o in base.ovals):
+            raise ValidationError("the surface has no locus of the requested sign", code="placement")
+    # inner placements are always available
 
 
 # ---------------------------------------------------------------------------
 # The profile of a curve
+
+# four times the share of a point of a real base in the boundary count:
+# 1/4 for a segmentation point, 1 for an inner one, 1/2 on the boundary
+_QUARTERS = {WittPointClass.SEGMENTATION.value: 1, WittPointClass.INNER.value: 4}
+
+
+def _less_half(x: Fraction, num: int, den: int) -> Fraction:
+    """x - num / (2 den), built as one Fraction."""
+    return Fraction(x.numerator * 2 * den - x.denominator * num, x.denominator * 2 * den)
+
 
 @dataclass(frozen=True)
 class CurveProfile:
@@ -236,43 +272,48 @@ class CurveProfile:
     chi: Fraction | None = None
     constants: DivisionAlgebraKind | None = None
 
-    @cached_property
-    def chi_orb(self) -> Fraction:
-        """Normalized orbifold Euler characteristic, cross-checked three ways."""
+    def chi_routes(self) -> dict[str, Fraction]:
+        """The value of every chi'_orb route that applies, keyed by the name
+        its mismatch message gives it: the general formula over the centre
+        and the split through the non-weighted curve always, the boundary
+        count on a real centre and the genus-zero form where the function
+        field has genus zero. Each route sums its point terms as one
+        integer numerator over the lcm of their denominators and builds
+        one Fraction; nothing is compared here."""
         pts = self.points
-        # each term is built as one Fraction: (1 - 1/n) f = (n - 1) f / n
-        general = self.chi_centre - Fraction(1, 2) * sum(
-            Fraction((pt.weight * pt.e_tau - 1) * pt.residue_degree, pt.weight * pt.e_tau)
-            for pt in pts
-        )
-        split = self.chi_prime - Fraction(1, 2) * sum(
-            Fraction((pt.weight - 1) * pt.residue_degree, pt.e_tau * pt.weight) for pt in pts
-        )
-        if general != split:
-            raise InvariantViolation(
-                f"Euler characteristic mismatch: general {general}, split {split}"
-            )
+        orders = [pt.weight * pt.e_tau for pt in pts]
+        n = lcm(*orders)
+        # (1 - 1/(p e)) f = (p e - 1) f / (p e) and (1 - 1/p) f / e = (p - 1) f / (p e)
+        general = sum((o - 1) * pt.residue_degree * (n // o) for o, pt in zip(orders, pts))
+        split = sum((pt.weight - 1) * pt.residue_degree * (n // o) for o, pt in zip(orders, pts))
+        routes = {
+            "general": _less_half(self.chi_centre, general, n),
+            "split": _less_half(self.chi_prime, split, n),
+        }
         if self.centre == "R":
-            thurston = self.chi_prime
-            for pt in pts:
-                # the share of the point times 1 - 1/p
-                if pt.kind == "segmentation":
-                    thurston -= Fraction(pt.weight - 1, 4 * pt.weight)
-                elif pt.kind == "inner":
-                    thurston -= Fraction(pt.weight - 1, pt.weight)
-                else:
-                    thurston -= Fraction(pt.weight - 1, 2 * pt.weight)
-            if thurston != general:
-                raise InvariantViolation(
-                    f"Euler characteristic mismatch: general {general}, boundary count {thurston}"
-                )
+            # the share of each point (1/4, 1 or 1/2) times 1 - 1/p, over 4 pbar
+            pbar = self.pbar
+            routes["boundary count"] = _less_half(
+                self.chi_prime,
+                sum(_QUARTERS.get(pt.kind, 2) * (pt.weight - 1) * (pbar // pt.weight) for pt in pts),
+                2 * pbar,
+            )
         if self.genus == 0:
-            anyfield = genus_zero_orbifold_euler(
+            routes["genus-zero form"] = genus_zero_orbifold_euler(
                 self.kappa, self.skewness, self.epsilon, self.any_field_triples()
             )
-            if anyfield != general:
+        return routes
+
+    @cached_property
+    def chi_orb(self) -> Fraction:
+        """Normalized orbifold Euler characteristic: the general route, once
+        every other route of chi_routes has been checked equal to it."""
+        routes = self.chi_routes()
+        general = routes.pop("general")
+        for name, value in routes.items():
+            if value != general:
                 raise InvariantViolation(
-                    f"Euler characteristic mismatch: general {general}, genus-zero form {anyfield}"
+                    f"Euler characteristic mismatch: general {general}, {name} {value}"
                 )
         return general
 
@@ -392,9 +433,10 @@ def curve_profile(c: WeightedCurve) -> CurveProfile:
         )
         kappa, epsilon, s, cg = base.kappa, base.epsilon, base.s, base.centre_genus
         chi_centre = Fraction(base.chi_x)
-        chi_prime = chi_centre - Fraction(1, 2) * sum(
-            (1 - Fraction(1, p.e_tau)) * p.residue_degree for p in points
-        )
+        # (1 - 1/e) f = (e - 1) f / e, over the lcm of the e_tau
+        n = lcm(*(p.e_tau for p in points))
+        drops = sum((p.e_tau - 1) * p.residue_degree * (n // p.e_tau) for p in points)
+        chi_prime = _less_half(chi_centre, drops, n)
     else:
         chi, chi_prime = euler_characteristics(base)
         constants = constants_field(base)
@@ -462,11 +504,16 @@ def effective_points(c: WeightedCurve) -> tuple[EffectivePoint, ...]:
 def genus_zero_orbifold_euler(kappa, s, epsilon, points) -> Fraction:
     """Normalized orbifold characteristic over any field, genus-zero case.
 
-    points is an iterable of (e, f, p) triples; only the product e*f
-    enters. No separability assumption is needed here.
+    points is an iterable of (e, f, p) triples, e and f integers or
+    Fractions; only the product e*f enters. No separability assumption is
+    needed here. The terms e f (p - 1) / p are summed as one integer
+    numerator over the lcm of their denominators.
     """
-    total = sum((Fraction(e) * Fraction(f) * Fraction(p - 1, p) for e, f, p in points), start=Fraction(0))
-    return Fraction(kappa, s * s) - Fraction(kappa * epsilon, 2 * s * s) * total
+    terms = [(e.numerator * f.numerator * (p - 1), e.denominator * f.denominator * p) for e, f, p in points]
+    d = lcm(*(den for _, den in terms))
+    total = sum(num * (d // den) for num, den in terms)
+    # kappa/s^2 - (kappa epsilon / 2 s^2) total/d
+    return Fraction(kappa * (2 * d - epsilon * total), 2 * s * s * d)
 
 
 def orbifold_euler(c: WeightedCurve) -> Fraction:

@@ -189,24 +189,23 @@ def genus(w: WittSurface | ComplexCentreBase) -> int:
 def euler_characteristics(w: WittSurface | ComplexCentreBase) -> tuple[Fraction, Fraction]:
     """(chi, chi') with chi = kappa(1 - genus upstairs) and chi' = chi/s^2.
 
-    Cross-checked against the downstairs count (1 - g) - n/4; the two must
-    agree for every valid surface.
+    Cross-checked against the downstairs count (1 - g) - m/2, compared on
+    integers as 2 kappa (1 - genus upstairs) = s^2 (2(1 - g) - m); the two
+    must agree for every valid surface.
     """
     if isinstance(w, ComplexCentreBase):
         # such a curve lives over its own constants field, so kappa = 1
         chi = Fraction(1 - w.genus)
         return chi, chi
-    kappa = constants_field(w).dim_over_k
-    s = surface_skewness(w)
-    chi = Fraction(kappa) * (1 - genus(w))
-    chi_normalized = chi / s ** 2
-    m, _, _ = counts(w)
-    downstairs = Fraction(1 - w.topology.g) - Fraction(2 * m, 4)
-    if chi_normalized != downstairs:
+    chi = constants_field(w).dim_over_k * (1 - genus(w))
+    s2 = surface_skewness(w) ** 2
+    downstairs = 2 * (1 - w.topology.g) - counts(w).m
+    if 2 * chi != s2 * downstairs:
         raise InvariantViolation(
-            f"normalized characteristic {chi_normalized} != downstairs count {downstairs}"
+            f"normalized characteristic {Fraction(chi, s2)} "
+            f"!= downstairs count {Fraction(downstairs, 2)}"
         )
-    return chi, chi_normalized
+    return Fraction(chi), Fraction(chi, s2)
 
 
 # ---------------------------------------------------------------------------

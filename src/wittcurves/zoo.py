@@ -4,9 +4,11 @@ Nothing here lists bases, placements or weights; all is read off the
 catalog, validation and curve profiles. The catalog bases whose weightless
 curve has chi'_orb = 0 are the elliptic entries; those with chi'_orb > 0
 (D, RP2, D_H, D_22, S2_C) carry the weights. A placement class belongs to
-a base when validation accepts a weight of that class on it, and a probe
-curve's profile gives its e_tau and residue degree f; the segmentation
-points in that profile are slots for one weight each.
+a base when the per-point part of validation accepts a weight of that
+class on it, and a probe curve with one weight of each accepted class
+gives their e_tau and residue degree f; building it validates the base,
+once. The segmentation points in its profile are slots for one weight
+each.
 
 By the general formula a weight p at a point of (e_tau, f) lowers
 chi'_orb by c (1 - 1/p), with share c = f / (2 e_tau). The tubular
@@ -14,7 +16,10 @@ entries are the weight multisets whose drops add up to the weightless
 chi'_orb exactly. A drop lies in [c/2, c), which bounds the weights per
 place; for fixed counts the weights solve sum c/p = sum c - chi'_orb,
 and taking c/p in decreasing order, the largest of m terms left is at
-least 1/m of what is left, which bounds each weight.
+least 1/m of what is left, which bounds each weight. The search runs on
+integers: the shares and the budget are scaled to one common
+denominator, what is left of the budget is carried as a numerator and
+a denominator, and fractions are compared by cross-multiplying.
 
 The domestic zoo is the weightless bases with chi'_orb > 0 and a table
 of families with symbolic weights; their weight-ramification vectors come
@@ -32,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .errors import ValidationError
 from .local_data import SHORT_NAMES, WittPointClass
@@ -40,6 +46,7 @@ from .weighted_curve import (
     CurveClass,
     WeightedCurve,
     WeightedPoint,
+    _validate_placement,
     curve_profile,
 )
 from .witt_surface import CATALOG_NAMES, catalog, euler_characteristics, segmentation_points
@@ -123,11 +130,14 @@ def _places(base_name: str) -> dict[str, tuple[int, int, int | None]]:
     for name, location in _LOCATION.items():
         if name == _SEG:
             continue  # segmentation weights go on the slots
+        wp = WeightedPoint(location, 2)
         try:
-            accepted[name] = WeightedCurve(base, (WeightedPoint(location, 2),)).points[0]
+            _validate_placement(base, wp)
         except ValidationError:
-            pass
-    # a probe curve with a weight of each accepted class
+            continue
+        accepted[name] = wp
+    # a probe curve with a weight of each accepted class; building it
+    # validates the base, once
     probe = curve_profile(WeightedCurve(base, tuple(accepted.values()))).points
     seg = [(pt.e_tau, pt.residue_degree) for pt in probe if pt.kind == _SEG_KIND]
     places = {_SEG: (*seg[0], len(seg))} if seg else {}
@@ -140,38 +150,48 @@ def _places(base_name: str) -> dict[str, tuple[int, int, int | None]]:
 # ---------------------------------------------------------------------------
 # The tubular search
 
-def _fill(shares, counts, target, bound):
+def _fill(shares, counts, tn, td, bound):
     """Weights p >= 2, counts[i] of them at share shares[i][1], with
-    sum c/p = target, in decreasing order of (c/p, -i) up to bound."""
+    sum c/p = tn/td, in decreasing order of (c/p, -i) up to bound.
+
+    The shares c are ints, the target is the fraction tn/td and bound
+    (bc, bp, bi) stands for the key (bc/bp, -bi); every comparison of
+    fractions is made by cross-multiplying."""
     m = sum(counts)
+    bc, bp, bi = bound
     for i, (name, c) in enumerate(shares):
         if not counts[i]:
             continue
         # c/p is at most the bound and the target, and the largest of the
         # m terms left is at least target / m
-        for p in range(max(2, -(-c // min(bound[0], target))), c * m // target + 1):
-            key = (c / p, -i)
-            rest = target - key[0]
-            if key > bound or (rest == 0) != (m == 1):
+        low = -(-c * bp // bc) if bc * td <= tn * bp else -(-c * td // tn)
+        for p in range(max(2, low), c * m * td // tn + 1):
+            rn, rd = tn * p - c * td, td * p  # the target less c/p
+            # p >= low keeps c/p at most bc/bp, so (c/p, -i) passes the
+            # bound unless the two tie and i comes first
+            if (c * bp == bc * p and i < bi) or (rn == 0) != (m == 1):
                 continue
             if m == 1:
                 yield ((name, p),)
                 continue
             left = counts[:i] + (counts[i] - 1,) + counts[i + 1:]
-            for tail in _fill(shares, left, rest, key):
+            for tail in _fill(shares, left, rn, rd, (c, p, i)):
                 yield ((name, p),) + tail
 
 
 def _tubular_weights(budget: Fraction, places) -> list[Weights]:
     """Every weight multiset on the places whose drops add up to the budget."""
-    shares = [(name, Fraction(f, 2 * e_tau)) for name, (e_tau, f, _) in places.items()]
+    # the shares f / (2 e_tau) and the budget as ints over one denominator
+    d = lcm(budget.denominator, *(2 * e_tau for e_tau, _, _ in places.values()))
+    shares = [(name, f * d // (2 * e_tau)) for name, (e_tau, f, _) in places.items()]
+    b = budget.numerator * (d // budget.denominator)
     # a weight costs at least half its share
-    most = [min(n := 2 * budget // c, slots or n) for (_, c), (_, _, slots) in zip(shares, places.values())]
+    most = [min(n := 2 * b // c, slots or n) for (_, c), (_, _, slots) in zip(shares, places.values())]
     found = []
     for counts in product(*(range(n + 1) for n in most)):
         total = sum(n * c for n, (_, c) in zip(counts, shares))
-        if total / 2 <= budget < total:
-            for ws in _fill(shares, counts, total - budget, (total, 0)):
+        if total <= 2 * b and b < total:
+            for ws in _fill(shares, counts, total - b, 1, (total, 1, 0)):
                 found.append(tuple(sorted(ws, key=_weight_key)))
     return found
 

@@ -1,9 +1,17 @@
-"""Element arithmetic of R, C and H on Fraction coefficients, kept as an oracle.
+"""Fraction arithmetic that wittcurves replaced by integers, kept as an oracle.
 
-This is the arithmetic wittcurves.algebra had before its elements were
-stored as integer numerators over one denominator: every coefficient a
-Fraction, every operation a Fraction operation. tests/test_algebra_core.py
-compares the integer core against it on seeded random elements.
+The first part is the element arithmetic of R, C and H that
+wittcurves.algebra had before its elements were stored as integer
+numerators over one denominator: every coefficient a Fraction, every
+operation a Fraction operation. tests/test_algebra_core.py compares the
+integer core against it on seeded random elements.
+
+The second part is the orbifold Euler characteristic and the tubular
+search as they were before they ran on integer numerators: the chi'_orb
+routes of CurveProfile, the chi' of an abstract base and
+genus_zero_orbifold_euler summed term by term on Fractions, and the
+zoo's _fill/_tubular_weights on Fraction shares and budgets.
+tests/test_euler_integer.py compares the integer code against them.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 
 @dataclass(frozen=True)
@@ -129,3 +138,80 @@ def power(phi: OracleAutomorphism, n: int) -> OracleAutomorphism:
         if bit == "1":
             un = un * step
     return inner(un)
+
+
+# ---------------------------------------------------------------------------
+# The orbifold Euler characteristic and the tubular search on Fractions
+
+def chi_routes(profile) -> dict[str, Fraction]:
+    """The chi'_orb routes of a CurveProfile, each term its own Fraction."""
+    pts = profile.points
+    routes = {
+        "general": profile.chi_centre - Fraction(1, 2) * sum(
+            Fraction((pt.weight * pt.e_tau - 1) * pt.residue_degree, pt.weight * pt.e_tau)
+            for pt in pts
+        ),
+        "split": profile.chi_prime - Fraction(1, 2) * sum(
+            Fraction((pt.weight - 1) * pt.residue_degree, pt.e_tau * pt.weight) for pt in pts
+        ),
+    }
+    if profile.centre == "R":
+        thurston = profile.chi_prime
+        for pt in pts:
+            if pt.kind == "segmentation":
+                thurston -= Fraction(pt.weight - 1, 4 * pt.weight)
+            elif pt.kind == "inner":
+                thurston -= Fraction(pt.weight - 1, pt.weight)
+            else:
+                thurston -= Fraction(pt.weight - 1, 2 * pt.weight)
+        routes["boundary count"] = thurston
+    if profile.genus == 0:
+        routes["genus-zero form"] = genus_zero_orbifold_euler(
+            profile.kappa, profile.skewness, profile.epsilon, profile.any_field_triples()
+        )
+    return routes
+
+
+def abstract_chi_prime(base) -> Fraction:
+    """chi' of the non-weighted curve of an AbstractBase."""
+    return Fraction(base.chi_x) - Fraction(1, 2) * sum(
+        (1 - Fraction(1, p.e_tau)) * p.residue_degree for p in base.points
+    )
+
+
+def genus_zero_orbifold_euler(kappa, s, epsilon, points) -> Fraction:
+    total = sum((Fraction(e) * Fraction(f) * Fraction(p - 1, p) for e, f, p in points), start=Fraction(0))
+    return Fraction(kappa, s * s) - Fraction(kappa * epsilon, 2 * s * s) * total
+
+
+def fill(shares, counts, target, bound):
+    """Weights p >= 2, counts[i] of them at share shares[i][1], with
+    sum c/p = target, in decreasing order of (c/p, -i) up to bound."""
+    m = sum(counts)
+    for i, (name, c) in enumerate(shares):
+        if not counts[i]:
+            continue
+        for p in range(max(2, -(-c // min(bound[0], target))), c * m // target + 1):
+            key = (c / p, -i)
+            rest = target - key[0]
+            if key > bound or (rest == 0) != (m == 1):
+                continue
+            if m == 1:
+                yield ((name, p),)
+                continue
+            left = counts[:i] + (counts[i] - 1,) + counts[i + 1:]
+            for tail in fill(shares, left, rest, key):
+                yield ((name, p),) + tail
+
+
+def tubular_weights(budget: Fraction, places) -> list:
+    """Every weight multiset on the places whose drops add up to the
+    budget, each in the order fill yields it."""
+    shares = [(name, Fraction(f, 2 * e_tau)) for name, (e_tau, f, _) in places.items()]
+    most = [min(n := 2 * budget // c, slots or n) for (_, c), (_, _, slots) in zip(shares, places.values())]
+    found = []
+    for counts in product(*(range(n + 1) for n in most)):
+        total = sum(n * c for n, (_, c) in zip(counts, shares))
+        if total / 2 <= budget < total:
+            found.extend(fill(shares, counts, total - budget, (total, 0)))
+    return found

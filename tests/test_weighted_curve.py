@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from wittcurves.errors import DomainError, InconsistentDataError, InvariantViola
 from wittcurves.local_data import WittPointClass
 from wittcurves.weighted_curve import (
     MAX_POINT_VALUE,
+    MAX_VECTOR_LENGTH,
     TUBULAR_VECTORS,
     AbstractBase,
     AbstractPoint,
@@ -320,3 +322,21 @@ def test_inserted_weights_are_bounded():
     with pytest.raises(ValidationError) as exc:
         WeightedCurve(catalog("D"), (WeightedPoint(INNER, MAX_POINT_VALUE + 1),))
     assert exc.value.code == "too-large"
+
+
+def test_weight_ram_vector_length_is_bounded():
+    assert MAX_VECTOR_LENGTH >= MAX_POINT_VALUE
+    half = MAX_VECTOR_LENGTH // 2 + 1
+
+    def base(*points):
+        return AbstractBase(Fraction(1), 1, 1, 1, points)
+
+    # two points that each fit, but not together
+    weighted = AbstractPoint("x0", residue_degree=half, weight=2)
+    with pytest.raises(ValidationError) as exc:
+        WeightedCurve(base(weighted, AbstractPoint("x1", residue_degree=half, e_tau=2)))
+    assert exc.value.code == "too-large"
+    # a point with weight * e_tau = 1 adds no entries
+    WeightedCurve(base(weighted, AbstractPoint("x1", residue_degree=half)))
+    # the cap itself is allowed
+    WeightedCurve(base(replace(weighted, residue_degree=MAX_VECTOR_LENGTH - 1), AbstractPoint("x1", e_tau=3)))

@@ -4,6 +4,8 @@ from itertools import permutations, product
 
 import pytest
 
+import wittcurves.weighted_curve as wc
+from wittcurves import zoo
 from wittcurves.errors import ValidationError
 from wittcurves.local_data import SHORT_NAMES, WittPointClass
 from wittcurves.weighted_curve import (
@@ -241,3 +243,18 @@ def test_zoo_entries_are_frozen_records():
     assert isinstance(entry, ZooEntry)
     with pytest.raises(AttributeError):
         entry.base = "X"
+
+
+
+def test_reading_the_places_of_a_base_validates_it_once(monkeypatch):
+    validated, built = [], []
+    real_validate, real_build = wc.validate, zoo._build_curve
+    monkeypatch.setattr(wc, "validate", lambda base: validated.append(base) or real_validate(base))
+    monkeypatch.setattr(zoo, "_build_curve", lambda *args: built.append(args) or real_build(*args))
+    for enumerate_ in (enumerate_chi_zero, enumerate_domestic):
+        validated.clear()
+        built.clear()
+        enumerate_()
+        # each entry's curve validates its base; so does each of the five
+        # bases with chi'_orb > 0 (D, RP2, D_H, D_22, S2_C), once
+        assert len(validated) == len(built) + 5
