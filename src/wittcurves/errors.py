@@ -1,4 +1,4 @@
-"""Error types shared across the package.
+"""Error types shared across the package, and the integer check of record fields.
 
 The CLI maps these onto exit codes: parse problems exit 1, ValidationError
 exits 2, everything else derived from CurveError exits 3.
@@ -36,3 +36,13 @@ class InconsistentDataError(CurveError):
 
 class InvariantViolation(CurveError, RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""
+
+
+def require_ints(optional: tuple[str, ...] = (), **fields) -> None:
+    """Raise ValidationError (code "not-integer") unless every field is an
+    int, or None where it is named optional; a bool is not an int here."""
+    for name, value in fields.items():
+        if value is None and name in optional:
+            continue
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValidationError(f"{name} must be an integer, got {value!r}", code="not-integer")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import DomainError, InconsistentDataError, InvariantViolation, ValidationError
+from .errors import DomainError, InconsistentDataError, InvariantViolation, ValidationError, require_ints
 from .weighted_curve import WeightedCurve, curve_profile
 from .witt_surface import catalog
 
@@ -64,6 +64,9 @@ class CurveNumerics:
     g_orb: Fraction | None = None
 
     def __post_init__(self):
+        require_ints(
+            kappa=self.kappa, epsilon=self.epsilon, genus=self.genus, end_S_dim=self.end_S_dim, pbar=self.pbar
+        )
         if self.kappa < 1 or self.genus < 0 or self.end_S_dim < 1 or self.pbar < 1:
             raise ValidationError("numerics entries out of range", code="nonpositive")
         if self.epsilon not in (1, 2):

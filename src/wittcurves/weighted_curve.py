@@ -7,10 +7,10 @@ driven by the effective point list: each point contributes through its
 weight p, its ramification index e_tau, and its residue degree f.
 
 curve_profile reads a curve once into a CurveProfile: the effective
-points and the numerics of the base. It is the only place, apart from
-validation, that looks at the kind of base. Every public invariant is a
-view of a profile built afresh for the call, and a report reads all of
-its entries from one profile.
+points and the numerics of the base. A surface base is read by one call
+to witt_surface.surface_numerics, and nothing here reads its ovals or
+topology. Every public invariant is a view of a profile built afresh for
+the call, and a report reads all of its entries from one profile.
 
 The normalized orbifold Euler characteristic is computed by three
 independent routes (the general formula over the centre, the split through
@@ -32,7 +32,7 @@ from functools import cached_property
 from math import lcm
 
 from .algebra import DivisionAlgebraKind
-from .errors import DomainError, InconsistentDataError, InvariantViolation, ValidationError
+from .errors import DomainError, InconsistentDataError, InvariantViolation, ValidationError, require_ints
 from .local_data import SHORT_NAMES, WittPointClass, witt_local_datum
 from .witt_surface import (
     MINUS,
@@ -41,12 +41,9 @@ from .witt_surface import (
     WittSurface,
     canonical_key,
     catalog,
-    constants_field,
-    counts,
-    euler_characteristics,
-    genus,
     segmentation_points,
-    surface_skewness,
+    signed_ovals,
+    surface_numerics,
     validate,
 )
 
@@ -136,10 +133,6 @@ class WeightedCurve:
         _validate_curve(self)
 
 
-def _oval_has_sign(oval, sign: str) -> bool:
-    return oval.sign == sign or sign in oval.segments
-
-
 def _validate_curve(c: WeightedCurve) -> None:
     base = c.base
     if isinstance(base, AbstractBase) and c.points:
@@ -149,6 +142,7 @@ def _validate_curve(c: WeightedCurve) -> None:
         )
     _validate_base(base)
     for wp in c.points:
+        require_ints(("oval", "segment"), weight=wp.weight, oval=wp.oval, segment=wp.segment)
         if wp.weight < 2:
             raise ValidationError("an inserted weight must be at least 2", code="weight")
         if wp.weight > MAX_POINT_VALUE:
@@ -176,6 +170,7 @@ def _validate_base(base: Base) -> None:
         raise ValidationError("abstract point labels must be unique", code="duplicate-placement")
     length = 0
     for p in base.points:
+        require_ints(e_tau=p.e_tau, residue_degree=p.residue_degree, weight=p.weight)
         if p.e_tau < 1 or p.residue_degree < 1 or p.weight < 1:
             raise ValidationError(f"point {p.label} has a nonpositive entry", code="nonpositive")
         if max(p.e_tau, p.residue_degree, p.weight) > MAX_POINT_VALUE:
@@ -189,10 +184,15 @@ def _validate_base(base: Base) -> None:
             f"the weight-ramification vector would have {length} entries, more than {MAX_VECTOR_LENGTH}",
             code="too-large",
         )
+    require_ints(("centre_genus",), s=base.s, kappa=base.kappa, epsilon=base.epsilon, centre_genus=base.centre_genus)
+    if not isinstance(base.chi_x, Fraction):
+        require_ints(chi_x=base.chi_x)
     if base.s < 1 or base.kappa < 1 or base.epsilon < 1:
         raise ValidationError("base numerics must be positive", code="nonpositive")
     if base.epsilon not in (1, 2):
         raise ValidationError(f"epsilon must be 1 or 2, got {base.epsilon}", code="epsilon")
+    if base.centre_genus is not None and base.centre_genus < 0:
+        raise ValidationError("the centre genus must be nonnegative", code="negative-genus")
 
 
 def _validate_placement(base: WittSurface | ComplexCentreBase, wp: WeightedPoint) -> None:
@@ -213,16 +213,13 @@ def _validate_placement(base: WittSurface | ComplexCentreBase, wp: WeightedPoint
             raise ValidationError(
                 "a segmentation weight needs oval and segment indices", code="placement"
             )
-        if not 0 <= wp.oval < len(base.ovals) or not base.ovals[wp.oval].segmented:
-            raise ValidationError("no such segmented oval", code="placement")
-        if not 0 <= wp.segment < len(base.ovals[wp.oval].segments):
-            raise ValidationError("segment index out of range", code="placement")
+        if (wp.oval, wp.segment) not in segmentation_points(base):
+            raise ValidationError("no such segmentation point", code="placement")
     elif wp.location in (WittPointClass.REAL_BOUNDARY, WittPointClass.QUATERNION_BOUNDARY):
-        sign = PLUS if wp.location is WittPointClass.REAL_BOUNDARY else MINUS
-        if wp.oval is not None:
-            if not 0 <= wp.oval < len(base.ovals) or not _oval_has_sign(base.ovals[wp.oval], sign):
-                raise ValidationError("that oval has no locus of the requested sign", code="placement")
-        elif not any(_oval_has_sign(o, sign) for o in base.ovals):
+        signed = signed_ovals(base, PLUS if wp.location is WittPointClass.REAL_BOUNDARY else MINUS)
+        if wp.oval is not None and wp.oval not in signed:
+            raise ValidationError("that oval has no locus of the requested sign", code="placement")
+        if not signed:
             raise ValidationError("the surface has no locus of the requested sign", code="placement")
     # inner placements are always available
 
@@ -420,9 +417,9 @@ class CurveProfile:
 def curve_profile(c: WeightedCurve) -> CurveProfile:
     """Read a curve once: its effective points and the numerics of its base.
 
-    Apart from validation, this is the only place that looks at the kind
-    of base. Points of a real base take e_tau, the residue degree and the
-    label prefix from local_data.
+    A surface base is read by one surface_numerics call. Points of a
+    surface base take e_tau, the residue degree and the label prefix from
+    local_data, or are plain points on a complex-centre base.
     """
     base = c.base
     surface = {}
@@ -438,32 +435,11 @@ def curve_profile(c: WeightedCurve) -> CurveProfile:
         drops = sum((p.e_tau - 1) * p.residue_degree * (n // p.e_tau) for p in points)
         chi_prime = _less_half(chi_centre, drops, n)
     else:
-        chi, chi_prime = euler_characteristics(base)
-        constants = constants_field(base)
-        s = surface_skewness(base)
-        if isinstance(base, ComplexCentreBase):
-            points = tuple(
-                EffectivePoint(f"pt{i}", COMPLEX_POINT, 1, 1, wp.weight)
-                for i, wp in enumerate(c.points)
-            )
-            # a complex-centre curve lives over its own constants field, so
-            # the constants contribute dimension 1, not [C:R]
-            kappa = epsilon = 1
-            cg, centre, ovals = base.genus, "C", None
-        else:
-            points = _real_points(base, c.points)
-            kappa = constants.dim_over_k
-            # epsilon is 2 exactly when no rational section of odd degree
-            # exists: a commutative curve with empty real locus, or a
-            # noncommutative one whose ovals are whole and not all quaternion
-            if base.commutative:
-                epsilon = 2 if base.topology.t == 0 else 1
-            else:
-                m, r, _ = counts(base)
-                epsilon = 2 if (m == 0 and r > 0) else 1
-            cg, centre, ovals = base.topology.g, "R", base.topology.t
-        chi_centre = Fraction(1 - cg)
-        surface = dict(centre=centre, ovals=ovals, genus=genus(base), chi=chi, constants=constants)
+        n = surface_numerics(base)
+        points = _surface_points(base, c.points)
+        kappa, epsilon, s, cg = n.kappa, n.epsilon, n.skewness, n.centre_genus
+        chi_centre, chi_prime = Fraction(1 - cg), n.chi_prime
+        surface = dict(centre=n.centre, ovals=n.ovals, genus=n.genus, chi=n.chi, constants=n.constants)
     pbar = lcm(*(pt.weight for pt in points))
     return CurveProfile(c, points, kappa, epsilon, s, cg, pbar, chi_centre, chi_prime, **surface)
 
@@ -472,10 +448,10 @@ def curve_profile(c: WeightedCurve) -> CurveProfile:
 _SHAPES = {
     cls: (SHORT_NAMES[cls], cls.value, witt_local_datum(cls).e_tau, witt_local_datum(cls).residue_degree)
     for cls in WittPointClass
-}
+} | {COMPLEX_POINT: ("pt", COMPLEX_POINT, 1, 1)}
 
 
-def _real_points(base: WittSurface, weights) -> tuple[EffectivePoint, ...]:
+def _surface_points(base: WittSurface | ComplexCentreBase, weights) -> tuple[EffectivePoint, ...]:
     seg = WittPointClass.SEGMENTATION
     prefix, kind, e_tau, f = _SHAPES[seg]
     seg_weight = {(wp.oval, wp.segment): wp.weight for wp in weights if wp.location is seg}
@@ -621,10 +597,12 @@ def ghost_group(points, efficient_index: int) -> GhostGroup:
     other point y the exponent d(y) satisfies e_tau(y) d(y) = (f_y/f_x)
     e_tau(x); it must be an integer whenever y is a ramification point.
     """
-    pts = [(int(e), int(f)) for e, f in points]
+    pts = list(points)
     for e, f in pts:
+        require_ints(e_tau=e, residue_degree=f)
         if e < 1 or f < 1:
             raise ValidationError("e_tau and residue degrees must be positive", code="nonpositive")
+    require_ints(efficient_index=efficient_index)
     if not 0 <= efficient_index < len(pts):
         raise ValidationError("efficient point index out of range", code="placement")
     ex_tau, ex_f = pts[efficient_index]

@@ -8,7 +8,9 @@ quaternion oval (-), or is cut into an even number of segments of
 alternating sign. Commutative curves carry no minus signs at all.
 
 All invariants down the line (constants field, genus of the function field,
-Euler characteristics) are computed from this combinatorial data alone.
+Euler characteristics) are computed from this combinatorial data alone, by
+surface_numerics, which reads a surface once; this is the only module that
+reads the topology and the ovals of a surface.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import COMPLEX, QUATERNION, REAL, DivisionAlgebraKind
-from .errors import InvariantViolation, ValidationError
+from .errors import InvariantViolation, ValidationError, require_ints
 
 PLUS = "+"
 MINUS = "-"
@@ -90,16 +92,33 @@ class SurfaceCounts(NamedTuple):
     q: int  # whole quaternion ovals
 
 
+class SurfaceNumerics(NamedTuple):
+    """Every invariant of a surface, as surface_numerics reads it once."""
+
+    constants: DivisionAlgebraKind  # field of constants of the function field
+    kappa: int  # its dimension over the ground field of the curve
+    epsilon: int
+    skewness: int
+    genus: int  # of the function field, upstairs
+    centre: str  # field of the centre curve: "R" or "C"
+    centre_genus: int
+    ovals: int | None  # None over C
+    chi: Fraction
+    chi_prime: Fraction
+
+
 # ---------------------------------------------------------------------------
 # Validation
 
 def validate(w: WittSurface | ComplexCentreBase) -> None:
     """Check realizability; raises ValidationError with a stable code."""
     if isinstance(w, ComplexCentreBase):
+        require_ints(genus=w.genus)
         if w.genus < 0:
             raise ValidationError("genus must be nonnegative", code="weichold")
         return
     g, t, s = w.topology.g, w.topology.t, w.topology.s
+    require_ints(g=g, t=t, s=s)
     if g < 0 or t < 0 or s not in (0, 1):
         raise ValidationError("topology entries out of range", code="weichold")
     if len(w.ovals) != t:
@@ -115,19 +134,12 @@ def validate(w: WittSurface | ComplexCentreBase) -> None:
             raise ValidationError("segment count per oval must be even", code="odd-segments")
         if any(oval.segments[i] == oval.segments[(i + 1) % k] for i in range(k)):
             raise ValidationError("segment signs must alternate around the oval", code="non-alternating")
-    has_minus = any(
-        MINUS in oval.segments or oval.sign == MINUS for oval in w.ovals
-    )
+    has_minus = bool(signed_ovals(w, MINUS))
     if w.commutative:
         if has_minus:
             raise ValidationError("a commutative curve carries no quaternion locus", code="minus-on-commutative")
         return
-    m, r, _ = counts(w)
-    if m == 0 and r > 0 and 2 * g - 1 < 0:
-        raise ValidationError(
-            "no segmentation, a real oval and genus 0 force a negative genus upstairs",
-            code="negative-genus",
-        )
+    surface_numerics(w)  # raises negative-genus
     if not has_minus:
         raise ValidationError(
             "a noncommutative curve needs a quaternion segment or oval",
@@ -154,58 +166,68 @@ def segmentation_points(w: WittSurface | ComplexCentreBase) -> tuple[tuple[int, 
     return tuple((oi, si) for oi, oval in enumerate(w.ovals) for si in range(len(oval.segments)))
 
 
-def surface_skewness(w: WittSurface | ComplexCentreBase) -> int:
+def signed_ovals(w: WittSurface, sign: str) -> tuple[int, ...]:
+    """Index of every oval that carries the sign, whole or on a segment."""
+    return tuple(i for i, oval in enumerate(w.ovals) if oval.sign == sign or sign in oval.segments)
+
+
+def surface_numerics(w: WittSurface | ComplexCentreBase) -> SurfaceNumerics:
+    """Read every invariant of a surface, counting its ovals once.
+
+    The genus of the function field comes from the Hurwitz count, and
+    chi = kappa (1 - genus upstairs), chi' = chi / s^2 are cross-checked
+    against the downstairs count (1 - g) - m/2, compared on integers as
+    2 kappa (1 - genus upstairs) = s^2 (2(1 - g) - m); the two must agree
+    for every valid surface.
+    """
     if isinstance(w, ComplexCentreBase):
-        return 1
-    return 1 if w.commutative else 2
+        # such a curve lives over its own constants field, so the constants
+        # contribute dimension 1, not [C:R]
+        chi = Fraction(1 - w.genus)
+        return SurfaceNumerics(COMPLEX, 1, 1, 1, w.genus, "C", w.genus, None, chi, chi)
+    g, t = w.topology.g, w.topology.t
+    m, r, _ = counts(w)
+    # epsilon is 2 exactly when no rational section of odd degree exists: a
+    # commutative curve with empty real locus, or a noncommutative one whose
+    # ovals are whole and not all quaternion
+    if w.commutative:
+        constants, s, upstairs, epsilon = REAL, 1, g, 2 if t == 0 else 1
+    elif m > 0 or r > 0:
+        constants, s, upstairs, epsilon = COMPLEX, 2, 2 * g - 1 + m, 2 if m == 0 else 1
+        if upstairs < 0:
+            message = "no segmentation, a real oval and genus 0 force a negative genus upstairs"
+            raise ValidationError(message, code="negative-genus")
+    else:
+        constants, s, upstairs, epsilon = QUATERNION, 2, g, 1
+    kappa = constants.dim_over_k
+    chi = kappa * (1 - upstairs)
+    downstairs = 2 * (1 - g) - m
+    if 2 * chi != s * s * downstairs:
+        raise InvariantViolation(
+            f"normalized characteristic {Fraction(chi, s * s)} "
+            f"!= downstairs count {Fraction(downstairs, 2)}"
+        )
+    return SurfaceNumerics(constants, kappa, epsilon, s, upstairs, "R", g, t, Fraction(chi), Fraction(chi, s * s))
+
+
+def surface_skewness(w: WittSurface | ComplexCentreBase) -> int:
+    return surface_numerics(w).skewness
 
 
 def constants_field(w: WittSurface | ComplexCentreBase) -> DivisionAlgebraKind:
     """Field of constants of the function field (over R, or C for the degenerate bases)."""
-    if isinstance(w, ComplexCentreBase):
-        return COMPLEX
-    if w.commutative:
-        return REAL
-    m, r, _ = counts(w)
-    return COMPLEX if (m > 0 or r > 0) else QUATERNION
+    return surface_numerics(w).constants
 
 
 def genus(w: WittSurface | ComplexCentreBase) -> int:
     """Genus of the function field (the curve upstairs), by the Hurwitz count."""
-    if isinstance(w, ComplexCentreBase):
-        return w.genus
-    g = w.topology.g
-    if w.commutative:
-        return g
-    m, r, _ = counts(w)
-    if m > 0 or r > 0:
-        upstairs = 2 * g - 1 + m
-        if upstairs < 0:
-            raise ValidationError("surface is not realizable", code="negative-genus")
-        return upstairs
-    return g
+    return surface_numerics(w).genus
 
 
 def euler_characteristics(w: WittSurface | ComplexCentreBase) -> tuple[Fraction, Fraction]:
-    """(chi, chi') with chi = kappa(1 - genus upstairs) and chi' = chi/s^2.
-
-    Cross-checked against the downstairs count (1 - g) - m/2, compared on
-    integers as 2 kappa (1 - genus upstairs) = s^2 (2(1 - g) - m); the two
-    must agree for every valid surface.
-    """
-    if isinstance(w, ComplexCentreBase):
-        # such a curve lives over its own constants field, so kappa = 1
-        chi = Fraction(1 - w.genus)
-        return chi, chi
-    chi = constants_field(w).dim_over_k * (1 - genus(w))
-    s2 = surface_skewness(w) ** 2
-    downstairs = 2 * (1 - w.topology.g) - counts(w).m
-    if 2 * chi != s2 * downstairs:
-        raise InvariantViolation(
-            f"normalized characteristic {Fraction(chi, s2)} "
-            f"!= downstairs count {Fraction(downstairs, 2)}"
-        )
-    return Fraction(chi), Fraction(chi, s2)
+    """(chi, chi') with chi = kappa(1 - genus upstairs) and chi' = chi/s^2."""
+    n = surface_numerics(w)
+    return n.chi, n.chi_prime
 
 
 # ---------------------------------------------------------------------------

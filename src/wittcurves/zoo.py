@@ -211,44 +211,30 @@ def enumerate_chi_zero() -> list[ZooEntry]:
 # ---------------------------------------------------------------------------
 # The domestic zoo
 
-def _boundary_families(cls: str) -> list[Weights]:
-    return [
-        ((cls, "p"),),
-        ((cls, "p"), (cls, "q")),
-        ((cls, 2), (cls, 2), (cls, "n")),
-        ((cls, 2), (cls, 3), (cls, 3)),
-        ((cls, 2), (cls, 3), (cls, 4)),
-        ((cls, 2), (cls, 3), (cls, 5)),
-        (("inner", "p"),),
-        (("inner", 2), (cls, "n")),
-        (("inner", 3), (cls, 2)),
-    ]
+# The weight types of Geigle-Lenzing, the domestic families over the
+# complex numbers: (p), (p,q), (2,2,n), (2,3,3), (2,3,4) and (2,3,5)
+_GEIGLE_LENZING = (("p",), ("p", "q"), (2, 2, "n"), (2, 3, 3), (2, 3, 4), (2, 3, 5))
 
+
+def _families(cls: str) -> list[Weights]:
+    return [tuple((cls, w) for w in ws) for ws in _GEIGLE_LENZING]
+
+
+def _boundary_families(cls: str) -> list[Weights]:
+    return _families(cls) + [(("inner", "p"),), (("inner", 2), (cls, "n")), (("inner", 3), (cls, 2))]
+
+
+# D_22 takes (p) and (p,q) on its two segmentation points, and three shapes
+# of segmentation weights with one weight on the real or the quaternion boundary
+_D22_BOUNDARY = (((), "n"), ((("seg", "p"),), 2), ((("seg", 2),), 3))
 
 _DOMESTIC_FAMILIES: dict[str, list[Weights]] = {
     "D": _boundary_families("real"),
     "D_H": _boundary_families("quat"),
     "RP2": [(("inner", "p"),)],
-    "D_22": [
-        (("seg", "p"),),
-        (("seg", "p"), ("seg", "q")),
-        (("real", "n"),),
-        (("quat", "n"),),
-        (("seg", "p"), ("real", 2)),
-        (("seg", "p"), ("quat", 2)),
-        (("seg", 2), ("real", 3)),
-        (("seg", 2), ("quat", 3)),
-    ],
-    # over the complex numbers the weight types are those of Geigle-Lenzing:
-    # (p), (p,q), (2,2,n), (2,3,3), (2,3,4) and (2,3,5)
-    "S2_C": [
-        (("point", "p"),),
-        (("point", "p"), ("point", "q")),
-        (("point", 2), ("point", 2), ("point", "n")),
-        (("point", 2), ("point", 3), ("point", 3)),
-        (("point", 2), ("point", 3), ("point", 4)),
-        (("point", 2), ("point", 3), ("point", 5)),
-    ],
+    "D_22": _families("seg")[:2]
+    + [segs + ((cls, w),) for segs, w in _D22_BOUNDARY for cls in ("real", "quat")],
+    "S2_C": _families("point"),
 }
 
 

@@ -292,3 +292,13 @@ def test_domain_errors_exit_three(runner, tmp_path):
     assert res.exit_code == 3
     res = runner.invoke(main, ["skew-centre", "--algebra", "H", "--twist", "conj"])
     assert res.exit_code == 3
+
+
+@pytest.mark.parametrize("command", ["invariants", "classify"])
+def test_abstract_negative_centre_genus_exits_two(runner, tmp_path, command):
+    path = _write(tmp_path, "n.json", {
+        "overrides": {"chi_x": 1, "s": 1, "kappa": 1, "epsilon": 1, "points": [], "centre_genus": -1},
+    })
+    res = runner.invoke(main, [command, path])
+    assert res.exit_code == 2
+    assert res.output == "error: the centre genus must be nonnegative\n"

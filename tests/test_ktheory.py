@@ -236,3 +236,13 @@ def test_fourier_mukai_partners():
             assert name in fm_partners(other)
     with pytest.raises(ValidationError):
         fm_partners("X")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kappa", 1.5), ("epsilon", 1.0), ("genus", True), ("end_S_dim", 2.0), ("pbar", Fraction(1)),
+])
+def test_numerics_fields_must_be_ints(field, value):
+    fields = {"kappa": 2, "epsilon": 1, "genus": 1, field: value}
+    with pytest.raises(ValidationError) as exc:
+        CurveNumerics(**fields)
+    assert exc.value.code == "not-integer"

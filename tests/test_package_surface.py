@@ -3,7 +3,9 @@
 The export list names each public object of the package exactly once. An
 AST scan of src/wittcurves/*.py finds every module-level private name
 (one leading underscore) and fails on any that nothing in src/ reads
-again: a helper whose last caller is gone is deleted with it.
+again: a helper whose last caller is gone is deleted with it. A second
+scan keeps the reading of a surface in witt_surface: no other module
+reads the topology, the commutative flag or the signs of its ovals.
 """
 
 import ast
@@ -95,3 +97,38 @@ def test_the_scan_sees_unused_private_names():
     )
     other = ast.parse("_imported = 1\n_LOCAL = 2\nprint(_LOCAL)\n")
     assert sorted(unused_private_names({"a": used, "b": other})) == ["a._B", "a._Tag", "a._helper"]
+
+
+# attributes of a surface and its ovals that only witt_surface reads
+SURFACE_INTERNALS = frozenset({"topology", "commutative", "segments", "sign"})
+
+
+def surface_internal_reads(modules: dict[str, ast.Module]) -> list[str]:
+    """module:line.attribute for every read of a surface internal."""
+    return sorted(
+        f"{module}:{node.lineno}.{node.attr}"
+        for module, tree in modules.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in SURFACE_INTERNALS
+    )
+
+
+def test_only_witt_surface_reads_a_surface():
+    modules = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "witt_surface"
+    }
+    assert surface_internal_reads(modules) == []
+
+
+def test_the_scan_sees_surface_internal_reads():
+    tree = ast.parse(
+        "g = base.topology.g\n"
+        "if w.commutative:\n"
+        "    pass\n"
+        "n = len(oval.segments) + (oval.sign == '+')\n"
+        "WittSurface(topology=t, ovals=o, commutative=True)\n"
+        "ovals = profile.ovals\n"
+    )
+    assert surface_internal_reads({"m": tree}) == ["m:1.topology", "m:2.commutative", "m:4.segments", "m:4.sign"]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import wittcurves.witt_surface as ws
 from wittcurves.errors import DomainError, InconsistentDataError, InvariantViolation, ValidationError
 from wittcurves.local_data import WittPointClass
 from wittcurves.weighted_curve import (
@@ -340,3 +341,86 @@ def test_weight_ram_vector_length_is_bounded():
     WeightedCurve(base(weighted, AbstractPoint("x1", residue_degree=half)))
     # the cap itself is allowed
     WeightedCurve(base(replace(weighted, residue_degree=MAX_VECTOR_LENGTH - 1), AbstractPoint("x1", e_tau=3)))
+
+
+# ---------------------------------------------------------------------------
+# Integer fields take ints only: no float, no bool, no truncation
+
+def _not_integer(call):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert exc.value.code == "not-integer"
+
+
+@pytest.mark.parametrize("g, t, s", [(0.0, 1, 1), (0, True, 1), (0, 1, 1.0)])
+def test_topology_fields_must_be_ints(g, t, s):
+    ovals = (whole_oval("+"),)
+    _not_integer(lambda: WeightedCurve(WittSurface(KleinTopology(g, t, s), ovals, commutative=True)))
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, True, Fraction(1)])
+def test_complex_centre_genus_must_be_an_int(value):
+    _not_integer(lambda: WeightedCurve(ComplexCentreBase(value)))
+
+
+@pytest.mark.parametrize("point", [
+    WeightedPoint(WittPointClass.INNER, 2.5),
+    WeightedPoint(WittPointClass.INNER, 2.0),
+    WeightedPoint(WittPointClass.INNER, True),
+    WeightedPoint(WittPointClass.REAL_BOUNDARY, 2, oval=0.0),
+    WeightedPoint(WittPointClass.SEGMENTATION, 2, oval=0, segment=0.0),
+])
+def test_weighted_point_fields_must_be_ints(point):
+    _not_integer(lambda: WeightedCurve(catalog("D_22"), (point,)))
+
+
+@pytest.mark.parametrize("field", ["e_tau", "residue_degree", "weight"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True])
+def test_abstract_point_fields_must_be_ints(field, value):
+    point = replace(AbstractPoint("x0"), **{field: value})
+    _not_integer(lambda: WeightedCurve(AbstractBase(Fraction(1), 1, 1, 1, (point,))))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("chi_x", 0.1), ("chi_x", True), ("s", 1.0), ("kappa", 1.5), ("epsilon", True), ("centre_genus", 0.0),
+])
+def test_abstract_base_fields_must_be_ints(field, value):
+    base = replace(AbstractBase(Fraction(1), 1, 1, 1, ()), **{field: value})
+    _not_integer(lambda: WeightedCurve(base))
+
+
+def test_abstract_chi_x_may_be_an_int_or_a_fraction():
+    for chi_x in (1, Fraction(1, 2)):
+        curve = WeightedCurve(AbstractBase(chi_x, 1, 1, 1, ()))
+        assert curve_profile(curve).chi_prime == chi_x
+
+
+def test_abstract_centre_genus_must_be_nonnegative():
+    with pytest.raises(ValidationError) as exc:
+        WeightedCurve(AbstractBase(Fraction(1), 1, 1, 1, (), centre_genus=-1))
+    assert exc.value.code == "negative-genus"
+
+
+@pytest.mark.parametrize("points, efficient", [
+    ([(2.7, 1), (2, 1)], 0), ([(2, 1.0), (2, 1)], 0), ([(True, 1), (2, 1)], 0), ([(2, 1), (2, 1)], 0.0),
+])
+def test_ghost_group_entries_must_be_ints(points, efficient):
+    _not_integer(lambda: ghost_group(points, efficient))
+
+
+# ---------------------------------------------------------------------------
+# A report reads its surface once
+
+def test_one_report_counts_the_ovals_once(monkeypatch):
+    counted = []
+    real_counts = ws.counts
+    monkeypatch.setattr(ws, "counts", lambda w: counted.append(w) or real_counts(w))
+    weighted = WeightedCurve(catalog("D_22"), (
+        WeightedPoint(WittPointClass.SEGMENTATION, 3, oval=0, segment=0),
+        WeightedPoint(WittPointClass.REAL_BOUNDARY, 3),
+    ))
+    curves = [weighted] + [WeightedCurve(catalog(name)) for name in ("D", "K", "D_H", "A_RH", "M_H", "D_2222")]
+    for curve in curves:
+        counted.clear()
+        invariants_report(curve)
+        assert counted == [curve.base]

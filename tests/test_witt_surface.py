@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -17,6 +18,8 @@ from wittcurves.witt_surface import (
     euler_characteristics,
     genus,
     segmented_oval,
+    signed_ovals,
+    surface_numerics,
     surface_skewness,
     validate,
     whole_oval,
@@ -200,3 +203,117 @@ def test_euler_characteristic_identity_on_random_surfaces():
 def test_every_catalog_entry_validates():
     for name in CATALOG_NAMES:
         validate(catalog(name))
+
+
+# ---------------------------------------------------------------------------
+# The reading of a surface before surface_numerics, kept as an oracle: the
+# bodies of constants_field, genus and euler_characteristics, and the
+# epsilon rule of curve_profile, each counting the ovals for itself.
+
+def _oracle_constants_field(w):
+    if isinstance(w, ComplexCentreBase):
+        return COMPLEX
+    if w.commutative:
+        return REAL
+    m, r, _ = counts(w)
+    return COMPLEX if (m > 0 or r > 0) else QUATERNION
+
+
+def _oracle_skewness(w):
+    if isinstance(w, ComplexCentreBase):
+        return 1
+    return 1 if w.commutative else 2
+
+
+def _oracle_genus(w):
+    if isinstance(w, ComplexCentreBase):
+        return w.genus
+    g = w.topology.g
+    if w.commutative:
+        return g
+    m, r, _ = counts(w)
+    if m > 0 or r > 0:
+        upstairs = 2 * g - 1 + m
+        if upstairs < 0:
+            raise ValidationError("surface is not realizable", code="negative-genus")
+        return upstairs
+    return g
+
+
+def _oracle_euler_characteristics(w):
+    if isinstance(w, ComplexCentreBase):
+        chi = Fraction(1 - w.genus)
+        return chi, chi
+    chi = _oracle_constants_field(w).dim_over_k * (1 - _oracle_genus(w))
+    s2 = _oracle_skewness(w) ** 2
+    assert 2 * chi == s2 * (2 * (1 - w.topology.g) - counts(w).m)
+    return Fraction(chi), Fraction(chi, s2)
+
+
+def _oracle_numerics(w):
+    """The fields of SurfaceNumerics, read the old way."""
+    constants = _oracle_constants_field(w)
+    chi, chi_prime = _oracle_euler_characteristics(w)
+    if isinstance(w, ComplexCentreBase):
+        return (constants, 1, 1, 1, w.genus, "C", w.genus, None, chi, chi_prime)
+    if w.commutative:
+        epsilon = 2 if w.topology.t == 0 else 1
+    else:
+        m, r, _ = counts(w)
+        epsilon = 2 if (m == 0 and r > 0) else 1
+    return (
+        constants, constants.dim_over_k, epsilon, _oracle_skewness(w), _oracle_genus(w),
+        "R", w.topology.g, w.topology.t, chi, chi_prime,
+    )
+
+
+# whole ovals of either sign and segmented ones with up to four segments
+_OVAL_SHAPES = (
+    whole_oval("+"), whole_oval("-"),
+    segmented_oval("+", "-"), segmented_oval("-", "+"),
+    segmented_oval("+", "-", "+", "-"), segmented_oval("-", "+", "-", "+"),
+)
+
+
+def _small_surfaces():
+    """Every valid surface with g <= 3 and at most 3 ovals, either flag."""
+    for g, t, s, commutative in product(range(4), range(4), (0, 1), (False, True)):
+        for ovals in product(_OVAL_SHAPES, repeat=t):
+            w = WittSurface(KleinTopology(g, t, s), ovals, commutative=commutative)
+            try:
+                validate(w)
+            except ValidationError:
+                continue
+            yield w
+
+
+def test_surface_numerics_agrees_with_the_old_reading():
+    surfaces = list(_small_surfaces()) + [ComplexCentreBase(g) for g in range(4)]
+    assert sum(isinstance(w, WittSurface) and not w.commutative for w in surfaces) > 500
+    assert sum(isinstance(w, WittSurface) and w.commutative for w in surfaces) > 10
+    for w in surfaces:
+        numerics = surface_numerics(w)
+        assert tuple(numerics) == _oracle_numerics(w)
+        assert constants_field(w) is _oracle_constants_field(w)
+        assert genus(w) == _oracle_genus(w)
+        assert surface_skewness(w) == _oracle_skewness(w)
+        assert euler_characteristics(w) == _oracle_euler_characteristics(w)
+
+
+def test_surface_numerics_states_the_negative_genus_rule():
+    w = WittSurface(KleinTopology(0, 1, 1), (whole_oval("+"),), commutative=False)
+    for read in (surface_numerics, genus, constants_field, euler_characteristics):
+        with pytest.raises(ValidationError) as exc:
+            read(w)
+        assert exc.value.code == "negative-genus"
+
+
+def test_signed_ovals():
+    w = WittSurface(
+        KleinTopology(2, 3, 1),
+        (whole_oval("+"), segmented_oval("+", "-"), whole_oval("-")),
+        commutative=False,
+    )
+    assert signed_ovals(w, "+") == (0, 1)
+    assert signed_ovals(w, "-") == (1, 2)
+    assert signed_ovals(catalog("K"), "+") == ()
