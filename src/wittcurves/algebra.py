@@ -28,12 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, InvariantViolation, KindMismatchError
 
 
-@dataclass(frozen=True, slots=True)
-class DivisionAlgebraKind:
+class DivisionAlgebraKind(NamedTuple):
     """A division algebra over a base field k, seen through its dimensions.
 
     ``dim_over_k`` and ``dim_centre_over_k`` are dimensions over k; their
@@ -80,11 +80,12 @@ def comultiplicity(kind: DivisionAlgebraKind) -> int:
 
 
 def _builtin(kind: DivisionAlgebraKind) -> DivisionAlgebraKind:
-    """The built-in kind equal to ``kind``; anything else has no element arithmetic."""
-    try:
-        return _BUILTIN[kind]
-    except KeyError:
-        raise KindMismatchError("element arithmetic exists only for R, C, H") from None
+    """The built-in kind equal to ``kind``; anything else, a plain tuple of
+    the same fields included, has no element arithmetic."""
+    builtin = _BUILTIN.get(kind) if isinstance(kind, DivisionAlgebraKind) else None
+    if builtin is None:
+        raise KindMismatchError("element arithmetic exists only for R, C, H")
+    return builtin
 
 
 class AlgebraElement:

@@ -298,7 +298,7 @@ def main():
 
 
 @main.command()
-@click.argument("path", type=click.Path())
+@click.argument("path")
 @_reporting
 def invariants(path):
     """Full invariant report for a curve file, as JSON."""
@@ -306,7 +306,7 @@ def invariants(path):
 
 
 @main.command("classify")
-@click.argument("path", type=click.Path())
+@click.argument("path")
 @_reporting
 def classify_command(path):
     """Print the class of a curve: DOMESTIC, ELLIPTIC, TUBULAR or WILD."""
@@ -402,7 +402,7 @@ def skew_centre(algebra, twist, order):
 
 
 @main.command()
-@click.argument("path", type=click.Path())
+@click.argument("path")
 @_reporting
 def ghost(path):
     """Ghost group computed from a ramification data file."""

@@ -1,4 +1,5 @@
-"""Error types shared across the package, and the integer check of record fields.
+"""Error types shared across the package, the integer check of record fields
+and the base of the records that check themselves.
 
 The CLI maps these onto exit codes: parse problems exit 1, ValidationError
 exits 2, everything else derived from CurveError exits 3.
@@ -46,3 +47,31 @@ def require_ints(optional: tuple[str, ...] = (), **fields) -> None:
             continue
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValidationError(f"{name} must be an integer, got {value!r}", code="not-integer")
+
+
+class CheckedRecord:
+    """Base of a NamedTuple record that checks itself on construction.
+
+    A record is declared as ``class R(CheckedRecord, _RFields)`` with
+    ``__slots__ = ()`` and a ``__post_init__`` that raises on bad fields;
+    it may override ``__new__`` to normalise fields before the tuple is
+    built. The constructor, ``_make`` (so ``_replace``), copying and
+    unpickling all go through ``__new__``, so none of them skips the check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self.__post_init__()
+        return self
+
+    def __post_init__(self):
+        """Raise on bad fields; a record that only normalises checks nothing."""
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return self.__class__, tuple(self)

@@ -11,11 +11,11 @@ the generator word that does it, so the count is exact and certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
-from .errors import DomainError, InconsistentDataError, InvariantViolation, ValidationError, require_ints
+from .errors import CheckedRecord, DomainError, InconsistentDataError, InvariantViolation, ValidationError, require_ints
 from .weighted_curve import WeightedCurve, curve_profile
 from .witt_surface import catalog
 
@@ -33,8 +33,7 @@ INFINITY = _Infinity()
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
 
-@dataclass(frozen=True, slots=True)
-class ClassVector:
+class ClassVector(NamedTuple):
     degree: int
     rank: int
 
@@ -47,8 +46,16 @@ class ClassVector:
         return Fraction(self.degree, self.rank)
 
 
-@dataclass(frozen=True, slots=True)
-class CurveNumerics:
+class _NumericsFields(NamedTuple):
+    kappa: int
+    epsilon: int
+    genus: int
+    end_S_dim: int = 1
+    pbar: int = 1
+    g_orb: Fraction | None = None
+
+
+class CurveNumerics(CheckedRecord, _NumericsFields):
     """Numerical data of a curve as Riemann-Roch sees it.
 
     end_S_dim is the real dimension of the endomorphism ring of the
@@ -56,12 +63,7 @@ class CurveNumerics:
     to the weighted case and default to the plain genus and 1.
     """
 
-    kappa: int
-    epsilon: int
-    genus: int
-    end_S_dim: int = 1
-    pbar: int = 1
-    g_orb: Fraction | None = None
+    __slots__ = ()
 
     def __post_init__(self):
         require_ints(
@@ -182,8 +184,7 @@ def reduce_class(vector: tuple[int, int], k: int) -> tuple[tuple[int, int], tupl
     return (abs(d), 0) if r == 0 else (d, r), tuple(word)
 
 
-@dataclass(frozen=True, slots=True)
-class SlopeOrbits:
+class SlopeOrbits(NamedTuple):
     count: int
     representatives: tuple
     height_bound: int

@@ -10,8 +10,8 @@ below; the product e * e* * e_tau always recovers the ambient skewness.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (
     BUILTIN_KINDS,
@@ -21,7 +21,7 @@ from .algebra import (
     DivisionAlgebraKind,
     comultiplicity,
 )
-from .errors import InvariantViolation, ValidationError
+from .errors import CheckedRecord, InvariantViolation, ValidationError
 
 
 class WittPointClass(enum.Enum):
@@ -41,20 +41,23 @@ SHORT_NAMES = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class PointDatum:
-    """Numerical data of one closed point.
-
-    weight = 1 marks an ordinary point; weight > 1 an inserted orbifold
-    weight.
-    """
-
+class _PointFields(NamedTuple):
     e: int
     e_star: int
     e_tau: int
     residue_degree: int
     simple_end: DivisionAlgebraKind
     weight: int = 1
+
+
+class PointDatum(CheckedRecord, _PointFields):
+    """Numerical data of one closed point.
+
+    weight = 1 marks an ordinary point; weight > 1 an inserted orbifold
+    weight.
+    """
+
+    __slots__ = ()
 
     def __post_init__(self):
         for name in ("e", "e_star", "e_tau", "residue_degree", "weight"):

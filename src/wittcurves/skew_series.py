@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (
     COMPLEX,
@@ -154,8 +155,7 @@ def valuation(f: TwistedSeries) -> Fraction:
 # ---------------------------------------------------------------------------
 # Centre computation
 
-@dataclass(frozen=True, slots=True)
-class CentreDescription:
+class CentreDescription(NamedTuple):
     """The centre of D[[T, sigma]]: K[[T^period]] with K the constant subfield."""
 
     constant_subfield: DivisionAlgebraKind

@@ -30,9 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from typing import NamedTuple
 
 from .algebra import DivisionAlgebraKind
-from .errors import DomainError, InconsistentDataError, InvariantViolation, ValidationError, require_ints
+from .errors import CheckedRecord, DomainError, InconsistentDataError, InvariantViolation, ValidationError, require_ints
 from .local_data import SHORT_NAMES, WittPointClass, witt_local_datum
 from .witt_surface import (
     MINUS,
@@ -74,8 +75,7 @@ class CurveClass(enum.Enum):
     WILD = "wild"
 
 
-@dataclass(frozen=True, slots=True)
-class WeightedPoint:
+class WeightedPoint(NamedTuple):
     """A weight insertion: where it sits and the weight p >= 2.
 
     For segmentation placements the (oval, segment) coordinates are
@@ -89,8 +89,7 @@ class WeightedPoint:
     segment: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class AbstractPoint:
+class AbstractPoint(NamedTuple):
     """A closed point of an abstract base, weights baked in."""
 
     label: str
@@ -99,8 +98,7 @@ class AbstractPoint:
     weight: int = 1
 
 
-@dataclass(frozen=True, slots=True)
-class AbstractBase:
+class AbstractBase(NamedTuple):
     """Numerical stand-in for a curve over an arbitrary perfect field."""
 
     chi_x: Fraction
@@ -111,8 +109,7 @@ class AbstractBase:
     centre_genus: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class EffectivePoint:
+class EffectivePoint(NamedTuple):
     label: str
     kind: str
     e_tau: int
@@ -123,13 +120,18 @@ class EffectivePoint:
 Base = WittSurface | ComplexCentreBase | AbstractBase
 
 
-@dataclass(frozen=True, slots=True)
-class WeightedCurve:
+class _CurveFields(NamedTuple):
     base: Base
     points: tuple[WeightedPoint, ...] = ()
 
+
+class WeightedCurve(CheckedRecord, _CurveFields):
+    __slots__ = ()
+
+    def __new__(cls, base, points=()):
+        return super().__new__(cls, base, tuple(points))
+
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
         _validate_curve(self)
 
 
@@ -548,8 +550,7 @@ def cy_dimension(c: WeightedCurve) -> tuple[int, int]:
     return (n, n)
 
 
-@dataclass(frozen=True, slots=True)
-class PicardDescriptor:
+class PicardDescriptor(NamedTuple):
     base_part: str
     torsion_quotient: tuple[int, ...]
     finitely_generated_rank_one: bool
@@ -575,8 +576,7 @@ def invariants_report(c: WeightedCurve) -> dict:
 # ---------------------------------------------------------------------------
 # Ghost groups
 
-@dataclass(frozen=True, slots=True)
-class GhostGroup:
+class GhostGroup(NamedTuple):
     """Product of cyclic groups C_n, with the shift exponents d(y) that
     witness how each generator is normalized against the efficient point."""
 

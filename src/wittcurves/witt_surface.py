@@ -15,19 +15,17 @@ reads the topology and the ovals of a surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import COMPLEX, QUATERNION, REAL, DivisionAlgebraKind
-from .errors import InvariantViolation, ValidationError, require_ints
+from .errors import CheckedRecord, InvariantViolation, ValidationError, require_ints
 
 PLUS = "+"
 MINUS = "-"
 
 
-@dataclass(frozen=True, slots=True)
-class KleinTopology:
+class KleinTopology(NamedTuple):
     """Weichold triple (g, t, s) of a real curve."""
 
     g: int
@@ -35,12 +33,15 @@ class KleinTopology:
     s: int
 
 
-@dataclass(frozen=True, slots=True)
-class Oval:
-    """One oval: either a whole signed circle or an even alternating cycle of segments."""
-
+class _OvalFields(NamedTuple):
     segments: tuple[str, ...] = ()
     sign: str | None = None
+
+
+class Oval(CheckedRecord, _OvalFields):
+    """One oval: either a whole signed circle or an even alternating cycle of segments."""
+
+    __slots__ = ()
 
     def __post_init__(self):
         if self.segments and self.sign is not None:
@@ -64,18 +65,20 @@ def segmented_oval(*signs: str) -> Oval:
     return Oval(segments=tuple(signs))
 
 
-@dataclass(frozen=True, slots=True)
-class WittSurface:
+class _SurfaceFields(NamedTuple):
     topology: KleinTopology
     ovals: tuple[Oval, ...]
     commutative: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "ovals", tuple(self.ovals))
+
+class WittSurface(CheckedRecord, _SurfaceFields):
+    __slots__ = ()
+
+    def __new__(cls, topology, ovals, commutative):
+        return super().__new__(cls, topology, tuple(ovals), commutative)
 
 
-@dataclass(frozen=True, slots=True)
-class ComplexCentreBase:
+class ComplexCentreBase(NamedTuple):
     """A curve whose field of constants is C itself, not a real form.
 
     The zoos mix these with the real surfaces, so they share the same
@@ -178,7 +181,9 @@ def surface_numerics(w: WittSurface | ComplexCentreBase) -> SurfaceNumerics:
     chi = kappa (1 - genus upstairs), chi' = chi / s^2 are cross-checked
     against the downstairs count (1 - g) - m/2, compared on integers as
     2 kappa (1 - genus upstairs) = s^2 (2(1 - g) - m); the two must agree
-    for every valid surface.
+    for every valid surface. A commutative surface whose ovals are not t
+    whole real ones is never valid, and raises the ValidationError of
+    validate.
     """
     if isinstance(w, ComplexCentreBase):
         # such a curve lives over its own constants field, so the constants
@@ -191,6 +196,8 @@ def surface_numerics(w: WittSurface | ComplexCentreBase) -> SurfaceNumerics:
     # commutative curve with empty real locus, or a noncommutative one whose
     # ovals are whole and not all quaternion
     if w.commutative:
+        if not r == t == len(w.ovals):
+            validate(w)  # bad input: an oval that is not a whole real one, or t wrong
         constants, s, upstairs, epsilon = REAL, 1, g, 2 if t == 0 else 1
     elif m > 0 or r > 0:
         constants, s, upstairs, epsilon = COMPLEX, 2, 2 * g - 1 + m, 2 if m == 0 else 1

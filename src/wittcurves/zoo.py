@@ -34,10 +34,10 @@ go by the short names of local_data, plus "point" on a complex-centre base.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .local_data import SHORT_NAMES, WittPointClass
@@ -61,8 +61,7 @@ _CLASS_ORDER = {"seg": 0, "real": 1, "quat": 2, "inner": 3, "point": 4}
 Weights = tuple[tuple[str, object], ...]
 
 
-@dataclass(frozen=True, slots=True)
-class ZooEntry:
+class ZooEntry(NamedTuple):
     base: str
     weights: Weights
     curve_class: CurveClass
@@ -252,7 +251,7 @@ def _family_entry(bare: ZooEntry, places, weights: Weights) -> ZooEntry:
         elif w * e_tau > 1:
             wrv += [w * e_tau] * f
     wrv.sort(key=lambda v: (isinstance(v, str), v if isinstance(v, int) else 0, str(v)))
-    return replace(bare, weights=weights, chi_orb=None, wrv=tuple(wrv))
+    return bare._replace(weights=weights, chi_orb=None, wrv=tuple(wrv))
 
 
 def enumerate_domestic() -> list[ZooEntry]:

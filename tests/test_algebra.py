@@ -7,6 +7,7 @@ from wittcurves.algebra import (
     COMPLEX,
     QUATERNION,
     REAL,
+    AlgebraElement,
     Automorphism,
     abstract_kind,
     apply,
@@ -54,6 +55,17 @@ def test_element_arity_checked():
         element(QUATERNION, 1, 2)
     with pytest.raises(KindMismatchError):
         element(COMPLEX, 1, 2, 3)
+
+
+@pytest.mark.parametrize("kind", [[], ("REAL", 1, 1, "ℝ"), tuple(QUATERNION), None, "REAL"], ids=repr)
+def test_only_a_builtin_kind_has_elements(kind):
+    # a plain tuple of REAL's fields hashes and compares equal to REAL, and
+    # a list is unhashable; neither is a kind
+    with pytest.raises(KindMismatchError):
+        AlgebraElement(kind, (1,))
+    for make in (zero, one, basis):
+        with pytest.raises(KindMismatchError):
+            make(kind)
 
 
 def test_invert_example():

@@ -1,4 +1,6 @@
 import json
+import os
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -195,6 +197,28 @@ def test_parse_errors_exit_one(runner, tmp_path):
     missing = tmp_path / "missing.json"
     res = runner.invoke(main, ["invariants", str(missing)])
     assert res.exit_code == 1
+
+
+@pytest.mark.parametrize("command", ["invariants", "classify", "ghost"])
+def test_unreadable_files_exit_one(runner, tmp_path, monkeypatch, command):
+    # a user without read permission, simulated since root reads anything:
+    # os.access denies the file and reading it raises PermissionError
+    path = _write(tmp_path, "locked.json", {"base": "D"})
+    access, read_text = os.access, Path.read_text
+
+    def denied_access(p, mode, *args, **kwargs):
+        return False if os.fspath(p) == path else access(p, mode, *args, **kwargs)
+
+    def denied_read(self, *args, **kwargs):
+        if os.fspath(self) == path:
+            raise PermissionError(13, "Permission denied", path)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(os, "access", denied_access)
+    monkeypatch.setattr(Path, "read_text", denied_read)
+    res = runner.invoke(main, [command, path])
+    assert res.exit_code == 1
+    assert res.output.startswith(f"error: cannot read {path}")
 
 
 @pytest.mark.parametrize("command", ["invariants", "ghost"])

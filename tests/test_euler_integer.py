@@ -182,7 +182,7 @@ def test_a_shifted_chi_prime_breaks_the_split_route():
 
 def test_a_changed_point_kind_breaks_the_boundary_count():
     profile = _disc_profile()
-    points = (replace(profile.points[0], kind=INNER.value),) + profile.points[1:]
+    points = (profile.points[0]._replace(kind=INNER.value),) + profile.points[1:]
     with pytest.raises(InvariantViolation, match="general .*, boundary count "):
         replace(profile, points=points).chi_orb
 

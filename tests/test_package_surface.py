@@ -5,7 +5,8 @@ AST scan of src/wittcurves/*.py finds every module-level private name
 (one leading underscore) and fails on any that nothing in src/ reads
 again: a helper whose last caller is gone is deleted with it. A second
 scan keeps the reading of a surface in witt_surface: no other module
-reads the topology, the commutative flag or the signs of its ovals.
+reads the topology, the commutative flag or the signs of its ovals. A
+third keeps dataclasses to the few classes that need them.
 """
 
 import ast
@@ -132,3 +133,56 @@ def test_the_scan_sees_surface_internal_reads():
         "ovals = profile.ovals\n"
     )
     assert surface_internal_reads({"m": tree}) == ["m:1.topology", "m:2.commutative", "m:4.segments", "m:4.sign"]
+
+
+# The classes that stay dataclasses, each for a reason a tuple cannot meet.
+# Any other record is a NamedTuple: dataclass() compiles every generated
+# method of a class with exec at import, which once took most of the
+# import time of the package.
+DATACLASS_ALLOWED = {
+    "skew_series.TwistedSeries": "arithmetic dunders: as a tuple, 2 * f would repeat the series",
+    "algebra.Automorphism": "its rotation is derived from the unit and kept out of eq, hash and repr",
+    "weighted_curve.CurveProfile": "cached_property keeps its values in the instance __dict__",
+}
+
+
+def dataclass_classes(modules: dict[str, ast.Module]) -> list[str]:
+    """module.Class for every class decorated with dataclass, called or not."""
+    found = []
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name == "dataclass":
+                    found.append(f"{module}.{node.name}")
+    return sorted(found)
+
+
+def test_only_the_allowed_classes_are_dataclasses():
+    modules = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert dataclass_classes(modules) == sorted(DATACLASS_ALLOWED)
+
+
+def test_the_scan_sees_dataclasses():
+    tree = ast.parse(
+        "@dataclass\n"
+        "class A:\n"
+        "    x: int\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class B:\n"
+        "    x: int\n"
+        "@functools.total_ordering\n"
+        "class C(NamedTuple):\n"
+        "    x: int\n"
+        "def f():\n"
+        "    @dataclass(slots=True)\n"
+        "    class D:\n"
+        "        pass\n"
+    )
+    assert dataclass_classes({"m": tree}) == ["m.A", "m.B", "m.D"]

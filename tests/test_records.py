@@ -1,0 +1,219 @@
+"""The semantics of every public record class.
+
+Most records are NamedTuples; the ones that check or normalise their
+fields on construction are NamedTuples under a CheckedRecord subclass,
+and three stay dataclasses (see tests/test_package_surface.py). Each is
+built by position and by keyword, compares and hashes by value, refuses
+assignment, has no instance __dict__ (but the profile, for its cached
+values) and prints as Name(field=value, ...). A checked record
+rejects bad fields through its constructor, _replace, copy and pickle
+alike.
+"""
+
+import copy
+import dataclasses
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from wittcurves.algebra import COMPLEX, QUATERNION, Automorphism, DivisionAlgebraKind, complex_conjugation, inner, quat
+from wittcurves.errors import ValidationError
+from wittcurves.ktheory import ClassVector, CurveNumerics, SlopeOrbits, elliptic_numerics, slope_orbits
+from wittcurves.local_data import PointDatum, WittPointClass, witt_local_datum
+from wittcurves.skew_series import CentreDescription, TwistedSeries, centre_basis, series
+from wittcurves.weighted_curve import (
+    AbstractBase,
+    AbstractPoint,
+    CurveProfile,
+    EffectivePoint,
+    GhostGroup,
+    PicardDescriptor,
+    WeightedCurve,
+    WeightedPoint,
+    curve_profile,
+    ghost_group,
+    picard_structure,
+)
+from wittcurves.witt_surface import (
+    ComplexCentreBase,
+    KleinTopology,
+    Oval,
+    SurfaceCounts,
+    SurfaceNumerics,
+    WittSurface,
+    catalog,
+    counts,
+    segmented_oval,
+    surface_numerics,
+    whole_oval,
+)
+from wittcurves.zoo import ZooEntry, enumerate_chi_zero
+
+SEG = WittPointClass.SEGMENTATION
+INNER = WittPointClass.INNER
+_CURVE = WeightedCurve(catalog("D_22"), (WeightedPoint(SEG, 3, oval=0, segment=0), WeightedPoint(INNER, 2)))
+
+# class -> (a sample instance, the defaults of its constructor today)
+RECORDS = {
+    DivisionAlgebraKind: (QUATERNION, {}),
+    Automorphism: (inner(quat(1, 1, 0, 0)), {"unit": None}),
+    KleinTopology: (KleinTopology(0, 1, 1), {}),
+    Oval: (segmented_oval("+", "-"), {"segments": (), "sign": None}),
+    WittSurface: (catalog("D_22"), {}),
+    ComplexCentreBase: (catalog("S2_C"), {}),
+    SurfaceCounts: (counts(catalog("D_2222")), {}),
+    SurfaceNumerics: (surface_numerics(catalog("D_22")), {}),
+    PointDatum: (witt_local_datum(INNER), {"weight": 1}),
+    WeightedPoint: (WeightedPoint(SEG, 3, oval=0, segment=0), {"oval": None, "segment": None}),
+    AbstractPoint: (AbstractPoint("x0", 2, 1, 3), {"e_tau": 1, "residue_degree": 1, "weight": 1}),
+    AbstractBase: (AbstractBase(Fraction(1), 1, 1, 1, (AbstractPoint("x0"),), 0), {"centre_genus": None}),
+    EffectivePoint: (curve_profile(_CURVE).points[0], {}),
+    WeightedCurve: (_CURVE, {"points": ()}),
+    CurveProfile: (
+        curve_profile(_CURVE),
+        {"centre": None, "ovals": None, "genus": None, "chi": None, "constants": None},
+    ),
+    PicardDescriptor: (picard_structure(WeightedCurve(catalog("D_2222"))), {"pic_zero": None}),
+    GhostGroup: (ghost_group([(2, 1), (2, 1), (1, 1)], 0), {}),
+    ClassVector: (ClassVector(1, 2), {}),
+    CurveNumerics: (elliptic_numerics("K"), {"end_S_dim": 1, "pbar": 1, "g_orb": None}),
+    SlopeOrbits: (slope_orbits(elliptic_numerics("A"), 50), {}),
+    TwistedSeries: (series(COMPLEX, complex_conjugation(), 4, {0: 1, 2: 3}), {}),
+    CentreDescription: (centre_basis(COMPLEX, complex_conjugation(), 8), {}),
+    ZooEntry: (enumerate_chi_zero()[0], {}),
+}
+# the records whose repr is their own, not Name(field=value, ...)
+CUSTOM_REPR = {DivisionAlgebraKind: "ℍ", TwistedSeries: "(1) + (3)T^2"}
+
+_REQUIRED = object()
+
+
+def _constructor_fields(cls) -> dict:
+    """Each constructor argument in order, with its default or _REQUIRED."""
+    if dataclasses.is_dataclass(cls):
+        return {
+            f.name: _REQUIRED if f.default is dataclasses.MISSING else f.default
+            for f in dataclasses.fields(cls)
+            if f.init
+        }
+    return {name: cls._field_defaults.get(name, _REQUIRED) for name in cls._fields}
+
+
+def _repr_fields(cls) -> list[str]:
+    if dataclasses.is_dataclass(cls):
+        return [f.name for f in dataclasses.fields(cls) if f.repr]
+    return list(cls._fields)
+
+
+def test_every_public_record_class_is_covered():
+    import wittcurves
+
+    records = {
+        value
+        for value in vars(wittcurves).values()
+        if isinstance(value, type) and (dataclasses.is_dataclass(value) or hasattr(value, "_fields"))
+    }
+    assert records <= set(RECORDS)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_semantics(cls):
+    sample, defaults = RECORDS[cls]
+    assert type(sample) is cls
+    fields = _constructor_fields(cls)
+    assert {name: d for name, d in fields.items() if d is not _REQUIRED} == defaults
+    values = {name: getattr(sample, name) for name in fields}
+    by_position = cls(*values.values())
+    by_keyword = cls(**values)
+    for built in (by_position, by_keyword):
+        assert type(built) is cls
+        assert built == sample
+        assert hash(built) == hash(sample)
+    with pytest.raises(AttributeError):
+        setattr(sample, next(iter(fields)), None)
+    # no instance __dict__ either, but where cached_property needs one
+    assert hasattr(sample, "__dict__") == (cls is CurveProfile)
+    expected = CUSTOM_REPR.get(cls)
+    if expected is None:
+        expected = f"{cls.__name__}(" + ", ".join(f"{n}={getattr(sample, n)!r}" for n in _repr_fields(cls)) + ")"
+    assert repr(sample) == expected
+
+
+# (a valid record, a field, a bad value for it, the code of the rejection)
+CHECKED = [
+    (segmented_oval("+", "-"), "sign", "+", "oval-shape"),
+    (whole_oval("-"), "sign", "0", "oval-shape"),
+    (witt_local_datum(INNER), "e", 0, "nonpositive"),
+    (witt_local_datum(SEG), "e_star", 2, "e-star-mismatch"),
+    (CurveNumerics(1, 1, 1), "epsilon", 3, "epsilon"),
+    (CurveNumerics(1, 1, 1), "kappa", 1.0, "not-integer"),
+    (WeightedCurve(catalog("D")), "points", (WeightedPoint(INNER, 1),), "weight"),
+    (WeightedCurve(catalog("D")), "base", WittSurface(KleinTopology(0, 1, 1), (), True), "oval-count"),
+]
+
+
+def _bypassing_checks(record, field, value):
+    """The record with one field changed, built without any check."""
+    return tuple.__new__(type(record), [value if name == field else v for name, v in zip(record._fields, record)])
+
+
+@pytest.mark.parametrize(
+    "record, field, value, code", CHECKED, ids=[f"{type(r).__name__}.{f}" for r, f, _, _ in CHECKED]
+)
+def test_checked_records_reject_bad_fields_however_built(record, field, value, code):
+    cls = type(record)
+    bad = _bypassing_checks(record, field, value)
+    attempts = {
+        "constructor": lambda: cls(*bad),
+        "keywords": lambda: cls(**dict(zip(cls._fields, bad))),
+        "_make": lambda: cls._make(bad),
+        "_replace": lambda: record._replace(**{field: value}),
+        "copy": lambda: copy.copy(bad),
+        "deepcopy": lambda: copy.deepcopy(bad),
+        **{
+            f"pickle{p}": (lambda p=p: pickle.loads(pickle.dumps(bad, protocol=p)))
+            for p in range(pickle.HIGHEST_PROTOCOL + 1)
+        },
+    }
+    for how, attempt in attempts.items():
+        with pytest.raises(ValidationError) as exc:
+            attempt()
+        assert exc.value.code == code, how
+
+
+def test_checked_records_normalise_however_built():
+    surface, curve = catalog("D_22"), WeightedCurve(catalog("D"))
+    ovals, points = list(surface.ovals), [WeightedPoint(INNER, 2)]
+    for built in (
+        WittSurface(surface.topology, ovals, False),
+        surface._replace(ovals=ovals),
+        pickle.loads(pickle.dumps(tuple.__new__(WittSurface, (surface.topology, ovals, False)))),
+    ):
+        assert type(built.ovals) is tuple and built == surface
+    for built in (WeightedCurve(curve.base, points), curve._replace(points=points)):
+        assert type(built.points) is tuple and built.points == tuple(points)
+
+
+def test_a_weighted_curve_is_checked_once_per_construction(monkeypatch):
+    # bench/tracing.py wraps this hook as the weighted_curve.construct span
+    calls = []
+    check = WeightedCurve.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        check(self)
+
+    monkeypatch.setattr(WeightedCurve, "__post_init__", counted)
+    curve = WeightedCurve(catalog("D_22"), (WeightedPoint(INNER, 2),))
+    assert len(calls) == 1
+    for rebuild in (
+        lambda: WeightedCurve(base=curve.base, points=curve.points),
+        lambda: curve._replace(points=()),
+        lambda: copy.copy(curve),
+        lambda: copy.deepcopy(curve),
+        lambda: pickle.loads(pickle.dumps(curve)),
+    ):
+        before = len(calls)
+        rebuild()
+        assert len(calls) == before + 1

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -340,7 +339,7 @@ def test_weight_ram_vector_length_is_bounded():
     # a point with weight * e_tau = 1 adds no entries
     WeightedCurve(base(weighted, AbstractPoint("x1", residue_degree=half)))
     # the cap itself is allowed
-    WeightedCurve(base(replace(weighted, residue_degree=MAX_VECTOR_LENGTH - 1), AbstractPoint("x1", e_tau=3)))
+    WeightedCurve(base(weighted._replace(residue_degree=MAX_VECTOR_LENGTH - 1), AbstractPoint("x1", e_tau=3)))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +376,7 @@ def test_weighted_point_fields_must_be_ints(point):
 @pytest.mark.parametrize("field", ["e_tau", "residue_degree", "weight"])
 @pytest.mark.parametrize("value", [2.5, 2.0, True])
 def test_abstract_point_fields_must_be_ints(field, value):
-    point = replace(AbstractPoint("x0"), **{field: value})
+    point = AbstractPoint("x0")._replace(**{field: value})
     _not_integer(lambda: WeightedCurve(AbstractBase(Fraction(1), 1, 1, 1, (point,))))
 
 
@@ -385,7 +384,7 @@ def test_abstract_point_fields_must_be_ints(field, value):
     ("chi_x", 0.1), ("chi_x", True), ("s", 1.0), ("kappa", 1.5), ("epsilon", True), ("centre_genus", 0.0),
 ])
 def test_abstract_base_fields_must_be_ints(field, value):
-    base = replace(AbstractBase(Fraction(1), 1, 1, 1, ()), **{field: value})
+    base = AbstractBase(Fraction(1), 1, 1, 1, ())._replace(**{field: value})
     _not_integer(lambda: WeightedCurve(base))
 
 

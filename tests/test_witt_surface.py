@@ -317,3 +317,38 @@ def test_signed_ovals():
     assert signed_ovals(w, "+") == (0, 1)
     assert signed_ovals(w, "-") == (1, 2)
     assert signed_ovals(catalog("K"), "+") == ()
+
+
+_VIEWS = (surface_numerics, constants_field, genus, surface_skewness, euler_characteristics)
+
+
+@pytest.mark.parametrize("read", _VIEWS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("ovals, code", [
+    ((segmented_oval("+", "-"),), "minus-on-commutative"),
+    ((segmented_oval("+", "+"),), "non-alternating"),
+    ((segmented_oval("+"),), "odd-segments"),
+    ((whole_oval("-"),), "minus-on-commutative"),
+    ((), "oval-count"),
+    ((segmented_oval("+", "-", "+", "-"), whole_oval("+")), "oval-count"),
+])
+def test_a_commutative_surface_with_other_than_whole_real_ovals_is_bad_input(read, ovals, code):
+    w = WittSurface(KleinTopology(0, 1, 1), ovals, commutative=True)
+    with pytest.raises(ValidationError) as exc:
+        read(w)
+    assert exc.value.code == code
+
+
+def test_unvalidated_surfaces_never_trip_the_downstairs_check():
+    # every small surface, valid or not: a view either answers or raises
+    # the ValidationError of validate, never an InvariantViolation, and it
+    # never answers for a commutative surface with a minus or a segment
+    for g, t, s, commutative in product(range(4), range(4), (0, 1), (False, True)):
+        for ovals in product(_OVAL_SHAPES, repeat=t):
+            w = WittSurface(KleinTopology(g, t, s), ovals, commutative=commutative)
+            bad = commutative and any(oval != whole_oval("+") for oval in ovals)
+            for read in _VIEWS:
+                try:
+                    read(w)
+                except ValidationError:
+                    continue
+                assert not bad
