@@ -326,3 +326,122 @@ def test_abstract_negative_centre_genus_exits_two(runner, tmp_path, command):
     res = runner.invoke(main, [command, path])
     assert res.exit_code == 2
     assert res.output == "error: the centre genus must be nonnegative\n"
+
+
+_TOPOLOGY = {"g": 0, "t": 1, "s": 1, "ovals": ["+"], "commutative": True}
+_OVERRIDES = {"chi_x": 1, "s": 1, "kappa": 1, "epsilon": 1}
+
+
+def _with(record, **fields):
+    return {**record, **fields}
+
+
+def _on_topology(**fields):
+    return {"base": _with(_TOPOLOGY, **fields)}
+
+
+def _on_oval(oval):
+    return _on_topology(ovals=[oval], commutative=False)
+
+
+def _on_placement(placement):
+    return {"base": "D_22", "weights": [placement]}
+
+
+def _on_overrides(**fields):
+    return {"overrides": _with(_OVERRIDES, **fields)}
+
+
+def _on_ghost_point(point):
+    return {"points": [[2, 1], point]}
+
+
+# (reader, the check it fails, command, file content); every case is a
+# JSON value that parses, so the reader and no JSON decoder rejects it
+_MALFORMED = [
+    ("top", "not-object", "invariants", [1, 2]),
+    ("top", "unknown", "invariants", {"base": "D", "colour": 1}),
+    ("top", "missing", "invariants", {"weights": []}),
+    ("top", "both", "invariants", {"base": "D", "overrides": _OVERRIDES}),
+    ("top", "not-list", "invariants", {"base": "D_H", "weights": {"class": "inner", "p": 2}}),
+    ("top", "weights-on-overrides", "invariants", {"overrides": _OVERRIDES, "weights": [{"class": "inner", "p": 2}]}),
+    ("topology", "not-object", "invariants", {"base": 5}),
+    ("topology", "not-object-list", "invariants", {"base": ["g", "t", "s"]}),
+    ("topology", "unknown", "invariants", _on_topology(colour=1)),
+    ("topology", "missing", "invariants", {"base": {"g": 0, "t": 1}}),
+    ("topology", "float", "invariants", _on_topology(g=0.0)),
+    ("topology", "bool", "invariants", _on_topology(t=True)),
+    ("topology", "null", "invariants", _on_topology(s=None)),
+    ("topology", "not-list", "invariants", _on_topology(ovals="+")),
+    ("topology", "commutative-int", "invariants", _on_topology(commutative=1)),
+    ("topology", "commutative-null", "invariants", _on_topology(commutative=None)),
+    ("oval", "not-object", "invariants", _on_oval(5)),
+    ("oval", "not-object-list", "invariants", _on_oval(["+", "-"])),
+    ("oval", "missing", "invariants", _on_oval({})),
+    ("oval", "bad-sign-bare", "invariants", _on_oval("0")),
+    ("oval", "bad-sign", "invariants", _on_oval({"sign": "0"})),
+    ("oval", "null-sign", "invariants", _on_oval({"sign": None})),
+    ("oval", "bad-segment-sign", "invariants", _on_oval({"segments": ["+", "0"]})),
+    ("oval", "not-list", "invariants", _on_oval({"segments": "+-"})),
+    ("placement", "not-object", "invariants", _on_placement("inner")),
+    ("placement", "unknown", "invariants", _on_placement({"class": "inner", "p": 2, "colour": 1})),
+    ("placement", "missing-p", "invariants", _on_placement({"class": "inner"})),
+    ("placement", "missing-class", "invariants", _on_placement({"p": 2})),
+    ("placement", "bad-class", "invariants", _on_placement({"class": "edge", "p": 2})),
+    ("placement", "float", "invariants", _on_placement({"class": "inner", "p": 2.0})),
+    ("placement", "bool", "invariants", _on_placement({"class": "inner", "p": True})),
+    ("placement", "null", "invariants", _on_placement({"class": "inner", "p": None})),
+    ("placement", "float-oval", "invariants", _on_placement({"class": "real_boundary", "p": 2, "oval": 0.0})),
+    ("placement", "bool-segment", "invariants",
+     _on_placement({"class": "segmentation", "p": 2, "oval": 0, "segment": False})),
+    ("overrides", "not-object", "invariants", {"overrides": [1]}),
+    ("overrides", "unknown", "invariants", _on_overrides(colour=1)),
+    ("overrides", "missing", "invariants", {"overrides": {"chi_x": 1, "s": 1, "kappa": 1}}),
+    ("overrides", "float", "invariants", _on_overrides(s=1.0)),
+    ("overrides", "bool", "invariants", _on_overrides(kappa=True)),
+    ("overrides", "null", "invariants", _on_overrides(epsilon=None)),
+    ("overrides", "float-centre-genus", "invariants", _on_overrides(centre_genus=0.5)),
+    ("overrides", "float-chi", "invariants", _on_overrides(chi_x=0.5)),
+    ("overrides", "bool-chi", "invariants", _on_overrides(chi_x=True)),
+    ("overrides", "null-chi", "invariants", _on_overrides(chi_x=None)),
+    ("overrides", "unknown-chi-field", "invariants", _on_overrides(chi_x={"num": 1, "den": 2, "sign": 1})),
+    ("overrides", "missing-chi-field", "invariants", _on_overrides(chi_x={"num": 1})),
+    ("overrides", "float-chi-field", "invariants", _on_overrides(chi_x={"num": 1.0, "den": 2})),
+    ("overrides", "zero-denominator", "invariants", _on_overrides(chi_x={"num": 1, "den": 0})),
+    ("overrides", "not-list", "invariants", _on_overrides(points={"label": "a"})),
+    ("override-point", "not-object", "invariants", _on_overrides(points=[[2, 1, 1]])),
+    ("override-point", "unknown", "invariants", _on_overrides(points=[{"label": "a", "colour": 1}])),
+    ("override-point", "float", "invariants", _on_overrides(points=[{"e_tau": 2.0}])),
+    ("override-point", "bool", "invariants", _on_overrides(points=[{"f": True}])),
+    ("override-point", "null", "invariants", _on_overrides(points=[{"e_tau": None}])),
+    ("ghost", "not-object", "ghost", [[2, 1]]),
+    ("ghost", "unknown", "ghost", {"points": [[2, 1]], "colour": 1}),
+    ("ghost", "missing", "ghost", {"efficient": 0}),
+    ("ghost", "not-list", "ghost", {"points": {"e_tau": 2, "f": 1}}),
+    ("ghost", "empty", "ghost", {"points": []}),
+    ("ghost", "float", "ghost", {"points": [[2, 1]], "efficient": 0.0}),
+    ("ghost", "bool", "ghost", {"points": [[2, 1]], "efficient": True}),
+    ("ghost", "null", "ghost", {"points": [[2, 1]], "efficient": None}),
+    ("ghost-point", "not-object", "ghost", _on_ghost_point(5)),
+    ("ghost-point", "short-list", "ghost", _on_ghost_point([2])),
+    ("ghost-point", "long-list", "ghost", _on_ghost_point([2, 1, 1])),
+    ("ghost-point", "unknown", "ghost", _on_ghost_point({"e_tau": 2, "colour": 1})),
+    ("ghost-point", "float", "ghost", _on_ghost_point({"e_tau": 2.0})),
+    ("ghost-point", "bool", "ghost", _on_ghost_point([True, 1])),
+    ("ghost-point", "null", "ghost", _on_ghost_point({"f": None})),
+    ("ghost-point", "null-in-list", "ghost", _on_ghost_point([2, None])),
+]
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [case[2:] for case in _MALFORMED],
+    ids=[f"{reader}-{check}" for reader, check, *_ in _MALFORMED],
+)
+def test_every_reader_rejects_malformed_records_with_exit_one(runner, tmp_path, command, payload):
+    res = runner.invoke(main, [command, _write(tmp_path, "m.json", payload)])
+    assert isinstance(res.exception, SystemExit)
+    assert res.exit_code == 1
+    assert res.output.startswith("error: ")
+    assert res.output.count("\n") == 1
+    assert "Traceback" not in res.output
