@@ -26,7 +26,6 @@ from .weighted_curve import (
     COMPLEX_POINT,
     AbstractBase,
     AbstractPoint,
-    CurveClass,
     WeightedCurve,
     WeightedPoint,
     classify,
@@ -35,6 +34,7 @@ from .weighted_curve import (
 )
 from .witt_surface import (
     KleinTopology,
+    Oval,
     WittSurface,
     catalog,
     segmented_oval,
@@ -71,7 +71,7 @@ def _reporting(fn):
 # ---------------------------------------------------------------------------
 # Input files
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -79,155 +79,138 @@ def _load_json(path: str) -> dict:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
-        data = json.loads(text)
+        return json.loads(text)
     # ValueError covers JSONDecodeError and integer literals past Python's
     # digit limit; RecursionError covers nesting too deep for the decoder
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ParseError("the top level of a data file must be a JSON object")
-    return data
 
 
-def _as_int(value, name: str) -> int:
+def _fields(record, what: str, required=(), optional=()) -> dict:
+    """The record, once it is a JSON object with every required field and
+    no field outside required and optional; what names it in errors."""
+    if not isinstance(record, dict):
+        raise ParseError(f"{what} must be a JSON object")
+    unknown = sorted(set(record) - set(required) - set(optional))
+    if unknown:
+        raise ParseError(f"unknown fields in {what}: {unknown}")
+    missing = [key for key in required if key not in record]
+    if missing:
+        raise ParseError(f"missing fields in {what}: {missing}")
+    return record
+
+
+def _int(record: dict, key: str, default=...):
+    """record[key] as an int (a bool is not one), or the default when the
+    field is absent; ... marks a required field, and only a field whose
+    default is None may be null."""
+    value = record.get(key, default)
+    if value is None and default is None:
+        return None
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{name} must be an integer")
+        raise ParseError(f"{key} must be an integer")
     return value
 
 
-def _parse_rational(value, name: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ParseError(f"{name} must be an integer or a num/den object")
-    if isinstance(value, int):
-        return Fraction(value)
-    if (
-        isinstance(value, dict)
-        and set(value) == {"num", "den"}
-        and all(isinstance(v, int) and not isinstance(v, bool) for v in value.values())
-    ):
-        if value["den"] == 0:
-            raise ParseError(f"{name} has denominator zero")
-        return Fraction(value["num"], value["den"])
-    raise ParseError(f"{name} must be an integer or a num/den object")
+def _list(record: dict, key: str) -> list:
+    value = record.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError(f"{key} must be a list")
+    return value
 
 
-def _surface_from_record(record) -> WittSurface:
-    if not isinstance(record, dict):
-        raise ParseError("base must be a catalog name or a topology object")
-    unknown = set(record) - {"g", "t", "s", "ovals", "commutative"}
-    if unknown:
-        raise ParseError(f"unknown topology fields: {sorted(unknown)}")
-    for key in ("g", "t", "s"):
-        if key not in record:
-            raise ParseError(f"topology records need the field {key}")
-    g, t, s = (_as_int(record[key], key) for key in ("g", "t", "s"))
-    ovals_spec = record.get("ovals", [])
-    if not isinstance(ovals_spec, list):
-        raise ParseError("ovals must be a list")
-    ovals = []
-    for item in ovals_spec:
-        if isinstance(item, str) and item in ("+", "-"):
-            ovals.append(whole_oval(item))
-        elif isinstance(item, dict) and "segments" in item:
-            segs = item["segments"]
-            if not isinstance(segs, list) or not all(x in ("+", "-") for x in segs):
-                raise ParseError("segments must be a list of '+'/'-' signs")
-            ovals.append(segmented_oval(*segs))
-        elif isinstance(item, dict) and "sign" in item:
-            if item["sign"] not in ("+", "-"):
-                raise ParseError("oval sign must be '+' or '-'")
-            ovals.append(whole_oval(item["sign"]))
-        else:
-            raise ParseError("each oval needs a sign or a segments list")
+def _rational(record: dict, key: str) -> Fraction:
+    """An integer field, or a {"num", "den"} object with a nonzero den."""
+    if not isinstance(record[key], dict):
+        return Fraction(_int(record, key))
+    pair = _fields(record[key], key, ("num", "den"))
+    num, den = _int(pair, "num"), _int(pair, "den")
+    if den == 0:
+        raise ParseError(f"{key} has denominator zero")
+    return Fraction(num, den)
+
+
+def _sign(value) -> str:
+    if value not in ("+", "-"):
+        raise ParseError("an oval sign must be '+' or '-'")
+    return value
+
+
+def _oval(record) -> Oval:
+    """A whole oval, spelt "+" or {"sign": "+"}, or {"segments": [...]}."""
+    if isinstance(record, str):
+        record = {"sign": record}
+    record = _fields(record, "an oval", (), ("sign", "segments"))
+    if "segments" in record:
+        return segmented_oval(*map(_sign, _list(record, "segments")))
+    if "sign" not in record:
+        raise ParseError("an oval needs a sign or a segments list")
+    return whole_oval(_sign(record["sign"]))
+
+
+def _surface(record) -> WittSurface:
+    record = _fields(record, "a topology", ("g", "t", "s"), ("ovals", "commutative"))
+    topology = KleinTopology(_int(record, "g"), _int(record, "t"), _int(record, "s"))
+    ovals = tuple(map(_oval, _list(record, "ovals")))
     commutative = record.get("commutative", False)
     if not isinstance(commutative, bool):
         raise ParseError("commutative must be a boolean")
-    return WittSurface(KleinTopology(g, t, s), tuple(ovals), commutative=commutative)
+    return WittSurface(topology, ovals, commutative=commutative)
 
 
 _POINT_CLASSES = {cls.value: cls for cls in WittPointClass} | {COMPLEX_POINT: COMPLEX_POINT}
 
 
 def _weighted_point(record) -> WeightedPoint:
-    if not isinstance(record, dict):
-        raise ParseError("each weight placement must be an object")
-    unknown = set(record) - {"class", "p", "oval", "segment"}
-    if unknown:
-        raise ParseError(f"unknown weight fields: {sorted(unknown)}")
-    cls = record.get("class")
-    if cls not in _POINT_CLASSES:
-        raise ParseError(f"unknown point class {cls!r}")
-    if "p" not in record:
-        raise ParseError("each weight placement needs an integer weight p")
-    weight = _as_int(record["p"], "p")
-    oval = record.get("oval")
-    segment = record.get("segment")
-    if oval is not None:
-        oval = _as_int(oval, "oval")
-    if segment is not None:
-        segment = _as_int(segment, "segment")
-    return WeightedPoint(_POINT_CLASSES[cls], weight, oval=oval, segment=segment)
+    record = _fields(record, "a weight placement", ("class", "p"), ("oval", "segment"))
+    location = record["class"]
+    if not isinstance(location, str) or location not in _POINT_CLASSES:
+        raise ParseError(f"unknown point class {location!r}")
+    oval, segment = _int(record, "oval", None), _int(record, "segment", None)
+    return WeightedPoint(_POINT_CLASSES[location], _int(record, "p"), oval=oval, segment=segment)
+
+
+def _abstract_point(index: int, record) -> AbstractPoint:
+    record = _fields(record, "an override point", (), ("label", "e_tau", "f", "p"))
+    label = str(record.get("label", f"x{index}"))
+    return AbstractPoint(
+        label, _int(record, "e_tau", 1), _int(record, "f", 1), _int(record, "p", 1)
+    )
 
 
 def _abstract_base(record) -> AbstractBase:
-    if not isinstance(record, dict):
-        raise ParseError("overrides must be an object")
-    allowed = {"chi_x", "s", "kappa", "epsilon", "points", "centre_genus"}
-    unknown = set(record) - allowed
-    if unknown:
-        raise ParseError(f"unknown override fields: {sorted(unknown)}")
-    missing = {"chi_x", "s", "kappa", "epsilon"} - set(record)
-    if missing:
-        raise ParseError(f"overrides need the fields {sorted(missing)}")
-    raw_points = record.get("points", [])
-    if not isinstance(raw_points, list):
-        raise ParseError("override points must be a list")
-    points = []
-    for i, item in enumerate(raw_points):
-        if not isinstance(item, dict):
-            raise ParseError("each override point must be an object")
-        unknown = set(item) - {"label", "e_tau", "f", "p"}
-        if unknown:
-            raise ParseError(f"unknown point fields: {sorted(unknown)}")
-        points.append(
-            AbstractPoint(
-                label=str(item.get("label", f"x{i}")),
-                e_tau=_as_int(item.get("e_tau", 1), "e_tau"),
-                residue_degree=_as_int(item.get("f", 1), "f"),
-                weight=_as_int(item.get("p", 1), "p"),
-            )
-        )
-    centre = record.get("centre_genus")
-    if centre is not None:
-        centre = _as_int(centre, "centre_genus")
+    required, optional = ("chi_x", "s", "kappa", "epsilon"), ("points", "centre_genus")
+    record = _fields(record, "the overrides", required, optional)
     return AbstractBase(
-        chi_x=_parse_rational(record["chi_x"], "chi_x"),
-        s=_as_int(record["s"], "s"),
-        kappa=_as_int(record["kappa"], "kappa"),
-        epsilon=_as_int(record["epsilon"], "epsilon"),
-        points=tuple(points),
-        centre_genus=centre,
+        chi_x=_rational(record, "chi_x"),
+        s=_int(record, "s"),
+        kappa=_int(record, "kappa"),
+        epsilon=_int(record, "epsilon"),
+        points=tuple(_abstract_point(i, p) for i, p in enumerate(_list(record, "points"))),
+        centre_genus=_int(record, "centre_genus", None),
     )
 
 
 def load_curve(path: str) -> WeightedCurve:
     """Build a curve from a JSON file with either a surface or abstract numerics."""
-    data = _load_json(path)
-    unknown = set(data) - {"base", "weights", "overrides"}
-    if unknown:
-        raise ParseError(f"unknown top-level fields: {sorted(unknown)}")
+    data = _fields(_load_json(path), "a curve file", (), ("base", "weights", "overrides"))
     if ("base" in data) == ("overrides" in data):
         raise ParseError("exactly one of 'base' and 'overrides' must be present")
     if "overrides" in data:
         if data.get("weights"):
             raise ParseError("weights on abstract data go inside the override points")
         return WeightedCurve(_abstract_base(data["overrides"]), ())
-    base_spec = data["base"]
-    base = catalog(base_spec) if isinstance(base_spec, str) else _surface_from_record(base_spec)
-    raw_weights = data.get("weights", [])
-    if not isinstance(raw_weights, list):
-        raise ParseError("weights must be a list")
-    return WeightedCurve(base, tuple(_weighted_point(w) for w in raw_weights))
+    base = data["base"]
+    base = catalog(base) if isinstance(base, str) else _surface(base)
+    return WeightedCurve(base, tuple(map(_weighted_point, _list(data, "weights"))))
+
+
+def _ghost_point(record) -> tuple[int, int]:
+    """(e_tau, f) of a ghost point, spelt {"e_tau": e, "f": f} or [e, f]."""
+    if isinstance(record, list) and len(record) == 2:
+        record = dict(zip(("e_tau", "f"), record))
+    record = _fields(record, "a ghost point", (), ("e_tau", "f"))
+    return _int(record, "e_tau", 1), _int(record, "f", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -332,17 +315,9 @@ def classify_command(path):
 @_reporting
 def zoo_command(which, fmt):
     """List the curves with nonnegative orbifold characteristic."""
-    entries = []
-    if which in ("elliptic", "tubular", "all"):
-        chi_zero = enumerate_chi_zero()
-        if which == "elliptic":
-            entries += [e for e in chi_zero if e.curve_class is CurveClass.ELLIPTIC]
-        elif which == "tubular":
-            entries += [e for e in chi_zero if e.curve_class is CurveClass.TUBULAR]
-        else:
-            entries += chi_zero
-    if which in ("domestic", "all"):
-        entries += enumerate_domestic()
+    chi_zero = [] if which == "domestic" else enumerate_chi_zero()
+    domestic = enumerate_domestic() if which in ("domestic", "all") else []
+    entries = [e for e in chi_zero + domestic if which in ("all", e.curve_class.value)]
     if fmt == "table":
         click.echo(zoo_report(entries))
     else:
@@ -406,22 +381,12 @@ def skew_centre(algebra, twist, order):
 @_reporting
 def ghost(path):
     """Ghost group computed from a ramification data file."""
-    data = _load_json(path)
-    unknown = set(data) - {"points", "efficient"}
-    if unknown:
-        raise ParseError(f"unknown ghost fields: {sorted(unknown)}")
-    raw_points = data.get("points")
-    if not isinstance(raw_points, list) or not raw_points:
-        raise ParseError("ghost files need a nonempty 'points' list")
-    pairs = []
-    for item in raw_points:
-        if isinstance(item, dict) and set(item) <= {"e_tau", "f"}:
-            pairs.append((_as_int(item.get("e_tau", 1), "e_tau"), _as_int(item.get("f", 1), "f")))
-        elif isinstance(item, list) and len(item) == 2:
-            pairs.append((_as_int(item[0], "e_tau"), _as_int(item[1], "f")))
-        else:
-            raise ParseError("each ghost point needs e_tau and f")
-    efficient = _as_int(data.get("efficient", 0), "efficient")
+    data = _fields(_load_json(path), "a ghost file", ("points",), ("efficient",))
+    points = _list(data, "points")
+    if not points:
+        raise ParseError("a ghost file needs at least one point")
+    pairs = [_ghost_point(item) for item in points]
+    efficient = _int(data, "efficient", 0)
     group = ghost_group(pairs, efficient)
     click.echo(f"ghost group: {group.describe()}")
 

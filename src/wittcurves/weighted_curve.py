@@ -137,6 +137,10 @@ class WeightedCurve(CheckedRecord, _CurveFields):
 
 def _validate_curve(c: WeightedCurve) -> None:
     base = c.base
+    if not isinstance(base, Base):
+        raise ValidationError(
+            f"a curve base must be a surface or an abstract base, got {type(base).__name__}", code="base"
+        )
     if isinstance(base, AbstractBase) and c.points:
         raise ValidationError(
             "weights on an abstract base belong in its point records",
@@ -144,6 +148,10 @@ def _validate_curve(c: WeightedCurve) -> None:
         )
     _validate_base(base)
     for wp in c.points:
+        if not isinstance(wp, WeightedPoint):
+            raise ValidationError(
+                f"a weight must be a WeightedPoint, got {type(wp).__name__}", code="placement"
+            )
         require_ints(("oval", "segment"), weight=wp.weight, oval=wp.oval, segment=wp.segment)
         if wp.weight < 2:
             raise ValidationError("an inserted weight must be at least 2", code="weight")

@@ -77,6 +77,13 @@ class WittSurface(CheckedRecord, _SurfaceFields):
     def __new__(cls, topology, ovals, commutative):
         return super().__new__(cls, topology, tuple(ovals), commutative)
 
+    def __post_init__(self):
+        for oval in self.ovals:
+            if not isinstance(oval, Oval):
+                raise ValidationError(
+                    f"an oval must be an Oval, got {type(oval).__name__}", code="oval-shape"
+                )
+
 
 class ComplexCentreBase(NamedTuple):
     """A curve whose field of constants is C itself, not a real form.

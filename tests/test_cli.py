@@ -445,3 +445,14 @@ def test_every_reader_rejects_malformed_records_with_exit_one(runner, tmp_path, 
     assert res.output.startswith("error: ")
     assert res.output.count("\n") == 1
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("payload", [
+    _on_oval({"sign": "+", "colour": 1}),
+    _on_placement({"class": ["inner"], "p": 2}),
+], ids=["oval-unknown", "placement-unhashable-class"])
+def test_records_once_let_through_or_crashing_exit_one(runner, tmp_path, payload):
+    res = runner.invoke(main, ["invariants", _write(tmp_path, "m.json", payload)])
+    assert isinstance(res.exception, SystemExit)
+    assert res.exit_code == 1
+    assert res.output.startswith("error: ")

@@ -6,7 +6,8 @@ AST scan of src/wittcurves/*.py finds every module-level private name
 again: a helper whose last caller is gone is deleted with it. A second
 scan keeps the reading of a surface in witt_surface: no other module
 reads the topology, the commutative flag or the signs of its ovals. A
-third keeps dataclasses to the few classes that need them.
+third keeps dataclasses to the few classes that need them, and a fourth
+gives every ValidationError raised in src/ a stable code.
 """
 
 import ast
@@ -186,3 +187,36 @@ def test_the_scan_sees_dataclasses():
         "        pass\n"
     )
     assert dataclass_classes({"m": tree}) == ["m.A", "m.B", "m.D"]
+
+
+def uncoded_validation_errors(modules: dict[str, ast.Module]) -> list[str]:
+    """module:line for every ValidationError(...) call without a code= keyword."""
+    return sorted(
+        f"{module}:{node.lineno}"
+        for module, tree in modules.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ValidationError"
+        and not any(keyword.arg == "code" for keyword in node.keywords)
+    )
+
+
+def test_every_validation_error_has_a_code():
+    modules = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert uncoded_validation_errors(modules) == []
+
+
+def test_the_scan_sees_validation_errors_without_a_code():
+    tree = ast.parse(
+        "raise ValidationError('bad', code='weight')\n"
+        "raise ValidationError('bad')\n"
+        "raise errors.ValidationError(f'bad {x}')\n"
+        "raise ValidationError('bad', 'weight')\n"
+        "raise DomainError('bad')\n"
+        "class ValidationError(CurveError, ValueError):\n"
+        "    pass\n"
+    )
+    assert uncoded_validation_errors({"m": tree}) == ["m:2", "m:3", "m:4"]

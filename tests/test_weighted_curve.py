@@ -423,3 +423,15 @@ def test_one_report_counts_the_ovals_once(monkeypatch):
         counted.clear()
         invariants_report(curve)
         assert counted == [curve.base]
+
+
+@pytest.mark.parametrize("make, code", [
+    (lambda: WeightedCurve("D"), "base"),
+    (lambda: WeightedCurve(None), "base"),
+    (lambda: WeightedCurve(catalog("D_22"), WeightedPoint(WittPointClass.INNER, 2)), "placement"),
+], ids=["name-for-base", "none-for-base", "one-point-for-the-sequence"])
+def test_records_of_the_wrong_kind_raise_validation_errors(make, code):
+    # one WeightedPoint where the sequence belongs would be read field by field
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert err.value.code == code

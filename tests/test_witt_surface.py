@@ -352,3 +352,10 @@ def test_unvalidated_surfaces_never_trip_the_downstairs_check():
                 except ValidationError:
                     continue
                 assert not bad
+
+
+def test_one_oval_for_the_sequence_of_ovals_raises_a_validation_error():
+    # iterated, the one Oval would give its fields as ovals
+    with pytest.raises(ValidationError) as err:
+        WittSurface(KleinTopology(1, 2, 1), segmented_oval("+", "-"), commutative=False)
+    assert err.value.code == "oval-shape"
