@@ -30,7 +30,7 @@ from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError, InvariantViolation, KindMismatchError
+from .errors import DomainError, InvariantViolation, KindMismatchError, ValidationError, require_ints
 
 
 class DivisionAlgebraKind(NamedTuple):
@@ -59,6 +59,9 @@ _BUILTIN = {kind: kind for kind in BUILTIN_KINDS}
 
 def abstract_kind(dim_over_k: int, dim_centre_over_k: int, display_name: str = "D") -> DivisionAlgebraKind:
     """Dimension-only descriptor for a division algebra over an implicit base field."""
+    require_ints(dim_over_k=dim_over_k, dim_centre_over_k=dim_centre_over_k)
+    if dim_over_k < 1 or dim_centre_over_k < 1:
+        raise ValidationError("dimensions must be positive", code="nonpositive")
     if dim_over_k % dim_centre_over_k != 0:
         raise InvariantViolation(
             f"centre dimension {dim_centre_over_k} does not divide {dim_over_k}"
@@ -313,8 +316,8 @@ def _normalize_unit(unit: AlgebraElement) -> AlgebraElement:
     representative (first nonzero coordinate positive) makes equality of
     automorphisms decidable.
     """
-    if unit.kind is not QUATERNION:
-        raise KindMismatchError("inner automorphisms are registered only on H")
+    if not isinstance(unit, AlgebraElement) or unit.kind is not QUATERNION:
+        raise KindMismatchError(f"an inner automorphism needs a unit in H, got {unit!r}")
     if unit.is_zero():
         raise ZeroDivisionError("inner automorphism needs an invertible unit")
     num = unit.num
@@ -342,6 +345,9 @@ def _inner_rotation(unit: AlgebraElement) -> tuple[tuple[tuple[int, ...], ...], 
     return tuple(tuple(v // g for v in row) for row in rows), norm // g
 
 
+_ACTIONS = {REAL: ("identity",), COMPLEX: ("identity", "conj"), QUATERNION: ("identity", "inner")}
+
+
 @dataclass(frozen=True, slots=True)
 class Automorphism:
     """A k-algebra automorphism of R, C or H.
@@ -365,6 +371,10 @@ class Automorphism:
     )
 
     def __post_init__(self):
+        if self.action not in _ACTIONS[_builtin(self.kind)]:
+            raise DomainError(f"{self.kind.display_name} has no automorphism {self.action!r}")
+        if self.action != "inner" and self.unit is not None:
+            raise DomainError(f"a unit belongs to an inner automorphism, not to {self.action!r}")
         if self.action == "inner":
             unit = _normalize_unit(self.unit)
             object.__setattr__(self, "unit", unit)
@@ -434,10 +444,4 @@ def galois_order(phi: Automorphism) -> int:
     Identity is trivial; conjugation on C has order two; every inner
     automorphism of H is trivial in the quotient.
     """
-    if phi.action == "identity":
-        return 1
-    if phi.action == "conj":
-        return 2
-    if phi.action == "inner":
-        return 1
-    raise DomainError(f"unknown automorphism action {phi.action!r}")
+    return 2 if phi.action == "conj" else 1

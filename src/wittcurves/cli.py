@@ -141,10 +141,10 @@ def _oval(record) -> Oval:
     if isinstance(record, str):
         record = {"sign": record}
     record = _fields(record, "an oval", (), ("sign", "segments"))
+    if ("segments" in record) == ("sign" in record):
+        raise ParseError("an oval needs a sign or a segments list, not both")
     if "segments" in record:
         return segmented_oval(*map(_sign, _list(record, "segments")))
-    if "sign" not in record:
-        raise ParseError("an oval needs a sign or a segments list")
     return whole_oval(_sign(record["sign"]))
 
 

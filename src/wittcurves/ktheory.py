@@ -15,7 +15,15 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .errors import CheckedRecord, DomainError, InconsistentDataError, InvariantViolation, ValidationError, require_ints
+from .errors import (
+    CheckedRecord,
+    DomainError,
+    InconsistentDataError,
+    InvariantViolation,
+    KindMismatchError,
+    ValidationError,
+    require_ints,
+)
 from .weighted_curve import WeightedCurve, curve_profile
 from .witt_surface import catalog
 
@@ -33,9 +41,18 @@ INFINITY = _Infinity()
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
 
-class ClassVector(NamedTuple):
+class _ClassVectorFields(NamedTuple):
     degree: int
     rank: int
+
+
+class ClassVector(CheckedRecord, _ClassVectorFields):
+    """A (degree, rank) class in the lattice; both entries are ints."""
+
+    __slots__ = ()
+
+    def __post_init__(self):
+        require_ints(degree=self.degree, rank=self.rank)
 
     def slope(self):
         """degree/rank in Q union {infinity}; undefined on the zero class."""
@@ -132,11 +149,15 @@ def mutation_matrices(n: CurveNumerics) -> tuple[Matrix, Matrix]:
 
 
 def apply_slope_matrix(matrix: Matrix, slope):
-    """Moebius action of a unimodular matrix on a slope in Q union {infinity}."""
+    """Moebius action of a unimodular matrix on a slope in Q union {infinity};
+    the entries and a finite slope are ints or Fractions, as in algebra."""
     (a, b), (c, d) = matrix
+    for x in (a, b, c, d) if slope is INFINITY else (a, b, c, d, slope):
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise KindMismatchError(f"slopes and matrix entries must be ints or Fractions, got {x!r}")
     if a * d - b * c not in (1, -1):
         raise ValidationError("matrix is not unimodular", code="unimodular")
-    if slope == INFINITY:
+    if slope is INFINITY:
         num, den = Fraction(a), Fraction(c)
     else:
         mu = Fraction(slope)
@@ -218,6 +239,7 @@ def slope_orbits(n: CurveNumerics, height_bound: int = 100) -> SlopeOrbits:
     The answer does not depend on height_bound; k outside {1, 2} raises
     DomainError, since the group then has infinitely many orbits.
     """
+    require_ints(height_bound=height_bound)
     if height_bound < 50:
         raise ValidationError("height bound must be at least 50", code="height-bound")
     if height_bound > MAX_HEIGHT_BOUND:

@@ -40,7 +40,7 @@ from .algebra import (
     power,
     zero,
 )
-from .errors import DomainError, InvariantViolation, KindMismatchError, ValidationError
+from .errors import DomainError, InvariantViolation, KindMismatchError, ValidationError, require_ints
 
 
 def _coerce(kind: DivisionAlgebraKind, value) -> AlgebraElement:
@@ -128,15 +128,17 @@ def series(kind, twist, truncation, coeffs) -> TwistedSeries:
     """
     if twist.kind is not kind:
         raise KindMismatchError("twist acts on a different algebra")
+    require_ints(truncation=truncation)
     if truncation < 1:
         raise DomainError("truncation must be a positive integer")
     cleaned = {}
     for e, v in coeffs.items():
+        require_ints(exponent=e)
         if e >= truncation:
             raise KindMismatchError(f"exponent {e} is not below the truncation {truncation}")
         c = _coerce(kind, v)
         if not c.is_zero():
-            cleaned[int(e)] = c
+            cleaned[e] = c
     return TwistedSeries(kind, twist, truncation, tuple(sorted(cleaned.items())))
 
 
@@ -308,6 +310,7 @@ def centre_basis(kind: DivisionAlgebraKind, twist: Automorphism, truncation: int
         raise KindMismatchError("twist acts on a different algebra")
     if twist.action == "inner":
         raise DomainError("centre with a nontrivial unit is not supported")
+    require_ints(truncation=truncation)
     if truncation > MAX_TRUNCATION:
         raise ValidationError(f"truncation must be at most {MAX_TRUNCATION}", code="truncation")
     r = galois_order(twist)
@@ -396,6 +399,7 @@ def verify_jordan_twist(kind: DivisionAlgebraKind, twist: Automorphism, n: int) 
     right-hand side is the side-diagonal matrix of sigma^l(a) at offset l;
     the identity is checked for every l < n and a running over the basis.
     """
+    require_ints(n=n)
     if not 1 <= n <= 6:
         raise DomainError("matrix size n must be between 1 and 6")
     if twist.kind is not kind:

@@ -129,7 +129,12 @@ class WeightedCurve(CheckedRecord, _CurveFields):
     __slots__ = ()
 
     def __new__(cls, base, points=()):
-        return super().__new__(cls, base, tuple(points))
+        try:
+            points = tuple(points)
+        except TypeError:
+            message = f"the weights must be a sequence, got {type(points).__name__}"
+            raise ValidationError(message, code="placement") from None
+        return super().__new__(cls, base, points)
 
     def __post_init__(self):
         _validate_curve(self)

@@ -9,8 +9,9 @@ alternating sign. Commutative curves carry no minus signs at all.
 
 All invariants down the line (constants field, genus of the function field,
 Euler characteristics) are computed from this combinatorial data alone, by
-surface_numerics, which reads a surface once; this is the only module that
-reads the topology and the ovals of a surface.
+surface_numerics, which checks that a surface exists and reads it in one
+pass; validate is a view of it. This is the only module that reads the
+topology and the ovals of a surface.
 """
 
 from __future__ import annotations
@@ -52,10 +53,6 @@ class Oval(CheckedRecord, _OvalFields):
             if s not in (PLUS, MINUS):
                 raise ValidationError(f"invalid sign {s!r}", code="oval-shape")
 
-    @property
-    def segmented(self) -> bool:
-        return bool(self.segments)
-
 
 def whole_oval(sign: str) -> Oval:
     return Oval(sign=sign)
@@ -75,9 +72,18 @@ class WittSurface(CheckedRecord, _SurfaceFields):
     __slots__ = ()
 
     def __new__(cls, topology, ovals, commutative):
-        return super().__new__(cls, topology, tuple(ovals), commutative)
+        try:
+            ovals = tuple(ovals)
+        except TypeError:
+            message = f"the ovals must be a sequence, got {type(ovals).__name__}"
+            raise ValidationError(message, code="oval-shape") from None
+        return super().__new__(cls, topology, ovals, commutative)
 
     def __post_init__(self):
+        if not isinstance(self.topology, KleinTopology):
+            raise ValidationError(
+                f"a topology must be a KleinTopology, got {type(self.topology).__name__}", code="topology"
+            )
         for oval in self.ovals:
             if not isinstance(oval, Oval):
                 raise ValidationError(
@@ -118,55 +124,14 @@ class SurfaceNumerics(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Validation
-
-def validate(w: WittSurface | ComplexCentreBase) -> None:
-    """Check realizability; raises ValidationError with a stable code."""
-    if isinstance(w, ComplexCentreBase):
-        require_ints(genus=w.genus)
-        if w.genus < 0:
-            raise ValidationError("genus must be nonnegative", code="weichold")
-        return
-    g, t, s = w.topology.g, w.topology.t, w.topology.s
-    require_ints(g=g, t=t, s=s)
-    if g < 0 or t < 0 or s not in (0, 1):
-        raise ValidationError("topology entries out of range", code="weichold")
-    if len(w.ovals) != t:
-        raise ValidationError(f"expected {t} ovals, got {len(w.ovals)}", code="oval-count")
-    weichold_ok = (s == 0 and t <= g) or (s == 1 and t % 2 == (g + 1) % 2 and 1 <= t <= g + 1)
-    if not weichold_ok:
-        raise ValidationError(f"(g={g}, t={t}, s={s}) is not realizable", code="weichold")
-    for oval in w.ovals:
-        if not oval.segmented:
-            continue
-        k = len(oval.segments)
-        if k % 2 != 0:
-            raise ValidationError("segment count per oval must be even", code="odd-segments")
-        if any(oval.segments[i] == oval.segments[(i + 1) % k] for i in range(k)):
-            raise ValidationError("segment signs must alternate around the oval", code="non-alternating")
-    has_minus = bool(signed_ovals(w, MINUS))
-    if w.commutative:
-        if has_minus:
-            raise ValidationError("a commutative curve carries no quaternion locus", code="minus-on-commutative")
-        return
-    surface_numerics(w)  # raises negative-genus
-    if not has_minus:
-        raise ValidationError(
-            "a noncommutative curve needs a quaternion segment or oval",
-            code="positive-definite",
-        )
-
-
-# ---------------------------------------------------------------------------
-# Invariants
+# Checking and reading
 
 def counts(w: WittSurface | ComplexCentreBase) -> SurfaceCounts:
     if isinstance(w, ComplexCentreBase):
         return SurfaceCounts(0, 0, 0)
-    n = sum(len(oval.segments) for oval in w.ovals)
-    r = sum(1 for oval in w.ovals if oval.sign == PLUS)
-    q = sum(1 for oval in w.ovals if oval.sign == MINUS)
-    return SurfaceCounts(n // 2, r, q)
+    n = sum([len(oval.segments) for oval in w.ovals])
+    signs = [oval.sign for oval in w.ovals]
+    return SurfaceCounts(n // 2, signs.count(PLUS), signs.count(MINUS))
 
 
 def segmentation_points(w: WittSurface | ComplexCentreBase) -> tuple[tuple[int, int], ...]:
@@ -182,37 +147,63 @@ def signed_ovals(w: WittSurface, sign: str) -> tuple[int, ...]:
 
 
 def surface_numerics(w: WittSurface | ComplexCentreBase) -> SurfaceNumerics:
-    """Read every invariant of a surface, counting its ovals once.
+    """Check that a surface exists and read every invariant of it, counting
+    its ovals once; a surface that cannot exist raises ValidationError with
+    a stable code.
 
     The genus of the function field comes from the Hurwitz count, and
     chi = kappa (1 - genus upstairs), chi' = chi / s^2 are cross-checked
     against the downstairs count (1 - g) - m/2, compared on integers as
     2 kappa (1 - genus upstairs) = s^2 (2(1 - g) - m); the two must agree
-    for every valid surface. A commutative surface whose ovals are not t
-    whole real ones is never valid, and raises the ValidationError of
-    validate.
+    for every valid surface.
     """
     if isinstance(w, ComplexCentreBase):
+        require_ints(genus=w.genus)
+        if w.genus < 0:
+            raise ValidationError("genus must be nonnegative", code="weichold")
         # such a curve lives over its own constants field, so the constants
         # contribute dimension 1, not [C:R]
         chi = Fraction(1 - w.genus)
         return SurfaceNumerics(COMPLEX, 1, 1, 1, w.genus, "C", w.genus, None, chi, chi)
-    g, t = w.topology.g, w.topology.t
-    m, r, _ = counts(w)
+    g, t, flag = w.topology
+    require_ints(g=g, t=t, s=flag)
+    if g < 0 or t < 0 or flag not in (0, 1):
+        raise ValidationError("topology entries out of range", code="weichold")
+    if len(w.ovals) != t:
+        raise ValidationError(f"expected {t} ovals, got {len(w.ovals)}", code="oval-count")
+    weichold_ok = (flag == 0 and t <= g) or (flag == 1 and t % 2 == (g + 1) % 2 and 1 <= t <= g + 1)
+    if not weichold_ok:
+        raise ValidationError(f"(g={g}, t={t}, s={flag}) is not realizable", code="weichold")
+    for segs in [oval.segments for oval in w.ovals if oval.segments]:
+        k = len(segs)
+        if k % 2 != 0:
+            raise ValidationError("segment count per oval must be even", code="odd-segments")
+        # of signs + and -, an even cycle alternates iff it repeats two that differ
+        if segs[0] == segs[1] or segs != segs[:2] * (k // 2):
+            raise ValidationError("segment signs must alternate around the oval", code="non-alternating")
+    # a segmented oval that passed the checks above carries both signs, so
+    # the surface has a quaternion locus exactly when m or q is nonzero;
     # epsilon is 2 exactly when no rational section of odd degree exists: a
     # commutative curve with empty real locus, or a noncommutative one whose
     # ovals are whole and not all quaternion
+    m, r, q = counts(w)
     if w.commutative:
-        if not r == t == len(w.ovals):
-            validate(w)  # bad input: an oval that is not a whole real one, or t wrong
+        if m or q:
+            raise ValidationError("a commutative curve carries no quaternion locus", code="minus-on-commutative")
         constants, s, upstairs, epsilon = REAL, 1, g, 2 if t == 0 else 1
-    elif m > 0 or r > 0:
-        constants, s, upstairs, epsilon = COMPLEX, 2, 2 * g - 1 + m, 2 if m == 0 else 1
-        if upstairs < 0:
-            message = "no segmentation, a real oval and genus 0 force a negative genus upstairs"
-            raise ValidationError(message, code="negative-genus")
     else:
-        constants, s, upstairs, epsilon = QUATERNION, 2, g, 1
+        if m or r:
+            constants, s, upstairs, epsilon = COMPLEX, 2, 2 * g - 1 + m, 2 if m == 0 else 1
+            if upstairs < 0:
+                message = "no segmentation, a real oval and genus 0 force a negative genus upstairs"
+                raise ValidationError(message, code="negative-genus")
+        else:
+            constants, s, upstairs, epsilon = QUATERNION, 2, g, 1
+        if not (m or q):
+            raise ValidationError(
+                "a noncommutative curve needs a quaternion segment or oval",
+                code="positive-definite",
+            )
     kappa = constants.dim_over_k
     chi = kappa * (1 - upstairs)
     downstairs = 2 * (1 - g) - m
@@ -222,6 +213,12 @@ def surface_numerics(w: WittSurface | ComplexCentreBase) -> SurfaceNumerics:
             f"!= downstairs count {Fraction(downstairs, 2)}"
         )
     return SurfaceNumerics(constants, kappa, epsilon, s, upstairs, "R", g, t, Fraction(chi), Fraction(chi, s * s))
+
+
+def validate(w: WittSurface | ComplexCentreBase) -> None:
+    """Check realizability, as surface_numerics does; raises ValidationError
+    with a stable code."""
+    surface_numerics(w)
 
 
 def surface_skewness(w: WittSurface | ComplexCentreBase) -> int:
@@ -247,28 +244,25 @@ def euler_characteristics(w: WittSurface | ComplexCentreBase) -> tuple[Fraction,
 # ---------------------------------------------------------------------------
 # Catalog
 
-def _klein(g, t, s, *ovals):
-    return WittSurface(KleinTopology(g, t, s), tuple(ovals), commutative=True)
-
-def _witt(g, t, s, *ovals):
-    return WittSurface(KleinTopology(g, t, s), tuple(ovals), commutative=False)
+def _surface(g, t, s, *ovals, commutative=False):
+    return WittSurface(KleinTopology(g, t, s), ovals, commutative)
 
 
 _CATALOG: dict[str, WittSurface | ComplexCentreBase] = {
     # commutative
-    "D": _klein(0, 1, 1, whole_oval(PLUS)),
-    "RP2": _klein(0, 0, 0),
-    "A": _klein(1, 2, 1, whole_oval(PLUS), whole_oval(PLUS)),
-    "M": _klein(1, 1, 0, whole_oval(PLUS)),
-    "K": _klein(1, 0, 0),
+    "D": _surface(0, 1, 1, whole_oval(PLUS), commutative=True),
+    "RP2": _surface(0, 0, 0, commutative=True),
+    "A": _surface(1, 2, 1, whole_oval(PLUS), whole_oval(PLUS), commutative=True),
+    "M": _surface(1, 1, 0, whole_oval(PLUS), commutative=True),
+    "K": _surface(1, 0, 0, commutative=True),
     # genus zero upstairs
-    "D_H": _witt(0, 1, 1, whole_oval(MINUS)),
-    "D_22": _witt(0, 1, 1, segmented_oval(PLUS, MINUS)),
+    "D_H": _surface(0, 1, 1, whole_oval(MINUS)),
+    "D_22": _surface(0, 1, 1, segmented_oval(PLUS, MINUS)),
     # genus one upstairs
-    "A_RH": _witt(1, 2, 1, whole_oval(PLUS), whole_oval(MINUS)),
-    "A_HH": _witt(1, 2, 1, whole_oval(MINUS), whole_oval(MINUS)),
-    "M_H": _witt(1, 1, 0, whole_oval(MINUS)),
-    "D_2222": _witt(0, 1, 1, segmented_oval(PLUS, MINUS, PLUS, MINUS)),
+    "A_RH": _surface(1, 2, 1, whole_oval(PLUS), whole_oval(MINUS)),
+    "A_HH": _surface(1, 2, 1, whole_oval(MINUS), whole_oval(MINUS)),
+    "M_H": _surface(1, 1, 0, whole_oval(MINUS)),
+    "D_2222": _surface(0, 1, 1, segmented_oval(PLUS, MINUS, PLUS, MINUS)),
     # complex-centre bases
     "S2_C": ComplexCentreBase(0),
     "T_C": ComplexCentreBase(1),
@@ -288,14 +282,11 @@ def catalog(name: str) -> WittSurface | ComplexCentreBase:
 # Comparison up to symmetry
 
 def _oval_key(oval: Oval):
-    if not oval.segmented:
-        return (0, oval.sign)
     segs = oval.segments
-    k = len(segs)
-    rotations = [segs[i:] + segs[:i] for i in range(k)]
-    flipped = segs[::-1]
-    rotations += [flipped[i:] + flipped[:i] for i in range(k)]
-    return (1, min(rotations))
+    if not segs:
+        return (0, oval.sign)
+    # the least rotation of the cycle, read either way round
+    return (1, min(c[i:] + c[:i] for c in (segs, segs[::-1]) for i in range(len(segs))))
 
 
 def canonical_key(w: WittSurface | ComplexCentreBase):
@@ -305,9 +296,7 @@ def canonical_key(w: WittSurface | ComplexCentreBase):
         return ("C", w.genus)
     return (
         "R",
-        w.topology.g,
-        w.topology.t,
-        w.topology.s,
+        *w.topology,
         w.commutative,
         tuple(sorted(_oval_key(o) for o in w.ovals)),
     )

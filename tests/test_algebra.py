@@ -26,7 +26,7 @@ from wittcurves.algebra import (
     real,
     zero,
 )
-from wittcurves.errors import InvariantViolation, KindMismatchError
+from wittcurves.errors import DomainError, InvariantViolation, KindMismatchError
 
 
 def test_quaternion_units():
@@ -214,3 +214,23 @@ def test_rotation_leaves_equality_hash_and_repr_alone():
     assert hash(inner(u)) == hash(inner(3 * u))
     assert repr(inner(3 * u)) == "Automorphism(kind=ℍ, action='inner', unit=1 + 2i - j + 3k)"
     assert inner(u) != inner(quat(1, 2, -1, 4))
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: Automorphism(QUATERNION, "conj"), DomainError),
+    (lambda: Automorphism(REAL, "conj"), DomainError),
+    (lambda: Automorphism(REAL, "bogus"), DomainError),
+    (lambda: Automorphism(COMPLEX, "inner", quat(1, 1)), DomainError),
+    (lambda: Automorphism(COMPLEX, "conj", cplx(0, 1)), DomainError),
+    (lambda: Automorphism(QUATERNION, "identity", quat(1)), DomainError),
+    (lambda: inner(None), KindMismatchError),
+    (lambda: Automorphism(QUATERNION, "inner"), KindMismatchError),
+    (lambda: Automorphism(abstract_kind(4, 1), "identity"), KindMismatchError),
+], ids=[
+    "conj-on-H", "conj-on-R", "unknown-action", "inner-on-C", "unit-with-conj", "unit-with-identity",
+    "inner-of-None", "inner-without-unit", "abstract-kind",
+])
+def test_an_automorphism_the_algebra_lacks_is_refused_when_built(make, error):
+    # conjugation of H reverses products, so it is no automorphism of H
+    with pytest.raises(error):
+        make()

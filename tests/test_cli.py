@@ -456,3 +456,11 @@ def test_records_once_let_through_or_crashing_exit_one(runner, tmp_path, payload
     assert isinstance(res.exception, SystemExit)
     assert res.exit_code == 1
     assert res.output.startswith("error: ")
+
+
+def test_an_oval_with_both_a_sign_and_segments_exits_one(runner, tmp_path):
+    oval = {"sign": "+", "segments": ["+", "-"]}
+    payload = {"base": {"g": 0, "t": 1, "s": 1, "ovals": [oval]}}
+    res = runner.invoke(main, ["invariants", _write(tmp_path, "m.json", payload)])
+    assert res.exit_code == 1
+    assert res.output == "error: an oval needs a sign or a segments list, not both\n"

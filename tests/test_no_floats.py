@@ -4,12 +4,20 @@ An AST scan of src/wittcurves/*.py fails on a float or complex literal, a
 call of float(), complex() or round(), and any use of a math function
 outside its exact integer ones (gcd, lcm, isqrt, ...): sqrt, log, exp,
 pi and the rest all work in floating point.
+
+A float handed to the library in place of a size, an exponent, a slope or
+a matrix entry is refused, not carried into an answer.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from wittcurves.algebra import COMPLEX, REAL, abstract_kind, complex_conjugation, identity
+from wittcurves.errors import KindMismatchError, ValidationError
+from wittcurves.ktheory import ClassVector, apply_slope_matrix, elliptic_numerics, euler_form, slope_orbits
+from wittcurves.skew_series import centre_basis, series, verify_jordan_twist
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wittcurves"
 FLOAT_CALLS = {"float", "complex", "round"}
@@ -67,3 +75,36 @@ e = math.gcd(4, 6)
     assert found == sorted(
         ["from math import sqrt", "literal 0.5", "literal 1000.0", "literal 2j", "float()", "round()", "math.sqrt", "math.pi"]
     )
+
+
+# (what is handed in, the error it raises, the ValidationError code or None)
+_INEXACT = {
+    "matrix-entry": (lambda: apply_slope_matrix(((1.0, 0), (0, 1)), 1), KindMismatchError, None),
+    "matrix-entry-bool": (lambda: apply_slope_matrix(((True, 0), (0, 1)), 1), KindMismatchError, None),
+    "slope": (lambda: apply_slope_matrix(((1, 0), (0, 1)), 0.5), KindMismatchError, None),
+    "class-vector": (
+        lambda: euler_form(ClassVector(1.5, 2), ClassVector(1, 1), elliptic_numerics("K")),
+        ValidationError, "not-integer",
+    ),
+    "height-bound": (lambda: slope_orbits(elliptic_numerics("A"), height_bound=100.5), ValidationError, "not-integer"),
+    "truncation": (lambda: series(REAL, identity(REAL), 4.5, {0: 1}), ValidationError, "not-integer"),
+    "truncation-bool": (lambda: series(REAL, identity(REAL), True, {0: 1}), ValidationError, "not-integer"),
+    "exponent": (lambda: series(REAL, identity(REAL), 4, {1.0: 1}), ValidationError, "not-integer"),
+    "centre-truncation": (
+        lambda: centre_basis(COMPLEX, complex_conjugation(), 8.5), ValidationError, "not-integer",
+    ),
+    "jordan-size": (lambda: verify_jordan_twist(COMPLEX, complex_conjugation(), 2.0), ValidationError, "not-integer"),
+    "jordan-size-bool": (
+        lambda: verify_jordan_twist(COMPLEX, complex_conjugation(), True), ValidationError, "not-integer",
+    ),
+    "abstract-dimension": (lambda: abstract_kind(4.0, 1), ValidationError, "not-integer"),
+    "abstract-zero-centre": (lambda: abstract_kind(3, 0), ValidationError, "nonpositive"),
+}
+
+
+@pytest.mark.parametrize("call, error, code", _INEXACT.values(), ids=_INEXACT)
+def test_no_float_in_and_no_float_out(call, error, code):
+    with pytest.raises(error) as exc:
+        call()
+    if code is not None:
+        assert exc.value.code == code

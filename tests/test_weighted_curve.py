@@ -435,3 +435,15 @@ def test_records_of_the_wrong_kind_raise_validation_errors(make, code):
     with pytest.raises(ValidationError) as err:
         make()
     assert err.value.code == code
+
+
+@pytest.mark.parametrize("make, code", [
+    (lambda: WittSurface((0, 1, 1), (whole_oval("+"),), commutative=True), "topology"),
+    (lambda: WeightedCurve(WittSurface((0, 1, 1), (whole_oval("+"),), commutative=True)), "topology"),
+    (lambda: WittSurface(KleinTopology(0, 1, 1), 5, True), "oval-shape"),
+    (lambda: WeightedCurve(catalog("D"), 5), "placement"),
+], ids=["tuple-topology", "tuple-topology-in-a-curve", "ovals-not-iterable", "weights-not-iterable"])
+def test_records_of_the_wrong_shape_raise_validation_errors(make, code):
+    with pytest.raises(ValidationError) as err:
+        make()
+    assert err.value.code == code

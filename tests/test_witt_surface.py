@@ -341,17 +341,25 @@ def test_a_commutative_surface_with_other_than_whole_real_ovals_is_bad_input(rea
 def test_unvalidated_surfaces_never_trip_the_downstairs_check():
     # every small surface, valid or not: a view either answers or raises
     # the ValidationError of validate, never an InvariantViolation, and it
-    # never answers for a commutative surface with a minus or a segment
+    # never answers for a commutative surface with a minus or a segment;
+    # it answers exactly when validate accepts, and raises validate's code
     for g, t, s, commutative in product(range(4), range(4), (0, 1), (False, True)):
         for ovals in product(_OVAL_SHAPES, repeat=t):
             w = WittSurface(KleinTopology(g, t, s), ovals, commutative=commutative)
             bad = commutative and any(oval != whole_oval("+") for oval in ovals)
+            try:
+                validate(w)
+                code = None
+            except ValidationError as exc:
+                code = exc.code
             for read in _VIEWS:
                 try:
                     read(w)
-                except ValidationError:
+                except ValidationError as exc:
+                    assert exc.code == code, (w, read.__name__)
                     continue
                 assert not bad
+                assert code is None, (w, read.__name__)
 
 
 def test_one_oval_for_the_sequence_of_ovals_raises_a_validation_error():
