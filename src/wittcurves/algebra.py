@@ -26,11 +26,18 @@ without element arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError, InvariantViolation, KindMismatchError, ValidationError, require_ints
+from .errors import (
+    DomainError,
+    FrozenInstanceError,
+    FrozenRecord,
+    InvariantViolation,
+    KindMismatchError,
+    ValidationError,
+    require_ints,
+)
 
 
 class DivisionAlgebraKind(NamedTuple):
@@ -62,13 +69,14 @@ def abstract_kind(dim_over_k: int, dim_centre_over_k: int, display_name: str = "
     require_ints(dim_over_k=dim_over_k, dim_centre_over_k=dim_centre_over_k)
     if dim_over_k < 1 or dim_centre_over_k < 1:
         raise ValidationError("dimensions must be positive", code="nonpositive")
-    if dim_over_k % dim_centre_over_k != 0:
-        raise InvariantViolation(
-            f"centre dimension {dim_centre_over_k} does not divide {dim_over_k}"
+    ratio, rem = divmod(dim_over_k, dim_centre_over_k)
+    if rem != 0:
+        raise ValidationError(
+            f"centre dimension {dim_centre_over_k} does not divide {dim_over_k}", code="centre-dimension"
         )
-    kind = DivisionAlgebraKind("ABSTRACT", dim_over_k, dim_centre_over_k, display_name)
-    comultiplicity(kind)  # validates the perfect-square constraint
-    return kind
+    if math.isqrt(ratio) ** 2 != ratio:
+        raise ValidationError(f"[D:Z(D)] = {ratio} is not a perfect square", code="not-square")
+    return DivisionAlgebraKind("ABSTRACT", dim_over_k, dim_centre_over_k, display_name)
 
 
 def comultiplicity(kind: DivisionAlgebraKind) -> int:
@@ -319,7 +327,7 @@ def _normalize_unit(unit: AlgebraElement) -> AlgebraElement:
     if not isinstance(unit, AlgebraElement) or unit.kind is not QUATERNION:
         raise KindMismatchError(f"an inner automorphism needs a unit in H, got {unit!r}")
     if unit.is_zero():
-        raise ZeroDivisionError("inner automorphism needs an invertible unit")
+        raise ValidationError("an inner automorphism needs a nonzero unit", code="zero-unit")
     num = unit.num
     g = math.gcd(*num)
     if next(v for v in num if v != 0) < 0:
@@ -348,8 +356,7 @@ def _inner_rotation(unit: AlgebraElement) -> tuple[tuple[tuple[int, ...], ...], 
 _ACTIONS = {REAL: ("identity",), COMPLEX: ("identity", "conj"), QUATERNION: ("identity", "inner")}
 
 
-@dataclass(frozen=True, slots=True)
-class Automorphism:
+class Automorphism(FrozenRecord):
     """A k-algebra automorphism of R, C or H.
 
     Only three shapes exist: the identity, complex conjugation on C, and
@@ -357,28 +364,32 @@ class Automorphism:
     Skolem-Noether; Gal(C/R) is generated by conjugation; R is rigid).
     An inner automorphism stores its unit normalised, so equal maps
     compare equal however the unit was scaled.
+
+    a -> u^-1 a u fixes the real part of a and rotates its i, j, k part
+    by an exact rational 3 x 3 matrix, held in ``rotation`` as integer
+    rows over a common positive denominator N: (rows, N), or None for the
+    other actions. It is derived from the unit, so it is no field and
+    takes no part in equality, hash or repr.
     """
 
-    kind: DivisionAlgebraKind
-    action: str  # "identity" | "conj" | "inner"
-    unit: AlgebraElement | None = None
-    # a -> u^-1 a u fixes the real part of a and rotates its i, j, k part
-    # by an exact rational 3 x 3 matrix, held as integer rows over a
-    # common positive denominator N: (rows, N). It is derived from the
-    # unit, so it takes no part in equality, hash or repr.
-    rotation: tuple[tuple[tuple[int, ...], ...], int] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    _fields = ("kind", "action", "unit")  # action: "identity" | "conj" | "inner"
+    _field_defaults = {"unit": None}
+    __slots__ = (*_fields, "rotation")
 
-    def __post_init__(self):
-        if self.action not in _ACTIONS[_builtin(self.kind)]:
-            raise DomainError(f"{self.kind.display_name} has no automorphism {self.action!r}")
-        if self.action != "inner" and self.unit is not None:
-            raise DomainError(f"a unit belongs to an inner automorphism, not to {self.action!r}")
-        if self.action == "inner":
-            unit = _normalize_unit(self.unit)
-            object.__setattr__(self, "unit", unit)
-            object.__setattr__(self, "rotation", _inner_rotation(unit))
+    def __init__(self, kind: DivisionAlgebraKind, action: str, unit: AlgebraElement | None = None):
+        kind = _builtin(kind)
+        if action not in _ACTIONS[kind]:
+            raise DomainError(f"{kind.display_name} has no automorphism {action!r}")
+        if action != "inner" and unit is not None:
+            raise DomainError(f"a unit belongs to an inner automorphism, not to {action!r}")
+        rotation = None
+        if action == "inner":
+            unit = _normalize_unit(unit)
+            rotation = _inner_rotation(unit)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "rotation", rotation)
 
     def __call__(self, a: AlgebraElement) -> AlgebraElement:
         return apply(self, a)

@@ -1,21 +1,20 @@
 """Command-line front end: curve files in, JSON and aligned tables out.
 
-Exit codes: 1 for unreadable or malformed input files, 2 for data that
-parses but fails validation, 3 for sound data outside an operation's
-domain. JSON output is deterministic (sorted keys) and keeps all
-rationals exact as {"num", "den"} pairs; aligned tables write them as
-p/q strings.
+Exit codes: 1 for unreadable or malformed input files, 2 for a usage
+error or for data that parses but fails validation, 3 for sound data
+outside an operation's domain. JSON output is deterministic (sorted keys)
+and keeps all rationals exact as {"num", "den"} pairs; aligned tables
+write them as p/q strings. The front end is argparse, so that a command
+loads nothing beyond the standard library and the package.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-import click
 
 from .algebra import COMPLEX, QUATERNION, REAL, complex_conjugation, identity
 from .errors import CurveError, ValidationError
@@ -48,24 +47,6 @@ _ALGEBRAS = {"R": REAL, "C": COMPLEX, "H": QUATERNION}
 
 class ParseError(Exception):
     """A curve or ghost file that cannot be read as structured data."""
-
-
-def _reporting(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            fn(*args, **kwargs)
-        except ParseError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-        except ValidationError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except CurveError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-
-    return wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -275,59 +256,28 @@ def _zoo_json(entry) -> dict:
 # ---------------------------------------------------------------------------
 # Commands
 
-@click.group()
-def main():
-    """Invariants of real smooth projective curves, commutative or not."""
-
-
-@main.command()
-@click.argument("path")
-@_reporting
 def invariants(path):
     """Full invariant report for a curve file, as JSON."""
-    click.echo(json.dumps(_curve_payload(load_curve(path)), sort_keys=True))
+    print(json.dumps(_curve_payload(load_curve(path)), sort_keys=True))
 
 
-@main.command("classify")
-@click.argument("path")
-@_reporting
 def classify_command(path):
     """Print the class of a curve: DOMESTIC, ELLIPTIC, TUBULAR or WILD."""
-    click.echo(classify(load_curve(path)).name)
+    print(classify(load_curve(path)).name)
 
 
-@main.command("zoo")
-@click.option(
-    "--class",
-    "which",
-    type=click.Choice(["elliptic", "tubular", "domestic", "all"]),
-    default="all",
-    show_default=True,
-    help="Which part of the zoo to list.",
-)
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["table", "json"]),
-    default="table",
-    show_default=True,
-)
-@_reporting
 def zoo_command(which, fmt):
     """List the curves with nonnegative orbifold characteristic."""
     chi_zero = [] if which == "domestic" else enumerate_chi_zero()
     domestic = enumerate_domestic() if which in ("domestic", "all") else []
     entries = [e for e in chi_zero + domestic if which in ("all", e.curve_class.value)]
     if fmt == "table":
-        click.echo(zoo_report(entries))
+        print(zoo_report(entries))
     else:
         ordered = sorted(entries, key=entry_key)
-        click.echo(json.dumps([_zoo_json(e) for e in ordered], sort_keys=True))
+        print(json.dumps([_zoo_json(e) for e in ordered], sort_keys=True))
 
 
-@main.command()
-@click.argument("point_class", type=click.Choice([c.value for c in WittPointClass]))
-@_reporting
 def local(point_class):
     """One row of the local invariants table for a Witt point class."""
     datum = witt_local_datum(WittPointClass(point_class))
@@ -341,30 +291,18 @@ def local(point_class):
         datum.simple_end.display_name,
     )
     widths = [max(len(h), len(v)) for h, v in zip(headers, row)]
-    click.echo("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
-    click.echo("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
+    print("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
+    print("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
 
 
-@main.command()
-@click.argument("name")
-@click.option(
-    "--bound", type=int, default=100, show_default=True,
-    help="Height bound (50 to 600) of the box of classes; the orbits do not depend on it.",
-)
-@_reporting
 def slopes(name, bound):
     """Count the slope orbits of the mutation group for an elliptic type."""
     orbits = slope_orbits(elliptic_numerics(name), height_bound=bound)
     noun = "orbit" if orbits.count == 1 else "orbits"
-    click.echo(f"{orbits.count} {noun}")
-    click.echo("representatives: " + ", ".join(_slope_str(r) for r in orbits.representatives))
+    print(f"{orbits.count} {noun}")
+    print("representatives: " + ", ".join(_slope_str(r) for r in orbits.representatives))
 
 
-@main.command("skew-centre")
-@click.option("--algebra", type=click.Choice(["R", "C", "H"]), required=True)
-@click.option("--twist", type=click.Choice(["id", "conj"]), required=True)
-@click.option("--order", type=int, default=8, show_default=True, help="Truncation order for the search.")
-@_reporting
 def skew_centre(algebra, twist, order):
     """Centre of the twisted power series ring D[[T, sigma]]."""
     kind = _ALGEBRAS[algebra]
@@ -373,12 +311,9 @@ def skew_centre(algebra, twist, order):
     letter = _ASCII_FIELD[description.constant_subfield.tag]
     variable = "T" if description.period == 1 else f"T^{description.period}"
     dimension = dim_over_centre(kind, automorphism)
-    click.echo(f"centre = {letter}[[{variable}]], dim over centre = {dimension}")
+    print(f"centre = {letter}[[{variable}]], dim over centre = {dimension}")
 
 
-@main.command()
-@click.argument("path")
-@_reporting
 def ghost(path):
     """Ghost group computed from a ramification data file."""
     data = _fields(_load_json(path), "a ghost file", ("points",), ("efficient",))
@@ -388,8 +323,84 @@ def ghost(path):
     pairs = [_ghost_point(item) for item in points]
     efficient = _int(data, "efficient", 0)
     group = ghost_group(pairs, efficient)
-    click.echo(f"ghost group: {group.describe()}")
+    print(f"ghost group: {group.describe()}")
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="wittcurves", description="Invariants of real smooth projective curves, commutative or not."
+    )
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(name, run):
+        """The add_argument of a new command that runs run; its docstring is the help."""
+        sub = commands.add_parser(
+            name, help=run.__doc__, description=run.__doc__, allow_abbrev=False,
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        )
+        sub.set_defaults(run=run)
+        return sub.add_argument
+
+    command("invariants", invariants)("path")
+    command("classify", classify_command)("path")
+    option = command("zoo", zoo_command)
+    option(
+        "--class", dest="which", choices=("elliptic", "tubular", "domestic", "all"), default="all",
+        help="Which part of the zoo to list.",
+    )
+    option("--format", dest="fmt", choices=("table", "json"), default="table", help="Output format.")
+    command("local", local)("point_class", choices=[c.value for c in WittPointClass])
+    option = command("slopes", slopes)
+    option("name")
+    option(
+        "--bound", type=int, default=100,
+        help="Height bound (50 to 600) of the box of classes; the orbits do not depend on it.",
+    )
+    option = command("skew-centre", skew_centre)
+    option("--algebra", choices=("R", "C", "H"), required=True)
+    option("--twist", choices=("id", "conj"), required=True)
+    option("--order", type=int, default=8, help="Truncation order for the search.")
+    command("ghost", ghost)("path")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command, argv defaulting to the process's arguments, and
+    return its exit code."""
+    try:
+        args = vars(_parser().parse_args(argv))
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return exc.code
+    run = args.pop("run")
+    # CurveError is read when an error is raised, so a test may narrow it
+    try:
+        run(**args)
+    except ParseError as exc:
+        return _report(exc, 1)
+    except ValidationError as exc:
+        return _report(exc, 2)
+    except CurveError as exc:
+        return _report(exc, 3)
+    return 0
+
+
+def _report(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
+def _click_main(args, standalone_mode=False):
+    """main(args) in the spelling of click's Command.main(args,
+    standalone_mode=False), which the benchmark's trace shim
+    bench/trace_cli.py calls: None on exit 0, SystemExit(code) otherwise.
+    It goes once that shim calls main(argv) itself (ROADMAP item 1)."""
+    code = main(args)
+    if code:
+        raise SystemExit(code)
+
+
+main.main = _click_main
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

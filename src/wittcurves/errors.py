@@ -1,9 +1,12 @@
 """Error types shared across the package, the integer check of record fields
-and the base of the records that check themselves.
+and the bases of the records: the NamedTuples that check themselves and
+the few immutable records that cannot be tuples.
 
 The CLI maps these onto exit codes: parse problems exit 1, ValidationError
 exits 2, everything else derived from CurveError exits 3.
 """
+
+from operator import attrgetter
 
 
 class CurveError(Exception):
@@ -37,6 +40,10 @@ class InconsistentDataError(CurveError):
 
 class InvariantViolation(CurveError, RuntimeError):
     """An internal cross-check failed; indicates a bug, not bad input."""
+
+
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or deletion of, a field of an immutable record."""
 
 
 def require_ints(optional: tuple[str, ...] = (), **fields) -> None:
@@ -75,3 +82,48 @@ class CheckedRecord:
 
     def __reduce__(self):
         return self.__class__, tuple(self)
+
+
+class FrozenRecord:
+    """Base of an immutable record that cannot be a tuple.
+
+    A subclass names its constructor arguments in ``_fields`` and their
+    defaults in ``_field_defaults``, as a NamedTuple does. Its ``__init__``
+    stores them past the refusing ``__setattr__``: into slots with
+    ``object.__setattr__``, or straight into the instance ``__dict__``.
+    Equality, hash, repr, ``_replace`` and pickling read ``_fields``;
+    anything else the instance holds is derived from them, and copies
+    and unpickling derive it again through the constructor.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+    _field_defaults: dict = {}
+
+    def __init_subclass__(cls):
+        # the tuple of field values, read by one C-level getter
+        cls._values = property(attrgetter(*cls._fields))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+    def _replace(self, **changes):
+        return self.__class__(**dict(zip(self._fields, self._values), **changes))
+
+    def __reduce__(self):
+        return self.__class__, self._values

@@ -150,7 +150,14 @@ def mutation_matrices(n: CurveNumerics) -> tuple[Matrix, Matrix]:
 
 def apply_slope_matrix(matrix: Matrix, slope):
     """Moebius action of a unimodular matrix on a slope in Q union {infinity};
-    the entries and a finite slope are ints or Fractions, as in algebra."""
+    the matrix is a pair of rows of two entries each, and the entries and a
+    finite slope are ints or Fractions, as in algebra."""
+    if not (
+        isinstance(matrix, (tuple, list))
+        and len(matrix) == 2
+        and all(isinstance(row, (tuple, list)) and len(row) == 2 for row in matrix)
+    ):
+        raise KindMismatchError(f"a slope matrix is a pair of rows of two entries, got {matrix!r}")
     (a, b), (c, d) = matrix
     for x in (a, b, c, d) if slope is INFINITY else (a, b, c, d, slope):
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):

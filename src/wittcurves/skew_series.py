@@ -21,7 +21,6 @@ on the integer numerators of ``algebra``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -40,7 +39,7 @@ from .algebra import (
     power,
     zero,
 )
-from .errors import DomainError, InvariantViolation, KindMismatchError, ValidationError, require_ints
+from .errors import DomainError, FrozenRecord, InvariantViolation, KindMismatchError, ValidationError, require_ints
 
 
 def _coerce(kind: DivisionAlgebraKind, value) -> AlgebraElement:
@@ -51,14 +50,17 @@ def _coerce(kind: DivisionAlgebraKind, value) -> AlgebraElement:
     return element(kind, value, *(0,) * (kind.dim_over_k - 1))
 
 
-@dataclass(frozen=True, slots=True)
-class TwistedSeries:
-    """A twisted series with finitely many terms, valid modulo T^truncation."""
+class TwistedSeries(FrozenRecord):
+    """A twisted series with finitely many terms, valid modulo T^truncation:
+    the (exponent, coefficient) pairs of its nonzero terms, by exponent."""
 
-    kind: DivisionAlgebraKind
-    twist: Automorphism
-    truncation: int
-    coeffs: tuple[tuple[int, AlgebraElement], ...]
+    __slots__ = _fields = ("kind", "twist", "truncation", "coeffs")
+
+    def __init__(self, kind: DivisionAlgebraKind, twist: Automorphism, truncation: int, coeffs: tuple):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "twist", twist)
+        object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def coeff(self, exponent: int) -> AlgebraElement:
         for e, c in self.coeffs:

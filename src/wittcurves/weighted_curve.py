@@ -26,14 +26,21 @@ only base numerics never run them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import NamedTuple
 
 from .algebra import DivisionAlgebraKind
-from .errors import CheckedRecord, DomainError, InconsistentDataError, InvariantViolation, ValidationError, require_ints
+from .errors import (
+    CheckedRecord,
+    DomainError,
+    FrozenRecord,
+    InconsistentDataError,
+    InvariantViolation,
+    ValidationError,
+    require_ints,
+)
 from .local_data import SHORT_NAMES, WittPointClass, witt_local_datum
 from .witt_surface import (
     MINUS,
@@ -252,8 +259,7 @@ def _less_half(x: Fraction, num: int, den: int) -> Fraction:
     return Fraction(x.numerator * 2 * den - x.denominator * num, x.denominator * 2 * den)
 
 
-@dataclass(frozen=True)
-class CurveProfile:
+class CurveProfile(FrozenRecord):
     """Everything the invariants of one curve are read from.
 
     points lists every point that can contribute to an invariant: the
@@ -266,23 +272,37 @@ class CurveProfile:
     and constants belong to the function field. chi_orb runs the
     cross-checked routes when first read, so a profile asked only for base
     numerics never does; it and weight_ram_vector are then kept with the
-    profile, which lives for one public call.
+    profile, in its instance __dict__ beside the fields, and the profile
+    lives for one public call.
     """
 
-    curve: WeightedCurve
-    points: tuple[EffectivePoint, ...]
-    kappa: int
-    epsilon: int
-    skewness: int
-    centre_genus: int | None
-    pbar: int
-    chi_centre: Fraction
-    chi_prime: Fraction
-    centre: str | None = None
-    ovals: int | None = None
-    genus: int | None = None
-    chi: Fraction | None = None
-    constants: DivisionAlgebraKind | None = None
+    _fields = (
+        "curve", "points", "kappa", "epsilon", "skewness", "centre_genus", "pbar", "chi_centre", "chi_prime",
+        "centre", "ovals", "genus", "chi", "constants",
+    )
+    _field_defaults = dict.fromkeys(("centre", "ovals", "genus", "chi", "constants"))
+
+    def __init__(
+        self,
+        curve: WeightedCurve,
+        points: tuple[EffectivePoint, ...],
+        kappa: int,
+        epsilon: int,
+        skewness: int,
+        centre_genus: int | None,
+        pbar: int,
+        chi_centre: Fraction,
+        chi_prime: Fraction,
+        centre: str | None = None,
+        ovals: int | None = None,
+        genus: int | None = None,
+        chi: Fraction | None = None,
+        constants: DivisionAlgebraKind | None = None,
+    ):
+        vars(self).update(zip(self._fields, (
+            curve, points, kappa, epsilon, skewness, centre_genus, pbar, chi_centre, chi_prime,
+            centre, ovals, genus, chi, constants,
+        )))
 
     def chi_routes(self) -> dict[str, Fraction]:
         """The value of every chi'_orb route that applies, keyed by the name

@@ -9,6 +9,7 @@ from wittcurves.algebra import (
     REAL,
     AlgebraElement,
     Automorphism,
+    DivisionAlgebraKind,
     abstract_kind,
     apply,
     apply_power,
@@ -26,7 +27,7 @@ from wittcurves.algebra import (
     real,
     zero,
 )
-from wittcurves.errors import DomainError, InvariantViolation, KindMismatchError
+from wittcurves.errors import DomainError, InvariantViolation, KindMismatchError, ValidationError
 
 
 def test_quaternion_units():
@@ -102,10 +103,13 @@ def test_comultiplicity_squares_to_dimension_ratio():
 def test_abstract_kind_validation():
     k = abstract_kind(8, 2, "M2(F)")
     assert comultiplicity(k) == 2
+    for dims, code in (((3, 1), "not-square"), ((4, 3), "centre-dimension")):
+        with pytest.raises(ValidationError) as exc:
+            abstract_kind(*dims)
+        assert exc.value.code == code
+    # a kind built past abstract_kind is an internal one, and a bad one a bug
     with pytest.raises(InvariantViolation):
-        abstract_kind(3, 1)
-    with pytest.raises(InvariantViolation):
-        abstract_kind(4, 3)
+        comultiplicity(DivisionAlgebraKind("ABSTRACT", 3, 1, "D"))
 
 
 def test_galois_orders():
@@ -204,8 +208,11 @@ def test_direct_inner_automorphism_applies():
             a = _random_quat(rng)
             assert apply(phi, a) == u.inverse() * a * u
             assert phi(a) == apply(inner(u), a)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValidationError) as exc:
         Automorphism(QUATERNION, "inner", zero(QUATERNION))
+    assert exc.value.code == "zero-unit"
+    with pytest.raises(ZeroDivisionError):
+        zero(QUATERNION).inverse()
 
 
 def test_rotation_leaves_equality_hash_and_repr_alone():

@@ -1,16 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
-from wittcurves.cli import main
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
+from cli_runner import invoke
 
 
 def _write(tmp_path, name, payload):
@@ -30,9 +25,9 @@ def _curve_b(tmp_path):
     })
 
 
-def test_invariants_of_an_elliptic_curve(runner, tmp_path):
+def test_invariants_of_an_elliptic_curve(tmp_path):
     path = _write(tmp_path, "c.json", {"base": "D_2222"})
-    res = runner.invoke(main, ["invariants", path])
+    res = invoke(["invariants", path])
     assert res.exit_code == 0
     assert res.output == (
         '{"chi": {"den": 1, "num": 0}, "chi_normalized": {"den": 1, "num": 0},'
@@ -43,9 +38,9 @@ def test_invariants_of_an_elliptic_curve(runner, tmp_path):
     )
 
 
-def test_invariants_of_a_quaternionic_disc(runner, tmp_path):
+def test_invariants_of_a_quaternionic_disc(tmp_path):
     path = _write(tmp_path, "c.json", {"base": "D_H"})
-    res = runner.invoke(main, ["invariants", path])
+    res = invoke(["invariants", path])
     assert res.exit_code == 0
     data = json.loads(res.output)
     assert data["chi"] == {"num": 4, "den": 1}
@@ -57,8 +52,8 @@ def test_invariants_of_a_quaternionic_disc(runner, tmp_path):
     assert data["cy"] is None
 
 
-def test_invariants_of_a_weighted_disc(runner, tmp_path):
-    res = runner.invoke(main, ["invariants", _curve_b(tmp_path)])
+def test_invariants_of_a_weighted_disc(tmp_path):
+    res = invoke(["invariants", _curve_b(tmp_path)])
     assert res.exit_code == 0
     data = json.loads(res.output)
     assert data["class"] == "TUBULAR"
@@ -69,19 +64,19 @@ def test_invariants_of_a_weighted_disc(runner, tmp_path):
     assert data["picard"]["torsion"] == [2, 4, 4]
 
 
-def test_invariants_of_an_explicit_surface(runner, tmp_path):
+def test_invariants_of_an_explicit_surface(tmp_path):
     path = _write(tmp_path, "c.json", {
         "base": {
             "g": 0, "t": 1, "s": 1, "commutative": False,
             "ovals": [{"segments": ["+", "-", "+", "-"]}],
         },
     })
-    res = runner.invoke(main, ["invariants", path])
+    res = invoke(["invariants", path])
     assert res.exit_code == 0
     assert json.loads(res.output)["class"] == "ELLIPTIC"
 
 
-def test_invariants_of_abstract_numerics(runner, tmp_path):
+def test_invariants_of_abstract_numerics(tmp_path):
     path = _write(tmp_path, "q.json", {
         "overrides": {
             "chi_x": 1, "s": 1, "kappa": 1, "epsilon": 1,
@@ -92,7 +87,7 @@ def test_invariants_of_abstract_numerics(runner, tmp_path):
             ],
         },
     })
-    res = runner.invoke(main, ["invariants", path])
+    res = invoke(["invariants", path])
     assert res.exit_code == 0
     data = json.loads(res.output)
     assert data["class"] == "TUBULAR"
@@ -101,32 +96,32 @@ def test_invariants_of_abstract_numerics(runner, tmp_path):
     assert data["constants_field"] is None
 
 
-def test_classify_wild(runner, tmp_path):
+def test_classify_wild(tmp_path):
     path = _write(tmp_path, "w.json", {
         "base": "D_22",
         "weights": [{"class": "inner", "p": 7}],
     })
-    res = runner.invoke(main, ["classify", path])
+    res = invoke(["classify", path])
     assert res.exit_code == 0
     assert res.output == "WILD\n"
 
 
-def test_zoo_table_sizes(runner):
+def test_zoo_table_sizes():
     for flag, rows in (("elliptic", 8), ("tubular", 31), ("domestic", 38), ("all", 77)):
-        res = runner.invoke(main, ["zoo", "--class", flag])
+        res = invoke(["zoo", "--class", flag])
         assert res.exit_code == 0
         assert len(res.output.splitlines()) == rows + 2
 
 
-def test_zoo_json_sizes(runner):
+def test_zoo_json_sizes():
     for flag, rows in (("elliptic", 8), ("tubular", 31), ("domestic", 38), ("all", 77)):
-        res = runner.invoke(main, ["zoo", "--class", flag, "--format", "json"])
+        res = invoke(["zoo", "--class", flag, "--format", "json"])
         assert res.exit_code == 0
         assert len(json.loads(res.output)) == rows
 
 
-def test_zoo_json_first_tubular_entry(runner):
-    res = runner.invoke(main, ["zoo", "--class", "tubular", "--format", "json"])
+def test_zoo_json_first_tubular_entry():
+    res = invoke(["zoo", "--class", "tubular", "--format", "json"])
     first = json.loads(res.output)[0]
     assert first == {
         "base": "D",
@@ -141,8 +136,8 @@ def test_zoo_json_first_tubular_entry(runner):
     }
 
 
-def test_local_table(runner):
-    res = runner.invoke(main, ["local", "segmentation"])
+def test_local_table():
+    res = invoke(["local", "segmentation"])
     assert res.exit_code == 0
     assert res.output == (
         "class         e  e*  e_tau  f_res  D_x\n"
@@ -150,27 +145,27 @@ def test_local_table(runner):
     )
 
 
-def test_slopes_output(runner):
-    res = runner.invoke(main, ["slopes", "K"])
+def test_slopes_output():
+    res = invoke(["slopes", "K"])
     assert res.exit_code == 0
     assert res.output == "2 orbits\nrepresentatives: inf, 0\n"
-    res = runner.invoke(main, ["slopes", "A"])
+    res = invoke(["slopes", "A"])
     assert res.output == "1 orbit\nrepresentatives: inf\n"
 
 
-def test_skew_centre_output(runner):
+def test_skew_centre_output():
     cases = [
         (["--algebra", "C", "--twist", "conj"], "centre = R[[T^2]], dim over centre = 4\n"),
         (["--algebra", "H", "--twist", "id"], "centre = R[[T]], dim over centre = 4\n"),
         (["--algebra", "C", "--twist", "id"], "centre = C[[T]], dim over centre = 1\n"),
     ]
     for args, expected in cases:
-        res = runner.invoke(main, ["skew-centre", *args])
+        res = invoke(["skew-centre", *args])
         assert res.exit_code == 0
         assert res.output == expected
 
 
-def test_ghost_outputs(runner, tmp_path):
+def test_ghost_outputs(tmp_path):
     cases = [
         ({"points": [{"e_tau": 5, "f": 1}, {"e_tau": 5, "f": 1}]}, "ghost group: C5\n"),
         ({"points": [[2, 1], [2, 1], [2, 1]], "efficient": 0}, "ghost group: C2 x C2\n"),
@@ -178,29 +173,29 @@ def test_ghost_outputs(runner, tmp_path):
     ]
     for i, (payload, expected) in enumerate(cases):
         path = _write(tmp_path, f"g{i}.json", payload)
-        res = runner.invoke(main, ["ghost", path])
+        res = invoke(["ghost", path])
         assert res.exit_code == 0
         assert res.output == expected
 
 
-def test_parse_errors_exit_one(runner, tmp_path):
+def test_parse_errors_exit_one(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    res = runner.invoke(main, ["invariants", str(bad)])
+    res = invoke(["invariants", str(bad)])
     assert res.exit_code == 1
     both = _write(tmp_path, "both.json", {
         "base": "D",
         "overrides": {"g": 0, "t": 1, "s": 1, "ovals": ["+"], "commutative": True},
     })
-    res = runner.invoke(main, ["invariants", both])
+    res = invoke(["invariants", both])
     assert res.exit_code == 1
     missing = tmp_path / "missing.json"
-    res = runner.invoke(main, ["invariants", str(missing)])
+    res = invoke(["invariants", str(missing)])
     assert res.exit_code == 1
 
 
 @pytest.mark.parametrize("command", ["invariants", "classify", "ghost"])
-def test_unreadable_files_exit_one(runner, tmp_path, monkeypatch, command):
+def test_unreadable_files_exit_one(tmp_path, monkeypatch, command):
     # a user without read permission, simulated since root reads anything:
     # os.access denies the file and reading it raises PermissionError
     path = _write(tmp_path, "locked.json", {"base": "D"})
@@ -216,7 +211,7 @@ def test_unreadable_files_exit_one(runner, tmp_path, monkeypatch, command):
 
     monkeypatch.setattr(os, "access", denied_access)
     monkeypatch.setattr(Path, "read_text", denied_read)
-    res = runner.invoke(main, [command, path])
+    res = invoke([command, path])
     assert res.exit_code == 1
     assert res.output.startswith(f"error: cannot read {path}")
 
@@ -227,71 +222,71 @@ def test_unreadable_files_exit_one(runner, tmp_path, monkeypatch, command):
     b"[" * 100_000 + b"]" * 100_000,
     b'{"base": "D", "efficient": ' + b"7" * 5000 + b"}",
 ], ids=["not-utf8", "deep-nesting", "long-integer"])
-def test_malformed_files_exit_one_without_a_traceback(runner, tmp_path, command, content):
+def test_malformed_files_exit_one_without_a_traceback(tmp_path, command, content):
     path = tmp_path / "m.json"
     path.write_bytes(content)
-    res = runner.invoke(main, [command, str(path)])
+    res = invoke([command, str(path)])
     assert isinstance(res.exception, SystemExit)
     assert res.exit_code == 1
     assert res.output.startswith("error:")
 
 
-def test_validation_errors_exit_two(runner, tmp_path):
+def test_validation_errors_exit_two(tmp_path):
     unknown = _write(tmp_path, "u.json", {"base": "D_23"})
-    res = runner.invoke(main, ["invariants", unknown])
+    res = invoke(["invariants", unknown])
     assert res.exit_code == 2
     assert res.output.startswith("error:")
     low = _write(tmp_path, "l.json", {
         "base": "D_22", "weights": [{"class": "inner", "p": 1}],
     })
-    res = runner.invoke(main, ["classify", low])
+    res = invoke(["classify", low])
     assert res.exit_code == 2
-    res = runner.invoke(main, ["slopes", "K", "--bound", "30"])
+    res = invoke(["slopes", "K", "--bound", "30"])
     assert res.exit_code == 2
-    res = runner.invoke(main, ["slopes", "X"])
+    res = invoke(["slopes", "X"])
     assert res.exit_code == 2
 
 
 @pytest.mark.parametrize("command", ["invariants", "classify"])
-def test_abstract_epsilon_outside_one_and_two_exits_two(runner, tmp_path, command):
+def test_abstract_epsilon_outside_one_and_two_exits_two(tmp_path, command):
     path = _write(tmp_path, "e.json", {
         "overrides": {"chi_x": 1, "s": 1, "kappa": 1, "epsilon": 3, "points": []},
     })
-    res = runner.invoke(main, [command, path])
+    res = invoke([command, path])
     assert res.exit_code == 2
     assert res.output == "error: epsilon must be 1 or 2, got 3\n"
 
 
 @pytest.mark.parametrize("command", ["invariants", "classify"])
-def test_abstract_inconsistent_data_exits_three(runner, tmp_path, command):
+def test_abstract_inconsistent_data_exits_three(tmp_path, command):
     path = _write(tmp_path, "t.json", {"overrides": {
         "chi_x": {"num": 1, "den": 2}, "s": 2, "kappa": 1, "epsilon": 2,
         "points": [{"label": "x0", "f": 2, "p": 2}],
     }})
-    res = runner.invoke(main, [command, path])
+    res = invoke([command, path])
     assert res.exit_code == 3
     assert res.output == "error: tubular curve with vector (2, 2)\n"
 
 
 @pytest.mark.parametrize("field", ["e_tau", "f", "p"])
 @pytest.mark.parametrize("value", [10**9, 2**70])
-def test_huge_abstract_point_entries_exit_two(runner, tmp_path, field, value):
+def test_huge_abstract_point_entries_exit_two(tmp_path, field, value):
     path = _write(tmp_path, "h.json", {"overrides": {
         "chi_x": 1, "s": 1, "kappa": 1, "epsilon": 1, "points": [{"label": "x0", field: value}],
     }})
-    res = runner.invoke(main, ["invariants", path])
+    res = invoke(["invariants", path])
     assert res.exit_code == 2
     assert res.output == "error: point x0 has an entry above 10000\n"
 
 
-def test_slope_bound_ceiling_exits_two(runner):
-    res = runner.invoke(main, ["slopes", "K", "--bound", "10000"])
+def test_slope_bound_ceiling_exits_two():
+    res = invoke(["slopes", "K", "--bound", "10000"])
     assert res.exit_code == 2
     assert res.output == "error: height bound must be at most 600\n"
 
 
-def test_centre_order_ceiling_exits_two(runner):
-    res = runner.invoke(main, ["skew-centre", "--algebra", "H", "--twist", "id", "--order", "100000"])
+def test_centre_order_ceiling_exits_two():
+    res = invoke(["skew-centre", "--algebra", "H", "--twist", "id", "--order", "100000"])
     assert res.exit_code == 2
     assert res.output == "error: truncation must be at most 256\n"
 
@@ -301,29 +296,29 @@ def test_centre_order_ceiling_exits_two(runner):
     (["--algebra", "R", "--twist", "id", "--order", "0"], "at least 2 to witness the period 1"),
     (["--algebra", "C", "--twist", "conj", "--order", "3"], "at least 4 to witness the period 2"),
 ])
-def test_centre_order_floor_exits_two(runner, args, message):
-    res = runner.invoke(main, ["skew-centre", *args])
+def test_centre_order_floor_exits_two(args, message):
+    res = invoke(["skew-centre", *args])
     assert res.exit_code == 2
     assert res.output == f"error: truncation must be {message}\n"
 
 
-def test_domain_errors_exit_three(runner, tmp_path):
+def test_domain_errors_exit_three(tmp_path):
     inconsistent = _write(tmp_path, "g.json", {
         "points": [{"e_tau": 2, "f": 1}, {"e_tau": 2, "f": 2}],
         "efficient": 1,
     })
-    res = runner.invoke(main, ["ghost", inconsistent])
+    res = invoke(["ghost", inconsistent])
     assert res.exit_code == 3
-    res = runner.invoke(main, ["skew-centre", "--algebra", "H", "--twist", "conj"])
+    res = invoke(["skew-centre", "--algebra", "H", "--twist", "conj"])
     assert res.exit_code == 3
 
 
 @pytest.mark.parametrize("command", ["invariants", "classify"])
-def test_abstract_negative_centre_genus_exits_two(runner, tmp_path, command):
+def test_abstract_negative_centre_genus_exits_two(tmp_path, command):
     path = _write(tmp_path, "n.json", {
         "overrides": {"chi_x": 1, "s": 1, "kappa": 1, "epsilon": 1, "points": [], "centre_genus": -1},
     })
-    res = runner.invoke(main, [command, path])
+    res = invoke([command, path])
     assert res.exit_code == 2
     assert res.output == "error: the centre genus must be nonnegative\n"
 
@@ -438,8 +433,8 @@ _MALFORMED = [
     [case[2:] for case in _MALFORMED],
     ids=[f"{reader}-{check}" for reader, check, *_ in _MALFORMED],
 )
-def test_every_reader_rejects_malformed_records_with_exit_one(runner, tmp_path, command, payload):
-    res = runner.invoke(main, [command, _write(tmp_path, "m.json", payload)])
+def test_every_reader_rejects_malformed_records_with_exit_one(tmp_path, command, payload):
+    res = invoke([command, _write(tmp_path, "m.json", payload)])
     assert isinstance(res.exception, SystemExit)
     assert res.exit_code == 1
     assert res.output.startswith("error: ")
@@ -451,16 +446,38 @@ def test_every_reader_rejects_malformed_records_with_exit_one(runner, tmp_path, 
     _on_oval({"sign": "+", "colour": 1}),
     _on_placement({"class": ["inner"], "p": 2}),
 ], ids=["oval-unknown", "placement-unhashable-class"])
-def test_records_once_let_through_or_crashing_exit_one(runner, tmp_path, payload):
-    res = runner.invoke(main, ["invariants", _write(tmp_path, "m.json", payload)])
+def test_records_once_let_through_or_crashing_exit_one(tmp_path, payload):
+    res = invoke(["invariants", _write(tmp_path, "m.json", payload)])
     assert isinstance(res.exception, SystemExit)
     assert res.exit_code == 1
     assert res.output.startswith("error: ")
 
 
-def test_an_oval_with_both_a_sign_and_segments_exits_one(runner, tmp_path):
+def test_an_oval_with_both_a_sign_and_segments_exits_one(tmp_path):
     oval = {"sign": "+", "segments": ["+", "-"]}
     payload = {"base": {"g": 0, "t": 1, "s": 1, "ovals": [oval]}}
-    res = runner.invoke(main, ["invariants", _write(tmp_path, "m.json", payload)])
+    res = invoke(["invariants", _write(tmp_path, "m.json", payload)])
     assert res.exit_code == 1
     assert res.output == "error: an oval needs a sign or a segments list, not both\n"
+
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.mark.parametrize("args, code", [
+    ([], 2),
+    (["bogus"], 2),
+    (["zoo", "--class", "wild"], 2),
+    (["slopes", "K", "--bound", "many"], 2),
+    (["skew-centre", "--twist", "id"], 2),
+    (["--help"], 0),
+    (["slopes", "--help"], 0),
+], ids=["no-command", "unknown-command", "bad-choice", "non-int-bound", "missing-algebra", "help", "command-help"])
+def test_usage_errors_exit_two_and_help_zero(args, code):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wittcurves.cli", *args], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (proc.stdout if code == 0 else proc.stderr).startswith("usage: wittcurves")

@@ -12,7 +12,7 @@ import json
 from datetime import timedelta
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import invoke
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,9 +102,8 @@ def strict_cli():
 @given(record=_RECORD)
 def test_random_curve_files_end_in_a_documented_exit(curve_file, strict_cli, record):
     curve_file.write_text(json.dumps(record))
-    runner = CliRunner()
     for command in ("invariants", "classify"):
-        res = runner.invoke(cli.main, [command, str(curve_file)])
+        res = invoke([command, str(curve_file)])
         assert res.exception is None or isinstance(res.exception, SystemExit), (
             command, record, repr(res.exception),
         )

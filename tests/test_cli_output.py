@@ -9,9 +9,7 @@ import hashlib
 import json
 
 import pytest
-from click.testing import CliRunner
-
-from wittcurves.cli import main
+from cli_runner import invoke
 
 CURVES = {
     # a catalog Witt base with segmentation and both boundary weights
@@ -200,23 +198,18 @@ EXPECTED_ZOO = {
 }
 
 
-@pytest.fixture(scope="module")
-def runner():
-    return CliRunner()
-
-
 @pytest.mark.parametrize("name", sorted(CURVES))
 @pytest.mark.parametrize("command", ["invariants", "classify"])
-def test_curve_output_is_pinned(runner, tmp_path, name, command):
+def test_curve_output_is_pinned(tmp_path, name, command):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(CURVES[name]))
-    res = runner.invoke(main, [command, str(path)])
+    res = invoke([command, str(path)])
     assert (res.exit_code, res.output) == EXPECTED_CURVES[name, command]
 
 
 @pytest.mark.parametrize("which, fmt", ZOO_RUNS)
-def test_zoo_output_is_pinned(runner, which, fmt):
-    res = runner.invoke(main, ["zoo", "--class", which, "--format", fmt])
+def test_zoo_output_is_pinned(which, fmt):
+    res = invoke(["zoo", "--class", which, "--format", fmt])
     assert res.exit_code == 0
     digest = hashlib.sha256(res.output.encode()).hexdigest()
     assert (digest, len(res.output)) == EXPECTED_ZOO[which, fmt]
@@ -224,6 +217,6 @@ def test_zoo_output_is_pinned(runner, which, fmt):
 
 @pytest.mark.parametrize("bound", [50, 100, 600])
 @pytest.mark.parametrize("name", sorted(EXPECTED_SLOPES))
-def test_slopes_output_is_pinned(runner, name, bound):
-    res = runner.invoke(main, ["slopes", name, "--bound", str(bound)])
+def test_slopes_output_is_pinned(name, bound):
+    res = invoke(["slopes", name, "--bound", str(bound)])
     assert (res.exit_code, res.output) == (0, EXPECTED_SLOPES[name])

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from wittcurves.errors import DomainError, ValidationError
+from wittcurves.errors import DomainError, KindMismatchError, ValidationError
 from wittcurves.ktheory import (
     ELLIPTIC_TYPES,
     INFINITY,
@@ -91,6 +91,12 @@ def test_slope_matrix_must_be_unimodular():
     with pytest.raises(ValidationError) as exc:
         apply_slope_matrix(((1, 1), (1, 1)), 0)
     assert exc.value.code == "unimodular"
+
+
+@pytest.mark.parametrize("matrix", [((1, 0),), (1, 2), ((1, 0), (0, 1, 0)), ((1, 0), 1)])
+def test_slope_matrix_must_be_two_by_two(matrix):
+    with pytest.raises(KindMismatchError):
+        apply_slope_matrix(matrix, 0)
 
 
 def test_orbit_counts():

@@ -6,11 +6,16 @@ AST scan of src/wittcurves/*.py finds every module-level private name
 again: a helper whose last caller is gone is deleted with it. A second
 scan keeps the reading of a surface in witt_surface: no other module
 reads the topology, the commutative flag or the signs of its ovals. A
-third keeps dataclasses to the few classes that need them, and a fourth
-gives every ValidationError raised in src/ a stable code.
+third keeps dataclasses out, and a fourth gives every ValidationError
+raised in src/ a stable code. The command line starts without click,
+dataclasses, inspect, ast or dis, as a fresh interpreter's sys.modules
+shows.
 """
 
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -136,15 +141,11 @@ def test_the_scan_sees_surface_internal_reads():
     assert surface_internal_reads({"m": tree}) == ["m:1.topology", "m:2.commutative", "m:4.segments", "m:4.sign"]
 
 
-# The classes that stay dataclasses, each for a reason a tuple cannot meet.
-# Any other record is a NamedTuple: dataclass() compiles every generated
-# method of a class with exec at import, which once took most of the
-# import time of the package.
-DATACLASS_ALLOWED = {
-    "skew_series.TwistedSeries": "arithmetic dunders: as a tuple, 2 * f would repeat the series",
-    "algebra.Automorphism": "its rotation is derived from the unit and kept out of eq, hash and repr",
-    "weighted_curve.CurveProfile": "cached_property keeps its values in the instance __dict__",
-}
+# No class is a dataclass. A record is a NamedTuple, or a FrozenRecord
+# where a tuple will not do: dataclass() compiles every generated method
+# of a class with exec at import, and importing dataclasses loads inspect,
+# ast and dis, which once took most of the start-up of the command line.
+DATACLASS_ALLOWED: dict[str, str] = {}
 
 
 def dataclass_classes(modules: dict[str, ast.Module]) -> list[str]:
@@ -168,6 +169,16 @@ def test_only_the_allowed_classes_are_dataclasses():
         for path in sorted(SRC.glob("*.py"))
     }
     assert dataclass_classes(modules) == sorted(DATACLASS_ALLOWED)
+
+
+def test_the_command_line_loads_no_framework():
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, wittcurves.cli; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True, text=True, check=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))),
+    ).stdout.split()
+    assert "wittcurves.cli" in loaded
+    assert {"click", "dataclasses", "inspect", "ast", "dis"}.isdisjoint(loaded)
 
 
 def test_the_scan_sees_dataclasses():

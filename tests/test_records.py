@@ -2,23 +2,22 @@
 
 Most records are NamedTuples; the ones that check or normalise their
 fields on construction are NamedTuples under a CheckedRecord subclass,
-and three stay dataclasses (see tests/test_package_surface.py). Each is
-built by position and by keyword, compares and hashes by value, refuses
-assignment, has no instance __dict__ (but the profile, for its cached
-values) and prints as Name(field=value, ...). A checked record
-rejects bad fields through its constructor, _replace, copy and pickle
-alike.
+and three that cannot be tuples are FrozenRecords, which name their
+fields and defaults the same way. Each is built by position and by
+keyword, compares and hashes by value, refuses assignment, has no
+instance __dict__ (but the profile, for its cached values) and prints as
+Name(field=value, ...). A checked record rejects bad fields through its
+constructor, _replace, copy and pickle alike.
 """
 
 import copy
-import dataclasses
 import pickle
 from fractions import Fraction
 
 import pytest
 
 from wittcurves.algebra import COMPLEX, QUATERNION, Automorphism, DivisionAlgebraKind, complex_conjugation, inner, quat
-from wittcurves.errors import ValidationError
+from wittcurves.errors import FrozenInstanceError, ValidationError
 from wittcurves.ktheory import ClassVector, CurveNumerics, SlopeOrbits, elliptic_numerics, slope_orbits
 from wittcurves.local_data import PointDatum, WittPointClass, witt_local_datum
 from wittcurves.skew_series import CentreDescription, TwistedSeries, centre_basis, series
@@ -91,19 +90,7 @@ _REQUIRED = object()
 
 def _constructor_fields(cls) -> dict:
     """Each constructor argument in order, with its default or _REQUIRED."""
-    if dataclasses.is_dataclass(cls):
-        return {
-            f.name: _REQUIRED if f.default is dataclasses.MISSING else f.default
-            for f in dataclasses.fields(cls)
-            if f.init
-        }
     return {name: cls._field_defaults.get(name, _REQUIRED) for name in cls._fields}
-
-
-def _repr_fields(cls) -> list[str]:
-    if dataclasses.is_dataclass(cls):
-        return [f.name for f in dataclasses.fields(cls) if f.repr]
-    return list(cls._fields)
 
 
 def test_every_public_record_class_is_covered():
@@ -112,7 +99,7 @@ def test_every_public_record_class_is_covered():
     records = {
         value
         for value in vars(wittcurves).values()
-        if isinstance(value, type) and (dataclasses.is_dataclass(value) or hasattr(value, "_fields"))
+        if isinstance(value, type) and hasattr(value, "_fields")
     }
     assert records <= set(RECORDS)
 
@@ -136,8 +123,24 @@ def test_record_semantics(cls):
     assert hasattr(sample, "__dict__") == (cls is CurveProfile)
     expected = CUSTOM_REPR.get(cls)
     if expected is None:
-        expected = f"{cls.__name__}(" + ", ".join(f"{n}={getattr(sample, n)!r}" for n in _repr_fields(cls)) + ")"
+        expected = f"{cls.__name__}(" + ", ".join(f"{n}={getattr(sample, n)!r}" for n in cls._fields) + ")"
     assert repr(sample) == expected
+
+
+@pytest.mark.parametrize("cls", [Automorphism, TwistedSeries, CurveProfile], ids=lambda cls: cls.__name__)
+def test_frozen_records_copy_and_replace_by_their_fields(cls):
+    sample = RECORDS[cls][0]
+    for built in (
+        copy.copy(sample),
+        copy.deepcopy(sample),
+        sample._replace(),
+        *(pickle.loads(pickle.dumps(sample, protocol=p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ):
+        assert type(built) is cls and built == sample
+        # what is derived from the fields, an inner rotation, is derived again
+        assert getattr(built, "rotation", None) == getattr(sample, "rotation", None)
+    with pytest.raises(FrozenInstanceError):
+        delattr(sample, cls._fields[0])
 
 
 # (a valid record, a field, a bad value for it, the code of the rejection)
