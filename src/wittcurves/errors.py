@@ -1,6 +1,6 @@
-"""Error types shared across the package, the integer check of record fields
-and the bases of the records: the NamedTuples that check themselves and
-the few immutable records that cannot be tuples.
+"""Error types shared across the package, the integer and sequence checks
+of record fields and the bases of the records: the NamedTuples that check
+themselves and the few immutable records that cannot be tuples.
 
 The CLI maps these onto exit codes: parse problems exit 1, ValidationError
 exits 2, everything else derived from CurveError exits 3.
@@ -56,6 +56,14 @@ def require_ints(optional: tuple[str, ...] = (), **fields) -> None:
             raise ValidationError(f"{name} must be an integer, got {value!r}", code="not-integer")
 
 
+def require_sequence(value, name: str, code: str) -> tuple:
+    """value as a tuple; ValidationError with the code if it is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be a sequence, got {type(value).__name__}", code=code) from None
+
+
 class CheckedRecord:
     """Base of a NamedTuple record that checks itself on construction.
 
@@ -92,8 +100,9 @@ class FrozenRecord:
     stores them past the refusing ``__setattr__``: into slots with
     ``object.__setattr__``, or straight into the instance ``__dict__``.
     Equality, hash, repr, ``_replace`` and pickling read ``_fields``;
-    anything else the instance holds is derived from them, and copies
-    and unpickling derive it again through the constructor.
+    anything else the instance holds is derived from them, and ``_make``,
+    ``_replace``, copies and unpickling derive it again through the
+    constructor, so a record that checks itself there checks them too.
     """
 
     __slots__ = ()
@@ -121,6 +130,10 @@ class FrozenRecord:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__name__}({fields})"
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def _replace(self, **changes):
         return self.__class__(**dict(zip(self._fields, self._values), **changes))

@@ -6,21 +6,24 @@ weight insertions p >= 2 at chosen points. Every numerical invariant is
 driven by the effective point list: each point contributes through its
 weight p, its ramification index e_tau, and its residue degree f.
 
-curve_profile reads a curve once into a CurveProfile: the effective
-points and the numerics of the base. A surface base is read by one call
-to witt_surface.surface_numerics, and nothing here reads its ovals or
-topology. Every public invariant is a view of a profile built afresh for
-the call, and a report reads all of its entries from one profile.
+A WeightedCurve checks itself when built, and the check reads a surface
+base once, by one call to witt_surface.validate; the curve keeps the
+SurfaceNumerics that call returns, and nothing here reads the ovals or
+topology of a surface. curve_profile reads a curve into a CurveProfile:
+the effective points and those numerics of the base. Every public
+invariant is a view of a profile built afresh for the call, and a report
+reads all of its entries from one profile.
 
 The normalized orbifold Euler characteristic is computed by three
 independent routes (the general formula over the centre, the split through
 the non-weighted curve, and a Thurston-style count for real bases) which
 must agree exactly; a fourth genus-zero route is checked where it applies.
 Each route sums its point terms as one integer numerator over the lcm of
-their denominators and builds one Fraction, and the Fractions are compared;
-the chi' of an abstract base is summed the same way. A profile runs the
-routes once, when its chi_orb is first read, so the accessors that need
-only base numerics never run them.
+their denominators, giving an int (numerator, denominator) pair; the pairs
+are compared by cross-multiplying, and one Fraction is built for the
+answer. The chi' of an abstract base is summed the same way. A profile
+runs the routes once, when its chi_orb is first read, so the accessors
+that need only base numerics never run them.
 """
 
 from __future__ import annotations
@@ -33,25 +36,26 @@ from typing import NamedTuple
 
 from .algebra import DivisionAlgebraKind
 from .errors import (
-    CheckedRecord,
     DomainError,
+    KindMismatchError,
     FrozenRecord,
     InconsistentDataError,
     InvariantViolation,
     ValidationError,
     require_ints,
+    require_sequence,
 )
 from .local_data import SHORT_NAMES, WittPointClass, witt_local_datum
 from .witt_surface import (
     MINUS,
     PLUS,
     ComplexCentreBase,
+    SurfaceNumerics,
     WittSurface,
     canonical_key,
     catalog,
     segmentation_points,
     signed_ovals,
-    surface_numerics,
     validate,
 )
 
@@ -127,27 +131,32 @@ class EffectivePoint(NamedTuple):
 Base = WittSurface | ComplexCentreBase | AbstractBase
 
 
-class _CurveFields(NamedTuple):
-    base: Base
-    points: tuple[WeightedPoint, ...] = ()
+class WeightedCurve(FrozenRecord):
+    """A base with weight insertions, checked on construction.
 
+    The check reads a surface base once, and what it read, the base's
+    SurfaceNumerics, is kept in ``numerics`` (None on an abstract base)
+    for curve_profile. It is derived from the base, so it is no field
+    and takes no part in equality, hash or repr; _replace, copies and
+    unpickling build the record again, through the check.
+    """
 
-class WeightedCurve(CheckedRecord, _CurveFields):
-    __slots__ = ()
+    _fields = ("base", "points")
+    _field_defaults = {"points": ()}
+    __slots__ = (*_fields, "numerics")
 
-    def __new__(cls, base, points=()):
-        try:
-            points = tuple(points)
-        except TypeError:
-            message = f"the weights must be a sequence, got {type(points).__name__}"
-            raise ValidationError(message, code="placement") from None
-        return super().__new__(cls, base, points)
+    def __init__(self, base: Base, points=()):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "points", require_sequence(points, "the weights", "placement"))
+        self.__post_init__()
 
     def __post_init__(self):
-        _validate_curve(self)
+        object.__setattr__(self, "numerics", _validate_curve(self))
 
 
-def _validate_curve(c: WeightedCurve) -> None:
+def _validate_curve(c: WeightedCurve) -> SurfaceNumerics | None:
+    """Check a curve; return the numerics of a surface base, None on an
+    abstract one."""
     base = c.base
     if not isinstance(base, Base):
         raise ValidationError(
@@ -158,7 +167,7 @@ def _validate_curve(c: WeightedCurve) -> None:
             "weights on an abstract base belong in its point records",
             code="placement",
         )
-    _validate_base(base)
+    numerics = _validate_base(base)
     for wp in c.points:
         if not isinstance(wp, WeightedPoint):
             raise ValidationError(
@@ -179,19 +188,26 @@ def _validate_curve(c: WeightedCurve) -> None:
                     "two weights on the same segmentation point", code="duplicate-placement"
                 )
             seen_segments.add(key)
+    return numerics
 
 
-def _validate_base(base: Base) -> None:
+def _validate_base(base: Base) -> SurfaceNumerics | None:
     """The part of validation that reads the base alone: realizability of
-    a surface, the point records and numerics of an abstract base."""
+    a surface, whose numerics it returns, or the point records and
+    numerics of an abstract base."""
     if not isinstance(base, AbstractBase):
-        validate(base)
-        return
-    labels = [p.label for p in base.points]
+        return validate(base)
+    points = require_sequence(base.points, "the points of an abstract base", "placement")
+    for p in points:
+        if not isinstance(p, AbstractPoint):
+            raise ValidationError(
+                f"a point of an abstract base must be an AbstractPoint, got {type(p).__name__}", code="placement"
+            )
+    labels = [p.label for p in points]
     if len(set(labels)) != len(labels):
         raise ValidationError("abstract point labels must be unique", code="duplicate-placement")
     length = 0
-    for p in base.points:
+    for p in points:
         require_ints(e_tau=p.e_tau, residue_degree=p.residue_degree, weight=p.weight)
         if p.e_tau < 1 or p.residue_degree < 1 or p.weight < 1:
             raise ValidationError(f"point {p.label} has a nonpositive entry", code="nonpositive")
@@ -215,6 +231,7 @@ def _validate_base(base: Base) -> None:
         raise ValidationError(f"epsilon must be 1 or 2, got {base.epsilon}", code="epsilon")
     if base.centre_genus is not None and base.centre_genus < 0:
         raise ValidationError("the centre genus must be nonnegative", code="negative-genus")
+    return None
 
 
 def _validate_placement(base: WittSurface | ComplexCentreBase, wp: WeightedPoint) -> None:
@@ -254,9 +271,9 @@ def _validate_placement(base: WittSurface | ComplexCentreBase, wp: WeightedPoint
 _QUARTERS = {WittPointClass.SEGMENTATION.value: 1, WittPointClass.INNER.value: 4}
 
 
-def _less_half(x: Fraction, num: int, den: int) -> Fraction:
-    """x - num / (2 den), built as one Fraction."""
-    return Fraction(x.numerator * 2 * den - x.denominator * num, x.denominator * 2 * den)
+def _less_half(x: Fraction, num: int, den: int) -> tuple[int, int]:
+    """x - num / (2 den), as an int (numerator, denominator) pair."""
+    return x.numerator * 2 * den - x.denominator * num, x.denominator * 2 * den
 
 
 class CurveProfile(FrozenRecord):
@@ -304,14 +321,11 @@ class CurveProfile(FrozenRecord):
             centre, ovals, genus, chi, constants,
         )))
 
-    def chi_routes(self) -> dict[str, Fraction]:
-        """The value of every chi'_orb route that applies, keyed by the name
-        its mismatch message gives it: the general formula over the centre
-        and the split through the non-weighted curve always, the boundary
-        count on a real centre and the genus-zero form where the function
-        field has genus zero. Each route sums its point terms as one
-        integer numerator over the lcm of their denominators and builds
-        one Fraction; nothing is compared here."""
+    def _route_pairs(self) -> dict[str, tuple[int, int]]:
+        """Every chi'_orb route that applies, as an int (numerator,
+        denominator) pair with a positive denominator, keyed by the name its
+        mismatch message gives it. Each route sums its point terms as one
+        integer numerator over the lcm of their denominators."""
         pts = self.points
         orders = [pt.weight * pt.e_tau for pt in pts]
         n = lcm(*orders)
@@ -331,23 +345,35 @@ class CurveProfile(FrozenRecord):
                 2 * pbar,
             )
         if self.genus == 0:
-            routes["genus-zero form"] = genus_zero_orbifold_euler(
-                self.kappa, self.skewness, self.epsilon, self.any_field_triples()
-            )
+            # e f (p - 1) / p with e = 1 and f = s^2 f_res / (kappa epsilon e_tau)
+            s, ke = self.skewness, self.kappa * self.epsilon
+            routes["genus-zero form"] = _genus_zero(self.kappa, s, self.epsilon, [
+                (s * s * pt.residue_degree * (pt.weight - 1), ke * pt.e_tau * pt.weight) for pt in pts
+            ])
         return routes
+
+    def chi_routes(self) -> dict[str, Fraction]:
+        """The value of every chi'_orb route that applies, keyed by the name
+        its mismatch message gives it: the general formula over the centre
+        and the split through the non-weighted curve always, the boundary
+        count on a real centre and the genus-zero form where the function
+        field has genus zero. Each is a Fraction built from the integer
+        pair chi_orb compares; nothing is compared here."""
+        return {name: Fraction(num, den) for name, (num, den) in self._route_pairs().items()}
 
     @cached_property
     def chi_orb(self) -> Fraction:
         """Normalized orbifold Euler characteristic: the general route, once
-        every other route of chi_routes has been checked equal to it."""
-        routes = self.chi_routes()
-        general = routes.pop("general")
-        for name, value in routes.items():
-            if value != general:
+        every other route of chi_routes has been checked equal to it, by
+        cross-multiplying the integer pairs."""
+        routes = self._route_pairs()
+        gn, gd = routes.pop("general")
+        for name, (num, den) in routes.items():
+            if num * gd != gn * den:
                 raise InvariantViolation(
-                    f"Euler characteristic mismatch: general {general}, {name} {value}"
+                    f"Euler characteristic mismatch: general {Fraction(gn, gd)}, {name} {Fraction(num, den)}"
                 )
-        return general
+        return Fraction(gn, gd)
 
     def any_field_triples(self) -> tuple[tuple[int, Fraction, int], ...]:
         """(e, f, p) data feeding the genus-zero formula, with e*f recovered
@@ -452,7 +478,8 @@ class CurveProfile(FrozenRecord):
 def curve_profile(c: WeightedCurve) -> CurveProfile:
     """Read a curve once: its effective points and the numerics of its base.
 
-    A surface base is read by one surface_numerics call. Points of a
+    The numerics of a surface base are those its check read when the curve
+    was built; nothing here reads the surface again. Points of a
     surface base take e_tau, the residue degree and the label prefix from
     local_data, or are plain points on a complex-centre base.
     """
@@ -468,9 +495,9 @@ def curve_profile(c: WeightedCurve) -> CurveProfile:
         # (1 - 1/e) f = (e - 1) f / e, over the lcm of the e_tau
         n = lcm(*(p.e_tau for p in points))
         drops = sum((p.e_tau - 1) * p.residue_degree * (n // p.e_tau) for p in points)
-        chi_prime = _less_half(chi_centre, drops, n)
+        chi_prime = Fraction(*_less_half(chi_centre, drops, n))
     else:
-        n = surface_numerics(base)
+        n = c.numerics
         points = _surface_points(base, c.points)
         kappa, epsilon, s, cg = n.kappa, n.epsilon, n.skewness, n.centre_genus
         chi_centre, chi_prime = Fraction(1 - cg), n.chi_prime
@@ -516,15 +543,32 @@ def genus_zero_orbifold_euler(kappa, s, epsilon, points) -> Fraction:
     """Normalized orbifold characteristic over any field, genus-zero case.
 
     points is an iterable of (e, f, p) triples, e and f integers or
-    Fractions; only the product e*f enters. No separability assumption is
-    needed here. The terms e f (p - 1) / p are summed as one integer
-    numerator over the lcm of their denominators.
+    Fractions; only the product e*f enters. kappa, s, epsilon and every p
+    are positive integers. No separability assumption is needed here. The
+    terms e f (p - 1) / p are summed as one integer numerator over the lcm
+    of their denominators.
     """
-    terms = [(e.numerator * f.numerator * (p - 1), e.denominator * f.denominator * p) for e, f, p in points]
+    require_ints(kappa=kappa, s=s, epsilon=epsilon)
+    if kappa < 1 or s < 1 or epsilon < 1:
+        raise ValidationError("kappa, s and epsilon must be positive", code="nonpositive")
+    terms = []
+    for e, f, p in points:
+        if not all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in (e, f)):
+            raise KindMismatchError(f"e and f must be ints or Fractions, got {e!r} and {f!r}")
+        require_ints(p=p)
+        if p < 1:
+            raise ValidationError("a weight p must be positive", code="nonpositive")
+        terms.append((e.numerator * f.numerator * (p - 1), e.denominator * f.denominator * p))
+    return Fraction(*_genus_zero(kappa, s, epsilon, terms))
+
+
+def _genus_zero(kappa: int, s: int, epsilon: int, terms: list[tuple[int, int]]) -> tuple[int, int]:
+    """kappa/s^2 - (kappa epsilon / 2 s^2) times the sum of the terms
+    num/den of e f (p - 1) / p, as an int (numerator, denominator) pair;
+    the terms are summed as one numerator over the lcm of the den."""
     d = lcm(*(den for _, den in terms))
     total = sum(num * (d // den) for num, den in terms)
-    # kappa/s^2 - (kappa epsilon / 2 s^2) total/d
-    return Fraction(kappa * (2 * d - epsilon * total), 2 * s * s * d)
+    return kappa * (2 * d - epsilon * total), 2 * s * s * d
 
 
 def orbifold_euler(c: WeightedCurve) -> Fraction:
@@ -630,8 +674,11 @@ def ghost_group(points, efficient_index: int) -> GhostGroup:
     other point y the exponent d(y) satisfies e_tau(y) d(y) = (f_y/f_x)
     e_tau(x); it must be an integer whenever y is a ramification point.
     """
-    pts = list(points)
-    for e, f in pts:
+    pts = require_sequence(points, "the points", "placement")
+    for pt in pts:
+        if not isinstance(pt, (tuple, list)) or len(pt) != 2:
+            raise ValidationError(f"a point must be an (e_tau, f) pair, got {pt!r}", code="placement")
+        e, f = pt
         require_ints(e_tau=e, residue_degree=f)
         if e < 1 or f < 1:
             raise ValidationError("e_tau and residue degrees must be positive", code="nonpositive")

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import COMPLEX, QUATERNION, REAL, DivisionAlgebraKind
-from .errors import CheckedRecord, InvariantViolation, ValidationError, require_ints
+from .errors import CheckedRecord, InvariantViolation, ValidationError, require_ints, require_sequence
 
 PLUS = "+"
 MINUS = "-"
@@ -72,12 +72,7 @@ class WittSurface(CheckedRecord, _SurfaceFields):
     __slots__ = ()
 
     def __new__(cls, topology, ovals, commutative):
-        try:
-            ovals = tuple(ovals)
-        except TypeError:
-            message = f"the ovals must be a sequence, got {type(ovals).__name__}"
-            raise ValidationError(message, code="oval-shape") from None
-        return super().__new__(cls, topology, ovals, commutative)
+        return super().__new__(cls, topology, require_sequence(ovals, "the ovals", "oval-shape"), commutative)
 
     def __post_init__(self):
         if not isinstance(self.topology, KleinTopology):
@@ -215,10 +210,11 @@ def surface_numerics(w: WittSurface | ComplexCentreBase) -> SurfaceNumerics:
     return SurfaceNumerics(constants, kappa, epsilon, s, upstairs, "R", g, t, Fraction(chi), Fraction(chi, s * s))
 
 
-def validate(w: WittSurface | ComplexCentreBase) -> None:
-    """Check realizability, as surface_numerics does; raises ValidationError
-    with a stable code."""
-    surface_numerics(w)
+def validate(w: WittSurface | ComplexCentreBase) -> SurfaceNumerics:
+    """Check realizability, as surface_numerics does, and return the
+    numerics the check read, so a caller that keeps them need not read the
+    surface again; raises ValidationError with a stable code."""
+    return surface_numerics(w)
 
 
 def surface_skewness(w: WittSurface | ComplexCentreBase) -> int:

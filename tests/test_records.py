@@ -2,12 +2,13 @@
 
 Most records are NamedTuples; the ones that check or normalise their
 fields on construction are NamedTuples under a CheckedRecord subclass,
-and three that cannot be tuples are FrozenRecords, which name their
+and four that cannot be tuples are FrozenRecords, which name their
 fields and defaults the same way. Each is built by position and by
 keyword, compares and hashes by value, refuses assignment, has no
 instance __dict__ (but the profile, for its cached values) and prints as
-Name(field=value, ...). A checked record rejects bad fields through its
-constructor, _replace, copy and pickle alike.
+Name(field=value, ...). A checked record (a CheckedRecord tuple, or the
+WeightedCurve) rejects bad fields through its constructor, _make,
+_replace, copy and pickle alike.
 """
 
 import copy
@@ -17,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from wittcurves.algebra import COMPLEX, QUATERNION, Automorphism, DivisionAlgebraKind, complex_conjugation, inner, quat
-from wittcurves.errors import FrozenInstanceError, ValidationError
+from wittcurves.errors import FrozenInstanceError, FrozenRecord, ValidationError
 from wittcurves.ktheory import ClassVector, CurveNumerics, SlopeOrbits, elliptic_numerics, slope_orbits
 from wittcurves.local_data import PointDatum, WittPointClass, witt_local_datum
 from wittcurves.skew_series import CentreDescription, TwistedSeries, centre_basis, series
@@ -127,18 +128,32 @@ def test_record_semantics(cls):
     assert repr(sample) == expected
 
 
-@pytest.mark.parametrize("cls", [Automorphism, TwistedSeries, CurveProfile], ids=lambda cls: cls.__name__)
+# the slot each FrozenRecord derives from its fields, if any
+DERIVED = {Automorphism: "rotation", WeightedCurve: "numerics"}
+
+
+@pytest.mark.parametrize(
+    "cls", [Automorphism, TwistedSeries, CurveProfile, WeightedCurve], ids=lambda cls: cls.__name__
+)
 def test_frozen_records_copy_and_replace_by_their_fields(cls):
     sample = RECORDS[cls][0]
+    derived = DERIVED.get(cls)
     for built in (
         copy.copy(sample),
         copy.deepcopy(sample),
         sample._replace(),
+        cls._make(sample._values),
         *(pickle.loads(pickle.dumps(sample, protocol=p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)),
     ):
         assert type(built) is cls and built == sample
-        # what is derived from the fields, an inner rotation, is derived again
-        assert getattr(built, "rotation", None) == getattr(sample, "rotation", None)
+        if derived is not None:
+            # derived again from the fields, not copied
+            assert getattr(built, derived) == getattr(sample, derived)
+            assert getattr(built, derived) is not getattr(sample, derived)
+    if derived == "numerics":
+        assert sample.numerics == surface_numerics(sample.base)
+        moved = WeightedCurve(catalog("D"))._replace(base=catalog("K"))
+        assert moved.numerics == surface_numerics(catalog("K"))
     with pytest.raises(FrozenInstanceError):
         delattr(sample, cls._fields[0])
 
@@ -157,8 +172,16 @@ CHECKED = [
 
 
 def _bypassing_checks(record, field, value):
-    """The record with one field changed, built without any check."""
-    return tuple.__new__(type(record), [value if name == field else v for name, v in zip(record._fields, record)])
+    """The record with one field changed, built without any check, and
+    its field values."""
+    cls = type(record)
+    values = [value if name == field else getattr(record, name) for name in cls._fields]
+    if not issubclass(cls, FrozenRecord):
+        return tuple.__new__(cls, values), values
+    bad = object.__new__(cls)
+    for name, v in zip(cls._fields, values):
+        object.__setattr__(bad, name, v)
+    return bad, values
 
 
 @pytest.mark.parametrize(
@@ -166,11 +189,11 @@ def _bypassing_checks(record, field, value):
 )
 def test_checked_records_reject_bad_fields_however_built(record, field, value, code):
     cls = type(record)
-    bad = _bypassing_checks(record, field, value)
+    bad, values = _bypassing_checks(record, field, value)
     attempts = {
-        "constructor": lambda: cls(*bad),
-        "keywords": lambda: cls(**dict(zip(cls._fields, bad))),
-        "_make": lambda: cls._make(bad),
+        "constructor": lambda: cls(*values),
+        "keywords": lambda: cls(**dict(zip(cls._fields, values))),
+        "_make": lambda: cls._make(values),
         "_replace": lambda: record._replace(**{field: value}),
         "copy": lambda: copy.copy(bad),
         "deepcopy": lambda: copy.deepcopy(bad),

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_euler_integer import _random_abstract_curve, _random_complex_curve, _random_surface_curve
 
 import wittcurves.witt_surface as ws
-from wittcurves.errors import DomainError, InconsistentDataError, InvariantViolation, ValidationError
+from wittcurves.errors import DomainError, InconsistentDataError, InvariantViolation, KindMismatchError, ValidationError
 from wittcurves.local_data import WittPointClass
 from wittcurves.weighted_curve import (
     MAX_POINT_VALUE,
@@ -210,6 +211,33 @@ def test_ghost_group_input_checks():
     assert exc.value.code == "placement"
 
 
+@pytest.mark.parametrize("points", [None, 5, [(1,)], [(2, 1, 1)], [2], [(2, 1), "21"]])
+def test_ghost_group_points_must_be_pairs(points):
+    with pytest.raises(ValidationError) as exc:
+        ghost_group(points, 0)
+    assert exc.value.code == "placement"
+
+
+@pytest.mark.parametrize("args, code", [
+    ((1, 0, 1, []), "nonpositive"),
+    ((0, 1, 1, []), "nonpositive"),
+    ((1, 1, -1, []), "nonpositive"),
+    ((1, 1, 1, [(1, 1, 0)]), "nonpositive"),
+    ((1.0, 1, 1, []), "not-integer"),
+    ((1, 1, 1, [(1, 1, 2.0)]), "not-integer"),
+], ids=["s-zero", "kappa-zero", "epsilon-negative", "p-zero", "float-kappa", "float-p"])
+def test_genus_zero_formula_checks_its_integers(args, code):
+    with pytest.raises(ValidationError) as exc:
+        genus_zero_orbifold_euler(*args)
+    assert exc.value.code == code
+
+
+@pytest.mark.parametrize("point", [(0.5, 1, 2), (1, 0.5, 2), (1, "1", 2), (True, 1, 2)])
+def test_genus_zero_formula_takes_exact_e_and_f(point):
+    with pytest.raises(KindMismatchError):
+        genus_zero_orbifold_euler(1, 1, 1, [point])
+
+
 def test_effective_points_of_the_wild_example():
     c = WeightedCurve(catalog("D_22"), (WeightedPoint(INNER, 7),))
     rows = [(p.kind, p.e_tau, p.residue_degree, p.weight) for p in effective_points(c)]
@@ -408,28 +436,47 @@ def test_ghost_group_entries_must_be_ints(points, efficient):
 
 
 # ---------------------------------------------------------------------------
-# A report reads its surface once
+# A curve reads its surface once, when it is built
 
 def test_one_report_counts_the_ovals_once(monkeypatch):
     counted = []
     real_counts = ws.counts
     monkeypatch.setattr(ws, "counts", lambda w: counted.append(w) or real_counts(w))
-    weighted = WeightedCurve(catalog("D_22"), (
+    points = (
         WeightedPoint(WittPointClass.SEGMENTATION, 3, oval=0, segment=0),
         WeightedPoint(WittPointClass.REAL_BOUNDARY, 3),
-    ))
-    curves = [weighted] + [WeightedCurve(catalog(name)) for name in ("D", "K", "D_H", "A_RH", "M_H", "D_2222")]
-    for curve in curves:
+    )
+    shapes = [("D_22", points)] + [(name, ()) for name in ("D", "K", "D_H", "A_RH", "M_H", "D_2222")]
+    for name, weights in shapes:
+        base = catalog(name)
+        counted.clear()
+        curve = WeightedCurve(base, weights)
+        assert counted == [base]
         counted.clear()
         invariants_report(curve)
-        assert counted == [curve.base]
+        classify(curve)
+        assert counted == []
+
+
+def test_a_curve_keeps_the_numerics_its_check_read():
+    rng = random.Random(12)
+    curves = [WeightedCurve(catalog(name)) for name in ws.CATALOG_NAMES]
+    curves += [make(rng) for make in (_random_surface_curve, _random_complex_curve) for _ in range(300)]
+    for c in curves:
+        assert c.numerics == ws.surface_numerics(c.base)
+    assert _random_abstract_curve(rng).numerics is None
 
 
 @pytest.mark.parametrize("make, code", [
     (lambda: WeightedCurve("D"), "base"),
     (lambda: WeightedCurve(None), "base"),
     (lambda: WeightedCurve(catalog("D_22"), WeightedPoint(WittPointClass.INNER, 2)), "placement"),
-], ids=["name-for-base", "none-for-base", "one-point-for-the-sequence"])
+    (lambda: WeightedCurve(AbstractBase(Fraction(1), 1, 1, 1, None)), "placement"),
+    (lambda: WeightedCurve(AbstractBase(Fraction(1), 1, 1, 1, ((1,),))), "placement"),
+], ids=[
+    "name-for-base", "none-for-base", "one-point-for-the-sequence", "none-for-abstract-points",
+    "tuple-for-an-abstract-point",
+])
 def test_records_of_the_wrong_kind_raise_validation_errors(make, code):
     # one WeightedPoint where the sequence belongs would be read field by field
     with pytest.raises(ValidationError) as err:

@@ -5,6 +5,7 @@ from itertools import permutations, product
 import pytest
 
 import wittcurves.weighted_curve as wc
+import wittcurves.witt_surface as ws
 from wittcurves import zoo
 from wittcurves.errors import ValidationError
 from wittcurves.local_data import SHORT_NAMES, WittPointClass
@@ -258,3 +259,15 @@ def test_reading_the_places_of_a_base_validates_it_once(monkeypatch):
         # each entry's curve validates its base; so does each of the five
         # bases with chi'_orb > 0 (D, RP2, D_H, D_22, S2_C), once
         assert len(validated) == len(built) + 5
+
+
+@pytest.mark.parametrize("enumerate_, reads", [(enumerate_chi_zero, 49), (enumerate_domestic, 29)])
+def test_a_zoo_reads_each_surface_once_per_curve_and_base(monkeypatch, enumerate_, reads):
+    # the ovals of each real catalog base are counted once for its chi' and
+    # once for each curve built on it (11 + 38 and 11 + 18); the reports
+    # and classifications of a built curve count none
+    counted = []
+    real_counts = ws.counts
+    monkeypatch.setattr(ws, "counts", lambda w: counted.append(w) or real_counts(w))
+    enumerate_()
+    assert len(counted) == reads
