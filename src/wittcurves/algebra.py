@@ -373,7 +373,6 @@ class Automorphism(FrozenRecord):
     """
 
     _fields = ("kind", "action", "unit")  # action: "identity" | "conj" | "inner"
-    _field_defaults = {"unit": None}
     __slots__ = (*_fields, "rotation")
 
     def __init__(self, kind: DivisionAlgebraKind, action: str, unit: AlgebraElement | None = None):
@@ -386,9 +385,7 @@ class Automorphism(FrozenRecord):
         if action == "inner":
             unit = _normalize_unit(unit)
             rotation = _inner_rotation(unit)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "unit", unit)
+        self._set(kind, action, unit)
         object.__setattr__(self, "rotation", rotation)
 
     def __call__(self, a: AlgebraElement) -> AlgebraElement:

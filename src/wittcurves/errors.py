@@ -1,6 +1,10 @@
 """Error types shared across the package, the integer and sequence checks
-of record fields and the bases of the records: the NamedTuples that check
-themselves and the few immutable records that cannot be tuples.
+of record fields, and FrozenRecord, the one base of the records that do
+more than hold their fields.
+
+A plain record is a NamedTuple. A record that checks, normalises or
+derives a field is a FrozenRecord: a class with an explicit constructor,
+compared, hashed, printed, copied and pickled by its fields.
 
 The CLI maps these onto exit codes: parse problems exit 1, ValidationError
 exits 2, everything else derived from CurveError exits 3.
@@ -64,54 +68,38 @@ def require_sequence(value, name: str, code: str) -> tuple:
         raise ValidationError(f"{name} must be a sequence, got {type(value).__name__}", code=code) from None
 
 
-class CheckedRecord:
-    """Base of a NamedTuple record that checks itself on construction.
-
-    A record is declared as ``class R(CheckedRecord, _RFields)`` with
-    ``__slots__ = ()`` and a ``__post_init__`` that raises on bad fields;
-    it may override ``__new__`` to normalise fields before the tuple is
-    built. The constructor, ``_make`` (so ``_replace``), copying and
-    unpickling all go through ``__new__``, so none of them skips the check.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        self.__post_init__()
-        return self
-
-    def __post_init__(self):
-        """Raise on bad fields; a record that only normalises checks nothing."""
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    def __reduce__(self):
-        return self.__class__, tuple(self)
-
-
 class FrozenRecord:
-    """Base of an immutable record that cannot be a tuple.
+    """Base of an immutable record that checks, normalises or derives a field.
 
-    A subclass names its constructor arguments in ``_fields`` and their
-    defaults in ``_field_defaults``, as a NamedTuple does. Its ``__init__``
-    stores them past the refusing ``__setattr__``: into slots with
-    ``object.__setattr__``, or straight into the instance ``__dict__``.
+    A subclass declares ``__slots__ = _fields = (...)``, with a slot more
+    for anything it derives, and an ``__init__`` whose signature is the
+    field list; the defaults are stated there alone, and ``_field_defaults``
+    is read from it, as a NamedTuple holds them. ``__init__`` stores the
+    fields with one call of ``_set``, then runs the record's checks. A
+    record that caches values in an instance ``__dict__`` has no
+    ``__slots__`` and writes its fields into that dict instead.
     Equality, hash, repr, ``_replace`` and pickling read ``_fields``;
-    anything else the instance holds is derived from them, and ``_make``,
-    ``_replace``, copies and unpickling derive it again through the
-    constructor, so a record that checks itself there checks them too.
+    ``_make``, ``_replace``, copies and unpickling all build the record
+    again through its constructor, so none of them skips a check, and a
+    derived value is derived again.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...]
-    _field_defaults: dict = {}
+    _field_defaults: dict
 
     def __init_subclass__(cls):
         # the tuple of field values, read by one C-level getter
         cls._values = property(attrgetter(*cls._fields))
+        # the defaults of the trailing fields, as the constructor states them
+        defaults = cls.__init__.__defaults__ or ()
+        cls._field_defaults = dict(zip(cls._fields[len(cls._fields) - len(defaults):], defaults))
+
+    def _set(self, *values):
+        """Store the field values, in the order of _fields, past the
+        refusing __setattr__."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

@@ -16,8 +16,8 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import (
-    CheckedRecord,
     DomainError,
+    FrozenRecord,
     InconsistentDataError,
     InvariantViolation,
     KindMismatchError,
@@ -41,18 +41,14 @@ INFINITY = _Infinity()
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
 
-class _ClassVectorFields(NamedTuple):
-    degree: int
-    rank: int
-
-
-class ClassVector(CheckedRecord, _ClassVectorFields):
+class ClassVector(FrozenRecord):
     """A (degree, rank) class in the lattice; both entries are ints."""
 
-    __slots__ = ()
+    __slots__ = _fields = ("degree", "rank")
 
-    def __post_init__(self):
-        require_ints(degree=self.degree, rank=self.rank)
+    def __init__(self, degree: int, rank: int):
+        self._set(degree, rank)
+        require_ints(degree=degree, rank=rank)
 
     def slope(self):
         """degree/rank in Q union {infinity}; undefined on the zero class."""
@@ -63,33 +59,28 @@ class ClassVector(CheckedRecord, _ClassVectorFields):
         return Fraction(self.degree, self.rank)
 
 
-class _NumericsFields(NamedTuple):
-    kappa: int
-    epsilon: int
-    genus: int
-    end_S_dim: int = 1
-    pbar: int = 1
-    g_orb: Fraction | None = None
-
-
-class CurveNumerics(CheckedRecord, _NumericsFields):
+class CurveNumerics(FrozenRecord):
     """Numerical data of a curve as Riemann-Roch sees it.
 
     end_S_dim is the real dimension of the endomorphism ring of the
     designated degree-one simple object; g_orb and pbar extend the data
-    to the weighted case and default to the plain genus and 1.
+    to the weighted case and default to the plain genus and 1. g_orb is
+    an int or a Fraction.
     """
 
-    __slots__ = ()
+    __slots__ = _fields = ("kappa", "epsilon", "genus", "end_S_dim", "pbar", "g_orb")
 
-    def __post_init__(self):
-        require_ints(
-            kappa=self.kappa, epsilon=self.epsilon, genus=self.genus, end_S_dim=self.end_S_dim, pbar=self.pbar
-        )
-        if self.kappa < 1 or self.genus < 0 or self.end_S_dim < 1 or self.pbar < 1:
+    def __init__(
+        self, kappa: int, epsilon: int, genus: int, end_S_dim: int = 1, pbar: int = 1, g_orb: Fraction | None = None
+    ):
+        self._set(kappa, epsilon, genus, end_S_dim, pbar, g_orb)
+        require_ints(kappa=kappa, epsilon=epsilon, genus=genus, end_S_dim=end_S_dim, pbar=pbar)
+        if not isinstance(g_orb, Fraction):
+            require_ints(("g_orb",), g_orb=g_orb)
+        if kappa < 1 or genus < 0 or end_S_dim < 1 or pbar < 1:
             raise ValidationError("numerics entries out of range", code="nonpositive")
-        if self.epsilon not in (1, 2):
-            raise ValidationError(f"epsilon must be 1 or 2, got {self.epsilon}", code="epsilon")
+        if epsilon not in (1, 2):
+            raise ValidationError(f"epsilon must be 1 or 2, got {epsilon}", code="epsilon")
 
 
 # real dimension of End(S) for the designated degree-one simple object S

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import NamedTuple
 
 from .algebra import (
     BUILTIN_KINDS,
@@ -21,7 +20,7 @@ from .algebra import (
     DivisionAlgebraKind,
     comultiplicity,
 )
-from .errors import CheckedRecord, InvariantViolation, ValidationError
+from .errors import FrozenRecord, InvariantViolation, ValidationError
 
 
 class WittPointClass(enum.Enum):
@@ -41,31 +40,25 @@ SHORT_NAMES = {
 }
 
 
-class _PointFields(NamedTuple):
-    e: int
-    e_star: int
-    e_tau: int
-    residue_degree: int
-    simple_end: DivisionAlgebraKind
-    weight: int = 1
-
-
-class PointDatum(CheckedRecord, _PointFields):
+class PointDatum(FrozenRecord):
     """Numerical data of one closed point.
 
     weight = 1 marks an ordinary point; weight > 1 an inserted orbifold
     weight.
     """
 
-    __slots__ = ()
+    __slots__ = _fields = ("e", "e_star", "e_tau", "residue_degree", "simple_end", "weight")
 
-    def __post_init__(self):
+    def __init__(
+        self, e: int, e_star: int, e_tau: int, residue_degree: int, simple_end: DivisionAlgebraKind, weight: int = 1
+    ):
+        self._set(e, e_star, e_tau, residue_degree, simple_end, weight)
         for name in ("e", "e_star", "e_tau", "residue_degree", "weight"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be a positive integer", code="nonpositive")
-        if self.simple_end in BUILTIN_KINDS and comultiplicity(self.simple_end) != self.e_star:
+        if simple_end in BUILTIN_KINDS and comultiplicity(simple_end) != e_star:
             raise ValidationError(
-                f"e_star={self.e_star} contradicts the comultiplicity of {self.simple_end!r}",
+                f"e_star={e_star} contradicts the comultiplicity of {simple_end!r}",
                 code="e-star-mismatch",
             )
 

@@ -57,10 +57,7 @@ class TwistedSeries(FrozenRecord):
     __slots__ = _fields = ("kind", "twist", "truncation", "coeffs")
 
     def __init__(self, kind: DivisionAlgebraKind, twist: Automorphism, truncation: int, coeffs: tuple):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "twist", twist)
-        object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "coeffs", coeffs)
+        self._set(kind, twist, truncation, coeffs)
 
     def coeff(self, exponent: int) -> AlgebraElement:
         for e, c in self.coeffs:

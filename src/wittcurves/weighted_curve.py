@@ -142,12 +142,10 @@ class WeightedCurve(FrozenRecord):
     """
 
     _fields = ("base", "points")
-    _field_defaults = {"points": ()}
     __slots__ = (*_fields, "numerics")
 
     def __init__(self, base: Base, points=()):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "points", require_sequence(points, "the weights", "placement"))
+        self._set(base, require_sequence(points, "the weights", "placement"))
         self.__post_init__()
 
     def __post_init__(self):
@@ -203,6 +201,8 @@ def _validate_base(base: Base) -> SurfaceNumerics | None:
             raise ValidationError(
                 f"a point of an abstract base must be an AbstractPoint, got {type(p).__name__}", code="placement"
             )
+        if not isinstance(p.label, str):
+            raise ValidationError(f"a point label must be a string, got {p.label!r}", code="placement")
     labels = [p.label for p in points]
     if len(set(labels)) != len(labels):
         raise ValidationError("abstract point labels must be unique", code="duplicate-placement")
@@ -297,7 +297,6 @@ class CurveProfile(FrozenRecord):
         "curve", "points", "kappa", "epsilon", "skewness", "centre_genus", "pbar", "chi_centre", "chi_prime",
         "centre", "ovals", "genus", "chi", "constants",
     )
-    _field_defaults = dict.fromkeys(("centre", "ovals", "genus", "chi", "constants"))
 
     def __init__(
         self,
@@ -552,7 +551,11 @@ def genus_zero_orbifold_euler(kappa, s, epsilon, points) -> Fraction:
     if kappa < 1 or s < 1 or epsilon < 1:
         raise ValidationError("kappa, s and epsilon must be positive", code="nonpositive")
     terms = []
-    for e, f, p in points:
+    for point in require_sequence(points, "the points", "placement"):
+        triple = require_sequence(point, "a point", "placement")
+        if len(triple) != 3:
+            raise ValidationError(f"a point must be an (e, f, p) triple, got {point!r}", code="placement")
+        e, f, p = triple
         if not all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in (e, f)):
             raise KindMismatchError(f"e and f must be ints or Fractions, got {e!r} and {f!r}")
         require_ints(p=p)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .algebra import COMPLEX, QUATERNION, REAL, DivisionAlgebraKind
-from .errors import CheckedRecord, InvariantViolation, ValidationError, require_ints, require_sequence
+from .errors import FrozenRecord, InvariantViolation, ValidationError, require_ints, require_sequence
 
 PLUS = "+"
 MINUS = "-"
@@ -34,22 +34,18 @@ class KleinTopology(NamedTuple):
     s: int
 
 
-class _OvalFields(NamedTuple):
-    segments: tuple[str, ...] = ()
-    sign: str | None = None
-
-
-class Oval(CheckedRecord, _OvalFields):
+class Oval(FrozenRecord):
     """One oval: either a whole signed circle or an even alternating cycle of segments."""
 
-    __slots__ = ()
+    __slots__ = _fields = ("segments", "sign")
 
-    def __post_init__(self):
-        if self.segments and self.sign is not None:
+    def __init__(self, segments: tuple[str, ...] = (), sign: str | None = None):
+        self._set(segments, sign)
+        if segments and sign is not None:
             raise ValidationError("an oval is segmented or whole, not both", code="oval-shape")
-        if not self.segments and self.sign is None:
+        if not segments and sign is None:
             raise ValidationError("an unsegmented oval needs a sign", code="oval-shape")
-        for s in self.segments if self.segments else (self.sign,):
+        for s in segments if segments else (sign,):
             if s not in (PLUS, MINUS):
                 raise ValidationError(f"invalid sign {s!r}", code="oval-shape")
 
@@ -62,24 +58,17 @@ def segmented_oval(*signs: str) -> Oval:
     return Oval(segments=tuple(signs))
 
 
-class _SurfaceFields(NamedTuple):
-    topology: KleinTopology
-    ovals: tuple[Oval, ...]
-    commutative: bool
+class WittSurface(FrozenRecord):
+    __slots__ = _fields = ("topology", "ovals", "commutative")
 
-
-class WittSurface(CheckedRecord, _SurfaceFields):
-    __slots__ = ()
-
-    def __new__(cls, topology, ovals, commutative):
-        return super().__new__(cls, topology, require_sequence(ovals, "the ovals", "oval-shape"), commutative)
-
-    def __post_init__(self):
-        if not isinstance(self.topology, KleinTopology):
+    def __init__(self, topology: KleinTopology, ovals: tuple[Oval, ...], commutative: bool):
+        ovals = require_sequence(ovals, "the ovals", "oval-shape")
+        self._set(topology, ovals, commutative)
+        if not isinstance(topology, KleinTopology):
             raise ValidationError(
-                f"a topology must be a KleinTopology, got {type(self.topology).__name__}", code="topology"
+                f"a topology must be a KleinTopology, got {type(topology).__name__}", code="topology"
             )
-        for oval in self.ovals:
+        for oval in ovals:
             if not isinstance(oval, Oval):
                 raise ValidationError(
                     f"an oval must be an Oval, got {type(oval).__name__}", code="oval-shape"

@@ -16,7 +16,14 @@ import pytest
 
 from wittcurves.algebra import COMPLEX, REAL, abstract_kind, complex_conjugation, identity
 from wittcurves.errors import KindMismatchError, ValidationError
-from wittcurves.ktheory import ClassVector, apply_slope_matrix, elliptic_numerics, euler_form, slope_orbits
+from wittcurves.ktheory import (
+    ClassVector,
+    CurveNumerics,
+    apply_slope_matrix,
+    elliptic_numerics,
+    euler_form,
+    slope_orbits,
+)
 from wittcurves.skew_series import centre_basis, series, verify_jordan_twist
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wittcurves"
@@ -86,6 +93,8 @@ _INEXACT = {
         lambda: euler_form(ClassVector(1.5, 2), ClassVector(1, 1), elliptic_numerics("K")),
         ValidationError, "not-integer",
     ),
+    "g-orb": (lambda: CurveNumerics(1, 1, 1, g_orb=0.5), ValidationError, "not-integer"),
+    "g-orb-string": (lambda: CurveNumerics(1, 1, 1, g_orb="x"), ValidationError, "not-integer"),
     "height-bound": (lambda: slope_orbits(elliptic_numerics("A"), height_bound=100.5), ValidationError, "not-integer"),
     "truncation": (lambda: series(REAL, identity(REAL), 4.5, {0: 1}), ValidationError, "not-integer"),
     "truncation-bool": (lambda: series(REAL, identity(REAL), True, {0: 1}), ValidationError, "not-integer"),

@@ -6,8 +6,10 @@ AST scan of src/wittcurves/*.py finds every module-level private name
 again: a helper whose last caller is gone is deleted with it. A second
 scan keeps the reading of a surface in witt_surface: no other module
 reads the topology, the commutative flag or the signs of its ovals. A
-third keeps dataclasses out, and a fourth gives every ValidationError
-raised in src/ a stable code. The command line starts without click,
+third keeps dataclasses out, a fourth gives every ValidationError
+raised in src/ a stable code, and a fifth keeps one base for the records
+that check themselves: no class extends a NamedTuple of src/, and no
+NamedTuple defines __new__ or __post_init__. The command line starts without click,
 dataclasses, inspect, ast or dis, as a fresh interpreter's sys.modules
 shows.
 """
@@ -141,8 +143,8 @@ def test_the_scan_sees_surface_internal_reads():
     assert surface_internal_reads({"m": tree}) == ["m:1.topology", "m:2.commutative", "m:4.segments", "m:4.sign"]
 
 
-# No class is a dataclass. A record is a NamedTuple, or a FrozenRecord
-# where a tuple will not do: dataclass() compiles every generated method
+# No class is a dataclass. A plain record is a NamedTuple, and one that
+# checks, normalises or derives a field a FrozenRecord: dataclass() compiles every generated method
 # of a class with exec at import, and importing dataclasses loads inspect,
 # ast and dis, which once took most of the start-up of the command line.
 DATACLASS_ALLOWED: dict[str, str] = {}
@@ -231,3 +233,70 @@ def test_the_scan_sees_validation_errors_without_a_code():
         "    pass\n"
     )
     assert uncoded_validation_errors({"m": tree}) == ["m:2", "m:3", "m:4"]
+
+
+# A plain record is a NamedTuple, and a record that checks, normalises or
+# derives a field is a FrozenRecord, built through its own __init__. A
+# NamedTuple that checks itself would need a second __new__ around the
+# tuple's, which every build, copy and unpickling pays for.
+NAMEDTUPLE_HOOKS = frozenset({"__new__", "__post_init__"})
+
+
+def _base_names(node: ast.ClassDef) -> set[str]:
+    return {base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None) for base in node.bases}
+
+
+def checked_namedtuples(modules: dict[str, ast.Module]) -> list[str]:
+    """module.Class for every class that extends a NamedTuple class of the
+    scanned modules, and every NamedTuple class that defines __new__ or
+    __post_init__."""
+    classes = [
+        (module, node) for module, tree in modules.items() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    ]
+    namedtuples = {node.name for _, node in classes if "NamedTuple" in _base_names(node)}
+    found = []
+    for module, node in classes:
+        bases = _base_names(node)
+        defines_hook = any(
+            isinstance(stmt, ast.FunctionDef) and stmt.name in NAMEDTUPLE_HOOKS for stmt in node.body
+        )
+        if bases & namedtuples or ("NamedTuple" in bases and defines_hook):
+            found.append(f"{module}.{node.name}")
+    return sorted(found)
+
+
+def test_no_record_extends_or_hooks_a_namedtuple():
+    modules = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert checked_namedtuples(modules) == []
+
+
+def test_the_scan_sees_checked_namedtuples():
+    fields = ast.parse(
+        "class _Fields(NamedTuple):\n"
+        "    x: int\n"
+        "class Plain(typing.NamedTuple):\n"
+        "    x: int\n"
+        "    def total(self):\n"
+        "        return self.x\n"
+        "class Normalised(NamedTuple):\n"
+        "    x: int\n"
+        "    def __new__(cls, x):\n"
+        "        return super().__new__(cls, int(x))\n"
+        "class Hooked(typing.NamedTuple):\n"
+        "    x: int\n"
+        "    def __post_init__(self):\n"
+        "        pass\n"
+    )
+    records = ast.parse(
+        "class Checked(CheckedRecord, _Fields):\n"
+        "    __slots__ = ()\n"
+        "class Frozen(FrozenRecord):\n"
+        "    def __init__(self, x):\n"
+        "        self._set(x)\n"
+        "    def __post_init__(self):\n"
+        "        pass\n"
+    )
+    assert checked_namedtuples({"a": fields, "b": records}) == ["a.Hooked", "a.Normalised", "b.Checked"]

@@ -232,6 +232,16 @@ def test_genus_zero_formula_checks_its_integers(args, code):
     assert exc.value.code == code
 
 
+@pytest.mark.parametrize(
+    "points", [None, 5, [5], [None], [(1, 2)], [(1, 1, 2, 3)]],
+    ids=["none", "int", "int-point", "none-point", "pair", "quadruple"],
+)
+def test_genus_zero_formula_takes_a_sequence_of_triples(points):
+    with pytest.raises(ValidationError) as exc:
+        genus_zero_orbifold_euler(1, 1, 1, points)
+    assert exc.value.code == "placement"
+
+
 @pytest.mark.parametrize("point", [(0.5, 1, 2), (1, 0.5, 2), (1, "1", 2), (True, 1, 2)])
 def test_genus_zero_formula_takes_exact_e_and_f(point):
     with pytest.raises(KindMismatchError):
@@ -414,6 +424,16 @@ def test_abstract_point_fields_must_be_ints(field, value):
 def test_abstract_base_fields_must_be_ints(field, value):
     base = AbstractBase(Fraction(1), 1, 1, 1, ())._replace(**{field: value})
     _not_integer(lambda: WeightedCurve(base))
+
+
+@pytest.mark.parametrize(
+    "labels", [([1],), ("a", 3), (3, "a"), (None,)], ids=["unhashable", "mixed", "int-first", "none"]
+)
+def test_abstract_point_labels_must_be_strings(labels):
+    base = AbstractBase(Fraction(1), 1, 1, 1, tuple(AbstractPoint(label, 2) for label in labels))
+    with pytest.raises(ValidationError) as exc:
+        WeightedCurve(base)
+    assert exc.value.code == "placement"
 
 
 def test_abstract_chi_x_may_be_an_int_or_a_fraction():
