@@ -215,19 +215,19 @@ def _slope_str(slope) -> str:
 
 def _curve_payload(c: WeightedCurve) -> dict:
     profile = curve_profile(c)
-    report = profile.report()
-    surface = profile.chi is not None
+    report, n = profile.report(), profile.numerics
+    surface = n.chi is not None
     picard = report["picard"]
     return {
-        "genus": profile.genus,
-        "chi": _rational_json(profile.chi),
-        "chi_normalized": _rational_json(profile.chi_prime if surface else None),
+        "genus": n.genus,
+        "chi": _rational_json(n.chi),
+        "chi_normalized": _rational_json(n.chi_prime if surface else None),
         "chi_orb": _rational_json(report["chi_orb"]),
         "class": report["curve_class"].upper(),
         "wrv": list(report["weight_ram_vector"]),
         "tau_order": report["tau_order"],
         "cy": list(report["cy_dimension"]) if report["cy_dimension"] is not None else None,
-        "constants_field": _ASCII_FIELD[profile.constants.tag] if surface else None,
+        "constants_field": _ASCII_FIELD[n.constants.tag] if surface else None,
         "picard": None
         if picard is None
         else {

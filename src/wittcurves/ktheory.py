@@ -24,8 +24,7 @@ from .errors import (
     ValidationError,
     require_ints,
 )
-from .weighted_curve import WeightedCurve, curve_profile
-from .witt_surface import catalog
+from .witt_surface import catalog, validate
 
 
 class _Infinity:
@@ -93,10 +92,8 @@ def elliptic_numerics(name: str) -> CurveNumerics:
     genus are those of its catalog surface."""
     if name not in _END_S_DIM:
         raise ValidationError(f"{name!r} is not a real elliptic type", code="unknown-name")
-    profile = curve_profile(WeightedCurve(catalog(name)))
-    return CurveNumerics(
-        kappa=profile.kappa, epsilon=profile.epsilon, genus=profile.genus, end_S_dim=_END_S_DIM[name]
-    )
+    n = validate(catalog(name))
+    return CurveNumerics(kappa=n.kappa, epsilon=n.epsilon, genus=n.genus, end_S_dim=_END_S_DIM[name])
 
 
 def _det(e: ClassVector, f: ClassVector) -> int:

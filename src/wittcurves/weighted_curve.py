@@ -6,13 +6,14 @@ weight insertions p >= 2 at chosen points. Every numerical invariant is
 driven by the effective point list: each point contributes through its
 weight p, its ramification index e_tau, and its residue degree f.
 
-A WeightedCurve checks itself when built, and the check reads a surface
-base once, by one call to witt_surface.validate; the curve keeps the
-SurfaceNumerics that call returns, and nothing here reads the ovals or
-topology of a surface. curve_profile reads a curve into a CurveProfile:
-the effective points and those numerics of the base. Every public
-invariant is a view of a profile built afresh for the call, and a report
-reads all of its entries from one profile.
+A WeightedCurve checks itself when built, and the check reads its base
+once: a surface by one call to witt_surface.validate, an abstract base
+here, summing its chi'. The curve keeps the BaseNumerics that check
+returns, and nothing here reads the ovals or topology of a surface.
+curve_profile reads a curve into a CurveProfile: the effective points,
+their lcm weight pbar and those numerics. Every public invariant is a
+view of a profile built afresh for the call, and a report reads all of
+its entries from one profile.
 
 The normalized orbifold Euler characteristic is computed by three
 independent routes (the general formula over the centre, the split through
@@ -34,7 +35,6 @@ from functools import cached_property
 from math import lcm
 from typing import NamedTuple
 
-from .algebra import DivisionAlgebraKind
 from .errors import (
     DomainError,
     KindMismatchError,
@@ -49,8 +49,8 @@ from .local_data import SHORT_NAMES, WittPointClass, witt_local_datum
 from .witt_surface import (
     MINUS,
     PLUS,
+    BaseNumerics,
     ComplexCentreBase,
-    SurfaceNumerics,
     WittSurface,
     canonical_key,
     catalog,
@@ -134,11 +134,11 @@ Base = WittSurface | ComplexCentreBase | AbstractBase
 class WeightedCurve(FrozenRecord):
     """A base with weight insertions, checked on construction.
 
-    The check reads a surface base once, and what it read, the base's
-    SurfaceNumerics, is kept in ``numerics`` (None on an abstract base)
-    for curve_profile. It is derived from the base, so it is no field
-    and takes no part in equality, hash or repr; _replace, copies and
-    unpickling build the record again, through the check.
+    The check reads the base once, and what it read, the base's
+    BaseNumerics, is kept in ``numerics`` for curve_profile. It is
+    derived from the base, so it is no field and takes no part in
+    equality, hash or repr; _replace, copies and unpickling build the
+    record again, through the check.
     """
 
     _fields = ("base", "points")
@@ -152,9 +152,8 @@ class WeightedCurve(FrozenRecord):
         object.__setattr__(self, "numerics", _validate_curve(self))
 
 
-def _validate_curve(c: WeightedCurve) -> SurfaceNumerics | None:
-    """Check a curve; return the numerics of a surface base, None on an
-    abstract one."""
+def _validate_curve(c: WeightedCurve) -> BaseNumerics:
+    """Check a curve; return the numerics of its base."""
     base = c.base
     if not isinstance(base, Base):
         raise ValidationError(
@@ -189,10 +188,11 @@ def _validate_curve(c: WeightedCurve) -> SurfaceNumerics | None:
     return numerics
 
 
-def _validate_base(base: Base) -> SurfaceNumerics | None:
-    """The part of validation that reads the base alone: realizability of
-    a surface, whose numerics it returns, or the point records and
-    numerics of an abstract base."""
+def _validate_base(base: Base) -> BaseNumerics:
+    """The part of validation that reads the base alone, returning the
+    numerics it read: realizability of a surface, or the point records and
+    numerics of an abstract base, whose chi' it sums from chi_x and the
+    points' e_tau and residue degrees."""
     if not isinstance(base, AbstractBase):
         return validate(base)
     points = require_sequence(base.points, "the points of an abstract base", "placement")
@@ -231,7 +231,14 @@ def _validate_base(base: Base) -> SurfaceNumerics | None:
         raise ValidationError(f"epsilon must be 1 or 2, got {base.epsilon}", code="epsilon")
     if base.centre_genus is not None and base.centre_genus < 0:
         raise ValidationError("the centre genus must be nonnegative", code="negative-genus")
-    return None
+    chi_centre = Fraction(base.chi_x)
+    # (1 - 1/e) f = (e - 1) f / e, over the lcm of the e_tau
+    n = lcm(*(p.e_tau for p in points))
+    drops = sum((p.e_tau - 1) * p.residue_degree * (n // p.e_tau) for p in points)
+    chi_prime = Fraction(*_less_half(chi_centre, drops, n))
+    return BaseNumerics(
+        None, base.kappa, base.epsilon, base.s, None, None, base.centre_genus, None, None, chi_centre, chi_prime
+    )
 
 
 def _validate_placement(base: WittSurface | ComplexCentreBase, wp: WeightedPoint) -> None:
@@ -281,72 +288,46 @@ class CurveProfile(FrozenRecord):
 
     points lists every point that can contribute to an invariant: the
     segmentation points and the weighted ones (an unweighted boundary or
-    inner point has e_tau = 1 and weight 1 and adds nothing). chi_centre
-    belongs to the centre curve, chi_prime (normalized) to the
-    non-weighted curve. The rest describe a surface base and are None for
-    an abstract one: centre is the field of the centre curve ("R" or "C"),
-    ovals counts the ovals of a real base (None on "C"), and genus, chi
-    and constants belong to the function field. chi_orb runs the
-    cross-checked routes when first read, so a profile asked only for base
-    numerics never does; it and weight_ram_vector are then kept with the
-    profile, in its instance __dict__ beside the fields, and the profile
-    lives for one public call.
+    inner point has e_tau = 1 and weight 1 and adds nothing), and pbar is
+    the lcm of their weights. numerics is the curve's BaseNumerics, as its
+    check read them. chi_orb runs the cross-checked routes when first
+    read, so a profile asked only for base numerics never does; it and
+    weight_ram_vector are then kept with the profile, in its instance
+    __dict__ beside the fields, and the profile lives for one public call.
     """
 
-    _fields = (
-        "curve", "points", "kappa", "epsilon", "skewness", "centre_genus", "pbar", "chi_centre", "chi_prime",
-        "centre", "ovals", "genus", "chi", "constants",
-    )
+    _fields = ("curve", "points", "pbar", "numerics")
 
-    def __init__(
-        self,
-        curve: WeightedCurve,
-        points: tuple[EffectivePoint, ...],
-        kappa: int,
-        epsilon: int,
-        skewness: int,
-        centre_genus: int | None,
-        pbar: int,
-        chi_centre: Fraction,
-        chi_prime: Fraction,
-        centre: str | None = None,
-        ovals: int | None = None,
-        genus: int | None = None,
-        chi: Fraction | None = None,
-        constants: DivisionAlgebraKind | None = None,
-    ):
-        vars(self).update(zip(self._fields, (
-            curve, points, kappa, epsilon, skewness, centre_genus, pbar, chi_centre, chi_prime,
-            centre, ovals, genus, chi, constants,
-        )))
+    def __init__(self, curve: WeightedCurve, points: tuple[EffectivePoint, ...], pbar: int, numerics: BaseNumerics):
+        vars(self).update(curve=curve, points=points, pbar=pbar, numerics=numerics)
 
     def _route_pairs(self) -> dict[str, tuple[int, int]]:
         """Every chi'_orb route that applies, as an int (numerator,
         denominator) pair with a positive denominator, keyed by the name its
         mismatch message gives it. Each route sums its point terms as one
         integer numerator over the lcm of their denominators."""
-        pts = self.points
+        pts, nums = self.points, self.numerics
         orders = [pt.weight * pt.e_tau for pt in pts]
         n = lcm(*orders)
         # (1 - 1/(p e)) f = (p e - 1) f / (p e) and (1 - 1/p) f / e = (p - 1) f / (p e)
         general = sum((o - 1) * pt.residue_degree * (n // o) for o, pt in zip(orders, pts))
         split = sum((pt.weight - 1) * pt.residue_degree * (n // o) for o, pt in zip(orders, pts))
         routes = {
-            "general": _less_half(self.chi_centre, general, n),
-            "split": _less_half(self.chi_prime, split, n),
+            "general": _less_half(nums.chi_centre, general, n),
+            "split": _less_half(nums.chi_prime, split, n),
         }
-        if self.centre == "R":
+        if nums.centre == "R":
             # the share of each point (1/4, 1 or 1/2) times 1 - 1/p, over 4 pbar
             pbar = self.pbar
             routes["boundary count"] = _less_half(
-                self.chi_prime,
+                nums.chi_prime,
                 sum(_QUARTERS.get(pt.kind, 2) * (pt.weight - 1) * (pbar // pt.weight) for pt in pts),
                 2 * pbar,
             )
-        if self.genus == 0:
+        if nums.genus == 0:
             # e f (p - 1) / p with e = 1 and f = s^2 f_res / (kappa epsilon e_tau)
-            s, ke = self.skewness, self.kappa * self.epsilon
-            routes["genus-zero form"] = _genus_zero(self.kappa, s, self.epsilon, [
+            s, ke = nums.skewness, nums.kappa * nums.epsilon
+            routes["genus-zero form"] = _genus_zero(nums.kappa, s, nums.epsilon, [
                 (s * s * pt.residue_degree * (pt.weight - 1), ke * pt.e_tau * pt.weight) for pt in pts
             ])
         return routes
@@ -377,7 +358,7 @@ class CurveProfile(FrozenRecord):
     def any_field_triples(self) -> tuple[tuple[int, Fraction, int], ...]:
         """(e, f, p) data feeding the genus-zero formula, with e*f recovered
         from the real local data via e*f = (s^2 / (kappa*epsilon)) * f_res / e_tau."""
-        s, kap, eps = self.skewness, self.kappa, self.epsilon
+        s, kap, eps = self.numerics.skewness, self.numerics.kappa, self.numerics.epsilon
         return tuple(
             (1, Fraction(s * s * pt.residue_degree, kap * eps * pt.e_tau), pt.weight)
             for pt in self.points
@@ -401,7 +382,7 @@ class CurveProfile(FrozenRecord):
         else:
             result = CurveClass.WILD
         vector = self.weight_ram_vector
-        cg = self.centre_genus
+        cg = self.numerics.centre_genus
         if result is CurveClass.TUBULAR:
             if vector not in TUBULAR_VECTORS:
                 raise self._inconsistent(f"tubular curve with vector {vector}")
@@ -414,7 +395,7 @@ class CurveProfile(FrozenRecord):
     def _inconsistent(self, message: str) -> Exception:
         """The error for numerics no actual curve has: bad input on an
         abstract base, a bug on a surface base."""
-        return (InconsistentDataError if self.centre is None else InvariantViolation)(message)
+        return (InconsistentDataError if self.numerics.centre is None else InvariantViolation)(message)
 
     def tau_exponents(self) -> dict[str, int]:
         out = {}
@@ -433,13 +414,13 @@ class CurveProfile(FrozenRecord):
         return order
 
     def picard(self) -> PicardDescriptor:
-        cg = self.centre_genus
+        cg = self.numerics.centre_genus
         if cg is None:
             raise DomainError("the Picard description needs a known centre genus")
         fg = cg == 0
         base_part = "Z" if fg else "not finitely generated (Pic_0 of positive-genus X)"
         bare_d2222 = (
-            self.centre == "R"
+            self.numerics.centre == "R"
             and not self.curve.points
             and len(self.points) == 4
             and canonical_key(self.curve.base) == _BARE_D2222
@@ -452,11 +433,11 @@ class CurveProfile(FrozenRecord):
         )
 
     def report(self) -> dict:
-        chi = self.chi_orb
+        chi, nums = self.chi_orb, self.numerics
         report = {
-            "kappa": self.kappa,
-            "epsilon": self.epsilon,
-            "skewness": self.skewness,
+            "kappa": nums.kappa,
+            "epsilon": nums.epsilon,
+            "skewness": nums.skewness,
             "pbar": self.pbar,
             "chi_orb": chi,
             "curve_class": self.curve_class().value,
@@ -469,7 +450,7 @@ class CurveProfile(FrozenRecord):
             order = self.tau_order()
             report["tau_order"] = order
             report["cy_dimension"] = (order, order)
-        if self.centre_genus is not None:
+        if nums.centre_genus is not None:
             report["picard"] = self.picard()
         return report
 
@@ -477,32 +458,20 @@ class CurveProfile(FrozenRecord):
 def curve_profile(c: WeightedCurve) -> CurveProfile:
     """Read a curve once: its effective points and the numerics of its base.
 
-    The numerics of a surface base are those its check read when the curve
-    was built; nothing here reads the surface again. Points of a
-    surface base take e_tau, the residue degree and the label prefix from
-    local_data, or are plain points on a complex-centre base.
+    The numerics are those the curve's check read when it was built;
+    nothing here reads the base again. Points of a surface base take
+    e_tau, the residue degree and the label prefix from local_data, or
+    are plain points on a complex-centre base.
     """
     base = c.base
-    surface = {}
     if isinstance(base, AbstractBase):
         points = tuple(
             EffectivePoint(p.label, "abstract", p.e_tau, p.residue_degree, p.weight)
             for p in base.points
         )
-        kappa, epsilon, s, cg = base.kappa, base.epsilon, base.s, base.centre_genus
-        chi_centre = Fraction(base.chi_x)
-        # (1 - 1/e) f = (e - 1) f / e, over the lcm of the e_tau
-        n = lcm(*(p.e_tau for p in points))
-        drops = sum((p.e_tau - 1) * p.residue_degree * (n // p.e_tau) for p in points)
-        chi_prime = Fraction(*_less_half(chi_centre, drops, n))
     else:
-        n = c.numerics
         points = _surface_points(base, c.points)
-        kappa, epsilon, s, cg = n.kappa, n.epsilon, n.skewness, n.centre_genus
-        chi_centre, chi_prime = Fraction(1 - cg), n.chi_prime
-        surface = dict(centre=n.centre, ovals=n.ovals, genus=n.genus, chi=n.chi, constants=n.constants)
-    pbar = lcm(*(pt.weight for pt in points))
-    return CurveProfile(c, points, kappa, epsilon, s, cg, pbar, chi_centre, chi_prime, **surface)
+    return CurveProfile(c, points, lcm(*(pt.weight for pt in points)), c.numerics)
 
 
 # label prefix, kind, e_tau and residue degree of the points of each class
@@ -610,11 +579,11 @@ def tau_word(c: WeightedCurve) -> tuple[tuple[str, int], ...]:
     real conic without real points, no eligible x0 exists.
     """
     profile = curve_profile(c)
-    if profile.centre_genus != 0:
+    if profile.numerics.centre_genus != 0:
         raise DomainError("the explicit word requires a genus-zero centre")
-    if profile.ovals == 0:
+    if profile.numerics.ovals == 0:
         raise DomainError("no rational point without ramification or weight exists")
-    prefix = ("x0", -(2 // profile.epsilon))
+    prefix = ("x0", -(2 // profile.numerics.epsilon))
     body = tuple(sorted(profile.tau_exponents().items()))
     return (prefix,) + body
 

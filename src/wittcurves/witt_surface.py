@@ -92,19 +92,23 @@ class SurfaceCounts(NamedTuple):
     q: int  # whole quaternion ovals
 
 
-class SurfaceNumerics(NamedTuple):
-    """Every invariant of a surface, as surface_numerics reads it once."""
+class BaseNumerics(NamedTuple):
+    """Every numerical invariant of a curve's base, read once by its check:
+    surface_numerics reads a surface, and weighted_curve an abstract base,
+    which gives kappa, epsilon, skewness, centre_genus (None if unknown),
+    chi_centre and chi_prime, and None for the fields of a surface."""
 
-    constants: DivisionAlgebraKind  # field of constants of the function field
+    constants: DivisionAlgebraKind | None  # field of constants of the function field
     kappa: int  # its dimension over the ground field of the curve
     epsilon: int
     skewness: int
-    genus: int  # of the function field, upstairs
-    centre: str  # field of the centre curve: "R" or "C"
-    centre_genus: int
+    genus: int | None  # of the function field, upstairs
+    centre: str | None  # field of the centre curve: "R" or "C"
+    centre_genus: int | None
     ovals: int | None  # None over C
-    chi: Fraction
-    chi_prime: Fraction
+    chi: Fraction | None
+    chi_centre: Fraction  # of the centre curve
+    chi_prime: Fraction  # normalized, of the non-weighted curve
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +134,7 @@ def signed_ovals(w: WittSurface, sign: str) -> tuple[int, ...]:
     return tuple(i for i, oval in enumerate(w.ovals) if oval.sign == sign or sign in oval.segments)
 
 
-def surface_numerics(w: WittSurface | ComplexCentreBase) -> SurfaceNumerics:
+def surface_numerics(w: WittSurface | ComplexCentreBase) -> BaseNumerics:
     """Check that a surface exists and read every invariant of it, counting
     its ovals once; a surface that cannot exist raises ValidationError with
     a stable code.
@@ -148,7 +152,7 @@ def surface_numerics(w: WittSurface | ComplexCentreBase) -> SurfaceNumerics:
         # such a curve lives over its own constants field, so the constants
         # contribute dimension 1, not [C:R]
         chi = Fraction(1 - w.genus)
-        return SurfaceNumerics(COMPLEX, 1, 1, 1, w.genus, "C", w.genus, None, chi, chi)
+        return BaseNumerics(COMPLEX, 1, 1, 1, w.genus, "C", w.genus, None, chi, chi, chi)
     g, t, flag = w.topology
     require_ints(g=g, t=t, s=flag)
     if g < 0 or t < 0 or flag not in (0, 1):
@@ -196,10 +200,12 @@ def surface_numerics(w: WittSurface | ComplexCentreBase) -> SurfaceNumerics:
             f"normalized characteristic {Fraction(chi, s * s)} "
             f"!= downstairs count {Fraction(downstairs, 2)}"
         )
-    return SurfaceNumerics(constants, kappa, epsilon, s, upstairs, "R", g, t, Fraction(chi), Fraction(chi, s * s))
+    return BaseNumerics(
+        constants, kappa, epsilon, s, upstairs, "R", g, t, Fraction(chi), Fraction(1 - g), Fraction(chi, s * s)
+    )
 
 
-def validate(w: WittSurface | ComplexCentreBase) -> SurfaceNumerics:
+def validate(w: WittSurface | ComplexCentreBase) -> BaseNumerics:
     """Check realizability, as surface_numerics does, and return the
     numerics the check read, so a caller that keeps them need not read the
     surface again; raises ValidationError with a stable code."""

@@ -5,10 +5,9 @@ catalog, validation and curve profiles. The catalog bases whose weightless
 curve has chi'_orb = 0 are the elliptic entries; those with chi'_orb > 0
 (D, RP2, D_H, D_22, S2_C) carry the weights. A placement class belongs to
 a base when the per-point part of validation accepts a weight of that
-class on it, and a probe curve with one weight of each accepted class
-gives their e_tau and residue degree f; building it validates the base,
-once. The segmentation points in its profile are slots for one weight
-each.
+class on it, and the point shapes of weighted_curve give its e_tau and
+residue degree f. The segmentation points of a base are slots for one
+weight each.
 
 By the general formula a weight p at a point of (e_tau, f) lowers
 chi'_orb by c (1 - 1/p), with share c = f / (2 e_tau). The tubular
@@ -46,6 +45,7 @@ from .weighted_curve import (
     CurveClass,
     WeightedCurve,
     WeightedPoint,
+    _SHAPES,
     _validate_placement,
     curve_profile,
 )
@@ -53,7 +53,6 @@ from .witt_surface import CATALOG_NAMES, catalog, euler_characteristics, segment
 
 _LOCATION = {short: cls for cls, short in SHORT_NAMES.items()} | {"point": COMPLEX_POINT}
 _SEG = SHORT_NAMES[WittPointClass.SEGMENTATION]
-_SEG_KIND = WittPointClass.SEGMENTATION.value
 _CLASS_ORDER = {"seg": 0, "real": 1, "quat": 2, "inner": 3, "point": 4}
 
 # a weight entry is (placement class, p) with p an int, or a parameter
@@ -106,11 +105,11 @@ def _entry_for(base_name: str, weights: Weights) -> ZooEntry:
         weights=weights,
         curve_class=profile.curve_class(),
         chi_orb=chi,
-        skewness=profile.skewness,
+        skewness=profile.numerics.skewness,
         wrv=profile.weight_ram_vector,
         tau_order=order,
         cy=(order, order) if order is not None else None,
-        centre=profile.centre,
+        centre=profile.numerics.centre,
     )
 
 
@@ -123,26 +122,19 @@ def _bases():
 def _places(base_name: str) -> dict[str, tuple[int, int, int | None]]:
     """(e_tau, f, most weights) of every place on a base: its segmentation
     points, one weight each, and any number of weights of every other
-    class that validation accepts on the base."""
+    class that validation accepts on the base. A catalog base is valid, so
+    only the placements are checked."""
     base = catalog(base_name)
-    accepted = {}
+    slots = len(segmentation_points(base))
+    places = {_SEG: (*_SHAPES[WittPointClass.SEGMENTATION][2:], slots)} if slots else {}
     for name, location in _LOCATION.items():
         if name == _SEG:
             continue  # segmentation weights go on the slots
-        wp = WeightedPoint(location, 2)
         try:
-            _validate_placement(base, wp)
+            _validate_placement(base, WeightedPoint(location, 2))
         except ValidationError:
             continue
-        accepted[name] = wp
-    # a probe curve with a weight of each accepted class; building it
-    # validates the base, once
-    probe = curve_profile(WeightedCurve(base, tuple(accepted.values()))).points
-    seg = [(pt.e_tau, pt.residue_degree) for pt in probe if pt.kind == _SEG_KIND]
-    places = {_SEG: (*seg[0], len(seg))} if seg else {}
-    weighted = [pt for pt in probe if pt.kind != _SEG_KIND]
-    for name, pt in zip(accepted, weighted):
-        places[name] = (pt.e_tau, pt.residue_degree, None)
+        places[name] = (*_SHAPES[location][2:], None)
     return places
 
 

@@ -145,18 +145,18 @@ def power(phi: OracleAutomorphism, n: int) -> OracleAutomorphism:
 
 def chi_routes(profile) -> dict[str, Fraction]:
     """The chi'_orb routes of a CurveProfile, each term its own Fraction."""
-    pts = profile.points
+    pts, n = profile.points, profile.numerics
     routes = {
-        "general": profile.chi_centre - Fraction(1, 2) * sum(
+        "general": n.chi_centre - Fraction(1, 2) * sum(
             Fraction((pt.weight * pt.e_tau - 1) * pt.residue_degree, pt.weight * pt.e_tau)
             for pt in pts
         ),
-        "split": profile.chi_prime - Fraction(1, 2) * sum(
+        "split": n.chi_prime - Fraction(1, 2) * sum(
             Fraction((pt.weight - 1) * pt.residue_degree, pt.e_tau * pt.weight) for pt in pts
         ),
     }
-    if profile.centre == "R":
-        thurston = profile.chi_prime
+    if n.centre == "R":
+        thurston = n.chi_prime
         for pt in pts:
             if pt.kind == "segmentation":
                 thurston -= Fraction(pt.weight - 1, 4 * pt.weight)
@@ -165,9 +165,9 @@ def chi_routes(profile) -> dict[str, Fraction]:
             else:
                 thurston -= Fraction(pt.weight - 1, 2 * pt.weight)
         routes["boundary count"] = thurston
-    if profile.genus == 0:
+    if n.genus == 0:
         routes["genus-zero form"] = genus_zero_orbifold_euler(
-            profile.kappa, profile.skewness, profile.epsilon, profile.any_field_triples()
+            n.kappa, n.skewness, n.epsilon, profile.any_field_triples()
         )
     return routes
 

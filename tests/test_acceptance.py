@@ -248,8 +248,8 @@ def test_c05_orbifold_euler_formulas_agree():
         if genus(c.base) == 0:
             profile = curve_profile(c)
             triples = profile.any_field_triples()
-            s = profile.skewness
-            assert genus_zero_orbifold_euler(profile.kappa, s, profile.epsilon, triples) == chi
+            n = profile.numerics
+            assert genus_zero_orbifold_euler(n.kappa, n.skewness, n.epsilon, triples) == chi
     assert orbifold_euler(_example_a()) == 0
     assert orbifold_euler(_example_b()) == 0
     assert orbifold_euler(_example_c()) == 0

@@ -120,7 +120,7 @@ def test_every_route_matches_the_fraction_oracle(make):
         assert all(type(v) is Fraction for v in routes.values())
         assert profile.chi_orb == routes["general"]
         if isinstance(c.base, AbstractBase):
-            assert profile.chi_prime == fo.abstract_chi_prime(c.base)
+            assert profile.numerics.chi_prime == fo.abstract_chi_prime(c.base)
 
 
 def test_surface_curves_run_every_route():
@@ -175,8 +175,9 @@ def _disc_profile():
 
 def test_a_shifted_chi_prime_breaks_the_split_route():
     profile = _disc_profile()
+    numerics = profile.numerics._replace(chi_prime=profile.numerics.chi_prime + Fraction(1, 7))
     with pytest.raises(InvariantViolation, match="general .*, split "):
-        profile._replace(chi_prime=profile.chi_prime + Fraction(1, 7)).chi_orb
+        profile._replace(numerics=numerics).chi_orb
 
 
 def test_a_changed_point_kind_breaks_the_boundary_count():
@@ -189,7 +190,7 @@ def test_a_changed_point_kind_breaks_the_boundary_count():
 def test_a_changed_kappa_breaks_the_genus_zero_route():
     profile = _disc_profile()
     with pytest.raises(InvariantViolation, match="general .*, genus-zero form "):
-        profile._replace(kappa=2).chi_orb
+        profile._replace(numerics=profile.numerics._replace(kappa=2)).chi_orb
     # epsilon cancels from the genus-zero form (e f carries 1/epsilon), so
     # only kappa and s can put it out of step with the other routes
-    assert profile._replace(epsilon=2).chi_orb == profile.chi_orb
+    assert profile._replace(numerics=profile.numerics._replace(epsilon=2)).chi_orb == profile.chi_orb

@@ -38,8 +38,8 @@ from wittcurves.witt_surface import (
     ComplexCentreBase,
     KleinTopology,
     Oval,
+    BaseNumerics,
     SurfaceCounts,
-    SurfaceNumerics,
     WittSurface,
     catalog,
     counts,
@@ -62,17 +62,14 @@ RECORDS = {
     WittSurface: (catalog("D_22"), {}),
     ComplexCentreBase: (catalog("S2_C"), {}),
     SurfaceCounts: (counts(catalog("D_2222")), {}),
-    SurfaceNumerics: (surface_numerics(catalog("D_22")), {}),
+    BaseNumerics: (surface_numerics(catalog("D_22")), {}),
     PointDatum: (witt_local_datum(INNER), {"weight": 1}),
     WeightedPoint: (WeightedPoint(SEG, 3, oval=0, segment=0), {"oval": None, "segment": None}),
     AbstractPoint: (AbstractPoint("x0", 2, 1, 3), {"e_tau": 1, "residue_degree": 1, "weight": 1}),
     AbstractBase: (AbstractBase(Fraction(1), 1, 1, 1, (AbstractPoint("x0"),), 0), {"centre_genus": None}),
     EffectivePoint: (curve_profile(_CURVE).points[0], {}),
     WeightedCurve: (_CURVE, {"points": ()}),
-    CurveProfile: (
-        curve_profile(_CURVE),
-        {"centre": None, "ovals": None, "genus": None, "chi": None, "constants": None},
-    ),
+    CurveProfile: (curve_profile(_CURVE), {}),
     PicardDescriptor: (picard_structure(WeightedCurve(catalog("D_2222"))), {"pic_zero": None}),
     GhostGroup: (ghost_group([(2, 1), (2, 1), (1, 1)], 0), {}),
     ClassVector: (ClassVector(1, 2), {}),

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import fraction_oracle as fo
 import pytest
 from test_euler_integer import _random_abstract_curve, _random_complex_curve, _random_surface_curve
 
@@ -75,7 +76,7 @@ def test_weighted_disc_with_orders_two_four_four():
     profile = curve_profile(c)
     triples = profile.any_field_triples()
     assert sorted(e * f for e, f, _ in triples) == [1, 1, 2]
-    assert genus_zero_orbifold_euler(profile.kappa, 2, profile.epsilon, triples) == 0
+    assert genus_zero_orbifold_euler(profile.numerics.kappa, 2, profile.numerics.epsilon, triples) == 0
 
 
 def test_weighted_projective_plane():
@@ -439,7 +440,7 @@ def test_abstract_point_labels_must_be_strings(labels):
 def test_abstract_chi_x_may_be_an_int_or_a_fraction():
     for chi_x in (1, Fraction(1, 2)):
         curve = WeightedCurve(AbstractBase(chi_x, 1, 1, 1, ()))
-        assert curve_profile(curve).chi_prime == chi_x
+        assert curve_profile(curve).numerics.chi_prime == chi_x
 
 
 def test_abstract_centre_genus_must_be_nonnegative():
@@ -484,7 +485,11 @@ def test_a_curve_keeps_the_numerics_its_check_read():
     curves += [make(rng) for make in (_random_surface_curve, _random_complex_curve) for _ in range(300)]
     for c in curves:
         assert c.numerics == ws.surface_numerics(c.base)
-    assert _random_abstract_curve(rng).numerics is None
+    for _ in range(300):
+        c = _random_abstract_curve(rng)
+        assert type(c.numerics) is ws.BaseNumerics
+        assert c.numerics.chi_centre == c.base.chi_x
+        assert c.numerics.chi_prime == fo.abstract_chi_prime(c.base)
 
 
 @pytest.mark.parametrize("make, code", [

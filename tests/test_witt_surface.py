@@ -251,11 +251,11 @@ def _oracle_euler_characteristics(w):
 
 
 def _oracle_numerics(w):
-    """The fields of SurfaceNumerics, read the old way."""
+    """The fields of BaseNumerics, read the old way."""
     constants = _oracle_constants_field(w)
     chi, chi_prime = _oracle_euler_characteristics(w)
     if isinstance(w, ComplexCentreBase):
-        return (constants, 1, 1, 1, w.genus, "C", w.genus, None, chi, chi_prime)
+        return (constants, 1, 1, 1, w.genus, "C", w.genus, None, chi, Fraction(1 - w.genus), chi_prime)
     if w.commutative:
         epsilon = 2 if w.topology.t == 0 else 1
     else:
@@ -263,7 +263,7 @@ def _oracle_numerics(w):
         epsilon = 2 if (m == 0 and r > 0) else 1
     return (
         constants, constants.dim_over_k, epsilon, _oracle_skewness(w), _oracle_genus(w),
-        "R", w.topology.g, w.topology.t, chi, chi_prime,
+        "R", w.topology.g, w.topology.t, chi, Fraction(1 - w.topology.g), chi_prime,
     )
 
 

@@ -247,7 +247,7 @@ def test_zoo_entries_are_frozen_records():
 
 
 
-def test_reading_the_places_of_a_base_validates_it_once(monkeypatch):
+def test_reading_the_places_of_a_base_validates_nothing(monkeypatch):
     validated, built = [], []
     real_validate, real_build = wc.validate, zoo._build_curve
     monkeypatch.setattr(wc, "validate", lambda base: validated.append(base) or real_validate(base))
@@ -256,15 +256,15 @@ def test_reading_the_places_of_a_base_validates_it_once(monkeypatch):
         validated.clear()
         built.clear()
         enumerate_()
-        # each entry's curve validates its base; so does each of the five
-        # bases with chi'_orb > 0 (D, RP2, D_H, D_22, S2_C), once
-        assert len(validated) == len(built) + 5
+        # each entry's curve validates its base; reading the places of a
+        # base validates nothing
+        assert len(validated) == len(built)
 
 
-@pytest.mark.parametrize("enumerate_, reads", [(enumerate_chi_zero, 49), (enumerate_domestic, 29)])
+@pytest.mark.parametrize("enumerate_, reads", [(enumerate_chi_zero, 45), (enumerate_domestic, 25)])
 def test_a_zoo_reads_each_surface_once_per_curve_and_base(monkeypatch, enumerate_, reads):
     # the ovals of each real catalog base are counted once for its chi' and
-    # once for each curve built on it (11 + 38 and 11 + 18); the reports
+    # once for each curve built on it (11 + 34 and 11 + 14); the reports
     # and classifications of a built curve count none
     counted = []
     real_counts = ws.counts
