@@ -20,7 +20,7 @@ from .algebra import (
     DivisionAlgebraKind,
     comultiplicity,
 )
-from .errors import FrozenRecord, InvariantViolation, ValidationError
+from .errors import FrozenRecord, InvariantViolation, KindMismatchError, ValidationError, require_ints
 
 
 class WittPointClass(enum.Enum):
@@ -53,9 +53,13 @@ class PointDatum(FrozenRecord):
         self, e: int, e_star: int, e_tau: int, residue_degree: int, simple_end: DivisionAlgebraKind, weight: int = 1
     ):
         self._set(e, e_star, e_tau, residue_degree, simple_end, weight)
-        for name in ("e", "e_star", "e_tau", "residue_degree", "weight"):
-            if getattr(self, name) < 1:
+        ints = dict(e=e, e_star=e_star, e_tau=e_tau, residue_degree=residue_degree, weight=weight)
+        require_ints(**ints)
+        for name, value in ints.items():
+            if value < 1:
                 raise ValidationError(f"{name} must be a positive integer", code="nonpositive")
+        if not isinstance(simple_end, DivisionAlgebraKind):
+            raise KindMismatchError(f"simple_end must be a DivisionAlgebraKind, got {type(simple_end).__name__}")
         if simple_end in BUILTIN_KINDS and comultiplicity(simple_end) != e_star:
             raise ValidationError(
                 f"e_star={e_star} contradicts the comultiplicity of {simple_end!r}",
@@ -102,7 +106,10 @@ def degree_of_simple(d: PointDatum, kappa: int, epsilon: int, pbar: int) -> Frac
     deg S_x = (pbar * s) / (p * kappa * epsilon) * e_star * [k(x):k],
     with s the ambient skewness and p the point's weight. The result is
     rational in general but integral whenever epsilon was normalized
-    correctly for the curve.
+    correctly for the curve. kappa, epsilon and pbar are positive ints.
     """
+    require_ints(kappa=kappa, epsilon=epsilon, pbar=pbar)
+    if kappa < 1 or epsilon < 1 or pbar < 1:
+        raise ValidationError("kappa, epsilon and pbar must be positive", code="nonpositive")
     s = skewness(d)
     return Fraction(pbar * s, d.weight * kappa * epsilon) * d.e_star * d.residue_degree

@@ -130,8 +130,13 @@ def series(kind, twist, truncation, coeffs) -> TwistedSeries:
     require_ints(truncation=truncation)
     if truncation < 1:
         raise DomainError("truncation must be a positive integer")
+    try:
+        items = coeffs.items()
+    except AttributeError:
+        message = f"coefficients must be an {{exponent: coefficient}} mapping, got {type(coeffs).__name__}"
+        raise KindMismatchError(message) from None
     cleaned = {}
-    for e, v in coeffs.items():
+    for e, v in items:
         require_ints(exponent=e)
         if e >= truncation:
             raise KindMismatchError(f"exponent {e} is not below the truncation {truncation}")

@@ -40,6 +40,7 @@ class Oval(FrozenRecord):
     __slots__ = _fields = ("segments", "sign")
 
     def __init__(self, segments: tuple[str, ...] = (), sign: str | None = None):
+        segments = require_sequence(segments, "the segments", "oval-shape")
         self._set(segments, sign)
         if segments and sign is not None:
             raise ValidationError("an oval is segmented or whole, not both", code="oval-shape")

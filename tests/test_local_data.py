@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from wittcurves.algebra import COMPLEX, QUATERNION, REAL, complex_conjugation, identity
-from wittcurves.errors import ValidationError
+from wittcurves.errors import KindMismatchError, ValidationError
 from wittcurves.local_data import (
     PointDatum,
     WittPointClass,
@@ -95,3 +95,19 @@ def test_e_star_must_match_the_simple_end():
     assert exc.value.code == "e-star-mismatch"
     with pytest.raises(ValidationError):
         PointDatum(1, 1, 1, 1, QUATERNION)
+
+
+def test_point_datum_simple_end_must_be_a_division_algebra():
+    with pytest.raises(KindMismatchError):
+        PointDatum(1, 1, 1, 1, "R")
+
+
+@pytest.mark.parametrize("kappa, epsilon, pbar, code", [
+    (0, 1, 1, "nonpositive"), (1, 0, 1, "nonpositive"), (1, 1, 0, "nonpositive"), (-2, 1, 1, "nonpositive"),
+    (1.5, 1, 1, "not-integer"), (1, True, 1, "not-integer"), (1, 1, Fraction(1), "not-integer"),
+])
+def test_degree_of_simple_needs_positive_int_numerics(kappa, epsilon, pbar, code):
+    seg = witt_local_datum(WittPointClass.SEGMENTATION)
+    with pytest.raises(ValidationError) as exc:
+        degree_of_simple(seg, kappa, epsilon, pbar)
+    assert exc.value.code == code

@@ -9,9 +9,11 @@ reads the topology, the commutative flag or the signs of its ovals. A
 third keeps dataclasses out, a fourth gives every ValidationError
 raised in src/ a stable code, and a fifth keeps one base for the records
 that check themselves: no class extends a NamedTuple of src/, and no
-NamedTuple defines __new__ or __post_init__. The command line starts without click,
-dataclasses, inspect, ast or dis, as a fresh interpreter's sys.modules
-shows.
+NamedTuple defines __new__ or __post_init__. A sixth keeps the branching
+on the kind of a base in witt_surface and weighted_curve: the numerics
+every other module reads come in one record for every kind. The command
+line starts without click, dataclasses, inspect, ast or dis, as a fresh
+interpreter's sys.modules shows.
 """
 
 import ast
@@ -129,6 +131,46 @@ def test_only_witt_surface_reads_a_surface():
         if path.stem != "witt_surface"
     }
     assert surface_internal_reads(modules) == []
+
+
+# the kinds of base; only witt_surface and weighted_curve ask which one
+# they hold, and the rest read a base's BaseNumerics
+BASE_KINDS = frozenset({"AbstractBase", "ComplexCentreBase", "WittSurface"})
+
+
+def base_kind_checks(modules: dict[str, ast.Module]) -> list[str]:
+    """module:line for every isinstance call whose class argument names a kind of base."""
+    return sorted(
+        f"{module}:{node.lineno}"
+        for module, tree in modules.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "isinstance"
+        and len(node.args) == 2
+        and any(getattr(n, "id", getattr(n, "attr", None)) in BASE_KINDS for n in ast.walk(node.args[1]))
+    )
+
+
+def test_only_the_base_modules_branch_on_the_kind_of_a_base():
+    modules = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem not in ("witt_surface", "weighted_curve")
+    }
+    assert base_kind_checks(modules) == []
+
+
+def test_the_scan_sees_base_kind_checks():
+    tree = ast.parse(
+        "if isinstance(base, AbstractBase):\n"
+        "    pass\n"
+        "flag = not isinstance(b, (ws.WittSurface, int))\n"
+        "isinstance(b, Oval)\n"
+        "isinstance(b, ComplexCentreBase | AbstractBase)\n"
+        "AbstractBase(1, 1, 1, 1, ())\n"
+        "issubclass(t, WittSurface)\n"
+    )
+    assert base_kind_checks({"m": tree}) == ["m:1", "m:3", "m:5"]
 
 
 def test_the_scan_sees_surface_internal_reads():

@@ -158,7 +158,12 @@ def test_frozen_records_copy_and_replace_by_their_fields(cls):
 CHECKED = [
     (segmented_oval("+", "-"), "sign", "+", "oval-shape"),
     (whole_oval("-"), "sign", "0", "oval-shape"),
+    (whole_oval("+"), "segments", None, "oval-shape"),
+    (segmented_oval("+", "-"), "segments", 5, "oval-shape"),
     (witt_local_datum(INNER), "e", 0, "nonpositive"),
+    (witt_local_datum(INNER), "e_tau", 1.5, "not-integer"),
+    (witt_local_datum(INNER), "residue_degree", "x", "not-integer"),
+    (witt_local_datum(INNER), "weight", True, "not-integer"),
     (witt_local_datum(SEG), "e_star", 2, "e-star-mismatch"),
     (CurveNumerics(1, 1, 1), "epsilon", 3, "epsilon"),
     (CurveNumerics(1, 1, 1), "kappa", 1.0, "not-integer"),

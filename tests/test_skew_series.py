@@ -91,6 +91,9 @@ def test_factory_rejects_bad_input():
         series(REAL, identity(REAL), 4, {4: real(1)})
     with pytest.raises(KindMismatchError):
         series(COMPLEX, CONJ, 8, {0: real(1)})
+    for coeffs in ([1], None, ((0, 1),)):
+        with pytest.raises(KindMismatchError):
+            series(REAL, identity(REAL), 4, coeffs)
 
 
 def test_zero_coefficients_are_dropped():

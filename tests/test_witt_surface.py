@@ -10,6 +10,7 @@ from wittcurves.witt_surface import (
     CATALOG_NAMES,
     ComplexCentreBase,
     KleinTopology,
+    Oval,
     WittSurface,
     canonical_key,
     catalog,
@@ -367,3 +368,11 @@ def test_one_oval_for_the_sequence_of_ovals_raises_a_validation_error():
     with pytest.raises(ValidationError) as err:
         WittSurface(KleinTopology(1, 2, 1), segmented_oval("+", "-"), commutative=False)
     assert err.value.code == "oval-shape"
+
+
+def test_an_oval_keeps_its_segments_as_a_tuple():
+    oval = Oval(segments=["+", "-"])
+    assert type(oval.segments) is tuple and oval == segmented_oval("+", "-")
+    w = WittSurface(KleinTopology(0, 1, 1), (oval,), commutative=False)
+    assert hash(w) == hash(catalog("D_22"))
+    assert w == catalog("D_22")
