@@ -42,6 +42,13 @@ from .algebra import (
 from .errors import DomainError, FrozenRecord, InvariantViolation, KindMismatchError, ValidationError, require_ints
 
 
+# The largest truncation of a series or a centre search, and the least
+# exponent of a series: a product calls power(twist, i) for each exponent
+# i, and the centre search, one solve per distinct sigma^s checked at
+# every exponent, takes about 1 ms on H at 256.
+MAX_TRUNCATION = 256
+
+
 def _coerce(kind: DivisionAlgebraKind, value) -> AlgebraElement:
     if isinstance(value, AlgebraElement):
         if value.kind is not kind:
@@ -121,15 +128,18 @@ def series(kind, twist, truncation, coeffs) -> TwistedSeries:
     """Build a series from an {exponent: coefficient} mapping.
 
     Coefficients may be AlgebraElements, ints or Fractions; anything else
-    (a float, a string) raises KindMismatchError. Exponents
-    at or above the truncation are rejected rather than silently dropped;
-    negative exponents produce Laurent series.
+    (a float, a string) raises KindMismatchError. Exponents at or above the
+    truncation are rejected rather than silently dropped; negative exponents
+    produce Laurent series. A truncation above MAX_TRUNCATION or an exponent
+    below its negative, also of a sum or product, raises code "truncation".
     """
     if twist.kind is not kind:
         raise KindMismatchError("twist acts on a different algebra")
     require_ints(truncation=truncation)
     if truncation < 1:
         raise DomainError("truncation must be a positive integer")
+    if truncation > MAX_TRUNCATION:
+        raise ValidationError(f"truncation must be at most {MAX_TRUNCATION}", code="truncation")
     try:
         items = coeffs.items()
     except AttributeError:
@@ -140,6 +150,8 @@ def series(kind, twist, truncation, coeffs) -> TwistedSeries:
         require_ints(exponent=e)
         if e >= truncation:
             raise KindMismatchError(f"exponent {e} is not below the truncation {truncation}")
+        if e < -MAX_TRUNCATION:
+            raise ValidationError(f"exponent {e} is below {-MAX_TRUNCATION}", code="truncation")
         c = _coerce(kind, v)
         if not c.is_zero():
             cleaned[e] = c
@@ -264,12 +276,6 @@ def _in_span(vec, span_basis) -> bool:
             p = b[lead]
             target = [x * p - t * v for x, v in zip(target, b)]
     return not any(target)
-
-
-# The centre search solves one linear system per distinct sigma^s, at
-# most two of them, and checks every exponent against K[[T^r]], so the
-# cost grows slowly with the truncation: about 1 ms on H at 256.
-MAX_TRUNCATION = 256
 
 
 def _centre_kernels(kind: DivisionAlgebraKind, twist: Automorphism, truncation: int):

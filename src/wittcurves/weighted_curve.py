@@ -62,8 +62,6 @@ from .witt_surface import (
 # placement marker for weights on a complex-centre base
 COMPLEX_POINT = "point"
 
-TUBULAR_VECTORS = frozenset({(2, 2, 2, 2), (2, 3, 6), (2, 4, 4), (3, 3, 3)})
-
 # The largest e_tau, residue degree or weight a point may have. The
 # weight-ramification vector repeats an entry residue-degree times, so
 # larger values would cost unbounded memory; no curve of interest needs them.
@@ -384,11 +382,11 @@ class CurveProfile(FrozenRecord):
         vector = self.weight_ram_vector
         cg = self.numerics.centre_genus
         if result is CurveClass.TUBULAR:
-            if vector not in TUBULAR_VECTORS:
+            if _genus_zero_excess(vector) != 0:
                 raise self._inconsistent(f"tubular curve with vector {vector}")
             if cg is not None and cg != 0:
                 raise self._inconsistent("tubular curve with a positive-genus centre")
-        if result is CurveClass.DOMESTIC and cg == 0 and not _domestic_genus_zero_vector(vector):
+        if result is CurveClass.DOMESTIC and cg == 0 and _genus_zero_excess(vector) >= 0:
             raise self._inconsistent(f"domestic genus-zero curve with vector {vector}")
         return result
 
@@ -553,12 +551,13 @@ def weight_ram_vector(c: WeightedCurve) -> tuple[int, ...]:
     return curve_profile(c).weight_ram_vector
 
 
-def _domestic_genus_zero_vector(v: tuple[int, ...]) -> bool:
-    if len(v) <= 2:
-        return True
-    if len(v) == 3:
-        return (v[0], v[1]) == (2, 2) or v in ((2, 3, 3), (2, 3, 4), (2, 3, 5))
-    return False
+def _genus_zero_excess(vector: tuple[int, ...]) -> int:
+    """sum(1 - 1/v) - 2 over a weight-ramification vector, times an lcm: 0 on
+    the tubular vectors, negative on the Geigle-Lenzing types. An entry adds
+    at least 1/2, so five pass 2, and only the first five are read."""
+    v = vector[:5]
+    d = lcm(*v)
+    return sum(d - d // x for x in v) - 2 * d
 
 
 def classify(c: WeightedCurve) -> CurveClass:

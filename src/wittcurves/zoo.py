@@ -1,39 +1,42 @@
 """Enumeration of the real weighted curves with nonnegative orbifold characteristic.
 
-Nothing here lists bases, placements or weights; all is read off the
-catalog, validation and curve profiles. The catalog bases whose weightless
-curve has chi'_orb = 0 are the elliptic entries; those with chi'_orb > 0
-(D, RP2, D_H, D_22, S2_C) carry the weights. A placement class belongs to
-a base when the per-point part of validation accepts a weight of that
-class on it, and the point shapes of weighted_curve give its e_tau and
-residue degree f. The segmentation points of a base are slots for one
-weight each.
+Nothing here lists bases, placements, weights or families; all is read off
+the catalog, validation, the point shapes and curve profiles by one search.
+The catalog bases whose weightless curve has chi'_orb = 0 are the elliptic
+entries; those with chi'_orb > 0 (D, RP2, D_H, D_22, S2_C) carry weights.
+A placement class belongs to a base when the per-point part of validation
+accepts a weight of that class on it, and the point shapes of
+weighted_curve give its e_tau and residue degree f. The segmentation
+points of a base are slots for one entry each.
 
-By the general formula a weight p at a point of (e_tau, f) lowers
-chi'_orb by c (1 - 1/p), with share c = f / (2 e_tau). The tubular
-entries are the weight multisets whose drops add up to the weightless
-chi'_orb exactly. A drop lies in [c/2, c), which bounds the weights per
-place; for fixed counts the weights solve sum c/p = sum c - chi'_orb,
-and taking c/p in decreasing order, the largest of m terms left is at
-least 1/m of what is left, which bounds each weight. The search runs on
-integers: the shares and the budget are scaled to one common
-denominator, what is left of the budget is carried as a numerator and
-a denominator, and fractions are compared by cross-multiplying.
+A pattern is a multiset of entries: an int weight p >= 2, which lowers
+chi'_orb by c (1 - 1/p) with share c = f / (2 e_tau), or a symbol, which
+lowers it by all of c. A pattern is in the zoo when its drops add up to at
+most the weightless chi'_orb and no int weight could become a symbol and
+still fit. The exact patterns, with no symbol and drops adding up to
+chi'_orb, are the tubular entries; the others are the domestic families,
+the empty one being the weightless base. An entry drops at least c/2,
+which bounds the entries per place; for fixed counts the int weights,
+by c/p in decreasing order, reach sum c - chi'_orb with the last one, the
+rest being symbols, and the largest of m terms left is at least 1/m of
+what is left, which bounds each weight. So the search is complete for
+every weight. It runs on integers over one common denominator, comparing
+fractions by cross-multiplying. Each base is searched once, and both
+enumerations read the cached patterns.
 
-The domestic zoo is the weightless bases with chi'_orb > 0 and a table
-of families with symbolic weights; their weight-ramification vectors come
-from the same (e_tau, f) per place.
-
-Weights are recorded per placement class as multisets, which identifies
-configurations up to the colour-preserving symmetries of the base (a
-reflection swaps the two segmentation points of the segmented disc).
-Each entry is read from one CurveProfile of its curve. Placement classes
-go by the short names of local_data, plus "point" on a complex-centre base.
+A family lists its entries place by place, ints ascending, then symbols
+named p, q in turn; the one hand-written rule is that a lone symbol with
+vector (2, 2, n) is named n, after Geigle-Lenzing. Weights are recorded
+per placement class as multisets, which identifies configurations up to
+the colour-preserving symmetries of the base (a reflection swaps the two
+segmentation points of the segmented disc). Placement classes go by the
+short names of local_data, plus "point" on a complex-centre base.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import lcm
 from typing import NamedTuple
@@ -139,11 +142,13 @@ def _places(base_name: str) -> dict[str, tuple[int, int, int | None]]:
 
 
 # ---------------------------------------------------------------------------
-# The tubular search
+# The search
 
 def _fill(shares, counts, tn, td, bound):
-    """Weights p >= 2, counts[i] of them at share shares[i][1], with
-    sum c/p = tn/td, in decreasing order of (c/p, -i) up to bound.
+    """Weights p >= 2, at most counts[i] of them at share shares[i][1], in
+    decreasing order of (c/p, -i) up to bound, whose sum c/p reaches tn/td
+    with the last weight; each with the counts left over, which become
+    symbols, and whether it is exact: the sum is tn/td and none are left.
 
     The shares c are ints, the target is the fraction tn/td and bound
     (bc, bp, bi) stands for the key (bc/bp, -bi); every comparison of
@@ -153,112 +158,98 @@ def _fill(shares, counts, tn, td, bound):
     for i, (name, c) in enumerate(shares):
         if not counts[i]:
             continue
-        # c/p is at most the bound and the target, and the largest of the
-        # m terms left is at least target / m
-        low = -(-c * bp // bc) if bc * td <= tn * bp else -(-c * td // tn)
-        for p in range(max(2, low), c * m * td // tn + 1):
+        left = counts[:i] + (counts[i] - 1,) + counts[i + 1:]
+        # c/p is at most the bound, and the largest of the at most m
+        # weights left is at least target / m
+        for p in range(max(2, -(-c * bp // bc)), c * m * td // tn + 1):
+            # so (c/p, -i) passes the bound unless the two tie and i comes first
+            if c * bp == bc * p and i < bi:
+                continue
             rn, rd = tn * p - c * td, td * p  # the target less c/p
-            # p >= low keeps c/p at most bc/bp, so (c/p, -i) passes the
-            # bound unless the two tie and i comes first
-            if (c * bp == bc * p and i < bi) or (rn == 0) != (m == 1):
-                continue
-            if m == 1:
-                yield ((name, p),)
-                continue
-            left = counts[:i] + (counts[i] - 1,) + counts[i + 1:]
-            for tail in _fill(shares, left, rn, rd, (c, p, i)):
-                yield ((name, p),) + tail
+            if rn <= 0:
+                yield ((name, p),), left, rn == 0 and m == 1
+            elif m > 1:
+                for tail, rest, exact in _fill(shares, left, rn, rd, (c, p, i)):
+                    yield ((name, p),) + tail, rest, exact
 
 
-def _tubular_weights(budget: Fraction, places) -> list[Weights]:
-    """Every weight multiset on the places whose drops add up to the budget."""
+def _search(budget: Fraction, places) -> list:
+    """Every pattern on the places that fits the budget, as its int weights,
+    the number of symbols at each place and whether it is exact."""
     # the shares f / (2 e_tau) and the budget as ints over one denominator
     d = lcm(budget.denominator, *(2 * e_tau for e_tau, _, _ in places.values()))
     shares = [(name, f * d // (2 * e_tau)) for name, (e_tau, f, _) in places.items()]
     b = budget.numerator * (d // budget.denominator)
-    # a weight costs at least half its share
+    # an entry drops at least half its share
     most = [min(n := 2 * b // c, slots or n) for (_, c), (_, _, slots) in zip(shares, places.values())]
     found = []
     for counts in product(*(range(n + 1) for n in most)):
+        # the int weights of a pattern on these counts drop total - sum c/p
         total = sum(n * c for n, (_, c) in zip(counts, shares))
-        if total <= 2 * b and b < total:
-            for ws in _fill(shares, counts, total - b, 1, (total, 1, 0)):
-                found.append(tuple(sorted(ws, key=_weight_key)))
+        if total <= b:
+            found.append(((), counts, total == b == 0))
+        elif total <= 2 * b:
+            found.extend(_fill(shares, counts, total - b, 1, (total, 1, 0)))
     return found
+
+
+@cache
+def _zoo(name: str, budget: Fraction):
+    """The places of a weighted base and every pattern that fits its budget,
+    searched once for both enumerations."""
+    places = _places(name)
+    return places, _search(budget, places)
 
 
 def enumerate_chi_zero() -> list[ZooEntry]:
     """All curves with chi'_orb = 0: the weightless bases with chi'_orb = 0
-    plus every tubular weight configuration on a base with chi'_orb > 0."""
+    plus the exact patterns on the bases with chi'_orb > 0."""
     entries = []
     for name, chi in _bases():
         if chi == 0:
             entries.append(_entry_for(name, ()))
         elif chi > 0:
-            entries.extend(_entry_for(name, ws) for ws in _tubular_weights(chi, _places(name)))
+            patterns = _zoo(name, chi)[1]
+            entries.extend(_entry_for(name, tuple(sorted(ws, key=_weight_key))) for ws, _, exact in patterns if exact)
     return sorted(entries, key=entry_key)
 
 
-# ---------------------------------------------------------------------------
-# The domestic zoo
-
-# The weight types of Geigle-Lenzing, the domestic families over the
-# complex numbers: (p), (p,q), (2,2,n), (2,3,3), (2,3,4) and (2,3,5)
-_GEIGLE_LENZING = (("p",), ("p", "q"), (2, 2, "n"), (2, 3, 3), (2, 3, 4), (2, 3, 5))
-
-
-def _families(cls: str) -> list[Weights]:
-    return [tuple((cls, w) for w in ws) for ws in _GEIGLE_LENZING]
-
-
-def _boundary_families(cls: str) -> list[Weights]:
-    return _families(cls) + [(("inner", "p"),), (("inner", 2), (cls, "n")), (("inner", 3), (cls, 2))]
-
-
-# D_22 takes (p) and (p,q) on its two segmentation points, and three shapes
-# of segmentation weights with one weight on the real or the quaternion boundary
-_D22_BOUNDARY = (((), "n"), ((("seg", "p"),), 2), ((("seg", 2),), 3))
-
-_DOMESTIC_FAMILIES: dict[str, list[Weights]] = {
-    "D": _boundary_families("real"),
-    "D_H": _boundary_families("quat"),
-    "RP2": [(("inner", "p"),)],
-    "D_22": _families("seg")[:2]
-    + [segs + ((cls, w),) for segs, w in _D22_BOUNDARY for cls in ("real", "quat")],
-    "S2_C": _families("point"),
-}
-
-
-def _family_entry(bare: ZooEntry, places, weights: Weights) -> ZooEntry:
-    if all(isinstance(w, int) for _, w in weights):
-        return _entry_for(bare.base, weights)
-    # a weight w at a place of (e_tau, f) adds w * e_tau to the vector f
-    # times; a free segmentation slot counts as weight 1
+def _family_entry(bare: ZooEntry, places, rank, ints: Weights, left) -> ZooEntry:
+    """The family of a pattern: its entries by place rank, ints ascending
+    before symbols, which are named p, q, ... in turn, or n when the lone
+    symbol of a vector (2, 2, n). A weight w at a place of (e_tau, f) adds
+    w * e_tau to the vector f times, a symbol e_tau times its name, and a
+    free segmentation slot counts as weight 1."""
+    names = iter("pqrstuvwxyz")
+    weights = ints + tuple((cls, next(names)) for cls, k in zip(places, left) for _ in range(k))
+    weights = sorted(weights, key=lambda w: (rank[w[0]], isinstance(w[1], str), w[1]))
+    if not any(left):
+        return _entry_for(bare.base, tuple(weights)) if weights else bare
     free = places[_SEG][2] - sum(cls == _SEG for cls, _ in weights) if _SEG in places else 0
-    wrv = []
-    for cls, w in weights + ((_SEG, 1),) * free:
+    vector, symbols = [], []
+    for cls, w in weights + [(_SEG, 1)] * free:
         e_tau, f, _ = places[cls]
         if isinstance(w, str):
-            wrv += [f"{e_tau}{w}" if e_tau > 1 else w] * f
+            symbols += [f"{e_tau}{w}" if e_tau > 1 else w] * f
         elif w * e_tau > 1:
-            wrv += [w * e_tau] * f
-    wrv.sort(key=lambda v: (isinstance(v, str), v if isinstance(v, int) else 0, str(v)))
-    return bare._replace(weights=weights, chi_orb=None, wrv=tuple(wrv))
+            vector += [w * e_tau] * f
+    if symbols == ["p"] and sorted(vector) == [2, 2]:
+        symbols, weights = ["n"], [(cls, "n" if w == "p" else w) for cls, w in weights]
+    return bare._replace(weights=tuple(weights), chi_orb=None, wrv=tuple(sorted(vector) + sorted(symbols)))
 
 
 def enumerate_domestic() -> list[ZooEntry]:
-    """The domestic zoo: the weightless bases with chi'_orb > 0 and the
-    weighted families on them.
+    """The domestic zoo: every pattern on a base with chi'_orb > 0 but the
+    exact ones, the empty pattern being the weightless base.
 
-    Parametric families use the symbols p, q, n (all ranging over
-    integers >= 2); instantiate_domestic turns one into an honest curve.
-    """
+    Symbols range over the integers >= 2; instantiate_domestic turns a
+    family into an honest curve."""
     entries = []
     for name, chi in _bases():
         if chi > 0:
-            bare, places = _entry_for(name, ()), _places(name)
-            entries.append(bare)
-            entries.extend(_family_entry(bare, places, ws) for ws in _DOMESTIC_FAMILIES[name])
+            places, patterns = _zoo(name, chi)
+            bare, rank = _entry_for(name, ()), {cls: r for r, cls in enumerate(places)}
+            entries.extend(_family_entry(bare, places, rank, ws, left) for ws, left, exact in patterns if not exact)
     return sorted(entries, key=entry_key)
 
 

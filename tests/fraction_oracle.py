@@ -10,7 +10,8 @@ The second part is the orbifold Euler characteristic and the tubular
 search as they were before they ran on integer numerators: the chi'_orb
 routes of CurveProfile, the chi' of an abstract base and
 genus_zero_orbifold_euler summed term by term on Fractions, and the
-zoo's _fill/_tubular_weights on Fraction shares and budgets.
+zoo's _fill/_search on Fraction shares and budgets (the exact patterns
+only, which are the tubular weights).
 tests/test_euler_integer.py compares the integer code against them.
 """
 

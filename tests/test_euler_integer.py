@@ -36,7 +36,7 @@ from wittcurves.witt_surface import (
     validate,
     whole_oval,
 )
-from wittcurves.zoo import _tubular_weights
+from wittcurves.zoo import _search
 
 INNER = WittPointClass.INNER
 REAL_B = WittPointClass.REAL_BOUNDARY
@@ -155,7 +155,7 @@ def test_tubular_search_matches_the_fraction_oracle():
         }
         budget = Fraction(rng.randint(1, 6), rng.randint(2, 12))
         budget = min(budget, Fraction(1, 2))
-        got = [tuple(sorted(ws)) for ws in _tubular_weights(budget, places)]
+        got = [tuple(sorted(ws)) for ws, _, exact in _search(budget, places) if exact]
         assert got == [tuple(sorted(ws)) for ws in fo.tubular_weights(budget, places)]
         hits += bool(got)
     assert hits >= 20  # the search finds something on many of the place sets

@@ -244,6 +244,17 @@ def test_fourier_mukai_partners():
         fm_partners("X")
 
 
+def test_fourier_mukai_partners_share_their_invariants():
+    # derived-equivalent curves have equal mutation matrices and slope-orbit
+    # counts: a necessary condition on the listed pairs, not a derivation
+    pairs = {(name, other) for name in ELLIPTIC_TYPES for other in fm_partners(name) if other != name}
+    assert pairs == {("K", "A_RH"), ("A_RH", "K")}
+    for name, other in pairs:
+        n, m = elliptic_numerics(name), elliptic_numerics(other)
+        assert mutation_matrices(n) == mutation_matrices(m) == (((1, 0), (2, 1)), ((1, -1), (0, 1)))
+        assert slope_orbits(n).count == slope_orbits(m).count == 2
+
+
 @pytest.mark.parametrize("field, value", [
     ("kappa", 1.5), ("epsilon", 1.0), ("genus", True), ("end_S_dim", 2.0), ("pbar", Fraction(1)),
 ])

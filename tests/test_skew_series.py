@@ -94,6 +94,19 @@ def test_factory_rejects_bad_input():
     for coeffs in ([1], None, ((0, 1),)):
         with pytest.raises(KindMismatchError):
             series(REAL, identity(REAL), 4, coeffs)
+    # the ceiling: a truncation above MAX_TRUNCATION or an exponent below its negative
+    for truncation, exponent in ((MAX_TRUNCATION + 1, 0), (10**12, 0), (8, -MAX_TRUNCATION - 1), (8, -10**11)):
+        with pytest.raises(ValidationError) as exc:
+            series(REAL, identity(REAL), truncation, {exponent: real(1)})
+        assert exc.value.code == "truncation"
+        with pytest.raises(ValidationError) as exc:
+            monomial(QUATERNION, inner(quat(1, 1, 0, 0)), truncation, exponent)
+        assert exc.value.code == "truncation"
+    edge = monomial(QUATERNION, inner(quat(1, 1, 0, 0)), MAX_TRUNCATION, -MAX_TRUNCATION)
+    assert edge.low() == -MAX_TRUNCATION
+    with pytest.raises(ValidationError) as exc:
+        edge * edge  # the product's exponent falls below the ceiling
+    assert exc.value.code == "truncation"
 
 
 def test_zero_coefficients_are_dropped():

@@ -11,7 +11,6 @@ from wittcurves.local_data import WittPointClass
 from wittcurves.weighted_curve import (
     MAX_POINT_VALUE,
     MAX_VECTOR_LENGTH,
-    TUBULAR_VECTORS,
     AbstractBase,
     AbstractPoint,
     CurveClass,
@@ -44,6 +43,9 @@ INNER = WittPointClass.INNER
 REAL_B = WittPointClass.REAL_BOUNDARY
 QUAT_B = WittPointClass.QUATERNION_BOUNDARY
 SEG = WittPointClass.SEGMENTATION
+
+# the weight-ramification vectors of the tubular curves
+TUBULAR_VECTORS = {(2, 2, 2, 2), (2, 3, 6), (2, 4, 4), (3, 3, 3)}
 
 
 def _tri_disc():

@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
 
@@ -11,7 +12,6 @@ from wittcurves.errors import ValidationError
 from wittcurves.local_data import SHORT_NAMES, WittPointClass
 from wittcurves.weighted_curve import (
     COMPLEX_POINT,
-    TUBULAR_VECTORS,
     CurveClass,
     WeightedCurve,
     WeightedPoint,
@@ -28,6 +28,9 @@ from wittcurves.zoo import (
     instantiate_domestic,
     zoo_report,
 )
+
+# the weight-ramification vectors of the tubular curves
+TUBULAR_VECTORS = {(2, 2, 2, 2), (2, 3, 6), (2, 4, 4), (3, 3, 3)}
 
 
 def test_headline_counts():
@@ -203,6 +206,42 @@ def test_domestic_families():
     weighted = [e for e in dom if e.weights]
     centres = Counter(e.centre for e in weighted)
     assert centres == {"R": 27, "C": 6}
+
+
+def _drop(places, cls, w) -> Fraction:
+    """What an entry takes from chi'_orb: c (1 - 1/p) for a weight p and
+    the full share c = f / (2 e_tau) for a symbol."""
+    e_tau, f, _ = places[cls]
+    share = Fraction(f, 2 * e_tau)
+    return share if isinstance(w, str) else share * (1 - Fraction(1, w))
+
+
+def test_domestic_families_fit_and_no_weight_can_become_a_symbol():
+    budgets = dict(zoo._bases())
+    for e in enumerate_domestic():
+        places, budget = zoo._places(e.base), budgets[e.base]
+        drops = [_drop(places, cls, w) for cls, w in e.weights]
+        if any(isinstance(w, str) for _, w in e.weights):
+            assert sum(drops) <= budget, e
+        else:
+            assert sum(drops) < budget and e.chi_orb == budget - sum(drops), e
+        for k, (cls, w) in enumerate(e.weights):
+            if isinstance(w, int):
+                raised = sum(drops) - drops[k] + _drop(places, cls, "x")
+                assert raised > budget, (e, cls, w)
+
+
+def test_one_search_serves_both_zoos(monkeypatch):
+    searched = []
+    real_search = zoo._search
+    monkeypatch.setattr(zoo, "_search", lambda *args: searched.append(args) or real_search(*args))
+    zoo._zoo.cache_clear()
+    try:
+        enumerate_chi_zero()
+        enumerate_domestic()
+    finally:
+        zoo._zoo.cache_clear()  # drop the patterns of the wrapped search
+    assert len(searched) == 5  # D, RP2, D_H, D_22 and S2_C
 
 
 def test_domestic_families_instantiate():
