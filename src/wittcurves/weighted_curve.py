@@ -8,8 +8,11 @@ weight p, its ramification index e_tau, and its residue degree f.
 
 A WeightedCurve checks itself when built, and the check reads its base
 once: a surface by one call to witt_surface.validate, an abstract base
-here, summing its chi'. The curve keeps the BaseNumerics that check
-returns, and nothing here reads the ovals or topology of a surface.
+here, summing its chi'. validate checks a surface on the first read of
+each surface object, which keeps its reading, so a second curve on the
+same surface object reads nothing again. The curve keeps the
+BaseNumerics that check returns, and nothing here reads the ovals or
+topology of a surface.
 curve_profile reads a curve into a CurveProfile: the effective points,
 their lcm weight pbar and those numerics. Every public invariant is a
 view of a profile built afresh for the call, and a report reads all of
@@ -644,8 +647,12 @@ def ghost_group(points, efficient_index: int) -> GhostGroup:
     x is the one whose Picard-shift is used to cancel degrees. For every
     other point y the exponent d(y) satisfies e_tau(y) d(y) = (f_y/f_x)
     e_tau(x); it must be an integer whenever y is a ramification point.
+    At most MAX_POINT_VALUE points are taken, each with e_tau and f at
+    most MAX_POINT_VALUE.
     """
     pts = require_sequence(points, "the points", "placement")
+    if len(pts) > MAX_POINT_VALUE:
+        raise ValidationError(f"more than {MAX_POINT_VALUE} points", code="too-large")
     for pt in pts:
         if not isinstance(pt, (tuple, list)) or len(pt) != 2:
             raise ValidationError(f"a point must be an (e_tau, f) pair, got {pt!r}", code="placement")
@@ -653,6 +660,8 @@ def ghost_group(points, efficient_index: int) -> GhostGroup:
         require_ints(e_tau=e, residue_degree=f)
         if e < 1 or f < 1:
             raise ValidationError("e_tau and residue degrees must be positive", code="nonpositive")
+        if max(e, f) > MAX_POINT_VALUE:
+            raise ValidationError(f"e_tau and residue degrees must be at most {MAX_POINT_VALUE}", code="too-large")
     require_ints(efficient_index=efficient_index)
     if not 0 <= efficient_index < len(pts):
         raise ValidationError("efficient point index out of range", code="placement")

@@ -10,7 +10,9 @@ alternating sign. Commutative curves carry no minus signs at all.
 All invariants down the line (constants field, genus of the function field,
 Euler characteristics) are computed from this combinatorial data alone, by
 surface_numerics, which checks that a surface exists and reads it in one
-pass; validate is a view of it. This is the only module that reads the
+pass; validate is a view of it. The check runs on the first read of each
+surface object, which keeps what it read, so every later read of that
+object returns the kept values. This is the only module that reads the
 topology and the ovals of a surface.
 """
 
@@ -60,11 +62,25 @@ def segmented_oval(*signs: str) -> Oval:
 
 
 class WittSurface(FrozenRecord):
-    __slots__ = _fields = ("topology", "ovals", "commutative")
+    """A Klein topology with its ovals, commutative or not.
+
+    The first read of a surface that exists keeps its reading, the
+    BaseNumerics and the segmentation points, in ``_reading``, and every
+    later read of the same object returns it. The fields are immutable
+    and the checks are pure functions of them, so reading once per
+    object loses no check. A surface that fails its check keeps nothing
+    and raises again on every read. The reading is no field, so it takes
+    no part in equality, hash, repr or pickling; _replace, copies and
+    unpickling build the surface again, and the new object reads again.
+    """
+
+    _fields = ("topology", "ovals", "commutative")
+    __slots__ = (*_fields, "_reading")
 
     def __init__(self, topology: KleinTopology, ovals: tuple[Oval, ...], commutative: bool):
         ovals = require_sequence(ovals, "the ovals", "oval-shape")
         self._set(topology, ovals, commutative)
+        object.__setattr__(self, "_reading", None)
         if not isinstance(topology, KleinTopology):
             raise ValidationError(
                 f"a topology must be a KleinTopology, got {type(topology).__name__}", code="topology"
@@ -112,6 +128,13 @@ class BaseNumerics(NamedTuple):
     chi_prime: Fraction  # normalized, of the non-weighted curve
 
 
+class _Reading(NamedTuple):
+    """What the first read of a surface keeps."""
+
+    numerics: BaseNumerics
+    points: tuple[tuple[int, int], ...]  # (oval, segment) of each segmentation point
+
+
 # ---------------------------------------------------------------------------
 # Checking and reading
 
@@ -124,10 +147,14 @@ def counts(w: WittSurface | ComplexCentreBase) -> SurfaceCounts:
 
 
 def segmentation_points(w: WittSurface | ComplexCentreBase) -> tuple[tuple[int, int], ...]:
-    """(oval, segment) of every segmentation point, oval by oval."""
+    """(oval, segment) of every segmentation point, oval by oval, as the
+    read of the surface keeps them; a surface that cannot exist raises
+    ValidationError, as surface_numerics does."""
     if isinstance(w, ComplexCentreBase):
         return ()
-    return tuple((oi, si) for oi, oval in enumerate(w.ovals) for si in range(len(oval.segments)))
+    if w._reading is None:
+        surface_numerics(w)
+    return w._reading.points
 
 
 def signed_ovals(w: WittSurface, sign: str) -> tuple[int, ...]:
@@ -144,7 +171,8 @@ def surface_numerics(w: WittSurface | ComplexCentreBase) -> BaseNumerics:
     chi = kappa (1 - genus upstairs), chi' = chi / s^2 are cross-checked
     against the downstairs count (1 - g) - m/2, compared on integers as
     2 kappa (1 - genus upstairs) = s^2 (2(1 - g) - m); the two must agree
-    for every valid surface.
+    for every valid surface. The first read of a surface object keeps
+    what it read, and later reads return it.
     """
     if isinstance(w, ComplexCentreBase):
         require_ints(genus=w.genus)
@@ -154,6 +182,8 @@ def surface_numerics(w: WittSurface | ComplexCentreBase) -> BaseNumerics:
         # contribute dimension 1, not [C:R]
         chi = Fraction(1 - w.genus)
         return BaseNumerics(COMPLEX, 1, 1, 1, w.genus, "C", w.genus, None, chi, chi, chi)
+    if w._reading is not None:
+        return w._reading.numerics
     g, t, flag = w.topology
     require_ints(g=g, t=t, s=flag)
     if g < 0 or t < 0 or flag not in (0, 1):
@@ -201,9 +231,12 @@ def surface_numerics(w: WittSurface | ComplexCentreBase) -> BaseNumerics:
             f"normalized characteristic {Fraction(chi, s * s)} "
             f"!= downstairs count {Fraction(downstairs, 2)}"
         )
-    return BaseNumerics(
+    numerics = BaseNumerics(
         constants, kappa, epsilon, s, upstairs, "R", g, t, Fraction(chi), Fraction(1 - g), Fraction(chi, s * s)
     )
+    points = tuple((oi, si) for oi, oval in enumerate(w.ovals) for si in range(len(oval.segments)))
+    object.__setattr__(w, "_reading", _Reading(numerics, points))
+    return numerics
 
 
 def validate(w: WittSurface | ComplexCentreBase) -> BaseNumerics:

@@ -22,7 +22,9 @@ rest being symbols, and the largest of m terms left is at least 1/m of
 what is left, which bounds each weight. So the search is complete for
 every weight. It runs on integers over one common denominator, comparing
 fractions by cross-multiplying. Each base is searched once, and both
-enumerations read the cached patterns.
+enumerations read the cached patterns. Each catalog surface is checked
+on its first read, for its chi'; it keeps that reading, so the curves
+built on it, and a second enumeration, read it no more.
 
 A family lists its entries place by place, ints ascending, then symbols
 named p, q in turn; the one hand-written rule is that a lone symbol with

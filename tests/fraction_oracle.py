@@ -11,7 +11,9 @@ search as they were before they ran on integer numerators: the chi'_orb
 routes of CurveProfile, the chi' of an abstract base and
 genus_zero_orbifold_euler summed term by term on Fractions, and the
 zoo's _fill/_search on Fraction shares and budgets (the exact patterns
-only, which are the tubular weights).
+only, which are the tubular weights). patterns, last, enumerates every
+pattern of the zoo's rule on Fractions another way: the symbols first,
+then int weights that use up exactly the counts left.
 tests/test_euler_integer.py compares the integer code against them.
 """
 
@@ -215,4 +217,52 @@ def tubular_weights(budget: Fraction, places) -> list:
         total = sum(n * c for n, (_, c) in zip(counts, shares))
         if total / 2 <= budget < total:
             found.extend(fill(shares, counts, total - budget, (total, 0)))
+    return found
+
+
+def _reach(shares, counts, target, bound):
+    """Weights p >= 2, exactly counts[i] of them at share shares[i][1], in
+    decreasing order of (c/p, -i) up to bound, whose sum c/p reaches the
+    target with the last, smallest, one: the sum without it falls short."""
+    m = sum(counts)
+    for i, (name, c) in enumerate(shares):
+        if not counts[i]:
+            continue
+        # the largest of the m terms is at least target / m
+        for p in range(2, c * m // target + 1):
+            key = (c / p, -i)
+            if key > bound:
+                continue
+            if m == 1:
+                if key[0] >= target:
+                    yield ((name, p),)
+            elif key[0] < target:
+                left = counts[:i] + (counts[i] - 1,) + counts[i + 1:]
+                for tail in _reach(shares, left, target - key[0], key):
+                    yield ((name, p),) + tail
+
+
+def patterns(budget: Fraction, places) -> list:
+    """Every pattern on the places in the zoo, as its int weights and the
+    number of symbols at each place: the drops, c (1 - 1/p) for a weight
+    and c for a symbol with c = f / (2 e_tau), add up to at most the
+    budget, and no weight made a symbol would still fit."""
+    shares = [(name, Fraction(f, 2 * e_tau)) for name, (e_tau, f, _) in places.items()]
+    # every entry drops at least c/2
+    most = [min(n := 2 * budget // c, slots or n) for (_, c), (_, _, slots) in zip(shares, places.values())]
+    found = []
+    for counts in product(*(range(n + 1) for n in most)):
+        for symbols in product(*(range(n + 1) for n in counts)):
+            left = budget - sum(k * c for k, (_, c) in zip(symbols, shares))
+            ints = tuple(n - k for n, k in zip(counts, symbols))
+            if left < 0:
+                continue
+            if not any(ints):
+                found.append(((), symbols))
+                continue
+            # the weights fit when their sum c/p is at least sum c - left, and
+            # a weight made a symbol adds its c/p to the drops
+            target = sum(n * c for n, (_, c) in zip(ints, shares)) - left
+            if target > 0:
+                found.extend((ws, symbols) for ws in _reach(shares, ints, target, (math.inf, 0)))
     return found

@@ -279,6 +279,17 @@ def test_huge_abstract_point_entries_exit_two(tmp_path, field, value):
     assert res.output == "error: point x0 has an entry above 10000\n"
 
 
+@pytest.mark.parametrize("points, message", [
+    ([[10001, 1], [1, 1]], "e_tau and residue degrees must be at most 10000"),
+    ([[1, 1], [1, 10001]], "e_tau and residue degrees must be at most 10000"),
+    ([[1, 1]] * 10001, "more than 10000 points"),
+], ids=["e_tau", "f", "points"])
+def test_ghost_ceiling_exits_two(tmp_path, points, message):
+    res = invoke(["ghost", _write(tmp_path, "big.json", {"points": points})])
+    assert res.exit_code == 2
+    assert res.output == f"error: {message}\n"
+
+
 def test_slope_bound_ceiling_exits_two():
     res = invoke(["slopes", "K", "--bound", "10000"])
     assert res.exit_code == 2

@@ -9,7 +9,10 @@ inconsistent with its _replace.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import cache
+from math import lcm
 
 import fraction_oracle as fo
 import pytest
@@ -144,21 +147,62 @@ def test_genus_zero_formula_matches_the_fraction_oracle():
         assert got == fo.genus_zero_orbifold_euler(kappa, s, epsilon, points)
 
 
-def test_tubular_search_matches_the_fraction_oracle():
+def _random_place_sets():
+    """(budget, places) of 60 seeded random searches: one to three places
+    of e_tau and f in 1..4, with at most 4 slots or none, and a budget of
+    at most 1/2."""
     rng = random.Random(11)
     names = ["seg", "real", "quat", "inner"]
-    hits = 0
     for _ in range(60):
         places = {
             name: (rng.randint(1, 4), rng.randint(1, 4), rng.choice((None, rng.randint(1, 4))))
             for name in rng.sample(names, rng.randint(1, 3))
         }
         budget = Fraction(rng.randint(1, 6), rng.randint(2, 12))
-        budget = min(budget, Fraction(1, 2))
+        yield min(budget, Fraction(1, 2)), places
+
+
+def test_tubular_search_matches_the_fraction_oracle():
+    hits = 0
+    for budget, places in _random_place_sets():
         got = [tuple(sorted(ws)) for ws, _, exact in _search(budget, places) if exact]
         assert got == [tuple(sorted(ws)) for ws in fo.tubular_weights(budget, places)]
         hits += bool(got)
     assert hits >= 20  # the search finds something on many of the place sets
+
+
+def _breaking_the_rule(budget, places, found):
+    """Every pattern of the search that breaks the zoo's rule, on
+    Fractions: it must fit the budget, no weight of it may become a symbol
+    and still fit, and it is exact when it has no symbol and no slack."""
+    share = {name: Fraction(f, 2 * e_tau) for name, (e_tau, f, _) in places.items()}
+    term = cache(lambda name, p: share[name] / p)
+    full = cache(lambda entries: sum(n * c for n, c in zip(entries, share.values())))
+    broken = []
+    for ws, symbols, exact in found:
+        # a weight drops c - c/p and a symbol c; the c/p are summed as one
+        # Fraction over the lcm of their denominators
+        terms = [term(name, p) for name, p in ws]
+        den = lcm(*(t.denominator for t in terms))
+        nums = [t.numerator * (den // t.denominator) for t in terms]
+        weights = Counter(name for name, _ in ws)
+        drops = full(tuple(weights[name] + k for name, k in zip(share, symbols))) - Fraction(sum(nums), den)
+        fits = drops <= budget
+        saturated = not terms or drops + Fraction(min(nums), den) > budget
+        if not (fits and saturated and exact == (not any(symbols) and drops == budget)):
+            broken.append((ws, symbols, exact))
+    return broken
+
+
+def test_every_search_pattern_matches_the_fraction_oracle():
+    inexact = 0
+    for budget, places in _random_place_sets():
+        found = _search(budget, places)
+        assert _breaking_the_rule(budget, places, found) == []
+        got = sorted((tuple(sorted(ws)), symbols) for ws, symbols, _ in found)
+        assert got == sorted((tuple(sorted(ws)), symbols) for ws, symbols in fo.patterns(budget, places))
+        inexact += sum(not exact for _, _, exact in found)
+    assert inexact >= 500  # the rule reaches well past the exact patterns
 
 
 # ---------------------------------------------------------------------------

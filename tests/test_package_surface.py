@@ -225,6 +225,20 @@ def test_the_command_line_loads_no_framework():
     assert {"click", "dataclasses", "inspect", "ast", "dis"}.isdisjoint(loaded)
 
 
+def test_importing_the_command_line_reads_no_surface():
+    # a surface is read on first use, never at import
+    read = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import wittcurves.cli, wittcurves.witt_surface as ws; "
+            "print(sum(getattr(w, '_reading', None) is not None for w in ws._CATALOG.values()))",
+        ],
+        capture_output=True, text=True, check=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))),
+    ).stdout.split()
+    assert read == ["0"]
+
+
 def test_the_scan_sees_dataclasses():
     tree = ast.parse(
         "@dataclass\n"

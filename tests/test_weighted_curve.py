@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -212,6 +213,18 @@ def test_ghost_group_input_checks():
     with pytest.raises(ValidationError) as exc:
         ghost_group([(2, 1)], 3)
     assert exc.value.code == "placement"
+
+
+def test_ghost_group_has_a_ceiling():
+    top = MAX_POINT_VALUE
+    assert ghost_group([(1, 1)] * top, 0).describe() == "trivial"
+    assert ghost_group([(top, 1), (top, 1)], 0).describe() == f"C{top}"
+    assert ghost_group([(1, top), (1, 1)], 0).shifts == ((1, Fraction(1, top)),)
+    # one above each limit is refused; too many points before any point is read
+    for points in ([(1, 1), (top + 1, top + 1)], [(top + 1, 1)], [(1, 1), (1, top + 1)], [None] * (top + 1)):
+        with pytest.raises(ValidationError) as exc:
+            ghost_group(points, 0)
+        assert exc.value.code == "too-large"
 
 
 @pytest.mark.parametrize("points", [None, 5, [(1,)], [(2, 1, 1)], [2], [(2, 1), "21"]])
@@ -471,13 +484,16 @@ def test_one_report_counts_the_ovals_once(monkeypatch):
     )
     shapes = [("D_22", points)] + [(name, ()) for name in ("D", "K", "D_H", "A_RH", "M_H", "D_2222")]
     for name, weights in shapes:
-        base = catalog(name)
+        # a copy is built afresh, so no earlier read of the catalog's surface counts
+        base = copy.copy(catalog(name))
         counted.clear()
         curve = WeightedCurve(base, weights)
-        assert counted == [base]
+        assert counted == [base] and counted[0] is base
         counted.clear()
         invariants_report(curve)
         classify(curve)
+        # the surface keeps its reading, so a second curve on it counts none
+        WeightedCurve(base, weights)
         assert counted == []
 
 

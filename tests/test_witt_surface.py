@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -6,6 +8,7 @@ import pytest
 
 from wittcurves.algebra import COMPLEX, QUATERNION, REAL
 from wittcurves.errors import ValidationError
+import wittcurves.witt_surface as ws
 from wittcurves.witt_surface import (
     CATALOG_NAMES,
     ComplexCentreBase,
@@ -18,6 +21,7 @@ from wittcurves.witt_surface import (
     counts,
     euler_characteristics,
     genus,
+    segmentation_points,
     segmented_oval,
     signed_ovals,
     surface_numerics,
@@ -376,3 +380,85 @@ def test_an_oval_keeps_its_segments_as_a_tuple():
     w = WittSurface(KleinTopology(0, 1, 1), (oval,), commutative=False)
     assert hash(w) == hash(catalog("D_22"))
     assert w == catalog("D_22")
+
+
+# ---------------------------------------------------------------------------
+# A surface keeps its reading
+
+def _fresh_surfaces():
+    """Every real catalog surface, and a few valid ones off the catalog,
+    each built afresh, so that none has been read yet."""
+    surfaces = [copy.copy(w) for w in map(catalog, CATALOG_NAMES) if isinstance(w, WittSurface)]
+    surfaces += [
+        WittSurface(KleinTopology(2, 3, 1), (whole_oval("+"), segmented_oval("+", "-"), whole_oval("-")), False),
+        WittSurface(KleinTopology(3, 2, 0), (whole_oval("-"), segmented_oval("+", "-", "+", "-")), False),
+        WittSurface(KleinTopology(2, 1, 0), (whole_oval("+"),), True),
+    ]
+    return surfaces
+
+
+def test_a_surface_is_read_once_and_keeps_its_reading(monkeypatch):
+    counted = []
+    real_counts = ws.counts
+    monkeypatch.setattr(ws, "counts", lambda w: counted.append(w) or real_counts(w))
+    for w in _fresh_surfaces():
+        counted.clear()
+        numerics = surface_numerics(w)
+        assert surface_numerics(w) is numerics and validate(w) is numerics
+        assert segmentation_points(w) is segmentation_points(w)
+        assert genus(w) == numerics.genus and euler_characteristics(w) == (numerics.chi, numerics.chi_prime)
+        assert counted == [w]
+
+
+def test_segmentation_points_are_read_with_the_surface():
+    w = WittSurface(KleinTopology(3, 2, 0), (segmented_oval("+", "-"), segmented_oval("-", "+", "-", "+")), False)
+    assert segmentation_points(w) == ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (1, 3))
+    # read first for its points, the surface keeps its numerics as well
+    assert w._reading.numerics is surface_numerics(w)
+    assert segmentation_points(catalog("S2_C")) == ()
+
+
+def test_the_kept_reading_is_no_field():
+    for w in _fresh_surfaces():
+        unread = copy.copy(w)
+        surface_numerics(w)
+        assert w._reading is not None and unread._reading is None
+        assert w == unread and hash(w) == hash(unread) and repr(w) == repr(unread)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(w, protocol) == pickle.dumps(unread, protocol)
+        assert "_reading" not in repr(w) and "_reading" not in w._fields
+
+
+def test_a_rebuilt_surface_reads_again(monkeypatch):
+    counted = []
+    real_counts = ws.counts
+    monkeypatch.setattr(ws, "counts", lambda w: counted.append(w) or real_counts(w))
+    w = copy.copy(catalog("D_2222"))
+    numerics = surface_numerics(w)
+    rebuilt = [
+        copy.copy(w),
+        copy.deepcopy(w),
+        w._replace(),
+        WittSurface._make(w._values),
+        *(pickle.loads(pickle.dumps(w, protocol=p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ]
+    counted.clear()
+    for built in rebuilt:
+        assert built == w and built._reading is None
+        assert surface_numerics(built) == numerics and surface_numerics(built) is not numerics
+    assert len(counted) == len(rebuilt) and all(c is b for c, b in zip(counted, rebuilt))
+
+
+@pytest.mark.parametrize("w, code", [
+    (WittSurface(KleinTopology(0, 1, 1), (whole_oval("+"),), commutative=False), "negative-genus"),
+    (WittSurface(KleinTopology(1, 3, 1), (whole_oval("+"),) * 3, commutative=True), "weichold"),
+    (WittSurface(KleinTopology(0, 1, 1), (segmented_oval("+", "-", "+"),), commutative=False), "odd-segments"),
+    (WittSurface(KleinTopology(0, 1, 1), (whole_oval("-"),), commutative=True), "minus-on-commutative"),
+])
+def test_a_surface_that_cannot_exist_raises_on_every_read(w, code):
+    for _ in range(2):
+        for read in (*_VIEWS, validate, segmentation_points):
+            with pytest.raises(ValidationError) as exc:
+                read(w)
+            assert exc.value.code == code
+            assert w._reading is None

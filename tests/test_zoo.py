@@ -1,3 +1,4 @@
+import copy
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -300,13 +301,20 @@ def test_reading_the_places_of_a_base_validates_nothing(monkeypatch):
         assert len(validated) == len(built)
 
 
-@pytest.mark.parametrize("enumerate_, reads", [(enumerate_chi_zero, 45), (enumerate_domestic, 25)])
-def test_a_zoo_reads_each_surface_once_per_curve_and_base(monkeypatch, enumerate_, reads):
-    # the ovals of each real catalog base are counted once for its chi' and
-    # once for each curve built on it (11 + 34 and 11 + 14); the reports
-    # and classifications of a built curve count none
+@pytest.mark.parametrize("enumerate_", [enumerate_chi_zero, enumerate_domestic])
+def test_a_zoo_reads_each_catalog_surface_once(monkeypatch, enumerate_):
+    # on catalog surfaces built afresh, the first enumeration counts the
+    # ovals of each real one once, for its chi'; the curves built on it,
+    # their reports and classifications, and a second enumeration count none
+    fresh = {name: copy.copy(base) for name, base in ws._CATALOG.items()}
+    real = [w for w in fresh.values() if isinstance(w, ws.WittSurface)]
+    assert len(real) == 11 and not {id(w) for w in real} & {id(w) for w in ws._CATALOG.values()}
+    monkeypatch.setattr(ws, "_CATALOG", fresh)
     counted = []
     real_counts = ws.counts
     monkeypatch.setattr(ws, "counts", lambda w: counted.append(w) or real_counts(w))
     enumerate_()
-    assert len(counted) == reads
+    assert len(counted) == 11 and {id(w) for w in counted} == {id(w) for w in real}
+    counted.clear()
+    enumerate_()
+    assert counted == []
