@@ -28,7 +28,6 @@ from .weighted_curve import (
     WeightedCurve,
     WeightedPoint,
     classify,
-    curve_profile,
     ghost_group,
 )
 from .witt_surface import (
@@ -214,7 +213,7 @@ def _slope_str(slope) -> str:
 
 
 def _curve_payload(c: WeightedCurve) -> dict:
-    profile = curve_profile(c)
+    profile = c.profile
     report, n = profile.report(), profile.numerics
     surface = n.chi is not None
     picard = report["picard"]

@@ -6,17 +6,16 @@ weight insertions p >= 2 at chosen points. Every numerical invariant is
 driven by the effective point list: each point contributes through its
 weight p, its ramification index e_tau, and its residue degree f.
 
-A WeightedCurve checks itself when built, and the check reads its base
-once: a surface by one call to witt_surface.validate, an abstract base
-here, summing its chi'. validate checks a surface on the first read of
+A WeightedCurve checks itself when built, and the check reads the curve
+once: its base, by one call to witt_surface.validate for a surface or
+here for an abstract base, summing its chi', and its weights, placement
+by placement. What it read is the curve's CurveProfile, kept in
+curve.profile: the effective points, their lcm weight pbar and the
+BaseNumerics of the base. validate checks a surface on the first read of
 each surface object, which keeps its reading, so a second curve on the
-same surface object reads nothing again. The curve keeps the
-BaseNumerics that check returns, and nothing here reads the ovals or
-topology of a surface.
-curve_profile reads a curve into a CurveProfile: the effective points,
-their lcm weight pbar and those numerics. Every public invariant is a
-view of a profile built afresh for the call, and a report reads all of
-its entries from one profile.
+same surface object reads nothing of it again, and nothing here reads
+the ovals or topology of a surface. Every public invariant is a view of
+the profile, and a report reads all of its entries from it.
 
 The normalized orbifold Euler characteristic is computed by three
 independent routes (the general formula over the centre, the split through
@@ -55,8 +54,6 @@ from .witt_surface import (
     BaseNumerics,
     ComplexCentreBase,
     WittSurface,
-    canonical_key,
-    catalog,
     segmentation_points,
     signed_ovals,
     validate,
@@ -74,11 +71,6 @@ MAX_POINT_VALUE = 10_000
 # least MAX_POINT_VALUE, so one point of any allowed size fits. On a
 # surface base f is 1 or 2, so the vector grows only with the input.
 MAX_VECTOR_LENGTH = MAX_POINT_VALUE
-
-# the one surface whose weightless curve (with its four segmentation
-# points) has a known Pic_0
-_BARE_D2222 = canonical_key(catalog("D_2222"))
-
 
 class CurveClass(enum.Enum):
     DOMESTIC = "domestic"
@@ -135,38 +127,57 @@ Base = WittSurface | ComplexCentreBase | AbstractBase
 class WeightedCurve(FrozenRecord):
     """A base with weight insertions, checked on construction.
 
-    The check reads the base once, and what it read, the base's
-    BaseNumerics, is kept in ``numerics`` for curve_profile. It is
-    derived from the base, so it is no field and takes no part in
-    equality, hash or repr; _replace, copies and unpickling build the
-    record again, through the check.
+    The check reads the curve once, and what it read, the curve's
+    CurveProfile, is kept in ``profile``. It is derived from the fields,
+    so it is no field and takes no part in equality, hash or repr;
+    _replace, copies and unpickling build the record again, through the
+    check.
     """
 
     _fields = ("base", "points")
-    __slots__ = (*_fields, "numerics")
+    __slots__ = (*_fields, "profile")
 
     def __init__(self, base: Base, points=()):
         self._set(base, require_sequence(points, "the weights", "placement"))
         self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "numerics", _validate_curve(self))
+        object.__setattr__(self, "profile", _validate_curve(self))
 
 
-def _validate_curve(c: WeightedCurve) -> BaseNumerics:
-    """Check a curve; return the numerics of its base."""
+def _validate_curve(c: WeightedCurve) -> CurveProfile:
+    """Check a curve and read it into its profile."""
     base = c.base
     if not isinstance(base, Base):
         raise ValidationError(
             f"a curve base must be a surface or an abstract base, got {type(base).__name__}", code="base"
         )
-    if isinstance(base, AbstractBase) and c.points:
-        raise ValidationError(
-            "weights on an abstract base belong in its point records",
-            code="placement",
-        )
-    numerics = _validate_base(base)
-    for wp in c.points:
+    if isinstance(base, AbstractBase):
+        if c.points:
+            raise ValidationError(
+                "weights on an abstract base belong in its point records",
+                code="placement",
+            )
+        numerics, points = _validate_abstract(base)
+    else:
+        numerics, points = validate(base), _validate_weights(base, c.points)
+    return CurveProfile(points, lcm(*(pt.weight for pt in points)), numerics)
+
+
+# label prefix, kind, e_tau and residue degree of the points of each class
+_SHAPES = {
+    cls: (SHORT_NAMES[cls], cls.value, witt_local_datum(cls).e_tau, witt_local_datum(cls).residue_degree)
+    for cls in WittPointClass
+} | {COMPLEX_POINT: ("pt", COMPLEX_POINT, 1, 1)}
+
+
+def _validate_weights(base: WittSurface | ComplexCentreBase, weights) -> tuple[EffectivePoint, ...]:
+    """Check the weights on a valid surface base and return the effective
+    points: every segmentation point, with its weight or 1, then each
+    other weight in turn. Points of a surface base take e_tau, the residue
+    degree and the label prefix from local_data, or are plain points on a
+    complex-centre base."""
+    for wp in weights:
         if not isinstance(wp, WeightedPoint):
             raise ValidationError(
                 f"a weight must be a WeightedPoint, got {type(wp).__name__}", code="placement"
@@ -176,26 +187,35 @@ def _validate_curve(c: WeightedCurve) -> BaseNumerics:
             raise ValidationError("an inserted weight must be at least 2", code="weight")
         if wp.weight > MAX_POINT_VALUE:
             raise ValidationError(f"an inserted weight must be at most {MAX_POINT_VALUE}", code="too-large")
-    seen_segments: set[tuple[int, int]] = set()
-    for wp in c.points:
+    seg = WittPointClass.SEGMENTATION
+    seg_weight: dict[tuple[int, int], int] = {}
+    weighted: list[EffectivePoint] = []
+    counters: dict[str, int] = {}
+    for wp in weights:
         _validate_placement(base, wp)
-        if wp.location is WittPointClass.SEGMENTATION:
+        if wp.location is seg:
             key = (wp.oval, wp.segment)
-            if key in seen_segments:
+            if key in seg_weight:
                 raise ValidationError(
                     "two weights on the same segmentation point", code="duplicate-placement"
                 )
-            seen_segments.add(key)
-    return numerics
+            seg_weight[key] = wp.weight
+        else:
+            prefix, kind, e_tau, f = _SHAPES[wp.location]
+            n = counters.get(prefix, 0)
+            counters[prefix] = n + 1
+            weighted.append(EffectivePoint(f"{prefix}{n}", kind, e_tau, f, wp.weight))
+    prefix, kind, e_tau, f = _SHAPES[seg]
+    segmentation = tuple(
+        EffectivePoint(f"{prefix}{oi}.{si}", kind, e_tau, f, seg_weight.get((oi, si), 1))
+        for oi, si in segmentation_points(base)
+    )
+    return segmentation + tuple(weighted)
 
 
-def _validate_base(base: Base) -> BaseNumerics:
-    """The part of validation that reads the base alone, returning the
-    numerics it read: realizability of a surface, or the point records and
-    numerics of an abstract base, whose chi' it sums from chi_x and the
-    points' e_tau and residue degrees."""
-    if not isinstance(base, AbstractBase):
-        return validate(base)
+def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[EffectivePoint, ...]]:
+    """Check an abstract base and read its numerics, summing chi' from
+    chi_x and the points' e_tau and residue degrees, and its points."""
     points = require_sequence(base.points, "the points of an abstract base", "placement")
     for p in points:
         if not isinstance(p, AbstractPoint):
@@ -237,9 +257,10 @@ def _validate_base(base: Base) -> BaseNumerics:
     n = lcm(*(p.e_tau for p in points))
     drops = sum((p.e_tau - 1) * p.residue_degree * (n // p.e_tau) for p in points)
     chi_prime = Fraction(*_less_half(chi_centre, drops, n))
-    return BaseNumerics(
+    numerics = BaseNumerics(
         None, base.kappa, base.epsilon, base.s, None, None, base.centre_genus, None, None, chi_centre, chi_prime
     )
+    return numerics, tuple(EffectivePoint(p.label, "abstract", p.e_tau, p.residue_degree, p.weight) for p in points)
 
 
 def _validate_placement(base: WittSurface | ComplexCentreBase, wp: WeightedPoint) -> None:
@@ -291,16 +312,17 @@ class CurveProfile(FrozenRecord):
     segmentation points and the weighted ones (an unweighted boundary or
     inner point has e_tau = 1 and weight 1 and adds nothing), and pbar is
     the lcm of their weights. numerics is the curve's BaseNumerics, as its
-    check read them. chi_orb runs the cross-checked routes when first
-    read, so a profile asked only for base numerics never does; it and
-    weight_ram_vector are then kept with the profile, in its instance
-    __dict__ beside the fields, and the profile lives for one public call.
+    check read them. A curve's check builds its profile, and the curve
+    keeps it in ``curve.profile``. chi_orb runs the cross-checked routes
+    when first read, so a profile asked only for base numerics never does;
+    it and weight_ram_vector are then kept with the profile, in its
+    instance __dict__ beside the fields.
     """
 
-    _fields = ("curve", "points", "pbar", "numerics")
+    _fields = ("points", "pbar", "numerics")
 
-    def __init__(self, curve: WeightedCurve, points: tuple[EffectivePoint, ...], pbar: int, numerics: BaseNumerics):
-        vars(self).update(curve=curve, points=points, pbar=pbar, numerics=numerics)
+    def __init__(self, points: tuple[EffectivePoint, ...], pbar: int, numerics: BaseNumerics):
+        vars(self).update(points=points, pbar=pbar, numerics=numerics)
 
     def _route_pairs(self) -> dict[str, tuple[int, int]]:
         """Every chi'_orb route that applies, as an int (numerator,
@@ -420,12 +442,10 @@ class CurveProfile(FrozenRecord):
             raise DomainError("the Picard description needs a known centre genus")
         fg = cg == 0
         base_part = "Z" if fg else "not finitely generated (Pic_0 of positive-genus X)"
-        bare_d2222 = (
-            self.numerics.centre == "R"
-            and not self.curve.points
-            and len(self.points) == 4
-            and canonical_key(self.curve.base) == _BARE_D2222
-        )
+        # a weightless curve over a real centre of genus 0 has one oval at
+        # most (Weichold), and its effective points are its segmentation
+        # points; four of them make the bare D_2222
+        bare_d2222 = self.numerics.centre == "R" and fg and self.pbar == 1 and len(self.points) == 4
         return PicardDescriptor(
             base_part=base_part,
             torsion_quotient=self.weight_ram_vector,
@@ -456,56 +476,12 @@ class CurveProfile(FrozenRecord):
         return report
 
 
-def curve_profile(c: WeightedCurve) -> CurveProfile:
-    """Read a curve once: its effective points and the numerics of its base.
-
-    The numerics are those the curve's check read when it was built;
-    nothing here reads the base again. Points of a surface base take
-    e_tau, the residue degree and the label prefix from local_data, or
-    are plain points on a complex-centre base.
-    """
-    base = c.base
-    if isinstance(base, AbstractBase):
-        points = tuple(
-            EffectivePoint(p.label, "abstract", p.e_tau, p.residue_degree, p.weight)
-            for p in base.points
-        )
-    else:
-        points = _surface_points(base, c.points)
-    return CurveProfile(c, points, lcm(*(pt.weight for pt in points)), c.numerics)
-
-
-# label prefix, kind, e_tau and residue degree of the points of each class
-_SHAPES = {
-    cls: (SHORT_NAMES[cls], cls.value, witt_local_datum(cls).e_tau, witt_local_datum(cls).residue_degree)
-    for cls in WittPointClass
-} | {COMPLEX_POINT: ("pt", COMPLEX_POINT, 1, 1)}
-
-
-def _surface_points(base: WittSurface | ComplexCentreBase, weights) -> tuple[EffectivePoint, ...]:
-    seg = WittPointClass.SEGMENTATION
-    prefix, kind, e_tau, f = _SHAPES[seg]
-    seg_weight = {(wp.oval, wp.segment): wp.weight for wp in weights if wp.location is seg}
-    out = [
-        EffectivePoint(f"{prefix}{oi}.{si}", kind, e_tau, f, seg_weight.get((oi, si), 1))
-        for oi, si in segmentation_points(base)
-    ]
-    counters: dict[str, int] = {}
-    for wp in weights:
-        if wp.location is not seg:
-            prefix, kind, e_tau, f = _SHAPES[wp.location]
-            n = counters.get(prefix, 0)
-            counters[prefix] = n + 1
-            out.append(EffectivePoint(f"{prefix}{n}", kind, e_tau, f, wp.weight))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Views of the profile
 
 def effective_points(c: WeightedCurve) -> tuple[EffectivePoint, ...]:
     """All points that can contribute to an invariant."""
-    return curve_profile(c).points
+    return c.profile.points
 
 
 def genus_zero_orbifold_euler(kappa, s, epsilon, points) -> Fraction:
@@ -546,12 +522,12 @@ def _genus_zero(kappa: int, s: int, epsilon: int, terms: list[tuple[int, int]]) 
 
 def orbifold_euler(c: WeightedCurve) -> Fraction:
     """Normalized orbifold Euler characteristic, cross-checked three ways."""
-    return curve_profile(c).chi_orb
+    return c.profile.chi_orb
 
 
 def weight_ram_vector(c: WeightedCurve) -> tuple[int, ...]:
     """Sorted multiset of p(x)*e_tau(x) > 1, each counted residue-degree times."""
-    return curve_profile(c).weight_ram_vector
+    return c.profile.weight_ram_vector
 
 
 def _genus_zero_excess(vector: tuple[int, ...]) -> int:
@@ -564,12 +540,12 @@ def _genus_zero_excess(vector: tuple[int, ...]) -> int:
 
 
 def classify(c: WeightedCurve) -> CurveClass:
-    return curve_profile(c).curve_class()
+    return c.profile.curve_class()
 
 
 def tau_exponents(c: WeightedCurve) -> dict[str, int]:
     """Exponent p(x)*e_tau(x) - 1 of the Picard-shift at each point; zeros omitted."""
-    return curve_profile(c).tau_exponents()
+    return c.profile.tau_exponents()
 
 
 def tau_word(c: WeightedCurve) -> tuple[tuple[str, int], ...]:
@@ -580,7 +556,7 @@ def tau_word(c: WeightedCurve) -> tuple[tuple[str, int], ...]:
     Raised DomainError when the centre has positive genus or, as for the
     real conic without real points, no eligible x0 exists.
     """
-    profile = curve_profile(c)
+    profile = c.profile
     if profile.numerics.centre_genus != 0:
         raise DomainError("the explicit word requires a genus-zero centre")
     if profile.numerics.ovals == 0:
@@ -592,12 +568,12 @@ def tau_word(c: WeightedCurve) -> tuple[tuple[str, int], ...]:
 
 def tau_order(c: WeightedCurve) -> int:
     """Order of tau on degree-zero classes; only finite when chi'_orb = 0."""
-    return curve_profile(c).tau_order()
+    return c.profile.tau_order()
 
 
 def cy_dimension(c: WeightedCurve) -> tuple[int, int]:
     """Calabi-Yau dimension n/n, reported as the pair (n, n)."""
-    n = curve_profile(c).tau_order()
+    n = c.profile.tau_order()
     return (n, n)
 
 
@@ -616,12 +592,15 @@ def picard_structure(c: WeightedCurve) -> PicardDescriptor:
     pinned down for the known genus-one case with four segmentation
     points, where it is the Klein four-group.
     """
-    return curve_profile(c).picard()
+    return c.profile.picard()
 
 
 def invariants_report(c: WeightedCurve) -> dict:
-    """Everything the command line prints, as plain values."""
-    return curve_profile(c).report()
+    """The whole report of a curve, as plain values: kappa, epsilon, the
+    skewness, pbar, chi'_orb, the class, the weight-ramification vector,
+    the order of tau and the Calabi-Yau dimension where chi'_orb = 0, and
+    the Picard descriptor where the centre genus is known."""
+    return c.profile.report()
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,11 @@ def segmentation_points(w: WittSurface | ComplexCentreBase) -> tuple[tuple[int, 
 
 
 def signed_ovals(w: WittSurface, sign: str) -> tuple[int, ...]:
-    """Index of every oval that carries the sign, whole or on a segment."""
+    """Index of every oval that carries the sign, whole or on a segment; a
+    surface that cannot exist raises ValidationError, as surface_numerics
+    does."""
+    if w._reading is None:
+        surface_numerics(w)
     return tuple(i for i, oval in enumerate(w.ovals) if oval.sign == sign or sign in oval.segments)
 
 

@@ -1,7 +1,8 @@
 """Enumeration of the real weighted curves with nonnegative orbifold characteristic.
 
 Nothing here lists bases, placements, weights or families; all is read off
-the catalog, validation, the point shapes and curve profiles by one search.
+the catalog, validation, the point shapes and, for each entry, the profile
+its curve keeps (curve.profile), by one search.
 The catalog bases whose weightless curve has chi'_orb = 0 are the elliptic
 entries; those with chi'_orb > 0 (D, RP2, D_H, D_22, S2_C) carry weights.
 A placement class belongs to a base when the per-point part of validation
@@ -52,7 +53,6 @@ from .weighted_curve import (
     WeightedPoint,
     _SHAPES,
     _validate_placement,
-    curve_profile,
 )
 from .witt_surface import CATALOG_NAMES, catalog, euler_characteristics, segmentation_points
 
@@ -102,7 +102,7 @@ def _build_curve(base_name: str, weights: Weights) -> WeightedCurve:
 
 
 def _entry_for(base_name: str, weights: Weights) -> ZooEntry:
-    profile = curve_profile(_build_curve(base_name, weights))
+    profile = _build_curve(base_name, weights).profile
     chi = profile.chi_orb
     order = profile.tau_order() if chi == 0 else None
     return ZooEntry(

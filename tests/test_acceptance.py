@@ -45,7 +45,6 @@ from wittcurves.weighted_curve import (
     WeightedCurve,
     WeightedPoint,
     classify,
-    curve_profile,
     cy_dimension,
     genus_zero_orbifold_euler,
     ghost_group,
@@ -246,7 +245,7 @@ def test_c05_orbifold_euler_formulas_agree():
         c = _random_weighted_curve(rng)
         chi = orbifold_euler(c)
         if genus(c.base) == 0:
-            profile = curve_profile(c)
+            profile = c.profile
             triples = profile.any_field_triples()
             n = profile.numerics
             assert genus_zero_orbifold_euler(n.kappa, n.skewness, n.epsilon, triples) == chi

@@ -25,7 +25,6 @@ from wittcurves.weighted_curve import (
     AbstractPoint,
     WeightedCurve,
     WeightedPoint,
-    curve_profile,
     genus_zero_orbifold_euler,
 )
 from wittcurves.witt_surface import (
@@ -117,7 +116,7 @@ def test_every_route_matches_the_fraction_oracle(make):
     rng = random.Random(8)
     for _ in range(300):
         c = make(rng)
-        profile = curve_profile(c)
+        profile = c.profile
         routes = profile.chi_routes()
         assert routes == fo.chi_routes(profile)
         assert all(type(v) is Fraction for v in routes.values())
@@ -130,7 +129,7 @@ def test_surface_curves_run_every_route():
     rng = random.Random(9)
     seen = set()
     for _ in range(300):
-        seen.update(curve_profile(_random_surface_curve(rng)).chi_routes())
+        seen.update(_random_surface_curve(rng).profile.chi_routes())
     assert seen == {"general", "split", "boundary count", "genus-zero form"}
 
 
@@ -211,7 +210,7 @@ def test_every_search_pattern_matches_the_fraction_oracle():
 def _disc_profile():
     """D with weights 3 and 5 on the boundary: real centre, genus zero."""
     c = WeightedCurve(catalog("D"), (WeightedPoint(REAL_B, 3), WeightedPoint(REAL_B, 5)))
-    profile = curve_profile(c)
+    profile = c.profile
     assert set(profile.chi_routes()) == {"general", "split", "boundary count", "genus-zero form"}
     assert profile.chi_orb == Fraction(1, 2) * (2 - Fraction(2, 3) - Fraction(4, 5))
     return profile

@@ -11,7 +11,9 @@ raised in src/ a stable code, and a fifth keeps one base for the records
 that check themselves: no class extends a NamedTuple of src/, and no
 NamedTuple defines __new__ or __post_init__. A sixth keeps the branching
 on the kind of a base in witt_surface and weighted_curve: the numerics
-every other module reads come in one record for every kind. The command
+every other module reads come in one record for every kind. A seventh
+keeps one reader per curve: only weighted_curve builds a CurveProfile,
+and every other module reads a curve's numerics off its profile. The command
 line starts without click, dataclasses, inspect, ast or dis, as a fresh
 interpreter's sys.modules shows.
 """
@@ -183,6 +185,53 @@ def test_the_scan_sees_surface_internal_reads():
         "ovals = profile.ovals\n"
     )
     assert surface_internal_reads({"m": tree}) == ["m:1.topology", "m:2.commutative", "m:4.segments", "m:4.sign"]
+
+
+# A curve's check reads it into the CurveProfile it keeps in
+# curve.profile, so weighted_curve alone builds a profile, and elsewhere
+# the numerics of a curve are read from its profile: off a name profile
+# or a .profile attribute. witt_surface reads the numerics a surface
+# keeps, off its _reading.
+NUMERICS_HOLDERS = frozenset({"profile", "_reading"})
+
+
+def curve_rereads(modules: dict[str, ast.Module]) -> list[str]:
+    """module:line for every CurveProfile(...) call and every .numerics read
+    off anything but a profile or a surface's reading."""
+    found = []
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                if getattr(node.func, "id", getattr(node.func, "attr", None)) == "CurveProfile":
+                    found.append(f"{module}:{node.lineno}")
+            elif isinstance(node, ast.Attribute) and node.attr == "numerics":
+                holder = node.value
+                if getattr(holder, "id", getattr(holder, "attr", None)) not in NUMERICS_HOLDERS:
+                    found.append(f"{module}:{node.lineno}")
+    return sorted(found)
+
+
+def test_only_weighted_curve_reads_a_curve():
+    modules = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "weighted_curve"
+    }
+    assert curve_rereads(modules) == []
+
+
+def test_the_scan_sees_curve_rereads():
+    tree = ast.parse(
+        "profile = CurveProfile(points, 1, numerics)\n"
+        "kappa = c.numerics.kappa\n"
+        "s = curve.profile.numerics.skewness\n"
+        "eps = profile.numerics.epsilon\n"
+        "p = wc.CurveProfile(c)\n"
+        "n = w._reading.numerics\n"
+        "g = f(c).numerics.genus\n"
+        "numerics = c.profile.numerics\n"
+    )
+    assert curve_rereads({"m": tree}) == ["m:1", "m:2", "m:5", "m:7"]
 
 
 # No class is a dataclass. A plain record is a NamedTuple, and one that

@@ -30,7 +30,6 @@ from wittcurves.weighted_curve import (
     PicardDescriptor,
     WeightedCurve,
     WeightedPoint,
-    curve_profile,
     ghost_group,
     picard_structure,
 )
@@ -67,9 +66,9 @@ RECORDS = {
     WeightedPoint: (WeightedPoint(SEG, 3, oval=0, segment=0), {"oval": None, "segment": None}),
     AbstractPoint: (AbstractPoint("x0", 2, 1, 3), {"e_tau": 1, "residue_degree": 1, "weight": 1}),
     AbstractBase: (AbstractBase(Fraction(1), 1, 1, 1, (AbstractPoint("x0"),), 0), {"centre_genus": None}),
-    EffectivePoint: (curve_profile(_CURVE).points[0], {}),
+    EffectivePoint: (_CURVE.profile.points[0], {}),
     WeightedCurve: (_CURVE, {"points": ()}),
-    CurveProfile: (curve_profile(_CURVE), {}),
+    CurveProfile: (_CURVE.profile, {}),
     PicardDescriptor: (picard_structure(WeightedCurve(catalog("D_2222"))), {"pic_zero": None}),
     GhostGroup: (ghost_group([(2, 1), (2, 1), (1, 1)], 0), {}),
     ClassVector: (ClassVector(1, 2), {}),
@@ -125,7 +124,7 @@ def test_record_semantics(cls):
 
 
 # the slot each FrozenRecord derives from its fields, if any
-DERIVED = {Automorphism: "rotation", WeightedCurve: "numerics"}
+DERIVED = {Automorphism: "rotation", WeightedCurve: "profile"}
 
 
 @pytest.mark.parametrize(
@@ -153,13 +152,13 @@ def test_frozen_records_copy_and_replace_by_their_fields(cls, monkeypatch):
             assert built.rotation is not sample.rotation
         if cls is WeightedCurve:
             # checked again; the numerics are the reading its base keeps
-            assert built.numerics is surface_numerics(built.base)
+            assert built.profile.numerics is surface_numerics(built.base)
     if cls is WeightedCurve:
         assert len(checked) == len(rebuilt) and all(c is b for c, b in zip(checked, rebuilt))
-    if derived == "numerics":
-        assert sample.numerics == surface_numerics(sample.base)
+    if derived == "profile":
+        assert sample.profile.numerics == surface_numerics(sample.base)
         moved = WeightedCurve(catalog("D"))._replace(base=catalog("K"))
-        assert moved.numerics == surface_numerics(catalog("K"))
+        assert moved.profile.numerics == surface_numerics(catalog("K"))
     with pytest.raises(FrozenInstanceError):
         delattr(sample, cls._fields[0])
 

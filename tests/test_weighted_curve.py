@@ -1,6 +1,7 @@
 import copy
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import fraction_oracle as fo
 import pytest
@@ -18,7 +19,6 @@ from wittcurves.weighted_curve import (
     WeightedCurve,
     WeightedPoint,
     classify,
-    curve_profile,
     cy_dimension,
     effective_points,
     genus_zero_orbifold_euler,
@@ -76,7 +76,7 @@ def test_weighted_disc_with_orders_two_four_four():
     assert orbifold_euler(c) == 0
     assert weight_ram_vector(c) == (2, 4, 4)
     assert tau_order(c) == 4
-    profile = curve_profile(c)
+    profile = c.profile
     triples = profile.any_field_triples()
     assert sorted(e * f for e, f, _ in triples) == [1, 1, 2]
     assert genus_zero_orbifold_euler(profile.numerics.kappa, 2, profile.numerics.epsilon, triples) == 0
@@ -189,6 +189,41 @@ def test_picard_structures():
     plain = picard_structure(WeightedCurve(catalog("D")))
     assert plain.base_part == "Z"
     assert plain.torsion_quotient == ()
+
+
+def test_only_the_bare_d2222_has_a_known_pic_zero():
+    # picard() names the bare D_2222 from its profile alone: a real centre
+    # of genus 0, no weight and four points. Search every surface with
+    # g <= 4, whole ovals and alternating ovals of up to 8 segments.
+    kinds = [whole_oval("+"), whole_oval("-")] + [
+        segmented_oval(*signs * k) for k in range(1, 5) for signs in (("+", "-"), ("-", "+"))
+    ]
+    d2222 = ws.canonical_key(catalog("D_2222"))
+    four_points, existing = set(), 0
+    for g, flag, commutative in product(range(5), (0, 1), (False, True)):
+        for t in range(g + 2):
+            for ovals in combinations_with_replacement(kinds, t):
+                w = WittSurface(KleinTopology(g, t, flag), ovals, commutative)
+                try:
+                    numerics = ws.surface_numerics(w)
+                except ValidationError:
+                    continue
+                existing += 1
+                key = ws.canonical_key(w)
+                if numerics.centre_genus == 0 and len(ws.segmentation_points(w)) == 4:
+                    four_points.add(key)
+                pic_zero = picard_structure(WeightedCurve(w)).pic_zero
+                assert pic_zero == ("C2 x C2" if key == d2222 else None), w
+    assert existing > 4000
+    assert four_points == {d2222}
+    # a weight of any class takes the D_2222 off the known case
+    for weight in (
+        WeightedPoint(SEG, 2, oval=0, segment=1),
+        WeightedPoint(INNER, 2),
+        WeightedPoint(REAL_B, 3),
+        WeightedPoint(QUAT_B, 2, oval=0),
+    ):
+        assert picard_structure(WeightedCurve(catalog("D_2222"), (weight,))).pic_zero is None
 
 
 def test_ghost_groups():
@@ -455,7 +490,7 @@ def test_abstract_point_labels_must_be_strings(labels):
 def test_abstract_chi_x_may_be_an_int_or_a_fraction():
     for chi_x in (1, Fraction(1, 2)):
         curve = WeightedCurve(AbstractBase(chi_x, 1, 1, 1, ()))
-        assert curve_profile(curve).numerics.chi_prime == chi_x
+        assert curve.profile.numerics.chi_prime == chi_x
 
 
 def test_abstract_centre_genus_must_be_nonnegative():
@@ -502,12 +537,12 @@ def test_a_curve_keeps_the_numerics_its_check_read():
     curves = [WeightedCurve(catalog(name)) for name in ws.CATALOG_NAMES]
     curves += [make(rng) for make in (_random_surface_curve, _random_complex_curve) for _ in range(300)]
     for c in curves:
-        assert c.numerics == ws.surface_numerics(c.base)
+        assert c.profile.numerics == ws.surface_numerics(c.base)
     for _ in range(300):
         c = _random_abstract_curve(rng)
-        assert type(c.numerics) is ws.BaseNumerics
-        assert c.numerics.chi_centre == c.base.chi_x
-        assert c.numerics.chi_prime == fo.abstract_chi_prime(c.base)
+        assert type(c.profile.numerics) is ws.BaseNumerics
+        assert c.profile.numerics.chi_centre == c.base.chi_x
+        assert c.profile.numerics.chi_prime == fo.abstract_chi_prime(c.base)
 
 
 @pytest.mark.parametrize("make, code", [

@@ -213,7 +213,7 @@ def test_every_catalog_entry_validates():
 # ---------------------------------------------------------------------------
 # The reading of a surface before surface_numerics, kept as an oracle: the
 # bodies of constants_field, genus and euler_characteristics, and the
-# epsilon rule of curve_profile, each counting the ovals for itself.
+# epsilon rule the curve reader applied, each counting the ovals for itself.
 
 def _oracle_constants_field(w):
     if isinstance(w, ComplexCentreBase):
@@ -457,7 +457,7 @@ def test_a_rebuilt_surface_reads_again(monkeypatch):
 ])
 def test_a_surface_that_cannot_exist_raises_on_every_read(w, code):
     for _ in range(2):
-        for read in (*_VIEWS, validate, segmentation_points):
+        for read in (*_VIEWS, validate, segmentation_points, lambda w: signed_ovals(w, "+")):
             with pytest.raises(ValidationError) as exc:
                 read(w)
             assert exc.value.code == code

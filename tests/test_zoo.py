@@ -17,7 +17,6 @@ from wittcurves.weighted_curve import (
     WeightedCurve,
     WeightedPoint,
     classify,
-    curve_profile,
     orbifold_euler,
 )
 from wittcurves.witt_surface import CATALOG_NAMES, catalog
@@ -110,7 +109,7 @@ def oracle_configurations() -> dict[tuple, object]:
                     continue
                 segs = iter(slots)
                 points = tuple(WeightedPoint(loc, p, *(next(segs) if loc is seg else ())) for loc, p in config)
-                profile = curve_profile(WeightedCurve(base, points))
+                profile = WeightedCurve(base, points).profile
                 # a further weight lowers chi'_orb and never shortens the vector
                 if profile.chi_orb < 0 or len(profile.weight_ram_vector) > ORACLE_WRV_LENGTH:
                     continue
