@@ -423,22 +423,75 @@ def apply(phi: Automorphism, a: AlgebraElement) -> AlgebraElement:
     )
 
 
+def _primitive(v: tuple[int, ...]) -> tuple[int, ...]:
+    """A nonzero integer vector divided by its content, the gcd of its entries."""
+    g = math.gcd(*v)
+    return v if g == 1 else tuple(x // g for x in v)
+
+
+def _unit_power(unit: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """u^n up to a real scalar, for the integer vector of a unit u, by
+    binary powering, u^-1 being conj(u) up to a real scalar.
+
+    The vector is divided by its content after every squaring and every
+    product, which changes u^n only by a real scalar. So a unit of finite
+    order keeps small entries however large n is: (1 + i)^n never leaves
+    a few bits, where the unreduced vector would carry n/2 of them.
+    """
+    w, x, y, z = unit
+    step = unit if n >= 0 else (w, -x, -y, -z)
+    un = (1, 0, 0, 0)
+    for bit in bin(abs(n))[2:]:
+        un = _primitive(_hamilton(un, un))
+        if bit == "1":
+            un = _primitive(_hamilton(un, step))
+    return un
+
+
 def power(phi: Automorphism, n: int) -> Automorphism:
     """phi^n, negative n giving powers of the inverse; an inner phi has unit
-    u^n, taken by binary powering on the unit's integer vector, u^-1 being
-    conj(u) up to a real scalar."""
+    u^n (``_unit_power``)."""
     if phi.action == "identity":
         return phi
     if phi.action == "conj":
         return phi if n % 2 else identity(phi.kind)
-    w, x, y, z = phi.unit.num
-    step = (w, x, y, z) if n >= 0 else (w, -x, -y, -z)
-    un = (1, 0, 0, 0)
-    for bit in bin(abs(n))[2:]:
-        un = _hamilton(un, un)
-        if bit == "1":
-            un = _hamilton(un, step)
-    return inner(_make(QUATERNION, un, 1))
+    return inner(_make(QUATERNION, _unit_power(phi.unit.num, n), 1))
+
+
+def _powers(phi: Automorphism, exponents):
+    """Yield phi^e for each e of an ascending sequence of exponents, each
+    built from the one before.
+
+    The identity yields itself and conjugation alternates with one
+    identity. An inner phi starts from power(phi, e) at the first
+    exponent; every later unit is the unit before times u^gap, gap the
+    step from the exponent before, in one Hamilton product normalised by
+    inner(). u^gap is taken once per distinct gap, and is u itself over
+    consecutive exponents. So an inner phi builds one automorphism per
+    exponent, where one power() per exponent would redo the binary
+    powering each time.
+    """
+    if phi.action == "identity":
+        for _ in exponents:
+            yield phi
+    elif phi.action == "conj":
+        even = identity(phi.kind)
+        for e in exponents:
+            yield phi if e % 2 else even
+    else:
+        unit = phi.unit.num
+        steps = {1: unit}
+        current = None
+        for e in exponents:
+            if current is None:
+                current = power(phi, e)
+            else:
+                gap = e - last
+                if gap not in steps:
+                    steps[gap] = _unit_power(unit, gap)
+                current = inner(_make(QUATERNION, _hamilton(current.unit.num, steps[gap]), 1))
+            last = e
+            yield current
 
 
 def apply_power(phi: Automorphism, n: int, a: AlgebraElement) -> AlgebraElement:

@@ -11,11 +11,14 @@ The centre computation solves the commutation conditions by brute force
 result against the closed form K[[T^r]], K = Z(D) intersect Fix(sigma),
 r = the order of sigma modulo inner automorphisms. The system at T^s
 depends on s only through sigma^s, so it is solved once per distinct
-sigma^s (one or two solves for the built-in twists) and the solution is
-checked at every exponent: on H this takes about 0.16 ms at truncation
-8, 0.3 ms at 64 and 1 ms at the ceiling of 256 (2-vCPU Xeon, Python
-3.11). All of it, like the twisted products and the Jordan check, runs
-on the integer numerators of ``algebra``.
+sigma^s (one or two solves for the built-in twists), and the check at
+T^s depends only on that solution and on whether r divides s, so it is
+made once per distinct pair and looked up at every exponent: on H this
+takes about 0.2 ms at truncation 8, 0.3 ms at 64 and 0.5 ms at the
+ceiling of 256 (2-vCPU Xeon, Python 3.11). The powers sigma^i are
+built each from the one before, for the centre search, the twisted
+products and the Jordan check alike, and all of it runs on the integer
+numerators of ``algebra``.
 """
 
 from __future__ import annotations
@@ -30,22 +33,22 @@ from .algebra import (
     AlgebraElement,
     Automorphism,
     DivisionAlgebraKind,
+    _powers,
     apply,
     basis,
     comultiplicity,
     element,
     galois_order,
     one,
-    power,
     zero,
 )
 from .errors import DomainError, FrozenRecord, InvariantViolation, KindMismatchError, ValidationError, require_ints
 
 
 # The largest truncation of a series or a centre search, and the least
-# exponent of a series: a product calls power(twist, i) for each exponent
-# i, and the centre search, one solve per distinct sigma^s checked at
-# every exponent, takes about 1 ms on H at 256.
+# exponent of a series: a product builds sigma^i once for each exponent i
+# of its left factor, and the centre search, one solve per distinct
+# sigma^s, takes about 0.5 ms on H at 256.
 MAX_TRUNCATION = 256
 
 
@@ -96,11 +99,12 @@ class TwistedSeries(FrozenRecord):
         return self + (-other)
 
     def __mul__(self, other: "TwistedSeries") -> "TwistedSeries":
-        """Twisted Cauchy product, c_k = sum over i+j=k of a_i sigma^i(b_j)."""
+        """Twisted Cauchy product, c_k = sum over i+j=k of a_i sigma^i(b_j),
+        with sigma^i built for each exponent i of the left factor from the
+        one before."""
         _require_same_ring(self, other)
         acc: dict[int, AlgebraElement] = {}
-        for i, a in self.coeffs:
-            sigma_i = power(self.twist, i)
+        for (i, a), sigma_i in zip(self.coeffs, _powers(self.twist, [i for i, _ in self.coeffs])):
             for j, b in other.coeffs:
                 if i + j < self.truncation:
                     acc[i + j] = acc.get(i + j, zero(self.kind)) + a * apply(sigma_i, b)
@@ -293,15 +297,15 @@ def _centre_kernels(kind: DivisionAlgebraKind, twist: Automorphism, truncation: 
     lefts = [(d, _left_mul_matrix(kind, d)) for d in basis(kind)]
     solved: dict[Automorphism, list[list[int]]] = {}
     kernels = []
-    for s in range(truncation):
-        sigma_s = power(twist, s)
-        if sigma_s not in solved:
+    for sigma_s in _powers(twist, range(truncation)):
+        kernel = solved.get(sigma_s)
+        if kernel is None:
             rows = list(fix_rows)
             for d, left in lefts:
                 right = _right_mul_matrix(kind, apply(sigma_s, d))
                 rows.extend([a - b for a, b in zip(right[i], left[i])] for i in range(n))
-            solved[sigma_s] = _kernel(rows, n)
-        kernels.append(solved[sigma_s])
+            kernel = solved[sigma_s] = _kernel(rows, n)
+        kernels.append(kernel)
     return kernels
 
 
@@ -310,11 +314,15 @@ def centre_basis(kind: DivisionAlgebraKind, twist: Automorphism, truncation: int
 
     Solves the exact linear system "commutes with T and with every basis
     element of D" for every exponent s (once per distinct sigma^s) and
-    checks the solutions at every s against K[[T^r]]. A disagreement
-    raises InvariantViolation; inner twists are rejected because their
-    centre involves a nontrivial unit (centre R[[uT]] rather than R[[T]]),
-    which is out of scope here. A truncation above MAX_TRUNCATION, or too
-    short to show two periods, raises ValidationError.
+    checks the solution at every s against K[[T^r]]. That verdict depends
+    only on the kernel's content and on whether r divides s, so it is
+    reached once per distinct pair and looked up at every other exponent;
+    a kernel that differs at one exponent is checked on its own. A
+    disagreement raises InvariantViolation; inner twists are rejected
+    because their centre involves a nontrivial unit (centre R[[uT]] rather
+    than R[[T]]), which is out of scope here. A truncation above
+    MAX_TRUNCATION, or too short to show two periods, raises
+    ValidationError.
     """
     if twist.kind is not kind:
         raise KindMismatchError("twist acts on a different algebra")
@@ -330,8 +338,12 @@ def centre_basis(kind: DivisionAlgebraKind, twist: Automorphism, truncation: int
         )
 
     expected_k = _constant_subfield_basis(kind, twist)
+    checked: set[tuple] = set()
     for s, kernel in enumerate(_centre_kernels(kind, twist, truncation)):
-        expected = expected_k if s % r == 0 else []
+        key = (tuple(map(tuple, kernel)), s % r == 0)
+        if key in checked:
+            continue
+        expected = expected_k if key[1] else []
         if len(kernel) != len(expected):
             raise InvariantViolation(
                 f"centre dimension at T^{s} is {len(kernel)}, expected {len(expected)}"
@@ -339,6 +351,7 @@ def centre_basis(kind: DivisionAlgebraKind, twist: Automorphism, truncation: int
         for vec in kernel:
             if not _in_span(vec, expected):
                 raise InvariantViolation(f"unexpected central coefficient at T^{s}: {vec}")
+        checked.add(key)
 
     subfield = REAL if len(expected_k) == 1 else COMPLEX
     return CentreDescription(constant_subfield=subfield, period=r)
@@ -367,39 +380,32 @@ def dim_over_centre(kind: DivisionAlgebraKind, twist: Automorphism) -> int:
 # ---------------------------------------------------------------------------
 # Jordan blocks under a twist
 
-def _side_diagonal(kind, powers, b: AlgebraElement, offset: int):
-    """The n x n side-diagonal matrix with entry (i, i+offset) = sigma^i(b), powers[i] = sigma^i."""
-    n = len(powers)
-    z = zero(kind)
-    m = [[z] * n for _ in range(n)]
-    for i in range(n - offset):
-        m[i][i + offset] = apply(powers[i], b)
-    return m
+def _side_diagonal(powers, b: AlgebraElement, offset: int) -> dict:
+    """The n x n side-diagonal matrix with entry (i, i+offset) = sigma^i(b),
+    powers[i] = sigma^i, as a dict of its entries keyed (i, j); b is
+    nonzero, so each of them is."""
+    return {(i, i + offset): apply(powers[i], b) for i in range(len(powers) - offset)}
 
 
-def _matmul(kind, a, b):
-    """Matrix product skipping every zero factor and every product by 1.
+def _matmul(kind, a: dict, b: dict) -> dict:
+    """Product of two matrices held as dicts of their nonzero entries keyed (i, j).
 
-    Side-diagonal matrices are mostly zeros, and J's side diagonal is all
-    ones, so most of the products left are by 1.
+    Only pairs of nonzero entries meet, and a product by 1 is not formed:
+    J's side diagonal is all ones, so most of the products left are by 1.
+    Entries that cancel to zero are dropped, so equal matrices give equal
+    dicts.
     """
-    n = len(a)
-    z, unit = zero(kind), one(kind)
-    out = [[z] * n for _ in range(n)]
-    for i in range(n):
-        row = out[i]
-        for k in range(n):
-            x = a[i][k]
-            if x.is_zero():
-                continue
-            x_is_one = x == unit
-            for j in range(n):
-                y = b[k][j]
-                if y.is_zero():
-                    continue
-                term = y if x_is_one else x if y == unit else x * y
-                row[j] = term if row[j].is_zero() else row[j] + term
-    return out
+    unit = one(kind)
+    rows: dict[int, list] = {}
+    for (k, j), y in b.items():
+        rows.setdefault(k, []).append((j, y))
+    out: dict = {}
+    for (i, k), x in a.items():
+        x_is_one = x == unit
+        for j, y in rows.get(k, ()):
+            term = y if x_is_one else x if y == unit else x * y
+            out[i, j] = out[i, j] + term if (i, j) in out else term
+    return {key: v for key, v in out.items() if not v.is_zero()}
 
 
 def verify_jordan_twist(kind: DivisionAlgebraKind, twist: Automorphism, n: int) -> bool:
@@ -414,14 +420,14 @@ def verify_jordan_twist(kind: DivisionAlgebraKind, twist: Automorphism, n: int) 
         raise DomainError("matrix size n must be between 1 and 6")
     if twist.kind is not kind:
         raise KindMismatchError("twist acts on a different algebra")
-    powers = [power(twist, i) for i in range(n)]
-    j = _side_diagonal(kind, powers, one(kind), 1)
-    j_power = _side_diagonal(kind, powers, one(kind), 0)  # identity matrix
-    scalars = [(a, _side_diagonal(kind, powers, a, 0)) for a in basis(kind)]
+    powers = list(_powers(twist, range(n)))
+    j = _side_diagonal(powers, one(kind), 1)
+    j_power = _side_diagonal(powers, one(kind), 0)  # identity matrix
+    scalars = [(a, _side_diagonal(powers, a, 0)) for a in basis(kind)]
     for offset in range(n):
         for a, a_scalar in scalars:
             lhs = _matmul(kind, j_power, a_scalar)
-            rhs = _side_diagonal(kind, powers, apply(powers[offset], a), offset)
+            rhs = _side_diagonal(powers, apply(powers[offset], a), offset)
             if lhs != rhs:
                 return False
         j_power = _matmul(kind, j_power, j)

@@ -16,11 +16,13 @@ from fractions import Fraction
 import pytest
 
 import fraction_oracle as fo
+from wittcurves import algebra
 from wittcurves.algebra import (
     COMPLEX,
     QUATERNION,
     REAL,
     AlgebraElement,
+    _powers,
     apply,
     basis,
     complex_conjugation,
@@ -110,6 +112,56 @@ def test_inner_apply_and_powers_match_the_oracle():
             _same(apply(phi_n, a), fo.apply(fphi_n, fa))
         a, fa = _pair(rng, QUATERNION)
         _same(apply(phi, a), fo.apply(fphi, fa))
+
+
+UNITS = [(1, 1, 0, 0), (0, 2, 0, 0), (1, 2, -1, 3), (-2, -3, 1, 3), (Fraction(1, 2), 0, Fraction(-3, 2), 1)]
+
+
+@pytest.mark.parametrize("coeffs", UNITS, ids=[str(u) for u in UNITS])
+def test_reduced_powers_match_repeated_application_and_the_unreduced_powering(coeffs):
+    # fo.power squares the unit and normalises only at the end
+    u = quat(*coeffs)
+    phi, fphi = inner(u), fo.inner(fo.OracleElement(4, tuple(Fraction(c) for c in coeffs)))
+    inverse = inner(u.conjugate())
+    for sign, step in ((1, phi), (-1, inverse)):
+        images = list(basis(QUATERNION))
+        for m in range(41):
+            n = sign * m
+            phi_n = power(phi, n)
+            assert phi_n.unit.coeffs == fo.power(fphi, n).unit.coeffs
+            assert [apply(phi_n, e) for e in basis(QUATERNION)] == images
+            images = [apply(step, a) for a in images]
+
+
+def test_power_of_a_finite_order_unit_stays_small(monkeypatch):
+    widest = [0]
+    hamilton = algebra._hamilton
+
+    def measured(a, b):
+        out = hamilton(a, b)
+        widest[0] = max(widest[0], *(abs(v).bit_length() for v in out))
+        return out
+
+    monkeypatch.setattr(algebra, "_hamilton", measured)
+    phi = inner(quat(1, 1))  # its rotation has order 4
+    assert power(phi, 1000).unit == quat(1)
+    assert widest[0] <= 3  # unreduced, (1 + i)^1000 has entries of 501 bits
+    assert power(phi, 10**9).unit.num == (1, 0, 0, 0)
+    assert power(phi, 10**9 + 1).unit == quat(1, 1)
+    assert power(phi, -(10**9) - 2).unit == quat(0, 1)
+    assert widest[0] <= 3
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [identity(REAL), identity(COMPLEX), complex_conjugation(), identity(QUATERNION),
+     inner(quat(0, 1)), inner(quat(1, 2, -1, 3)), inner(quat(-4, 0, 2, 6))],
+    ids=["R-id", "C-id", "C-conj", "H-id", "i", "1+2i-j+3k", "-4+2j+6k"],
+)
+def test_successive_powers_equal_the_binary_powers(phi):
+    sequences = (range(12), range(-7, 5), range(3, 9), range(-4, -1), range(2, 2), (-9, -3, 0, 1, 2, 5, 8, 30), (4, 7, 10))
+    for exponents in sequences:
+        assert list(_powers(phi, exponents)) == [power(phi, e) for e in exponents]
 
 
 @pytest.mark.parametrize(

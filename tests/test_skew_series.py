@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from wittcurves import skew_series
+from wittcurves import algebra, skew_series
 from wittcurves.algebra import (
     COMPLEX,
     QUATERNION,
     REAL,
+    Automorphism,
     apply_power,
     basis,
     complex_conjugation,
@@ -17,6 +18,7 @@ from wittcurves.algebra import (
     identity,
     inner,
     one,
+    power,
     quat,
     real,
 )
@@ -166,6 +168,11 @@ def test_jordan_twist_holds_for_every_size_and_several_units():
             assert verify_jordan_twist(QUATERNION, inner(quat(*unit)), n), (n, unit)
 
 
+def _sparse(dense):
+    """A list-of-rows matrix as the dict of its nonzero entries keyed (i, j)."""
+    return {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if not v.is_zero()}
+
+
 def test_sparse_matmul_matches_the_dense_product():
     rng = random.Random(5)
 
@@ -182,7 +189,9 @@ def test_sparse_matmul_matches_the_dense_product():
                 [sum((a[i][k] * b[k][j] for k in range(n)), quat(0)) for j in range(n)]
                 for i in range(n)
             ]
-            assert _matmul(QUATERNION, a, b) == dense
+            assert _matmul(QUATERNION, _sparse(a), _sparse(b)) == _sparse(dense)
+    # 1 * i + i * (-1) cancels, and leaves no zero entry behind
+    assert _matmul(QUATERNION, {(0, 0): quat(1), (0, 1): quat(0, 1)}, {(0, 0): quat(0, 1), (1, 0): quat(-1)}) == {}
 
 
 def _fraction_kernel(rows, n):
@@ -318,3 +327,90 @@ def test_wrong_constant_subfield_trips_the_centre_check(monkeypatch, kind, twist
     monkeypatch.setattr(skew_series, "_constant_subfield_basis", lambda k, t: wrong)
     with pytest.raises(InvariantViolation):
         centre_basis(kind, twist, 8)
+
+
+def _counted(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records the arguments of every call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_centre_check_runs_once_per_distinct_system(monkeypatch):
+    spans = _counted(monkeypatch, skew_series, "_in_span")
+    centre_basis(QUATERNION, identity(QUATERNION), MAX_TRUNCATION)
+    assert len(spans) == 1
+    spans.clear()
+    centre_basis(COMPLEX, CONJ, 64)
+    kernels = _centre_kernels(COMPLEX, CONJ, 64)
+    pairs = {(tuple(map(tuple, kernel)), s % 2 == 0) for s, kernel in enumerate(kernels)}
+    assert len(spans) == sum(len(kernel) for kernel, _ in pairs) == 1
+
+
+def test_product_builds_one_automorphism_per_exponent(monkeypatch):
+    twist = inner(quat(1, 2, -1, 3))
+    g = series(QUATERNION, twist, 24, {0: quat(0, 1), 3: quat(2, 0, 1)})
+    built = _counted(monkeypatch, Automorphism, "__init__")
+    for exponents in (range(21), range(0, 21, 2), (-5, -4, 0, 1, 9, 13, 20)):
+        f = series(QUATERNION, twist, 24, {e: quat(1, e, 0, -1) for e in exponents})
+        built.clear()
+        f * g
+        # one per exponent of the left factor: at most m + 1 if it reaches m
+        assert len(built) == len(exponents)
+
+
+def test_jordan_check_builds_each_power_by_one_hamilton_product(monkeypatch):
+    # the side-diagonal products are all by 1, so every Hamilton product
+    # left builds a power; power(twist, 0) squares the unit vector once
+    products = _counted(monkeypatch, algebra, "_hamilton")
+    for n in range(1, 7):
+        products.clear()
+        assert verify_jordan_twist(QUATERNION, inner(quat(1, 2, -1, 3)), n)
+        assert len(products) == n
+
+
+@pytest.mark.parametrize("kind, twist", BUILTIN_PAIRS, ids=PAIR_IDS)
+def test_one_corrupted_kernel_trips_the_centre_check(monkeypatch, kind, twist):
+    truncation = 16
+    honest = _centre_kernels(kind, twist, truncation)
+    units = [[int(i == c) for i in range(kind.dim_over_k)] for c in range(kind.dim_over_k)]
+    for s in (0, 1, 2, 7, truncation - 1):
+        kernel = honest[s]
+        # one vector too few, one too many, and one out of the honest span
+        wrong = [kernel + [units[-1]]]
+        if kernel:
+            wrong.append(kernel[:-1])
+            outside = next((u for u in units if not _in_span(u, kernel)), None)
+            if outside is not None:
+                wrong.append([outside] + kernel[1:])
+        for corrupted in wrong:
+            kernels = honest[:s] + [corrupted] + honest[s + 1:]
+            monkeypatch.setattr(skew_series, "_centre_kernels", lambda k, t, m, kernels=kernels: kernels)
+            with pytest.raises(InvariantViolation):
+                centre_basis(kind, twist, truncation)
+
+
+@pytest.mark.parametrize(
+    "kind, twist",
+    [(COMPLEX, CONJ), (QUATERNION, identity(QUATERNION)), (QUATERNION, inner(quat(1, 2, -1, 3)))],
+    ids=["C-conj", "H-id", "H-inner"],
+)
+def test_one_wrong_power_trips_the_jordan_check(monkeypatch, kind, twist):
+    n = 6
+    honest = [power(twist, i) for i in range(n)]
+    for k in range(n):
+        # sigma^k composed with one more map: conjugation on C, a turn by j on H
+        if kind is COMPLEX:
+            wrong = power(twist, k + 1)
+        else:
+            wrong = inner((honest[k].unit or quat(1)) * quat(0, 0, 1))
+        assert wrong != honest[k]
+        powers = honest[:k] + [wrong] + honest[k + 1:]
+        monkeypatch.setattr(skew_series, "_powers", lambda phi, exponents, powers=powers: powers)
+        assert not verify_jordan_twist(kind, twist, n)
