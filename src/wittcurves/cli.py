@@ -152,7 +152,9 @@ def _weighted_point(record) -> WeightedPoint:
 
 def _abstract_point(index: int, record) -> AbstractPoint:
     record = _fields(record, "an override point", (), ("label", "e_tau", "f", "p"))
-    label = str(record.get("label", f"x{index}"))
+    label = record.get("label", f"x{index}")
+    if not isinstance(label, str):
+        raise ParseError("label must be a string")
     return AbstractPoint(
         label, _int(record, "e_tau", 1), _int(record, "f", 1), _int(record, "p", 1)
     )

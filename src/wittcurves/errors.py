@@ -75,9 +75,7 @@ class FrozenRecord:
     for anything it derives, and an ``__init__`` whose signature is the
     field list; the defaults are stated there alone, and ``_field_defaults``
     is read from it, as a NamedTuple holds them. ``__init__`` stores the
-    fields with one call of ``_set``, then runs the record's checks. A
-    record that caches values in an instance ``__dict__`` has no
-    ``__slots__`` and writes its fields into that dict instead.
+    fields with one call of ``_set``, then runs the record's checks.
     Equality, hash, repr, ``_replace`` and pickling read ``_fields``;
     ``_make``, ``_replace``, copies and unpickling all build the record
     again through its constructor, so none of them skips a check, and a

@@ -9,9 +9,11 @@ weight p, its ramification index e_tau, and its residue degree f.
 A WeightedCurve checks itself when built, and the check reads the curve
 once: its base, by one call to witt_surface.validate for a surface or
 here for an abstract base, summing its chi', and its weights, placement
-by placement. What it read is the curve's CurveProfile, kept in
-curve.profile: the effective points, their lcm weight pbar and the
-BaseNumerics of the base. validate checks a surface on the first read of
+by placement, then bounds the lcm of the point orders by MAX_ORDER_LCM.
+What it read is the curve's CurveProfile, kept in curve.profile: the
+effective points, their lcm weight pbar, the BaseNumerics of the base,
+and chi'_orb and the weight-ramification vector, which the profile
+derives when it is built. validate checks a surface on the first read of
 each surface object, which keeps its reading, so a second curve on the
 same surface object reads nothing of it again, and nothing here reads
 the ovals or topology of a surface. Every public invariant is a view of
@@ -25,15 +27,13 @@ Each route sums its point terms as one integer numerator over the lcm of
 their denominators, giving an int (numerator, denominator) pair; the pairs
 are compared by cross-multiplying, and one Fraction is built for the
 answer. The chi' of an abstract base is summed the same way. A profile
-runs the routes once, when its chi_orb is first read, so the accessors
-that need only base numerics never run them.
+runs the routes once, when it is built.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import NamedTuple
 
@@ -71,6 +71,12 @@ MAX_POINT_VALUE = 10_000
 # least MAX_POINT_VALUE, so one point of any allowed size fits. On a
 # surface base f is 1 or 2, so the vector grows only with the input.
 MAX_VECTOR_LENGTH = MAX_POINT_VALUE
+# The largest lcm of the point orders p * e_tau of a curve. pbar and the
+# lcm of the e_tau divide it, and the denominator of chi'_orb divides
+# twice it over a surface; the numerator and denominator of an abstract
+# chi_x are held to it too. So chi'_orb has at most about 200 digits
+# however many points a curve has, and every answer prints as JSON.
+MAX_ORDER_LCM = 10**100
 
 class CurveClass(enum.Enum):
     DOMESTIC = "domestic"
@@ -161,6 +167,8 @@ def _validate_curve(c: WeightedCurve) -> CurveProfile:
         numerics, points = _validate_abstract(base)
     else:
         numerics, points = validate(base), _validate_weights(base, c.points)
+    if lcm(*(pt.weight * pt.e_tau for pt in points)) > MAX_ORDER_LCM:
+        raise ValidationError("the lcm of the point orders p * e_tau is above MAX_ORDER_LCM", code="too-large")
     return CurveProfile(points, lcm(*(pt.weight for pt in points)), numerics)
 
 
@@ -253,6 +261,8 @@ def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[Effectiv
     if base.centre_genus is not None and base.centre_genus < 0:
         raise ValidationError("the centre genus must be nonnegative", code="negative-genus")
     chi_centre = Fraction(base.chi_x)
+    if max(abs(chi_centre.numerator), chi_centre.denominator) > MAX_ORDER_LCM:
+        raise ValidationError("chi_x has a numerator or a denominator above MAX_ORDER_LCM", code="too-large")
     # (1 - 1/e) f = (e - 1) f / e, over the lcm of the e_tau
     n = lcm(*(p.e_tau for p in points))
     drops = sum((p.e_tau - 1) * p.residue_degree * (n // p.e_tau) for p in points)
@@ -313,16 +323,32 @@ class CurveProfile(FrozenRecord):
     inner point has e_tau = 1 and weight 1 and adds nothing), and pbar is
     the lcm of their weights. numerics is the curve's BaseNumerics, as its
     check read them. A curve's check builds its profile, and the curve
-    keeps it in ``curve.profile``. chi_orb runs the cross-checked routes
-    when first read, so a profile asked only for base numerics never does;
-    it and weight_ram_vector are then kept with the profile, in its
-    instance __dict__ beside the fields.
+    keeps it in ``curve.profile``. The constructor runs the cross-checked
+    routes once and keeps chi_orb, the general route once every other
+    route has been checked equal to it by cross-multiplying the integer
+    pairs, and weight_ram_vector, the sorted multiset of p * e_tau > 1,
+    each counted residue-degree times. Both are derived from the fields,
+    so they are no fields and take no part in equality, hash or repr.
     """
 
     _fields = ("points", "pbar", "numerics")
+    __slots__ = (*_fields, "chi_orb", "weight_ram_vector")
 
     def __init__(self, points: tuple[EffectivePoint, ...], pbar: int, numerics: BaseNumerics):
-        vars(self).update(points=points, pbar=pbar, numerics=numerics)
+        self._set(points, pbar, numerics)
+        routes = self._route_pairs()
+        gn, gd = routes.pop("general")
+        for name, (num, den) in routes.items():
+            if num * gd != gn * den:
+                raise InvariantViolation(
+                    f"Euler characteristic mismatch: general {Fraction(gn, gd)}, {name} {Fraction(num, den)}"
+                )
+        object.__setattr__(self, "chi_orb", Fraction(gn, gd))
+        vector: list[int] = []
+        for pt in points:
+            if (v := pt.weight * pt.e_tau) > 1:
+                vector += [v] * pt.residue_degree
+        object.__setattr__(self, "weight_ram_vector", tuple(sorted(vector)))
 
     def _route_pairs(self) -> dict[str, tuple[int, int]]:
         """Every chi'_orb route that applies, as an int (numerator,
@@ -361,40 +387,8 @@ class CurveProfile(FrozenRecord):
         and the split through the non-weighted curve always, the boundary
         count on a real centre and the genus-zero form where the function
         field has genus zero. Each is a Fraction built from the integer
-        pair chi_orb compares; nothing is compared here."""
+        pair the constructor compares; nothing is compared here."""
         return {name: Fraction(num, den) for name, (num, den) in self._route_pairs().items()}
-
-    @cached_property
-    def chi_orb(self) -> Fraction:
-        """Normalized orbifold Euler characteristic: the general route, once
-        every other route of chi_routes has been checked equal to it, by
-        cross-multiplying the integer pairs."""
-        routes = self._route_pairs()
-        gn, gd = routes.pop("general")
-        for name, (num, den) in routes.items():
-            if num * gd != gn * den:
-                raise InvariantViolation(
-                    f"Euler characteristic mismatch: general {Fraction(gn, gd)}, {name} {Fraction(num, den)}"
-                )
-        return Fraction(gn, gd)
-
-    def any_field_triples(self) -> tuple[tuple[int, Fraction, int], ...]:
-        """(e, f, p) data feeding the genus-zero formula, with e*f recovered
-        from the real local data via e*f = (s^2 / (kappa*epsilon)) * f_res / e_tau."""
-        s, kap, eps = self.numerics.skewness, self.numerics.kappa, self.numerics.epsilon
-        return tuple(
-            (1, Fraction(s * s * pt.residue_degree, kap * eps * pt.e_tau), pt.weight)
-            for pt in self.points
-        )
-
-    @cached_property
-    def weight_ram_vector(self) -> tuple[int, ...]:
-        entries: list[int] = []
-        for pt in self.points:
-            v = pt.weight * pt.e_tau
-            if v > 1:
-                entries.extend([v] * pt.residue_degree)
-        return tuple(sorted(entries))
 
     def curve_class(self) -> CurveClass:
         chi = self.chi_orb
@@ -431,7 +425,7 @@ class CurveProfile(FrozenRecord):
     def tau_order(self) -> int:
         if self.chi_orb != 0:
             raise DomainError("tau has finite order only when the orbifold characteristic vanishes")
-        order = max([pt.weight * pt.e_tau for pt in self.points], default=1)
+        order = max(self.weight_ram_vector, default=1)
         if order not in (1, 2, 3, 4, 6):
             raise self._inconsistent(f"unexpected tau order {order}")
         return order
@@ -521,7 +515,10 @@ def _genus_zero(kappa: int, s: int, epsilon: int, terms: list[tuple[int, int]]) 
 
 
 def orbifold_euler(c: WeightedCurve) -> Fraction:
-    """Normalized orbifold Euler characteristic, cross-checked three ways."""
+    """Normalized orbifold Euler characteristic: the general formula over
+    the centre, checked equal to the split through the non-weighted curve,
+    to the boundary count on a real centre and to the genus-zero form where
+    the function field has genus zero."""
     return c.profile.chi_orb
 
 

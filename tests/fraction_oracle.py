@@ -9,11 +9,13 @@ integer core against it on seeded random elements.
 The second part is the orbifold Euler characteristic and the tubular
 search as they were before they ran on integer numerators: the chi'_orb
 routes of CurveProfile, the chi' of an abstract base and
-genus_zero_orbifold_euler summed term by term on Fractions, and the
-zoo's _fill/_search on Fraction shares and budgets (the exact patterns
-only, which are the tubular weights). patterns, last, enumerates every
-pattern of the zoo's rule on Fractions another way: the symbols first,
-then int weights that use up exactly the counts left.
+genus_zero_orbifold_euler summed term by term on Fractions (the (e, f, p)
+triples of the genus-zero route are built from a profile's points here,
+by any_field_triples), and the zoo's _fill/_search on Fraction shares
+and budgets (the exact patterns only, which are the tubular weights).
+patterns, last, enumerates every pattern of the zoo's rule on Fractions
+another way: the symbols first, then int weights that use up exactly the
+counts left.
 tests/test_euler_integer.py compares the integer code against them.
 """
 
@@ -170,9 +172,20 @@ def chi_routes(profile) -> dict[str, Fraction]:
         routes["boundary count"] = thurston
     if n.genus == 0:
         routes["genus-zero form"] = genus_zero_orbifold_euler(
-            n.kappa, n.skewness, n.epsilon, profile.any_field_triples()
+            n.kappa, n.skewness, n.epsilon, any_field_triples(profile)
         )
     return routes
+
+
+def any_field_triples(profile) -> tuple[tuple[int, Fraction, int], ...]:
+    """The (e, f, p) triples of the genus-zero formula for the points of a
+    CurveProfile, with e f recovered from the real local data as
+    e f = (s^2 / (kappa epsilon)) f_res / e_tau."""
+    n = profile.numerics
+    return tuple(
+        (1, Fraction(n.skewness**2 * pt.residue_degree, n.kappa * n.epsilon * pt.e_tau), pt.weight)
+        for pt in profile.points
+    )
 
 
 def abstract_chi_prime(base) -> Fraction:

@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+import fraction_oracle as fo
 import pytest
 
 from wittcurves.algebra import (
@@ -246,7 +247,7 @@ def test_c05_orbifold_euler_formulas_agree():
         chi = orbifold_euler(c)
         if genus(c.base) == 0:
             profile = c.profile
-            triples = profile.any_field_triples()
+            triples = fo.any_field_triples(profile)
             n = profile.numerics
             assert genus_zero_orbifold_euler(n.kappa, n.skewness, n.epsilon, triples) == chi
     assert orbifold_euler(_example_a()) == 0

@@ -6,6 +6,9 @@ from pathlib import Path
 
 import pytest
 from cli_runner import invoke
+from test_weighted_curve import orders_at_the_ceiling, primes_below
+
+from wittcurves.weighted_curve import MAX_ORDER_LCM
 
 
 def _write(tmp_path, name, payload):
@@ -279,6 +282,49 @@ def test_huge_abstract_point_entries_exit_two(tmp_path, field, value):
     assert res.output == "error: point x0 has an entry above 10000\n"
 
 
+def _inner_weights(orders):
+    return {"base": "D", "weights": [{"class": "inner", "p": p} for p in orders]}
+
+
+def _e_tau_points(orders, chi_x=1):
+    return {"overrides": {
+        "chi_x": chi_x, "s": 1, "kappa": 1, "epsilon": 1, "points": [{"e_tau": e, "p": 1} for e in orders],
+    }}
+
+
+@pytest.mark.parametrize("command", ["invariants", "classify"])
+@pytest.mark.parametrize("make", [_inner_weights, _e_tau_points], ids=["weights", "e_tau"])
+def test_the_lcm_of_the_point_orders_has_a_ceiling(tmp_path, make, command):
+    at = orders_at_the_ceiling()
+    res = invoke([command, _write(tmp_path, "at.json", make(at))])
+    assert res.exit_code == 0
+    # one more order of 2, and one weight or e_tau for each prime below 10000
+    for above in (at + [2], primes_below(10000)):
+        res = invoke([command, _write(tmp_path, "above.json", make(above))])
+        assert res.exit_code == 2
+        assert res.output == "error: the lcm of the point orders p * e_tau is above MAX_ORDER_LCM\n"
+
+
+@pytest.mark.parametrize("command", ["invariants", "classify"])
+@pytest.mark.parametrize("chi_x", [
+    {"num": 1, "den": 9 * 10**4299 + 1}, 9 * 10**4299, {"num": MAX_ORDER_LCM + 1, "den": 3},
+], ids=["parse-limit-denominator", "parse-limit-integer", "above-the-ceiling"])
+def test_abstract_chi_x_has_a_ceiling(tmp_path, chi_x, command):
+    res = invoke([command, _write(tmp_path, "x.json", _e_tau_points([3], chi_x))])
+    assert res.exit_code == 2
+    assert res.output == "error: chi_x has a numerator or a denominator above MAX_ORDER_LCM\n"
+
+
+def test_an_answer_at_every_ceiling_stays_short(tmp_path):
+    chi_x = {"num": -MAX_ORDER_LCM, "den": MAX_ORDER_LCM - 1}
+    path = _write(tmp_path, "a.json", _e_tau_points(orders_at_the_ceiling(), chi_x))
+    res = invoke(["invariants", path])
+    assert res.exit_code == 0
+    chi = json.loads(res.output)["chi_orb"]
+    assert max(abs(chi["num"]), chi["den"]) < 10**205
+    assert len(res.output) < 2000
+
+
 @pytest.mark.parametrize("points, message", [
     ([[10001, 1], [1, 1]], "e_tau and residue degrees must be at most 10000"),
     ([[1, 1], [1, 10001]], "e_tau and residue degrees must be at most 10000"),
@@ -420,6 +466,8 @@ _MALFORMED = [
     ("override-point", "float", "invariants", _on_overrides(points=[{"e_tau": 2.0}])),
     ("override-point", "bool", "invariants", _on_overrides(points=[{"f": True}])),
     ("override-point", "null", "invariants", _on_overrides(points=[{"e_tau": None}])),
+    ("override-point", "null-label", "invariants", _on_overrides(points=[{"label": None}])),
+    ("override-point", "list-label", "invariants", _on_overrides(points=[{"label": [1]}])),
     ("ghost", "not-object", "ghost", [[2, 1]]),
     ("ghost", "unknown", "ghost", {"points": [[2, 1]], "colour": 1}),
     ("ghost", "missing", "ghost", {"efficient": 0}),

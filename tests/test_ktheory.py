@@ -20,9 +20,18 @@ from wittcurves.ktheory import (
     reduce_class,
     slope_orbits,
 )
+from wittcurves.witt_surface import CATALOG_NAMES, catalog, surface_numerics
 
 E = ClassVector(1, 0)
 F = ClassVector(0, 1)
+
+
+def test_the_elliptic_types_are_the_real_catalog_bases_with_chi_prime_zero():
+    real_elliptic = [
+        name for name in CATALOG_NAMES
+        if (n := surface_numerics(catalog(name))).centre == "R" and n.chi_prime == 0
+    ]
+    assert ELLIPTIC_TYPES == tuple(real_elliptic) == ("A", "M", "K", "A_RH", "A_HH", "M_H", "D_2222")
 
 
 def test_euler_form_values():

@@ -13,9 +13,11 @@ NamedTuple defines __new__ or __post_init__. A sixth keeps the branching
 on the kind of a base in witt_surface and weighted_curve: the numerics
 every other module reads come in one record for every kind. A seventh
 keeps one reader per curve: only weighted_curve builds a CurveProfile,
-and every other module reads a curve's numerics off its profile. The command
-line starts without click, dataclasses, inspect, ast or dis, as a fresh
-interpreter's sys.modules shows.
+and every other module reads a curve's numerics off its profile. An
+eighth keeps every record on slots: each FrozenRecord subclass declares
+__slots__, and nothing uses cached_property, which needs an instance
+__dict__. The command line starts without click, dataclasses, inspect,
+ast or dis, as a fresh interpreter's sys.modules shows.
 """
 
 import ast
@@ -405,3 +407,62 @@ def test_the_scan_sees_checked_namedtuples():
         "        pass\n"
     )
     assert checked_namedtuples({"a": fields, "b": records}) == ["a.Hooked", "a.Normalised", "b.Checked"]
+
+
+# A FrozenRecord keeps its fields, and what it derives from them, in
+# __slots__, so no record has an instance __dict__; cached_property would
+# need one, so a record derives its values when it is built instead.
+def dict_storage(modules: dict[str, ast.Module]) -> list[str]:
+    """module.Class for every subclass of FrozenRecord, directly or through
+    a class of the scanned modules, that declares no __slots__, and
+    module:line for every use of cached_property."""
+    classes = [
+        (module, node) for module, tree in modules.items() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    ]
+    records = {"FrozenRecord"}
+    while new := {node.name for _, node in classes if _base_names(node) & records} - records:
+        records |= new
+    found = []
+    for module, node in classes:
+        targets = [
+            t for stmt in node.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+            for t in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+        ]
+        if _base_names(node) & records and not any(getattr(t, "id", None) == "__slots__" for t in targets):
+            found.append(f"{module}.{node.name}")
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            names = [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else [
+                getattr(node, "id", getattr(node, "attr", None))
+            ]
+            if "cached_property" in names:
+                found.append(f"{module}:{node.lineno}")
+    return sorted(found)
+
+
+def test_every_record_keeps_its_values_in_slots():
+    modules = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert dict_storage(modules) == []
+
+
+def test_the_scan_sees_dict_storage():
+    tree = ast.parse(
+        "from functools import cached_property\n"
+        "class Slotted(FrozenRecord):\n"
+        "    __slots__ = _fields = ('x',)\n"
+        "class Bare(errors.FrozenRecord):\n"
+        "    _fields = ('x',)\n"
+        "class Derived(Slotted):\n"
+        "    def total(self):\n"
+        "        return self.x\n"
+        "class Plain:\n"
+        "    @functools.cached_property\n"
+        "    def x(self):\n"
+        "        return 1\n"
+        "class Annotated(Slotted):\n"
+        "    __slots__: tuple = ()\n"
+    )
+    assert dict_storage({"m": tree}) == ["m.Bare", "m.Derived", "m:1", "m:10"]

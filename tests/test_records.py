@@ -3,11 +3,10 @@
 A plain record is a NamedTuple; one that checks, normalises or derives a
 field is a FrozenRecord, which names its fields and defaults the same
 way. Each is built by position and by keyword, compares and hashes by
-value, refuses assignment, has no instance __dict__ (but the profile,
-for its cached values) and prints as Name(field=value, ...). A
-FrozenRecord is copied, replaced, remade and unpickled through its
-constructor, so a checked one rejects bad fields through its
-constructor, _make, _replace, copy and pickle alike.
+value, refuses assignment, has no instance __dict__ and prints as
+Name(field=value, ...). A FrozenRecord is copied, replaced, remade and
+unpickled through its constructor, so a checked one rejects bad fields
+through its constructor, _make, _replace, copy and pickle alike.
 """
 
 import copy
@@ -115,16 +114,16 @@ def test_record_semantics(cls):
         assert hash(built) == hash(sample)
     with pytest.raises(AttributeError):
         setattr(sample, next(iter(fields)), None)
-    # no instance __dict__ either, but where cached_property needs one
-    assert hasattr(sample, "__dict__") == (cls is CurveProfile)
+    # no instance __dict__ either
+    assert not hasattr(sample, "__dict__")
     expected = CUSTOM_REPR.get(cls)
     if expected is None:
         expected = f"{cls.__name__}(" + ", ".join(f"{n}={getattr(sample, n)!r}" for n in cls._fields) + ")"
     assert repr(sample) == expected
 
 
-# the slot each FrozenRecord derives from its fields, if any
-DERIVED = {Automorphism: "rotation", WeightedCurve: "profile"}
+# the slots each FrozenRecord derives from its fields, if any
+DERIVED = {Automorphism: ("rotation",), WeightedCurve: ("profile",), CurveProfile: ("chi_orb", "weight_ram_vector")}
 
 
 @pytest.mark.parametrize(
@@ -132,7 +131,7 @@ DERIVED = {Automorphism: "rotation", WeightedCurve: "profile"}
 )
 def test_frozen_records_copy_and_replace_by_their_fields(cls, monkeypatch):
     sample = RECORDS[cls][0]
-    derived = DERIVED.get(cls)
+    derived = DERIVED.get(cls, ())
     checked = []
     real_check = WeightedCurve.__post_init__
     monkeypatch.setattr(WeightedCurve, "__post_init__", lambda self: checked.append(self) or real_check(self))
@@ -145,8 +144,8 @@ def test_frozen_records_copy_and_replace_by_their_fields(cls, monkeypatch):
     ]
     for built in rebuilt:
         assert type(built) is cls and built == sample
-        if derived is not None:
-            assert getattr(built, derived) == getattr(sample, derived)
+        for name in derived:
+            assert getattr(built, name) == getattr(sample, name)
         if cls is Automorphism:
             # derived again from the fields, not copied
             assert built.rotation is not sample.rotation
@@ -155,7 +154,6 @@ def test_frozen_records_copy_and_replace_by_their_fields(cls, monkeypatch):
             assert built.profile.numerics is surface_numerics(built.base)
     if cls is WeightedCurve:
         assert len(checked) == len(rebuilt) and all(c is b for c, b in zip(checked, rebuilt))
-    if derived == "profile":
         assert sample.profile.numerics == surface_numerics(sample.base)
         moved = WeightedCurve(catalog("D"))._replace(base=catalog("K"))
         assert moved.profile.numerics == surface_numerics(catalog("K"))

@@ -2,6 +2,7 @@ import copy
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import isqrt, lcm, prod
 
 import fraction_oracle as fo
 import pytest
@@ -11,6 +12,7 @@ import wittcurves.witt_surface as ws
 from wittcurves.errors import DomainError, InconsistentDataError, InvariantViolation, KindMismatchError, ValidationError
 from wittcurves.local_data import WittPointClass
 from wittcurves.weighted_curve import (
+    MAX_ORDER_LCM,
     MAX_POINT_VALUE,
     MAX_VECTOR_LENGTH,
     AbstractBase,
@@ -77,7 +79,7 @@ def test_weighted_disc_with_orders_two_four_four():
     assert weight_ram_vector(c) == (2, 4, 4)
     assert tau_order(c) == 4
     profile = c.profile
-    triples = profile.any_field_triples()
+    triples = fo.any_field_triples(profile)
     assert sorted(e * f for e, f, _ in triples) == [1, 1, 2]
     assert genus_zero_orbifold_euler(profile.numerics.kappa, 2, profile.numerics.epsilon, triples) == 0
 
@@ -429,6 +431,58 @@ def test_weight_ram_vector_length_is_bounded():
     WeightedCurve(base(weighted, AbstractPoint("x1", residue_degree=half)))
     # the cap itself is allowed
     WeightedCurve(base(weighted._replace(residue_degree=MAX_VECTOR_LENGTH - 1), AbstractPoint("x1", e_tau=3)))
+
+
+def primes_below(n: int) -> list[int]:
+    return [p for p in range(2, n) if all(p % q for q in range(2, isqrt(p) + 1))]
+
+
+def orders_at_the_ceiling() -> list[int]:
+    """The largest primes below MAX_POINT_VALUE, as many as fit with their
+    product at most MAX_ORDER_LCM: it is then above half the ceiling, so
+    one more order of 2 passes it."""
+    orders: list[int] = []
+    for p in reversed(primes_below(MAX_POINT_VALUE)):
+        if prod(orders) * p > MAX_ORDER_LCM:
+            break
+        orders.append(p)
+    return orders
+
+
+def _inner_weights(orders):
+    """D with one inner weight of each order: pbar is their lcm."""
+    return WeightedCurve(catalog("D"), tuple(WeightedPoint(INNER, p) for p in orders))
+
+
+def _abstract_e_tau(orders):
+    """An abstract base with one point of each e_tau and every weight 1: pbar is 1."""
+    points = tuple(AbstractPoint(f"x{i}", e_tau=e) for i, e in enumerate(orders))
+    return WeightedCurve(AbstractBase(Fraction(1), 1, 1, 1, points))
+
+
+@pytest.mark.parametrize("make", [_inner_weights, _abstract_e_tau], ids=["weights", "e_tau"])
+def test_the_lcm_of_the_point_orders_is_bounded(make):
+    orders = orders_at_the_ceiling()
+    assert prod(orders) <= MAX_ORDER_LCM < 2 * prod(orders)
+    c = make(orders)
+    assert lcm(*weight_ram_vector(c)) == prod(orders)
+    assert c.profile.pbar == (1 if make is _abstract_e_tau else prod(orders))
+    report = invariants_report(c)
+    assert report["curve_class"] == "wild" and report["chi_orb"].denominator <= 2 * MAX_ORDER_LCM
+    for above in (orders + [2], primes_below(MAX_POINT_VALUE)):
+        with pytest.raises(ValidationError) as exc:
+            make(above)
+        assert exc.value.code == "too-large"
+
+
+@pytest.mark.parametrize("chi_x", [
+    Fraction(MAX_ORDER_LCM + 1), Fraction(-MAX_ORDER_LCM - 1, 7), Fraction(1, MAX_ORDER_LCM + 1),
+], ids=["numerator", "negative", "denominator"])
+def test_abstract_chi_x_is_bounded(chi_x):
+    with pytest.raises(ValidationError) as exc:
+        WeightedCurve(AbstractBase(chi_x, 1, 1, 1, ()))
+    assert exc.value.code == "too-large"
+    WeightedCurve(AbstractBase(Fraction(-MAX_ORDER_LCM, MAX_ORDER_LCM - 1), 1, 1, 1, ()))
 
 
 # ---------------------------------------------------------------------------
