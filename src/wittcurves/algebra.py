@@ -177,14 +177,8 @@ class AlgebraElement:
                 )
             return NotImplemented
         _require_same_kind(self, other)
-        kind, a, b = self.kind, self.num, other.num
-        if kind is QUATERNION:
-            num = _hamilton(a, b)
-        elif kind is COMPLEX:
-            num = (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-        else:
-            num = (a[0] * b[0],)
-        return _reduced(kind, num, self.den * other.den)
+        kind = self.kind
+        return _reduced(kind, _product(kind, self.num, other.num), self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -264,6 +258,22 @@ def _hamilton(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
         a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
     )
+
+
+def _product(kind: DivisionAlgebraKind, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The numerators of x * y for elements x, y of a built-in kind with
+    numerators a and b, over the product of their denominators, unreduced:
+    the one multiplication rule of R, C and H (``_hamilton`` on H).
+
+    On the integer vectors of basis elements these are the structure
+    constants, so a caller that needs only numerators, such as a linear
+    system that may be scaled row by row, builds no element at all.
+    """
+    if kind is QUATERNION:
+        return _hamilton(a, b)
+    if kind is COMPLEX:
+        return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+    return (a[0] * b[0],)
 
 
 def _require_same_kind(a: AlgebraElement, b: AlgebraElement) -> None:

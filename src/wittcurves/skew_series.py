@@ -10,15 +10,16 @@ The centre computation solves the commutation conditions by brute force
 (exact, fraction-free elimination on integer rows) and cross-checks the
 result against the closed form K[[T^r]], K = Z(D) intersect Fix(sigma),
 r = the order of sigma modulo inner automorphisms. The system at T^s
-depends on s only through sigma^s, so it is solved once per distinct
-sigma^s (one or two solves for the built-in twists), and the check at
-T^s depends only on that solution and on whether r divides s, so it is
-made once per distinct pair and looked up at every exponent: on H this
-takes about 0.2 ms at truncation 8, 0.3 ms at 64 and 0.5 ms at the
-ceiling of 256 (2-vCPU Xeon, Python 3.11). The powers sigma^i are
-built each from the one before, for the centre search, the twisted
-products and the Jordan check alike, and all of it runs on the integer
-numerators of ``algebra``.
+depends on s only through sigma^s, so the powers are walked only until
+sigma^p == sigma^0 is witnessed and p systems are solved (one or two for
+the built-in twists), their rows built from integer products of basis
+numerators. The check at T^s depends only on that solution and on
+whether r divides s, so it is made once per distinct pair and looked up
+at every exponent: at the ceiling of 256 this takes about 0.13 ms on R
+and C, 0.2 ms on C with conjugation and 0.23 ms on H (2-vCPU Xeon,
+Python 3.11). The powers sigma^i are built each from the one before, for
+the centre search, the twisted products and the Jordan check alike, and
+all of it runs on the integer numerators of ``algebra``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .algebra import (
     Automorphism,
     DivisionAlgebraKind,
     _powers,
+    _product,
     apply,
     basis,
     comultiplicity,
@@ -47,8 +49,8 @@ from .errors import DomainError, FrozenRecord, InvariantViolation, KindMismatchE
 
 # The largest truncation of a series or a centre search, and the least
 # exponent of a series: a product builds sigma^i once for each exponent i
-# of its left factor, and the centre search, one solve per distinct
-# sigma^s, takes about 0.5 ms on H at 256.
+# of its left factor, and the centre search, one solve per sigma^s up to
+# the witnessed period, takes about 0.23 ms on H at 256.
 MAX_TRUNCATION = 256
 
 
@@ -184,29 +186,6 @@ class CentreDescription(NamedTuple):
     period: int
 
 
-def _mat_from_action(kind, images: list[AlgebraElement]) -> list[list[int | Fraction]]:
-    """Matrix (rows) of a linear map given by its images on the basis.
-
-    Entries are ints wherever an image is integral, as every image is for
-    the built-in twists, and Fractions elsewhere.
-    """
-    n = kind.dim_over_k
-    cols = [img.num if img.den == 1 else img.coeffs for img in images]
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def _left_mul_matrix(kind, d: AlgebraElement):
-    return _mat_from_action(kind, [d * e for e in basis(kind)])
-
-
-def _right_mul_matrix(kind, d: AlgebraElement):
-    return _mat_from_action(kind, [e * d for e in basis(kind)])
-
-
-def _twist_matrix(kind, twist: Automorphism):
-    return _mat_from_action(kind, [apply(twist, e) for e in basis(kind)])
-
-
 def _int_row(row) -> list[int]:
     """A rational row scaled by the positive lcm of its denominators."""
     scale = math.lcm(*(v.denominator for v in row))
@@ -223,7 +202,8 @@ def _kernel(rows: list[list[int | Fraction]], n: int) -> list[list[int]]:
     integer vector that is positive at c and zero at the other free
     columns, so equal kernels give equal bases.
     """
-    m = [r for r in map(_int_row, rows) if any(r)]
+    # a row of ints sums to an int, and one Fraction entry makes its sum a Fraction
+    m = [r if sum(r).__class__ is int else _int_row(r) for r in rows if any(r)]
     pivots: list[int] = []
     for col in range(n):
         rank = len(pivots)
@@ -287,37 +267,59 @@ def _centre_kernels(kind: DivisionAlgebraKind, twist: Automorphism, truncation: 
 
     c T^s is central when sigma(c) = c and d c = c sigma^s(d) for every
     basis element d. Only the right-hand side depends on s, and only
-    through sigma^s, so the system is solved once per distinct power
-    (keyed by the automorphism itself, so the period is found, not
-    assumed) and the left-multiplication matrices are built once.
+    through sigma^s. The powers are walked until the first p > 0 with
+    sigma^p == sigma^0; then sigma^s = sigma^(s % p) by the group law, so
+    the p systems solved are all there are, and the kernel at s is the one
+    at s % p (the same list). The period is witnessed, not assumed, and a
+    twist that never repeats is solved at every exponent.
+
+    The rows are integers: the products d e and e sigma^s(d) of basis
+    elements are taken on numerators by ``algebra._product``, the left
+    ones once per call and the right ones once per system, and each
+    equation is scaled by the denominator of sigma^s(d), which leaves its
+    solutions alone.
     """
     n = kind.dim_over_k
-    twist_m = _twist_matrix(kind, twist)
-    fix_rows = [[v - int(i == j) for j, v in enumerate(twist_m[i])] for i in range(n)]
-    lefts = [(d, _left_mul_matrix(kind, d)) for d in basis(kind)]
-    solved: dict[Automorphism, list[list[int]]] = {}
-    kernels = []
+    units = basis(kind)
+    nums = [e.num for e in units]
+    images = [apply(twist, e) for e in units]
+    scale = math.lcm(*(image.den for image in images))
+    fix_rows = [
+        [image.num[i] * (scale // image.den) - scale * (i == j) for j, image in enumerate(images)]
+        for i in range(n)
+    ]
+    # lefts[a][i]: row i of left multiplication by e_a, whose column j is e_a e_j
+    lefts = [list(zip(*(_product(kind, d, e) for e in nums))) for d in nums]
+    kernels: list[list[list[int]]] = []
+    first = None
     for sigma_s in _powers(twist, range(truncation)):
-        kernel = solved.get(sigma_s)
-        if kernel is None:
-            rows = list(fix_rows)
-            for d, left in lefts:
-                right = _right_mul_matrix(kind, apply(sigma_s, d))
-                rows.extend([a - b for a, b in zip(right[i], left[i])] for i in range(n))
-            kernel = solved[sigma_s] = _kernel(rows, n)
-        kernels.append(kernel)
-    return kernels
+        if first is None:
+            first = sigma_s
+        elif sigma_s == first:
+            break
+        rows = list(fix_rows)
+        for d, left in zip(units, lefts):
+            image = apply(sigma_s, d)
+            den, b = image.den, image.num
+            right = zip(*(_product(kind, e, b) for e in nums))
+            rows += [[x - den * y for x, y in zip(r, l)] for r, l in zip(right, left)]
+        kernels.append(_kernel(rows, n))
+    period = len(kernels)
+    return [kernels[s % period] for s in range(truncation)]
 
 
 def centre_basis(kind: DivisionAlgebraKind, twist: Automorphism, truncation: int) -> CentreDescription:
     """Brute-force the centre of D[[T, sigma]] up to T^truncation.
 
     Solves the exact linear system "commutes with T and with every basis
-    element of D" for every exponent s (once per distinct sigma^s) and
-    checks the solution at every s against K[[T^r]]. That verdict depends
-    only on the kernel's content and on whether r divides s, so it is
-    reached once per distinct pair and looked up at every other exponent;
-    a kernel that differs at one exponent is checked on its own. A
+    element of D" on integer rows for every exponent s, once per sigma^s
+    up to the period p that _centre_kernels witnesses (sigma^p ==
+    sigma^0), and checks the solution at every s against K[[T^r]]. That
+    verdict depends only on the kernel and on whether r divides s: each
+    exponent is looked up first by the kernel list itself, which repeats
+    with period p, and then by its content, so the check runs once per
+    distinct (kernel, r | s) pair, and a kernel that differs at one
+    exponent is checked on its own. A
     disagreement raises InvariantViolation; inner twists are rejected
     because their centre involves a nontrivial unit (centre R[[uT]] rather
     than R[[T]]), which is out of scope here. A truncation above
@@ -338,12 +340,18 @@ def centre_basis(kind: DivisionAlgebraKind, twist: Automorphism, truncation: int
         )
 
     expected_k = _constant_subfield_basis(kind, twist)
-    checked: set[tuple] = set()
+    seen: set[tuple] = set()
     for s, kernel in enumerate(_centre_kernels(kind, twist, truncation)):
-        key = (tuple(map(tuple, kernel)), s % r == 0)
-        if key in checked:
+        divides = s % r == 0
+        fast = (id(kernel), divides)
+        if fast in seen:
             continue
-        expected = expected_k if key[1] else []
+        seen.add(fast)
+        key = (tuple(map(tuple, kernel)), divides)
+        if key in seen:
+            continue
+        seen.add(key)
+        expected = expected_k if divides else []
         if len(kernel) != len(expected):
             raise InvariantViolation(
                 f"centre dimension at T^{s} is {len(kernel)}, expected {len(expected)}"
@@ -351,7 +359,6 @@ def centre_basis(kind: DivisionAlgebraKind, twist: Automorphism, truncation: int
         for vec in kernel:
             if not _in_span(vec, expected):
                 raise InvariantViolation(f"unexpected central coefficient at T^{s}: {vec}")
-        checked.add(key)
 
     subfield = REAL if len(expected_k) == 1 else COMPLEX
     return CentreDescription(constant_subfield=subfield, period=r)

@@ -9,14 +9,15 @@ weight p, its ramification index e_tau, and its residue degree f.
 A WeightedCurve checks itself when built, and the check reads the curve
 once: its base, by one call to witt_surface.validate for a surface or
 here for an abstract base, summing its chi', and its weights, placement
-by placement, then bounds the lcm of the point orders by MAX_ORDER_LCM.
-What it read is the curve's CurveProfile, kept in curve.profile: the
-effective points, their lcm weight pbar, the BaseNumerics of the base,
-and chi'_orb and the weight-ramification vector, which the profile
-derives when it is built. validate checks a surface on the first read of
-each surface object, which keeps its reading, so a second curve on the
-same surface object reads nothing of it again, and nothing here reads
-the ovals or topology of a surface. Every public invariant is a view of
+by placement, and bounds the lcm of the point orders by MAX_ORDER_LCM,
+on an abstract base before its chi' is summed over that lcm. What it
+read is the curve's CurveProfile, kept in curve.profile: the effective
+points, their lcm weight pbar, the lcm of their orders, the BaseNumerics
+of the base, and chi'_orb and the weight-ramification vector, which the
+profile derives when it is built. validate checks a surface on the first
+read of each surface object, which keeps its reading, so a second curve
+on the same surface object reads nothing of it again, and nothing here
+reads the ovals or topology of a surface. Every public invariant is a view of
 the profile, and a report reads all of its entries from it.
 
 The normalized orbifold Euler characteristic is computed by three
@@ -66,10 +67,11 @@ COMPLEX_POINT = "point"
 # weight-ramification vector repeats an entry residue-degree times, so
 # larger values would cost unbounded memory; no curve of interest needs them.
 MAX_POINT_VALUE = 10_000
-# The most entries the weight-ramification vector of an abstract base may
-# have: the sum of f over its points with weight * e_tau > 1. It is at
-# least MAX_POINT_VALUE, so one point of any allowed size fits. On a
-# surface base f is 1 or 2, so the vector grows only with the input.
+# The most entries the weight-ramification vector of a curve may have: the
+# sum of f over its points with weight * e_tau > 1. It is at least
+# MAX_POINT_VALUE, so one abstract point of any allowed size fits. On a
+# surface base f is 1 or 2, and the count of weights is refused above it
+# before any weight is read.
 MAX_VECTOR_LENGTH = MAX_POINT_VALUE
 # The largest lcm of the point orders p * e_tau of a curve. pbar and the
 # lcm of the e_tau divide it, and the denominator of chi'_orb divides
@@ -164,12 +166,33 @@ def _validate_curve(c: WeightedCurve) -> CurveProfile:
                 "weights on an abstract base belong in its point records",
                 code="placement",
             )
-        numerics, points = _validate_abstract(base)
+        numerics, points, order_lcm = _validate_abstract(base)
     else:
         numerics, points = validate(base), _validate_weights(base, c.points)
-    if lcm(*(pt.weight * pt.e_tau for pt in points)) > MAX_ORDER_LCM:
+        order_lcm = _order_lcm(points)
+    profile = CurveProfile(points, lcm(*(pt.weight for pt in points)), order_lcm, numerics)
+    # the vector of an abstract base was held to the ceiling before it was
+    # built; a surface curve's is built first, and has at most twice as
+    # many entries as weights, a count bounded in _validate_weights, plus
+    # one for each segmentation point of its base
+    _check_vector_length(len(profile.weight_ram_vector))
+    return profile
+
+
+def _order_lcm(points) -> int:
+    """The lcm of the point orders p * e_tau, refused above MAX_ORDER_LCM."""
+    n = lcm(*(pt.weight * pt.e_tau for pt in points))
+    if n > MAX_ORDER_LCM:
         raise ValidationError("the lcm of the point orders p * e_tau is above MAX_ORDER_LCM", code="too-large")
-    return CurveProfile(points, lcm(*(pt.weight for pt in points)), numerics)
+    return n
+
+
+def _check_vector_length(length: int) -> None:
+    if length > MAX_VECTOR_LENGTH:
+        raise ValidationError(
+            f"the weight-ramification vector would have {length} entries, more than {MAX_VECTOR_LENGTH}",
+            code="too-large",
+        )
 
 
 # label prefix, kind, e_tau and residue degree of the points of each class
@@ -184,7 +207,17 @@ def _validate_weights(base: WittSurface | ComplexCentreBase, weights) -> tuple[E
     points: every segmentation point, with its weight or 1, then each
     other weight in turn. Points of a surface base take e_tau, the residue
     degree and the label prefix from local_data, or are plain points on a
-    complex-centre base."""
+    complex-centre base.
+
+    Each weight gives the weight-ramification vector an entry at least, a
+    segmentation weight through its own point, so more weights than
+    MAX_VECTOR_LENGTH are refused before any of them is read."""
+    if len(weights) > MAX_VECTOR_LENGTH:
+        raise ValidationError(
+            f"{len(weights)} weights would give the weight-ramification vector more than "
+            f"{MAX_VECTOR_LENGTH} entries",
+            code="too-large",
+        )
     for wp in weights:
         if not isinstance(wp, WeightedPoint):
             raise ValidationError(
@@ -221,9 +254,10 @@ def _validate_weights(base: WittSurface | ComplexCentreBase, weights) -> tuple[E
     return segmentation + tuple(weighted)
 
 
-def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[EffectivePoint, ...]]:
+def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[EffectivePoint, ...], int]:
     """Check an abstract base and read its numerics, summing chi' from
-    chi_x and the points' e_tau and residue degrees, and its points."""
+    chi_x and the points' e_tau and residue degrees, its points and the
+    lcm of their orders, which is bounded before chi' is summed over it."""
     points = require_sequence(base.points, "the points of an abstract base", "placement")
     for p in points:
         if not isinstance(p, AbstractPoint):
@@ -246,11 +280,7 @@ def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[Effectiv
             )
         if p.weight * p.e_tau > 1:
             length += p.residue_degree
-    if length > MAX_VECTOR_LENGTH:
-        raise ValidationError(
-            f"the weight-ramification vector would have {length} entries, more than {MAX_VECTOR_LENGTH}",
-            code="too-large",
-        )
+    _check_vector_length(length)
     require_ints(("centre_genus",), s=base.s, kappa=base.kappa, epsilon=base.epsilon, centre_genus=base.centre_genus)
     if not isinstance(base.chi_x, Fraction):
         require_ints(chi_x=base.chi_x)
@@ -263,14 +293,15 @@ def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[Effectiv
     chi_centre = Fraction(base.chi_x)
     if max(abs(chi_centre.numerator), chi_centre.denominator) > MAX_ORDER_LCM:
         raise ValidationError("chi_x has a numerator or a denominator above MAX_ORDER_LCM", code="too-large")
-    # (1 - 1/e) f = (e - 1) f / e, over the lcm of the e_tau
-    n = lcm(*(p.e_tau for p in points))
+    # (1 - 1/e) f = (e - 1) f / e, over the lcm of the point orders, which every e_tau divides
+    n = _order_lcm(points)
     drops = sum((p.e_tau - 1) * p.residue_degree * (n // p.e_tau) for p in points)
     chi_prime = Fraction(*_less_half(chi_centre, drops, n))
     numerics = BaseNumerics(
         None, base.kappa, base.epsilon, base.s, None, None, base.centre_genus, None, None, chi_centre, chi_prime
     )
-    return numerics, tuple(EffectivePoint(p.label, "abstract", p.e_tau, p.residue_degree, p.weight) for p in points)
+    points = tuple(EffectivePoint(p.label, "abstract", p.e_tau, p.residue_degree, p.weight) for p in points)
+    return numerics, points, n
 
 
 def _validate_placement(base: WittSurface | ComplexCentreBase, wp: WeightedPoint) -> None:
@@ -320,22 +351,24 @@ class CurveProfile(FrozenRecord):
 
     points lists every point that can contribute to an invariant: the
     segmentation points and the weighted ones (an unweighted boundary or
-    inner point has e_tau = 1 and weight 1 and adds nothing), and pbar is
-    the lcm of their weights. numerics is the curve's BaseNumerics, as its
-    check read them. A curve's check builds its profile, and the curve
-    keeps it in ``curve.profile``. The constructor runs the cross-checked
-    routes once and keeps chi_orb, the general route once every other
-    route has been checked equal to it by cross-multiplying the integer
-    pairs, and weight_ram_vector, the sorted multiset of p * e_tau > 1,
-    each counted residue-degree times. Both are derived from the fields,
-    so they are no fields and take no part in equality, hash or repr.
+    inner point has e_tau = 1 and weight 1 and adds nothing), pbar is the
+    lcm of their weights and order_lcm the lcm of their orders p * e_tau,
+    which the check bounds by MAX_ORDER_LCM and the general and split
+    routes sum over. numerics is the curve's BaseNumerics, as its check
+    read them. A curve's check builds its profile, and the curve keeps it
+    in ``curve.profile``. The constructor runs the cross-checked routes
+    once and keeps chi_orb, the general route once every other route has
+    been checked equal to it by cross-multiplying the integer pairs, and
+    weight_ram_vector, the sorted multiset of p * e_tau > 1, each counted
+    residue-degree times. Both are derived from the fields, so they are no
+    fields and take no part in equality, hash or repr.
     """
 
-    _fields = ("points", "pbar", "numerics")
+    _fields = ("points", "pbar", "order_lcm", "numerics")
     __slots__ = (*_fields, "chi_orb", "weight_ram_vector")
 
-    def __init__(self, points: tuple[EffectivePoint, ...], pbar: int, numerics: BaseNumerics):
-        self._set(points, pbar, numerics)
+    def __init__(self, points: tuple[EffectivePoint, ...], pbar: int, order_lcm: int, numerics: BaseNumerics):
+        self._set(points, pbar, order_lcm, numerics)
         routes = self._route_pairs()
         gn, gd = routes.pop("general")
         for name, (num, den) in routes.items():
@@ -355,9 +388,8 @@ class CurveProfile(FrozenRecord):
         denominator) pair with a positive denominator, keyed by the name its
         mismatch message gives it. Each route sums its point terms as one
         integer numerator over the lcm of their denominators."""
-        pts, nums = self.points, self.numerics
+        pts, nums, n = self.points, self.numerics, self.order_lcm
         orders = [pt.weight * pt.e_tau for pt in pts]
-        n = lcm(*orders)
         # (1 - 1/(p e)) f = (p e - 1) f / (p e) and (1 - 1/p) f / e = (p - 1) f / (p e)
         general = sum((o - 1) * pt.residue_degree * (n // o) for o, pt in zip(orders, pts))
         split = sum((pt.weight - 1) * pt.residue_degree * (n // o) for o, pt in zip(orders, pts))

@@ -17,6 +17,13 @@ patterns, last, enumerates every pattern of the zoo's rule on Fractions
 another way: the symbols first, then int weights that use up exactly the
 counts left.
 tests/test_euler_integer.py compares the integer code against them.
+
+The third part is the centre system of D[[T, sigma]] as skew_series
+built it before its rows came from integer products: the dense matrices
+of left and right multiplication and of the twist, read off the images
+of the basis, here on the Fraction elements of the first part and
+sigma^s taken afresh by its power. tests/test_skew_series.py and
+tests/test_skew_fuzz.py solve it at every exponent against the library.
 """
 
 from __future__ import annotations
@@ -279,3 +286,48 @@ def patterns(budget: Fraction, places) -> list:
             if target > 0:
                 found.extend((ws, symbols) for ws in _reach(shares, ints, target, (math.inf, 0)))
     return found
+
+
+# ---------------------------------------------------------------------------
+# The centre system of D[[T, sigma]] on dense Fraction matrices
+
+def from_twist(phi) -> OracleAutomorphism:
+    """The oracle copy of a wittcurves Automorphism, read from its fields."""
+    if phi.action == "inner":
+        return inner(OracleElement(4, phi.unit.coeffs))
+    return OracleAutomorphism(phi.action, phi.kind.dim_over_k)
+
+
+def basis(dim: int) -> list[OracleElement]:
+    return [oracle(dim, *(int(i == pos) for i in range(dim))) for pos in range(dim)]
+
+
+def mat_from_action(images: list[OracleElement]) -> list[list[Fraction]]:
+    """Matrix (rows) of a linear map given by its images on the basis."""
+    n = len(images)
+    return [[images[j].coeffs[i] for j in range(n)] for i in range(n)]
+
+
+def left_mul_matrix(d: OracleElement) -> list[list[Fraction]]:
+    return mat_from_action([d * e for e in basis(d.dim)])
+
+
+def right_mul_matrix(d: OracleElement) -> list[list[Fraction]]:
+    return mat_from_action([e * d for e in basis(d.dim)])
+
+
+def twist_matrix(phi: OracleAutomorphism) -> list[list[Fraction]]:
+    return mat_from_action([apply(phi, e) for e in basis(phi.dim)])
+
+
+def centre_system(phi: OracleAutomorphism, s: int) -> list[list[Fraction]]:
+    """The rows of "c T^s is central": sigma(c) = c, and d c = c sigma^s(d)
+    for every basis element d."""
+    n = phi.dim
+    twist_m = twist_matrix(phi)
+    rows = [[twist_m[i][j] - (i == j) for j in range(n)] for i in range(n)]
+    sigma_s = power(phi, s)
+    for d in basis(n):
+        right, left = right_mul_matrix(apply(sigma_s, d)), left_mul_matrix(d)
+        rows.extend([a - b for a, b in zip(right[i], left[i])] for i in range(n))
+    return rows

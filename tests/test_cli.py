@@ -8,7 +8,7 @@ import pytest
 from cli_runner import invoke
 from test_weighted_curve import orders_at_the_ceiling, primes_below
 
-from wittcurves.weighted_curve import MAX_ORDER_LCM
+from wittcurves.weighted_curve import MAX_ORDER_LCM, MAX_VECTOR_LENGTH
 
 
 def _write(tmp_path, name, payload):
@@ -303,6 +303,22 @@ def test_the_lcm_of_the_point_orders_has_a_ceiling(tmp_path, make, command):
         res = invoke([command, _write(tmp_path, "above.json", make(above))])
         assert res.exit_code == 2
         assert res.output == "error: the lcm of the point orders p * e_tau is above MAX_ORDER_LCM\n"
+
+
+@pytest.mark.parametrize("command", ["invariants", "classify"])
+def test_the_count_of_weights_has_a_ceiling(tmp_path, command):
+    weights = [{"class": "real_boundary", "p": 2}] * MAX_VECTOR_LENGTH
+    res = invoke([command, _write(tmp_path, "at.json", {"base": "D", "weights": weights})])
+    assert res.exit_code == 0
+    if command == "invariants":
+        assert json.loads(res.output)["wrv"] == [2] * MAX_VECTOR_LENGTH
+    above = {"base": "D", "weights": [{"class": "inner", "p": 9973}] * (MAX_VECTOR_LENGTH + 1)}
+    res = invoke([command, _write(tmp_path, "above.json", above)])
+    assert res.exit_code == 2
+    assert res.output == (
+        f"error: {MAX_VECTOR_LENGTH + 1} weights would give the weight-ramification vector more than"
+        f" {MAX_VECTOR_LENGTH} entries\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["invariants", "classify"])

@@ -14,6 +14,7 @@ matrices. Every call must return or raise a CurveError.
 from datetime import timedelta
 from fractions import Fraction
 
+import fraction_oracle as fo
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,9 +40,6 @@ from wittcurves.skew_series import (
     _constant_subfield_basis,
     _in_span,
     _kernel,
-    _left_mul_matrix,
-    _right_mul_matrix,
-    _twist_matrix,
     centre_basis,
     series,
     verify_jordan_twist,
@@ -89,18 +87,11 @@ def _product_oracle(f, g):
 
 def _centre_oracle(kind, twist, truncation):
     """The centre system solved at every exponent and each kernel checked there."""
-    n = kind.dim_over_k
-    twist_m = _twist_matrix(kind, twist)
-    fix_rows = [[v - int(i == j) for j, v in enumerate(twist_m[i])] for i in range(n)]
+    phi = fo.from_twist(twist)
     r = galois_order(twist)
     expected_k = _constant_subfield_basis(kind, twist)
     for s in range(truncation):
-        rows = [row[:] for row in fix_rows]
-        for d in basis(kind):
-            right = _right_mul_matrix(kind, apply(power(twist, s), d))
-            left = _left_mul_matrix(kind, d)
-            rows.extend([a - b for a, b in zip(right[i], left[i])] for i in range(n))
-        kernel = _kernel(rows, n)
+        kernel = _kernel(fo.centre_system(phi, s), kind.dim_over_k)
         expected = expected_k if s % r == 0 else []
         if len(kernel) != len(expected) or not all(_in_span(v, expected) for v in kernel):
             raise InvariantViolation(f"the centre at T^{s} is not the closed form")

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import fraction_oracle as fo
 import pytest
 
 from wittcurves import algebra, skew_series
@@ -10,8 +11,6 @@ from wittcurves.algebra import (
     QUATERNION,
     REAL,
     Automorphism,
-    apply_power,
-    basis,
     complex_conjugation,
     cplx,
     galois_order,
@@ -28,10 +27,7 @@ from wittcurves.skew_series import (
     _centre_kernels,
     _in_span,
     _kernel,
-    _left_mul_matrix,
     _matmul,
-    _right_mul_matrix,
-    _twist_matrix,
     centre_basis,
     dim_over_centre,
     monomial,
@@ -281,19 +277,10 @@ def test_centre_truncation_ceiling():
 
 
 def _per_exponent_kernels(kind, twist, truncation):
-    """The centre system solved afresh at every exponent, tables and all."""
-    n = kind.dim_over_k
-    twist_m = _twist_matrix(kind, twist)
-    fix_rows = [[twist_m[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    kernels = []
-    for s in range(truncation):
-        rows = [row[:] for row in fix_rows]
-        for d in basis(kind):
-            right = _right_mul_matrix(kind, apply_power(twist, s, d))
-            left = _left_mul_matrix(kind, d)
-            rows.extend([a - b for a, b in zip(right[i], left[i])] for i in range(n))
-        kernels.append(_kernel(rows, n))
-    return kernels
+    """The centre system solved afresh at every exponent, on the oracle's
+    dense Fraction matrices."""
+    phi = fo.from_twist(twist)
+    return [_kernel(fo.centre_system(phi, s), kind.dim_over_k) for s in range(truncation)]
 
 
 @pytest.mark.parametrize("kind, twist", BUILTIN_PAIRS, ids=PAIR_IDS)
@@ -351,6 +338,54 @@ def test_centre_check_runs_once_per_distinct_system(monkeypatch):
     kernels = _centre_kernels(COMPLEX, CONJ, 64)
     pairs = {(tuple(map(tuple, kernel)), s % 2 == 0) for s, kernel in enumerate(kernels)}
     assert len(spans) == sum(len(kernel) for kernel, _ in pairs) == 1
+
+
+# inner twists by units whose powers first turn real at 2, 4 and 3, and
+# one, 1 + 2i, whose powers never do
+INNER_UNITS = {quat(0, 1): 2, quat(1, 1): 4, quat(1, 1, 1, 1): 3, quat(1, 2): None}
+
+
+@pytest.mark.parametrize("unit", INNER_UNITS, ids=repr)
+def test_inner_centre_kernels_match_the_per_exponent_solve(monkeypatch, unit):
+    twist = inner(unit)
+    oracle = _per_exponent_kernels(QUATERNION, twist, 16)
+    solves = _counted(monkeypatch, skew_series, "_kernel")
+    for truncation in range(1, 17):
+        solves.clear()
+        assert _centre_kernels(QUATERNION, twist, truncation) == oracle[:truncation]
+        # one solve per exponent until sigma^p == sigma^0 is seen
+        period = INNER_UNITS[unit]
+        assert len(solves) == (truncation if period is None else min(truncation, period))
+
+
+@pytest.mark.parametrize("kind, twist", BUILTIN_PAIRS, ids=PAIR_IDS)
+def test_centre_work_does_not_grow_with_the_truncation(monkeypatch, kind, twist):
+    solves = _counted(monkeypatch, skew_series, "_kernel")
+    products = _counted(monkeypatch, skew_series, "_product")
+    monkeypatch.setattr(algebra, "_product", skew_series._product)
+    counts = []
+    for truncation in (8, MAX_TRUNCATION):
+        solves.clear()
+        products.clear()
+        centre_basis(kind, twist, truncation)
+        assert len(solves) == galois_order(twist)
+        counts.append(len(products))
+    # n^2 left products, and n^2 right products per system
+    n = kind.dim_over_k
+    assert counts == [n * n * (1 + galois_order(twist))] * 2
+
+
+def test_a_period_seen_too_early_trips_the_centre_check(monkeypatch):
+    honest = skew_series._powers
+
+    def early(phi, exponents):
+        # sigma^0 once more in place of sigma^1
+        for e, sigma_e in zip(exponents, honest(phi, exponents)):
+            yield power(phi, 0) if e == 1 else sigma_e
+
+    monkeypatch.setattr(skew_series, "_powers", early)
+    with pytest.raises(InvariantViolation):
+        centre_basis(COMPLEX, CONJ, 8)
 
 
 def test_product_builds_one_automorphism_per_exponent(monkeypatch):

@@ -8,6 +8,7 @@ import fraction_oracle as fo
 import pytest
 from test_euler_integer import _random_abstract_curve, _random_complex_curve, _random_surface_curve
 
+import wittcurves.weighted_curve as wc
 import wittcurves.witt_surface as ws
 from wittcurves.errors import DomainError, InconsistentDataError, InvariantViolation, KindMismatchError, ValidationError
 from wittcurves.local_data import WittPointClass
@@ -433,6 +434,32 @@ def test_weight_ram_vector_length_is_bounded():
     WeightedCurve(base(weighted._replace(residue_degree=MAX_VECTOR_LENGTH - 1), AbstractPoint("x1", e_tau=3)))
 
 
+def test_the_vector_of_a_surface_curve_is_bounded():
+    # a real-boundary weight adds one entry, an inner weight two, and each
+    # segmentation point one whether weighted or not: D has none, D_22 two
+    for name, weight, per_weight in (("D", WeightedPoint(REAL_B, 2), 1), ("D", WeightedPoint(INNER, 9973), 2),
+                                     ("D_22", WeightedPoint(REAL_B, 2), 1)):
+        base = catalog(name)
+        fits = (MAX_VECTOR_LENGTH - len(ws.segmentation_points(base))) // per_weight
+        assert len(weight_ram_vector(WeightedCurve(base, [weight] * fits))) == MAX_VECTOR_LENGTH
+        with pytest.raises(ValidationError) as exc:
+            WeightedCurve(base, [weight] * (fits + 1))
+        assert exc.value.code == "too-large"
+
+
+def test_too_many_weights_are_refused_before_any_is_read(monkeypatch):
+    read = []
+    monkeypatch.setattr(wc, "_validate_placement", lambda base, wp: read.append(wp))
+    for count in (MAX_VECTOR_LENGTH + 1, 200_025):
+        with pytest.raises(ValidationError) as exc:
+            WeightedCurve(catalog("D"), [WeightedPoint(INNER, 9973)] * count)
+        assert exc.value.code == "too-large"
+        assert str(exc.value) == (
+            f"{count} weights would give the weight-ramification vector more than {MAX_VECTOR_LENGTH} entries"
+        )
+    assert read == []
+
+
 def primes_below(n: int) -> list[int]:
     return [p for p in range(2, n) if all(p % q for q in range(2, isqrt(p) + 1))]
 
@@ -473,6 +500,21 @@ def test_the_lcm_of_the_point_orders_is_bounded(make):
         with pytest.raises(ValidationError) as exc:
             make(above)
         assert exc.value.code == "too-large"
+
+
+def test_a_base_over_the_order_ceiling_never_sums_its_chi_prime(monkeypatch):
+    sums = []
+    real_less_half = wc._less_half
+    monkeypatch.setattr(wc, "_less_half", lambda *args: sums.append(args) or real_less_half(*args))
+    orders = orders_at_the_ceiling()
+    for above in (orders + [2], primes_below(MAX_POINT_VALUE)):
+        with pytest.raises(ValidationError) as exc:
+            _abstract_e_tau(above)
+        assert exc.value.code == "too-large"
+    assert sums == []
+    # at the ceiling: chi' once, then the general and the split route
+    _abstract_e_tau(orders)
+    assert len(sums) == 3
 
 
 @pytest.mark.parametrize("chi_x", [
