@@ -27,6 +27,7 @@ from .weighted_curve import (
     AbstractPoint,
     WeightedCurve,
     WeightedPoint,
+    _refuse_too_many_weights,
     classify,
     ghost_group,
 )
@@ -184,7 +185,9 @@ def load_curve(path: str) -> WeightedCurve:
         return WeightedCurve(_abstract_base(data["overrides"]), ())
     base = data["base"]
     base = catalog(base) if isinstance(base, str) else _surface(base)
-    return WeightedCurve(base, tuple(map(_weighted_point, _list(data, "weights"))))
+    weights = _list(data, "weights")
+    _refuse_too_many_weights(len(weights))
+    return WeightedCurve(base, tuple(map(_weighted_point, weights)))
 
 
 def _ghost_point(record) -> tuple[int, int]:

@@ -375,8 +375,7 @@ def dim_over_centre(kind: DivisionAlgebraKind, twist: Automorphism) -> int:
     e_star = comultiplicity(kind)
     r = galois_order(twist)
     formula = e_star * e_star * r * r
-    k_dim = len(_constant_subfield_basis(kind, twist)) if twist.action != "inner" else 1
-    basis_count = (kind.dim_over_k // k_dim) * r
+    basis_count = (kind.dim_over_k // len(_constant_subfield_basis(kind, twist))) * r
     if formula != basis_count:
         raise InvariantViolation(
             f"dimension formula {formula} disagrees with basis count {basis_count}"

@@ -8,17 +8,19 @@ weight p, its ramification index e_tau, and its residue degree f.
 
 A WeightedCurve checks itself when built, and the check reads the curve
 once: its base, by one call to witt_surface.validate for a surface or
-here for an abstract base, summing its chi', and its weights, placement
-by placement, and bounds the lcm of the point orders by MAX_ORDER_LCM,
-on an abstract base before its chi' is summed over that lcm. What it
-read is the curve's CurveProfile, kept in curve.profile: the effective
-points, their lcm weight pbar, the lcm of their orders, the BaseNumerics
-of the base, and chi'_orb and the weight-ramification vector, which the
-profile derives when it is built. validate checks a surface on the first
-read of each surface object, which keeps its reading, so a second curve
-on the same surface object reads nothing of it again, and nothing here
-reads the ovals or topology of a surface. Every public invariant is a view of
-the profile, and a report reads all of its entries from it.
+here for an abstract base, summing its chi', and its weights, in one
+loop that asks witt_surface where each may sit. One function holds the
+weight-ramification vector to MAX_VECTOR_LENGTH and the lcm of the point
+orders to MAX_ORDER_LCM on either kind of base, before anything is
+summed over the points. What it read is the curve's CurveProfile, kept
+in curve.profile: the effective points, their lcm weight pbar, the lcm
+of their orders, the BaseNumerics of the base, and chi'_orb and the
+weight-ramification vector, which the profile derives when it is built.
+validate checks a surface on the first read of each surface object,
+which keeps its reading, so a second curve on the same surface object
+reads nothing of it again, and nothing here reads the ovals or topology
+of a surface. Every public invariant is a view of the profile, and a
+report reads all of its entries from it.
 
 The normalized orbifold Euler characteristic is computed by three
 independent routes (the general formula over the centre, the split through
@@ -55,8 +57,9 @@ from .witt_surface import (
     BaseNumerics,
     ComplexCentreBase,
     WittSurface,
+    carries_sign,
+    is_segmentation_point,
     segmentation_points,
-    signed_ovals,
     validate,
 )
 
@@ -169,30 +172,34 @@ def _validate_curve(c: WeightedCurve) -> CurveProfile:
         numerics, points, order_lcm = _validate_abstract(base)
     else:
         numerics, points = validate(base), _validate_weights(base, c.points)
-        order_lcm = _order_lcm(points)
-    profile = CurveProfile(points, lcm(*(pt.weight for pt in points)), order_lcm, numerics)
-    # the vector of an abstract base was held to the ceiling before it was
-    # built; a surface curve's is built first, and has at most twice as
-    # many entries as weights, a count bounded in _validate_weights, plus
-    # one for each segmentation point of its base
-    _check_vector_length(len(profile.weight_ram_vector))
-    return profile
+        order_lcm = _bounded_order_lcm(points)
+    return CurveProfile(points, lcm(*(pt.weight for pt in points)), order_lcm, numerics)
 
 
-def _order_lcm(points) -> int:
-    """The lcm of the point orders p * e_tau, refused above MAX_ORDER_LCM."""
+def _bounded_order_lcm(points) -> int:
+    """Hold the weight-ramification vector of the effective points, whose
+    length is the sum of f over the points with p * e_tau > 1, to
+    MAX_VECTOR_LENGTH, then the lcm of their orders p * e_tau to
+    MAX_ORDER_LCM, and return that lcm, before anything is summed over them."""
+    length = sum(pt.residue_degree for pt in points if pt.weight * pt.e_tau > 1)
+    if length > MAX_VECTOR_LENGTH:
+        raise ValidationError(
+            f"the weight-ramification vector would have {length} entries, more than {MAX_VECTOR_LENGTH}",
+            code="too-large",
+        )
     n = lcm(*(pt.weight * pt.e_tau for pt in points))
     if n > MAX_ORDER_LCM:
         raise ValidationError("the lcm of the point orders p * e_tau is above MAX_ORDER_LCM", code="too-large")
     return n
 
 
-def _check_vector_length(length: int) -> None:
-    if length > MAX_VECTOR_LENGTH:
-        raise ValidationError(
-            f"the weight-ramification vector would have {length} entries, more than {MAX_VECTOR_LENGTH}",
-            code="too-large",
-        )
+def _refuse_too_many_weights(count: int) -> None:
+    """Each weight gives the weight-ramification vector an entry at least,
+    a segmentation weight through its own point, so more weights than
+    MAX_VECTOR_LENGTH are refused on their count, before any is read."""
+    if count > MAX_VECTOR_LENGTH:
+        message = f"{count} weights would give the weight-ramification vector more than {MAX_VECTOR_LENGTH} entries"
+        raise ValidationError(message, code="too-large")
 
 
 # label prefix, kind, e_tau and residue degree of the points of each class
@@ -203,21 +210,17 @@ _SHAPES = {
 
 
 def _validate_weights(base: WittSurface | ComplexCentreBase, weights) -> tuple[EffectivePoint, ...]:
-    """Check the weights on a valid surface base and return the effective
-    points: every segmentation point, with its weight or 1, then each
-    other weight in turn. Points of a surface base take e_tau, the residue
-    degree and the label prefix from local_data, or are plain points on a
-    complex-centre base.
-
-    Each weight gives the weight-ramification vector an entry at least, a
-    segmentation weight through its own point, so more weights than
-    MAX_VECTOR_LENGTH are refused before any of them is read."""
-    if len(weights) > MAX_VECTOR_LENGTH:
-        raise ValidationError(
-            f"{len(weights)} weights would give the weight-ramification vector more than "
-            f"{MAX_VECTOR_LENGTH} entries",
-            code="too-large",
-        )
+    """Check the weights on a valid surface base, too many on their count
+    first, then each in one loop, its record and then its placement, and
+    return the effective points: every segmentation point, with its weight
+    or 1, then each other weight in turn. Points of a surface base take
+    e_tau, the residue degree and the label prefix from local_data, or are
+    plain points on a complex-centre base."""
+    _refuse_too_many_weights(len(weights))
+    seg = WittPointClass.SEGMENTATION
+    seg_weight: dict[tuple[int, int], int] = {}
+    weighted: list[EffectivePoint] = []
+    counters: dict[str, int] = {}
     for wp in weights:
         if not isinstance(wp, WeightedPoint):
             raise ValidationError(
@@ -228,11 +231,6 @@ def _validate_weights(base: WittSurface | ComplexCentreBase, weights) -> tuple[E
             raise ValidationError("an inserted weight must be at least 2", code="weight")
         if wp.weight > MAX_POINT_VALUE:
             raise ValidationError(f"an inserted weight must be at most {MAX_POINT_VALUE}", code="too-large")
-    seg = WittPointClass.SEGMENTATION
-    seg_weight: dict[tuple[int, int], int] = {}
-    weighted: list[EffectivePoint] = []
-    counters: dict[str, int] = {}
-    for wp in weights:
         _validate_placement(base, wp)
         if wp.location is seg:
             key = (wp.oval, wp.segment)
@@ -255,22 +253,21 @@ def _validate_weights(base: WittSurface | ComplexCentreBase, weights) -> tuple[E
 
 
 def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[EffectivePoint, ...], int]:
-    """Check an abstract base and read its numerics, summing chi' from
-    chi_x and the points' e_tau and residue degrees, its points and the
-    lcm of their orders, which is bounded before chi' is summed over it."""
-    points = require_sequence(base.points, "the points of an abstract base", "placement")
-    for p in points:
+    """Check an abstract base, its points in one loop, and read its numerics,
+    summing chi' from chi_x and the points' e_tau and residue degrees, its
+    points and the lcm of their orders, bounded before chi' is summed over it."""
+    points: list[EffectivePoint] = []
+    labels: set[str] = set()
+    for p in require_sequence(base.points, "the points of an abstract base", "placement"):
         if not isinstance(p, AbstractPoint):
             raise ValidationError(
                 f"a point of an abstract base must be an AbstractPoint, got {type(p).__name__}", code="placement"
             )
         if not isinstance(p.label, str):
             raise ValidationError(f"a point label must be a string, got {p.label!r}", code="placement")
-    labels = [p.label for p in points]
-    if len(set(labels)) != len(labels):
-        raise ValidationError("abstract point labels must be unique", code="duplicate-placement")
-    length = 0
-    for p in points:
+        if p.label in labels:
+            raise ValidationError("abstract point labels must be unique", code="duplicate-placement")
+        labels.add(p.label)
         require_ints(e_tau=p.e_tau, residue_degree=p.residue_degree, weight=p.weight)
         if p.e_tau < 1 or p.residue_degree < 1 or p.weight < 1:
             raise ValidationError(f"point {p.label} has a nonpositive entry", code="nonpositive")
@@ -278,9 +275,7 @@ def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[Effectiv
             raise ValidationError(
                 f"point {p.label} has an entry above {MAX_POINT_VALUE}", code="too-large"
             )
-        if p.weight * p.e_tau > 1:
-            length += p.residue_degree
-    _check_vector_length(length)
+        points.append(EffectivePoint(p.label, "abstract", p.e_tau, p.residue_degree, p.weight))
     require_ints(("centre_genus",), s=base.s, kappa=base.kappa, epsilon=base.epsilon, centre_genus=base.centre_genus)
     if not isinstance(base.chi_x, Fraction):
         require_ints(chi_x=base.chi_x)
@@ -294,14 +289,13 @@ def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[Effectiv
     if max(abs(chi_centre.numerator), chi_centre.denominator) > MAX_ORDER_LCM:
         raise ValidationError("chi_x has a numerator or a denominator above MAX_ORDER_LCM", code="too-large")
     # (1 - 1/e) f = (e - 1) f / e, over the lcm of the point orders, which every e_tau divides
-    n = _order_lcm(points)
+    n = _bounded_order_lcm(points)
     drops = sum((p.e_tau - 1) * p.residue_degree * (n // p.e_tau) for p in points)
     chi_prime = Fraction(*_less_half(chi_centre, drops, n))
     numerics = BaseNumerics(
         None, base.kappa, base.epsilon, base.s, None, None, base.centre_genus, None, None, chi_centre, chi_prime
     )
-    points = tuple(EffectivePoint(p.label, "abstract", p.e_tau, p.residue_degree, p.weight) for p in points)
-    return numerics, points, n
+    return numerics, tuple(points), n
 
 
 def _validate_placement(base: WittSurface | ComplexCentreBase, wp: WeightedPoint) -> None:
@@ -322,13 +316,14 @@ def _validate_placement(base: WittSurface | ComplexCentreBase, wp: WeightedPoint
             raise ValidationError(
                 "a segmentation weight needs oval and segment indices", code="placement"
             )
-        if (wp.oval, wp.segment) not in segmentation_points(base):
+        if not is_segmentation_point(base, wp.oval, wp.segment):
             raise ValidationError("no such segmentation point", code="placement")
     elif wp.location in (WittPointClass.REAL_BOUNDARY, WittPointClass.QUATERNION_BOUNDARY):
-        signed = signed_ovals(base, PLUS if wp.location is WittPointClass.REAL_BOUNDARY else MINUS)
-        if wp.oval is not None and wp.oval not in signed:
-            raise ValidationError("that oval has no locus of the requested sign", code="placement")
-        if not signed:
+        sign = PLUS if wp.location is WittPointClass.REAL_BOUNDARY else MINUS
+        if wp.oval is not None:
+            if not carries_sign(base, sign, wp.oval):
+                raise ValidationError("that oval has no locus of the requested sign", code="placement")
+        elif not carries_sign(base, sign):
             raise ValidationError("the surface has no locus of the requested sign", code="placement")
     # inner placements are always available
 

@@ -132,6 +132,7 @@ class _Reading(NamedTuple):
     """What the first read of a surface keeps."""
 
     numerics: BaseNumerics
+    counts: SurfaceCounts
     points: tuple[tuple[int, int], ...]  # (oval, segment) of each segmentation point
 
 
@@ -146,24 +147,34 @@ def counts(w: WittSurface | ComplexCentreBase) -> SurfaceCounts:
     return SurfaceCounts(n // 2, signs.count(PLUS), signs.count(MINUS))
 
 
+def _read(w: WittSurface) -> _Reading:
+    """The kept reading of a surface, read first if need be; a surface that
+    cannot exist raises ValidationError, as surface_numerics does."""
+    if w._reading is None:
+        surface_numerics(w)
+    return w._reading
+
+
 def segmentation_points(w: WittSurface | ComplexCentreBase) -> tuple[tuple[int, int], ...]:
     """(oval, segment) of every segmentation point, oval by oval, as the
-    read of the surface keeps them; a surface that cannot exist raises
-    ValidationError, as surface_numerics does."""
-    if isinstance(w, ComplexCentreBase):
-        return ()
-    if w._reading is None:
-        surface_numerics(w)
-    return w._reading.points
+    read of the surface keeps them."""
+    return () if isinstance(w, ComplexCentreBase) else _read(w).points
 
 
-def signed_ovals(w: WittSurface, sign: str) -> tuple[int, ...]:
-    """Index of every oval that carries the sign, whole or on a segment; a
-    surface that cannot exist raises ValidationError, as surface_numerics
-    does."""
-    if w._reading is None:
-        surface_numerics(w)
-    return tuple(i for i, oval in enumerate(w.ovals) if oval.sign == sign or sign in oval.segments)
+def is_segmentation_point(w: WittSurface, oval: int, segment: int) -> bool:
+    """Whether (oval, segment) is a segmentation point, by the index bounds."""
+    _read(w)
+    return 0 <= oval < len(w.ovals) and 0 <= segment < len(w.ovals[oval].segments)
+
+
+def carries_sign(w: WittSurface, sign: str, oval: int | None = None) -> bool:
+    """Whether the oval of that index, or any oval if none is named,
+    carries the sign, whole or on a segment. A cut oval of a surface that
+    exists alternates, so it carries both; any oval is read off the counts."""
+    m, r, q = _read(w).counts
+    if oval is None:
+        return bool(m or (r if sign == PLUS else q))
+    return 0 <= oval < len(w.ovals) and (w.ovals[oval].sign == sign or bool(w.ovals[oval].segments))
 
 
 def surface_numerics(w: WittSurface | ComplexCentreBase) -> BaseNumerics:
@@ -209,7 +220,7 @@ def surface_numerics(w: WittSurface | ComplexCentreBase) -> BaseNumerics:
     # epsilon is 2 exactly when no rational section of odd degree exists: a
     # commutative curve with empty real locus, or a noncommutative one whose
     # ovals are whole and not all quaternion
-    m, r, q = counts(w)
+    m, r, q = surface_counts = counts(w)
     if w.commutative:
         if m or q:
             raise ValidationError("a commutative curve carries no quaternion locus", code="minus-on-commutative")
@@ -239,7 +250,7 @@ def surface_numerics(w: WittSurface | ComplexCentreBase) -> BaseNumerics:
         constants, kappa, epsilon, s, upstairs, "R", g, t, Fraction(chi), Fraction(1 - g), Fraction(chi, s * s)
     )
     points = tuple((oi, si) for oi, oval in enumerate(w.ovals) for si in range(len(oval.segments)))
-    object.__setattr__(w, "_reading", _Reading(numerics, points))
+    object.__setattr__(w, "_reading", _Reading(numerics, surface_counts, points))
     return numerics
 
 
@@ -310,22 +321,13 @@ def catalog(name: str) -> WittSurface | ComplexCentreBase:
 # ---------------------------------------------------------------------------
 # Comparison up to symmetry
 
-def _oval_key(oval: Oval):
-    segs = oval.segments
-    if not segs:
-        return (0, oval.sign)
-    # the least rotation of the cycle, read either way round
-    return (1, min(c[i:] + c[:i] for c in (segs, segs[::-1]) for i in range(len(segs))))
-
-
 def canonical_key(w: WittSurface | ComplexCentreBase):
     """Hashable key identifying a surface up to oval reordering and
-    rotation/reflection of each segment cycle."""
+    rotation/reflection of each segment cycle. The surface is read first,
+    so one that cannot exist raises ValidationError; a cut oval of one that
+    exists alternates, so its length alone keys it."""
+    surface_numerics(w)
     if isinstance(w, ComplexCentreBase):
         return ("C", w.genus)
-    return (
-        "R",
-        *w.topology,
-        w.commutative,
-        tuple(sorted(_oval_key(o) for o in w.ovals)),
-    )
+    ovals = sorted((1, len(o.segments)) if o.segments else (0, o.sign) for o in w.ovals)
+    return ("R", *w.topology, w.commutative, tuple(ovals))

@@ -8,6 +8,7 @@ import pytest
 from cli_runner import invoke
 from test_weighted_curve import orders_at_the_ceiling, primes_below
 
+from wittcurves import cli
 from wittcurves.weighted_curve import MAX_ORDER_LCM, MAX_VECTOR_LENGTH
 
 
@@ -319,6 +320,20 @@ def test_the_count_of_weights_has_a_ceiling(tmp_path, command):
         f"error: {MAX_VECTOR_LENGTH + 1} weights would give the weight-ramification vector more than"
         f" {MAX_VECTOR_LENGTH} entries\n"
     )
+
+
+def test_too_many_weights_are_refused_before_any_record_is_parsed(tmp_path, monkeypatch):
+    parsed = []
+    real_weighted_point = cli._weighted_point
+    monkeypatch.setattr(cli, "_weighted_point", lambda record: parsed.append(record) or real_weighted_point(record))
+    # one malformed record among too many: the count is refused first
+    weights = [{"class": "inner", "p": 9973}] * MAX_VECTOR_LENGTH + [{"class": "no-such-class", "p": 2}]
+    res = invoke(["invariants", _write(tmp_path, "above.json", {"base": "D", "weights": weights})])
+    assert res.exit_code == 2 and res.output.startswith(f"error: {MAX_VECTOR_LENGTH + 1} weights would give")
+    assert parsed == []
+    res = invoke(["invariants", _write(tmp_path, "at.json", {"base": "D", "weights": weights[1:]})])
+    assert res.exit_code == 1 and res.output == "error: unknown point class 'no-such-class'\n"
+    assert len(parsed) == MAX_VECTOR_LENGTH
 
 
 @pytest.mark.parametrize("command", ["invariants", "classify"])

@@ -358,6 +358,12 @@ def test_inner_centre_kernels_match_the_per_exponent_solve(monkeypatch, unit):
         assert len(solves) == (truncation if period is None else min(truncation, period))
 
 
+@pytest.mark.parametrize("unit", INNER_UNITS, ids=repr)
+def test_an_inner_twist_of_h_has_dimension_4_over_its_centre(unit):
+    # inner, so trivial in Aut(H)/Inn(H): r = 1, and K = R for every twist of H
+    assert dim_over_centre(QUATERNION, inner(unit)) == 4
+
+
 @pytest.mark.parametrize("kind, twist", BUILTIN_PAIRS, ids=PAIR_IDS)
 def test_centre_work_does_not_grow_with_the_truncation(monkeypatch, kind, twist):
     solves = _counted(monkeypatch, skew_series, "_kernel")

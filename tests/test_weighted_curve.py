@@ -460,6 +460,74 @@ def test_too_many_weights_are_refused_before_any_is_read(monkeypatch):
     assert read == []
 
 
+def _counted_surface(t: int, g: int, ovals, reads: list) -> WittSurface:
+    """A surface, read, whose ovals log each read of a sign or of segments
+    from here on, and whose kept segmentation points log each walk."""
+
+    class CountedOval(ws.Oval):
+        __slots__ = ()
+
+        def __getattribute__(self, name):
+            if name in ("sign", "segments"):
+                reads.append(name)
+            return super().__getattribute__(name)
+
+    class WalkedPoints(tuple):
+        def __iter__(self):
+            reads.append("walk")
+            return super().__iter__()
+
+        def __contains__(self, item):
+            reads.append("walk")
+            return super().__contains__(item)
+
+    ovals = tuple(CountedOval(o.segments, o.sign) for o in ovals)
+    w = WittSurface(KleinTopology(g, t, 1), ovals, commutative=False)
+    ws.surface_numerics(w)
+    reading = w._reading
+    object.__setattr__(w, "_reading", reading._replace(points=WalkedPoints(reading.points)))
+    reads.clear()
+    return w
+
+
+def test_a_placement_reads_one_oval_and_no_list_of_points(monkeypatch):
+    reads, surface_reads = [], []
+    real_counts = ws.counts
+    monkeypatch.setattr(ws, "counts", lambda w: surface_reads.append(w) or real_counts(w))
+    # many whole ovals of both signs, and one cut oval of many segments
+    many = 2000
+    whole = _counted_surface(many, many - 1, [whole_oval("+-"[i % 2]) for i in range(many)], reads)
+    cut = _counted_surface(1, 0, [segmented_oval(*"+-" * many)], reads)
+    cases = [
+        (whole, [WeightedPoint(cls, 2, oval=i) for i in range(0, many, 7) for cls in (REAL_B, QUAT_B)
+                if (cls is REAL_B) == (i % 2 == 0)] + [WeightedPoint(REAL_B, 3), WeightedPoint(QUAT_B, 3)]),
+        (cut, [WeightedPoint(SEG, 3, oval=0, segment=i) for i in range(0, 2 * many, 3)]
+         + [WeightedPoint(REAL_B, 2, oval=0), WeightedPoint(QUAT_B, 2)] * 10),
+    ]
+    for w, weights in cases:
+        for _ in range(2):
+            reads.clear()
+            WeightedCurve(w, weights)
+            # at most a sign and the segments of the one oval each weight names,
+            # and the kept segmentation points walked once, for the profile
+            assert reads.count("walk") == 1
+            assert len(reads) - 1 <= 2 * len(weights)
+    # each surface object read once, when it was built above
+    assert len(surface_reads) == 2 and surface_reads[0] is whole and surface_reads[1] is cut
+
+
+def test_the_ceilings_are_held_once_per_curve(monkeypatch):
+    held = []
+    real_bounded = wc._bounded_order_lcm
+    monkeypatch.setattr(wc, "_bounded_order_lcm", lambda points: held.append(points) or real_bounded(points))
+    curves = [
+        WeightedCurve(catalog("D_22"), [WeightedPoint(REAL_B, 2), WeightedPoint(INNER, 3)]),
+        WeightedCurve(catalog("S2_C"), [WeightedPoint(wc.COMPLEX_POINT, 5)]),
+        WeightedCurve(AbstractBase(Fraction(1), 1, 1, 1, (AbstractPoint("x0", e_tau=2), AbstractPoint("x1")))),
+    ]
+    assert [len(points) for points in held] == [len(c.profile.points) for c in curves] == [4, 1, 2]
+
+
 def primes_below(n: int) -> list[int]:
     return [p for p in range(2, n) if all(p % q for q in range(2, isqrt(p) + 1))]
 

@@ -16,14 +16,15 @@ from wittcurves.witt_surface import (
     Oval,
     WittSurface,
     canonical_key,
+    carries_sign,
     catalog,
     constants_field,
     counts,
     euler_characteristics,
     genus,
+    is_segmentation_point,
     segmentation_points,
     segmented_oval,
-    signed_ovals,
     surface_numerics,
     surface_skewness,
     validate,
@@ -313,15 +314,23 @@ def test_surface_numerics_states_the_negative_genus_rule():
         assert exc.value.code == "negative-genus"
 
 
-def test_signed_ovals():
+def test_carries_sign():
     w = WittSurface(
         KleinTopology(2, 3, 1),
         (whole_oval("+"), segmented_oval("+", "-"), whole_oval("-")),
         commutative=False,
     )
-    assert signed_ovals(w, "+") == (0, 1)
-    assert signed_ovals(w, "-") == (1, 2)
-    assert signed_ovals(catalog("K"), "+") == ()
+    assert [i for i in range(-1, 5) if carries_sign(w, "+", i)] == [0, 1]
+    assert [i for i in range(-1, 5) if carries_sign(w, "-", i)] == [1, 2]
+    assert carries_sign(w, "+") and carries_sign(w, "-")
+    assert not carries_sign(catalog("K"), "+") and not carries_sign(catalog("K"), "-")
+    # any oval, read off the counts: a cut oval carries both signs
+    for name in ("D", "D_H", "D_22", "A", "A_RH", "M_H", "D_2222"):
+        base = catalog(name)
+        for sign in "+-":
+            assert carries_sign(base, sign) == any(carries_sign(base, sign, i) for i in range(len(base.ovals)))
+    assert carries_sign(catalog("D_22"), "+") and carries_sign(catalog("D_22"), "-")
+    assert not carries_sign(catalog("D_H"), "+") and not carries_sign(catalog("A"), "-")
 
 
 _VIEWS = (surface_numerics, constants_field, genus, surface_skewness, euler_characteristics)
@@ -413,6 +422,10 @@ def test_a_surface_is_read_once_and_keeps_its_reading(monkeypatch):
 def test_segmentation_points_are_read_with_the_surface():
     w = WittSurface(KleinTopology(3, 2, 0), (segmented_oval("+", "-"), segmented_oval("-", "+", "-", "+")), False)
     assert segmentation_points(w) == ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (1, 3))
+    # asked of one point, by the index bounds
+    assert {(o, s) for o, s in product(range(-1, 4), range(-1, 6)) if is_segmentation_point(w, o, s)} == set(
+        segmentation_points(w)
+    )
     # read first for its points, the surface keeps its numerics as well
     assert w._reading.numerics is surface_numerics(w)
     assert segmentation_points(catalog("S2_C")) == ()
@@ -457,7 +470,8 @@ def test_a_rebuilt_surface_reads_again(monkeypatch):
 ])
 def test_a_surface_that_cannot_exist_raises_on_every_read(w, code):
     for _ in range(2):
-        for read in (*_VIEWS, validate, segmentation_points, lambda w: signed_ovals(w, "+")):
+        for read in (*_VIEWS, validate, segmentation_points, canonical_key, lambda w: carries_sign(w, "+"),
+                     lambda w: carries_sign(w, "-", 0), lambda w: is_segmentation_point(w, 0, 0)):
             with pytest.raises(ValidationError) as exc:
                 read(w)
             assert exc.value.code == code
