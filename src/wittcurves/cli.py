@@ -27,6 +27,7 @@ from .weighted_curve import (
     AbstractPoint,
     WeightedCurve,
     WeightedPoint,
+    _refuse_too_many_points,
     _refuse_too_many_weights,
     classify,
     ghost_group,
@@ -164,12 +165,14 @@ def _abstract_point(index: int, record) -> AbstractPoint:
 def _abstract_base(record) -> AbstractBase:
     required, optional = ("chi_x", "s", "kappa", "epsilon"), ("points", "centre_genus")
     record = _fields(record, "the overrides", required, optional)
+    points = _list(record, "points")
+    _refuse_too_many_points(len(points))
     return AbstractBase(
         chi_x=_rational(record, "chi_x"),
         s=_int(record, "s"),
         kappa=_int(record, "kappa"),
         epsilon=_int(record, "epsilon"),
-        points=tuple(_abstract_point(i, p) for i, p in enumerate(_list(record, "points"))),
+        points=tuple(_abstract_point(i, p) for i, p in enumerate(points)),
         centre_genus=_int(record, "centre_genus", None),
     )
 
@@ -209,12 +212,7 @@ def _rational_json(value) -> dict | None:
 
 
 def _slope_str(slope) -> str:
-    if slope == INFINITY:
-        return "inf"
-    slope = Fraction(slope)
-    if slope.denominator == 1:
-        return str(slope.numerator)
-    return f"{slope.numerator}/{slope.denominator}"
+    return "inf" if slope == INFINITY else str(Fraction(slope))
 
 
 def _curve_payload(c: WeightedCurve) -> dict:
@@ -324,6 +322,7 @@ def ghost(path):
     points = _list(data, "points")
     if not points:
         raise ParseError("a ghost file needs at least one point")
+    _refuse_too_many_points(len(points))
     pairs = [_ghost_point(item) for item in points]
     efficient = _int(data, "efficient", 0)
     group = ghost_group(pairs, efficient)

@@ -20,7 +20,7 @@ from .algebra import (
     DivisionAlgebraKind,
     comultiplicity,
 )
-from .errors import FrozenRecord, InvariantViolation, KindMismatchError, ValidationError, require_ints
+from .errors import FrozenRecord, KindMismatchError, ValidationError, require_ints
 
 
 class WittPointClass(enum.Enum):
@@ -65,6 +65,9 @@ class PointDatum(FrozenRecord):
                 f"e_star={e_star} contradicts the comultiplicity of {simple_end!r}",
                 code="e-star-mismatch",
             )
+        if simple_end.dim_over_k % residue_degree:
+            message = f"residue degree {residue_degree} does not divide dim {simple_end.dim_over_k} of {simple_end!r}"
+            raise ValidationError(message, code="residue-degree")
 
 
 _TABLE = {
@@ -91,13 +94,9 @@ def local_skewness(d: PointDatum) -> int:
 
 
 def inertial_degree(d: PointDatum) -> int:
-    """[D_x : k(x)] computed from real dimensions."""
-    dim = d.simple_end.dim_over_k
-    if dim % d.residue_degree != 0:
-        raise InvariantViolation(
-            f"residue degree {d.residue_degree} does not divide dim {dim} of {d.simple_end!r}"
-        )
-    return dim // d.residue_degree
+    """[D_x : k(x)] computed from real dimensions; the residue degree
+    divides dim End(S_x), as PointDatum checks."""
+    return d.simple_end.dim_over_k // d.residue_degree
 
 
 def degree_of_simple(d: PointDatum, kappa: int, epsilon: int, pbar: int) -> Fraction:

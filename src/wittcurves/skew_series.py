@@ -11,15 +11,13 @@ The centre computation solves the commutation conditions by brute force
 result against the closed form K[[T^r]], K = Z(D) intersect Fix(sigma),
 r = the order of sigma modulo inner automorphisms. The system at T^s
 depends on s only through sigma^s, so the powers are walked only until
-sigma^p == sigma^0 is witnessed and p systems are solved (one or two for
-the built-in twists), their rows built from integer products of basis
-numerators. The check at T^s depends only on that solution and on
-whether r divides s, so it is made once per distinct pair and looked up
-at every exponent: at the ceiling of 256 this takes about 0.13 ms on R
-and C, 0.2 ms on C with conjugation and 0.23 ms on H (2-vCPU Xeon,
-Python 3.11). The powers sigma^i are built each from the one before, for
-the centre search, the twisted products and the Jordan check alike, and
-all of it runs on the integer numerators of ``algebra``.
+sigma^p == sigma^0 is witnessed and the p systems of that period are
+solved (one or two for the built-in twists), their rows built from
+integer products of basis numerators. The check at T^s depends only on
+s mod p and on whether r divides s, so it is made at the exponents below
+lcm(p, r) alone. The powers sigma^i are built each from the one before,
+for the centre search, the twisted products and the Jordan check alike,
+and all of it runs on the integer numerators of ``algebra``.
 """
 
 from __future__ import annotations
@@ -49,8 +47,8 @@ from .errors import DomainError, FrozenRecord, InvariantViolation, KindMismatchE
 
 # The largest truncation of a series or a centre search, and the least
 # exponent of a series: a product builds sigma^i once for each exponent i
-# of its left factor, and the centre search, one solve per sigma^s up to
-# the witnessed period, takes about 0.23 ms on H at 256.
+# of its left factor. The centre search costs the same at every
+# truncation on the built-in twists, whose period is 1 or 2.
 MAX_TRUNCATION = 256
 
 
@@ -263,15 +261,15 @@ def _in_span(vec, span_basis) -> bool:
 
 
 def _centre_kernels(kind: DivisionAlgebraKind, twist: Automorphism, truncation: int):
-    """The kernel of the centre system at every exponent s < truncation.
+    """The kernels of the centre system at s = 0, ..., p - 1: one period.
 
     c T^s is central when sigma(c) = c and d c = c sigma^s(d) for every
     basis element d. Only the right-hand side depends on s, and only
     through sigma^s. The powers are walked until the first p > 0 with
     sigma^p == sigma^0; then sigma^s = sigma^(s % p) by the group law, so
-    the p systems solved are all there are, and the kernel at s is the one
-    at s % p (the same list). The period is witnessed, not assumed, and a
-    twist that never repeats is solved at every exponent.
+    the p systems solved are all there are, and the kernel at any s is
+    kernels[s % p]. The period is witnessed, not assumed, and a twist
+    that never repeats below the truncation is solved at every exponent.
 
     The rows are integers: the products d e and e sigma^s(d) of basis
     elements are taken on numerators by ``algebra._product``, the left
@@ -304,27 +302,23 @@ def _centre_kernels(kind: DivisionAlgebraKind, twist: Automorphism, truncation: 
             right = zip(*(_product(kind, e, b) for e in nums))
             rows += [[x - den * y for x, y in zip(r, l)] for r, l in zip(right, left)]
         kernels.append(_kernel(rows, n))
-    period = len(kernels)
-    return [kernels[s % period] for s in range(truncation)]
+    return kernels
 
 
 def centre_basis(kind: DivisionAlgebraKind, twist: Automorphism, truncation: int) -> CentreDescription:
     """Brute-force the centre of D[[T, sigma]] up to T^truncation.
 
     Solves the exact linear system "commutes with T and with every basis
-    element of D" on integer rows for every exponent s, once per sigma^s
-    up to the period p that _centre_kernels witnesses (sigma^p ==
-    sigma^0), and checks the solution at every s against K[[T^r]]. That
-    verdict depends only on the kernel and on whether r divides s: each
-    exponent is looked up first by the kernel list itself, which repeats
-    with period p, and then by its content, so the check runs once per
-    distinct (kernel, r | s) pair, and a kernel that differs at one
-    exponent is checked on its own. A
-    disagreement raises InvariantViolation; inner twists are rejected
-    because their centre involves a nontrivial unit (centre R[[uT]] rather
-    than R[[T]]), which is out of scope here. A truncation above
-    MAX_TRUNCATION, or too short to show two periods, raises
-    ValidationError.
+    element of D" on integer rows once per sigma^s up to the period p that
+    _centre_kernels witnesses (sigma^p == sigma^0), and checks the solution
+    at T^s against K[[T^r]]. The system repeats with period p and the
+    expected answer (K, or 0 when r does not divide s) with period r, so
+    the exponents s < lcm(p, r) meet every pair that any exponent below
+    the truncation meets. A disagreement raises InvariantViolation; inner
+    twists are rejected because their centre involves a nontrivial unit
+    (centre R[[uT]] rather than R[[T]]), which is out of scope here. A
+    truncation above MAX_TRUNCATION, or too short to show two periods,
+    raises ValidationError.
     """
     if twist.kind is not kind:
         raise KindMismatchError("twist acts on a different algebra")
@@ -340,18 +334,11 @@ def centre_basis(kind: DivisionAlgebraKind, twist: Automorphism, truncation: int
         )
 
     expected_k = _constant_subfield_basis(kind, twist)
-    seen: set[tuple] = set()
-    for s, kernel in enumerate(_centre_kernels(kind, twist, truncation)):
-        divides = s % r == 0
-        fast = (id(kernel), divides)
-        if fast in seen:
-            continue
-        seen.add(fast)
-        key = (tuple(map(tuple, kernel)), divides)
-        if key in seen:
-            continue
-        seen.add(key)
-        expected = expected_k if divides else []
+    kernels = _centre_kernels(kind, twist, truncation)
+    p = len(kernels)
+    for s in range(min(truncation, math.lcm(p, r))):
+        kernel = kernels[s % p]
+        expected = expected_k if s % r == 0 else []
         if len(kernel) != len(expected):
             raise InvariantViolation(
                 f"centre dimension at T^{s} is {len(kernel)}, expected {len(expected)}"

@@ -181,16 +181,19 @@ def _bounded_order_lcm(points) -> int:
     length is the sum of f over the points with p * e_tau > 1, to
     MAX_VECTOR_LENGTH, then the lcm of their orders p * e_tau to
     MAX_ORDER_LCM, and return that lcm, before anything is summed over them."""
-    length = sum(pt.residue_degree for pt in points if pt.weight * pt.e_tau > 1)
+    _refuse_long_vector(sum(pt.residue_degree for pt in points if pt.weight * pt.e_tau > 1))
+    n = lcm(*(pt.weight * pt.e_tau for pt in points))
+    if n > MAX_ORDER_LCM:
+        raise ValidationError("the lcm of the point orders p * e_tau is above MAX_ORDER_LCM", code="too-large")
+    return n
+
+
+def _refuse_long_vector(length: int) -> None:
     if length > MAX_VECTOR_LENGTH:
         raise ValidationError(
             f"the weight-ramification vector would have {length} entries, more than {MAX_VECTOR_LENGTH}",
             code="too-large",
         )
-    n = lcm(*(pt.weight * pt.e_tau for pt in points))
-    if n > MAX_ORDER_LCM:
-        raise ValidationError("the lcm of the point orders p * e_tau is above MAX_ORDER_LCM", code="too-large")
-    return n
 
 
 def _refuse_too_many_weights(count: int) -> None:
@@ -200,6 +203,13 @@ def _refuse_too_many_weights(count: int) -> None:
     if count > MAX_VECTOR_LENGTH:
         message = f"{count} weights would give the weight-ramification vector more than {MAX_VECTOR_LENGTH} entries"
         raise ValidationError(message, code="too-large")
+
+
+def _refuse_too_many_points(count: int) -> None:
+    """More points than MAX_VECTOR_LENGTH are refused on their count, before any
+    is read: a point with e_tau = f = p = 1 adds no entry to the vector."""
+    if count > MAX_VECTOR_LENGTH:
+        raise ValidationError(f"more than {MAX_VECTOR_LENGTH} points", code="too-large")
 
 
 # label prefix, kind, e_tau and residue degree of the points of each class
@@ -245,9 +255,11 @@ def _validate_weights(base: WittSurface | ComplexCentreBase, weights) -> tuple[E
             counters[prefix] = n + 1
             weighted.append(EffectivePoint(f"{prefix}{n}", kind, e_tau, f, wp.weight))
     prefix, kind, e_tau, f = _SHAPES[seg]
+    # refused before they are built: with e_tau = 2, each point is f entries of the vector
+    points = segmentation_points(base)
+    _refuse_long_vector(f * len(points) + sum(pt.residue_degree for pt in weighted))
     segmentation = tuple(
-        EffectivePoint(f"{prefix}{oi}.{si}", kind, e_tau, f, seg_weight.get((oi, si), 1))
-        for oi, si in segmentation_points(base)
+        EffectivePoint(f"{prefix}{oi}.{si}", kind, e_tau, f, seg_weight.get((oi, si), 1)) for oi, si in points
     )
     return segmentation + tuple(weighted)
 
@@ -258,7 +270,9 @@ def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[Effectiv
     points and the lcm of their orders, bounded before chi' is summed over it."""
     points: list[EffectivePoint] = []
     labels: set[str] = set()
-    for p in require_sequence(base.points, "the points of an abstract base", "placement"):
+    records = require_sequence(base.points, "the points of an abstract base", "placement")
+    _refuse_too_many_points(len(records))
+    for p in records:
         if not isinstance(p, AbstractPoint):
             raise ValidationError(
                 f"a point of an abstract base must be an AbstractPoint, got {type(p).__name__}", code="placement"
@@ -650,12 +664,11 @@ def ghost_group(points, efficient_index: int) -> GhostGroup:
     x is the one whose Picard-shift is used to cancel degrees. For every
     other point y the exponent d(y) satisfies e_tau(y) d(y) = (f_y/f_x)
     e_tau(x); it must be an integer whenever y is a ramification point.
-    At most MAX_POINT_VALUE points are taken, each with e_tau and f at
+    At most MAX_VECTOR_LENGTH points are taken, each with e_tau and f at
     most MAX_POINT_VALUE.
     """
     pts = require_sequence(points, "the points", "placement")
-    if len(pts) > MAX_POINT_VALUE:
-        raise ValidationError(f"more than {MAX_POINT_VALUE} points", code="too-large")
+    _refuse_too_many_points(len(pts))
     for pt in pts:
         if not isinstance(pt, (tuple, list)) or len(pt) != 2:
             raise ValidationError(f"a point must be an (e_tau, f) pair, got {pt!r}", code="placement")

@@ -234,8 +234,26 @@ def test_elements_are_immutable_and_copy_whole():
         a.num = (0, 0, 0, 0)
     with pytest.raises(AttributeError):
         a.den = 2
+    with pytest.raises(AttributeError):
+        del a.num
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert b == a and hash(b) == hash(a) and b.kind is QUATERNION
+
+
+@pytest.mark.parametrize("other", [0.5, "1", None, (1, 0, 0, 0), complex(1, 0)], ids=repr)
+def test_an_element_meets_no_other_kind_of_value(other):
+    # ints and Fractions scale an element; anything else neither equals nor multiplies it
+    a = quat(1, 2)
+    assert a != other and not a == other
+    for product in (lambda: a * other, lambda: other * a):
+        with pytest.raises(TypeError):
+            product()
+
+
+def test_an_automorphism_applies_to_its_own_algebra_only():
+    for phi, a in ((identity(REAL), cplx(1, 2)), (complex_conjugation(), quat(1, 2)), (inner(quat(0, 1)), cplx(1))):
+        with pytest.raises(KindMismatchError):
+            apply(phi, a)
 
 
 @pytest.mark.parametrize("bad", [0.1, 0.5, 2.0, float("nan"), "1/2", complex(1, 0), True, None])

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from cli_runner import invoke
 from test_weighted_curve import orders_at_the_ceiling, primes_below
 
 from wittcurves import cli
+from wittcurves.ktheory import INFINITY
 from wittcurves.weighted_curve import MAX_ORDER_LCM, MAX_VECTOR_LENGTH
 
 
@@ -272,6 +274,16 @@ def test_abstract_inconsistent_data_exits_three(tmp_path, command):
     assert res.output == "error: tubular curve with vector (2, 2)\n"
 
 
+@pytest.mark.parametrize("command", ["invariants", "classify"])
+def test_abstract_tubular_data_on_a_positive_genus_centre_exits_three(tmp_path, command):
+    path = _write(tmp_path, "t.json", {"overrides": {
+        "chi_x": 1, "s": 1, "kappa": 1, "epsilon": 1, "points": [{"p": 2}] * 4, "centre_genus": 1,
+    }})
+    res = invoke([command, path])
+    assert res.exit_code == 3
+    assert res.output == "error: tubular curve with a positive-genus centre\n"
+
+
 @pytest.mark.parametrize("field", ["e_tau", "f", "p"])
 @pytest.mark.parametrize("value", [10**9, 2**70])
 def test_huge_abstract_point_entries_exit_two(tmp_path, field, value):
@@ -334,6 +346,35 @@ def test_too_many_weights_are_refused_before_any_record_is_parsed(tmp_path, monk
     res = invoke(["invariants", _write(tmp_path, "at.json", {"base": "D", "weights": weights[1:]})])
     assert res.exit_code == 1 and res.output == "error: unknown point class 'no-such-class'\n"
     assert len(parsed) == MAX_VECTOR_LENGTH
+
+
+def test_too_many_points_are_refused_before_any_record_is_parsed(tmp_path, monkeypatch):
+    parsed = []
+    for name in ("_abstract_point", "_ghost_point"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, real=real: parsed.append(args) or real(*args))
+    # one malformed record among too many: the count is refused first
+    points = [{"e_tau": 1}] * MAX_VECTOR_LENGTH + [{"bogus": 1}]
+    numerics = {"chi_x": 1, "s": 1, "kappa": 1, "epsilon": 1}
+    for command, what in (("invariants", "an override point"), ("ghost", "a ghost point")):
+        def payload(points):
+            return {"overrides": {**numerics, "points": points}} if command == "invariants" else {"points": points}
+
+        res = invoke([command, _write(tmp_path, "above.json", payload(points))])
+        assert res.exit_code == 2 and res.output == f"error: more than {MAX_VECTOR_LENGTH} points\n"
+        assert parsed == []
+        # at the ceiling every record is parsed, the malformed one too
+        res = invoke([command, _write(tmp_path, "at.json", payload(points[1:]))])
+        assert res.exit_code == 1 and res.output == f"error: unknown fields in {what}: ['bogus']\n"
+        assert len(parsed) == MAX_VECTOR_LENGTH
+        res = invoke([command, _write(tmp_path, "at.json", payload(points[:-1]))])
+        assert res.exit_code == 0
+        parsed.clear()
+
+
+def test_slope_strings_are_inf_or_the_fraction():
+    slopes = (INFINITY, Fraction(0), Fraction(-3), Fraction(3, 4), Fraction(-5, 2), 7)
+    assert [cli._slope_str(s) for s in slopes] == ["inf", "0", "-3", "3/4", "-5/2", "7"]
 
 
 @pytest.mark.parametrize("command", ["invariants", "classify"])
@@ -571,3 +612,6 @@ def test_usage_errors_exit_two_and_help_zero(args, code):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert (proc.stdout if code == 0 else proc.stderr).startswith("usage: wittcurves")
+    # the same through main in process, which returns the code argparse exits with
+    res = invoke(args)
+    assert res.exit_code == code and res.output.startswith("usage: wittcurves")

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from wittcurves.errors import DomainError, KindMismatchError, ValidationError
+from wittcurves.errors import DomainError, InconsistentDataError, KindMismatchError, ValidationError
 from wittcurves.ktheory import (
     ELLIPTIC_TYPES,
     INFINITY,
@@ -77,8 +77,20 @@ def test_mutation_matrices():
 
 
 def test_mutations_need_genus_one():
-    with pytest.raises(DomainError):
-        mutation_matrices(CurveNumerics(kappa=1, epsilon=1, genus=0))
+    for genus in (0, 2):
+        with pytest.raises(DomainError):
+            mutation_matrices(CurveNumerics(kappa=1, epsilon=1, genus=genus))
+        with pytest.raises(DomainError):
+            slope_orbits(CurveNumerics(kappa=1, epsilon=1, genus=genus))
+
+
+def test_mutations_need_an_integral_simple_coefficient():
+    # kappa epsilon / dim End(S) = 1/2 or 3/4 has no transvection
+    for n in (CurveNumerics(1, 1, 1, end_S_dim=2), CurveNumerics(3, 1, 1, end_S_dim=4)):
+        with pytest.raises(InconsistentDataError):
+            mutation_matrices(n)
+        with pytest.raises(InconsistentDataError):
+            slope_orbits(n)
 
 
 def test_slope_arithmetic():
@@ -272,3 +284,13 @@ def test_numerics_fields_must_be_ints(field, value):
     with pytest.raises(ValidationError) as exc:
         CurveNumerics(**fields)
     assert exc.value.code == "not-integer"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kappa", 0), ("kappa", -1), ("genus", -1), ("end_S_dim", 0), ("pbar", 0),
+])
+def test_numerics_fields_must_be_in_range(field, value):
+    fields = {"kappa": 2, "epsilon": 1, "genus": 1, field: value}
+    with pytest.raises(ValidationError) as exc:
+        CurveNumerics(**fields)
+    assert exc.value.code == "nonpositive"

@@ -97,6 +97,14 @@ def test_e_star_must_match_the_simple_end():
         PointDatum(1, 1, 1, 1, QUATERNION)
 
 
+def test_residue_degree_must_divide_the_dimension_of_the_simple_end():
+    with pytest.raises(ValidationError) as exc:
+        PointDatum(e=1, e_star=1, e_tau=1, residue_degree=3, simple_end=COMPLEX)
+    assert exc.value.code == "residue-degree"
+    assert str(exc.value) == "residue degree 3 does not divide dim 2 of ℂ"
+    assert inertial_degree(PointDatum(e=1, e_star=2, e_tau=1, residue_degree=2, simple_end=QUATERNION)) == 2
+
+
 def test_point_datum_simple_end_must_be_a_division_algebra():
     with pytest.raises(KindMismatchError):
         PointDatum(1, 1, 1, 1, "R")

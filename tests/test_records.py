@@ -114,6 +114,8 @@ def test_record_semantics(cls):
         assert hash(built) == hash(sample)
     with pytest.raises(AttributeError):
         setattr(sample, next(iter(fields)), None)
+    # a record equals no object of another class
+    assert sample != object() and not sample == object()
     # no instance __dict__ either
     assert not hasattr(sample, "__dict__")
     expected = CUSTOM_REPR.get(cls)
@@ -167,15 +169,18 @@ CHECKED = [
     (whole_oval("-"), "sign", "0", "oval-shape"),
     (whole_oval("+"), "segments", None, "oval-shape"),
     (segmented_oval("+", "-"), "segments", 5, "oval-shape"),
+    (whole_oval("+"), "sign", None, "oval-shape"),
     (witt_local_datum(INNER), "e", 0, "nonpositive"),
     (witt_local_datum(INNER), "e_tau", 1.5, "not-integer"),
     (witt_local_datum(INNER), "residue_degree", "x", "not-integer"),
     (witt_local_datum(INNER), "weight", True, "not-integer"),
     (witt_local_datum(SEG), "e_star", 2, "e-star-mismatch"),
+    (witt_local_datum(SEG), "residue_degree", 3, "residue-degree"),
     (CurveNumerics(1, 1, 1), "epsilon", 3, "epsilon"),
     (CurveNumerics(1, 1, 1), "kappa", 1.0, "not-integer"),
     (WeightedCurve(catalog("D")), "points", (WeightedPoint(INNER, 1),), "weight"),
     (WeightedCurve(catalog("D")), "base", WittSurface(KleinTopology(0, 1, 1), (), True), "oval-count"),
+    (catalog("D_22"), "ovals", ("+",), "oval-shape"),
 ]
 
 

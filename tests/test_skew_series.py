@@ -107,6 +107,27 @@ def test_factory_rejects_bad_input():
     assert exc.value.code == "truncation"
 
 
+def test_negation_subtraction_and_lookups():
+    f = series(COMPLEX, CONJ, 8, {0: 1, 3: cplx(2, -1)})
+    g = monomial(COMPLEX, CONJ, 8, 3, cplx(0, 1))
+    assert (-f).coeffs == ((0, cplx(-1)), (3, cplx(-2, 1)))
+    assert f - g == series(COMPLEX, CONJ, 8, {0: 1, 3: cplx(2, -2)})
+    assert (f - f).is_zero() and repr(f - f) == "0"
+    assert f.coeff(3) == cplx(2, -1) and f.coeff(5) == cplx(0)
+
+
+@pytest.mark.parametrize("other", [
+    series(COMPLEX, identity(COMPLEX), 8, {0: 1}),
+    series(COMPLEX, CONJ, 4, {0: 1}),
+    series(QUATERNION, identity(QUATERNION), 8, {0: 1}),
+], ids=["twist", "truncation", "kind"])
+def test_series_of_different_rings_do_not_meet(other):
+    f = series(COMPLEX, CONJ, 8, {1: 1})
+    for combine in (lambda: f + other, lambda: f - other, lambda: f * other, lambda: other * f):
+        with pytest.raises(KindMismatchError):
+            combine()
+
+
 def test_zero_coefficients_are_dropped():
     f = series(COMPLEX, CONJ, 8, {0: cplx(0), 2: cplx(1)})
     assert [exp for exp, _ in f.coeffs] == [2]
@@ -130,6 +151,8 @@ def test_dims_over_centre():
     assert dim_over_centre(QUATERNION, identity(QUATERNION)) == 4
     assert dim_over_centre(REAL, identity(REAL)) == 1
     assert dim_over_centre(COMPLEX, identity(COMPLEX)) == 1
+    with pytest.raises(KindMismatchError):
+        dim_over_centre(COMPLEX, identity(REAL))
 
 
 def test_inner_twist_has_no_series_centre_description():
@@ -155,6 +178,8 @@ def test_jordan_twist_checks():
         verify_jordan_twist(COMPLEX, CONJ, 0)
     with pytest.raises(DomainError):
         verify_jordan_twist(COMPLEX, CONJ, 7)
+    with pytest.raises(KindMismatchError):
+        verify_jordan_twist(QUATERNION, CONJ, 2)
 
 
 def test_jordan_twist_holds_for_every_size_and_several_units():
@@ -283,11 +308,20 @@ def _per_exponent_kernels(kind, twist, truncation):
     return [_kernel(fo.centre_system(phi, s), kind.dim_over_k) for s in range(truncation)]
 
 
+def _every_exponent(kernels, truncation):
+    """The kernel at each s < truncation, from one period of them."""
+    return [kernels[s % len(kernels)] for s in range(truncation)]
+
+
 @pytest.mark.parametrize("kind, twist", BUILTIN_PAIRS, ids=PAIR_IDS)
-def test_centre_kernels_match_the_per_exponent_solve(kind, twist):
+def test_centre_kernels_match_the_per_exponent_solve(monkeypatch, kind, twist):
     oracle = _per_exponent_kernels(kind, twist, 64)
+    solves = _counted(monkeypatch, skew_series, "_kernel")
     for truncation in range(8, 65):
-        assert _centre_kernels(kind, twist, truncation) == oracle[:truncation]
+        solves.clear()
+        kernels = _centre_kernels(kind, twist, truncation)
+        assert _every_exponent(kernels, truncation) == oracle[:truncation]
+        assert len(solves) == len(kernels) == galois_order(twist)
 
 
 @pytest.mark.parametrize("kind, twist", BUILTIN_PAIRS, ids=PAIR_IDS)
@@ -336,8 +370,36 @@ def test_centre_check_runs_once_per_distinct_system(monkeypatch):
     spans.clear()
     centre_basis(COMPLEX, CONJ, 64)
     kernels = _centre_kernels(COMPLEX, CONJ, 64)
-    pairs = {(tuple(map(tuple, kernel)), s % 2 == 0) for s, kernel in enumerate(kernels)}
+    pairs = {(tuple(map(tuple, kernel)), s % 2 == 0) for s, kernel in enumerate(_every_exponent(kernels, 64))}
     assert len(spans) == sum(len(kernel) for kernel, _ in pairs) == 1
+
+
+class _CountedKernels(list):
+    """One period of kernels that counts the lookups made in it."""
+
+    lookups = 0
+
+    def __getitem__(self, index):
+        self.lookups += 1
+        return super().__getitem__(index)
+
+
+@pytest.mark.parametrize("kind, twist", BUILTIN_PAIRS, ids=PAIR_IDS)
+def test_centre_is_checked_once_per_period_class(monkeypatch, kind, twist):
+    # the system repeats with period p and the expected answer with
+    # period r, so one check per class of s mod lcm(p, r), at most 2 here
+    periods = []
+
+    def counted(k, t, m):
+        periods.append(_CountedKernels(_centre_kernels(k, t, m)))
+        return periods[-1]
+
+    monkeypatch.setattr(skew_series, "_centre_kernels", counted)
+    r = galois_order(twist)
+    for truncation in range(8, MAX_TRUNCATION + 1):
+        centre_basis(kind, twist, truncation)
+        kernels = periods.pop()
+        assert kernels.lookups == math.lcm(len(kernels), r) <= 2
 
 
 # inner twists by units whose powers first turn real at 2, 4 and 3, and
@@ -352,10 +414,11 @@ def test_inner_centre_kernels_match_the_per_exponent_solve(monkeypatch, unit):
     solves = _counted(monkeypatch, skew_series, "_kernel")
     for truncation in range(1, 17):
         solves.clear()
-        assert _centre_kernels(QUATERNION, twist, truncation) == oracle[:truncation]
+        kernels = _centre_kernels(QUATERNION, twist, truncation)
+        assert _every_exponent(kernels, truncation) == oracle[:truncation]
         # one solve per exponent until sigma^p == sigma^0 is seen
         period = INNER_UNITS[unit]
-        assert len(solves) == (truncation if period is None else min(truncation, period))
+        assert len(solves) == len(kernels) == (truncation if period is None else min(truncation, period))
 
 
 @pytest.mark.parametrize("unit", INNER_UNITS, ids=repr)
@@ -421,8 +484,8 @@ def test_one_corrupted_kernel_trips_the_centre_check(monkeypatch, kind, twist):
     truncation = 16
     honest = _centre_kernels(kind, twist, truncation)
     units = [[int(i == c) for i in range(kind.dim_over_k)] for c in range(kind.dim_over_k)]
-    for s in (0, 1, 2, 7, truncation - 1):
-        kernel = honest[s]
+    # each kernel of the period stands for every exponent of its class
+    for s, kernel in enumerate(honest):
         # one vector too few, one too many, and one out of the honest span
         wrong = [kernel + [units[-1]]]
         if kernel:

@@ -399,6 +399,19 @@ def test_abstract_data_off_the_tubular_vectors_is_inconsistent():
         assert str(exc.value) == "tubular curve with vector (2, 2)"
 
 
+def test_abstract_tubular_data_on_a_positive_genus_centre_is_inconsistent():
+    points = tuple(AbstractPoint(f"x{i}", weight=2) for i in range(4))
+    c = WeightedCurve(AbstractBase(Fraction(1), 1, 1, 1, points, centre_genus=1))
+    assert c.profile.chi_orb == 0 and c.profile.weight_ram_vector == (2, 2, 2, 2)
+    for view in (classify, invariants_report):
+        with pytest.raises(InconsistentDataError) as exc:
+            view(c)
+        assert not isinstance(exc.value, InvariantViolation)
+        assert str(exc.value) == "tubular curve with a positive-genus centre"
+    # the same data over a genus-zero centre is a tubular curve
+    assert classify(WeightedCurve(c.base._replace(centre_genus=0))) is CurveClass.TUBULAR
+
+
 @pytest.mark.parametrize("field", ["e_tau", "residue_degree", "weight"])
 @pytest.mark.parametrize("value", [10**9, 2**70])
 def test_abstract_point_entries_are_bounded(field, value):
@@ -458,6 +471,53 @@ def test_too_many_weights_are_refused_before_any_is_read(monkeypatch):
             f"{count} weights would give the weight-ramification vector more than {MAX_VECTOR_LENGTH} entries"
         )
     assert read == []
+
+
+def _counted_effective_points(monkeypatch) -> list:
+    """Log the fields of every EffectivePoint a curve's check builds from here on."""
+    built = []
+    real = wc.EffectivePoint
+    monkeypatch.setattr(wc, "EffectivePoint", lambda *fields: built.append(fields) or real(*fields))
+    return built
+
+
+def test_too_many_abstract_points_are_refused_before_any_is_read(monkeypatch):
+    # points with e_tau = f = p = 1 add no entry to the vector, so only their count bounds them
+    built = _counted_effective_points(monkeypatch)
+    trivial = tuple(AbstractPoint(f"x{i}") for i in range(MAX_VECTOR_LENGTH + 1))
+    at = WeightedCurve(AbstractBase(Fraction(1), 1, 1, 1, trivial[:-1]))
+    assert len(at.profile.points) == len(built) == MAX_VECTOR_LENGTH and at.profile.weight_ram_vector == ()
+    built.clear()
+    for points in (trivial, (None,) * (MAX_VECTOR_LENGTH + 1)):
+        with pytest.raises(ValidationError) as exc:
+            WeightedCurve(AbstractBase(Fraction(1), 1, 1, 1, points))
+        assert exc.value.code == "too-large"
+        assert str(exc.value) == f"more than {MAX_VECTOR_LENGTH} points"
+    assert built == []
+
+
+def test_too_many_segmentation_points_are_refused_before_any_is_built(monkeypatch):
+    def cut(count):
+        """A disc whose one oval is cut into count segments, each ended by a segmentation point."""
+        return WittSurface(KleinTopology(0, 1, 1), (segmented_oval(*"+-" * (count // 2)),), commutative=False)
+
+    built = _counted_effective_points(monkeypatch)
+    at = WeightedCurve(cut(MAX_VECTOR_LENGTH))
+    assert len(at.profile.weight_ram_vector) == len(built) == MAX_VECTOR_LENGTH
+    # segments come in pairs: the least count above the ceiling, and the ceiling with one weight more
+    for count, weights, length in ((MAX_VECTOR_LENGTH + 2, [], MAX_VECTOR_LENGTH + 2),
+                                   (MAX_VECTOR_LENGTH, [WeightedPoint(REAL_B, 2)], MAX_VECTOR_LENGTH + 1)):
+        surface = cut(count)
+        ws.surface_numerics(surface)
+        built.clear()
+        with pytest.raises(ValidationError) as exc:
+            WeightedCurve(surface, weights)
+        assert exc.value.code == "too-large"
+        assert str(exc.value) == (
+            f"the weight-ramification vector would have {length} entries, more than {MAX_VECTOR_LENGTH}"
+        )
+        # the weight's own point only, and no segmentation point
+        assert len(built) == len(weights)
 
 
 def _counted_surface(t: int, g: int, ovals, reads: list) -> WittSurface:

@@ -155,6 +155,8 @@ def test_canonical_key_ignores_rotation_and_reflection():
 def test_complex_centre_bases():
     with pytest.raises(ValidationError):
         validate(ComplexCentreBase(-1))
+    assert tuple(counts(ComplexCentreBase(2))) == (0, 0, 0)
+    assert canonical_key(ComplexCentreBase(2)) == ("C", 2) != canonical_key(ComplexCentreBase(0))
     assert genus(ComplexCentreBase(2)) == 2
     assert euler_characteristics(ComplexCentreBase(2)) == (-1, -1)
     assert surface_skewness(ComplexCentreBase(2)) == 1
