@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .algebra import COMPLEX, QUATERNION, REAL, complex_conjugation, identity
 from .errors import CurveError, ValidationError
@@ -23,6 +22,7 @@ from .local_data import WittPointClass, witt_local_datum
 from .skew_series import centre_basis, dim_over_centre
 from .weighted_curve import (
     COMPLEX_POINT,
+    MAX_VECTOR_LENGTH,
     AbstractBase,
     AbstractPoint,
     WeightedCurve,
@@ -53,11 +53,24 @@ class ParseError(Exception):
 # ---------------------------------------------------------------------------
 # Input files
 
+# The most bytes a curve or ghost file may have: room for MAX_VECTOR_LENGTH
+# weight records, each with an oval and a segment, of up to 256 bytes as
+# printed with an indent. A larger file is refused before it is parsed,
+# having read one byte more than the ceiling.
+MAX_FILE_BYTES = 256 * MAX_VECTOR_LENGTH
+
+
 def _load_json(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as file:
+            data = file.read(MAX_FILE_BYTES + 1)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    if len(data) > MAX_FILE_BYTES:
+        raise ValidationError(f"{path} has more than {MAX_FILE_BYTES} bytes", code="too-large")
+    try:
+        # newlines read as a text file reads them
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     try:

@@ -75,7 +75,8 @@ class FrozenRecord:
     for anything it derives, and an ``__init__`` whose signature is the
     field list; the defaults are stated there alone, and ``_field_defaults``
     is read from it, as a NamedTuple holds them. ``__init__`` stores the
-    fields with one call of ``_set``, then runs the record's checks.
+    fields with one call of ``_set``, or one ``object.__setattr__`` each
+    where the record is built once per curve, then runs the record's checks.
     Equality, hash, repr, ``_replace`` and pickling read ``_fields``;
     ``_make``, ``_replace``, copies and unpickling all build the record
     again through its constructor, so none of them skips a check, and a

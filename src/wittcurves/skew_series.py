@@ -248,11 +248,10 @@ def _in_span(vec, span_basis) -> bool:
     leaves the final test for zero unchanged.
     """
     target = list(vec)
-    # reduce target against each basis vector's leading coordinate
+    # reduce target against each basis vector's leading coordinate; no
+    # basis vector is zero, as _constant_subfield_basis builds them
     for b in span_basis:
-        lead = next((i for i, v in enumerate(b) if v != 0), None)
-        if lead is None:
-            continue
+        lead = next(i for i, v in enumerate(b) if v != 0)
         t = target[lead]
         if t != 0:
             p = b[lead]

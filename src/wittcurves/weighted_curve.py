@@ -6,31 +6,45 @@ weight insertions p >= 2 at chosen points. Every numerical invariant is
 driven by the effective point list: each point contributes through its
 weight p, its ramification index e_tau, and its residue degree f.
 
-A WeightedCurve checks itself when built, and the check reads the curve
-once: its base, by one call to witt_surface.validate for a surface or
-here for an abstract base, summing its chi', and its weights, in one
-loop that asks witt_surface where each may sit. One function holds the
-weight-ramification vector to MAX_VECTOR_LENGTH and the lcm of the point
-orders to MAX_ORDER_LCM on either kind of base, before anything is
-summed over the points. What it read is the curve's CurveProfile, kept
-in curve.profile: the effective points, their lcm weight pbar, the lcm
-of their orders, the BaseNumerics of the base, and chi'_orb and the
-weight-ramification vector, which the profile derives when it is built.
-validate checks a surface on the first read of each surface object,
-which keeps its reading, so a second curve on the same surface object
-reads nothing of it again, and nothing here reads the ovals or topology
-of a surface. Every public invariant is a view of the profile, and a
-report reads all of its entries from it.
+A WeightedCurve checks itself when built, and the check reads each list
+of the curve in as few passes as it can:
+
+- the base, by one call to witt_surface.validate for a surface; an
+  abstract base is checked here, with its point records in one loop
+  that builds the effective points;
+- the weights of a surface base, in one loop that checks each record,
+  asks witt_surface where it may sit, builds its effective point and
+  adds up the vector length the weighted points give; then the kept
+  segmentation points, once that length and their count are held to
+  MAX_VECTOR_LENGTH, walked once to build theirs;
+- the effective points, in the one loop of _bounded_order_lcm, which
+  holds the weight-ramification vector to MAX_VECTOR_LENGTH and the lcm
+  of the point orders to MAX_ORDER_LCM on either kind of base before
+  anything is summed over them, and gathers the weights for pbar; an
+  abstract base walks them once more to sum its chi';
+- the effective points, once more, when the CurveProfile is built: one
+  walk sums every chi'_orb route and gathers the vector.
+
+What the check read is the curve's CurveProfile, kept in curve.profile:
+the effective points, their lcm weight pbar, the lcm of their orders,
+the BaseNumerics of the base, and chi'_orb and the weight-ramification
+vector, which the profile derives when it is built. validate checks a
+surface on the first read of each surface object, which keeps its
+reading, so a second curve on the same surface object reads nothing of
+it again, and nothing here reads the ovals or topology of a surface.
+Every public invariant is a view of the profile, and a report reads all
+of its entries from it.
 
 The normalized orbifold Euler characteristic is computed by three
 independent routes (the general formula over the centre, the split through
 the non-weighted curve, and a Thurston-style count for real bases) which
 must agree exactly; a fourth genus-zero route is checked where it applies.
-Each route sums its point terms as one integer numerator over the lcm of
-their denominators, giving an int (numerator, denominator) pair; the pairs
-are compared by cross-multiplying, and one Fraction is built for the
-answer. The chi' of an abstract base is summed the same way. A profile
-runs the routes once, when it is built.
+Each route sums its point terms in an integer accumulator of its own, as
+one numerator over the lcm of their denominators, giving an int
+(numerator, denominator) pair; the pairs are compared by
+cross-multiplying, and one Fraction is built for the answer. The chi' of
+an abstract base is summed the same way. A profile runs the routes once,
+when it is built.
 """
 
 from __future__ import annotations
@@ -149,43 +163,53 @@ class WeightedCurve(FrozenRecord):
     __slots__ = (*_fields, "profile")
 
     def __init__(self, base: Base, points=()):
-        self._set(base, require_sequence(points, "the weights", "placement"))
+        if points.__class__ is not tuple:
+            points = require_sequence(points, "the weights", "placement")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "points", points)
         self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "profile", _validate_curve(self))
-
-
-def _validate_curve(c: WeightedCurve) -> CurveProfile:
-    """Check a curve and read it into its profile."""
-    base = c.base
-    if not isinstance(base, Base):
-        raise ValidationError(
-            f"a curve base must be a surface or an abstract base, got {type(base).__name__}", code="base"
-        )
-    if isinstance(base, AbstractBase):
-        if c.points:
+        """Check the curve and keep what the check read, its profile."""
+        base = self.base
+        if isinstance(base, (WittSurface, ComplexCentreBase)):
+            numerics, points = validate(base), _validate_weights(base, self.points)
+            pbar, order_lcm = _bounded_order_lcm(points)
+        elif isinstance(base, AbstractBase):
+            if self.points:
+                raise ValidationError(
+                    "weights on an abstract base belong in its point records",
+                    code="placement",
+                )
+            numerics, points, pbar, order_lcm = _validate_abstract(base)
+        else:
             raise ValidationError(
-                "weights on an abstract base belong in its point records",
-                code="placement",
+                f"a curve base must be a surface or an abstract base, got {type(base).__name__}", code="base"
             )
-        numerics, points, order_lcm = _validate_abstract(base)
-    else:
-        numerics, points = validate(base), _validate_weights(base, c.points)
-        order_lcm = _bounded_order_lcm(points)
-    return CurveProfile(points, lcm(*(pt.weight for pt in points)), order_lcm, numerics)
+        object.__setattr__(self, "profile", CurveProfile(points, pbar, order_lcm, numerics))
 
 
-def _bounded_order_lcm(points) -> int:
+def _bounded_order_lcm(points) -> tuple[int, int]:
     """Hold the weight-ramification vector of the effective points, whose
     length is the sum of f over the points with p * e_tau > 1, to
     MAX_VECTOR_LENGTH, then the lcm of their orders p * e_tau to
-    MAX_ORDER_LCM, and return that lcm, before anything is summed over them."""
-    _refuse_long_vector(sum(pt.residue_degree for pt in points if pt.weight * pt.e_tau > 1))
-    n = lcm(*(pt.weight * pt.e_tau for pt in points))
+    MAX_ORDER_LCM, reading each point once, before anything is summed over
+    them; return pbar, the lcm of their weights, and that lcm."""
+    length = 0
+    weights: list[int] = []
+    orders: list[int] = []
+    for pt in points:
+        p = pt.weight
+        if (o := p * pt.e_tau) > 1:
+            length += pt.residue_degree
+            weights.append(p)
+            orders.append(o)
+    _refuse_long_vector(length)
+    n = lcm(*orders)
     if n > MAX_ORDER_LCM:
         raise ValidationError("the lcm of the point orders p * e_tau is above MAX_ORDER_LCM", code="too-large")
-    return n
+    # each weight divides its order, so pbar divides n
+    return lcm(*weights), n
 
 
 def _refuse_long_vector(length: int) -> None:
@@ -231,65 +255,77 @@ def _validate_weights(base: WittSurface | ComplexCentreBase, weights) -> tuple[E
     seg_weight: dict[tuple[int, int], int] = {}
     weighted: list[EffectivePoint] = []
     counters: dict[str, int] = {}
+    # the length of the vector the weighted points give
+    length = 0
     for wp in weights:
         if not isinstance(wp, WeightedPoint):
             raise ValidationError(
                 f"a weight must be a WeightedPoint, got {type(wp).__name__}", code="placement"
             )
-        require_ints(("oval", "segment"), weight=wp.weight, oval=wp.oval, segment=wp.segment)
-        if wp.weight < 2:
+        location, p, oval, segment = wp.location, wp.weight, wp.oval, wp.segment
+        # plain ints pass here; anything else, an int subclass too, goes to the full check
+        if not (p.__class__ is int and (oval is None or oval.__class__ is int)
+                and (segment is None or segment.__class__ is int)):
+            require_ints(("oval", "segment"), weight=p, oval=oval, segment=segment)
+        if p < 2:
             raise ValidationError("an inserted weight must be at least 2", code="weight")
-        if wp.weight > MAX_POINT_VALUE:
+        if p > MAX_POINT_VALUE:
             raise ValidationError(f"an inserted weight must be at most {MAX_POINT_VALUE}", code="too-large")
         _validate_placement(base, wp)
-        if wp.location is seg:
-            key = (wp.oval, wp.segment)
+        if location is seg:
+            key = (oval, segment)
             if key in seg_weight:
                 raise ValidationError(
                     "two weights on the same segmentation point", code="duplicate-placement"
                 )
-            seg_weight[key] = wp.weight
+            seg_weight[key] = p
         else:
-            prefix, kind, e_tau, f = _SHAPES[wp.location]
+            prefix, kind, e_tau, f = _SHAPES[location]
             n = counters.get(prefix, 0)
             counters[prefix] = n + 1
-            weighted.append(EffectivePoint(f"{prefix}{n}", kind, e_tau, f, wp.weight))
+            weighted.append(EffectivePoint(f"{prefix}{n}", kind, e_tau, f, p))
+            length += f
     prefix, kind, e_tau, f = _SHAPES[seg]
     # refused before they are built: with e_tau = 2, each point is f entries of the vector
     points = segmentation_points(base)
-    _refuse_long_vector(f * len(points) + sum(pt.residue_degree for pt in weighted))
-    segmentation = tuple(
+    _refuse_long_vector(f * len(points) + length)
+    effective = [
         EffectivePoint(f"{prefix}{oi}.{si}", kind, e_tau, f, seg_weight.get((oi, si), 1)) for oi, si in points
-    )
-    return segmentation + tuple(weighted)
+    ]
+    effective += weighted
+    return tuple(effective)
 
 
-def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[EffectivePoint, ...], int]:
+def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[EffectivePoint, ...], int, int]:
     """Check an abstract base, its points in one loop, and read its numerics,
     summing chi' from chi_x and the points' e_tau and residue degrees, its
-    points and the lcm of their orders, bounded before chi' is summed over it."""
+    points, pbar and the lcm of their orders, bounded before chi' is summed
+    over it."""
     points: list[EffectivePoint] = []
     labels: set[str] = set()
     records = require_sequence(base.points, "the points of an abstract base", "placement")
     _refuse_too_many_points(len(records))
-    for p in records:
-        if not isinstance(p, AbstractPoint):
+    for pt in records:
+        if not isinstance(pt, AbstractPoint):
             raise ValidationError(
-                f"a point of an abstract base must be an AbstractPoint, got {type(p).__name__}", code="placement"
+                f"a point of an abstract base must be an AbstractPoint, got {type(pt).__name__}", code="placement"
             )
-        if not isinstance(p.label, str):
-            raise ValidationError(f"a point label must be a string, got {p.label!r}", code="placement")
-        if p.label in labels:
+        label, e, f, p = pt.label, pt.e_tau, pt.residue_degree, pt.weight
+        if not isinstance(label, str):
+            raise ValidationError(f"a point label must be a string, got {label!r}", code="placement")
+        if label in labels:
             raise ValidationError("abstract point labels must be unique", code="duplicate-placement")
-        labels.add(p.label)
-        require_ints(e_tau=p.e_tau, residue_degree=p.residue_degree, weight=p.weight)
-        if p.e_tau < 1 or p.residue_degree < 1 or p.weight < 1:
-            raise ValidationError(f"point {p.label} has a nonpositive entry", code="nonpositive")
-        if max(p.e_tau, p.residue_degree, p.weight) > MAX_POINT_VALUE:
+        labels.add(label)
+        # plain ints pass here; anything else, an int subclass too, goes to the full check
+        if not (e.__class__ is int and f.__class__ is int and p.__class__ is int):
+            require_ints(e_tau=e, residue_degree=f, weight=p)
+        if e < 1 or f < 1 or p < 1:
+            raise ValidationError(f"point {label} has a nonpositive entry", code="nonpositive")
+        if e > MAX_POINT_VALUE or f > MAX_POINT_VALUE or p > MAX_POINT_VALUE:
             raise ValidationError(
-                f"point {p.label} has an entry above {MAX_POINT_VALUE}", code="too-large"
+                f"point {label} has an entry above {MAX_POINT_VALUE}", code="too-large"
             )
-        points.append(EffectivePoint(p.label, "abstract", p.e_tau, p.residue_degree, p.weight))
+        points.append(EffectivePoint(label, "abstract", e, f, p))
     require_ints(("centre_genus",), s=base.s, kappa=base.kappa, epsilon=base.epsilon, centre_genus=base.centre_genus)
     if not isinstance(base.chi_x, Fraction):
         require_ints(chi_x=base.chi_x)
@@ -303,43 +339,49 @@ def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[Effectiv
     if max(abs(chi_centre.numerator), chi_centre.denominator) > MAX_ORDER_LCM:
         raise ValidationError("chi_x has a numerator or a denominator above MAX_ORDER_LCM", code="too-large")
     # (1 - 1/e) f = (e - 1) f / e, over the lcm of the point orders, which every e_tau divides
-    n = _bounded_order_lcm(points)
-    drops = sum((p.e_tau - 1) * p.residue_degree * (n // p.e_tau) for p in points)
+    pbar, n = _bounded_order_lcm(points)
+    drops = 0
+    for pt in points:
+        if (e := pt.e_tau) > 1:
+            drops += (e - 1) * pt.residue_degree * (n // e)
     chi_prime = Fraction(*_less_half(chi_centre, drops, n))
     numerics = BaseNumerics(
         None, base.kappa, base.epsilon, base.s, None, None, base.centre_genus, None, None, chi_centre, chi_prime
     )
-    return numerics, tuple(points), n
+    return numerics, tuple(points), pbar, n
 
 
 def _validate_placement(base: WittSurface | ComplexCentreBase, wp: WeightedPoint) -> None:
     """The part of validation that reads one weight's placement against
     its base; the base is taken as valid, and two weights on one
     segmentation point are the caller's to catch."""
+    location = wp.location
     if isinstance(base, ComplexCentreBase):
-        if wp.location != COMPLEX_POINT:
+        if location != COMPLEX_POINT:
             raise ValidationError(
                 "a complex-centre base only accepts plain point placements",
                 code="placement",
             )
         return
-    if not isinstance(wp.location, WittPointClass):
-        raise ValidationError(f"invalid placement {wp.location!r}", code="placement")
-    if wp.location is WittPointClass.SEGMENTATION:
+    # inner placements are always available
+    if location is WittPointClass.INNER:
+        return
+    if location is WittPointClass.SEGMENTATION:
         if wp.oval is None or wp.segment is None:
             raise ValidationError(
                 "a segmentation weight needs oval and segment indices", code="placement"
             )
         if not is_segmentation_point(base, wp.oval, wp.segment):
             raise ValidationError("no such segmentation point", code="placement")
-    elif wp.location in (WittPointClass.REAL_BOUNDARY, WittPointClass.QUATERNION_BOUNDARY):
-        sign = PLUS if wp.location is WittPointClass.REAL_BOUNDARY else MINUS
+    elif location is WittPointClass.REAL_BOUNDARY or location is WittPointClass.QUATERNION_BOUNDARY:
+        sign = PLUS if location is WittPointClass.REAL_BOUNDARY else MINUS
         if wp.oval is not None:
             if not carries_sign(base, sign, wp.oval):
                 raise ValidationError("that oval has no locus of the requested sign", code="placement")
         elif not carries_sign(base, sign):
             raise ValidationError("the surface has no locus of the requested sign", code="placement")
-    # inner placements are always available
+    else:
+        raise ValidationError(f"invalid placement {location!r}", code="placement")
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +394,8 @@ _QUARTERS = {WittPointClass.SEGMENTATION.value: 1, WittPointClass.INNER.value: 4
 
 def _less_half(x: Fraction, num: int, den: int) -> tuple[int, int]:
     """x - num / (2 den), as an int (numerator, denominator) pair."""
-    return x.numerator * 2 * den - x.denominator * num, x.denominator * 2 * den
+    n, d = x.as_integer_ratio()
+    return n * 2 * den - d * num, d * 2 * den
 
 
 class CurveProfile(FrozenRecord):
@@ -377,8 +420,11 @@ class CurveProfile(FrozenRecord):
     __slots__ = (*_fields, "chi_orb", "weight_ram_vector")
 
     def __init__(self, points: tuple[EffectivePoint, ...], pbar: int, order_lcm: int, numerics: BaseNumerics):
-        self._set(points, pbar, order_lcm, numerics)
-        routes = self._route_pairs()
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "pbar", pbar)
+        object.__setattr__(self, "order_lcm", order_lcm)
+        object.__setattr__(self, "numerics", numerics)
+        routes, vector = self._route_pairs()
         gn, gd = routes.pop("general")
         for name, (num, den) in routes.items():
             if num * gd != gn * den:
@@ -386,41 +432,47 @@ class CurveProfile(FrozenRecord):
                     f"Euler characteristic mismatch: general {Fraction(gn, gd)}, {name} {Fraction(num, den)}"
                 )
         object.__setattr__(self, "chi_orb", Fraction(gn, gd))
-        vector: list[int] = []
-        for pt in points:
-            if (v := pt.weight * pt.e_tau) > 1:
-                vector += [v] * pt.residue_degree
-        object.__setattr__(self, "weight_ram_vector", tuple(sorted(vector)))
+        vector.sort()
+        object.__setattr__(self, "weight_ram_vector", tuple(vector))
 
-    def _route_pairs(self) -> dict[str, tuple[int, int]]:
+    def _route_pairs(self) -> tuple[dict[str, tuple[int, int]], list[int]]:
         """Every chi'_orb route that applies, as an int (numerator,
         denominator) pair with a positive denominator, keyed by the name its
-        mismatch message gives it. Each route sums its point terms as one
-        integer numerator over the lcm of their denominators."""
-        pts, nums, n = self.points, self.numerics, self.order_lcm
-        orders = [pt.weight * pt.e_tau for pt in pts]
-        # (1 - 1/(p e)) f = (p e - 1) f / (p e) and (1 - 1/p) f / e = (p - 1) f / (p e)
-        general = sum((o - 1) * pt.residue_degree * (n // o) for o, pt in zip(orders, pts))
-        split = sum((pt.weight - 1) * pt.residue_degree * (n // o) for o, pt in zip(orders, pts))
+        mismatch message gives it, and the weight-ramification vector,
+        unsorted. One walk over the points reads them all: each route sums
+        its point terms in an integer accumulator of its own, as one
+        numerator over the lcm of their denominators."""
+        nums, n, pbar = self.numerics, self.order_lcm, self.pbar
+        real, zero = nums.centre == "R", nums.genus == 0
+        s, kappa, epsilon = nums.skewness, nums.kappa, nums.epsilon
+        s2 = s * s
+        general = split = boundary = form = 0
+        vector: list[int] = []
+        for pt in self.points:
+            p, f = pt.weight, pt.residue_degree
+            o = p * pt.e_tau
+            m = n // o
+            # (1 - 1/(p e)) f = (p e - 1) f / (p e) and (1 - 1/p) f / e = (p - 1) f / (p e)
+            general += (o - 1) * f * m
+            split += (p - 1) * f * m
+            if real:
+                # the share of the point (1/4, 1 or 1/2) times 1 - 1/p, over 4 pbar
+                boundary += _QUARTERS.get(pt.kind, 2) * (p - 1) * (pbar // p)
+            if zero:
+                # e f (p - 1) / p with e = 1 and f = s^2 f_res / (kappa epsilon e_tau),
+                # over kappa epsilon n, the lcm of the kappa epsilon e_tau p
+                form += s2 * f * (p - 1) * m
+            if o > 1:
+                vector += [o] * f
         routes = {
             "general": _less_half(nums.chi_centre, general, n),
             "split": _less_half(nums.chi_prime, split, n),
         }
-        if nums.centre == "R":
-            # the share of each point (1/4, 1 or 1/2) times 1 - 1/p, over 4 pbar
-            pbar = self.pbar
-            routes["boundary count"] = _less_half(
-                nums.chi_prime,
-                sum(_QUARTERS.get(pt.kind, 2) * (pt.weight - 1) * (pbar // pt.weight) for pt in pts),
-                2 * pbar,
-            )
-        if nums.genus == 0:
-            # e f (p - 1) / p with e = 1 and f = s^2 f_res / (kappa epsilon e_tau)
-            s, ke = nums.skewness, nums.kappa * nums.epsilon
-            routes["genus-zero form"] = _genus_zero(nums.kappa, s, nums.epsilon, [
-                (s * s * pt.residue_degree * (pt.weight - 1), ke * pt.e_tau * pt.weight) for pt in pts
-            ])
-        return routes
+        if real:
+            routes["boundary count"] = _less_half(nums.chi_prime, boundary, 2 * pbar)
+        if zero:
+            routes["genus-zero form"] = _genus_zero(kappa, s, epsilon, form, kappa * epsilon * n)
+        return routes, vector
 
     def chi_routes(self) -> dict[str, Fraction]:
         """The value of every chi'_orb route that applies, keyed by the name
@@ -429,7 +481,7 @@ class CurveProfile(FrozenRecord):
         count on a real centre and the genus-zero form where the function
         field has genus zero. Each is a Fraction built from the integer
         pair the constructor compares; nothing is compared here."""
-        return {name: Fraction(num, den) for name, (num, den) in self._route_pairs().items()}
+        return {name: Fraction(num, den) for name, (num, den) in self._route_pairs()[0].items()}
 
     def curve_class(self) -> CurveClass:
         chi = self.chi_orb
@@ -543,15 +595,14 @@ def genus_zero_orbifold_euler(kappa, s, epsilon, points) -> Fraction:
         if p < 1:
             raise ValidationError("a weight p must be positive", code="nonpositive")
         terms.append((e.numerator * f.numerator * (p - 1), e.denominator * f.denominator * p))
-    return Fraction(*_genus_zero(kappa, s, epsilon, terms))
-
-
-def _genus_zero(kappa: int, s: int, epsilon: int, terms: list[tuple[int, int]]) -> tuple[int, int]:
-    """kappa/s^2 - (kappa epsilon / 2 s^2) times the sum of the terms
-    num/den of e f (p - 1) / p, as an int (numerator, denominator) pair;
-    the terms are summed as one numerator over the lcm of the den."""
     d = lcm(*(den for _, den in terms))
-    total = sum(num * (d // den) for num, den in terms)
+    return Fraction(*_genus_zero(kappa, s, epsilon, sum(num * (d // den) for num, den in terms), d))
+
+
+def _genus_zero(kappa: int, s: int, epsilon: int, total: int, d: int) -> tuple[int, int]:
+    """kappa/s^2 - (kappa epsilon / 2 s^2) times total/d, the sum of the
+    terms e f (p - 1) / p over a common denominator d, as an int
+    (numerator, denominator) pair."""
     return kappa * (2 * d - epsilon * total), 2 * s * s * d
 
 

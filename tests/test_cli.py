@@ -1,3 +1,4 @@
+import builtins
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from test_weighted_curve import orders_at_the_ceiling, primes_below
 
 from wittcurves import cli
 from wittcurves.ktheory import INFINITY
-from wittcurves.weighted_curve import MAX_ORDER_LCM, MAX_VECTOR_LENGTH
+from wittcurves.weighted_curve import MAX_ORDER_LCM, MAX_POINT_VALUE, MAX_VECTOR_LENGTH
 
 
 def _write(tmp_path, name, payload):
@@ -203,20 +204,20 @@ def test_parse_errors_exit_one(tmp_path):
 @pytest.mark.parametrize("command", ["invariants", "classify", "ghost"])
 def test_unreadable_files_exit_one(tmp_path, monkeypatch, command):
     # a user without read permission, simulated since root reads anything:
-    # os.access denies the file and reading it raises PermissionError
+    # os.access denies the file and opening it raises PermissionError
     path = _write(tmp_path, "locked.json", {"base": "D"})
-    access, read_text = os.access, Path.read_text
+    access, real_open = os.access, builtins.open
 
     def denied_access(p, mode, *args, **kwargs):
         return False if os.fspath(p) == path else access(p, mode, *args, **kwargs)
 
-    def denied_read(self, *args, **kwargs):
-        if os.fspath(self) == path:
+    def denied_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == path:
             raise PermissionError(13, "Permission denied", path)
-        return read_text(self, *args, **kwargs)
+        return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr(os, "access", denied_access)
-    monkeypatch.setattr(Path, "read_text", denied_read)
+    monkeypatch.setattr(builtins, "open", denied_open)
     res = invoke([command, path])
     assert res.exit_code == 1
     assert res.output.startswith(f"error: cannot read {path}")
@@ -370,6 +371,37 @@ def test_too_many_points_are_refused_before_any_record_is_parsed(tmp_path, monke
         res = invoke([command, _write(tmp_path, "at.json", payload(points[:-1]))])
         assert res.exit_code == 0
         parsed.clear()
+
+
+def test_the_largest_file_of_weights_fits_under_the_byte_ceiling(tmp_path):
+    # MAX_VECTOR_LENGTH weight records with an oval and a segment, the class
+    # name and the weight at their longest, printed with an indent of four
+    record = {"class": "quaternion_boundary", "oval": 0, "p": MAX_POINT_VALUE, "segment": 9999}
+    path = tmp_path / "largest.json"
+    path.write_text(json.dumps({"base": "D_H", "weights": [record] * MAX_VECTOR_LENGTH}, indent=4))
+    assert path.stat().st_size <= cli.MAX_FILE_BYTES
+    res = invoke(["invariants", str(path)])
+    assert res.exit_code == 0
+    assert json.loads(res.output)["wrv"] == [MAX_POINT_VALUE] * MAX_VECTOR_LENGTH
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("invariants", {"base": "D"}), ("classify", {"base": "D"}), ("ghost", {"points": [[2, 1]]}),
+])
+def test_a_file_above_the_byte_ceiling_is_refused_before_it_is_parsed(tmp_path, monkeypatch, command, payload):
+    parsed = []
+    real_loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text: parsed.append(len(text)) or real_loads(text))
+    body = json.dumps(payload).encode()
+    # a valid file padded with spaces to the ceiling, and one byte more
+    at, above = tmp_path / "at.json", tmp_path / "above.json"
+    at.write_bytes(body + b" " * (cli.MAX_FILE_BYTES - len(body)))
+    above.write_bytes(body + b" " * (cli.MAX_FILE_BYTES + 1 - len(body)))
+    res = invoke([command, str(above)])
+    assert res.exit_code == 2 and res.output == f"error: {above} has more than {cli.MAX_FILE_BYTES} bytes\n"
+    assert parsed == []
+    res = invoke([command, str(at)])
+    assert res.exit_code == 0 and parsed == [cli.MAX_FILE_BYTES]
 
 
 def test_slope_strings_are_inf_or_the_fraction():

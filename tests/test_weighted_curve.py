@@ -1,5 +1,7 @@
 import copy
+import enum
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import isqrt, lcm, prod
@@ -520,6 +522,23 @@ def test_too_many_segmentation_points_are_refused_before_any_is_built(monkeypatc
         assert len(built) == len(weights)
 
 
+class _WalkedPoints(tuple):
+    """Points that log each walk over them."""
+
+    def __new__(cls, points, walks: list):
+        self = super().__new__(cls, points)
+        self.walks = walks
+        return self
+
+    def __iter__(self):
+        self.walks.append("walk")
+        return super().__iter__()
+
+    def __contains__(self, item):
+        self.walks.append("walk")
+        return super().__contains__(item)
+
+
 def _counted_surface(t: int, g: int, ovals, reads: list) -> WittSurface:
     """A surface, read, whose ovals log each read of a sign or of segments
     from here on, and whose kept segmentation points log each walk."""
@@ -532,20 +551,11 @@ def _counted_surface(t: int, g: int, ovals, reads: list) -> WittSurface:
                 reads.append(name)
             return super().__getattribute__(name)
 
-    class WalkedPoints(tuple):
-        def __iter__(self):
-            reads.append("walk")
-            return super().__iter__()
-
-        def __contains__(self, item):
-            reads.append("walk")
-            return super().__contains__(item)
-
     ovals = tuple(CountedOval(o.segments, o.sign) for o in ovals)
     w = WittSurface(KleinTopology(g, t, 1), ovals, commutative=False)
     ws.surface_numerics(w)
     reading = w._reading
-    object.__setattr__(w, "_reading", reading._replace(points=WalkedPoints(reading.points)))
+    object.__setattr__(w, "_reading", reading._replace(points=_WalkedPoints(reading.points, reads)))
     reads.clear()
     return w
 
@@ -586,6 +596,52 @@ def test_the_ceilings_are_held_once_per_curve(monkeypatch):
         WeightedCurve(AbstractBase(Fraction(1), 1, 1, 1, (AbstractPoint("x0", e_tau=2), AbstractPoint("x1")))),
     ]
     assert [len(points) for points in held] == [len(c.profile.points) for c in curves] == [4, 1, 2]
+
+
+_D22_WEIGHTS = (WeightedPoint(REAL_B, 2), WeightedPoint(INNER, 3), WeightedPoint(SEG, 5, oval=0, segment=1))
+
+
+def test_a_surface_curve_walks_its_effective_points_twice(monkeypatch):
+    walks = []
+    real_validate = wc._validate_weights
+    monkeypatch.setattr(
+        wc, "_validate_weights", lambda base, weights: _WalkedPoints(real_validate(base, weights), walks)
+    )
+    for name, weights in (("D_22", (WeightedPoint(REAL_B, 2), WeightedPoint(SEG, 5, oval=0, segment=1))),
+                          ("D", ()), ("S2_C", (WeightedPoint(wc.COMPLEX_POINT, 3),))):
+        walks.clear()
+        WeightedCurve(catalog(name), weights)
+        # once to hold the ceilings, once for every route and the vector
+        assert walks == ["walk", "walk"]
+
+
+def test_a_profile_walks_its_points_once():
+    walks = []
+    abstract = AbstractBase(Fraction(1), 1, 1, 1, (AbstractPoint("x0", 2, 3),))
+    for c in (WeightedCurve(catalog("D_22"), _D22_WEIGHTS), WeightedCurve(abstract)):
+        walks.clear()
+        profile = c.profile._replace(points=_WalkedPoints(c.profile.points, walks))
+        assert walks == ["walk"]
+        assert profile.chi_orb == c.profile.chi_orb and profile.weight_ram_vector == c.profile.weight_ram_vector
+
+
+def test_the_check_of_a_curve_makes_few_calls():
+    base = catalog("D_22")
+    # the surface is read by the first check; the second is counted
+    WeightedCurve(base, _D22_WEIGHTS)
+    calls = []
+
+    def profiler(frame, event, arg):
+        if event == "call" or (event == "c_call" and arg is not sys.setprofile):
+            calls.append(frame.f_code.co_name if event == "call" else arg)
+
+    sys.setprofile(profiler)
+    try:
+        WeightedCurve(base, _D22_WEIGHTS)
+    finally:
+        sys.setprofile(None)
+    # Python and C calls, the effective points built included, on CPython 3.11
+    assert len(calls) <= 81, calls
 
 
 def primes_below(n: int) -> list[int]:
@@ -684,6 +740,45 @@ def test_complex_centre_genus_must_be_an_int(value):
 ])
 def test_weighted_point_fields_must_be_ints(point):
     _not_integer(lambda: WeightedCurve(catalog("D_22"), (point,)))
+
+
+class Small(enum.IntEnum):
+    """Members are ints of a subclass, which the checks accept as ints."""
+
+    ZERO = 0
+    ONE = 1
+    TWO = 2
+
+
+# a segmentation weight of D_22 with every integer field set
+_SEG_WEIGHT = {"weight": 2, "oval": 0, "segment": 1}
+
+
+@pytest.mark.parametrize("field", ["weight", "oval", "segment"])
+@pytest.mark.parametrize("value", [True, 2.0, "2"], ids=["bool", "float", "str"])
+def test_a_weight_field_that_is_no_int_is_refused_with_its_name(field, value):
+    point = WeightedPoint(SEG, **{**_SEG_WEIGHT, field: value})
+    with pytest.raises(ValidationError) as exc:
+        WeightedCurve(catalog("D_22"), (point,))
+    assert exc.value.code == "not-integer"
+    assert str(exc.value) == f"{field} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("field", ["weight", "oval", "segment"])
+def test_a_weight_field_of_an_int_subclass_is_read_as_its_int(field):
+    plain = WeightedCurve(catalog("D_22"), (WeightedPoint(SEG, **_SEG_WEIGHT),))
+    member = Small(_SEG_WEIGHT[field])
+    curve = WeightedCurve(catalog("D_22"), (WeightedPoint(SEG, **{**_SEG_WEIGHT, field: member}),))
+    assert curve.profile.points == plain.profile.points
+    assert invariants_report(curve) == invariants_report(plain)
+
+
+@pytest.mark.parametrize("field", ["e_tau", "residue_degree", "weight"])
+def test_an_abstract_point_field_of_an_int_subclass_is_read_as_its_int(field):
+    def curve(value):
+        return WeightedCurve(AbstractBase(Fraction(1), 1, 1, 1, (AbstractPoint("x0", **{field: value}),)))
+
+    assert invariants_report(curve(Small.TWO)) == invariants_report(curve(2))
 
 
 @pytest.mark.parametrize("field", ["e_tau", "residue_degree", "weight"])
