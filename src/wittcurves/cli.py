@@ -4,14 +4,16 @@ Exit codes: 1 for unreadable or malformed input files, 2 for a usage
 error or for data that parses but fails validation, 3 for sound data
 outside an operation's domain. JSON output is deterministic (sorted keys)
 and keeps all rationals exact as {"num", "den"} pairs; aligned tables
-write them as p/q strings. The front end is argparse, so that a command
-loads nothing beyond the standard library and the package.
+write them as p/q strings. One table, _COMMANDS, names every command with
+its arguments; argv is read from it and the help is printed from it, with
+argparse's grammar but without argparse, and json is imported only by
+the code that reads or writes JSON, so that a command loads only what it
+uses of the standard library.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
+import re
 import sys
 from fractions import Fraction
 
@@ -73,6 +75,8 @@ def _load_json(path: str):
         text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    import json
+
     try:
         return json.loads(text)
     # ValueError covers JSONDecodeError and integer literals past Python's
@@ -273,6 +277,8 @@ def _zoo_json(entry) -> dict:
 
 def invariants(path):
     """Full invariant report for a curve file, as JSON."""
+    import json
+
     print(json.dumps(_curve_payload(load_curve(path)), sort_keys=True))
 
 
@@ -289,6 +295,8 @@ def zoo_command(which, fmt):
     if fmt == "table":
         print(zoo_report(entries))
     else:
+        import json
+
         ordered = sorted(entries, key=entry_key)
         print(json.dumps([_zoo_json(e) for e in ordered], sort_keys=True))
 
@@ -342,55 +350,204 @@ def ghost(path):
     print(f"ghost group: {group.describe()}")
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wittcurves", description="Invariants of real smooth projective curves, commutative or not."
-    )
-    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+# ---------------------------------------------------------------------------
+# Reading argv
 
-    def command(name, run):
-        """The add_argument of a new command that runs run; its docstring is the help."""
-        sub = commands.add_parser(
-            name, help=run.__doc__, description=run.__doc__, allow_abbrev=False,
-            formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-        )
-        sub.set_defaults(run=run)
-        return sub.add_argument
+# Each command's run function, its positionals as (dest, choices or None)
+# and its options as (flag, dest, choices or None, type, default, help),
+# where a default of ... marks a required option. The run function's
+# docstring is the command's help.
+_COMMANDS = {
+    "invariants": (invariants, (("path", None),), ()),
+    "classify": (classify_command, (("path", None),), ()),
+    "zoo": (zoo_command, (), (
+        ("--class", "which", ("elliptic", "tubular", "domestic", "all"), str, "all", "Which part of the zoo to list."),
+        ("--format", "fmt", ("table", "json"), str, "table", "Output format."),
+    )),
+    "local": (local, (("point_class", tuple(c.value for c in WittPointClass)),), ()),
+    "slopes": (slopes, (("name", None),), (
+        ("--bound", "bound", None, int, 100,
+         "Height bound (50 to 600) of the box of classes; the orbits do not depend on it."),
+    )),
+    "skew-centre": (skew_centre, (), (
+        ("--algebra", "algebra", ("R", "C", "H"), str, ..., "The division algebra D."),
+        ("--twist", "twist", ("id", "conj"), str, ..., "The twist sigma: the identity or complex conjugation."),
+        ("--order", "order", None, int, 8, "Truncation order for the search."),
+    )),
+    "ghost": (ghost, (("path", None),), ()),
+}
+# the help flags, which every parser reads; a None row marks them
+_HELP = {"-h": None, "--help": None}
 
-    command("invariants", invariants)("path")
-    command("classify", classify_command)("path")
-    option = command("zoo", zoo_command)
-    option(
-        "--class", dest="which", choices=("elliptic", "tubular", "domestic", "all"), default="all",
-        help="Which part of the zoo to list.",
-    )
-    option("--format", dest="fmt", choices=("table", "json"), default="table", help="Output format.")
-    command("local", local)("point_class", choices=[c.value for c in WittPointClass])
-    option = command("slopes", slopes)
-    option("name")
-    option(
-        "--bound", type=int, default=100,
-        help="Height bound (50 to 600) of the box of classes; the orbits do not depend on it.",
-    )
-    option = command("skew-centre", skew_centre)
-    option("--algebra", choices=("R", "C", "H"), required=True)
-    option("--twist", choices=("id", "conj"), required=True)
-    option("--order", type=int, default=8, help="Truncation order for the search.")
-    command("ghost", ghost)("path")
-    return parser
+
+def _option(arg: str, flags, abbreviate: bool = False):
+    """What arg, other than "--", is to a parser with these flags, read as
+    argparse reads it: None for a value, (flag, the value given with it or
+    None) for one of the flags, and (None, None) for an unknown option.
+    abbreviate lets a prefix of a long flag stand for it."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg in flags:
+        return arg, None
+    flag, eq, given = arg.partition("=")
+    if eq and flag in flags:
+        return flag, given
+    if arg[1] != "-" and arg[:2] in flags:
+        return arg[:2], arg[2:]
+    if abbreviate and (matches := [f for f in flags if f.startswith(flag)]):
+        return matches[0], given if eq else None
+    # a negative number or a string with a space is a value
+    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _parse(argv: list[str]):
+    """The (run, kwargs) that argv asks for, or the exit code after help (0)
+    or a usage error (2). argv is read left to right, as argparse reads it:
+    help, a bad option value, a missing one or a bad choice ends the
+    reading where it stands; a missing argument, an unknown option and an
+    extra value are reported once the reading is done."""
+    unknown = []
+    for i, arg in enumerate(argv):
+        option = None if arg == "--" else _option(arg, _HELP, abbreviate=True)
+        if option is None:
+            break
+        flag, given = option
+        if flag is not None:
+            return _help_flag(None, given)
+        unknown.append(arg)
+    else:
+        return _usage_error(None, "the following arguments are required: COMMAND")
+    if arg not in _COMMANDS:
+        return _usage_error(None, f"argument COMMAND: {_invalid(arg, _COMMANDS)}")
+    name, args = arg, argv[i + 1:]
+    run, positionals, options = _COMMANDS[name]
+    flags = _HELP | {option[0]: option for option in options}
+    kwargs = {dest: default for _, dest, _, _, default, _ in options}
+    todo = list(positionals)
+    # where "--" and the last positional stand: after "--" every argument is
+    # a value, and the "--" itself is an extra argument unless it stands
+    # next to a positional's value
+    marker = filled = None
+    j = 0
+    while j < len(args):
+        arg = args[j]
+        j += 1
+        if arg == "--" and marker is None:
+            marker = j - 1
+            continue
+        option = None if marker is not None else _option(arg, flags)
+        if option is None:
+            if not todo:
+                unknown.append(arg)
+                continue
+            dest, choices = todo.pop(0)
+            if choices and arg not in choices:
+                return _usage_error(name, f"argument {dest}: {_invalid(arg, choices)}")
+            kwargs[dest], filled = arg, j - 1
+            continue
+        flag, given = option
+        if flag is None:
+            unknown.append(arg)
+            continue
+        if flags[flag] is None:
+            return _help_flag(name, given)
+        _, dest, choices, kind, _, _ = flags[flag]
+        if given is None:
+            if j == len(args) or args[j] == "--" or _option(args[j], flags) is not None:
+                return _usage_error(name, f"argument {flag}: expected one argument")
+            given = args[j]
+            j += 1
+        try:
+            value = kind(given)
+        except ValueError:
+            return _usage_error(name, f"argument {flag}: invalid {kind.__name__} value: {given!r}")
+        if choices and value not in choices:
+            return _usage_error(name, f"argument {flag}: {_invalid(value, choices)}")
+        kwargs[dest] = value
+    missing = [dest for dest, _ in todo] + [flag for flag, dest, *_ in options if kwargs[dest] is ...]
+    if missing:
+        return _usage_error(name, "the following arguments are required: " + ", ".join(missing))
+    if marker is not None and filled not in (marker - 1, marker + 1):
+        unknown.append("--")
+    if unknown:
+        return _usage_error(None, "unrecognized arguments: " + " ".join(unknown))
+    return run, kwargs
+
+
+def _help_flag(name: str | None, given: str | None) -> int:
+    if given is not None:
+        return _usage_error(name, f"argument -h/--help: ignored explicit argument {given!r}")
+    return _help(name)
+
+
+def _invalid(value: str, choices) -> str:
+    return f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
+
+
+def _metavar(dest: str, choices) -> str:
+    return "{" + ",".join(choices) + "}" if choices else dest
+
+
+def _usage(name: str | None) -> str:
+    """The usage line of a command, or of the program when name is None."""
+    if name is None:
+        return "usage: wittcurves [-h] COMMAND ..."
+    _, positionals, options = _COMMANDS[name]
+    words = ["usage: wittcurves", name, "[-h]"]
+    for flag, dest, choices, _, default, _ in options:
+        word = f"{flag} {_metavar(dest.upper(), choices)}"
+        words.append(word if default is ... else f"[{word}]")
+    words += [_metavar(dest, choices) for dest, choices in positionals]
+    return " ".join(words)
+
+
+def _usage_error(name: str | None, message: str) -> int:
+    prog = "wittcurves" if name is None else f"wittcurves {name}"
+    print(_usage(name), f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+    return 2
+
+
+def _help(name: str | None) -> int:
+    """Print the help of a command, or of the program when name is None, from
+    the command table, and return 0."""
+    flags = [("-h, --help", "show this help message and exit")]
+    if name is None:
+        about = "Invariants of real smooth projective curves, commutative or not."
+        sections = {"options": flags, "commands": [(c, run.__doc__) for c, (run, _, _) in _COMMANDS.items()]}
+    else:
+        run, positionals, options = _COMMANDS[name]
+        about = run.__doc__
+        for flag, dest, choices, _, default, text in options:
+            if text and default is not ...:
+                text += f" (default: {default})"
+            flags.append((f"{flag} {_metavar(dest.upper(), choices)}", text))
+        arguments = [(_metavar(dest, choices), "") for dest, choices in positionals]
+        sections = {"positional arguments": arguments, "options": flags}
+    # the texts start in one column, at most 24 in, below a longer name
+    width = min(max(len(left) for rows in sections.values() for left, _ in rows) + 2, 22)
+    lines = [_usage(name), "", about]
+    for title, rows in sections.items():
+        if rows:
+            lines += ["", f"{title}:"]
+            for left, right in rows:
+                head = f"  {left}\n" + " " * (width + 2) if len(left) + 2 > width and right else f"  {left:{width}}"
+                lines.append((head + right).rstrip())
+    print("\n".join(lines))
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command, argv defaulting to the process's arguments, and
     return its exit code."""
-    try:
-        args = vars(_parser().parse_args(argv))
-    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
-        return exc.code
-    run = args.pop("run")
+    parsed = _parse(sys.argv[1:] if argv is None else argv)
+    if isinstance(parsed, int):  # the exit code after help or a usage error
+        return parsed
+    run, kwargs = parsed
     # CurveError is read when an error is raised, so a test may narrow it
     try:
-        run(**args)
+        run(**kwargs)
     except ParseError as exc:
         return _report(exc, 1)
     except ValidationError as exc:

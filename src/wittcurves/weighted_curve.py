@@ -236,11 +236,14 @@ def _refuse_too_many_points(count: int) -> None:
         raise ValidationError(f"more than {MAX_VECTOR_LENGTH} points", code="too-large")
 
 
-# label prefix, kind, e_tau and residue degree of the points of each class
-_SHAPES = {
-    cls: (SHORT_NAMES[cls], cls.value, witt_local_datum(cls).e_tau, witt_local_datum(cls).residue_degree)
-    for cls in WittPointClass
-} | {COMPLEX_POINT: ("pt", COMPLEX_POINT, 1, 1)}
+# label prefix, kind, e_tau and residue degree of the points of each class,
+# which _validate_placement returns from its dispatch on the class
+_INNER_SHAPE, _REAL_SHAPE, _QUATERNION_SHAPE, _SEGMENTATION_SHAPE = (
+    (SHORT_NAMES[cls], cls.value, witt_local_datum(cls).e_tau, witt_local_datum(cls).residue_degree)
+    for cls in (WittPointClass.INNER, WittPointClass.REAL_BOUNDARY, WittPointClass.QUATERNION_BOUNDARY,
+                WittPointClass.SEGMENTATION)
+)
+_POINT_SHAPE = ("pt", COMPLEX_POINT, 1, 1)
 
 
 def _validate_weights(base: WittSurface | ComplexCentreBase, weights) -> tuple[EffectivePoint, ...]:
@@ -271,7 +274,7 @@ def _validate_weights(base: WittSurface | ComplexCentreBase, weights) -> tuple[E
             raise ValidationError("an inserted weight must be at least 2", code="weight")
         if p > MAX_POINT_VALUE:
             raise ValidationError(f"an inserted weight must be at most {MAX_POINT_VALUE}", code="too-large")
-        _validate_placement(base, wp)
+        shape = _validate_placement(base, wp)
         if location is seg:
             key = (oval, segment)
             if key in seg_weight:
@@ -280,12 +283,12 @@ def _validate_weights(base: WittSurface | ComplexCentreBase, weights) -> tuple[E
                 )
             seg_weight[key] = p
         else:
-            prefix, kind, e_tau, f = _SHAPES[location]
+            prefix, kind, e_tau, f = shape
             n = counters.get(prefix, 0)
             counters[prefix] = n + 1
             weighted.append(EffectivePoint(f"{prefix}{n}", kind, e_tau, f, p))
             length += f
-    prefix, kind, e_tau, f = _SHAPES[seg]
+    prefix, kind, e_tau, f = _SEGMENTATION_SHAPE
     # refused before they are built: with e_tau = 2, each point is f entries of the vector
     points = segmentation_points(base)
     _refuse_long_vector(f * len(points) + length)
@@ -351,10 +354,11 @@ def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[Effectiv
     return numerics, tuple(points), pbar, n
 
 
-def _validate_placement(base: WittSurface | ComplexCentreBase, wp: WeightedPoint) -> None:
+def _validate_placement(base: WittSurface | ComplexCentreBase, wp: WeightedPoint) -> tuple[str, str, int, int]:
     """The part of validation that reads one weight's placement against
-    its base; the base is taken as valid, and two weights on one
-    segmentation point are the caller's to catch."""
+    its base, returning the shape of its points; the base is taken as
+    valid, and two weights on one segmentation point are the caller's to
+    catch."""
     location = wp.location
     if isinstance(base, ComplexCentreBase):
         if location != COMPLEX_POINT:
@@ -362,10 +366,10 @@ def _validate_placement(base: WittSurface | ComplexCentreBase, wp: WeightedPoint
                 "a complex-centre base only accepts plain point placements",
                 code="placement",
             )
-        return
+        return _POINT_SHAPE
     # inner placements are always available
     if location is WittPointClass.INNER:
-        return
+        return _INNER_SHAPE
     if location is WittPointClass.SEGMENTATION:
         if wp.oval is None or wp.segment is None:
             raise ValidationError(
@@ -373,15 +377,17 @@ def _validate_placement(base: WittSurface | ComplexCentreBase, wp: WeightedPoint
             )
         if not is_segmentation_point(base, wp.oval, wp.segment):
             raise ValidationError("no such segmentation point", code="placement")
-    elif location is WittPointClass.REAL_BOUNDARY or location is WittPointClass.QUATERNION_BOUNDARY:
-        sign = PLUS if location is WittPointClass.REAL_BOUNDARY else MINUS
+        return _SEGMENTATION_SHAPE
+    if location is WittPointClass.REAL_BOUNDARY or location is WittPointClass.QUATERNION_BOUNDARY:
+        real = location is WittPointClass.REAL_BOUNDARY
+        sign = PLUS if real else MINUS
         if wp.oval is not None:
             if not carries_sign(base, sign, wp.oval):
                 raise ValidationError("that oval has no locus of the requested sign", code="placement")
         elif not carries_sign(base, sign):
             raise ValidationError("the surface has no locus of the requested sign", code="placement")
-    else:
-        raise ValidationError(f"invalid placement {location!r}", code="placement")
+        return _REAL_SHAPE if real else _QUATERNION_SHAPE
+    raise ValidationError(f"invalid placement {location!r}", code="placement")
 
 
 # ---------------------------------------------------------------------------

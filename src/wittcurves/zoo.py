@@ -51,7 +51,7 @@ from .weighted_curve import (
     CurveClass,
     WeightedCurve,
     WeightedPoint,
-    _SHAPES,
+    _SEGMENTATION_SHAPE,
     _validate_placement,
 )
 from .witt_surface import CATALOG_NAMES, catalog, euler_characteristics, segmentation_points
@@ -131,15 +131,15 @@ def _places(base_name: str) -> dict[str, tuple[int, int, int | None]]:
     only the placements are checked."""
     base = catalog(base_name)
     slots = len(segmentation_points(base))
-    places = {_SEG: (*_SHAPES[WittPointClass.SEGMENTATION][2:], slots)} if slots else {}
+    places = {_SEG: (*_SEGMENTATION_SHAPE[2:], slots)} if slots else {}
     for name, location in _LOCATION.items():
         if name == _SEG:
             continue  # segmentation weights go on the slots
         try:
-            _validate_placement(base, WeightedPoint(location, 2))
+            shape = _validate_placement(base, WeightedPoint(location, 2))
         except ValidationError:
             continue
-        places[name] = (*_SHAPES[location][2:], None)
+        places[name] = (*shape[2:], None)
     return places
 
 

@@ -1,0 +1,63 @@
+"""The command line as argparse reads it: the reference for the CLI's own parser.
+
+``parser()`` builds the argparse front end the CLI once had, with the same
+commands, options, choices and defaults. ``parse(argv)`` reads argv with
+it and returns the run function and its keyword arguments, or the exit
+code argparse gives after help (0) or a usage error (2), with what it
+prints thrown away.
+"""
+
+import argparse
+import contextlib
+import io
+
+from wittcurves.cli import classify_command, ghost, invariants, local, skew_centre, slopes, zoo_command
+from wittcurves.local_data import WittPointClass
+
+
+def parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="wittcurves", description="Invariants of real smooth projective curves, commutative or not."
+    )
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(name, run):
+        """The add_argument of a new command that runs run; its docstring is the help."""
+        sub = commands.add_parser(
+            name, help=run.__doc__, description=run.__doc__, allow_abbrev=False,
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        )
+        sub.set_defaults(run=run)
+        return sub.add_argument
+
+    command("invariants", invariants)("path")
+    command("classify", classify_command)("path")
+    option = command("zoo", zoo_command)
+    option(
+        "--class", dest="which", choices=("elliptic", "tubular", "domestic", "all"), default="all",
+        help="Which part of the zoo to list.",
+    )
+    option("--format", dest="fmt", choices=("table", "json"), default="table", help="Output format.")
+    command("local", local)("point_class", choices=[c.value for c in WittPointClass])
+    option = command("slopes", slopes)
+    option("name")
+    option(
+        "--bound", type=int, default=100,
+        help="Height bound (50 to 600) of the box of classes; the orbits do not depend on it.",
+    )
+    option = command("skew-centre", skew_centre)
+    option("--algebra", choices=("R", "C", "H"), required=True)
+    option("--twist", choices=("id", "conj"), required=True)
+    option("--order", type=int, default=8, help="Truncation order for the search.")
+    command("ghost", ghost)("path")
+    return parser
+
+
+def parse(argv: list[str]):
+    """(run, kwargs) for argv, or the exit code after help or a usage error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = vars(parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+    return args.pop("run"), args

@@ -1,0 +1,141 @@
+"""The command table reads argv as argparse did, and a command loads only what it uses.
+
+Each argv of the corpus goes through the CLI's own parser and through the
+argparse front end it replaced (argparse_oracle): both must give the same
+run function and arguments, or the same exit code after help or a usage
+error. The corpus holds every invocation the benchmark and the tests make,
+the usage errors the tests pin, and the corners of argparse's grammar. A
+second set of tests starts fresh interpreters without site and reads
+sys.modules: the CLI module loads neither argparse nor its translation
+machinery, and json only where a command reads or writes JSON.
+"""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import argparse_oracle
+import pytest
+
+from wittcurves import cli
+
+_ELLIPTIC = ("A", "M", "K", "A_RH", "A_HH", "M_H", "D_2222")
+_CLASSES = ("inner", "real_boundary", "quaternion_boundary", "segmentation")
+_ZOO = ("elliptic", "tubular", "domestic", "all")
+
+CORPUS = [
+    # the benchmark's invocations
+    *(["invariants" if k else "classify", "curve.json"] for k in (0, 1)),
+    ["ghost", "ghost0.json"],
+    *(["zoo", "--class", which, "--format", fmt] for which in _ZOO for fmt in ("table", "json")),
+    *(["slopes", name] for name in _ELLIPTIC),
+    *(["skew-centre", "--algebra", a, "--twist", t] for a, t in (("R", "id"), ("C", "id"), ("C", "conj"), ("H", "id"))),
+    *(["local", c] for c in _CLASSES),
+    # the tests' invocations
+    *(["zoo", "--class", which] for which in _ZOO),
+    *(["slopes", name, "--bound", str(bound)] for name in ("A", "K", "D_2222") for bound in (30, 50, 600, 10000)),
+    ["slopes", "X"],
+    ["skew-centre", "--algebra", "H", "--twist", "conj"],
+    ["skew-centre", "--algebra", "H", "--twist", "id", "--order", "100000"],
+    ["skew-centre", "--algebra", "R", "--twist", "id", "--order", "0"],
+    ["skew-centre", "--algebra", "C", "--twist", "conj", "--order", "3"],
+    # the usage errors and help the tests pin
+    [], ["bogus"], ["zoo", "--class", "wild"], ["slopes", "K", "--bound", "many"], ["skew-centre", "--twist", "id"],
+    ["--help"], ["slopes", "--help"],
+    # a value after "=", the last of a repeated option, a negative value
+    ["slopes", "K", "--bound=300"], ["zoo", "--format=json"], ["slopes", "--bound=", "K"], ["zoo", "--class="],
+    ["zoo", "--class=tubular", "--class", "all"], ["slopes", "K", "--bound", "60", "--bound", "70"],
+    ["skew-centre", "--order", "-5", "--algebra", "H", "--twist", "id"],
+    ["slopes", "K", "--bound", "-.5"], ["slopes", "K", "--bound", " 5 "], ["slopes", "K", "--bound", "1_0"],
+    # options before and after the positionals, and "--"
+    ["slopes", "--bound", "60", "K"], ["slopes", "K", "--bound", "60"],
+    ["skew-centre", "--twist", "conj", "--order", "9", "--algebra", "C"],
+    ["slopes", "--", "K"], ["slopes", "K", "--"], ["slopes", "--", "--"], ["slopes", "--", "-h"],
+    ["slopes", "--bound", "60", "--", "K"], ["slopes", "K", "--bound", "60", "--"], ["invariants", "a", "--", "b"],
+    ["slopes", "K", "--", "--bound", "5"], ["slopes", "--bound", "--", "5", "K"], ["--", "slopes", "K"], ["--"],
+    ["zoo", "--"], ["zoo", "--class", "all", "--", "-h"], ["invariants", "--"],
+    # extra values, missing option values, unknown options, "-" and other values that start with "-"
+    ["slopes", "K", "L"], ["zoo", "extra"], ["slopes", "--bound", "5", "6", "K"], ["invariants"],
+    ["slopes", "K", "--bound"], ["zoo", "--format", "--class"], ["slopes", "--bound", "-x", "K"],
+    ["slopes", "K", "--foo"], ["slopes", "--bo", "5", "K"], ["--foo", "slopes", "K"], ["--foo"],
+    ["invariants", "-"], ["ghost", "-"], ["slopes", "K", "-"], ["-", "slopes"],
+    ["slopes", "-5"], ["slopes", "-1.5"], ["slopes", "-1e5"], ["slopes", "-x y"], ["slopes", ""],
+    ["slopes", "K", "--bound", "-x y"], ["slopes", "K", "--bound", "-1_0"], ["-5"], ["-x y"],
+    # help wherever it stands, and the errors before it
+    ["-h"], ["--he"], ["--h"], ["-h", "bogus"], ["bogus", "-h"], ["--help", "--bogus"], ["-h", "-h"],
+    ["-hx"], ["--help=x"], ["--he=x"], ["--foo", "slopes", "--help"],
+    ["slopes", "--he"], ["slopes", "-hx"], ["slopes", "-h x"], ["slopes", "-h=3"], ["slopes", "K", "L", "-h"],
+    ["local", "bogus", "-h"], ["local", "-h", "bogus"], ["local", "bogus"],
+    ["zoo", "--class", "wild", "-h"], ["zoo", "-h", "--class", "wild"], ["zoo", "--foo", "-h"],
+    *([command, "-h"] for command in ("invariants", "classify", "zoo", "local", "skew-centre", "ghost")),
+]
+
+
+def _table(argv):
+    """(run, kwargs) or the exit code from the CLI's parser, and what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        parsed = cli._parse(argv)
+    return parsed, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
+def test_the_table_reads_argv_as_argparse_does(argv):
+    parsed, out, err = _table(argv)
+    assert parsed == argparse_oracle.parse(argv)
+    if parsed == 0:
+        assert out.startswith("usage: wittcurves") and not err
+    elif parsed == 2:
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: wittcurves") and ": error: " in error and not out
+    else:
+        assert not out and not err
+
+
+def test_the_help_is_read_off_the_table():
+    _, top, _ = _table(["--help"])
+    for name, (run, _, _) in cli._COMMANDS.items():
+        assert f"  {name}" in top and run.__doc__ in top
+    _, slopes, _ = _table(["slopes", "-h"])
+    assert "the orbits do not depend on it. (default: 100)" in slopes
+    _, zoo, _ = _table(["zoo", "-h"])
+    assert "[--class {elliptic,tubular,domestic,all}]" in zoo and "(default: table)" in zoo
+    _, skew, _ = _table(["skew-centre", "-h"])
+    assert "--algebra {R,C,H} --twist {id,conj} [--order ORDER]" in skew
+
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+_WATCHED = ("argparse", "gettext", "locale", "json")
+
+
+def _loaded(code: str, *args: str) -> set[str]:
+    """Which of the watched modules a fresh interpreter without site has
+    loaded once it has run code with args as sys.argv[1:]."""
+    report = f"; sys.stderr.write('\\nloaded: ' + ' '.join(m for m in {_WATCHED!r} if m in sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys; " + code + report, *args],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=_SRC),
+    )
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return set(proc.stderr.rpartition("loaded: ")[2].split())
+
+
+def test_importing_the_command_line_loads_no_argparse_gettext_locale_or_json():
+    assert _loaded("import wittcurves.cli") == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["slopes", "K"], ["local", "inner"], ["skew-centre", "--algebra", "H", "--twist", "id"], ["zoo", "--format", "table"],
+], ids=" ".join)
+def test_a_command_without_json_does_not_load_it(argv):
+    assert "json" not in _loaded("from wittcurves.cli import main; main(sys.argv[1:])", *argv)
+
+
+def test_a_command_that_reads_json_loads_it(tmp_path):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"base": "D_22"}))
+    assert _loaded("from wittcurves.cli import main; main(sys.argv[1:])", "invariants", str(path)) == {"json"}

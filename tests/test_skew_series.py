@@ -116,6 +116,11 @@ def test_negation_subtraction_and_lookups():
     assert f.coeff(3) == cplx(2, -1) and f.coeff(5) == cplx(0)
 
 
+def test_repr_of_a_laurent_quaternion_series():
+    f = series(QUATERNION, identity(QUATERNION), 8, {-2: quat(0, 0, -1), 0: 2, 1: 1, 3: quat(1, 1)})
+    assert repr(f) == "(-j)T^-2 + (2) + T + (1 + i)T^3"
+
+
 @pytest.mark.parametrize("other", [
     series(COMPLEX, identity(COMPLEX), 8, {0: 1}),
     series(COMPLEX, CONJ, 4, {0: 1}),

@@ -255,6 +255,14 @@ def test_ghost_group_input_checks():
     assert exc.value.code == "placement"
 
 
+@pytest.mark.parametrize("index", [3, -1], ids=["one-past-the-end", "negative"])
+def test_the_efficient_index_just_outside_the_points_is_refused(index):
+    assert ghost_group([(2, 1)] * 3, 2).describe() == "C2 x C2"
+    with pytest.raises(ValidationError) as exc:
+        ghost_group([(2, 1)] * 3, index)
+    assert exc.value.code == "placement"
+
+
 def test_ghost_group_has_a_ceiling():
     top = MAX_POINT_VALUE
     assert ghost_group([(1, 1)] * top, 0).describe() == "trivial"
@@ -641,7 +649,7 @@ def test_the_check_of_a_curve_makes_few_calls():
     finally:
         sys.setprofile(None)
     # Python and C calls, the effective points built included, on CPython 3.11
-    assert len(calls) <= 81, calls
+    assert len(calls) <= 75, calls
 
 
 def primes_below(n: int) -> list[int]:
