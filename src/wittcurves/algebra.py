@@ -243,7 +243,8 @@ def _reduced(kind: DivisionAlgebraKind, num: tuple[int, ...], den: int) -> Algeb
     if den != 1:
         g = math.gcd(den, *num)
         if g != 1:
-            num = tuple(x // g for x in num)
+            # a list comprehension builds the tuple faster than a generator would
+            num = tuple([x // g for x in num])
             den //= g
     return _make(kind, num, den)
 
@@ -342,7 +343,7 @@ def _normalize_unit(unit: AlgebraElement) -> AlgebraElement:
     g = math.gcd(*num)
     if next(v for v in num if v != 0) < 0:
         g = -g
-    return _make(QUATERNION, tuple(v // g for v in num), 1)
+    return _make(QUATERNION, tuple([v // g for v in num]), 1)
 
 
 def _inner_rotation(unit: AlgebraElement) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -359,8 +360,10 @@ def _inner_rotation(unit: AlgebraElement) -> tuple[tuple[tuple[int, ...], ...], 
         (2 * (x * y - w * z), w * w - x * x + y * y - z * z, 2 * (y * z + w * x)),
         (2 * (x * z + w * y), 2 * (y * z - w * x), w * w - x * x - y * y + z * z),
     )
-    g = math.gcd(norm, *(v for row in rows for v in row))
-    return tuple(tuple(v // g for v in row) for row in rows), norm // g
+    g = math.gcd(norm, *rows[0], *rows[1], *rows[2])
+    if g == 1:
+        return rows, norm
+    return tuple([tuple([v // g for v in row]) for row in rows]), norm // g
 
 
 _ACTIONS = {REAL: ("identity",), COMPLEX: ("identity", "conj"), QUATERNION: ("identity", "inner")}
@@ -425,10 +428,16 @@ def apply(phi: Automorphism, a: AlgebraElement) -> AlgebraElement:
     if phi.action == "conj":
         return a.conjugate()
     rows, norm = phi.rotation
+    (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = rows
     c0, c1, c2, c3 = a.num
     return _reduced(
         QUATERNION,
-        (c0 * norm,) + tuple(r0 * c1 + r1 * c2 + r2 * c3 for r0, r1, r2 in rows),
+        (
+            c0 * norm,
+            x0 * c1 + x1 * c2 + x2 * c3,
+            y0 * c1 + y1 * c2 + y2 * c3,
+            z0 * c1 + z1 * c2 + z2 * c3,
+        ),
         a.den * norm,
     )
 
@@ -436,7 +445,7 @@ def apply(phi: Automorphism, a: AlgebraElement) -> AlgebraElement:
 def _primitive(v: tuple[int, ...]) -> tuple[int, ...]:
     """A nonzero integer vector divided by its content, the gcd of its entries."""
     g = math.gcd(*v)
-    return v if g == 1 else tuple(x // g for x in v)
+    return v if g == 1 else tuple([x // g for x in v])
 
 
 def _unit_power(unit: tuple[int, ...], n: int) -> tuple[int, ...]:

@@ -17,7 +17,16 @@ integer products of basis numerators. The check at T^s depends only on
 s mod p and on whether r divides s, so it is made at the exponents below
 lcm(p, r) alone. The powers sigma^i are built each from the one before,
 for the centre search, the twisted products and the Jordan check alike,
-and all of it runs on the integer numerators of ``algebra``.
+and all of it runs on the integer numerators of ``algebra``: a product
+sums each coefficient on numerators over the lcm of its terms'
+denominators and reduces it once.
+
+The Jordan check models D[[T, sigma]] by n x n matrices in which T acts
+as the Jordan block J and a scalar a as diag(a, sigma(a), ...,
+sigma^(n-1)(a)). Every matrix of that model is side-diagonal, so each is
+held as the list of its entries at one offset, and products are formed
+entry by entry; sigma^l(a) on the right-hand side is read from the list
+of a I.
 """
 
 from __future__ import annotations
@@ -32,8 +41,10 @@ from .algebra import (
     AlgebraElement,
     Automorphism,
     DivisionAlgebraKind,
+    _builtin,
     _powers,
     _product,
+    _reduced,
     apply,
     basis,
     comultiplicity,
@@ -52,22 +63,38 @@ from .errors import DomainError, FrozenRecord, InvariantViolation, KindMismatchE
 MAX_TRUNCATION = 256
 
 
-def _coerce(kind: DivisionAlgebraKind, value) -> AlgebraElement:
-    if isinstance(value, AlgebraElement):
-        if value.kind is not kind:
-            raise KindMismatchError("coefficient kind does not match the series ring")
-        return value
-    return element(kind, value, *(0,) * (kind.dim_over_k - 1))
-
-
 class TwistedSeries(FrozenRecord):
     """A twisted series with finitely many terms, valid modulo T^truncation:
-    the (exponent, coefficient) pairs of its nonzero terms, by exponent."""
+    the (exponent, coefficient) pairs of its nonzero terms, by exponent.
+
+    The constructor refuses what ``series`` refuses, with the same error
+    classes and codes, and also a record that ``series`` never builds:
+    exponents out of order (code "exponent-order") or repeated (code
+    "repeated-exponent"), and a zero coefficient (code "zero-coefficient").
+    So every series, however built, holds its terms by ascending exponent,
+    each below the truncation and nonzero.
+    """
 
     __slots__ = _fields = ("kind", "twist", "truncation", "coeffs")
 
     def __init__(self, kind: DivisionAlgebraKind, twist: Automorphism, truncation: int, coeffs: tuple):
-        self._set(kind, twist, truncation, coeffs)
+        kind = _builtin(kind)  # a copied kind is the built-in one again
+        _check_ring(kind, twist, truncation)
+        try:
+            pairs = [(e, c) for e, c in coeffs]
+        except (TypeError, ValueError):
+            message = f"coefficients must be (exponent, coefficient) pairs, got {type(coeffs).__name__}"
+            raise KindMismatchError(message) from None
+        terms = []
+        for e, v in pairs:
+            c = _term(kind, truncation, e, v)
+            if terms and e <= terms[-1][0]:
+                code = "repeated-exponent" if e == terms[-1][0] else "exponent-order"
+                raise ValidationError(f"exponent {e} follows {terms[-1][0]}: exponents must ascend", code=code)
+            if c.is_zero():
+                raise ValidationError(f"the coefficient of T^{e} is zero", code="zero-coefficient")
+            terms.append((e, c))
+        self._set(kind, twist, truncation, tuple(terms))
 
     def coeff(self, exponent: int) -> AlgebraElement:
         for e, c in self.coeffs:
@@ -90,10 +117,7 @@ class TwistedSeries(FrozenRecord):
         return series(self.kind, self.twist, self.truncation, acc)
 
     def __neg__(self) -> "TwistedSeries":
-        return TwistedSeries(
-            self.kind, self.twist, self.truncation,
-            tuple((e, -c) for e, c in self.coeffs),
-        )
+        return _trusted(self.kind, self.twist, self.truncation, tuple((e, -c) for e, c in self.coeffs))
 
     def __sub__(self, other: "TwistedSeries") -> "TwistedSeries":
         return self + (-other)
@@ -101,14 +125,39 @@ class TwistedSeries(FrozenRecord):
     def __mul__(self, other: "TwistedSeries") -> "TwistedSeries":
         """Twisted Cauchy product, c_k = sum over i+j=k of a_i sigma^i(b_j),
         with sigma^i built for each exponent i of the left factor from the
-        one before."""
+        one before.
+
+        Each term is taken on integer numerators, ``_product`` of those of
+        a_i and sigma^i(b_j) over the product of their denominators, and
+        added into c_k over the lcm of the denominators; c_k is reduced
+        once, when all its terms are in. The exponents of ``other``
+        ascend, so the first j with i + j at or above the truncation ends
+        the row.
+        """
         _require_same_ring(self, other)
-        acc: dict[int, AlgebraElement] = {}
+        kind, truncation = self.kind, self.truncation
+        sums: dict[int, tuple[list[int], int]] = {}
         for (i, a), sigma_i in zip(self.coeffs, _powers(self.twist, [i for i, _ in self.coeffs])):
+            a_num, a_den = a.num, a.den
             for j, b in other.coeffs:
-                if i + j < self.truncation:
-                    acc[i + j] = acc.get(i + j, zero(self.kind)) + a * apply(sigma_i, b)
-        return series(self.kind, self.twist, self.truncation, acc)
+                k = i + j
+                if k >= truncation:
+                    break
+                image = apply(sigma_i, b)
+                num = _product(kind, a_num, image.num)
+                den = a_den * image.den
+                if k in sums:
+                    s_num, s_den = sums[k]
+                    if s_den == den:
+                        num = [x + y for x, y in zip(s_num, num)]
+                    else:
+                        lcm = math.lcm(s_den, den)
+                        p, q = lcm // s_den, lcm // den
+                        num = [x * p + y * q for x, y in zip(s_num, num)]
+                        den = lcm
+                sums[k] = num, den
+        coeffs = {k: _reduced(kind, tuple(num), den) for k, (num, den) in sums.items()}
+        return series(kind, self.twist, truncation, coeffs)
 
     def __repr__(self):
         if not self.coeffs:
@@ -128,6 +177,42 @@ def _require_same_ring(f: TwistedSeries, g: TwistedSeries) -> None:
         raise KindMismatchError("series live in different twisted rings")
 
 
+def _check_ring(kind, twist, truncation) -> None:
+    """Refuse a twist on another algebra and a truncation that is no
+    integer from 1 to MAX_TRUNCATION."""
+    if twist.kind is not kind:
+        raise KindMismatchError("twist acts on a different algebra")
+    require_ints(truncation=truncation)
+    if truncation < 1:
+        raise DomainError("truncation must be a positive integer")
+    if truncation > MAX_TRUNCATION:
+        raise ValidationError(f"truncation must be at most {MAX_TRUNCATION}", code="truncation")
+
+
+def _term(kind, truncation: int, exponent, value) -> AlgebraElement:
+    """The coefficient of one term as an element of ``kind``, once its
+    exponent is checked to be an integer below the truncation and not
+    below -MAX_TRUNCATION."""
+    require_ints(exponent=exponent)
+    if exponent >= truncation:
+        raise KindMismatchError(f"exponent {exponent} is not below the truncation {truncation}")
+    if exponent < -MAX_TRUNCATION:
+        raise ValidationError(f"exponent {exponent} is below {-MAX_TRUNCATION}", code="truncation")
+    if isinstance(value, AlgebraElement):
+        if value.kind is not kind:
+            raise KindMismatchError("coefficient kind does not match the series ring")
+        return value
+    return element(kind, value, *(0,) * (kind.dim_over_k - 1))
+
+
+def _trusted(kind, twist, truncation, coeffs: tuple) -> TwistedSeries:
+    """A series from terms its caller has checked, sorted and stripped of
+    zeros, built past the constructor's checks."""
+    f = object.__new__(TwistedSeries)
+    f._set(kind, twist, truncation, coeffs)
+    return f
+
+
 def series(kind, twist, truncation, coeffs) -> TwistedSeries:
     """Build a series from an {exponent: coefficient} mapping.
 
@@ -136,14 +221,9 @@ def series(kind, twist, truncation, coeffs) -> TwistedSeries:
     truncation are rejected rather than silently dropped; negative exponents
     produce Laurent series. A truncation above MAX_TRUNCATION or an exponent
     below its negative, also of a sum or product, raises code "truncation".
+    Zero coefficients are dropped.
     """
-    if twist.kind is not kind:
-        raise KindMismatchError("twist acts on a different algebra")
-    require_ints(truncation=truncation)
-    if truncation < 1:
-        raise DomainError("truncation must be a positive integer")
-    if truncation > MAX_TRUNCATION:
-        raise ValidationError(f"truncation must be at most {MAX_TRUNCATION}", code="truncation")
+    _check_ring(kind, twist, truncation)
     try:
         items = coeffs.items()
     except AttributeError:
@@ -151,15 +231,10 @@ def series(kind, twist, truncation, coeffs) -> TwistedSeries:
         raise KindMismatchError(message) from None
     cleaned = {}
     for e, v in items:
-        require_ints(exponent=e)
-        if e >= truncation:
-            raise KindMismatchError(f"exponent {e} is not below the truncation {truncation}")
-        if e < -MAX_TRUNCATION:
-            raise ValidationError(f"exponent {e} is below {-MAX_TRUNCATION}", code="truncation")
-        c = _coerce(kind, v)
+        c = _term(kind, truncation, e, v)
         if not c.is_zero():
             cleaned[e] = c
-    return TwistedSeries(kind, twist, truncation, tuple(sorted(cleaned.items())))
+    return _trusted(kind, twist, truncation, tuple(sorted(cleaned.items())))
 
 
 def monomial(kind, twist, truncation, exponent: int, coefficient=1) -> TwistedSeries:
@@ -372,40 +447,26 @@ def dim_over_centre(kind: DivisionAlgebraKind, twist: Automorphism) -> int:
 # ---------------------------------------------------------------------------
 # Jordan blocks under a twist
 
-def _side_diagonal(powers, b: AlgebraElement, offset: int) -> dict:
-    """The n x n side-diagonal matrix with entry (i, i+offset) = sigma^i(b),
-    powers[i] = sigma^i, as a dict of its entries keyed (i, j); b is
-    nonzero, so each of them is."""
-    return {(i, i + offset): apply(powers[i], b) for i in range(len(powers) - offset)}
-
-
-def _matmul(kind, a: dict, b: dict) -> dict:
-    """Product of two matrices held as dicts of their nonzero entries keyed (i, j).
-
-    Only pairs of nonzero entries meet, and a product by 1 is not formed:
-    J's side diagonal is all ones, so most of the products left are by 1.
-    Entries that cancel to zero are dropped, so equal matrices give equal
-    dicts.
-    """
-    unit = one(kind)
-    rows: dict[int, list] = {}
-    for (k, j), y in b.items():
-        rows.setdefault(k, []).append((j, y))
-    out: dict = {}
-    for (i, k), x in a.items():
-        x_is_one = x == unit
-        for j, y in rows.get(k, ()):
-            term = y if x_is_one else x if y == unit else x * y
-            out[i, j] = out[i, j] + term if (i, j) in out else term
-    return {key: v for key, v in out.items() if not v.is_zero()}
+def _side_product(unit: AlgebraElement, x: list, y: list, offset: int) -> list:
+    """The entries of XY for side-diagonal n x n matrices X at ``offset``
+    and Y at any offset, each held as the list of its entries from row 0:
+    (XY)_i = X_i Y_(i+offset), one fewer entry for each step of Y's
+    offset. A product by ``unit`` (1) is not formed."""
+    return [b if a == unit else a if b == unit else a * b for a, b in zip(x, y[offset:])]
 
 
 def verify_jordan_twist(kind: DivisionAlgebraKind, twist: Automorphism, n: int) -> bool:
     """Check J^l (a I) = sigma^l(a) J^l on the twisted side-diagonal model.
 
-    Scalars embed as a I = diag(a, sigma(a), ..., sigma^(n-1)(a)) and the
-    right-hand side is the side-diagonal matrix of sigma^l(a) at offset l;
-    the identity is checked for every l < n and a running over the basis.
+    Every matrix of the model is side-diagonal, so each is held as the
+    list of its entries (i, i + offset): J at offset 1, J^l at offset l,
+    and a scalar a at offset 0 as a I = diag(a, sigma(a), ...,
+    sigma^(n-1)(a)). A product of side-diagonal matrices at offsets l and
+    m is side-diagonal at offset l + m with entries (XY)_i = X_i Y_(i+l),
+    formed entry by entry, and a product by 1 is not formed: J's entries
+    are all 1. The right-hand side sigma^l(a) J^l has the entries
+    sigma^i(sigma^l(a)), sigma^l(a) being read from the list of a I. The
+    identity is checked for every l < n and a running over the basis.
     """
     require_ints(n=n)
     if not 1 <= n <= 6:
@@ -413,14 +474,15 @@ def verify_jordan_twist(kind: DivisionAlgebraKind, twist: Automorphism, n: int) 
     if twist.kind is not kind:
         raise KindMismatchError("twist acts on a different algebra")
     powers = list(_powers(twist, range(n)))
-    j = _side_diagonal(powers, one(kind), 1)
-    j_power = _side_diagonal(powers, one(kind), 0)  # identity matrix
-    scalars = [(a, _side_diagonal(powers, a, 0)) for a in basis(kind)]
+    unit = one(kind)
+    j = [unit] * (n - 1)
+    j_power = [unit] * n  # J^0, the identity matrix
+    scalars = [[apply(sigma, a) for sigma in powers] for a in basis(kind)]
     for offset in range(n):
-        for a, a_scalar in scalars:
-            lhs = _matmul(kind, j_power, a_scalar)
-            rhs = _side_diagonal(powers, apply(powers[offset], a), offset)
-            if lhs != rhs:
+        for a_scalar in scalars:
+            shifted = a_scalar[offset]  # sigma^offset(a)
+            rhs = [apply(sigma, shifted) for sigma in powers[: n - offset]]
+            if _side_product(unit, j_power, a_scalar, offset) != rhs:
                 return False
-        j_power = _matmul(kind, j_power, j)
+        j_power = _side_product(unit, j_power, j, offset)
     return True

@@ -181,6 +181,11 @@ CHECKED = [
     (WeightedCurve(catalog("D")), "points", (WeightedPoint(INNER, 1),), "weight"),
     (WeightedCurve(catalog("D")), "base", WittSurface(KleinTopology(0, 1, 1), (), True), "oval-count"),
     (catalog("D_22"), "ovals", ("+",), "oval-shape"),
+    (RECORDS[TwistedSeries][0], "coeffs", ((2, 3), (0, 1)), "exponent-order"),
+    (RECORDS[TwistedSeries][0], "coeffs", ((0, 1), (0, 3)), "repeated-exponent"),
+    (RECORDS[TwistedSeries][0], "coeffs", ((0, 1), (2, 0)), "zero-coefficient"),
+    (RECORDS[TwistedSeries][0], "coeffs", ((-257, 1),), "truncation"),
+    (RECORDS[TwistedSeries][0], "truncation", 257, "truncation"),
 ]
 
 

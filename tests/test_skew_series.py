@@ -10,7 +10,9 @@ from wittcurves.algebra import (
     COMPLEX,
     QUATERNION,
     REAL,
+    AlgebraElement,
     Automorphism,
+    apply,
     complex_conjugation,
     cplx,
     galois_order,
@@ -24,10 +26,11 @@ from wittcurves.algebra import (
 from wittcurves.errors import DomainError, InvariantViolation, KindMismatchError, ValidationError
 from wittcurves.skew_series import (
     MAX_TRUNCATION,
+    TwistedSeries,
     _centre_kernels,
     _in_span,
     _kernel,
-    _matmul,
+    _side_product,
     centre_basis,
     dim_over_centre,
     monomial,
@@ -133,6 +136,66 @@ def test_series_of_different_rings_do_not_meet(other):
             combine()
 
 
+# (truncation, twist, {exponent: coefficient}) that series() refuses
+REFUSED = [
+    (8, identity(QUATERNION), {0: 1.5}),
+    (8, identity(QUATERNION), {0: "1"}),
+    (8, identity(QUATERNION), {1: cplx(1)}),
+    (8, identity(QUATERNION), {8: quat(1)}),
+    (8, identity(QUATERNION), {8: 0}),
+    (8, identity(QUATERNION), {1.0: quat(1)}),
+    (8, identity(QUATERNION), {True: quat(1)}),
+    (8, identity(QUATERNION), {-MAX_TRUNCATION - 1: quat(1)}),
+    (MAX_TRUNCATION + 1, identity(QUATERNION), {0: quat(1)}),
+    (0, identity(QUATERNION), {}),
+    (8.0, identity(QUATERNION), {}),
+    (8, CONJ, {}),
+]
+
+
+def _refusal(build):
+    with pytest.raises(Exception) as exc:
+        build()
+    return type(exc.value), getattr(exc.value, "code", None)
+
+
+@pytest.mark.parametrize("truncation, twist, coeffs", REFUSED)
+def test_the_constructor_refuses_what_series_refuses(truncation, twist, coeffs):
+    by_series = _refusal(lambda: series(QUATERNION, twist, truncation, coeffs))
+    by_constructor = _refusal(lambda: TwistedSeries(QUATERNION, twist, truncation, tuple(coeffs.items())))
+    assert by_constructor == by_series
+    assert by_series[0] in (KindMismatchError, ValidationError, DomainError)
+
+
+def test_the_constructor_refuses_malformed_records():
+    h = identity(QUATERNION)
+    # out of order, low() and the valuation would read the term at T^3 first
+    for coeffs, code in (
+        (((3, quat(1)), (1, quat(2))), "exponent-order"),
+        (((-2, quat(1)), (5, quat(1)), (4, quat(1))), "exponent-order"),
+        (((1, quat(1)), (1, quat(2))), "repeated-exponent"),
+        (((0, quat(1)), (2, quat(0))), "zero-coefficient"),
+        (((0, Fraction(0)),), "zero-coefficient"),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            TwistedSeries(QUATERNION, h, 8, coeffs)
+        assert exc.value.code == code, coeffs
+    # a float is refused, not stored to fail with a bare TypeError at the first product
+    with pytest.raises(KindMismatchError):
+        TwistedSeries(QUATERNION, h, 8, ((0, 1.5),))
+    # nor an exponent at or above the truncation, zero coefficient or not
+    for coeffs in (((8, quat(1)),), ((0, quat(1)), (9, quat(0)))):
+        with pytest.raises(KindMismatchError):
+            TwistedSeries(QUATERNION, h, 8, coeffs)
+    for coeffs in (None, 3, {0: quat(1)}, ((0,),), ((0, quat(1), 2),)):
+        with pytest.raises(KindMismatchError):
+            TwistedSeries(QUATERNION, h, 8, coeffs)
+    f = TwistedSeries(QUATERNION, h, 8, [(1, quat(2)), (3, 1)])
+    assert f.low() == 1 and valuation(f) == Fraction(1, 2) and not f.is_zero()
+    assert f == series(QUATERNION, h, 8, {3: 1, 1: quat(2)}) and type(f.coeffs) is tuple
+    assert TwistedSeries(QUATERNION, h, 8, ()).is_zero()
+
+
 def test_zero_coefficients_are_dropped():
     f = series(COMPLEX, CONJ, 8, {0: cplx(0), 2: cplx(1)})
     assert [exp for exp, _ in f.coeffs] == [2]
@@ -194,30 +257,112 @@ def test_jordan_twist_holds_for_every_size_and_several_units():
             assert verify_jordan_twist(QUATERNION, inner(quat(*unit)), n), (n, unit)
 
 
-def _sparse(dense):
-    """A list-of-rows matrix as the dict of its nonzero entries keyed (i, j)."""
-    return {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if not v.is_zero()}
+def _dense(entries, offset, n):
+    """The n x n list-of-rows matrix with entries[i] at (i, i + offset), zero elsewhere."""
+    rows = [[quat(0)] * n for _ in range(n)]
+    for i, v in enumerate(entries):
+        rows[i][i + offset] = v
+    return rows
 
 
-def test_sparse_matmul_matches_the_dense_product():
+def test_side_diagonal_product_matches_the_dense_product():
     rng = random.Random(5)
 
     def entry():
-        if rng.random() < 0.6:
-            return quat(0)
+        if rng.random() < 0.4:
+            return quat(1)
         return quat(*(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(4)))
 
-    for n in (1, 2, 3, 5, 6):
-        for _ in range(10):
-            a = [[entry() for _ in range(n)] for _ in range(n)]
-            b = [[entry() for _ in range(n)] for _ in range(n)]
-            dense = [
-                [sum((a[i][k] * b[k][j] for k in range(n)), quat(0)) for j in range(n)]
-                for i in range(n)
-            ]
-            assert _matmul(QUATERNION, _sparse(a), _sparse(b)) == _sparse(dense)
-    # 1 * i + i * (-1) cancels, and leaves no zero entry behind
-    assert _matmul(QUATERNION, {(0, 0): quat(1), (0, 1): quat(0, 1)}, {(0, 0): quat(0, 1), (1, 0): quat(-1)}) == {}
+    for n in range(1, 7):
+        for l in range(n):
+            for m in range(n - l):
+                for _ in range(4):
+                    x = [entry() for _ in range(n - l)]
+                    y = [entry() for _ in range(n - m)]
+                    a, b = _dense(x, l, n), _dense(y, m, n)
+                    dense = [
+                        [sum((a[i][k] * b[k][j] for k in range(n)), quat(0)) for j in range(n)]
+                        for i in range(n)
+                    ]
+                    product = _side_product(quat(1), x, y, l)
+                    assert len(product) == n - l - m
+                    assert _dense(product, l + m, n) == dense
+    # J's side diagonal is all ones, and a product by 1 is not formed
+    x = [quat(1), quat(0, 1), quat(1, 2, 3, 4)]
+    assert _side_product(quat(1), [quat(1)] * 3, x, 0) == x
+    assert _side_product(quat(1), x, [quat(1)] * 3, 0) == x
+
+
+def _oracle_product(f, g):
+    """The coefficients of f g on the Fraction oracle, by exponent: every
+    term a_i sigma^i(b_j) formed on Fraction coordinates and summed, zero
+    sums dropped."""
+    phi, dim = fo.from_twist(f.twist), f.kind.dim_over_k
+    acc = {}
+    for i, a in f.coeffs:
+        sigma_i = fo.power(phi, i)
+        for j, b in g.coeffs:
+            if i + j < f.truncation:
+                term = fo.oracle(dim, *a.coeffs) * fo.apply(sigma_i, fo.oracle(dim, *b.coeffs))
+                acc[i + j] = acc[i + j] + term if i + j in acc else term
+    return {k: v.coeffs for k, v in acc.items() if any(v.coeffs)}
+
+
+def _terms(f):
+    return {e: c.coeffs for e, c in f.coeffs}
+
+
+TWISTS_OF_H = [identity(QUATERNION), inner(quat(0, 1)), inner(quat(1, 2, -1, 3))]
+
+
+@pytest.mark.parametrize("twist", TWISTS_OF_H, ids=["id", "i", "1+2i-j+3k"])
+def test_coprime_denominators_sum_on_one_exponent(twist):
+    # three terms over 2, 3 and 5 land on T^2
+    third, fifth = Fraction(1, 3), Fraction(1, 5)
+    f = series(QUATERNION, twist, 4, {0: quat(Fraction(1, 2), 1), 1: quat(0, third), 2: quat(fifth, 0, 0, 1)})
+    g = series(QUATERNION, twist, 4, {0: quat(1, 0, fifth), 1: quat(0, 0, Fraction(1, 2)), 2: quat(third)})
+    product = f * g
+    oracle = _oracle_product(f, g)
+    assert _terms(product) == oracle
+    assert 2 in oracle and product.coeff(2).den == math.lcm(*(c.denominator for c in oracle[2]))
+
+
+@pytest.mark.parametrize("twist", TWISTS_OF_H, ids=["id", "i", "1+2i-j+3k"])
+def test_terms_that_cancel_leave_no_coefficient(twist):
+    # a_0 b_1 + a_1 sigma(b_0) = 0, one term over 6 and the other over 3
+    a0, a1, b1 = quat(0, Fraction(1, 2)), quat(Fraction(1, 3)), quat(Fraction(2, 3))
+    b0 = apply(power(twist, -1), -(a1.inverse() * a0 * b1))
+    f = series(QUATERNION, twist, 8, {0: a0, 1: a1})
+    g = series(QUATERNION, twist, 8, {0: b0, 1: b1})
+    product = f * g
+    assert [e for e, _ in product.coeffs] == [0, 2]
+    assert _terms(product) == _oracle_product(f, g)
+    assert (f * -g + f * g).is_zero()
+
+
+def test_a_laurent_product_below_the_ceiling_is_refused():
+    twist = inner(quat(1, 1, 0, 0))
+    f = series(QUATERNION, twist, 8, {-200: quat(1, 1), 0: 1})
+    g = series(QUATERNION, twist, 8, {-100: quat(0, 1), 3: quat(Fraction(1, 2))})
+    with pytest.raises(ValidationError) as exc:
+        f * g  # T^-300, and the terms above the ceiling do not save it
+    assert exc.value.code == "truncation"
+    # T^-256 is the ceiling itself
+    h = series(QUATERNION, twist, 8, {-56: quat(0, 0, 1), 2: 3})
+    assert (f * h).low() == -MAX_TRUNCATION and _terms(f * h) == _oracle_product(f, h)
+
+
+def test_product_sums_on_numerators_without_elements(monkeypatch):
+    twist = inner(quat(1, 2, -1, 3))
+    f = series(QUATERNION, twist, 16, {e: quat(Fraction(1, e + 2), e, 0, -1) for e in range(7)})
+    g = series(QUATERNION, twist, 16, {e: quat(2, 0, Fraction(1, e + 3), 1) for e in range(0, 14, 2)})
+    assert len(f.coeffs) == len(g.coeffs) == 7
+    products = _counted(monkeypatch, AlgebraElement, "__mul__")
+    sums = _counted(monkeypatch, AlgebraElement, "__add__")
+    product = f * g
+    assert products == [] and sums == []
+    monkeypatch.undo()
+    assert _terms(product) == _oracle_product(f, g)
 
 
 def _fraction_kernel(rows, n):
