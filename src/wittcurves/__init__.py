@@ -6,7 +6,12 @@ computes the classical invariants: local ramification data (local_data),
 centres of twisted series rings (skew_series), Euler forms and slope
 orbits (ktheory), and the finite zoo of curves with nonnegative orbifold
 characteristic (zoo). All arithmetic is exact.
+
+The public names are written once, in the imports below, and __all__ is
+read off them. Every module is imported when the package is.
 """
+
+from types import ModuleType as _ModuleType
 
 from .algebra import (
     COMPLEX,
@@ -102,88 +107,6 @@ from .witt_surface import (
 )
 from .zoo import ZooEntry, enumerate_chi_zero, enumerate_domestic, instantiate_domestic, zoo_report
 
-__all__ = [
-    "AbstractBase",
-    "AbstractPoint",
-    "AlgebraElement",
-    "Automorphism",
-    "CATALOG_NAMES",
-    "COMPLEX",
-    "CentreDescription",
-    "ClassVector",
-    "ComplexCentreBase",
-    "CurveClass",
-    "CurveError",
-    "CurveNumerics",
-    "DivisionAlgebraKind",
-    "DomainError",
-    "GhostGroup",
-    "InconsistentDataError",
-    "InvariantViolation",
-    "KindMismatchError",
-    "KleinTopology",
-    "Oval",
-    "PicardDescriptor",
-    "PointDatum",
-    "QUATERNION",
-    "REAL",
-    "SlopeOrbits",
-    "TwistedSeries",
-    "ValidationError",
-    "WeightedCurve",
-    "WeightedPoint",
-    "WittPointClass",
-    "WittSurface",
-    "ZooEntry",
-    "abstract_kind",
-    "apply_slope_matrix",
-    "average_euler_form",
-    "catalog",
-    "centre_basis",
-    "classify",
-    "complex_conjugation",
-    "comultiplicity",
-    "constants_field",
-    "counts",
-    "cplx",
-    "cy_dimension",
-    "degree_of_simple",
-    "dim_over_centre",
-    "effective_points",
-    "elliptic_numerics",
-    "enumerate_chi_zero",
-    "enumerate_domestic",
-    "euler_characteristics",
-    "euler_form",
-    "fm_partners",
-    "galois_order",
-    "genus",
-    "genus_zero_orbifold_euler",
-    "ghost_group",
-    "identity",
-    "inertial_degree",
-    "inner",
-    "instantiate_domestic",
-    "invariants_report",
-    "local_skewness",
-    "monomial",
-    "mutation_matrices",
-    "orbifold_euler",
-    "picard_structure",
-    "quat",
-    "real",
-    "segmented_oval",
-    "series",
-    "skewness",
-    "slope_orbits",
-    "surface_skewness",
-    "tau_exponents",
-    "tau_order",
-    "tau_word",
-    "valuation",
-    "verify_jordan_twist",
-    "weight_ram_vector",
-    "whole_oval",
-    "witt_local_datum",
-    "zoo_report",
-]
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -5,15 +5,15 @@ error or for data that parses but fails validation, 3 for sound data
 outside an operation's domain. JSON output is deterministic (sorted keys)
 and keeps all rationals exact as {"num", "den"} pairs; aligned tables
 write them as p/q strings. One table, _COMMANDS, names every command with
-its arguments; argv is read from it and the help is printed from it, with
-argparse's grammar but without argparse, and json is imported only by
-the code that reads or writes JSON, so that a command loads only what it
-uses of the standard library.
+its arguments. Plain argv is read off it directly; anything else, help
+and every usage error among it, goes to argparse, which is built from the
+same table and imported only then. json is imported only by the code that
+reads or writes JSON, so that a command loads only what it uses of the
+standard library.
 """
 
 from __future__ import annotations
 
-import re
 import sys
 from fractions import Fraction
 
@@ -44,8 +44,9 @@ from .witt_surface import (
 )
 from .zoo import entry_key, enumerate_chi_zero, enumerate_domestic, zoo_report
 
-_ASCII_FIELD = {"REAL": "R", "COMPLEX": "C", "QUATERNION": "H"}
+# the letter of each division algebra on the command line and in the output
 _ALGEBRAS = {"R": REAL, "C": COMPLEX, "H": QUATERNION}
+_LETTERS = {kind.tag: letter for letter, kind in _ALGEBRAS.items()}
 
 
 class ParseError(Exception):
@@ -246,7 +247,7 @@ def _curve_payload(c: WeightedCurve) -> dict:
         "wrv": list(report["weight_ram_vector"]),
         "tau_order": report["tau_order"],
         "cy": list(report["cy_dimension"]) if report["cy_dimension"] is not None else None,
-        "constants_field": _ASCII_FIELD[n.constants.tag] if surface else None,
+        "constants_field": _LETTERS[n.constants.tag] if surface else None,
         "picard": None
         if picard is None
         else {
@@ -331,7 +332,7 @@ def skew_centre(algebra, twist, order):
     kind = _ALGEBRAS[algebra]
     automorphism = complex_conjugation() if twist == "conj" else identity(kind)
     description = centre_basis(kind, automorphism, order)
-    letter = _ASCII_FIELD[description.constant_subfield.tag]
+    letter = _LETTERS[description.constant_subfield.tag]
     variable = "T" if description.period == 1 else f"T^{description.period}"
     dimension = dim_over_centre(kind, automorphism)
     print(f"centre = {letter}[[{variable}]], dim over centre = {dimension}")
@@ -370,172 +371,83 @@ _COMMANDS = {
          "Height bound (50 to 600) of the box of classes; the orbits do not depend on it."),
     )),
     "skew-centre": (skew_centre, (), (
-        ("--algebra", "algebra", ("R", "C", "H"), str, ..., "The division algebra D."),
+        ("--algebra", "algebra", tuple(_ALGEBRAS), str, ..., "The division algebra D."),
         ("--twist", "twist", ("id", "conj"), str, ..., "The twist sigma: the identity or complex conjugation."),
         ("--order", "order", None, int, 8, "Truncation order for the search."),
     )),
     "ghost": (ghost, (("path", None),), ()),
 }
-# the help flags, which every parser reads; a None row marks them
-_HELP = {"-h": None, "--help": None}
-
-
-def _option(arg: str, flags, abbreviate: bool = False):
-    """What arg, other than "--", is to a parser with these flags, read as
-    argparse reads it: None for a value, (flag, the value given with it or
-    None) for one of the flags, and (None, None) for an unknown option.
-    abbreviate lets a prefix of a long flag stand for it."""
-    if arg[:1] != "-" or arg == "-":
-        return None
-    if arg in flags:
-        return arg, None
-    flag, eq, given = arg.partition("=")
-    if eq and flag in flags:
-        return flag, given
-    if arg[1] != "-" and arg[:2] in flags:
-        return arg[:2], arg[2:]
-    if abbreviate and (matches := [f for f in flags if f.startswith(flag)]):
-        return matches[0], given if eq else None
-    # a negative number or a string with a space is a value
-    if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
-        return None
-    return None, None
 
 
 def _parse(argv: list[str]):
     """The (run, kwargs) that argv asks for, or the exit code after help (0)
-    or a usage error (2). argv is read left to right, as argparse reads it:
-    help, a bad option value, a missing one or a bad choice ends the
-    reading where it stands; a missing argument, an unknown option and an
-    extra value are reported once the reading is done."""
-    unknown = []
-    for i, arg in enumerate(argv):
-        option = None if arg == "--" else _option(arg, _HELP, abbreviate=True)
-        if option is None:
-            break
-        flag, given = option
-        if flag is not None:
-            return _help_flag(None, given)
-        unknown.append(arg)
-    else:
-        return _usage_error(None, "the following arguments are required: COMMAND")
-    if arg not in _COMMANDS:
-        return _usage_error(None, f"argument COMMAND: {_invalid(arg, _COMMANDS)}")
-    name, args = arg, argv[i + 1:]
-    run, positionals, options = _COMMANDS[name]
-    flags = _HELP | {option[0]: option for option in options}
-    kwargs = {dest: default for _, dest, _, _, default, _ in options}
-    todo = list(positionals)
-    # where "--" and the last positional stand: after "--" every argument is
-    # a value, and the "--" itself is an extra argument unless it stands
-    # next to a positional's value
-    marker = filled = None
-    j = 0
-    while j < len(args):
-        arg = args[j]
-        j += 1
-        if arg == "--" and marker is None:
-            marker = j - 1
-            continue
-        option = None if marker is not None else _option(arg, flags)
-        if option is None:
-            if not todo:
-                unknown.append(arg)
-                continue
-            dest, choices = todo.pop(0)
-            if choices and arg not in choices:
-                return _usage_error(name, f"argument {dest}: {_invalid(arg, choices)}")
-            kwargs[dest], filled = arg, j - 1
-            continue
-        flag, given = option
-        if flag is None:
-            unknown.append(arg)
-            continue
-        if flags[flag] is None:
-            return _help_flag(name, given)
-        _, dest, choices, kind, _, _ = flags[flag]
-        if given is None:
-            if j == len(args) or args[j] == "--" or _option(args[j], flags) is not None:
-                return _usage_error(name, f"argument {flag}: expected one argument")
-            given = args[j]
-            j += 1
-        try:
-            value = kind(given)
-        except ValueError:
-            return _usage_error(name, f"argument {flag}: invalid {kind.__name__} value: {given!r}")
-        if choices and value not in choices:
-            return _usage_error(name, f"argument {flag}: {_invalid(value, choices)}")
-        kwargs[dest] = value
-    missing = [dest for dest, _ in todo] + [flag for flag, dest, *_ in options if kwargs[dest] is ...]
-    if missing:
-        return _usage_error(name, "the following arguments are required: " + ", ".join(missing))
-    if marker is not None and filled not in (marker - 1, marker + 1):
-        unknown.append("--")
-    if unknown:
-        return _usage_error(None, "unrecognized arguments: " + " ".join(unknown))
-    return run, kwargs
+    or a usage error (2). Plain argv is read here off the table: a command,
+    then its positionals and its options spelt in full, each option with a
+    value, no word after the command starting with "-", every value of its
+    type and among its choices, and nothing missing or left over. Any other
+    argv goes whole to argparse."""
+    if argv and argv[0] in _COMMANDS:
+        run, positionals, options = _COMMANDS[argv[0]]
+        flags = {option[0]: option for option in options}
+        kwargs = {dest: default for _, dest, _, _, default, _ in options}
+        todo = list(positionals)
+        words = iter(argv[1:])
+        for word in words:
+            if word in flags:
+                _, dest, choices, kind, _, _ = flags[word]
+                word = next(words, "-")
+            elif todo:
+                (dest, choices), kind = todo.pop(0), str
+            else:
+                break
+            if word[:1] == "-":
+                break
+            try:
+                value = kind(word)
+            except ValueError:
+                break
+            if choices and value not in choices:
+                break
+            kwargs[dest] = value
+        else:
+            if not todo and ... not in kwargs.values():
+                return run, kwargs
+    return _argparse(argv)
 
 
-def _help_flag(name: str | None, given: str | None) -> int:
-    if given is not None:
-        return _usage_error(name, f"argument -h/--help: ignored explicit argument {given!r}")
-    return _help(name)
+def _argparse(argv: list[str]):
+    """_parse for any argv, read by argparse, which is built from the table
+    and imported only here."""
+    import argparse
 
+    def width(formatter):
+        # an unbounded width, so that no line of help or usage wraps
+        return lambda prog: formatter(prog, width=sys.maxsize)
 
-def _invalid(value: str, choices) -> str:
-    return f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
-
-
-def _metavar(dest: str, choices) -> str:
-    return "{" + ",".join(choices) + "}" if choices else dest
-
-
-def _usage(name: str | None) -> str:
-    """The usage line of a command, or of the program when name is None."""
-    if name is None:
-        return "usage: wittcurves [-h] COMMAND ..."
-    _, positionals, options = _COMMANDS[name]
-    words = ["usage: wittcurves", name, "[-h]"]
-    for flag, dest, choices, _, default, _ in options:
-        word = f"{flag} {_metavar(dest.upper(), choices)}"
-        words.append(word if default is ... else f"[{word}]")
-    words += [_metavar(dest, choices) for dest, choices in positionals]
-    return " ".join(words)
-
-
-def _usage_error(name: str | None, message: str) -> int:
-    prog = "wittcurves" if name is None else f"wittcurves {name}"
-    print(_usage(name), f"{prog}: error: {message}", sep="\n", file=sys.stderr)
-    return 2
-
-
-def _help(name: str | None) -> int:
-    """Print the help of a command, or of the program when name is None, from
-    the command table, and return 0."""
-    flags = [("-h, --help", "show this help message and exit")]
-    if name is None:
-        about = "Invariants of real smooth projective curves, commutative or not."
-        sections = {"options": flags, "commands": [(c, run.__doc__) for c, (run, _, _) in _COMMANDS.items()]}
-    else:
-        run, positionals, options = _COMMANDS[name]
-        about = run.__doc__
-        for flag, dest, choices, _, default, text in options:
-            if text and default is not ...:
-                text += f" (default: {default})"
-            flags.append((f"{flag} {_metavar(dest.upper(), choices)}", text))
-        arguments = [(_metavar(dest, choices), "") for dest, choices in positionals]
-        sections = {"positional arguments": arguments, "options": flags}
-    # the texts start in one column, at most 24 in, below a longer name
-    width = min(max(len(left) for rows in sections.values() for left, _ in rows) + 2, 22)
-    lines = [_usage(name), "", about]
-    for title, rows in sections.items():
-        if rows:
-            lines += ["", f"{title}:"]
-            for left, right in rows:
-                head = f"  {left}\n" + " " * (width + 2) if len(left) + 2 > width and right else f"  {left:{width}}"
-                lines.append((head + right).rstrip())
-    print("\n".join(lines))
-    return 0
+    parser = argparse.ArgumentParser(
+        prog="wittcurves", description="Invariants of real smooth projective curves, commutative or not.",
+        formatter_class=width(argparse.HelpFormatter),
+    )
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    for name, (run, positionals, options) in _COMMANDS.items():
+        command = commands.add_parser(
+            name, help=run.__doc__, description=run.__doc__, allow_abbrev=False,
+            formatter_class=width(argparse.ArgumentDefaultsHelpFormatter),
+        )
+        command.set_defaults(run=run)
+        for dest, choices in positionals:
+            command.add_argument(dest, choices=choices)
+        for flag, dest, choices, kind, default, text in options:
+            required = default is ...
+            command.add_argument(
+                flag, dest=dest, choices=choices, type=kind, required=required,
+                default=argparse.SUPPRESS if required else default, help=text,
+            )
+    try:
+        kwargs = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code
+    return kwargs.pop("run"), kwargs
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -584,13 +584,17 @@ def genus_zero_orbifold_euler(kappa, s, epsilon, points) -> Fraction:
     Fractions; only the product e*f enters. kappa, s, epsilon and every p
     are positive integers. No separability assumption is needed here. The
     terms e f (p - 1) / p are summed as one integer numerator over the lcm
-    of their denominators.
+    of their denominators. At most MAX_VECTOR_LENGTH points are taken, each
+    p at most MAX_POINT_VALUE, and that lcm at most MAX_ORDER_LCM.
     """
     require_ints(kappa=kappa, s=s, epsilon=epsilon)
     if kappa < 1 or s < 1 or epsilon < 1:
         raise ValidationError("kappa, s and epsilon must be positive", code="nonpositive")
+    points = require_sequence(points, "the points", "placement")
+    _refuse_too_many_points(len(points))
     terms = []
-    for point in require_sequence(points, "the points", "placement"):
+    d = 1
+    for point in points:
         triple = require_sequence(point, "a point", "placement")
         if len(triple) != 3:
             raise ValidationError(f"a point must be an (e, f, p) triple, got {point!r}", code="placement")
@@ -600,8 +604,13 @@ def genus_zero_orbifold_euler(kappa, s, epsilon, points) -> Fraction:
         require_ints(p=p)
         if p < 1:
             raise ValidationError("a weight p must be positive", code="nonpositive")
-        terms.append((e.numerator * f.numerator * (p - 1), e.denominator * f.denominator * p))
-    d = lcm(*(den for _, den in terms))
+        if p > MAX_POINT_VALUE:
+            raise ValidationError(f"a weight p must be at most {MAX_POINT_VALUE}", code="too-large")
+        den = e.denominator * f.denominator * p
+        terms.append((e.numerator * f.numerator * (p - 1), den))
+        d = lcm(d, den)
+        if d > MAX_ORDER_LCM:
+            raise ValidationError("the common denominator of the points is above MAX_ORDER_LCM", code="too-large")
     return Fraction(*_genus_zero(kappa, s, epsilon, sum(num * (d // den) for num, den in terms), d))
 
 

@@ -3,8 +3,9 @@
 ``parser()`` builds the argparse front end the CLI once had, with the same
 commands, options, choices and defaults. ``parse(argv)`` reads argv with
 it and returns the run function and its keyword arguments, or the exit
-code argparse gives after help (0) or a usage error (2), with what it
-prints thrown away.
+code argparse gives after help (0) or a usage error (2), together with
+what argparse printed to stdout and to stderr. Help and usage lines wrap
+at the width argparse reads from COLUMNS.
 """
 
 import argparse
@@ -46,18 +47,24 @@ def parser() -> argparse.ArgumentParser:
         help="Height bound (50 to 600) of the box of classes; the orbits do not depend on it.",
     )
     option = command("skew-centre", skew_centre)
-    option("--algebra", choices=("R", "C", "H"), required=True)
-    option("--twist", choices=("id", "conj"), required=True)
+    # a required option has no default to show in the help
+    option("--algebra", choices=("R", "C", "H"), required=True, default=argparse.SUPPRESS, help="The division algebra D.")
+    option(
+        "--twist", choices=("id", "conj"), required=True, default=argparse.SUPPRESS,
+        help="The twist sigma: the identity or complex conjugation.",
+    )
     option("--order", type=int, default=8, help="Truncation order for the search.")
     command("ghost", ghost)("path")
     return parser
 
 
 def parse(argv: list[str]):
-    """(run, kwargs) for argv, or the exit code after help or a usage error."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    """(run, kwargs) for argv, or the exit code after help or a usage error,
+    then what was printed to stdout and to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             args = vars(parser().parse_args(argv))
         except SystemExit as exc:
-            return exc.code
-    return args.pop("run"), args
+            return exc.code, out.getvalue(), err.getvalue()
+    return (args.pop("run"), args), out.getvalue(), err.getvalue()

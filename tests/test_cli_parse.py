@@ -1,13 +1,17 @@
-"""The command table reads argv as argparse did, and a command loads only what it uses.
+"""The command table reads argv as argparse does, and a command loads only what it uses.
 
-Each argv of the corpus goes through the CLI's own parser and through the
-argparse front end it replaced (argparse_oracle): both must give the same
-run function and arguments, or the same exit code after help or a usage
-error. The corpus holds every invocation the benchmark and the tests make,
-the usage errors the tests pin, and the corners of argparse's grammar. A
-second set of tests starts fresh interpreters without site and reads
-sys.modules: the CLI module loads neither argparse nor its translation
-machinery, and json only where a command reads or writes JSON.
+The CLI reads plain argv off its command table and hands any other argv
+to argparse, built from the same table. Each argv of the corpus goes
+through the CLI's parser and through the argparse front end it once had
+(argparse_oracle): both must give the same run function and arguments,
+or the same exit code after help or a usage error, and print the same
+lines. The corpus holds every invocation the benchmark and the tests
+make, the usage errors the tests pin, and the corners of argparse's
+grammar; a hypothesis test draws more argv from the table's words and
+argparse's own. A second set of tests starts fresh interpreters without
+site and reads sys.modules: the CLI module loads neither argparse nor its
+translation machinery, plain argv loads no argparse, and json is loaded
+only where a command reads or writes JSON.
 """
 
 import contextlib
@@ -20,6 +24,8 @@ from pathlib import Path
 
 import argparse_oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittcurves import cli
 
@@ -27,14 +33,18 @@ _ELLIPTIC = ("A", "M", "K", "A_RH", "A_HH", "M_H", "D_2222")
 _CLASSES = ("inner", "real_boundary", "quaternion_boundary", "segmentation")
 _ZOO = ("elliptic", "tubular", "domestic", "all")
 
-CORPUS = [
-    # the benchmark's invocations
+# the benchmark's invocations
+BENCHMARK = [
     *(["invariants" if k else "classify", "curve.json"] for k in (0, 1)),
     ["ghost", "ghost0.json"],
     *(["zoo", "--class", which, "--format", fmt] for which in _ZOO for fmt in ("table", "json")),
     *(["slopes", name] for name in _ELLIPTIC),
     *(["skew-centre", "--algebra", a, "--twist", t] for a, t in (("R", "id"), ("C", "id"), ("C", "conj"), ("H", "id"))),
     *(["local", c] for c in _CLASSES),
+]
+
+CORPUS = [
+    *BENCHMARK,
     # the tests' invocations
     *(["zoo", "--class", which] for which in _ZOO),
     *(["slopes", name, "--bound", str(bound)] for name in ("A", "K", "D_2222") for bound in (30, 50, 600, 10000)),
@@ -83,10 +93,19 @@ def _table(argv):
     return parsed, out.getvalue(), err.getvalue()
 
 
+def _same_as_argparse(argv):
+    """The CLI parser's (run, kwargs) or exit code, once it has printed what
+    the oracle prints, with COLUMNS set wide so that the oracle wraps no line."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COLUMNS", "10000")
+        table = _table(argv)
+        assert table == argparse_oracle.parse(argv)
+    return table
+
+
 @pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
 def test_the_table_reads_argv_as_argparse_does(argv):
-    parsed, out, err = _table(argv)
-    assert parsed == argparse_oracle.parse(argv)
+    parsed, out, err = _same_as_argparse(argv)
     if parsed == 0:
         assert out.startswith("usage: wittcurves") and not err
     elif parsed == 2:
@@ -94,6 +113,45 @@ def test_the_table_reads_argv_as_argparse_does(argv):
         assert usage.startswith("usage: wittcurves") and ": error: " in error and not out
     else:
         assert not out and not err
+
+
+_OPTIONS = [option for _, _, options in cli._COMMANDS.values() for option in options]
+_FLAGS = [flag for flag, *_ in _OPTIONS]
+_VALUES = [
+    *(value for _, positionals, _ in cli._COMMANDS.values() for _, choices in positionals for value in choices or ()),
+    *(value for _, _, choices, *_ in _OPTIONS for value in choices or ()),
+    "K", "curve.json", "60", "0", " 5 ",
+]
+# the table's words, argparse's own and junk
+_WORD = st.one_of(
+    st.sampled_from([*cli._COMMANDS, *_FLAGS, *_VALUES, "-h", "--help", "--", "-", "=", "-5", "--he", "--cl"]),
+    st.builds("{}={}".format, st.sampled_from(_FLAGS), st.sampled_from(_VALUES)),
+    st.text(max_size=4),
+)
+
+
+def _slots(name):
+    """name, then a value for each of its positionals and options, the
+    options in any order among them, and some missing, junk or "-5"; many of
+    these argv are plain."""
+    _, positionals, options = cli._COMMANDS[name]
+
+    def value(choices):
+        return st.sampled_from([*(choices or ("K", "60", "0", " 5 ")), "", "-5", "x"])
+
+    slots = [st.tuples(value(choices)) for _, choices in positionals]
+    slots += [st.tuples(st.just(flag), value(choices)) | st.just(()) for flag, _, choices, *_ in options]
+    chunks = st.tuples(*slots).flatmap(lambda drawn: st.permutations(drawn))
+    return chunks.map(lambda drawn: [name, *(word for chunk in drawn for word in chunk)])
+
+
+_ARGV = st.sampled_from(list(cli._COMMANDS)).flatmap(_slots) | st.lists(_WORD, max_size=6)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(argv=_ARGV)
+def test_drawn_argv_are_read_and_printed_as_argparse_does(argv):
+    _same_as_argparse(argv)
 
 
 def test_the_help_is_read_off_the_table():
@@ -139,3 +197,12 @@ def test_a_command_that_reads_json_loads_it(tmp_path):
     path = tmp_path / "curve.json"
     path.write_text(json.dumps({"base": "D_22"}))
     assert _loaded("from wittcurves.cli import main; main(sys.argv[1:])", "invariants", str(path)) == {"json"}
+
+
+def test_plain_argv_loads_no_argparse():
+    assert _loaded(f"from wittcurves.cli import _parse; [_parse(argv) for argv in {BENCHMARK!r}]") == set()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["zoo", "--class", "wild"]], ids=" ".join)
+def test_help_and_usage_errors_load_argparse(argv):
+    assert "argparse" in _loaded("from wittcurves.cli import _parse; _parse(sys.argv[1:])", *argv)

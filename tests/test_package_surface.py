@@ -43,6 +43,12 @@ def test_export_list_names_each_public_object_once():
     assert set(exported) == public
     for name in exported:
         assert getattr(wittcurves, name) is not None
+    assert exported == sorted(exported)
+    namespace = {}
+    exec("from wittcurves import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == exported
+    assert not any(isinstance(value, types.ModuleType) for value in namespace.values())
 
 
 def _defined_names(stmt: ast.stmt) -> list[str]:

@@ -312,6 +312,31 @@ def test_genus_zero_formula_takes_exact_e_and_f(point):
         genus_zero_orbifold_euler(1, 1, 1, [point])
 
 
+def test_genus_zero_formula_refuses_too_many_points_on_their_count():
+    with pytest.raises(ValidationError) as exc:
+        genus_zero_orbifold_euler(1, 1, 1, [None] * (MAX_VECTOR_LENGTH + 1))
+    assert exc.value.code == "too-large"
+    assert genus_zero_orbifold_euler(1, 1, 1, [(1, 1, 1)] * MAX_VECTOR_LENGTH) == 1
+
+
+def test_genus_zero_formula_refuses_a_weight_above_the_ceiling():
+    with pytest.raises(ValidationError) as exc:
+        genus_zero_orbifold_euler(1, 1, 1, [(1, 1, MAX_POINT_VALUE + 1)])
+    assert exc.value.code == "too-large"
+    assert genus_zero_orbifold_euler(1, 1, 1, [(1, 1, MAX_POINT_VALUE)]) == Fraction(MAX_POINT_VALUE + 1, 2 * MAX_POINT_VALUE)
+
+
+def test_genus_zero_formula_refuses_the_common_denominator_as_it_passes_the_ceiling():
+    orders = orders_at_the_ceiling()
+    chi = genus_zero_orbifold_euler(1, 1, 1, [(1, 1, p) for p in orders])
+    assert chi.denominator <= 2 * MAX_ORDER_LCM
+    # the point after the one that passes the ceiling is never read
+    for points in ([(1, 1, p) for p in orders + [2]] + [None], [(1, Fraction(1, MAX_ORDER_LCM + 1), 1), None]):
+        with pytest.raises(ValidationError) as exc:
+            genus_zero_orbifold_euler(1, 1, 1, points)
+        assert exc.value.code == "too-large"
+
+
 def test_effective_points_of_the_wild_example():
     c = WeightedCurve(catalog("D_22"), (WeightedPoint(INNER, 7),))
     rows = [(p.kind, p.e_tau, p.residue_degree, p.weight) for p in effective_points(c)]
