@@ -319,19 +319,19 @@ def local(point_class):
     print("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip())
 
 
-def slopes(name, bound):
+def slopes(name):
     """Count the slope orbits of the mutation group for an elliptic type."""
-    orbits = slope_orbits(elliptic_numerics(name), height_bound=bound)
+    orbits = slope_orbits(elliptic_numerics(name))
     noun = "orbit" if orbits.count == 1 else "orbits"
     print(f"{orbits.count} {noun}")
     print("representatives: " + ", ".join(_slope_str(r) for r in orbits.representatives))
 
 
-def skew_centre(algebra, twist, order):
+def skew_centre(algebra, twist):
     """Centre of the twisted power series ring D[[T, sigma]]."""
     kind = _ALGEBRAS[algebra]
     automorphism = complex_conjugation() if twist == "conj" else identity(kind)
-    description = centre_basis(kind, automorphism, order)
+    description = centre_basis(kind, automorphism, truncation=8)
     letter = _LETTERS[description.constant_subfield.tag]
     variable = "T" if description.period == 1 else f"T^{description.period}"
     dimension = dim_over_centre(kind, automorphism)
@@ -355,25 +355,21 @@ def ghost(path):
 # Reading argv
 
 # Each command's run function, its positionals as (dest, choices or None)
-# and its options as (flag, dest, choices or None, type, default, help),
+# and its options as (flag, dest, choices or None, default, help),
 # where a default of ... marks a required option. The run function's
 # docstring is the command's help.
 _COMMANDS = {
     "invariants": (invariants, (("path", None),), ()),
     "classify": (classify_command, (("path", None),), ()),
     "zoo": (zoo_command, (), (
-        ("--class", "which", ("elliptic", "tubular", "domestic", "all"), str, "all", "Which part of the zoo to list."),
-        ("--format", "fmt", ("table", "json"), str, "table", "Output format."),
+        ("--class", "which", ("elliptic", "tubular", "domestic", "all"), "all", "Which part of the zoo to list."),
+        ("--format", "fmt", ("table", "json"), "table", "Output format."),
     )),
     "local": (local, (("point_class", tuple(c.value for c in WittPointClass)),), ()),
-    "slopes": (slopes, (("name", None),), (
-        ("--bound", "bound", None, int, 100,
-         "Height bound (50 to 600) of the box of classes; the orbits do not depend on it."),
-    )),
+    "slopes": (slopes, (("name", None),), ()),
     "skew-centre": (skew_centre, (), (
-        ("--algebra", "algebra", tuple(_ALGEBRAS), str, ..., "The division algebra D."),
-        ("--twist", "twist", ("id", "conj"), str, ..., "The twist sigma: the identity or complex conjugation."),
-        ("--order", "order", None, int, 8, "Truncation order for the search."),
+        ("--algebra", "algebra", tuple(_ALGEBRAS), ..., "The division algebra D."),
+        ("--twist", "twist", ("id", "conj"), ..., "The twist sigma: the identity or complex conjugation."),
     )),
     "ghost": (ghost, (("path", None),), ()),
 }
@@ -383,32 +379,26 @@ def _parse(argv: list[str]):
     """The (run, kwargs) that argv asks for, or the exit code after help (0)
     or a usage error (2). Plain argv is read here off the table: a command,
     then its positionals and its options spelt in full, each option with a
-    value, no word after the command starting with "-", every value of its
-    type and among its choices, and nothing missing or left over. Any other
-    argv goes whole to argparse."""
+    value, no word after the command starting with "-", every value among
+    its choices, and nothing missing or left over. Any other argv goes whole
+    to argparse."""
     if argv and argv[0] in _COMMANDS:
         run, positionals, options = _COMMANDS[argv[0]]
         flags = {option[0]: option for option in options}
-        kwargs = {dest: default for _, dest, _, _, default, _ in options}
+        kwargs = {dest: default for _, dest, _, default, _ in options}
         todo = list(positionals)
         words = iter(argv[1:])
         for word in words:
             if word in flags:
-                _, dest, choices, kind, _, _ = flags[word]
+                _, dest, choices, _, _ = flags[word]
                 word = next(words, "-")
             elif todo:
-                (dest, choices), kind = todo.pop(0), str
+                dest, choices = todo.pop(0)
             else:
                 break
-            if word[:1] == "-":
+            if word[:1] == "-" or choices and word not in choices:
                 break
-            try:
-                value = kind(word)
-            except ValueError:
-                break
-            if choices and value not in choices:
-                break
-            kwargs[dest] = value
+            kwargs[dest] = word
         else:
             if not todo and ... not in kwargs.values():
                 return run, kwargs
@@ -437,10 +427,10 @@ def _argparse(argv: list[str]):
         command.set_defaults(run=run)
         for dest, choices in positionals:
             command.add_argument(dest, choices=choices)
-        for flag, dest, choices, kind, default, text in options:
+        for flag, dest, choices, default, text in options:
             required = default is ...
             command.add_argument(
-                flag, dest=dest, choices=choices, type=kind, required=required,
+                flag, dest=dest, choices=choices, required=required,
                 default=argparse.SUPPRESS if required else default, help=text,
             )
     try:

@@ -358,31 +358,38 @@ def _validate_placement(base: WittSurface | ComplexCentreBase, wp: WeightedPoint
     """The part of validation that reads one weight's placement against
     its base, returning the shape of its points; the base is taken as
     valid, and two weights on one segmentation point are the caller's to
-    catch."""
-    location = wp.location
+    catch. Only a segmentation weight takes a segment index, and only a
+    segmentation or boundary weight an oval index."""
+    location, oval, segment = wp.location, wp.oval, wp.segment
     if isinstance(base, ComplexCentreBase):
         if location != COMPLEX_POINT:
             raise ValidationError(
                 "a complex-centre base only accepts plain point placements",
                 code="placement",
             )
+        if oval is not None or segment is not None:
+            raise ValidationError("a point weight takes no oval or segment index", code="placement")
         return _POINT_SHAPE
     # inner placements are always available
     if location is WittPointClass.INNER:
+        if oval is not None or segment is not None:
+            raise ValidationError("an inner weight takes no oval or segment index", code="placement")
         return _INNER_SHAPE
     if location is WittPointClass.SEGMENTATION:
-        if wp.oval is None or wp.segment is None:
+        if oval is None or segment is None:
             raise ValidationError(
                 "a segmentation weight needs oval and segment indices", code="placement"
             )
-        if not is_segmentation_point(base, wp.oval, wp.segment):
+        if not is_segmentation_point(base, oval, segment):
             raise ValidationError("no such segmentation point", code="placement")
         return _SEGMENTATION_SHAPE
     if location is WittPointClass.REAL_BOUNDARY or location is WittPointClass.QUATERNION_BOUNDARY:
+        if segment is not None:
+            raise ValidationError("a boundary weight takes no segment index", code="placement")
         real = location is WittPointClass.REAL_BOUNDARY
         sign = PLUS if real else MINUS
-        if wp.oval is not None:
-            if not carries_sign(base, sign, wp.oval):
+        if oval is not None:
+            if not carries_sign(base, sign, oval):
                 raise ValidationError("that oval has no locus of the requested sign", code="placement")
         elif not carries_sign(base, sign):
             raise ValidationError("the surface has no locus of the requested sign", code="placement")
@@ -580,12 +587,13 @@ def effective_points(c: WeightedCurve) -> tuple[EffectivePoint, ...]:
 def genus_zero_orbifold_euler(kappa, s, epsilon, points) -> Fraction:
     """Normalized orbifold characteristic over any field, genus-zero case.
 
-    points is an iterable of (e, f, p) triples, e and f integers or
-    Fractions; only the product e*f enters. kappa, s, epsilon and every p
-    are positive integers. No separability assumption is needed here. The
+    points is an iterable of (e, f, p) triples, e and f positive integers
+    or Fractions; only the product e*f enters. kappa, s, epsilon and every
+    p are positive integers. No separability assumption is needed here. The
     terms e f (p - 1) / p are summed as one integer numerator over the lcm
     of their denominators. At most MAX_VECTOR_LENGTH points are taken, each
-    p at most MAX_POINT_VALUE, and that lcm at most MAX_ORDER_LCM.
+    p at most MAX_POINT_VALUE, the numerators and denominators of e and f
+    and that lcm at most MAX_ORDER_LCM.
     """
     require_ints(kappa=kappa, s=s, epsilon=epsilon)
     if kappa < 1 or s < 1 or epsilon < 1:
@@ -601,6 +609,10 @@ def genus_zero_orbifold_euler(kappa, s, epsilon, points) -> Fraction:
         e, f, p = triple
         if not all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in (e, f)):
             raise KindMismatchError(f"e and f must be ints or Fractions, got {e!r} and {f!r}")
+        if e <= 0 or f <= 0:
+            raise ValidationError("e and f must be positive", code="nonpositive")
+        if max(e.numerator, e.denominator, f.numerator, f.denominator) > MAX_ORDER_LCM:
+            raise ValidationError("e and f have a numerator or a denominator above MAX_ORDER_LCM", code="too-large")
         require_ints(p=p)
         if p < 1:
             raise ValidationError("a weight p must be positive", code="nonpositive")

@@ -40,12 +40,7 @@ def parser() -> argparse.ArgumentParser:
     )
     option("--format", dest="fmt", choices=("table", "json"), default="table", help="Output format.")
     command("local", local)("point_class", choices=[c.value for c in WittPointClass])
-    option = command("slopes", slopes)
-    option("name")
-    option(
-        "--bound", type=int, default=100,
-        help="Height bound (50 to 600) of the box of classes; the orbits do not depend on it.",
-    )
+    command("slopes", slopes)("name")
     option = command("skew-centre", skew_centre)
     # a required option has no default to show in the help
     option("--algebra", choices=("R", "C", "H"), required=True, default=argparse.SUPPRESS, help="The division algebra D.")
@@ -53,7 +48,6 @@ def parser() -> argparse.ArgumentParser:
         "--twist", choices=("id", "conj"), required=True, default=argparse.SUPPRESS,
         help="The twist sigma: the identity or complex conjugation.",
     )
-    option("--order", type=int, default=8, help="Truncation order for the search.")
     command("ghost", ghost)("path")
     return parser
 

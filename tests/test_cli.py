@@ -248,10 +248,18 @@ def test_validation_errors_exit_two(tmp_path):
     })
     res = invoke(["classify", low])
     assert res.exit_code == 2
-    res = invoke(["slopes", "K", "--bound", "30"])
-    assert res.exit_code == 2
     res = invoke(["slopes", "X"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("base, record, message", [
+    ("D", {"class": "inner", "p": 2, "oval": 99, "segment": -7}, "an inner weight takes no oval or segment index"),
+    ("D", {"class": "real_boundary", "p": 2, "segment": 5}, "a boundary weight takes no segment index"),
+    ("S2_C", {"class": "point", "p": 2, "oval": 3}, "a point weight takes no oval or segment index"),
+], ids=["inner", "real-boundary", "point"])
+def test_an_index_the_class_does_not_read_exits_two(tmp_path, base, record, message):
+    res = invoke(["invariants", _write(tmp_path, "i.json", {"base": base, "weights": [record]})])
+    assert (res.exit_code, res.output) == (2, f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["invariants", "classify"])
@@ -374,15 +382,18 @@ def test_too_many_points_are_refused_before_any_record_is_parsed(tmp_path, monke
 
 
 def test_the_largest_file_of_weights_fits_under_the_byte_ceiling(tmp_path):
-    # MAX_VECTOR_LENGTH weight records with an oval and a segment, the class
-    # name and the weight at their longest, printed with an indent of four
-    record = {"class": "quaternion_boundary", "oval": 0, "p": MAX_POINT_VALUE, "segment": 9999}
+    # one oval cut into MAX_VECTOR_LENGTH segments, spelt out, and a weight of
+    # MAX_POINT_VALUE on each of its segmentation points: MAX_VECTOR_LENGTH
+    # weight records with an oval and a segment, printed with an indent of four
+    segments = MAX_VECTOR_LENGTH
+    base = {"g": 0, "t": 1, "s": 1, "commutative": False, "ovals": [{"segments": ["+", "-"] * (segments // 2)}]}
+    weights = [{"class": "segmentation", "oval": 0, "p": MAX_POINT_VALUE, "segment": i} for i in range(segments)]
     path = tmp_path / "largest.json"
-    path.write_text(json.dumps({"base": "D_H", "weights": [record] * MAX_VECTOR_LENGTH}, indent=4))
+    path.write_text(json.dumps({"base": base, "weights": weights}, indent=4))
     assert path.stat().st_size <= cli.MAX_FILE_BYTES
     res = invoke(["invariants", str(path)])
     assert res.exit_code == 0
-    assert json.loads(res.output)["wrv"] == [MAX_POINT_VALUE] * MAX_VECTOR_LENGTH
+    assert json.loads(res.output)["wrv"] == [2 * MAX_POINT_VALUE] * MAX_VECTOR_LENGTH
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -440,27 +451,15 @@ def test_ghost_ceiling_exits_two(tmp_path, points, message):
     assert res.output == f"error: {message}\n"
 
 
-def test_slope_bound_ceiling_exits_two():
-    res = invoke(["slopes", "K", "--bound", "10000"])
+@pytest.mark.parametrize("argv, words", [
+    (["slopes", "K", "--bound", "30"], "--bound 30"),
+    (["skew-centre", "--algebra", "H", "--twist", "id", "--order", "8"], "--order 8"),
+], ids=" ".join)
+def test_slopes_and_skew_centre_take_no_bound_or_order(argv, words):
+    # no answer depends on a slope bound or a centre order, so neither is an option
+    res = invoke(argv)
     assert res.exit_code == 2
-    assert res.output == "error: height bound must be at most 600\n"
-
-
-def test_centre_order_ceiling_exits_two():
-    res = invoke(["skew-centre", "--algebra", "H", "--twist", "id", "--order", "100000"])
-    assert res.exit_code == 2
-    assert res.output == "error: truncation must be at most 256\n"
-
-
-@pytest.mark.parametrize("args, message", [
-    (["--algebra", "H", "--twist", "id", "--order", "-5"], "at least 2 to witness the period 1"),
-    (["--algebra", "R", "--twist", "id", "--order", "0"], "at least 2 to witness the period 1"),
-    (["--algebra", "C", "--twist", "conj", "--order", "3"], "at least 4 to witness the period 2"),
-])
-def test_centre_order_floor_exits_two(args, message):
-    res = invoke(["skew-centre", *args])
-    assert res.exit_code == 2
-    assert res.output == f"error: truncation must be {message}\n"
+    assert res.output == f"usage: wittcurves [-h] COMMAND ...\nwittcurves: error: unrecognized arguments: {words}\n"
 
 
 def test_domain_errors_exit_three(tmp_path):
@@ -635,7 +634,7 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
     (["skew-centre", "--twist", "id"], 2),
     (["--help"], 0),
     (["slopes", "--help"], 0),
-], ids=["no-command", "unknown-command", "bad-choice", "non-int-bound", "missing-algebra", "help", "command-help"])
+], ids=["no-command", "unknown-command", "bad-choice", "unknown-option", "missing-algebra", "help", "command-help"])
 def test_usage_errors_exit_two_and_help_zero(args, code):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(

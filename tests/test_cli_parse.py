@@ -8,7 +8,9 @@ or the same exit code after help or a usage error, and print the same
 lines. The corpus holds every invocation the benchmark and the tests
 make, the usage errors the tests pin, and the corners of argparse's
 grammar; a hypothesis test draws more argv from the table's words and
-argparse's own. A second set of tests starts fresh interpreters without
+argparse's own. Two tests read the README: each of its command lines
+is plain argv read off the table, and each option it spells is one of
+the table's. A last set of tests starts fresh interpreters without
 site and reads sys.modules: the CLI module loads neither argparse nor its
 translation machinery, plain argv loads no argparse, and json is loaded
 only where a command reads or writes JSON.
@@ -18,6 +20,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -159,11 +162,36 @@ def test_the_help_is_read_off_the_table():
     for name, (run, _, _) in cli._COMMANDS.items():
         assert f"  {name}" in top and run.__doc__ in top
     _, slopes, _ = _table(["slopes", "-h"])
-    assert "the orbits do not depend on it. (default: 100)" in slopes
+    assert slopes.startswith("usage: wittcurves slopes [-h] name\n") and "--bound" not in slopes
     _, zoo, _ = _table(["zoo", "-h"])
     assert "[--class {elliptic,tubular,domestic,all}]" in zoo and "(default: table)" in zoo
     _, skew, _ = _table(["skew-centre", "-h"])
-    assert "--algebra {R,C,H} --twist {id,conj} [--order ORDER]" in skew
+    assert "usage: wittcurves skew-centre [-h] --algebra {R,C,H} --twist {id,conj}\n" in skew and "--order" not in skew
+
+
+_README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def test_every_command_line_of_the_readme_is_read_off_the_table():
+    argvs = []
+    inside = False
+    for line in _README.splitlines():
+        if line.startswith("```"):
+            inside = not inside
+        elif inside and line.startswith("wittcurves "):
+            argvs.append(line.split()[1:])
+    # one line for each command, and each one plain argv that runs it
+    assert sorted(argv[0] for argv in argvs) == sorted(cli._COMMANDS)
+    for argv in argvs:
+        parsed = cli._parse(argv)
+        assert isinstance(parsed, tuple) and parsed[0] is cli._COMMANDS[argv[0]][0], argv
+
+
+def test_every_option_the_readme_spells_exists():
+    # --opt is the placeholder of the grammar, and --no-build-isolation pip's
+    known = {*_FLAGS, "--help", "--opt", "--no-build-isolation"}
+    spelt = set(re.findall(r"--[a-z][a-z-]*", _README))
+    assert spelt - known == set()
 
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")

@@ -176,6 +176,26 @@ def test_validation_codes():
     assert exc.value.code == "placement"
 
 
+@pytest.mark.parametrize("base, weight, message", [
+    ("D", WeightedPoint(INNER, 2, oval=99, segment=-7), "an inner weight takes no oval or segment index"),
+    ("D", WeightedPoint(INNER, 2, oval=0), "an inner weight takes no oval or segment index"),
+    ("D", WeightedPoint(INNER, 2, segment=0), "an inner weight takes no oval or segment index"),
+    ("D", WeightedPoint(REAL_B, 2, segment=5), "a boundary weight takes no segment index"),
+    ("D_H", WeightedPoint(QUAT_B, 2, oval=0, segment=0), "a boundary weight takes no segment index"),
+    ("S2_C", WeightedPoint("point", 2, oval=3), "a point weight takes no oval or segment index"),
+    ("S2_C", WeightedPoint("point", 2, segment=0), "a point weight takes no oval or segment index"),
+], ids=["inner-both", "inner-oval", "inner-segment", "real-segment", "quaternion-segment", "point-oval",
+        "point-segment"])
+def test_an_index_the_class_does_not_read_is_refused(base, weight, message):
+    with pytest.raises(ValidationError) as exc:
+        WeightedCurve(catalog(base), (weight,))
+    assert exc.value.code == "placement"
+    assert str(exc.value) == message
+    # the same weight with only the indices its class reads is taken
+    kept = weight._replace(segment=None, oval=weight.oval if weight.location in (REAL_B, QUAT_B) else None)
+    WeightedCurve(catalog(base), (kept,))
+
+
 def test_single_segment_weight_ram_vector():
     for p in range(2, 6):
         c = WeightedCurve(catalog("D_22"), (WeightedPoint(SEG, p, oval=0, segment=0),))
@@ -289,7 +309,15 @@ def test_ghost_group_points_must_be_pairs(points):
     ((1, 1, 1, [(1, 1, 0)]), "nonpositive"),
     ((1.0, 1, 1, []), "not-integer"),
     ((1, 1, 1, [(1, 1, 2.0)]), "not-integer"),
-], ids=["s-zero", "kappa-zero", "epsilon-negative", "p-zero", "float-kappa", "float-p"])
+    ((1, 1, 1, [(0, 1, 2)]), "nonpositive"),
+    ((1, 1, 1, [(-3, 1, 2)]), "nonpositive"),
+    ((1, 1, 1, [(1, Fraction(-1, 2), 3)]), "nonpositive"),
+    ((1, 1, 1, [(1, 0, 2)]), "nonpositive"),
+    ((1, 1, 1, [(MAX_ORDER_LCM + 1, 1, 2)]), "too-large"),
+    ((1, 1, 1, [(1, Fraction(1, MAX_ORDER_LCM + 1), 2)]), "too-large"),
+    ((1, 1, 1, [(10**50000, 10**50000, 2)] * 50), "too-large"),
+], ids=["s-zero", "kappa-zero", "epsilon-negative", "p-zero", "float-kappa", "float-p", "e-zero", "e-negative",
+        "f-negative-fraction", "f-zero", "e-above-the-ceiling", "f-denominator-above-the-ceiling", "e-and-f-huge"])
 def test_genus_zero_formula_checks_its_integers(args, code):
     with pytest.raises(ValidationError) as exc:
         genus_zero_orbifold_euler(*args)
