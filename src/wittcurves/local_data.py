@@ -12,14 +12,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from .algebra import (
-    BUILTIN_KINDS,
-    COMPLEX,
-    QUATERNION,
-    REAL,
-    DivisionAlgebraKind,
-    comultiplicity,
-)
+from .algebra import COMPLEX, QUATERNION, REAL, DivisionAlgebraKind, abstract_kind, comultiplicity
 from .errors import FrozenRecord, KindMismatchError, ValidationError, require_ints
 
 
@@ -60,7 +53,9 @@ class PointDatum(FrozenRecord):
                 raise ValidationError(f"{name} must be a positive integer", code="nonpositive")
         if not isinstance(simple_end, DivisionAlgebraKind):
             raise KindMismatchError(f"simple_end must be a DivisionAlgebraKind, got {type(simple_end).__name__}")
-        if simple_end in BUILTIN_KINDS and comultiplicity(simple_end) != e_star:
+        # dimensions that abstract_kind refuses, [D:Z] not a square among them, are refused with its code
+        abstract_kind(simple_end.dim_over_k, simple_end.dim_centre_over_k)
+        if comultiplicity(simple_end) != e_star:
             raise ValidationError(
                 f"e_star={e_star} contradicts the comultiplicity of {simple_end!r}",
                 code="e-star-mismatch",

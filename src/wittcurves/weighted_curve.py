@@ -9,14 +9,14 @@ weight p, its ramification index e_tau, and its residue degree f.
 A WeightedCurve checks itself when built, and the check reads each list
 of the curve in as few passes as it can:
 
-- the base, by one call to witt_surface.validate for a surface; an
-  abstract base is checked here, with its point records in one loop
-  that builds the effective points;
+- the base, by one call to witt_surface.read_base for a surface or a
+  complex-centre base; an abstract base is checked here, with its point
+  records in one loop that builds the effective points;
 - the weights of a surface base, in one loop that checks each record,
-  asks witt_surface where it may sit, builds its effective point and
-  adds up the vector length the weighted points give; then the kept
-  segmentation points, once that length and their count are held to
-  MAX_VECTOR_LENGTH, walked once to build theirs;
+  asks the reading where it may sit, builds its effective point and
+  adds up the vector length the weighted points give; then the
+  segmentation points of the reading, once that length and their count
+  are held to MAX_VECTOR_LENGTH, walked once to build theirs;
 - the effective points, in the one loop of _bounded_order_lcm, which
   holds the weight-ramification vector to MAX_VECTOR_LENGTH and the lcm
   of the point orders to MAX_ORDER_LCM on either kind of base before
@@ -28,10 +28,9 @@ of the curve in as few passes as it can:
 What the check read is the curve's CurveProfile, kept in curve.profile:
 the effective points, their lcm weight pbar, the lcm of their orders,
 the BaseNumerics of the base, and chi'_orb and the weight-ramification
-vector, which the profile derives when it is built. validate checks a
-surface on the first read of each surface object, which keeps its
-reading, so a second curve on the same surface object reads nothing of
-it again, and nothing here reads the ovals or topology of a surface.
+vector, which the profile derives when it is built. A surface keeps the
+reading of its first read_base, so a second curve on it reads nothing
+of it again; nothing here reads the ovals or topology of a surface.
 Every public invariant is a view of the profile, and a report reads all
 of its entries from it.
 
@@ -71,10 +70,8 @@ from .witt_surface import (
     BaseNumerics,
     ComplexCentreBase,
     WittSurface,
-    carries_sign,
-    is_segmentation_point,
-    segmentation_points,
-    validate,
+    _Reading,
+    read_base,
 )
 
 # placement marker for weights on a complex-centre base
@@ -173,7 +170,8 @@ class WeightedCurve(FrozenRecord):
         """Check the curve and keep what the check read, its profile."""
         base = self.base
         if isinstance(base, (WittSurface, ComplexCentreBase)):
-            numerics, points = validate(base), _validate_weights(base, self.points)
+            reading = read_base(base)
+            numerics, points = reading.numerics, _validate_weights(reading, self.points)
             pbar, order_lcm = _bounded_order_lcm(points)
         elif isinstance(base, AbstractBase):
             if self.points:
@@ -246,13 +244,13 @@ _INNER_SHAPE, _REAL_SHAPE, _QUATERNION_SHAPE, _SEGMENTATION_SHAPE = (
 _POINT_SHAPE = ("pt", COMPLEX_POINT, 1, 1)
 
 
-def _validate_weights(base: WittSurface | ComplexCentreBase, weights) -> tuple[EffectivePoint, ...]:
-    """Check the weights on a valid surface base, too many on their count
-    first, then each in one loop, its record and then its placement, and
-    return the effective points: every segmentation point, with its weight
-    or 1, then each other weight in turn. Points of a surface base take
-    e_tau, the residue degree and the label prefix from local_data, or are
-    plain points on a complex-centre base."""
+def _validate_weights(reading: _Reading, weights) -> tuple[EffectivePoint, ...]:
+    """Check the weights against the reading of a surface base, too many
+    on their count first, then each in one loop, its record and then its
+    placement, and return the effective points: every segmentation point,
+    with its weight or 1, then each other weight in turn. Points of a
+    surface base take e_tau, the residue degree and the label prefix from
+    local_data, or are plain points on a complex-centre base."""
     _refuse_too_many_weights(len(weights))
     seg = WittPointClass.SEGMENTATION
     seg_weight: dict[tuple[int, int], int] = {}
@@ -274,7 +272,7 @@ def _validate_weights(base: WittSurface | ComplexCentreBase, weights) -> tuple[E
             raise ValidationError("an inserted weight must be at least 2", code="weight")
         if p > MAX_POINT_VALUE:
             raise ValidationError(f"an inserted weight must be at most {MAX_POINT_VALUE}", code="too-large")
-        shape = _validate_placement(base, wp)
+        shape = _validate_placement(reading, wp)
         if location is seg:
             key = (oval, segment)
             if key in seg_weight:
@@ -290,7 +288,7 @@ def _validate_weights(base: WittSurface | ComplexCentreBase, weights) -> tuple[E
             length += f
     prefix, kind, e_tau, f = _SEGMENTATION_SHAPE
     # refused before they are built: with e_tau = 2, each point is f entries of the vector
-    points = segmentation_points(base)
+    points = reading.points
     _refuse_long_vector(f * len(points) + length)
     effective = [
         EffectivePoint(f"{prefix}{oi}.{si}", kind, e_tau, f, seg_weight.get((oi, si), 1)) for oi, si in points
@@ -354,14 +352,14 @@ def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[Effectiv
     return numerics, tuple(points), pbar, n
 
 
-def _validate_placement(base: WittSurface | ComplexCentreBase, wp: WeightedPoint) -> tuple[str, str, int, int]:
+def _validate_placement(reading: _Reading, wp: WeightedPoint) -> tuple[str, str, int, int]:
     """The part of validation that reads one weight's placement against
-    its base, returning the shape of its points; the base is taken as
-    valid, and two weights on one segmentation point are the caller's to
-    catch. Only a segmentation weight takes a segment index, and only a
-    segmentation or boundary weight an oval index."""
+    the reading of its base, returning the shape of its points; two
+    weights on one segmentation point are the caller's to catch. Only a
+    segmentation weight takes a segment index, and only a segmentation or
+    boundary weight an oval index."""
     location, oval, segment = wp.location, wp.oval, wp.segment
-    if isinstance(base, ComplexCentreBase):
+    if reading.numerics.centre == "C":
         if location != COMPLEX_POINT:
             raise ValidationError(
                 "a complex-centre base only accepts plain point placements",
@@ -380,7 +378,7 @@ def _validate_placement(base: WittSurface | ComplexCentreBase, wp: WeightedPoint
             raise ValidationError(
                 "a segmentation weight needs oval and segment indices", code="placement"
             )
-        if not is_segmentation_point(base, oval, segment):
+        if not reading.is_segmentation_point(oval, segment):
             raise ValidationError("no such segmentation point", code="placement")
         return _SEGMENTATION_SHAPE
     if location is WittPointClass.REAL_BOUNDARY or location is WittPointClass.QUATERNION_BOUNDARY:
@@ -389,9 +387,9 @@ def _validate_placement(base: WittSurface | ComplexCentreBase, wp: WeightedPoint
         real = location is WittPointClass.REAL_BOUNDARY
         sign = PLUS if real else MINUS
         if oval is not None:
-            if not carries_sign(base, sign, oval):
+            if not reading.carries_sign(sign, oval):
                 raise ValidationError("that oval has no locus of the requested sign", code="placement")
-        elif not carries_sign(base, sign):
+        elif not reading.carries_sign(sign):
             raise ValidationError("the surface has no locus of the requested sign", code="placement")
         return _REAL_SHAPE if real else _QUATERNION_SHAPE
     raise ValidationError(f"invalid placement {location!r}", code="placement")

@@ -9,11 +9,12 @@ alternating sign. Commutative curves carry no minus signs at all.
 
 All invariants down the line (constants field, genus of the function field,
 Euler characteristics) are computed from this combinatorial data alone, by
-surface_numerics, which checks that a surface exists and reads it in one
-pass; validate is a view of it. The check runs on the first read of each
-surface object, which keeps what it read, so every later read of that
-object returns the kept values. This is the only module that reads the
-topology and the ovals of a surface.
+read_base, the one reader of a base: it checks that a base exists and
+reads it in one pass, into the _Reading that every view reads and that
+answers the placement questions of a curve. A surface keeps its reading
+on its first read; a complex-centre base is read afresh. Only this module
+reads the topology and the ovals of a surface, and only read_base the
+reading a surface keeps.
 """
 
 from __future__ import annotations
@@ -64,14 +65,14 @@ def segmented_oval(*signs: str) -> Oval:
 class WittSurface(FrozenRecord):
     """A Klein topology with its ovals, commutative or not.
 
-    The first read of a surface that exists keeps its reading, the
-    BaseNumerics and the segmentation points, in ``_reading``, and every
-    later read of the same object returns it. The fields are immutable
-    and the checks are pure functions of them, so reading once per
-    object loses no check. A surface that fails its check keeps nothing
-    and raises again on every read. The reading is no field, so it takes
-    no part in equality, hash, repr or pickling; _replace, copies and
-    unpickling build the surface again, and the new object reads again.
+    The first read_base of a surface that exists keeps its _Reading in
+    ``_reading``, and every later read of the same object returns it.
+    The fields are immutable and the checks are pure functions of them,
+    so reading once per object loses no check. A surface that fails its
+    check keeps nothing and raises again on every read. The reading is
+    no field, so it takes no part in equality, hash, repr or pickling;
+    _replace, copies and unpickling build the surface again, and the new
+    object reads again.
     """
 
     _fields = ("topology", "ovals", "commutative")
@@ -111,9 +112,10 @@ class SurfaceCounts(NamedTuple):
 
 class BaseNumerics(NamedTuple):
     """Every numerical invariant of a curve's base, read once by its check:
-    surface_numerics reads a surface, and weighted_curve an abstract base,
-    which gives kappa, epsilon, skewness, centre_genus (None if unknown),
-    chi_centre and chi_prime, and None for the fields of a surface."""
+    read_base reads a surface or a complex-centre base, and weighted_curve
+    an abstract base, which gives kappa, epsilon, skewness, centre_genus
+    (None if unknown), chi_centre and chi_prime, and None for the fields
+    of a surface."""
 
     constants: DivisionAlgebraKind | None  # field of constants of the function field
     kappa: int  # its dimension over the ground field of the curve
@@ -129,11 +131,29 @@ class BaseNumerics(NamedTuple):
 
 
 class _Reading(NamedTuple):
-    """What the first read of a surface keeps."""
+    """What read_base reads off a base, kept by a surface, and the two
+    questions that validation of a placement asks of it, each in
+    constant time."""
 
     numerics: BaseNumerics
     counts: SurfaceCounts
     points: tuple[tuple[int, int], ...]  # (oval, segment) of each segmentation point
+    ovals: tuple[Oval, ...]
+
+    def is_segmentation_point(self, oval: int, segment: int) -> bool:
+        """Whether (oval, segment) is a segmentation point, by the index bounds."""
+        ovals = self.ovals
+        return 0 <= oval < len(ovals) and 0 <= segment < len(ovals[oval].segments)
+
+    def carries_sign(self, sign: str, oval: int | None = None) -> bool:
+        """Whether the oval of that index, or any oval if none is named,
+        carries the sign, whole or on a segment. A cut oval of a surface that
+        exists alternates, so it carries both; any oval is read off the counts."""
+        if oval is None:
+            m, r, q = self.counts
+            return bool(m or (r if sign == PLUS else q))
+        ovals = self.ovals
+        return 0 <= oval < len(ovals) and (ovals[oval].sign == sign or bool(ovals[oval].segments))
 
 
 # ---------------------------------------------------------------------------
@@ -147,47 +167,18 @@ def counts(w: WittSurface | ComplexCentreBase) -> SurfaceCounts:
     return SurfaceCounts(n // 2, signs.count(PLUS), signs.count(MINUS))
 
 
-def _read(w: WittSurface) -> _Reading:
-    """The kept reading of a surface, read first if need be; a surface that
-    cannot exist raises ValidationError, as surface_numerics does."""
-    if w._reading is None:
-        surface_numerics(w)
-    return w._reading
-
-
-def segmentation_points(w: WittSurface | ComplexCentreBase) -> tuple[tuple[int, int], ...]:
-    """(oval, segment) of every segmentation point, oval by oval, as the
-    read of the surface keeps them."""
-    return () if isinstance(w, ComplexCentreBase) else _read(w).points
-
-
-def is_segmentation_point(w: WittSurface, oval: int, segment: int) -> bool:
-    """Whether (oval, segment) is a segmentation point, by the index bounds."""
-    _read(w)
-    return 0 <= oval < len(w.ovals) and 0 <= segment < len(w.ovals[oval].segments)
-
-
-def carries_sign(w: WittSurface, sign: str, oval: int | None = None) -> bool:
-    """Whether the oval of that index, or any oval if none is named,
-    carries the sign, whole or on a segment. A cut oval of a surface that
-    exists alternates, so it carries both; any oval is read off the counts."""
-    m, r, q = _read(w).counts
-    if oval is None:
-        return bool(m or (r if sign == PLUS else q))
-    return 0 <= oval < len(w.ovals) and (w.ovals[oval].sign == sign or bool(w.ovals[oval].segments))
-
-
-def surface_numerics(w: WittSurface | ComplexCentreBase) -> BaseNumerics:
-    """Check that a surface exists and read every invariant of it, counting
-    its ovals once; a surface that cannot exist raises ValidationError with
-    a stable code.
+def read_base(w: WittSurface | ComplexCentreBase) -> _Reading:
+    """Check that a base exists and read every invariant of it, counting
+    the ovals of a surface once; a base that cannot exist raises
+    ValidationError with a stable code.
 
     The genus of the function field comes from the Hurwitz count, and
     chi = kappa (1 - genus upstairs), chi' = chi / s^2 are cross-checked
     against the downstairs count (1 - g) - m/2, compared on integers as
     2 kappa (1 - genus upstairs) = s^2 (2(1 - g) - m); the two must agree
     for every valid surface. The first read of a surface object keeps
-    what it read, and later reads return it.
+    what it read, and later reads return it; a complex-centre base has
+    no ovals and is read afresh each time.
     """
     if isinstance(w, ComplexCentreBase):
         require_ints(genus=w.genus)
@@ -196,9 +187,10 @@ def surface_numerics(w: WittSurface | ComplexCentreBase) -> BaseNumerics:
         # such a curve lives over its own constants field, so the constants
         # contribute dimension 1, not [C:R]
         chi = Fraction(1 - w.genus)
-        return BaseNumerics(COMPLEX, 1, 1, 1, w.genus, "C", w.genus, None, chi, chi, chi)
+        numerics = BaseNumerics(COMPLEX, 1, 1, 1, w.genus, "C", w.genus, None, chi, chi, chi)
+        return _Reading(numerics, SurfaceCounts(0, 0, 0), (), ())
     if w._reading is not None:
-        return w._reading.numerics
+        return w._reading
     g, t, flag = w.topology
     require_ints(g=g, t=t, s=flag)
     if g < 0 or t < 0 or flag not in (0, 1):
@@ -250,14 +242,19 @@ def surface_numerics(w: WittSurface | ComplexCentreBase) -> BaseNumerics:
         constants, kappa, epsilon, s, upstairs, "R", g, t, Fraction(chi), Fraction(1 - g), Fraction(chi, s * s)
     )
     points = tuple((oi, si) for oi, oval in enumerate(w.ovals) for si in range(len(oval.segments)))
-    object.__setattr__(w, "_reading", _Reading(numerics, surface_counts, points))
-    return numerics
+    reading = _Reading(numerics, surface_counts, points, w.ovals)
+    object.__setattr__(w, "_reading", reading)
+    return reading
+
+
+def surface_numerics(w: WittSurface | ComplexCentreBase) -> BaseNumerics:
+    """The BaseNumerics of a base, as read_base reads them."""
+    return read_base(w).numerics
 
 
 def validate(w: WittSurface | ComplexCentreBase) -> BaseNumerics:
-    """Check realizability, as surface_numerics does, and return the
-    numerics the check read, so a caller that keeps them need not read the
-    surface again; raises ValidationError with a stable code."""
+    """Check realizability, as read_base does, and return the numerics
+    the check read; raises ValidationError with a stable code."""
     return surface_numerics(w)
 
 
@@ -326,8 +323,7 @@ def canonical_key(w: WittSurface | ComplexCentreBase):
     rotation/reflection of each segment cycle. The surface is read first,
     so one that cannot exist raises ValidationError; a cut oval of one that
     exists alternates, so its length alone keys it."""
-    surface_numerics(w)
-    if isinstance(w, ComplexCentreBase):
+    if read_base(w).numerics.centre == "C":
         return ("C", w.genus)
     ovals = sorted((1, len(o.segments)) if o.segments else (0, o.sign) for o in w.ovals)
     return ("R", *w.topology, w.commutative, tuple(ovals))

@@ -24,8 +24,8 @@ what is left, which bounds each weight. So the search is complete for
 every weight. It runs on integers over one common denominator, comparing
 fractions by cross-multiplying. Each base is searched once, and both
 enumerations read the cached patterns. Each catalog surface is checked
-on its first read, for its chi'; it keeps that reading, so the curves
-built on it, and a second enumeration, read it no more.
+on its first read, for its chi'; its slots, its placements and the
+curves built on it, and a second enumeration, ask its kept reading.
 
 A family lists its entries place by place, ints ascending, then symbols
 named p, q in turn; the one hand-written rule is that a lone symbol with
@@ -54,7 +54,7 @@ from .weighted_curve import (
     _SEGMENTATION_SHAPE,
     _validate_placement,
 )
-from .witt_surface import CATALOG_NAMES, catalog, euler_characteristics, segmentation_points
+from .witt_surface import CATALOG_NAMES, catalog, euler_characteristics, read_base
 
 _LOCATION = {short: cls for cls, short in SHORT_NAMES.items()} | {"point": COMPLEX_POINT}
 _SEG = SHORT_NAMES[WittPointClass.SEGMENTATION]
@@ -90,7 +90,7 @@ def entry_key(entry: ZooEntry):
 
 def _build_curve(base_name: str, weights: Weights) -> WeightedCurve:
     base = catalog(base_name)
-    slots = iter(segmentation_points(base))
+    slots = iter(read_base(base).points)
     pts = []
     for cls, w in weights:
         if cls == _SEG:
@@ -127,16 +127,15 @@ def _bases():
 def _places(base_name: str) -> dict[str, tuple[int, int, int | None]]:
     """(e_tau, f, most weights) of every place on a base: its segmentation
     points, one weight each, and any number of weights of every other
-    class that validation accepts on the base. A catalog base is valid, so
-    only the placements are checked."""
-    base = catalog(base_name)
-    slots = len(segmentation_points(base))
+    class that validation accepts on the base, all asked of one reading."""
+    reading = read_base(catalog(base_name))
+    slots = len(reading.points)
     places = {_SEG: (*_SEGMENTATION_SHAPE[2:], slots)} if slots else {}
     for name, location in _LOCATION.items():
         if name == _SEG:
             continue  # segmentation weights go on the slots
         try:
-            shape = _validate_placement(base, WeightedPoint(location, 2))
+            shape = _validate_placement(reading, WeightedPoint(location, 2))
         except ValidationError:
             continue
         places[name] = (*shape[2:], None)
@@ -256,8 +255,11 @@ def enumerate_domestic() -> list[ZooEntry]:
 
 
 def instantiate_domestic(entry: ZooEntry, assignments: dict[str, int] | None = None) -> WeightedCurve:
-    """Substitute numeric weights for a family's parameters and build the curve."""
+    """Substitute numeric weights for a family's parameters, and no others, and build the curve."""
     assignments = assignments or {}
+    unknown = set(assignments) - {w for _, w in entry.weights if isinstance(w, str)}
+    if unknown:
+        raise ValidationError(f"the family has no parameter {', '.join(sorted(map(str, unknown)))}", code="parameter")
     weights = []
     for cls, w in entry.weights:
         if isinstance(w, str):

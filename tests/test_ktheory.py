@@ -239,6 +239,17 @@ def test_reducer_rejects_imprimitive_classes():
             reduce_class(v, 1)
 
 
+def test_reducer_refuses_what_is_no_pair_of_ints():
+    for v in ((1,), (1, 0, 0), (), 3, None):
+        with pytest.raises(KindMismatchError):
+            reduce_class(v, 1)
+    for v, k in (((Fraction(1), 0), 1), ((1, 0.0), 1), ((1, 0), 1.0), ((True, 1), 1)):
+        with pytest.raises(ValidationError) as exc:
+            reduce_class(v, k)
+        assert exc.value.code == "not-integer"
+    assert reduce_class([3, 2], 2) == reduce_class((3, 2), 2)
+
+
 def test_height_bound_floor():
     with pytest.raises(ValidationError) as exc:
         slope_orbits(elliptic_numerics("K"), height_bound=30)

@@ -1,15 +1,20 @@
-"""Random well-typed calls to ghost_group, genus_zero_orbifold_euler and instantiate_domestic.
+"""Random well-typed calls to ghost_group, genus_zero_orbifold_euler,
+instantiate_domestic, and the functions of ktheory and local_data.
 
 Each function is called with hypothesis draws of the right types with
 bad values and bad shapes: ghost points of small ints, 0, negatives and
 one above MAX_POINT_VALUE, with every efficient index from -1 to the
 number of points; genus-zero triples whose e and f are ints or Fractions,
 zero, negative or above MAX_ORDER_LCM, and whose p runs from 0 to one
-above MAX_POINT_VALUE; and every domestic family with its parameters
-given ints, bools, None or strings. Every call must return or raise a
-CurveError, and every genus-zero answer is at most kappa/s^2, since each
-point takes a positive share. The sizes are capped so that every draw
-ends quickly.
+above MAX_POINT_VALUE; every domestic family with its parameters, and
+others, given ints, bools, None or strings; class vectors, slope
+matrices and slopes of small or huge ints and Fractions, in pairs or in
+other shapes; CurveNumerics of every range; and PointDatum on every
+built-in kind and on kinds of any small dimensions, square or not. Every
+call must return or raise a CurveError; every genus-zero answer is at
+most kappa/s^2, since each point takes a positive share, and every
+PointDatum has e_star = comultiplicity(simple_end). The sizes are capped
+so that every draw ends quickly.
 """
 
 from datetime import timedelta
@@ -18,7 +23,19 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wittcurves.algebra import BUILTIN_KINDS, DivisionAlgebraKind, comultiplicity
 from wittcurves.errors import CurveError
+from wittcurves.ktheory import (
+    INFINITY,
+    ClassVector,
+    CurveNumerics,
+    apply_slope_matrix,
+    euler_form,
+    mutation_matrices,
+    reduce_class,
+    slope_orbits,
+)
+from wittcurves.local_data import PointDatum, degree_of_simple
 from wittcurves.weighted_curve import (
     MAX_ORDER_LCM,
     MAX_POINT_VALUE,
@@ -104,3 +121,91 @@ def test_domestic_families_end_in_a_curve_or_a_curve_error(family, assignments):
     except CurveError:
         return
     assert isinstance(curve, WeightedCurve)
+
+
+_ENTRY = _mostly(st.integers(-6, 6), st.sampled_from([10**30, -(10**30), MAX_ORDER_LCM + 1]))
+# a pair, mostly; a bare int, a single, a triple or None otherwise
+_VECTOR = _mostly(
+    st.tuples(_ENTRY, _ENTRY) | st.lists(_ENTRY, min_size=2, max_size=2),
+    st.one_of(_ENTRY, st.tuples(_ENTRY), st.tuples(_ENTRY, _ENTRY, _ENTRY), st.tuples(), st.none()),
+)
+
+
+@_SETTINGS
+@given(vector=_VECTOR, k=st.integers(-1, 3))
+def test_class_reductions_end_in_a_form_or_a_curve_error(vector, k):
+    try:
+        form, word = reduce_class(vector, k)
+    except CurveError:
+        return
+    assert form in ((1, 0), (0, 1))
+    assert all(letter in "LS" and type(e) is int for letter, e in word)
+
+
+_SLOPE_ENTRY = _ENTRY | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+_MATRIX = _mostly(
+    st.tuples(st.tuples(_SLOPE_ENTRY, _SLOPE_ENTRY), st.tuples(_SLOPE_ENTRY, _SLOPE_ENTRY))
+    | st.sampled_from([((1, 0), (1, 1)), ((1, -2), (0, 1)), ((0, 1), (-1, 0))]),
+    st.one_of(st.tuples(st.tuples(_SLOPE_ENTRY, _SLOPE_ENTRY)), st.tuples(_VECTOR, _VECTOR, _VECTOR), st.none()),
+)
+
+
+@_SETTINGS
+@given(matrix=_MATRIX, slope=st.just(INFINITY) | _SLOPE_ENTRY)
+def test_slope_matrices_end_in_a_slope_or_a_curve_error(matrix, slope):
+    try:
+        image = apply_slope_matrix(matrix, slope)
+    except CurveError:
+        return
+    assert image is INFINITY or type(image) is Fraction
+
+
+_RANGE = _mostly(st.integers(1, 4), st.sampled_from([0, -1, 10**30]))
+_NUMERICS = st.tuples(
+    _RANGE, _RANGE, _mostly(st.just(1), st.integers(-1, 3)), _RANGE, _RANGE,
+    st.none() | st.integers(-2, 2) | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+)
+
+
+@_SETTINGS
+@given(fields=_NUMERICS, bound=_mostly(st.just(100), st.sampled_from([-1, 49, 50, 600, 601])),
+       e=st.tuples(_ENTRY, _ENTRY), f=st.tuples(_ENTRY, _ENTRY))
+def test_curve_numerics_end_in_answers_or_curve_errors(fields, bound, e, f):
+    try:
+        n = CurveNumerics(*fields)
+    except CurveError:
+        return
+    assert type(euler_form(ClassVector(*e), ClassVector(*f), n)) is int
+    try:
+        m_l, m_s = mutation_matrices(n)
+    except CurveError:
+        pass
+    else:
+        assert all(a * d - b * c == 1 for (a, b), (c, d) in (m_l, m_s))
+    try:
+        orbits = slope_orbits(n, bound)
+    except CurveError:
+        return
+    assert orbits.count == len(orbits.representatives) in (1, 2)
+
+
+_KIND = st.sampled_from(BUILTIN_KINDS) | st.builds(
+    DivisionAlgebraKind, st.just("ABSTRACT"), st.integers(-1, 16), st.integers(-1, 4), st.just("D")
+)
+_POINT_FIELD = _mostly(st.integers(1, 4), st.sampled_from([0, -1, MAX_POINT_VALUE + 1]))
+
+
+@_SETTINGS
+@given(fields=st.tuples(_POINT_FIELD, _POINT_FIELD, _POINT_FIELD, _POINT_FIELD, _KIND, _POINT_FIELD),
+       kappa=_RANGE, epsilon=_RANGE, pbar=_RANGE)
+def test_point_data_end_in_a_datum_or_a_curve_error(fields, kappa, epsilon, pbar):
+    try:
+        datum = PointDatum(*fields)
+    except CurveError:
+        return
+    assert datum.e_star == comultiplicity(datum.simple_end)
+    try:
+        degree = degree_of_simple(datum, kappa, epsilon, pbar)
+    except CurveError:
+        return
+    assert type(degree) is Fraction and degree > 0

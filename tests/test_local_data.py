@@ -2,7 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from wittcurves.algebra import COMPLEX, QUATERNION, REAL, complex_conjugation, identity
+from wittcurves.algebra import (
+    COMPLEX,
+    QUATERNION,
+    REAL,
+    DivisionAlgebraKind,
+    abstract_kind,
+    complex_conjugation,
+    identity,
+)
 from wittcurves.errors import KindMismatchError, ValidationError
 from wittcurves.local_data import (
     PointDatum,
@@ -95,6 +103,19 @@ def test_e_star_must_match_the_simple_end():
     assert exc.value.code == "e-star-mismatch"
     with pytest.raises(ValidationError):
         PointDatum(1, 1, 1, 1, QUATERNION)
+
+
+def test_e_star_is_checked_on_every_kind():
+    # the comultiplicity of an abstract kind, as of a built-in one
+    assert PointDatum(1, 2, 1, 1, abstract_kind(4, 1)).e_star == 2
+    with pytest.raises(ValidationError) as exc:
+        PointDatum(1, 5, 1, 1, abstract_kind(4, 1))
+    assert exc.value.code == "e-star-mismatch"
+    # a kind built past abstract_kind is refused with the code abstract_kind gives it
+    for dims, code in (((3, 1), "not-square"), ((4, 3), "centre-dimension"), ((4, 0), "nonpositive")):
+        with pytest.raises(ValidationError) as exc:
+            PointDatum(1, 1, 1, 1, DivisionAlgebraKind("ABSTRACT", *dims, "D"))
+        assert exc.value.code == code
 
 
 def test_residue_degree_must_divide_the_dimension_of_the_simple_end():

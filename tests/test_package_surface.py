@@ -16,7 +16,8 @@ keeps one reader per curve: only weighted_curve builds a CurveProfile,
 and every other module reads a curve's numerics off its profile. An
 eighth keeps every record on slots: each FrozenRecord subclass declares
 __slots__, and nothing uses cached_property, which needs an instance
-__dict__. The command line starts without click, dataclasses, inspect,
+__dict__. A ninth keeps one reader per base: only witt_surface.read_base
+reads the reading a surface keeps. The command line starts without click, dataclasses, inspect,
 ast or dis, as a fresh interpreter's sys.modules shows.
 """
 
@@ -198,14 +199,14 @@ def test_the_scan_sees_surface_internal_reads():
 # A curve's check reads it into the CurveProfile it keeps in
 # curve.profile, so weighted_curve alone builds a profile, and elsewhere
 # the numerics of a curve are read from its profile: off a name profile
-# or a .profile attribute. witt_surface reads the numerics a surface
-# keeps, off its _reading.
-NUMERICS_HOLDERS = frozenset({"profile", "_reading"})
+# or a .profile attribute. witt_surface reads the numerics of a base off
+# its reading, the answer of read_base.
+NUMERICS_HOLDERS = frozenset({"profile", "reading", "read_base"})
 
 
 def curve_rereads(modules: dict[str, ast.Module]) -> list[str]:
     """module:line for every CurveProfile(...) call and every .numerics read
-    off anything but a profile or a surface's reading."""
+    off anything but a profile or the reading of a base."""
     found = []
     for module, tree in modules.items():
         for node in ast.walk(tree):
@@ -213,7 +214,7 @@ def curve_rereads(modules: dict[str, ast.Module]) -> list[str]:
                 if getattr(node.func, "id", getattr(node.func, "attr", None)) == "CurveProfile":
                     found.append(f"{module}:{node.lineno}")
             elif isinstance(node, ast.Attribute) and node.attr == "numerics":
-                holder = node.value
+                holder = node.value.func if isinstance(node.value, ast.Call) else node.value
                 if getattr(holder, "id", getattr(holder, "attr", None)) not in NUMERICS_HOLDERS:
                     found.append(f"{module}:{node.lineno}")
     return sorted(found)
@@ -235,11 +236,63 @@ def test_the_scan_sees_curve_rereads():
         "s = curve.profile.numerics.skewness\n"
         "eps = profile.numerics.epsilon\n"
         "p = wc.CurveProfile(c)\n"
-        "n = w._reading.numerics\n"
+        "n = read_base(w).numerics\n"
         "g = f(c).numerics.genus\n"
         "numerics = c.profile.numerics\n"
     )
     assert curve_rereads({"m": tree}) == ["m:1", "m:2", "m:5", "m:7"]
+
+
+# A surface keeps its reading in _reading, and read_base alone reads it:
+# every other reader of a base asks read_base, so none re-enters the kept
+# reading by a second path.
+def kept_reading_reads(modules: dict[str, ast.Module]) -> list[str]:
+    """module:line for every ._reading attribute, and every getattr of
+    "_reading", outside a function named read_base."""
+    found = []
+
+    def visit(module: str, node: ast.AST, inside: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(module, child, inside or child.name == "read_base")
+                continue
+            if not inside and (
+                isinstance(child, ast.Attribute) and child.attr == "_reading"
+                or isinstance(child, ast.Call) and getattr(child.func, "id", None) == "getattr"
+                and any(isinstance(arg, ast.Constant) and arg.value == "_reading" for arg in child.args)
+            ):
+                found.append(f"{module}:{child.lineno}")
+            visit(module, child, inside)
+
+    for module, tree in modules.items():
+        visit(module, tree, False)
+    return sorted(found)
+
+
+def test_only_read_base_reads_a_kept_reading():
+    modules = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert kept_reading_reads(modules) == []
+
+
+def test_the_scan_sees_kept_reading_reads():
+    tree = ast.parse(
+        "def read_base(w):\n"
+        "    if w._reading is not None:\n"
+        "        return w._reading\n"
+        "    def inner():\n"
+        "        return w._reading\n"
+        "def _read(w):\n"
+        "    return w._reading.points\n"
+        "n = getattr(w, '_reading', None)\n"
+        "object.__setattr__(w, '_reading', None)\n"
+        "class Surface:\n"
+        "    def carries_sign(self):\n"
+        "        return self.reading._reading\n"
+    )
+    assert kept_reading_reads({"m": tree}) == ["m:12", "m:7", "m:8"]
 
 
 # No class is a dataclass. A plain record is a NamedTuple, and one that

@@ -235,7 +235,7 @@ def test_only_the_bare_d2222_has_a_known_pic_zero():
                     continue
                 existing += 1
                 key = ws.canonical_key(w)
-                if numerics.centre_genus == 0 and len(ws.segmentation_points(w)) == 4:
+                if numerics.centre_genus == 0 and len(ws.read_base(w).points) == 4:
                     four_points.add(key)
                 pic_zero = picard_structure(WeightedCurve(w)).pic_zero
                 assert pic_zero == ("C2 x C2" if key == d2222 else None), w
@@ -516,7 +516,7 @@ def test_the_vector_of_a_surface_curve_is_bounded():
     for name, weight, per_weight in (("D", WeightedPoint(REAL_B, 2), 1), ("D", WeightedPoint(INNER, 9973), 2),
                                      ("D_22", WeightedPoint(REAL_B, 2), 1)):
         base = catalog(name)
-        fits = (MAX_VECTOR_LENGTH - len(ws.segmentation_points(base))) // per_weight
+        fits = (MAX_VECTOR_LENGTH - len(ws.read_base(base).points)) // per_weight
         assert len(weight_ram_vector(WeightedCurve(base, [weight] * fits))) == MAX_VECTOR_LENGTH
         with pytest.raises(ValidationError) as exc:
             WeightedCurve(base, [weight] * (fits + 1))
@@ -702,7 +702,7 @@ def test_the_check_of_a_curve_makes_few_calls():
     finally:
         sys.setprofile(None)
     # Python and C calls, the effective points built included, on CPython 3.11
-    assert len(calls) <= 75, calls
+    assert len(calls) <= 66, calls
 
 
 def primes_below(n: int) -> list[int]:

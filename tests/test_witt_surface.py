@@ -16,14 +16,12 @@ from wittcurves.witt_surface import (
     Oval,
     WittSurface,
     canonical_key,
-    carries_sign,
     catalog,
     constants_field,
     counts,
     euler_characteristics,
     genus,
-    is_segmentation_point,
-    segmentation_points,
+    read_base,
     segmented_oval,
     surface_numerics,
     surface_skewness,
@@ -322,17 +320,18 @@ def test_carries_sign():
         (whole_oval("+"), segmented_oval("+", "-"), whole_oval("-")),
         commutative=False,
     )
-    assert [i for i in range(-1, 5) if carries_sign(w, "+", i)] == [0, 1]
-    assert [i for i in range(-1, 5) if carries_sign(w, "-", i)] == [1, 2]
-    assert carries_sign(w, "+") and carries_sign(w, "-")
-    assert not carries_sign(catalog("K"), "+") and not carries_sign(catalog("K"), "-")
+    reading, k = read_base(w), read_base(catalog("K"))
+    assert [i for i in range(-1, 5) if reading.carries_sign("+", i)] == [0, 1]
+    assert [i for i in range(-1, 5) if reading.carries_sign("-", i)] == [1, 2]
+    assert reading.carries_sign("+") and reading.carries_sign("-")
+    assert not k.carries_sign("+") and not k.carries_sign("-")
     # any oval, read off the counts: a cut oval carries both signs
     for name in ("D", "D_H", "D_22", "A", "A_RH", "M_H", "D_2222"):
-        base = catalog(name)
+        base = read_base(catalog(name))
         for sign in "+-":
-            assert carries_sign(base, sign) == any(carries_sign(base, sign, i) for i in range(len(base.ovals)))
-    assert carries_sign(catalog("D_22"), "+") and carries_sign(catalog("D_22"), "-")
-    assert not carries_sign(catalog("D_H"), "+") and not carries_sign(catalog("A"), "-")
+            assert base.carries_sign(sign) == any(base.carries_sign(sign, i) for i in range(len(base.ovals)))
+    assert read_base(catalog("D_22")).carries_sign("+") and read_base(catalog("D_22")).carries_sign("-")
+    assert not read_base(catalog("D_H")).carries_sign("+") and not read_base(catalog("A")).carries_sign("-")
 
 
 _VIEWS = (surface_numerics, constants_field, genus, surface_skewness, euler_characteristics)
@@ -416,21 +415,22 @@ def test_a_surface_is_read_once_and_keeps_its_reading(monkeypatch):
         counted.clear()
         numerics = surface_numerics(w)
         assert surface_numerics(w) is numerics and validate(w) is numerics
-        assert segmentation_points(w) is segmentation_points(w)
+        assert read_base(w) is read_base(w)
         assert genus(w) == numerics.genus and euler_characteristics(w) == (numerics.chi, numerics.chi_prime)
         assert counted == [w]
 
 
 def test_segmentation_points_are_read_with_the_surface():
     w = WittSurface(KleinTopology(3, 2, 0), (segmented_oval("+", "-"), segmented_oval("-", "+", "-", "+")), False)
-    assert segmentation_points(w) == ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (1, 3))
+    reading = read_base(w)
+    assert reading.points == ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (1, 3))
     # asked of one point, by the index bounds
-    assert {(o, s) for o, s in product(range(-1, 4), range(-1, 6)) if is_segmentation_point(w, o, s)} == set(
-        segmentation_points(w)
+    assert {(o, s) for o, s in product(range(-1, 4), range(-1, 6)) if reading.is_segmentation_point(o, s)} == set(
+        reading.points
     )
     # read first for its points, the surface keeps its numerics as well
     assert w._reading.numerics is surface_numerics(w)
-    assert segmentation_points(catalog("S2_C")) == ()
+    assert read_base(catalog("S2_C")).points == ()
 
 
 def test_the_kept_reading_is_no_field():
@@ -472,8 +472,9 @@ def test_a_rebuilt_surface_reads_again(monkeypatch):
 ])
 def test_a_surface_that_cannot_exist_raises_on_every_read(w, code):
     for _ in range(2):
-        for read in (*_VIEWS, validate, segmentation_points, canonical_key, lambda w: carries_sign(w, "+"),
-                     lambda w: carries_sign(w, "-", 0), lambda w: is_segmentation_point(w, 0, 0)):
+        for read in (*_VIEWS, validate, read_base, canonical_key, lambda w: read_base(w).points,
+                     lambda w: read_base(w).carries_sign("+"), lambda w: read_base(w).carries_sign("-", 0),
+                     lambda w: read_base(w).is_segmentation_point(0, 0)):
             with pytest.raises(ValidationError) as exc:
                 read(w)
             assert exc.value.code == code

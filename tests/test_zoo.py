@@ -249,7 +249,7 @@ def test_domestic_families_instantiate():
     for entry in enumerate_domestic():
         if not entry.weights:
             continue
-        c = instantiate_domestic(entry, filled)
+        c = instantiate_domestic(entry, {w: filled[w] for _, w in entry.weights if isinstance(w, str)})
         assert classify(c) is CurveClass.DOMESTIC
         assert orbifold_euler(c) > 0
 
@@ -263,8 +263,19 @@ def test_instantiation_checks_parameters():
         instantiate_domestic(symbolic, {})
     assert exc.value.code == "parameter"
     with pytest.raises(ValidationError) as exc:
-        instantiate_domestic(symbolic, {"p": 1, "q": 1, "n": 1})
+        instantiate_domestic(symbolic, {w: 1 for _, w in symbolic.weights if isinstance(w, str)})
     assert exc.value.code == "weight"
+
+
+def test_instantiation_refuses_parameters_the_family_does_not_have():
+    one = next(e for e in enumerate_domestic() if e.base == "D" and e.weights == (("real", "p"),))
+    assert instantiate_domestic(one, {"p": 3}).profile.weight_ram_vector == (3,)
+    bare = next(e for e in enumerate_domestic() if e.base == "D" and not e.weights)
+    for entry, assignments, named in ((one, {"p": 3, "q": 99, "zz": "junk"}, "q, zz"), (bare, {"n": 7}, "n")):
+        with pytest.raises(ValidationError) as exc:
+            instantiate_domestic(entry, assignments)
+        assert exc.value.code == "parameter"
+        assert str(exc.value) == f"the family has no parameter {named}"
 
 
 def test_single_segment_family_value():
@@ -288,8 +299,8 @@ def test_zoo_entries_are_frozen_records():
 
 def test_reading_the_places_of_a_base_validates_nothing(monkeypatch):
     validated, built = [], []
-    real_validate, real_build = wc.validate, zoo._build_curve
-    monkeypatch.setattr(wc, "validate", lambda base: validated.append(base) or real_validate(base))
+    real_validate, real_build = wc.read_base, zoo._build_curve
+    monkeypatch.setattr(wc, "read_base", lambda base: validated.append(base) or real_validate(base))
     monkeypatch.setattr(zoo, "_build_curve", lambda *args: built.append(args) or real_build(*args))
     for enumerate_ in (enumerate_chi_zero, enumerate_domestic):
         validated.clear()
