@@ -33,7 +33,6 @@ from .errors import (
     DomainError,
     FrozenInstanceError,
     FrozenRecord,
-    InvariantViolation,
     KindMismatchError,
     ValidationError,
     require_ints,
@@ -65,7 +64,23 @@ _BUILTIN = {kind: kind for kind in BUILTIN_KINDS}
 
 
 def abstract_kind(dim_over_k: int, dim_centre_over_k: int, display_name: str = "D") -> DivisionAlgebraKind:
-    """Dimension-only descriptor for a division algebra over an implicit base field."""
+    """Dimension-only descriptor for a division algebra over an implicit base
+    field; dimensions that no division algebra has are refused as
+    ``comultiplicity`` refuses them."""
+    kind = DivisionAlgebraKind("ABSTRACT", dim_over_k, dim_centre_over_k, display_name)
+    comultiplicity(kind)
+    return kind
+
+
+def comultiplicity(kind: DivisionAlgebraKind) -> int:
+    """e*: the square root of [D : Z(D)].
+
+    Dimensions that no division algebra has raise ValidationError: not ints
+    (``not-integer``), not positive (``nonpositive``), a centre dimension
+    that does not divide the dimension (``centre-dimension``) or a ratio
+    that is not a square (``not-square``).
+    """
+    dim_over_k, dim_centre_over_k = kind.dim_over_k, kind.dim_centre_over_k
     require_ints(dim_over_k=dim_over_k, dim_centre_over_k=dim_centre_over_k)
     if dim_over_k < 1 or dim_centre_over_k < 1:
         raise ValidationError("dimensions must be positive", code="nonpositive")
@@ -74,19 +89,9 @@ def abstract_kind(dim_over_k: int, dim_centre_over_k: int, display_name: str = "
         raise ValidationError(
             f"centre dimension {dim_centre_over_k} does not divide {dim_over_k}", code="centre-dimension"
         )
-    if math.isqrt(ratio) ** 2 != ratio:
-        raise ValidationError(f"[D:Z(D)] = {ratio} is not a perfect square", code="not-square")
-    return DivisionAlgebraKind("ABSTRACT", dim_over_k, dim_centre_over_k, display_name)
-
-
-def comultiplicity(kind: DivisionAlgebraKind) -> int:
-    """e*: the square root of [D : Z(D)]."""
-    ratio, rem = divmod(kind.dim_over_k, kind.dim_centre_over_k)
     root = math.isqrt(ratio)
-    if rem != 0 or root * root != ratio:
-        raise InvariantViolation(
-            f"[D:Z(D)] = {kind.dim_over_k}/{kind.dim_centre_over_k} is not a perfect square"
-        )
+    if root * root != ratio:
+        raise ValidationError(f"[D:Z(D)] = {ratio} is not a perfect square", code="not-square")
     return root
 
 

@@ -182,11 +182,6 @@ def reduce_class(vector: tuple[int, int], k: int) -> tuple[tuple[int, int], tupl
     if not (isinstance(vector, (tuple, list)) and len(vector) == 2):
         raise KindMismatchError(f"a class vector is a (degree, rank) pair, got {vector!r}")
     require_ints(degree=vector[0], rank=vector[1], k=k)
-    return _reduce(vector, k)
-
-
-def _reduce(vector: tuple[int, int], k: int) -> tuple[tuple[int, int], tuple[tuple[str, int], ...]]:
-    """reduce_class on a pair of ints."""
     if k not in (1, 2):
         raise DomainError(f"mutation coefficient {k} generates a subgroup of infinite index")
     d, r = vector if vector[1] >= 0 else (-vector[0], -vector[1])
@@ -224,7 +219,7 @@ class SlopeOrbits(NamedTuple):
         for r in range(bound + 1):
             for d in (1,) if r == 0 else range(-bound, bound + 1):
                 if gcd(d, r) == 1:
-                    groups.setdefault(_reduce((d, r), self.coefficient)[0], set()).add((d, r))
+                    groups.setdefault(reduce_class((d, r), self.coefficient)[0], set()).add((d, r))
         return tuple(frozenset(groups[form]) for form in sorted(groups, key=_rep_key))
 
 
@@ -250,7 +245,7 @@ def slope_orbits(n: CurveNumerics, height_bound: int = 100) -> SlopeOrbits:
     if n.genus != 1:
         raise DomainError("slope orbits are computed for elliptic numerics")
     k = n.epsilon * _simple_coefficient(n)
-    forms = sorted({_reduce(v, k)[0] for v in ((1, 0), (0, 1))}, key=_rep_key)
+    forms = sorted({reduce_class(v, k)[0] for v in ((1, 0), (0, 1))}, key=_rep_key)
     if len({d % k for d, _ in forms}) != len(forms):
         raise InvariantViolation(f"the degree mod {k} does not separate the forms {forms}")
     return SlopeOrbits(

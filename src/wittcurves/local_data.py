@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from .algebra import COMPLEX, QUATERNION, REAL, DivisionAlgebraKind, abstract_kind, comultiplicity
+from .algebra import COMPLEX, QUATERNION, REAL, DivisionAlgebraKind, comultiplicity
 from .errors import FrozenRecord, KindMismatchError, ValidationError, require_ints
 
 
@@ -53,8 +53,6 @@ class PointDatum(FrozenRecord):
                 raise ValidationError(f"{name} must be a positive integer", code="nonpositive")
         if not isinstance(simple_end, DivisionAlgebraKind):
             raise KindMismatchError(f"simple_end must be a DivisionAlgebraKind, got {type(simple_end).__name__}")
-        # dimensions that abstract_kind refuses, [D:Z] not a square among them, are refused with its code
-        abstract_kind(simple_end.dim_over_k, simple_end.dim_centre_over_k)
         if comultiplicity(simple_end) != e_star:
             raise ValidationError(
                 f"e_star={e_star} contradicts the comultiplicity of {simple_end!r}",

@@ -27,7 +27,7 @@ from wittcurves.algebra import (
     real,
     zero,
 )
-from wittcurves.errors import DomainError, InvariantViolation, KindMismatchError, ValidationError
+from wittcurves.errors import DomainError, KindMismatchError, ValidationError
 
 
 def test_quaternion_units():
@@ -107,9 +107,11 @@ def test_abstract_kind_validation():
         with pytest.raises(ValidationError) as exc:
             abstract_kind(*dims)
         assert exc.value.code == code
-    # a kind built past abstract_kind is an internal one, and a bad one a bug
-    with pytest.raises(InvariantViolation):
-        comultiplicity(DivisionAlgebraKind("ABSTRACT", 3, 1, "D"))
+    # a kind built past abstract_kind is refused by comultiplicity with the same codes
+    for dims, code in (((3, 1), "not-square"), ((4, 3), "centre-dimension"), ((4, 0), "nonpositive")):
+        with pytest.raises(ValidationError) as exc:
+            comultiplicity(DivisionAlgebraKind("ABSTRACT", *dims, "D"))
+        assert exc.value.code == code
 
 
 def test_galois_orders():

@@ -297,7 +297,7 @@ def test_zoo_entries_are_frozen_records():
 
 
 
-def test_reading_the_places_of_a_base_validates_nothing(monkeypatch):
+def test_each_curve_a_zoo_builds_is_checked_with_one_read_of_its_base(monkeypatch):
     validated, built = [], []
     real_validate, real_build = wc.read_base, zoo._build_curve
     monkeypatch.setattr(wc, "read_base", lambda base: validated.append(base) or real_validate(base))
@@ -306,9 +306,18 @@ def test_reading_the_places_of_a_base_validates_nothing(monkeypatch):
         validated.clear()
         built.clear()
         enumerate_()
-        # each entry's curve validates its base; reading the places of a
-        # base validates nothing
+        # the check of each entry's curve reads its base once
         assert len(validated) == len(built)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_the_places_of_a_base_are_asked_of_one_reading(monkeypatch, name):
+    reads = []
+    real_read = zoo.read_base
+    monkeypatch.setattr(zoo, "read_base", lambda base: reads.append(base) or real_read(base))
+    monkeypatch.setattr(wc, "read_base", lambda base: pytest.fail("a placement probe checked a curve"))
+    zoo._places(name)
+    assert reads == [catalog(name)]
 
 
 @pytest.mark.parametrize("enumerate_", [enumerate_chi_zero, enumerate_domestic])
