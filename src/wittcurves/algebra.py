@@ -472,14 +472,27 @@ def _unit_power(unit: tuple[int, ...], n: int) -> tuple[int, ...]:
     return un
 
 
+# power refuses |n| above this for an inner twist of infinite order, whose
+# u^n keeps about |n| log2(N) / 2 bits: for 1 + 2i, 0.12 ms at 1024 and 0.17 s
+# at 10^5 (2-vCPU Xeon). It is above MAX_TRUNCATION, the most a series asks.
+MAX_INNER_POWER = 1024
+
+
 def power(phi: Automorphism, n: int) -> Automorphism:
     """phi^n, negative n giving powers of the inverse; an inner phi has unit
-    u^n (``_unit_power``)."""
+    u^n (``_unit_power``). An inner phi of infinite order, by Niven's theorem
+    one whose rotation has cosine 2w^2/N - 1 outside {1, -1, -1/2, 0, 1/2}
+    for the unit w + xi + yj + zk of norm N, refuses |n| above
+    MAX_INNER_POWER with ValidationError (code "too-large")."""
     if phi.action == "identity":
         return phi
     if phi.action == "conj":
         return phi if n % 2 else identity(phi.kind)
-    return inner(_make(QUATERNION, _unit_power(phi.unit.num, n), 1))
+    unit = phi.unit.num
+    if abs(n) > MAX_INNER_POWER and 4 * unit[0] ** 2 not in [k * sum(v * v for v in unit) for k in (4, 0, 1, 2, 3)]:
+        message = f"an inner twist of infinite order takes powers of size up to {MAX_INNER_POWER}, got {n}"
+        raise ValidationError(message, code="too-large")
+    return inner(_make(QUATERNION, _unit_power(unit, n), 1))
 
 
 def _powers(phi: Automorphism, exponents):

@@ -29,6 +29,7 @@ from .weighted_curve import (
     AbstractPoint,
     WeightedCurve,
     WeightedPoint,
+    _refuse_long_vector,
     _refuse_too_many_points,
     _refuse_too_many_weights,
     classify,
@@ -151,7 +152,11 @@ def _oval(record) -> Oval:
 def _surface(record) -> WittSurface:
     record = _fields(record, "a topology", ("g", "t", "s"), ("ovals", "commutative"))
     topology = KleinTopology(_int(record, "g"), _int(record, "t"), _int(record, "s"))
-    ovals = tuple(map(_oval, _list(record, "ovals")))
+    records = _list(record, "ovals")
+    # each segmentation point adds a vector entry (e_tau = 2): count them before any oval is read
+    segments = [r.get("segments") for r in records if isinstance(r, dict)]
+    _refuse_long_vector(sum(len(s) for s in segments if isinstance(s, list)))
+    ovals = tuple(map(_oval, records))
     commutative = record.get("commutative", False)
     if not isinstance(commutative, bool):
         raise ParseError("commutative must be a boolean")

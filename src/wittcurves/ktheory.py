@@ -162,8 +162,7 @@ def apply_slope_matrix(matrix: Matrix, slope):
     return num / den
 
 
-# slope_orbits never walks the height box; the bound only sizes the box
-# that SlopeOrbits.orbits lists when read, (2B + 1)(B + 1) reductions.
+# slope_orbits checks height_bound against [50, MAX_HEIGHT_BOUND], echoes it and sizes nothing by it
 MAX_HEIGHT_BOUND = 600
 
 def _rep_key(v: tuple[int, int]):
@@ -209,19 +208,6 @@ class SlopeOrbits(NamedTuple):
     height_bound: int
     coefficient: int
 
-    @property
-    def orbits(self) -> tuple[frozenset[tuple[int, int]], ...]:
-        """The primitive (degree, rank) vectors up to sign with both entries
-        at most height_bound, one set per orbit in the order of the
-        representatives; reduced afresh on each read."""
-        bound = self.height_bound
-        groups: dict[tuple[int, int], set] = {}
-        for r in range(bound + 1):
-            for d in (1,) if r == 0 else range(-bound, bound + 1):
-                if gcd(d, r) == 1:
-                    groups.setdefault(reduce_class((d, r), self.coefficient)[0], set()).add((d, r))
-        return tuple(frozenset(groups[form]) for form in sorted(groups, key=_rep_key))
-
 
 def slope_orbits(n: CurveNumerics, height_bound: int = 100) -> SlopeOrbits:
     """Orbits of the mutation group on slopes, exactly.
@@ -233,8 +219,9 @@ def slope_orbits(n: CurveNumerics, height_bound: int = 100) -> SlopeOrbits:
     picture and realizes the even/odd numerator description of the
     two-orbit cases. `reduce_class` takes every vector to (1, 0) or
     (0, 1), so the orbits are the distinct forms those two reduce to. Both
-    generators and the sign keep the degree mod k, which separates them.
-    The answer does not depend on height_bound; k outside {1, 2} raises
+    generators and the sign keep the degree mod k, which separates them; a
+    vector's orbit is its form, reduce_class(v, k)[0]. height_bound is
+    checked and echoed, and sizes nothing; k outside {1, 2} raises
     DomainError, since the group then has infinitely many orbits.
     """
     require_ints(height_bound=height_bound)

@@ -259,24 +259,17 @@ class CentreDescription(NamedTuple):
     period: int
 
 
-def _int_row(row) -> list[int]:
-    """A rational row scaled by the positive lcm of its denominators."""
-    scale = math.lcm(*(v.denominator for v in row))
-    return [v.numerator * (scale // v.denominator) for v in row]
+def _kernel(rows: list[list[int]], n: int) -> list[list[int]]:
+    """Basis of the null space of an integer matrix, by fraction-free elimination.
 
-
-def _kernel(rows: list[list[int | Fraction]], n: int) -> list[list[int]]:
-    """Basis of the null space of a rational matrix, by fraction-free elimination.
-
-    Every equation is homogeneous, so scaling a row by a nonzero integer
-    leaves the kernel alone: rows are scaled to integers, zero rows are
-    dropped, and each row an elimination step changes is divided by the
-    gcd of its entries. The vector of a free column c is the primitive
-    integer vector that is positive at c and zero at the other free
-    columns, so equal kernels give equal bases.
+    Every equation is homogeneous, so dividing a row by a nonzero integer
+    leaves the kernel alone: zero rows are dropped, and each row an
+    elimination step changes is divided by the gcd of its entries. The
+    vector of a free column c is the primitive integer vector that is
+    positive at c and zero at the other free columns, so equal kernels
+    give equal bases.
     """
-    # a row of ints sums to an int, and one Fraction entry makes its sum a Fraction
-    m = [r if sum(r).__class__ is int else _int_row(r) for r in rows if any(r)]
+    m = [r for r in rows if any(r)]
     pivots: list[int] = []
     for col in range(n):
         rank = len(pivots)

@@ -22,8 +22,10 @@ The third part is the centre system of D[[T, sigma]] as skew_series
 built it before its rows came from integer products: the dense matrices
 of left and right multiplication and of the twist, read off the images
 of the basis, here on the Fraction elements of the first part and
-sigma^s taken afresh by its power. tests/test_skew_series.py and
-tests/test_skew_fuzz.py solve it at every exponent against the library.
+sigma^s taken afresh by its power, and int_rows, which scales its
+rational rows to the integer rows the library's kernel takes.
+tests/test_skew_series.py and tests/test_skew_fuzz.py solve it at every
+exponent against the library.
 """
 
 from __future__ import annotations
@@ -331,3 +333,15 @@ def centre_system(phi: OracleAutomorphism, s: int) -> list[list[Fraction]]:
         right, left = right_mul_matrix(apply(sigma_s, d)), left_mul_matrix(d)
         rows.extend([a - b for a, b in zip(right[i], left[i])] for i in range(n))
     return rows
+
+
+def int_rows(rows: list[list[Fraction]]) -> list[list[int]]:
+    """Each rational row scaled by the positive lcm of its denominators,
+    which leaves the solutions of a homogeneous system alone: the integer
+    rows skew_series._kernel takes."""
+    scaled = []
+    for row in rows:
+        row = [Fraction(v) for v in row]
+        scale = math.lcm(*(v.denominator for v in row))
+        scaled.append([v.numerator * (scale // v.denominator) for v in row])
+    return scaled

@@ -8,6 +8,7 @@ give the same coefficients both ways.
 """
 
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -36,8 +37,8 @@ from wittcurves.algebra import (
     real,
     zero,
 )
-from wittcurves.errors import KindMismatchError
-from wittcurves.skew_series import monomial, series
+from wittcurves.errors import KindMismatchError, ValidationError
+from wittcurves.skew_series import MAX_TRUNCATION, monomial, series
 
 KINDS = [REAL, COMPLEX, QUATERNION]
 KIND_IDS = ["R", "C", "H"]
@@ -150,6 +151,40 @@ def test_power_of_a_finite_order_unit_stays_small(monkeypatch):
     assert power(phi, 10**9 + 1).unit == quat(1, 1)
     assert power(phi, -(10**9) - 2).unit == quat(0, 1)
     assert widest[0] <= 3
+
+
+def test_the_power_ceiling_holds_exactly_the_twists_of_infinite_order():
+    # every rotation of finite order has order 1, 2, 3, 4 or 6, so twelve
+    # powers find it; past the ceiling the others are refused, and these
+    # take any power
+    above = algebra.MAX_INNER_POWER + 1
+    for v in itertools.product(range(-3, 4), repeat=4):
+        if not any(v):
+            continue
+        u = quat(*v)
+        order = next((k for k in range(1, 13) if power(inner(u), k).unit == quat(1)), None)
+        if order is None:
+            with pytest.raises(ValidationError):
+                power(inner(u), above)
+        else:
+            for n in (above, 10**9 + 1, -(10**30) - 5):
+                assert power(inner(u), n) == power(inner(u), n % order)
+
+
+def test_an_inner_twist_of_infinite_order_is_powered_up_to_a_ceiling():
+    assert algebra.MAX_INNER_POWER >= MAX_TRUNCATION
+    phi = inner(quat(1, 2))  # cos t = -3/5: no power of the rotation is the identity
+    # at the ceiling, the power is the last of the successive ones
+    top = algebra.MAX_INNER_POWER
+    assert power(phi, top) == list(_powers(phi, range(top + 1)))[-1]
+    assert power(phi, -top) == power(inner(quat(1, -2)), top)
+    for n in (algebra.MAX_INNER_POWER + 1, -algebra.MAX_INNER_POWER - 1, 10**5, 10**9):
+        with pytest.raises(ValidationError) as exc:
+            power(phi, n)
+        assert exc.value.code == "too-large"
+        with pytest.raises(ValidationError) as exc:
+            algebra.apply_power(phi, n, quat(0, 1))
+        assert exc.value.code == "too-large"
 
 
 @pytest.mark.parametrize(

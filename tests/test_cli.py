@@ -10,7 +10,8 @@ import pytest
 from cli_runner import invoke
 from test_weighted_curve import orders_at_the_ceiling, primes_below
 
-from wittcurves import cli
+from wittcurves import cli, weighted_curve, witt_surface
+from wittcurves.errors import ValidationError
 from wittcurves.ktheory import INFINITY
 from wittcurves.weighted_curve import MAX_ORDER_LCM, MAX_POINT_VALUE, MAX_VECTOR_LENGTH
 
@@ -394,6 +395,38 @@ def test_the_largest_file_of_weights_fits_under_the_byte_ceiling(tmp_path):
     res = invoke(["invariants", str(path)])
     assert res.exit_code == 0
     assert json.loads(res.output)["wrv"] == [2 * MAX_POINT_VALUE] * MAX_VECTOR_LENGTH
+
+
+def test_too_many_segments_are_refused_before_the_surface_is_read(tmp_path, monkeypatch):
+    reads, ovals = [], []
+    real_read = witt_surface.read_base
+    for owner in (weighted_curve, witt_surface):
+        monkeypatch.setattr(owner, "read_base", lambda w: reads.append(w) or real_read(w))
+    real_oval = cli._oval
+    monkeypatch.setattr(cli, "_oval", lambda record: ovals.append(record) or real_oval(record))
+    # each segmentation point gives the vector an entry: one oval of
+    # MAX_VECTOR_LENGTH + 2 segments, and two that have as many in all
+    above = ["+", "-"] * (MAX_VECTOR_LENGTH // 2 + 1)
+    bases = (
+        {"g": 0, "t": 1, "s": 1, "ovals": [{"segments": above}]},
+        {"g": 1, "t": 2, "s": 1, "ovals": [{"segments": above[:-2]}, {"segments": ["-", "+"]}]},
+    )
+    for base in bases:
+        path = _write(tmp_path, "above.json", {"base": base})
+        res = invoke(["invariants", path])
+        assert res.exit_code == 2 and res.output == (
+            f"error: the weight-ramification vector would have {MAX_VECTOR_LENGTH + 2} entries,"
+            f" more than {MAX_VECTOR_LENGTH}\n"
+        )
+        with pytest.raises(ValidationError) as exc:
+            cli.load_curve(path)
+        assert exc.value.code == "too-large"
+        assert reads == [] and ovals == []
+    # one malformed sign among too many: the count is refused first
+    base = {"g": 0, "t": 1, "s": 1, "ovals": [{"segments": above[:-1] + ["?"]}]}
+    res = invoke(["invariants", _write(tmp_path, "above.json", {"base": base})])
+    assert res.exit_code == 2 and res.output.startswith("error: the weight-ramification vector would have")
+    assert reads == [] and ovals == []
 
 
 @pytest.mark.parametrize("command, payload", [

@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from wittcurves import ktheory
 from wittcurves.errors import DomainError, InconsistentDataError, KindMismatchError, ValidationError
 from wittcurves.ktheory import (
     ELLIPTIC_TYPES,
@@ -141,16 +142,30 @@ def test_orbit_counts_stable_under_the_height_bound():
 def test_split_orbits_are_separated_by_degree_parity():
     for name in ("K", "A_RH"):
         so = slope_orbits(elliptic_numerics(name))
-        parities = {frozenset(deg % 2 for deg, _ in orbit) for orbit in so.orbits}
+        parities = {frozenset(deg % 2 for deg, _ in orbit) for orbit in box_orbits(so)}
         assert parities == {frozenset({0}), frozenset({1})}
 
 
 def test_orbits_partition_primitive_classes():
     so = slope_orbits(elliptic_numerics("K"), height_bound=50)
-    members = [v for orbit in so.orbits for v in orbit]
+    members = [v for orbit in box_orbits(so) for v in orbit]
     assert len(members) == len(set(members))
     for deg, rank in members:
         assert rank >= 0
+
+
+def box_orbits(so):
+    """The primitive (degree, rank) vectors up to sign with both entries at
+    most so.height_bound, one set per orbit in the order of the
+    representatives: each vector grouped by its form, reduce_class(v, k)[0],
+    (2B + 1)(B + 1) reductions for the bound B."""
+    bound, k = so.height_bound, so.coefficient
+    groups = {}
+    for r in range(bound + 1):
+        for d in (1,) if r == 0 else range(-bound, bound + 1):
+            if gcd(d, r) == 1:
+                groups.setdefault(reduce_class((d, r), k)[0], set()).add((d, r))
+    return tuple(frozenset(groups[form]) for form in sorted(groups, key=lambda v: (v[1], abs(v[0]), v[0])))
 
 
 def _orbit_scan(k, bound):
@@ -202,14 +217,27 @@ def test_reducer_partition_equals_the_box_scan(name, bound):
     k = m_l[1][0] * -m_s[0][1]  # epsilon * c
     so = slope_orbits(n, height_bound=bound)
     assert so.coefficient == k
-    assert set(so.orbits) == _orbit_scan(k, bound)
+    assert set(box_orbits(so)) == _orbit_scan(k, bound)
+
+
+def test_slope_orbits_makes_two_reductions_at_every_height_bound(monkeypatch):
+    calls = []
+    honest = reduce_class
+    monkeypatch.setattr(ktheory, "reduce_class", lambda v, k: calls.append(v) or honest(v, k))
+    for name in ELLIPTIC_TYPES:
+        n = elliptic_numerics(name)
+        for bound in range(50, MAX_HEIGHT_BOUND + 1):
+            calls.clear()
+            so = slope_orbits(n, height_bound=bound)
+            assert so.height_bound == bound
+            assert calls == [(1, 0), (0, 1)]
 
 
 def test_synthetic_coefficients():
     for k in (1, 2):
         so = slope_orbits(CurveNumerics(kappa=k, epsilon=1, genus=1), height_bound=50)
         assert so.count == k // 2 + 1
-        assert set(so.orbits) == _orbit_scan(k, 50)
+        assert set(box_orbits(so)) == _orbit_scan(k, 50)
     for k in (3, 4):
         with pytest.raises(DomainError):
             slope_orbits(CurveNumerics(kappa=k, epsilon=1, genus=1))

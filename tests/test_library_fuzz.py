@@ -7,13 +7,16 @@ one above MAX_POINT_VALUE, with every efficient index from -1 to the
 number of points; genus-zero triples whose e and f are ints or Fractions,
 zero, negative or above MAX_ORDER_LCM, and whose p runs from 0 to one
 above MAX_POINT_VALUE; every domestic family with its parameters, and
-others, given ints, bools, None or strings; class vectors, slope
+others, given ints, bools, None or strings; inner twists by units of
+small entries raised to small powers, to powers about MAX_INNER_POWER
+and to huge ones; class vectors, slope
 matrices and slopes of small or huge ints and Fractions, in pairs or in
 other shapes; CurveNumerics of every range; and PointDatum on every
 built-in kind and on kinds of any small dimensions, square or not. Every
 call must return or raise a CurveError; every genus-zero answer is at
-most kappa/s^2, since each point takes a positive share, and every
-PointDatum has e_star = comultiplicity(simple_end). The sizes are capped
+most kappa/s^2, since each point takes a positive share, every power of
+a twist of finite order is the power by the exponent mod the order, and
+every PointDatum has e_star = comultiplicity(simple_end). The sizes are capped
 so that every draw ends quickly.
 """
 
@@ -23,7 +26,15 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittcurves.algebra import BUILTIN_KINDS, DivisionAlgebraKind, comultiplicity
+from wittcurves.algebra import (
+    BUILTIN_KINDS,
+    MAX_INNER_POWER,
+    DivisionAlgebraKind,
+    comultiplicity,
+    inner,
+    power,
+    quat,
+)
 from wittcurves.errors import CurveError
 from wittcurves.ktheory import (
     INFINITY,
@@ -158,6 +169,28 @@ def test_slope_matrices_end_in_a_slope_or_a_curve_error(matrix, slope):
     except CurveError:
         return
     assert image is INFINITY or type(image) is Fraction
+
+
+_UNIT = st.tuples(*[_mostly(st.integers(-3, 3), st.just(10**6))] * 4).filter(any)
+_EXPONENT = _mostly(
+    st.integers(-12, 12),
+    st.sampled_from([MAX_INNER_POWER, -MAX_INNER_POWER, MAX_INNER_POWER + 1, -MAX_INNER_POWER - 1, 10**9, -(10**30)]),
+)
+
+
+@_SETTINGS
+@given(unit=_UNIT, n=_EXPONENT)
+def test_inner_powers_end_in_a_twist_or_a_curve_error(unit, n):
+    phi = inner(quat(*unit))
+    # a rotation of finite order has order 1, 2, 3, 4 or 6
+    order = next((k for k in (1, 2, 3, 4, 6) if power(phi, k).unit == quat(1)), None)
+    try:
+        phi_n = power(phi, n)
+    except CurveError:
+        assert order is None and abs(n) > MAX_INNER_POWER
+        return
+    if order is not None:
+        assert phi_n == power(phi, n % order)
 
 
 _RANGE = _mostly(st.integers(1, 4), st.sampled_from([0, -1, 10**30]))

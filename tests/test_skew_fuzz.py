@@ -91,7 +91,7 @@ def _centre_oracle(kind, twist, truncation):
     r = galois_order(twist)
     expected_k = _constant_subfield_basis(kind, twist)
     for s in range(truncation):
-        kernel = _kernel(fo.centre_system(phi, s), kind.dim_over_k)
+        kernel = _kernel(fo.int_rows(fo.centre_system(phi, s)), kind.dim_over_k)
         expected = expected_k if s % r == 0 else []
         if len(kernel) != len(expected) or not all(_in_span(v, expected) for v in kernel):
             raise InvariantViolation(f"the centre at T^{s} is not the closed form")

@@ -408,7 +408,7 @@ def test_fraction_free_kernel_matches_the_fraction_elimination():
             for _ in range(rng.randint(0, 4))
         ]
         rng.shuffle(rows)
-        got, want = _kernel(rows, n), _fraction_kernel(rows, n)
+        got, want = _kernel(fo.int_rows(rows), n), _fraction_kernel(rows, n)
         assert len(got) == len(want)
         for vec, expected in zip(got, want):
             assert all(type(v) is int for v in vec) and math.gcd(*vec) == 1
@@ -453,9 +453,9 @@ def test_centre_truncation_ceiling():
 
 def _per_exponent_kernels(kind, twist, truncation):
     """The centre system solved afresh at every exponent, on the oracle's
-    dense Fraction matrices."""
+    dense Fraction matrices scaled to integer rows."""
     phi = fo.from_twist(twist)
-    return [_kernel(fo.centre_system(phi, s), kind.dim_over_k) for s in range(truncation)]
+    return [_kernel(fo.int_rows(fo.centre_system(phi, s)), kind.dim_over_k) for s in range(truncation)]
 
 
 def _every_exponent(kernels, truncation):
@@ -569,6 +569,31 @@ def test_inner_centre_kernels_match_the_per_exponent_solve(monkeypatch, unit):
         # one solve per exponent until sigma^p == sigma^0 is seen
         period = INNER_UNITS[unit]
         assert len(solves) == len(kernels) == (truncation if period is None else min(truncation, period))
+
+
+def _only_int_rows(solves):
+    return all(type(v) is int for rows, _ in solves for row in rows for v in row)
+
+
+@pytest.mark.parametrize("kind, twist", BUILTIN_PAIRS, ids=PAIR_IDS)
+def test_the_centre_kernels_solve_integer_rows_only(monkeypatch, kind, twist):
+    # _kernel takes no rational row: every system _centre_kernels builds is
+    # of ints, at every truncation the library allows
+    solves = _counted(monkeypatch, skew_series, "_kernel")
+    for truncation in range(8, MAX_TRUNCATION + 1):
+        _centre_kernels(kind, twist, truncation)
+    assert len(solves) == (MAX_TRUNCATION - 7) * galois_order(twist)
+    assert _only_int_rows(solves)
+
+
+@pytest.mark.parametrize("unit", INNER_UNITS, ids=repr)
+def test_the_inner_centre_kernels_solve_integer_rows_only(monkeypatch, unit):
+    solves = _counted(monkeypatch, skew_series, "_kernel")
+    for truncation in range(1, 33):
+        _centre_kernels(QUATERNION, inner(unit), truncation)
+    period = INNER_UNITS[unit]
+    assert len(solves) == sum(t if period is None else min(t, period) for t in range(1, 33))
+    assert _only_int_rows(solves)
 
 
 @pytest.mark.parametrize("unit", INNER_UNITS, ids=repr)
