@@ -26,8 +26,8 @@ without element arithmetic.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -39,17 +39,14 @@ from .errors import (
 )
 
 
-class DivisionAlgebraKind(NamedTuple):
+class DivisionAlgebraKind(namedtuple("DivisionAlgebraKind", "tag dim_over_k dim_centre_over_k display_name")):
     """A division algebra over a base field k, seen through its dimensions.
 
     ``dim_over_k`` and ``dim_centre_over_k`` are dimensions over k; their
     ratio is a perfect square (the comultiplicity squared).
     """
 
-    tag: str
-    dim_over_k: int
-    dim_centre_over_k: int
-    display_name: str
+    __slots__ = ()
 
     def __repr__(self):
         return self.display_name
@@ -483,7 +480,9 @@ def power(phi: Automorphism, n: int) -> Automorphism:
     u^n (``_unit_power``). An inner phi of infinite order, by Niven's theorem
     one whose rotation has cosine 2w^2/N - 1 outside {1, -1, -1/2, 0, 1/2}
     for the unit w + xi + yj + zk of norm N, refuses |n| above
-    MAX_INNER_POWER with ValidationError (code "too-large")."""
+    MAX_INNER_POWER with ValidationError (code "too-large"); an n that is
+    not an int, a bool included, raises ValidationError (``not-integer``)."""
+    require_ints(n=n)
     if phi.action == "identity":
         return phi
     if phi.action == "conj":

@@ -2,9 +2,10 @@
 of record fields, and FrozenRecord, the one base of the records that do
 more than hold their fields.
 
-A plain record is a NamedTuple. A record that checks, normalises or
-derives a field is a FrozenRecord: a class with an explicit constructor,
-compared, hashed, printed, copied and pickled by its fields.
+A plain record is a collections.namedtuple class with empty __slots__.
+A record that checks, normalises or derives a field is a FrozenRecord: a
+class with an explicit constructor, compared, hashed, printed, copied and
+pickled by its fields.
 
 The CLI maps these onto exit codes: parse problems exit 1, ValidationError
 exits 2, everything else derived from CurveError exits 3.
@@ -74,7 +75,7 @@ class FrozenRecord:
     A subclass declares ``__slots__ = _fields = (...)``, with a slot more
     for anything it derives, and an ``__init__`` whose signature is the
     field list; the defaults are stated there alone, and ``_field_defaults``
-    is read from it, as a NamedTuple holds them. ``__init__`` stores the
+    is read from it, as a namedtuple holds them. ``__init__`` stores the
     fields with one call of ``_set``, or one ``object.__setattr__`` each
     where the record is built once per curve, then runs the record's checks.
     Equality, hash, repr, ``_replace`` and pickling read ``_fields``;

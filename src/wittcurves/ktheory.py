@@ -11,9 +11,9 @@ the generator word that does it, so the count is exact and certified.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -33,6 +33,10 @@ class _Infinity:
     __slots__ = ()
 
     def __repr__(self) -> str:
+        return "INFINITY"
+
+    def __reduce__(self):
+        # copies and unpickling return the one INFINITY, which `is` tests
         return "INFINITY"
 
 
@@ -202,11 +206,8 @@ def reduce_class(vector: tuple[int, int], k: int) -> tuple[tuple[int, int], tupl
     return (abs(d), 0) if r == 0 else (d, r), tuple(word)
 
 
-class SlopeOrbits(NamedTuple):
-    count: int
-    representatives: tuple
-    height_bound: int
-    coefficient: int
+class SlopeOrbits(namedtuple("SlopeOrbits", "count representatives height_bound coefficient")):
+    __slots__ = ()
 
 
 def slope_orbits(n: CurveNumerics, height_bound: int = 100) -> SlopeOrbits:

@@ -32,8 +32,8 @@ of a I.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .algebra import (
     COMPLEX,
@@ -252,11 +252,10 @@ def valuation(f: TwistedSeries) -> Fraction:
 # ---------------------------------------------------------------------------
 # Centre computation
 
-class CentreDescription(NamedTuple):
+class CentreDescription(namedtuple("CentreDescription", "constant_subfield period")):
     """The centre of D[[T, sigma]]: K[[T^period]] with K the constant subfield."""
 
-    constant_subfield: DivisionAlgebraKind
-    period: int
+    __slots__ = ()
 
 
 def _kernel(rows: list[list[int]], n: int) -> list[list[int]]:

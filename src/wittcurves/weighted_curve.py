@@ -49,9 +49,9 @@ when it is built.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -101,46 +101,34 @@ class CurveClass(enum.Enum):
     WILD = "wild"
 
 
-class WeightedPoint(NamedTuple):
-    """A weight insertion: where it sits and the weight p >= 2.
+class WeightedPoint(namedtuple("WeightedPoint", "location weight oval segment", defaults=(None, None))):
+    """A weight insertion: where it sits (a WittPointClass or its name) and
+    the weight p >= 2.
 
     For segmentation placements the (oval, segment) coordinates are
     mandatory so that collisions can be detected; boundary and inner
     placements name anonymous points and may repeat.
     """
 
-    location: WittPointClass | str
-    weight: int
-    oval: int | None = None
-    segment: int | None = None
+    __slots__ = ()
 
 
-class AbstractPoint(NamedTuple):
+class AbstractPoint(namedtuple("AbstractPoint", "label e_tau residue_degree weight", defaults=(1, 1, 1))):
     """A closed point of an abstract base, weights baked in."""
 
-    label: str
-    e_tau: int = 1
-    residue_degree: int = 1
-    weight: int = 1
+    __slots__ = ()
 
 
-class AbstractBase(NamedTuple):
-    """Numerical stand-in for a curve over an arbitrary perfect field."""
+class AbstractBase(namedtuple("AbstractBase", "chi_x s kappa epsilon points centre_genus", defaults=(None,))):
+    """Numerical stand-in for a curve over an arbitrary perfect field: chi_x
+    a Fraction, points a tuple of AbstractPoints, centre_genus None if
+    unknown."""
 
-    chi_x: Fraction
-    s: int
-    kappa: int
-    epsilon: int
-    points: tuple[AbstractPoint, ...]
-    centre_genus: int | None = None
+    __slots__ = ()
 
 
-class EffectivePoint(NamedTuple):
-    label: str
-    kind: str
-    e_tau: int
-    residue_degree: int
-    weight: int
+class EffectivePoint(namedtuple("EffectivePoint", "label kind e_tau residue_degree weight")):
+    __slots__ = ()
 
 
 Base = WittSurface | ComplexCentreBase | AbstractBase
@@ -691,11 +679,10 @@ def cy_dimension(c: WeightedCurve) -> tuple[int, int]:
     return (n, n)
 
 
-class PicardDescriptor(NamedTuple):
-    base_part: str
-    torsion_quotient: tuple[int, ...]
-    finitely_generated_rank_one: bool
-    pic_zero: str | None = None
+class PicardDescriptor(namedtuple(
+    "PicardDescriptor", "base_part torsion_quotient finitely_generated_rank_one pic_zero", defaults=(None,)
+)):
+    __slots__ = ()
 
 
 def picard_structure(c: WeightedCurve) -> PicardDescriptor:
@@ -720,12 +707,11 @@ def invariants_report(c: WeightedCurve) -> dict:
 # ---------------------------------------------------------------------------
 # Ghost groups
 
-class GhostGroup(NamedTuple):
+class GhostGroup(namedtuple("GhostGroup", "orders shifts")):
     """Product of cyclic groups C_n, with the shift exponents d(y) that
     witness how each generator is normalized against the efficient point."""
 
-    orders: tuple[int, ...]
-    shifts: tuple[tuple[int, Fraction], ...]
+    __slots__ = ()
 
     def describe(self) -> str:
         if not self.orders:

@@ -19,8 +19,8 @@ reading a surface keeps.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .algebra import COMPLEX, QUATERNION, REAL, DivisionAlgebraKind
 from .errors import FrozenRecord, InvariantViolation, ValidationError, require_ints, require_sequence
@@ -29,12 +29,10 @@ PLUS = "+"
 MINUS = "-"
 
 
-class KleinTopology(NamedTuple):
+class KleinTopology(namedtuple("KleinTopology", "g t s")):
     """Weichold triple (g, t, s) of a real curve."""
 
-    g: int
-    t: int
-    s: int
+    __slots__ = ()
 
 
 class Oval(FrozenRecord):
@@ -93,7 +91,7 @@ class WittSurface(FrozenRecord):
                 )
 
 
-class ComplexCentreBase(NamedTuple):
+class ComplexCentreBase(namedtuple("ComplexCentreBase", "genus")):
     """A curve whose field of constants is C itself, not a real form.
 
     The zoos mix these with the real surfaces, so they share the same
@@ -101,44 +99,48 @@ class ComplexCentreBase(NamedTuple):
     and carry no ovals.
     """
 
-    genus: int
+    __slots__ = ()
 
 
-class SurfaceCounts(NamedTuple):
-    m: int  # half the total number of segmentation points
-    r: int  # whole real ovals
-    q: int  # whole quaternion ovals
+class SurfaceCounts(namedtuple("SurfaceCounts", "m r q")):
+    """m: half the total number of segmentation points;
+    r: whole real ovals;
+    q: whole quaternion ovals."""
+
+    __slots__ = ()
 
 
-class BaseNumerics(NamedTuple):
+class BaseNumerics(namedtuple(
+    "BaseNumerics",
+    "constants kappa epsilon skewness genus centre centre_genus ovals chi chi_centre chi_prime",
+)):
     """Every numerical invariant of a curve's base, read once by its check:
     read_base reads a surface or a complex-centre base, and weighted_curve
     an abstract base, which gives kappa, epsilon, skewness, centre_genus
     (None if unknown), chi_centre and chi_prime, and None for the fields
-    of a surface."""
+    of a surface.
 
-    constants: DivisionAlgebraKind | None  # field of constants of the function field
-    kappa: int  # its dimension over the ground field of the curve
-    epsilon: int
-    skewness: int
-    genus: int | None  # of the function field, upstairs
-    centre: str | None  # field of the centre curve: "R" or "C"
-    centre_genus: int | None
-    ovals: int | None  # None over C
-    chi: Fraction | None
-    chi_centre: Fraction  # of the centre curve
-    chi_prime: Fraction  # normalized, of the non-weighted curve
+    constants: the DivisionAlgebraKind of the field of constants of the
+    function field, or None; kappa: its dimension over the ground field of
+    the curve; genus: of the function field, upstairs, or None; centre:
+    the field of the centre curve, "R" or "C", or None; ovals: None over
+    C; chi: a Fraction or None; chi_centre: of the centre curve;
+    chi_prime: normalized, of the non-weighted curve.
+    """
+
+    __slots__ = ()
 
 
-class _Reading(NamedTuple):
+class _Reading(namedtuple("_Reading", "numerics counts points ovals")):
     """What read_base reads off a base, kept by a surface, and the two
     questions that validation of a placement asks of it, each in
-    constant time."""
+    constant time.
 
-    numerics: BaseNumerics
-    counts: SurfaceCounts
-    points: tuple[tuple[int, int], ...]  # (oval, segment) of each segmentation point
-    ovals: tuple[Oval, ...]
+    numerics: the BaseNumerics; counts: the SurfaceCounts; points: the
+    (oval, segment) of each segmentation point; ovals: the Ovals.
+    """
+
+    __slots__ = ()
 
     def is_segmentation_point(self, oval: int, segment: int) -> bool:
         """Whether (oval, segment) is a segmentation point, by the index bounds."""

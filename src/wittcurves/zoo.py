@@ -38,17 +38,16 @@ short names of local_data, plus "point" on a complex-centre base.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import lcm
-from typing import NamedTuple
 
 from .errors import ValidationError
 from .local_data import SHORT_NAMES, WittPointClass
 from .weighted_curve import (
     COMPLEX_POINT,
-    CurveClass,
     WeightedCurve,
     WeightedPoint,
     _SEGMENTATION_SHAPE,
@@ -65,16 +64,8 @@ _CLASS_ORDER = {"seg": 0, "real": 1, "quat": 2, "inner": 3, "point": 4}
 Weights = tuple[tuple[str, object], ...]
 
 
-class ZooEntry(NamedTuple):
-    base: str
-    weights: Weights
-    curve_class: CurveClass
-    chi_orb: Fraction | None
-    skewness: int
-    wrv: tuple
-    tau_order: int | None
-    cy: tuple[int, int] | None
-    centre: str
+class ZooEntry(namedtuple("ZooEntry", "base weights curve_class chi_orb skewness wrv tau_order cy centre")):
+    __slots__ = ()
 
 
 def _weight_key(pair):

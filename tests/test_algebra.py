@@ -153,6 +153,15 @@ def test_power_is_repeated_application():
     assert power(identity(REAL), 5) == identity(REAL)
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, Fraction(3, 2), Fraction(2), True, "2", None], ids=repr)
+def test_power_refuses_an_exponent_that_is_not_an_int(n):
+    for phi in (identity(REAL), complex_conjugation(), inner(quat(0, 1)), inner(quat(1, 2, -1, 3))):
+        for attempt in (lambda: power(phi, n), lambda: apply_power(phi, n, quat(1))):
+            with pytest.raises(ValidationError) as exc:
+                attempt()
+            assert exc.value.code == "not-integer"
+
+
 def test_inner_unit_is_normalized():
     assert inner(quat(0, 2)).unit == quat(0, 1)
     assert inner(quat(Fraction(1, 2), Fraction(1, 2))).unit == quat(1, 1)

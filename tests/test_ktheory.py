@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -100,6 +102,17 @@ def test_slope_arithmetic():
     assert not isinstance(ClassVector(5, 0).slope(), (int, Fraction, float))
     with pytest.raises(DomainError):
         ClassVector(0, 0).slope()
+
+
+def test_infinity_survives_copies_and_pickling_as_itself():
+    for built in (
+        copy.copy(INFINITY),
+        copy.deepcopy(INFINITY),
+        *(pickle.loads(pickle.dumps(INFINITY, protocol=p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ):
+        assert built is INFINITY
+    m = ((0, -1), (1, -1))
+    assert apply_slope_matrix(m, pickle.loads(pickle.dumps(INFINITY))) == 0
 
 
 def test_three_cycle_on_slopes():

@@ -174,7 +174,10 @@ def test_slope_matrices_end_in_a_slope_or_a_curve_error(matrix, slope):
 _UNIT = st.tuples(*[_mostly(st.integers(-3, 3), st.just(10**6))] * 4).filter(any)
 _EXPONENT = _mostly(
     st.integers(-12, 12),
-    st.sampled_from([MAX_INNER_POWER, -MAX_INNER_POWER, MAX_INNER_POWER + 1, -MAX_INNER_POWER - 1, 10**9, -(10**30)]),
+    st.sampled_from([
+        MAX_INNER_POWER, -MAX_INNER_POWER, MAX_INNER_POWER + 1, -MAX_INNER_POWER - 1, 10**9, -(10**30),
+        2.5, -1.0, float("inf"), Fraction(3, 2), Fraction(4), True, False,
+    ]),
 )
 
 
@@ -186,9 +189,13 @@ def test_inner_powers_end_in_a_twist_or_a_curve_error(unit, n):
     order = next((k for k in (1, 2, 3, 4, 6) if power(phi, k).unit == quat(1)), None)
     try:
         phi_n = power(phi, n)
-    except CurveError:
-        assert order is None and abs(n) > MAX_INNER_POWER
+    except CurveError as exc:
+        if type(n) is not int:
+            assert exc.code == "not-integer"
+        else:
+            assert order is None and abs(n) > MAX_INNER_POWER
         return
+    assert type(n) is int
     if order is not None:
         assert phi_n == power(phi, n % order)
 

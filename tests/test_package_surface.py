@@ -8,9 +8,10 @@ scan keeps the reading of a surface in witt_surface: no other module
 reads the topology, the commutative flag or the signs of its ovals. A
 third keeps dataclasses out, a fourth gives every ValidationError
 raised in src/ a stable code, and a fifth keeps one base for the records
-that check themselves: no class extends a NamedTuple of src/, and no
-NamedTuple defines __new__ or __post_init__. A sixth keeps the branching
-on the kind of a base in witt_surface and weighted_curve: the numerics
+that check themselves: it sees exactly the plain records, each a
+collections.namedtuple class; no class extends one, none defines __new__
+or __post_init__, and no module imports typing.NamedTuple. A sixth keeps
+the branching on the kind of a base in witt_surface and weighted_curve: the numerics
 every other module reads come in one record for every kind. A seventh
 keeps one reader per curve: only weighted_curve builds a CurveProfile,
 and every other module reads a curve's numerics off its profile. An
@@ -18,7 +19,8 @@ eighth keeps every record on slots: each FrozenRecord subclass declares
 __slots__, and nothing uses cached_property, which needs an instance
 __dict__. A ninth keeps one reader per base: only witt_surface.read_base
 reads the reading a surface keeps. The command line starts without click, dataclasses, inspect,
-ast or dis, as a fresh interpreter's sys.modules shows.
+ast or dis, as a fresh interpreter's sys.modules shows, and builds no
+typing.ForwardRef.
 """
 
 import ast
@@ -295,10 +297,11 @@ def test_the_scan_sees_kept_reading_reads():
     assert kept_reading_reads({"m": tree}) == ["m:12", "m:7", "m:8"]
 
 
-# No class is a dataclass. A plain record is a NamedTuple, and one that
-# checks, normalises or derives a field a FrozenRecord: dataclass() compiles every generated method
-# of a class with exec at import, and importing dataclasses loads inspect,
-# ast and dis, which once took most of the start-up of the command line.
+# No class is a dataclass. A plain record is a collections.namedtuple
+# class, and one that checks, normalises or derives a field a FrozenRecord:
+# dataclass() compiles every generated method of a class with exec at
+# import, and importing dataclasses loads inspect, ast and dis, which once
+# took most of the start-up of the command line.
 DATACLASS_ALLOWED: dict[str, str] = {}
 
 
@@ -333,6 +336,25 @@ def test_the_command_line_loads_no_framework():
     ).stdout.split()
     assert "wittcurves.cli" in loaded
     assert {"click", "dataclasses", "inspect", "ast", "dis"}.isdisjoint(loaded)
+
+
+def test_importing_the_command_line_builds_no_forward_reference():
+    # typing.NamedTuple compiles every string annotation of a record into a
+    # ForwardRef at import, 66 of them when the records were built that way
+    built = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import typing\n"
+            "built = []\n"
+            "init = typing.ForwardRef.__init__\n"
+            "typing.ForwardRef.__init__ = lambda self, *a, **k: built.append(a) or init(self, *a, **k)\n"
+            "import wittcurves.cli\n"
+            "print(len(built))\n",
+        ],
+        capture_output=True, text=True, check=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))),
+    ).stdout.split()
+    assert built == ["0"]
 
 
 def test_importing_the_command_line_reads_no_surface():
@@ -401,34 +423,91 @@ def test_the_scan_sees_validation_errors_without_a_code():
     assert uncoded_validation_errors({"m": tree}) == ["m:2", "m:3", "m:4"]
 
 
-# A plain record is a NamedTuple, and a record that checks, normalises or
-# derives a field is a FrozenRecord, built through its own __init__. A
-# NamedTuple that checks itself would need a second __new__ around the
-# tuple's, which every build, copy and unpickling pays for.
+# A plain record is a collections.namedtuple class, and a record that
+# checks, normalises or derives a field is a FrozenRecord, built through its
+# own __init__. A namedtuple that checks itself would need a second __new__
+# around the tuple's, which every build, copy and unpickling pays for. No
+# record is a typing.NamedTuple: that class compiles every string annotation
+# into a ForwardRef at import, which once took a third of the import time of
+# the package, and nothing reads the annotations.
 NAMEDTUPLE_HOOKS = frozenset({"__new__", "__post_init__"})
+PLAIN_RECORDS = [
+    "algebra.DivisionAlgebraKind",
+    "ktheory.SlopeOrbits",
+    "skew_series.CentreDescription",
+    "weighted_curve.AbstractBase",
+    "weighted_curve.AbstractPoint",
+    "weighted_curve.EffectivePoint",
+    "weighted_curve.GhostGroup",
+    "weighted_curve.PicardDescriptor",
+    "weighted_curve.WeightedPoint",
+    "witt_surface.BaseNumerics",
+    "witt_surface.ComplexCentreBase",
+    "witt_surface.KleinTopology",
+    "witt_surface.SurfaceCounts",
+    "witt_surface._Reading",
+    "zoo.ZooEntry",
+]
+
+
+def _name(node: ast.expr) -> str | None:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 
 
 def _base_names(node: ast.ClassDef) -> set[str]:
-    return {base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None) for base in node.bases}
+    return {_name(base) for base in node.bases}
+
+
+def _is_namedtuple(node: ast.ClassDef) -> bool:
+    """Whether a base of the class is NamedTuple or a namedtuple(...) call."""
+    return any(
+        _name(base.func) == "namedtuple" if isinstance(base, ast.Call) else _name(base) == "NamedTuple"
+        for base in node.bases
+    )
+
+
+def _classes(modules: dict[str, ast.Module]) -> list[tuple[str, ast.ClassDef]]:
+    return [
+        (module, node) for module, tree in modules.items() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    ]
+
+
+def plain_records(modules: dict[str, ast.Module]) -> list[str]:
+    """module.Class for every class whose base is NamedTuple or a
+    namedtuple(...) call."""
+    return sorted(f"{module}.{node.name}" for module, node in _classes(modules) if _is_namedtuple(node))
 
 
 def checked_namedtuples(modules: dict[str, ast.Module]) -> list[str]:
-    """module.Class for every class that extends a NamedTuple class of the
-    scanned modules, and every NamedTuple class that defines __new__ or
+    """module.Class for every class that extends a namedtuple class of the
+    scanned modules, and every namedtuple class that defines __new__ or
     __post_init__."""
-    classes = [
-        (module, node) for module, tree in modules.items() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
-    ]
-    namedtuples = {node.name for _, node in classes if "NamedTuple" in _base_names(node)}
+    classes = _classes(modules)
+    namedtuples = {node.name for _, node in classes if _is_namedtuple(node)}
     found = []
     for module, node in classes:
-        bases = _base_names(node)
         defines_hook = any(
             isinstance(stmt, ast.FunctionDef) and stmt.name in NAMEDTUPLE_HOOKS for stmt in node.body
         )
-        if bases & namedtuples or ("NamedTuple" in bases and defines_hook):
+        if _base_names(node) & namedtuples or (_is_namedtuple(node) and defines_hook):
             found.append(f"{module}.{node.name}")
     return sorted(found)
+
+
+def typing_namedtuples(modules: dict[str, ast.Module]) -> list[str]:
+    """module:line for every import of NamedTuple from typing and every
+    typing.NamedTuple read."""
+    return sorted(
+        f"{module}:{node.lineno}"
+        for module, tree in modules.items()
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "typing"
+            and any(alias.name == "NamedTuple" for alias in node.names)
+        )
+        or (isinstance(node, ast.Attribute) and node.attr == "NamedTuple" and _name(node.value) == "typing")
+    )
 
 
 def test_no_record_extends_or_hooks_a_namedtuple():
@@ -436,7 +515,10 @@ def test_no_record_extends_or_hooks_a_namedtuple():
         path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for path in sorted(SRC.glob("*.py"))
     }
+    # the scan sees every plain record, so a form it cannot read fails here
+    assert plain_records(modules) == PLAIN_RECORDS
     assert checked_namedtuples(modules) == []
+    assert typing_namedtuples(modules) == []
 
 
 def test_the_scan_sees_checked_namedtuples():
@@ -456,6 +538,22 @@ def test_the_scan_sees_checked_namedtuples():
         "    def __post_init__(self):\n"
         "        pass\n"
     )
+    calls = ast.parse(
+        "class _Point(namedtuple('_Point', 'x y')):\n"
+        "    __slots__ = ()\n"
+        "class Counted(collections.namedtuple('Counted', ['n'], defaults=(0,))):\n"
+        "    __slots__ = ()\n"
+        "    def total(self):\n"
+        "        return self.n\n"
+        "class Rebuilt(namedtuple('Rebuilt', 'x')):\n"
+        "    def __new__(cls, x):\n"
+        "        return super().__new__(cls, int(x))\n"
+        "class Posted(collections.namedtuple('Posted', 'x')):\n"
+        "    def __post_init__(self):\n"
+        "        pass\n"
+        "class Called(make_record('Called', 'x')):\n"
+        "    __slots__ = ()\n"
+    )
     records = ast.parse(
         "class Checked(CheckedRecord, _Fields):\n"
         "    __slots__ = ()\n"
@@ -464,8 +562,28 @@ def test_the_scan_sees_checked_namedtuples():
         "        self._set(x)\n"
         "    def __post_init__(self):\n"
         "        pass\n"
+        "class Moved(_Point):\n"
+        "    __slots__ = ()\n"
     )
-    assert checked_namedtuples({"a": fields, "b": records}) == ["a.Hooked", "a.Normalised", "b.Checked"]
+    modules = {"a": fields, "b": records, "c": calls}
+    assert checked_namedtuples(modules) == ["a.Hooked", "a.Normalised", "b.Checked", "b.Moved", "c.Posted", "c.Rebuilt"]
+    assert plain_records(modules) == [
+        "a.Hooked", "a.Normalised", "a.Plain", "a._Fields", "c.Counted", "c.Posted", "c.Rebuilt", "c._Point",
+    ]
+
+
+def test_the_scan_sees_typing_namedtuples():
+    tree = ast.parse(
+        "from typing import NamedTuple\n"
+        "from typing import Any, NamedTuple as NT\n"
+        "import typing\n"
+        "class A(typing.NamedTuple):\n"
+        "    x: int\n"
+        "from collections import namedtuple\n"
+        "from typing import Any\n"
+        "NamedTuple = namedtuple\n"
+    )
+    assert typing_namedtuples({"m": tree}) == ["m:1", "m:2", "m:4"]
 
 
 # A FrozenRecord keeps its fields, and what it derives from them, in
@@ -475,9 +593,7 @@ def dict_storage(modules: dict[str, ast.Module]) -> list[str]:
     """module.Class for every subclass of FrozenRecord, directly or through
     a class of the scanned modules, that declares no __slots__, and
     module:line for every use of cached_property."""
-    classes = [
-        (module, node) for module, tree in modules.items() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
-    ]
+    classes = _classes(modules)
     records = {"FrozenRecord"}
     while new := {node.name for _, node in classes if _base_names(node) & records} - records:
         records |= new

@@ -1,12 +1,15 @@
 """The semantics of every public record class.
 
-A plain record is a NamedTuple; one that checks, normalises or derives a
-field is a FrozenRecord, which names its fields and defaults the same
-way. Each is built by position and by keyword, compares and hashes by
-value, refuses assignment, has no instance __dict__ and prints as
-Name(field=value, ...). A FrozenRecord is copied, replaced, remade and
-unpickled through its constructor, so a checked one rejects bad fields
-through its constructor, _make, _replace, copy and pickle alike.
+A plain record is a collections.namedtuple class; one that checks,
+normalises or derives a field is a FrozenRecord, which names its fields
+and defaults the same way. Each is built by position and by keyword,
+compares and hashes by value, refuses assignment, has no instance
+__dict__ and prints as Name(field=value, ...). A plain record is a tuple
+of its fields, in a fixed order: it equals and hashes as that tuple, and
+_make, _replace, copy and pickle give back its own class. A FrozenRecord
+is copied, replaced, remade and unpickled through its constructor, so a
+checked one rejects bad fields through its constructor, _make, _replace,
+copy and pickle alike.
 """
 
 import copy
@@ -39,8 +42,10 @@ from wittcurves.witt_surface import (
     BaseNumerics,
     SurfaceCounts,
     WittSurface,
+    _Reading,
     catalog,
     counts,
+    read_base,
     segmented_oval,
     surface_numerics,
     whole_oval,
@@ -234,6 +239,74 @@ def test_checked_records_normalise_however_built():
         assert type(built.ovals) is tuple and built == surface
     for built in (WeightedCurve(curve.base, points), curve._replace(points=points)):
         assert type(built.points) is tuple and built.points == tuple(points)
+
+
+# each plain record and its fields, in order
+PLAIN_FIELDS = {
+    DivisionAlgebraKind: ("tag", "dim_over_k", "dim_centre_over_k", "display_name"),
+    KleinTopology: ("g", "t", "s"),
+    ComplexCentreBase: ("genus",),
+    SurfaceCounts: ("m", "r", "q"),
+    BaseNumerics: (
+        "constants", "kappa", "epsilon", "skewness", "genus", "centre", "centre_genus", "ovals", "chi",
+        "chi_centre", "chi_prime",
+    ),
+    _Reading: ("numerics", "counts", "points", "ovals"),
+    WeightedPoint: ("location", "weight", "oval", "segment"),
+    AbstractPoint: ("label", "e_tau", "residue_degree", "weight"),
+    AbstractBase: ("chi_x", "s", "kappa", "epsilon", "points", "centre_genus"),
+    EffectivePoint: ("label", "kind", "e_tau", "residue_degree", "weight"),
+    PicardDescriptor: ("base_part", "torsion_quotient", "finitely_generated_rank_one", "pic_zero"),
+    GhostGroup: ("orders", "shifts"),
+    SlopeOrbits: ("count", "representatives", "height_bound", "coefficient"),
+    CentreDescription: ("constant_subfield", "period"),
+    ZooEntry: ("base", "weights", "curve_class", "chi_orb", "skewness", "wrv", "tau_order", "cy", "centre"),
+}
+PLAIN_SAMPLES = {
+    **{cls: RECORDS[cls][0] for cls in PLAIN_FIELDS if cls in RECORDS},
+    _Reading: read_base(catalog("D_22")),
+}
+
+
+@pytest.mark.parametrize("cls", PLAIN_FIELDS, ids=lambda cls: cls.__name__)
+def test_plain_records_are_tuples_of_their_fields(cls):
+    assert issubclass(cls, tuple) and not issubclass(cls, FrozenRecord)
+    assert cls._fields == PLAIN_FIELDS[cls]
+    sample = PLAIN_SAMPLES[cls]
+    assert type(sample) is cls
+    assert sample == tuple(sample) and tuple(sample) == sample
+    assert hash(sample) == hash(tuple(sample))
+    assert not hasattr(sample, "__dict__")
+    for built in (cls._make(tuple(sample)), cls._make(iter(sample)), sample._replace()):
+        assert type(built) is cls and built == sample
+    changed = sample._replace(**{cls._fields[0]: None})
+    assert type(changed) is cls and changed == (None, *sample[1:])
+    rebuilt = [
+        copy.copy(sample),
+        copy.deepcopy(sample),
+        *(pickle.loads(pickle.dumps(sample, protocol=p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ]
+    for built in rebuilt:
+        assert type(built) is cls and built == sample
+
+
+def test_plain_records_keep_their_methods():
+    assert repr(QUATERNION) == str(QUATERNION) == "ℍ"
+    assert f"{COMPLEX}" == "ℂ" and repr((QUATERNION,)) == "(ℍ,)"
+    assert ghost_group([(2, 1), (2, 1), (1, 1)], 0).describe() == "C2"
+    assert GhostGroup((), ()).describe() == "trivial"
+    assert GhostGroup((2, 3), ()).describe() == "C2 x C3"
+    cut = read_base(catalog("D_22"))
+    assert cut.is_segmentation_point(0, 0) and cut.is_segmentation_point(0, 1)
+    assert not any(cut.is_segmentation_point(o, s) for o, s in ((0, 2), (1, 0), (-1, 0), (0, -1)))
+    assert cut.carries_sign("+") and cut.carries_sign("-") and cut.carries_sign("-", 0)
+    assert not cut.carries_sign("+", 1)
+    whole = read_base(catalog("A_RH"))
+    assert whole.carries_sign("+") and whole.carries_sign("-")
+    assert whole.carries_sign("+", 0) and not whole.carries_sign("-", 0) and whole.carries_sign("-", 1)
+    assert not whole.is_segmentation_point(0, 0)
+    bare = read_base(catalog("S2_C"))
+    assert not bare.carries_sign("+") and not bare.carries_sign("-") and not bare.is_segmentation_point(0, 0)
 
 
 def test_a_weighted_curve_is_checked_once_per_construction(monkeypatch):
