@@ -11,19 +11,19 @@ of the curve in as few passes as it can:
 
 - the base, by one call to witt_surface.read_base for a surface or a
   complex-centre base; an abstract base is checked here, with its point
-  records in one loop that builds the effective points;
+  records in one loop that builds the effective points and gathers the
+  weights and orders p * e_tau of those with an order above 1;
 - the weights of a surface base, in one loop that checks each record,
-  asks the reading where it may sit, builds its effective point and
-  adds up the vector length the weighted points give; then the
-  segmentation points of the reading, once that length and their count
-  are held to MAX_VECTOR_LENGTH, walked once to build theirs;
-- the effective points, in the one loop of _bounded_order_lcm, which
-  holds the weight-ramification vector to MAX_VECTOR_LENGTH and the lcm
-  of the point orders to MAX_ORDER_LCM on either kind of base before
-  anything is summed over them, and gathers the weights for pbar; an
-  abstract base walks them once more to sum its chi';
-- the effective points, once more, when the CurveProfile is built: one
-  walk sums every chi'_orb route and gathers the vector.
+  asks the reading where it may sit, builds its effective point, gathers
+  its weight and its order and adds up the vector length the weighted
+  points give; then the segmentation points of the reading, once that
+  length and their count are held to MAX_VECTOR_LENGTH and the lcm of
+  the orders to MAX_ORDER_LCM, walked once to build theirs;
+- so on either kind of base both ceilings are held on what one loop
+  gathered, before any route is summed; an abstract base then walks its
+  points once more, to sum its chi' over that lcm;
+- the effective points, once, when the CurveProfile is built: one walk
+  sums every chi'_orb route and gathers the vector.
 
 What the check read is the curve's CurveProfile, kept in curve.profile:
 the effective points, their lcm weight pbar, the lcm of their orders,
@@ -32,7 +32,9 @@ vector, which the profile derives when it is built. A surface keeps the
 reading of its first read_base, so a second curve on it reads nothing
 of it again; nothing here reads the ovals or topology of a surface.
 Every public invariant is a view of the profile, and a report reads all
-of its entries from it.
+of its entries from it; the class of a curve and the order of tau are
+read off the sign of the int numerator of chi'_orb, with no Fraction
+comparison.
 
 The normalized orbifold Euler characteristic is computed by three
 independent routes (the general formula over the centre, the split through
@@ -101,9 +103,20 @@ class CurveClass(enum.Enum):
     WILD = "wild"
 
 
+# The members that the check and the class reading compare with, each read
+# off its Enum once: on CPython 3.11 a read of a member off its class costs
+# about as much as a small Python call.
+_INNER, _REAL, _QUATERNION, _SEGMENTATION = (
+    WittPointClass.INNER, WittPointClass.REAL_BOUNDARY, WittPointClass.QUATERNION_BOUNDARY, WittPointClass.SEGMENTATION
+)
+_DOMESTIC, _ELLIPTIC, _TUBULAR, _WILD = CurveClass.DOMESTIC, CurveClass.ELLIPTIC, CurveClass.TUBULAR, CurveClass.WILD
+
+
 class WeightedPoint(namedtuple("WeightedPoint", "location weight oval segment", defaults=(None, None))):
-    """A weight insertion: where it sits (a WittPointClass or its name) and
-    the weight p >= 2.
+    """A weight insertion: where it sits and the weight p >= 2. The
+    location is a WittPointClass on a real surface base, or COMPLEX_POINT
+    on a complex-centre base; anything else, the name of a class too, is
+    refused with code "placement".
 
     For segmentation placements the (oval, segment) coordinates are
     mandatory so that collisions can be detected; boundary and inner
@@ -159,8 +172,8 @@ class WeightedCurve(FrozenRecord):
         base = self.base
         if isinstance(base, (WittSurface, ComplexCentreBase)):
             reading = read_base(base)
-            numerics, points = reading.numerics, _validate_weights(reading, self.points)
-            pbar, order_lcm = _bounded_order_lcm(points)
+            numerics = reading.numerics
+            points, pbar, order_lcm = _validate_weights(reading, self.points)
         elif isinstance(base, AbstractBase):
             if self.points:
                 raise ValidationError(
@@ -175,27 +188,9 @@ class WeightedCurve(FrozenRecord):
         object.__setattr__(self, "profile", CurveProfile(points, pbar, order_lcm, numerics))
 
 
-def _bounded_order_lcm(points) -> tuple[int, int]:
-    """Hold the weight-ramification vector of the effective points, whose
-    length is the sum of f over the points with p * e_tau > 1, to
-    MAX_VECTOR_LENGTH, then the lcm of their orders p * e_tau to
-    MAX_ORDER_LCM, reading each point once, before anything is summed over
-    them; return pbar, the lcm of their weights, and that lcm."""
-    length = 0
-    weights: list[int] = []
-    orders: list[int] = []
-    for pt in points:
-        p = pt.weight
-        if (o := p * pt.e_tau) > 1:
-            length += pt.residue_degree
-            weights.append(p)
-            orders.append(o)
-    _refuse_long_vector(length)
-    n = lcm(*orders)
+def _refuse_large_order_lcm(n: int) -> None:
     if n > MAX_ORDER_LCM:
         raise ValidationError("the lcm of the point orders p * e_tau is above MAX_ORDER_LCM", code="too-large")
-    # each weight divides its order, so pbar divides n
-    return lcm(*weights), n
 
 
 def _refuse_long_vector(length: int) -> None:
@@ -226,24 +221,28 @@ def _refuse_too_many_points(count: int) -> None:
 # which _validate_placement returns from its dispatch on the class
 _INNER_SHAPE, _REAL_SHAPE, _QUATERNION_SHAPE, _SEGMENTATION_SHAPE = (
     (SHORT_NAMES[cls], cls.value, witt_local_datum(cls).e_tau, witt_local_datum(cls).residue_degree)
-    for cls in (WittPointClass.INNER, WittPointClass.REAL_BOUNDARY, WittPointClass.QUATERNION_BOUNDARY,
-                WittPointClass.SEGMENTATION)
+    for cls in (_INNER, _REAL, _QUATERNION, _SEGMENTATION)
 )
 _POINT_SHAPE = ("pt", COMPLEX_POINT, 1, 1)
 
 
-def _validate_weights(reading: _Reading, weights) -> tuple[EffectivePoint, ...]:
+def _validate_weights(reading: _Reading, weights) -> tuple[tuple[EffectivePoint, ...], int, int]:
     """Check the weights against the reading of a surface base, too many
     on their count first, then each in one loop, its record and then its
-    placement, and return the effective points: every segmentation point,
-    with its weight or 1, then each other weight in turn. Points of a
-    surface base take e_tau, the residue degree and the label prefix from
-    local_data, or are plain points on a complex-centre base."""
+    placement, gathering its weight and its order p * e_tau; hold the
+    weight-ramification vector to MAX_VECTOR_LENGTH and the lcm of the
+    orders to MAX_ORDER_LCM, and return the effective points, pbar and
+    that lcm. The effective points are every segmentation point, with its
+    weight or 1, then each other weight in turn. Points of a surface base
+    take e_tau, the residue degree and the label prefix from local_data,
+    or are plain points on a complex-centre base. Every effective point
+    has p * e_tau > 1, so each adds f entries to the vector."""
     _refuse_too_many_weights(len(weights))
-    seg = WittPointClass.SEGMENTATION
     seg_weight: dict[tuple[int, int], int] = {}
     weighted: list[EffectivePoint] = []
     counters: dict[str, int] = {}
+    ps: list[int] = []
+    orders: list[int] = []
     # the length of the vector the weighted points give
     length = 0
     for wp in weights:
@@ -260,8 +259,10 @@ def _validate_weights(reading: _Reading, weights) -> tuple[EffectivePoint, ...]:
             raise ValidationError("an inserted weight must be at least 2", code="weight")
         if p > MAX_POINT_VALUE:
             raise ValidationError(f"an inserted weight must be at most {MAX_POINT_VALUE}", code="too-large")
-        shape = _validate_placement(reading, wp)
-        if location is seg:
+        prefix, kind, e_tau, f = _validate_placement(reading, wp)
+        ps.append(p)
+        orders.append(p * e_tau)
+        if location is _SEGMENTATION:
             key = (oval, segment)
             if key in seg_weight:
                 raise ValidationError(
@@ -269,31 +270,42 @@ def _validate_weights(reading: _Reading, weights) -> tuple[EffectivePoint, ...]:
                 )
             seg_weight[key] = p
         else:
-            prefix, kind, e_tau, f = shape
             n = counters.get(prefix, 0)
             counters[prefix] = n + 1
             weighted.append(EffectivePoint(f"{prefix}{n}", kind, e_tau, f, p))
             length += f
     prefix, kind, e_tau, f = _SEGMENTATION_SHAPE
-    # refused before they are built: with e_tau = 2, each point is f entries of the vector
+    # held before they are built: with e_tau = 2, each point is f entries of
+    # the vector, and an unweighted one has order e_tau
     points = reading.points
     _refuse_long_vector(f * len(points) + length)
+    order_lcm = lcm(e_tau if points else 1, *orders)
+    _refuse_large_order_lcm(order_lcm)
     effective = [
         EffectivePoint(f"{prefix}{oi}.{si}", kind, e_tau, f, seg_weight.get((oi, si), 1)) for oi, si in points
     ]
     effective += weighted
-    return tuple(effective)
+    # each weight divides its order, so pbar divides the lcm
+    return tuple(effective), lcm(*ps), order_lcm
 
 
 def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[EffectivePoint, ...], int, int]:
-    """Check an abstract base, its points in one loop, and read its numerics,
-    summing chi' from chi_x and the points' e_tau and residue degrees, its
-    points, pbar and the lcm of their orders, bounded before chi' is summed
-    over it."""
+    """Check an abstract base, its points in one loop that also gathers
+    the weights and orders p * e_tau of those with an order above 1, and
+    return its numerics, its points, pbar and the lcm of their orders.
+    The weight-ramification vector and that lcm are held to their
+    ceilings before chi' is summed from chi_x and the points' e_tau and
+    residue degrees."""
     points: list[EffectivePoint] = []
     labels: set[str] = set()
-    records = require_sequence(base.points, "the points of an abstract base", "placement")
+    records = base.points
+    if records.__class__ is not tuple:
+        records = require_sequence(records, "the points of an abstract base", "placement")
     _refuse_too_many_points(len(records))
+    ps: list[int] = []
+    orders: list[int] = []
+    # the length of the weight-ramification vector
+    length = 0
     for pt in records:
         if not isinstance(pt, AbstractPoint):
             raise ValidationError(
@@ -315,29 +327,39 @@ def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[Effectiv
                 f"point {label} has an entry above {MAX_POINT_VALUE}", code="too-large"
             )
         points.append(EffectivePoint(label, "abstract", e, f, p))
-    require_ints(("centre_genus",), s=base.s, kappa=base.kappa, epsilon=base.epsilon, centre_genus=base.centre_genus)
-    if not isinstance(base.chi_x, Fraction):
-        require_ints(chi_x=base.chi_x)
-    if base.s < 1 or base.kappa < 1 or base.epsilon < 1:
+        if (o := p * e) > 1:
+            length += f
+            ps.append(p)
+            orders.append(o)
+    s, kappa, epsilon, cg, chi_x = base.s, base.kappa, base.epsilon, base.centre_genus, base.chi_x
+    # plain ints pass here, and a Fraction chi_x is taken as it is
+    if not (s.__class__ is int and kappa.__class__ is int and epsilon.__class__ is int
+            and (cg is None or cg.__class__ is int)):
+        require_ints(("centre_genus",), s=s, kappa=kappa, epsilon=epsilon, centre_genus=cg)
+    if chi_x.__class__ is not Fraction:
+        if not isinstance(chi_x, Fraction):
+            require_ints(chi_x=chi_x)
+        chi_x = Fraction(chi_x)
+    if s < 1 or kappa < 1 or epsilon < 1:
         raise ValidationError("base numerics must be positive", code="nonpositive")
-    if base.epsilon not in (1, 2):
-        raise ValidationError(f"epsilon must be 1 or 2, got {base.epsilon}", code="epsilon")
-    if base.centre_genus is not None and base.centre_genus < 0:
+    if epsilon not in (1, 2):
+        raise ValidationError(f"epsilon must be 1 or 2, got {epsilon}", code="epsilon")
+    if cg is not None and cg < 0:
         raise ValidationError("the centre genus must be nonnegative", code="negative-genus")
-    chi_centre = Fraction(base.chi_x)
-    if max(abs(chi_centre.numerator), chi_centre.denominator) > MAX_ORDER_LCM:
+    if max(abs(chi_x.numerator), chi_x.denominator) > MAX_ORDER_LCM:
         raise ValidationError("chi_x has a numerator or a denominator above MAX_ORDER_LCM", code="too-large")
+    _refuse_long_vector(length)
+    n = lcm(*orders)
+    _refuse_large_order_lcm(n)
     # (1 - 1/e) f = (e - 1) f / e, over the lcm of the point orders, which every e_tau divides
-    pbar, n = _bounded_order_lcm(points)
     drops = 0
     for pt in points:
         if (e := pt.e_tau) > 1:
             drops += (e - 1) * pt.residue_degree * (n // e)
-    chi_prime = Fraction(*_less_half(chi_centre, drops, n))
-    numerics = BaseNumerics(
-        None, base.kappa, base.epsilon, base.s, None, None, base.centre_genus, None, None, chi_centre, chi_prime
-    )
-    return numerics, tuple(points), pbar, n
+    chi_prime = Fraction(*_less_half(chi_x, drops, n))
+    numerics = BaseNumerics(None, kappa, epsilon, s, None, None, cg, None, None, chi_x, chi_prime)
+    # each weight divides its order, so pbar divides n
+    return numerics, tuple(points), lcm(*ps), n
 
 
 def _validate_placement(reading: _Reading, wp: WeightedPoint) -> tuple[str, str, int, int]:
@@ -357,11 +379,11 @@ def _validate_placement(reading: _Reading, wp: WeightedPoint) -> tuple[str, str,
             raise ValidationError("a point weight takes no oval or segment index", code="placement")
         return _POINT_SHAPE
     # inner placements are always available
-    if location is WittPointClass.INNER:
+    if location is _INNER:
         if oval is not None or segment is not None:
             raise ValidationError("an inner weight takes no oval or segment index", code="placement")
         return _INNER_SHAPE
-    if location is WittPointClass.SEGMENTATION:
+    if location is _SEGMENTATION:
         if oval is None or segment is None:
             raise ValidationError(
                 "a segmentation weight needs oval and segment indices", code="placement"
@@ -369,10 +391,10 @@ def _validate_placement(reading: _Reading, wp: WeightedPoint) -> tuple[str, str,
         if not reading.is_segmentation_point(oval, segment):
             raise ValidationError("no such segmentation point", code="placement")
         return _SEGMENTATION_SHAPE
-    if location is WittPointClass.REAL_BOUNDARY or location is WittPointClass.QUATERNION_BOUNDARY:
+    if location is _REAL or location is _QUATERNION:
         if segment is not None:
             raise ValidationError("a boundary weight takes no segment index", code="placement")
-        real = location is WittPointClass.REAL_BOUNDARY
+        real = location is _REAL
         sign = PLUS if real else MINUS
         if oval is not None:
             if not reading.carries_sign(sign, oval):
@@ -388,7 +410,7 @@ def _validate_placement(reading: _Reading, wp: WeightedPoint) -> tuple[str, str,
 
 # four times the share of a point of a real base in the boundary count:
 # 1/4 for a segmentation point, 1 for an inner one, 1/2 on the boundary
-_QUARTERS = {WittPointClass.SEGMENTATION.value: 1, WittPointClass.INNER.value: 4}
+_QUARTERS = {_SEGMENTATION.value: 1, _INNER.value: 4}
 
 
 def _less_half(x: Fraction, num: int, den: int) -> tuple[int, int]:
@@ -424,8 +446,8 @@ class CurveProfile(FrozenRecord):
         object.__setattr__(self, "order_lcm", order_lcm)
         object.__setattr__(self, "numerics", numerics)
         routes, vector = self._route_pairs()
-        gn, gd = routes.pop("general")
-        for name, (num, den) in routes.items():
+        (_, (gn, gd)), *others = routes
+        for name, (num, den) in others:
             if num * gd != gn * den:
                 raise InvariantViolation(
                     f"Euler characteristic mismatch: general {Fraction(gn, gd)}, {name} {Fraction(num, den)}"
@@ -434,13 +456,13 @@ class CurveProfile(FrozenRecord):
         vector.sort()
         object.__setattr__(self, "weight_ram_vector", tuple(vector))
 
-    def _route_pairs(self) -> tuple[dict[str, tuple[int, int]], list[int]]:
-        """Every chi'_orb route that applies, as an int (numerator,
-        denominator) pair with a positive denominator, keyed by the name its
-        mismatch message gives it, and the weight-ramification vector,
-        unsorted. One walk over the points reads them all: each route sums
-        its point terms in an integer accumulator of its own, as one
-        numerator over the lcm of their denominators."""
+    def _route_pairs(self) -> tuple[list[tuple[str, tuple[int, int]]], list[int]]:
+        """Every chi'_orb route that applies, the general one first, as a
+        short list of the name its mismatch message gives it and an int
+        (numerator, denominator) pair with a positive denominator, and the
+        weight-ramification vector, unsorted. One walk over the points reads
+        them all: each route sums its point terms in an integer accumulator
+        of its own, as one numerator over the lcm of their denominators."""
         nums, n, pbar = self.numerics, self.order_lcm, self.pbar
         real, zero = nums.centre == "R", nums.genus == 0
         s, kappa, epsilon = nums.skewness, nums.kappa, nums.epsilon
@@ -463,14 +485,12 @@ class CurveProfile(FrozenRecord):
                 form += s2 * f * (p - 1) * m
             if o > 1:
                 vector += [o] * f
-        routes = {
-            "general": _less_half(nums.chi_centre, general, n),
-            "split": _less_half(nums.chi_prime, split, n),
-        }
+        routes = [("general", _less_half(nums.chi_centre, general, n)),
+                  ("split", _less_half(nums.chi_prime, split, n))]
         if real:
-            routes["boundary count"] = _less_half(nums.chi_prime, boundary, 2 * pbar)
+            routes.append(("boundary count", _less_half(nums.chi_prime, boundary, 2 * pbar)))
         if zero:
-            routes["genus-zero form"] = _genus_zero(kappa, s, epsilon, form, kappa * epsilon * n)
+            routes.append(("genus-zero form", _genus_zero(kappa, s, epsilon, form, kappa * epsilon * n)))
         return routes, vector
 
     def chi_routes(self) -> dict[str, Fraction]:
@@ -480,24 +500,25 @@ class CurveProfile(FrozenRecord):
         count on a real centre and the genus-zero form where the function
         field has genus zero. Each is a Fraction built from the integer
         pair the constructor compares; nothing is compared here."""
-        return {name: Fraction(num, den) for name, (num, den) in self._route_pairs()[0].items()}
+        return {name: Fraction(num, den) for name, (num, den) in self._route_pairs()[0]}
 
     def curve_class(self) -> CurveClass:
-        chi = self.chi_orb
-        if chi > 0:
-            result = CurveClass.DOMESTIC
-        elif chi == 0:
-            result = CurveClass.ELLIPTIC if self.pbar == 1 else CurveClass.TUBULAR
+        # the sign of chi'_orb, read off its int numerator
+        sign = self.chi_orb.numerator
+        if sign > 0:
+            result = _DOMESTIC
+        elif not sign:
+            result = _ELLIPTIC if self.pbar == 1 else _TUBULAR
         else:
-            result = CurveClass.WILD
+            result = _WILD
         vector = self.weight_ram_vector
         cg = self.numerics.centre_genus
-        if result is CurveClass.TUBULAR:
+        if result is _TUBULAR:
             if _genus_zero_excess(vector) != 0:
                 raise self._inconsistent(f"tubular curve with vector {vector}")
             if cg is not None and cg != 0:
                 raise self._inconsistent("tubular curve with a positive-genus centre")
-        if result is CurveClass.DOMESTIC and cg == 0 and _genus_zero_excess(vector) >= 0:
+        if result is _DOMESTIC and cg == 0 and _genus_zero_excess(vector) >= 0:
             raise self._inconsistent(f"domestic genus-zero curve with vector {vector}")
         return result
 
@@ -515,7 +536,7 @@ class CurveProfile(FrozenRecord):
         return out
 
     def tau_order(self) -> int:
-        if self.chi_orb != 0:
+        if self.chi_orb.numerator:
             raise DomainError("tau has finite order only when the orbifold characteristic vanishes")
         order = max(self.weight_ram_vector, default=1)
         if order not in (1, 2, 3, 4, 6):
@@ -553,7 +574,7 @@ class CurveProfile(FrozenRecord):
             "cy_dimension": None,
             "picard": None,
         }
-        if chi == 0:
+        if not chi.numerator:
             order = self.tau_order()
             report["tau_order"] = order
             report["cy_dimension"] = (order, order)

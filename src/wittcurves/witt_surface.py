@@ -41,7 +41,8 @@ class Oval(FrozenRecord):
     __slots__ = _fields = ("segments", "sign")
 
     def __init__(self, segments: tuple[str, ...] = (), sign: str | None = None):
-        segments = require_sequence(segments, "the segments", "oval-shape")
+        if segments.__class__ is not tuple:
+            segments = require_sequence(segments, "the segments", "oval-shape")
         self._set(segments, sign)
         if segments and sign is not None:
             raise ValidationError("an oval is segmented or whole, not both", code="oval-shape")
@@ -77,7 +78,8 @@ class WittSurface(FrozenRecord):
     __slots__ = (*_fields, "_reading")
 
     def __init__(self, topology: KleinTopology, ovals: tuple[Oval, ...], commutative: bool):
-        ovals = require_sequence(ovals, "the ovals", "oval-shape")
+        if ovals.__class__ is not tuple:
+            ovals = require_sequence(ovals, "the ovals", "oval-shape")
         self._set(topology, ovals, commutative)
         object.__setattr__(self, "_reading", None)
         if not isinstance(topology, KleinTopology):
@@ -183,7 +185,8 @@ def read_base(w: WittSurface | ComplexCentreBase) -> _Reading:
     no ovals and is read afresh each time.
     """
     if isinstance(w, ComplexCentreBase):
-        require_ints(genus=w.genus)
+        if w.genus.__class__ is not int:
+            require_ints(genus=w.genus)
         if w.genus < 0:
             raise ValidationError("genus must be nonnegative", code="weichold")
         # such a curve lives over its own constants field, so the constants
@@ -194,7 +197,9 @@ def read_base(w: WittSurface | ComplexCentreBase) -> _Reading:
     if w._reading is not None:
         return w._reading
     g, t, flag = w.topology
-    require_ints(g=g, t=t, s=flag)
+    # plain ints pass here; anything else, an int subclass too, goes to the full check
+    if not (g.__class__ is int and t.__class__ is int and flag.__class__ is int):
+        require_ints(g=g, t=t, s=flag)
     if g < 0 or t < 0 or flag not in (0, 1):
         raise ValidationError("topology entries out of range", code="weichold")
     if len(w.ovals) != t:

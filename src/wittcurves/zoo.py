@@ -86,7 +86,7 @@ def _build_curve(base_name: str, weights: Weights) -> WeightedCurve:
     for cls, w in weights:
         if cls == _SEG:
             oval, segment = next(slots)
-            pts.append(WeightedPoint(WittPointClass.SEGMENTATION, w, oval=oval, segment=segment))
+            pts.append(WeightedPoint(_LOCATION[cls], w, oval=oval, segment=segment))
         else:
             pts.append(WeightedPoint(_LOCATION[cls], w))
     return WeightedCurve(base, tuple(pts))
@@ -95,7 +95,7 @@ def _build_curve(base_name: str, weights: Weights) -> WeightedCurve:
 def _entry_for(base_name: str, weights: Weights) -> ZooEntry:
     profile = _build_curve(base_name, weights).profile
     chi = profile.chi_orb
-    order = profile.tau_order() if chi == 0 else None
+    order = None if chi.numerator else profile.tau_order()
     return ZooEntry(
         base=base_name,
         weights=weights,
@@ -198,9 +198,9 @@ def enumerate_chi_zero() -> list[ZooEntry]:
     plus the exact patterns on the bases with chi'_orb > 0."""
     entries = []
     for name, chi in _bases():
-        if chi == 0:
+        if not chi.numerator:
             entries.append(_entry_for(name, ()))
-        elif chi > 0:
+        elif chi.numerator > 0:
             patterns = _zoo(name, chi)[1]
             entries.extend(_entry_for(name, tuple(sorted(ws, key=_weight_key))) for ws, _, exact in patterns if exact)
     return sorted(entries, key=entry_key)
@@ -238,7 +238,7 @@ def enumerate_domestic() -> list[ZooEntry]:
     family into an honest curve."""
     entries = []
     for name, chi in _bases():
-        if chi > 0:
+        if chi.numerator > 0:
             places, patterns = _zoo(name, chi)
             bare, rank = _entry_for(name, ()), {cls: r for r, cls in enumerate(places)}
             entries.extend(_family_entry(bare, places, rank, ws, left) for ws, left, exact in patterns if not exact)

@@ -16,6 +16,9 @@ and budgets (the exact patterns only, which are the tubular weights).
 patterns, last, enumerates every pattern of the zoo's rule on Fractions
 another way: the symbols first, then int weights that use up exactly the
 counts left.
+The class of a profile and the order of tau are read here as they were
+before the library took them off the sign of the numerator of chi'_orb:
+by Fraction comparisons, with the consistency checks summed on Fractions.
 tests/test_euler_integer.py compares the integer code against them.
 
 The third part is the centre system of D[[T, sigma]] as skew_series
@@ -34,6 +37,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+
+from wittcurves.errors import DomainError, InconsistentDataError, InvariantViolation
 
 
 @dataclass(frozen=True)
@@ -202,6 +207,46 @@ def abstract_chi_prime(base) -> Fraction:
     return Fraction(base.chi_x) - Fraction(1, 2) * sum(
         (1 - Fraction(1, p.e_tau)) * p.residue_degree for p in base.points
     )
+
+
+def _excess(vector) -> Fraction:
+    """sum(1 - 1/v) - 2 over a weight-ramification vector."""
+    return sum((1 - Fraction(1, v) for v in vector), Fraction(0)) - 2
+
+
+def _inconsistent(profile):
+    """The error of a reading no curve has: bad input on an abstract base,
+    whose numerics name no centre, and a bug on a surface base."""
+    return InconsistentDataError if profile.numerics.centre is None else InvariantViolation
+
+
+def curve_class(profile) -> str:
+    """The class of a CurveProfile by Fraction comparisons of chi'_orb:
+    a tubular curve must have a tubular vector and no centre of positive
+    genus, and a domestic one over a centre of genus 0 a Geigle-Lenzing
+    vector."""
+    chi, vector, cg = profile.chi_orb, profile.weight_ram_vector, profile.numerics.centre_genus
+    if chi > 0:
+        if cg == 0 and _excess(vector) >= 0:
+            raise _inconsistent(profile)("domestic genus-zero curve")
+        return "domestic"
+    if chi < 0:
+        return "wild"
+    if profile.pbar == 1:
+        return "elliptic"
+    if _excess(vector) != 0 or (cg is not None and cg != 0):
+        raise _inconsistent(profile)("tubular curve")
+    return "tubular"
+
+
+def tau_order(profile) -> int:
+    """The order of tau, by a Fraction comparison of chi'_orb with 0."""
+    if profile.chi_orb != 0:
+        raise DomainError("tau has finite order only when the orbifold characteristic vanishes")
+    order = max(profile.weight_ram_vector, default=1)
+    if order not in (1, 2, 3, 4, 6):
+        raise _inconsistent(profile)("unexpected tau order")
+    return order
 
 
 def genus_zero_orbifold_euler(kappa, s, epsilon, points) -> Fraction:

@@ -17,7 +17,7 @@ from math import lcm
 import fraction_oracle as fo
 import pytest
 
-from wittcurves.errors import InvariantViolation, ValidationError
+from wittcurves.errors import CurveError, DomainError, InvariantViolation, ValidationError
 from wittcurves.local_data import WittPointClass
 from wittcurves.weighted_curve import (
     COMPLEX_POINT,
@@ -38,7 +38,7 @@ from wittcurves.witt_surface import (
     validate,
     whole_oval,
 )
-from wittcurves.zoo import _search
+from wittcurves.zoo import _build_curve, _search, enumerate_chi_zero
 
 INNER = WittPointClass.INNER
 REAL_B = WittPointClass.REAL_BOUNDARY
@@ -123,6 +123,68 @@ def test_every_route_matches_the_fraction_oracle(make):
         assert profile.chi_orb == routes["general"]
         if isinstance(c.base, AbstractBase):
             assert profile.numerics.chi_prime == fo.abstract_chi_prime(c.base)
+
+
+def _random_chi_zero_abstract_curve(rng) -> WeightedCurve:
+    """An abstract curve whose chi_x is the sum of its point terms, so that
+    chi'_orb = 0: elliptic when every weight is 1, else tubular, or refused
+    as no curve when its vector or centre genus is not a tubular one."""
+    points = tuple(
+        AbstractPoint(f"x{i}", rng.randint(1, 3), rng.randint(1, 2), rng.choice((1, 2, 2, 3, 4, 6)))
+        for i in range(rng.randint(0, 4))
+    )
+    chi_x = Fraction(1, 2) * sum((1 - Fraction(1, p.weight * p.e_tau)) * p.residue_degree for p in points)
+    base = AbstractBase(chi_x, rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 2), points, rng.choice((None, 0, 1)))
+    return WeightedCurve(base)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except CurveError as exc:
+        return type(exc)
+
+
+def _reading(profile):
+    """The class and the order of tau by the profile, and by its report:
+    each a value, or the class of the error it raised."""
+    report = _outcome(profile.report)
+    if isinstance(report, dict):
+        report = report["curve_class"], report["tau_order"]
+    return _outcome(lambda: profile.curve_class().value), _outcome(profile.tau_order), report
+
+
+def _oracle_reading(profile):
+    """The same three by the Fraction comparisons of the oracle. The report
+    raises the first error of the class and of tau, and gives no tau where
+    chi'_orb is not 0."""
+    cls, tau = _outcome(lambda: fo.curve_class(profile)), _outcome(lambda: fo.tau_order(profile))
+    if isinstance(cls, type):
+        report = cls
+    elif tau is DomainError:
+        report = cls, None
+    else:
+        report = tau if isinstance(tau, type) else (cls, tau)
+    return cls, tau, report
+
+
+def test_the_class_read_off_the_sign_matches_the_fraction_comparisons():
+    rng = random.Random(12)
+    makers = (_random_surface_curve, _random_complex_curve, _random_abstract_curve, _random_chi_zero_abstract_curve)
+    curves = [make(rng) for make in makers for _ in range(300)]
+    # the tubular and elliptic curves of the zoo, on surface and complex-centre bases
+    curves += [_build_curve(entry.base, entry.weights) for entry in enumerate_chi_zero()]
+    seen = Counter()
+    for c in curves:
+        profile = c.profile
+        expected = _oracle_reading(profile)
+        assert _reading(profile) == expected
+        cls, chi = expected[0], profile.chi_orb
+        seen["chi < 0" if chi < 0 else "chi > 0" if chi > 0 else "chi = 0, pbar 1" if profile.pbar == 1
+             else "chi = 0, pbar > 1"] += 1
+        seen[cls if isinstance(cls, str) else "refused"] += 1
+    # every sign, both kinds of chi'_orb = 0, every class and refusals
+    assert len(seen) == 9 and min(seen.values()) >= 20, seen
 
 
 def test_surface_curves_run_every_route():

@@ -12,7 +12,15 @@ from test_euler_integer import _random_abstract_curve, _random_complex_curve, _r
 
 import wittcurves.weighted_curve as wc
 import wittcurves.witt_surface as ws
-from wittcurves.errors import DomainError, InconsistentDataError, InvariantViolation, KindMismatchError, ValidationError
+import wittcurves.zoo as zoo
+from wittcurves.errors import (
+    DomainError,
+    InconsistentDataError,
+    InvariantViolation,
+    KindMismatchError,
+    ValidationError,
+    require_ints,
+)
 from wittcurves.local_data import WittPointClass
 from wittcurves.weighted_curve import (
     MAX_ORDER_LCM,
@@ -647,33 +655,53 @@ def test_a_placement_reads_one_oval_and_no_list_of_points(monkeypatch):
     assert len(surface_reads) == 2 and surface_reads[0] is whole and surface_reads[1] is cut
 
 
-def test_the_ceilings_are_held_once_per_curve(monkeypatch):
-    held = []
-    real_bounded = wc._bounded_order_lcm
-    monkeypatch.setattr(wc, "_bounded_order_lcm", lambda points: held.append(points) or real_bounded(points))
-    curves = [
-        WeightedCurve(catalog("D_22"), [WeightedPoint(REAL_B, 2), WeightedPoint(INNER, 3)]),
-        WeightedCurve(catalog("S2_C"), [WeightedPoint(wc.COMPLEX_POINT, 5)]),
-        WeightedCurve(AbstractBase(Fraction(1), 1, 1, 1, (AbstractPoint("x0", e_tau=2), AbstractPoint("x1")))),
+def test_a_curve_over_a_ceiling_is_refused_before_any_route_is_summed(monkeypatch):
+    sums = []
+    real_less_half = wc._less_half
+    monkeypatch.setattr(wc, "_less_half", lambda *args: sums.append(args) or real_less_half(*args))
+    cut = WittSurface(KleinTopology(0, 1, 1), (segmented_oval(*"+-" * (MAX_VECTOR_LENGTH // 2)),), commutative=False)
+    ws.surface_numerics(cut)
+    above = orders_at_the_ceiling() + [2]
+    complex_weights = [WeightedPoint(wc.COMPLEX_POINT, 2)] * (MAX_VECTOR_LENGTH + 1)
+    over = [
+        (cut, [WeightedPoint(REAL_B, 2)]),  # the vector, one entry past the segmentation points
+        (catalog("D"), [WeightedPoint(INNER, p) for p in above]),  # the lcm of the orders
+        (catalog("S2_C"), complex_weights),  # the vector, on the count of the weights
+        (catalog("S2_C"), [WeightedPoint(wc.COMPLEX_POINT, p) for p in above]),  # the lcm of the orders
     ]
-    assert [len(points) for points in held] == [len(c.profile.points) for c in curves] == [4, 1, 2]
+    for base, weights in over:
+        with pytest.raises(ValidationError) as exc:
+            WeightedCurve(base, weights)
+        assert exc.value.code == "too-large"
+    assert sums == []
+    # at the ceilings: the general and the split route, and the boundary count over a real centre
+    for base, weights in ((cut, []), (catalog("S2_C"), complex_weights[1:]),
+                          (catalog("S2_C"), [WeightedPoint(wc.COMPLEX_POINT, p) for p in above[:-1]])):
+        sums.clear()
+        WeightedCurve(base, weights)
+        assert len(sums) == (3 if base is cut else 2)
 
 
 _D22_WEIGHTS = (WeightedPoint(REAL_B, 2), WeightedPoint(INNER, 3), WeightedPoint(SEG, 5, oval=0, segment=1))
 
 
-def test_a_surface_curve_walks_its_effective_points_twice(monkeypatch):
+def test_a_surface_curve_walks_its_effective_points_once(monkeypatch):
     walks = []
     real_validate = wc._validate_weights
-    monkeypatch.setattr(
-        wc, "_validate_weights", lambda base, weights: _WalkedPoints(real_validate(base, weights), walks)
-    )
+
+    def validate(reading, weights):
+        points, pbar, order_lcm = real_validate(reading, weights)
+        return _WalkedPoints(points, walks), pbar, order_lcm
+
+    monkeypatch.setattr(wc, "_validate_weights", validate)
     for name, weights in (("D_22", (WeightedPoint(REAL_B, 2), WeightedPoint(SEG, 5, oval=0, segment=1))),
                           ("D", ()), ("S2_C", (WeightedPoint(wc.COMPLEX_POINT, 3),))):
         walks.clear()
-        WeightedCurve(catalog(name), weights)
-        # once to hold the ceilings, once for every route and the vector
-        assert walks == ["walk", "walk"]
+        c = WeightedCurve(catalog(name), weights)
+        # once, for every route and the vector: the ceilings are held as the weights are read
+        assert walks == ["walk"]
+        assert c.profile.order_lcm == lcm(*(pt.weight * pt.e_tau for pt in c.profile.points))
+        assert c.profile.pbar == lcm(*(pt.weight for pt in c.profile.points))
 
 
 def test_a_profile_walks_its_points_once():
@@ -686,10 +714,8 @@ def test_a_profile_walks_its_points_once():
         assert profile.chi_orb == c.profile.chi_orb and profile.weight_ram_vector == c.profile.weight_ram_vector
 
 
-def test_the_check_of_a_curve_makes_few_calls():
-    base = catalog("D_22")
-    # the surface is read by the first check; the second is counted
-    WeightedCurve(base, _D22_WEIGHTS)
+def _calls(call, *args) -> list:
+    """The Python and C calls that call(*args) makes, itself included."""
     calls = []
 
     def profiler(frame, event, arg):
@@ -698,11 +724,35 @@ def test_the_check_of_a_curve_makes_few_calls():
 
     sys.setprofile(profiler)
     try:
-        WeightedCurve(base, _D22_WEIGHTS)
+        call(*args)
     finally:
         sys.setprofile(None)
-    # Python and C calls, the effective points built included, on CPython 3.11
-    assert len(calls) <= 66, calls
+    return calls
+
+
+# The guards below count Python and C calls on CPython 3.11, the effective
+# points built included; a Fraction comparison or a pass more shows as calls.
+
+def test_the_check_of_a_curve_makes_few_calls():
+    base = catalog("D_22")
+    # the surface is read by the first check; the second is counted
+    WeightedCurve(base, _D22_WEIGHTS)
+    calls = _calls(WeightedCurve, base, _D22_WEIGHTS)
+    assert len(calls) <= 63, calls
+
+
+def test_the_report_of_a_curve_makes_few_calls():
+    profile = WeightedCurve(catalog("D_22"), _D22_WEIGHTS).profile
+    calls = _calls(profile.report)
+    # the class off the sign of an int, and the Picard descriptor
+    assert len(calls) <= 9, calls
+
+
+def test_a_zoo_entry_makes_few_calls():
+    weights = (("inner", 2),)
+    zoo._entry_for("D_22", weights)
+    calls = _calls(zoo._entry_for, "D_22", weights)
+    assert len(calls) <= 71, calls
 
 
 def primes_below(n: int) -> list[int]:
@@ -884,6 +934,97 @@ def test_abstract_centre_genus_must_be_nonnegative():
 ])
 def test_ghost_group_entries_must_be_ints(points, efficient):
     _not_integer(lambda: ghost_group(points, efficient))
+
+
+# ---------------------------------------------------------------------------
+# Plain ints and tuples take a fast path; anything else takes the full check,
+# and gives the same record or the same error
+
+def _error(call) -> tuple[str, str]:
+    with pytest.raises(ValidationError) as exc:
+        call()
+    return exc.value.code, str(exc.value)
+
+
+def _full_check_error(**field) -> tuple[str, str]:
+    """The code and message that require_ints gives for the field."""
+    return _error(lambda: require_ints(("centre_genus",), **field))
+
+
+class Exact(Fraction):
+    """A Fraction of a subclass."""
+
+
+@pytest.mark.parametrize("make", [list, iter], ids=["list", "iterator"])
+def test_ovals_and_segments_in_any_sequence_give_the_same_record(make):
+    plain = WittSurface(KleinTopology(1, 2, 1), (segmented_oval("+", "-"), whole_oval("-")), commutative=False)
+    oval = ws.Oval(make(("+", "-")))
+    assert oval == plain.ovals[0] and type(oval.segments) is tuple
+    surface = WittSurface(KleinTopology(1, 2, 1), make((oval, whole_oval("-"))), commutative=False)
+    assert surface == plain and type(surface.ovals) is tuple
+    assert ws.read_base(surface) == ws.read_base(plain)
+    assert type(ws.read_base(surface).numerics.chi_centre) is Fraction
+    assert _error(lambda: ws.Oval(2)) == ("oval-shape", "the segments must be a sequence, got int")
+    assert _error(lambda: WittSurface(KleinTopology(0, 0, 0), 0, True)) == (
+        "oval-shape", "the ovals must be a sequence, got int"
+    )
+
+
+@pytest.mark.parametrize("field", ["g", "t", "s"])
+@pytest.mark.parametrize("kind", [bool, float, Small], ids=["bool", "float", "int-subclass"])
+def test_a_topology_field_that_is_no_plain_int_takes_the_full_check(field, kind):
+    plain = {"g": 0, "t": 1, "s": 1}
+    value = kind(plain[field])
+    surface = WittSurface(KleinTopology(**{**plain, field: value}), (whole_oval("+"),), commutative=True)
+    if kind is Small:
+        assert ws.read_base(surface) == ws.read_base(catalog("D"))
+        assert type(ws.read_base(surface).numerics.chi_centre) is Fraction
+    else:
+        assert _error(lambda: WeightedCurve(surface)) == _full_check_error(**{field: value})
+
+
+def test_a_complex_centre_genus_of_an_int_subclass_is_read_as_its_int():
+    numerics = WeightedCurve(ComplexCentreBase(Small.ONE)).profile.numerics
+    assert numerics == WeightedCurve(catalog("T_C")).profile.numerics
+    assert type(numerics.chi_centre) is Fraction
+
+
+@pytest.mark.parametrize("field", ["s", "kappa", "epsilon", "centre_genus"])
+@pytest.mark.parametrize("kind", [bool, float, Small], ids=["bool", "float", "int-subclass"])
+def test_an_abstract_base_field_that_is_no_plain_int_takes_the_full_check(field, kind):
+    plain = AbstractBase(Fraction(1, 2), 1, 1, 1, (AbstractPoint("x0", 2, 1, 3),), 0)
+    value = kind(getattr(plain, field))
+
+    def curve():
+        return WeightedCurve(plain._replace(**{field: value}))
+
+    if kind is Small:
+        numerics = curve().profile.numerics
+        assert numerics == WeightedCurve(plain).profile.numerics
+        assert invariants_report(curve()) == invariants_report(WeightedCurve(plain))
+        assert type(numerics.chi_centre) is Fraction
+    else:
+        assert _error(curve) == _full_check_error(**{field: value})
+
+
+@pytest.mark.parametrize("chi_x", [1, Small.ONE, Fraction(1, 2), Exact(1, 2)], ids=["int", "int-subclass", "fraction",
+                                                                                  "fraction-subclass"])
+def test_an_abstract_chi_x_is_read_as_exactly_a_fraction(chi_x):
+    numerics = WeightedCurve(AbstractBase(chi_x, 1, 1, 1, (AbstractPoint("x0", 2),))).profile.numerics
+    assert type(numerics.chi_centre) is Fraction and numerics.chi_centre == chi_x
+    assert type(numerics.chi_prime) is Fraction and numerics.chi_prime == chi_x - Fraction(1, 4)
+
+
+def test_a_placement_is_a_class_and_not_its_name():
+    assert _error(lambda: WeightedCurve(catalog("D"), (WeightedPoint("inner", 2),))) == (
+        "placement", "invalid placement 'inner'"
+    )
+    assert _error(lambda: WeightedCurve(catalog("D"), (WeightedPoint(wc.COMPLEX_POINT, 2),))) == (
+        "placement", "invalid placement 'point'"
+    )
+    assert _error(lambda: WeightedCurve(catalog("S2_C"), (WeightedPoint(INNER, 2),)))[0] == "placement"
+    assert WeightedCurve(catalog("D"), (WeightedPoint(INNER, 2),)).profile.pbar == 2
+    assert WeightedCurve(catalog("S2_C"), (WeightedPoint(wc.COMPLEX_POINT, 2),)).profile.pbar == 2
 
 
 # ---------------------------------------------------------------------------
