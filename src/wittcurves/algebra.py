@@ -26,7 +26,6 @@ without element arithmetic.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (
@@ -34,12 +33,14 @@ from .errors import (
     FrozenInstanceError,
     FrozenRecord,
     KindMismatchError,
+    Record,
     ValidationError,
+    _tuple_new,
     require_ints,
 )
 
 
-class DivisionAlgebraKind(namedtuple("DivisionAlgebraKind", "tag dim_over_k dim_centre_over_k display_name")):
+class DivisionAlgebraKind(Record):
     """A division algebra over a base field k, seen through its dimensions.
 
     ``dim_over_k`` and ``dim_centre_over_k`` are dimensions over k; their
@@ -47,6 +48,9 @@ class DivisionAlgebraKind(namedtuple("DivisionAlgebraKind", "tag dim_over_k dim_
     """
 
     __slots__ = ()
+
+    def __new__(cls, tag, dim_over_k, dim_centre_over_k, display_name):
+        return _tuple_new(cls, (tag, dim_over_k, dim_centre_over_k, display_name))
 
     def __repr__(self):
         return self.display_name

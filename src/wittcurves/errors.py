@@ -1,17 +1,25 @@
 """Error types shared across the package, the integer and sequence checks
-of record fields, and FrozenRecord, the one base of the records that do
-more than hold their fields.
+of record fields, and the two bases of the records: Record, of the plain
+records that only hold their fields, and FrozenRecord, of the records that
+do more.
 
-A plain record is a collections.namedtuple class with empty __slots__.
-A record that checks, normalises or derives a field is a FrozenRecord: a
-class with an explicit constructor, compared, hashed, printed, copied and
-pickled by its fields.
+A plain record is a Record: a tuple of its fields, with empty __slots__,
+built by a __new__ whose signature is the field list and that only packs
+it. A record that checks, normalises or derives a field is a FrozenRecord:
+a class with an explicit constructor, compared, hashed, printed, copied
+and pickled by its fields. Each base reads the fields and their defaults
+off its record's constructor.
 
 The CLI maps these onto exit codes: parse problems exit 1, ValidationError
 exits 2, everything else derived from CurveError exits 3.
 """
 
+# the getter of a namedtuple field: the C type, or a property where it is missing
+from collections import _tuplegetter
 from operator import attrgetter
+
+# the tuple constructor that the __new__ of every Record calls
+_tuple_new = tuple.__new__
 
 
 class CurveError(Exception):
@@ -49,6 +57,12 @@ class InvariantViolation(CurveError, RuntimeError):
 
 class FrozenInstanceError(AttributeError):
     """An assignment to, or deletion of, a field of an immutable record."""
+
+
+def _trailing_defaults(fields: tuple[str, ...], constructor) -> dict:
+    """The defaults of the trailing fields, as the constructor states them."""
+    defaults = constructor.__defaults__ or ()
+    return dict(zip(fields[len(fields) - len(defaults):], defaults))
 
 
 def require_ints(optional: tuple[str, ...] = (), **fields) -> None:
@@ -91,9 +105,7 @@ class FrozenRecord:
     def __init_subclass__(cls):
         # the tuple of field values, read by one C-level getter
         cls._values = property(attrgetter(*cls._fields))
-        # the defaults of the trailing fields, as the constructor states them
-        defaults = cls.__init__.__defaults__ or ()
-        cls._field_defaults = dict(zip(cls._fields[len(cls._fields) - len(defaults):], defaults))
+        cls._field_defaults = _trailing_defaults(cls._fields, cls.__init__)
 
     def _set(self, *values):
         """Store the field values, in the order of _fields, past the
@@ -128,3 +140,48 @@ class FrozenRecord:
 
     def __reduce__(self):
         return self.__class__, self._values
+
+
+class Record(tuple):
+    """Base of a plain record: a tuple of its fields, neither checked nor
+    normalised.
+
+    A subclass declares ``__slots__ = ()`` and a ``__new__`` whose signature
+    is the field list, defaults included, and whose body is ``return
+    _tuple_new(cls, (<the fields>))``. ``_fields``, ``_field_defaults``,
+    ``__match_args__`` and the C getter of a namedtuple field for each field
+    are read from it; ``_make``, ``_replace``, ``_asdict``, the repr, copies
+    and pickling are a namedtuple's, and no code is compiled for the class.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+    _field_defaults: dict
+
+    def __init_subclass__(cls):
+        code = cls.__new__.__code__
+        cls._fields = cls.__match_args__ = code.co_varnames[1:code.co_argcount]
+        cls._field_defaults = _trailing_defaults(cls._fields, cls.__new__)
+        for index, name in enumerate(cls._fields):
+            setattr(cls, name, _tuplegetter(index, f"Alias for field number {index}"))
+
+    @classmethod
+    def _make(cls, iterable):
+        result = _tuple_new(cls, iterable)
+        if len(result) != len(cls._fields):
+            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(result)}")
+        return result
+
+    def _replace(self, /, **changes):
+        result = self._make(map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return result
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    __repr__ = FrozenRecord.__repr__

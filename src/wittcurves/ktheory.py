@@ -11,7 +11,6 @@ the generator word that does it, so the count is exact and certified.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -21,7 +20,9 @@ from .errors import (
     InconsistentDataError,
     InvariantViolation,
     KindMismatchError,
+    Record,
     ValidationError,
+    _tuple_new,
     require_ints,
 )
 from .witt_surface import catalog, validate
@@ -206,8 +207,11 @@ def reduce_class(vector: tuple[int, int], k: int) -> tuple[tuple[int, int], tupl
     return (abs(d), 0) if r == 0 else (d, r), tuple(word)
 
 
-class SlopeOrbits(namedtuple("SlopeOrbits", "count representatives height_bound coefficient")):
+class SlopeOrbits(Record):
     __slots__ = ()
+
+    def __new__(cls, count, representatives, height_bound, coefficient):
+        return _tuple_new(cls, (count, representatives, height_bound, coefficient))
 
 
 def slope_orbits(n: CurveNumerics, height_bound: int = 100) -> SlopeOrbits:

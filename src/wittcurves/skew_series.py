@@ -32,7 +32,6 @@ of a I.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import (
@@ -53,7 +52,16 @@ from .algebra import (
     one,
     zero,
 )
-from .errors import DomainError, FrozenRecord, InvariantViolation, KindMismatchError, ValidationError, require_ints
+from .errors import (
+    DomainError,
+    FrozenRecord,
+    InvariantViolation,
+    KindMismatchError,
+    Record,
+    ValidationError,
+    _tuple_new,
+    require_ints,
+)
 
 
 # The largest truncation of a series or a centre search, and the least
@@ -252,10 +260,13 @@ def valuation(f: TwistedSeries) -> Fraction:
 # ---------------------------------------------------------------------------
 # Centre computation
 
-class CentreDescription(namedtuple("CentreDescription", "constant_subfield period")):
+class CentreDescription(Record):
     """The centre of D[[T, sigma]]: K[[T^period]] with K the constant subfield."""
 
     __slots__ = ()
+
+    def __new__(cls, constant_subfield, period):
+        return _tuple_new(cls, (constant_subfield, period))
 
 
 def _kernel(rows: list[list[int]], n: int) -> list[list[int]]:

@@ -51,7 +51,6 @@ when it is built.
 from __future__ import annotations
 
 import enum
-from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -61,7 +60,9 @@ from .errors import (
     FrozenRecord,
     InconsistentDataError,
     InvariantViolation,
+    Record,
     ValidationError,
+    _tuple_new,
     require_ints,
     require_sequence,
 )
@@ -112,7 +113,7 @@ _INNER, _REAL, _QUATERNION, _SEGMENTATION = (
 _DOMESTIC, _ELLIPTIC, _TUBULAR, _WILD = CurveClass.DOMESTIC, CurveClass.ELLIPTIC, CurveClass.TUBULAR, CurveClass.WILD
 
 
-class WeightedPoint(namedtuple("WeightedPoint", "location weight oval segment", defaults=(None, None))):
+class WeightedPoint(Record):
     """A weight insertion: where it sits and the weight p >= 2. The
     location is a WittPointClass on a real surface base, or COMPLEX_POINT
     on a complex-centre base; anything else, the name of a class too, is
@@ -125,23 +126,35 @@ class WeightedPoint(namedtuple("WeightedPoint", "location weight oval segment", 
 
     __slots__ = ()
 
+    def __new__(cls, location, weight, oval=None, segment=None):
+        return _tuple_new(cls, (location, weight, oval, segment))
 
-class AbstractPoint(namedtuple("AbstractPoint", "label e_tau residue_degree weight", defaults=(1, 1, 1))):
+
+class AbstractPoint(Record):
     """A closed point of an abstract base, weights baked in."""
 
     __slots__ = ()
 
+    def __new__(cls, label, e_tau=1, residue_degree=1, weight=1):
+        return _tuple_new(cls, (label, e_tau, residue_degree, weight))
 
-class AbstractBase(namedtuple("AbstractBase", "chi_x s kappa epsilon points centre_genus", defaults=(None,))):
+
+class AbstractBase(Record):
     """Numerical stand-in for a curve over an arbitrary perfect field: chi_x
     a Fraction, points a tuple of AbstractPoints, centre_genus None if
     unknown."""
 
     __slots__ = ()
 
+    def __new__(cls, chi_x, s, kappa, epsilon, points, centre_genus=None):
+        return _tuple_new(cls, (chi_x, s, kappa, epsilon, points, centre_genus))
 
-class EffectivePoint(namedtuple("EffectivePoint", "label kind e_tau residue_degree weight")):
+
+class EffectivePoint(Record):
     __slots__ = ()
+
+    def __new__(cls, label, kind, e_tau, residue_degree, weight):
+        return _tuple_new(cls, (label, kind, e_tau, residue_degree, weight))
 
 
 Base = WittSurface | ComplexCentreBase | AbstractBase
@@ -568,7 +581,8 @@ class CurveProfile(FrozenRecord):
             "skewness": nums.skewness,
             "pbar": self.pbar,
             "chi_orb": chi,
-            "curve_class": self.curve_class().value,
+            # read with no call: .value goes through a DynamicClassAttribute
+            "curve_class": self.curve_class()._value_,
             "weight_ram_vector": self.weight_ram_vector,
             "tau_order": None,
             "cy_dimension": None,
@@ -700,10 +714,11 @@ def cy_dimension(c: WeightedCurve) -> tuple[int, int]:
     return (n, n)
 
 
-class PicardDescriptor(namedtuple(
-    "PicardDescriptor", "base_part torsion_quotient finitely_generated_rank_one pic_zero", defaults=(None,)
-)):
+class PicardDescriptor(Record):
     __slots__ = ()
+
+    def __new__(cls, base_part, torsion_quotient, finitely_generated_rank_one, pic_zero=None):
+        return _tuple_new(cls, (base_part, torsion_quotient, finitely_generated_rank_one, pic_zero))
 
 
 def picard_structure(c: WeightedCurve) -> PicardDescriptor:
@@ -728,11 +743,14 @@ def invariants_report(c: WeightedCurve) -> dict:
 # ---------------------------------------------------------------------------
 # Ghost groups
 
-class GhostGroup(namedtuple("GhostGroup", "orders shifts")):
+class GhostGroup(Record):
     """Product of cyclic groups C_n, with the shift exponents d(y) that
     witness how each generator is normalized against the efficient point."""
 
     __slots__ = ()
+
+    def __new__(cls, orders, shifts):
+        return _tuple_new(cls, (orders, shifts))
 
     def describe(self) -> str:
         if not self.orders:

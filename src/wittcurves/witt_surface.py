@@ -19,20 +19,30 @@ reading a surface keeps.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import COMPLEX, QUATERNION, REAL, DivisionAlgebraKind
-from .errors import FrozenRecord, InvariantViolation, ValidationError, require_ints, require_sequence
+from .errors import (
+    FrozenRecord,
+    InvariantViolation,
+    Record,
+    ValidationError,
+    _tuple_new,
+    require_ints,
+    require_sequence,
+)
 
 PLUS = "+"
 MINUS = "-"
 
 
-class KleinTopology(namedtuple("KleinTopology", "g t s")):
+class KleinTopology(Record):
     """Weichold triple (g, t, s) of a real curve."""
 
     __slots__ = ()
+
+    def __new__(cls, g, t, s):
+        return _tuple_new(cls, (g, t, s))
 
 
 class Oval(FrozenRecord):
@@ -93,7 +103,7 @@ class WittSurface(FrozenRecord):
                 )
 
 
-class ComplexCentreBase(namedtuple("ComplexCentreBase", "genus")):
+class ComplexCentreBase(Record):
     """A curve whose field of constants is C itself, not a real form.
 
     The zoos mix these with the real surfaces, so they share the same
@@ -103,19 +113,22 @@ class ComplexCentreBase(namedtuple("ComplexCentreBase", "genus")):
 
     __slots__ = ()
 
+    def __new__(cls, genus):
+        return _tuple_new(cls, (genus,))
 
-class SurfaceCounts(namedtuple("SurfaceCounts", "m r q")):
+
+class SurfaceCounts(Record):
     """m: half the total number of segmentation points;
     r: whole real ovals;
     q: whole quaternion ovals."""
 
     __slots__ = ()
 
+    def __new__(cls, m, r, q):
+        return _tuple_new(cls, (m, r, q))
 
-class BaseNumerics(namedtuple(
-    "BaseNumerics",
-    "constants kappa epsilon skewness genus centre centre_genus ovals chi chi_centre chi_prime",
-)):
+
+class BaseNumerics(Record):
     """Every numerical invariant of a curve's base, read once by its check:
     read_base reads a surface or a complex-centre base, and weighted_curve
     an abstract base, which gives kappa, epsilon, skewness, centre_genus
@@ -132,8 +145,15 @@ class BaseNumerics(namedtuple(
 
     __slots__ = ()
 
+    def __new__(
+        cls, constants, kappa, epsilon, skewness, genus, centre, centre_genus, ovals, chi, chi_centre, chi_prime
+    ):
+        return _tuple_new(
+            cls, (constants, kappa, epsilon, skewness, genus, centre, centre_genus, ovals, chi, chi_centre, chi_prime)
+        )
 
-class _Reading(namedtuple("_Reading", "numerics counts points ovals")):
+
+class _Reading(Record):
     """What read_base reads off a base, kept by a surface, and the two
     questions that validation of a placement asks of it, each in
     constant time.
@@ -143,6 +163,9 @@ class _Reading(namedtuple("_Reading", "numerics counts points ovals")):
     """
 
     __slots__ = ()
+
+    def __new__(cls, numerics, counts, points, ovals):
+        return _tuple_new(cls, (numerics, counts, points, ovals))
 
     def is_segmentation_point(self, oval: int, segment: int) -> bool:
         """Whether (oval, segment) is a segmentation point, by the index bounds."""
@@ -245,9 +268,12 @@ def read_base(w: WittSurface | ComplexCentreBase) -> _Reading:
             f"normalized characteristic {Fraction(chi, s * s)} "
             f"!= downstairs count {Fraction(downstairs, 2)}"
         )
-    numerics = BaseNumerics(
-        constants, kappa, epsilon, s, upstairs, "R", g, t, Fraction(chi), Fraction(1 - g), Fraction(chi, s * s)
-    )
+    if w.commutative:
+        # kappa = s = 1 and the genus upstairs is g: chi, chi_centre and chi' are one value
+        chi = chi_centre = chi_prime = Fraction(chi)
+    else:
+        chi, chi_centre, chi_prime = Fraction(chi), Fraction(1 - g), Fraction(chi, s * s)
+    numerics = BaseNumerics(constants, kappa, epsilon, s, upstairs, "R", g, t, chi, chi_centre, chi_prime)
     points = tuple((oi, si) for oi, oval in enumerate(w.ovals) for si in range(len(oval.segments)))
     reading = _Reading(numerics, surface_counts, points, w.ovals)
     object.__setattr__(w, "_reading", reading)

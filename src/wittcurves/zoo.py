@@ -38,13 +38,12 @@ short names of local_data, plus "point" on a complex-centre base.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import lcm
 
-from .errors import ValidationError
+from .errors import Record, ValidationError, _tuple_new
 from .local_data import SHORT_NAMES, WittPointClass
 from .weighted_curve import (
     COMPLEX_POINT,
@@ -64,8 +63,11 @@ _CLASS_ORDER = {"seg": 0, "real": 1, "quat": 2, "inner": 3, "point": 4}
 Weights = tuple[tuple[str, object], ...]
 
 
-class ZooEntry(namedtuple("ZooEntry", "base weights curve_class chi_orb skewness wrv tau_order cy centre")):
+class ZooEntry(Record):
     __slots__ = ()
+
+    def __new__(cls, base, weights, curve_class, chi_orb, skewness, wrv, tau_order, cy, centre):
+        return _tuple_new(cls, (base, weights, curve_class, chi_orb, skewness, wrv, tau_order, cy, centre))
 
 
 def _weight_key(pair):

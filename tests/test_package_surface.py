@@ -8,9 +8,10 @@ scan keeps the reading of a surface in witt_surface: no other module
 reads the topology, the commutative flag or the signs of its ovals. A
 third keeps dataclasses out, a fourth gives every ValidationError
 raised in src/ a stable code, and a fifth keeps one base for the records
-that check themselves: it sees exactly the plain records, each a
-collections.namedtuple class; no class extends one, none defines __new__
-or __post_init__, and no module imports typing.NamedTuple. A sixth keeps
+that check themselves: it sees exactly the plain records, each a Record
+whose __new__ only packs its parameters, in order; no class extends one,
+none defines __init__ or __post_init__, and no module imports
+collections.namedtuple or typing.NamedTuple. A sixth keeps
 the branching on the kind of a base in witt_surface and weighted_curve: the numerics
 every other module reads come in one record for every kind. A seventh
 keeps one reader per curve: only weighted_curve builds a CurveProfile,
@@ -19,8 +20,9 @@ eighth keeps every record on slots: each FrozenRecord subclass declares
 __slots__, and nothing uses cached_property, which needs an instance
 __dict__. A ninth keeps one reader per base: only witt_surface.read_base
 reads the reading a surface keeps. The command line starts without click, dataclasses, inspect,
-ast or dis, as a fresh interpreter's sys.modules shows, and builds no
-typing.ForwardRef.
+ast or dis, as a fresh interpreter's sys.modules shows, builds no
+typing.ForwardRef, and makes no call of collections.namedtuple, eval,
+compile or exec.
 """
 
 import ast
@@ -297,8 +299,8 @@ def test_the_scan_sees_kept_reading_reads():
     assert kept_reading_reads({"m": tree}) == ["m:12", "m:7", "m:8"]
 
 
-# No class is a dataclass. A plain record is a collections.namedtuple
-# class, and one that checks, normalises or derives a field a FrozenRecord:
+# No class is a dataclass. A plain record is a Record, and one that
+# checks, normalises or derives a field a FrozenRecord:
 # dataclass() compiles every generated method of a class with exec at
 # import, and importing dataclasses loads inspect, ast and dis, which once
 # took most of the start-up of the command line.
@@ -355,6 +357,45 @@ def test_importing_the_command_line_builds_no_forward_reference():
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))),
     ).stdout.split()
     assert built == ["0"]
+
+
+def test_importing_the_command_line_compiles_no_code():
+    # collections.namedtuple compiled the __new__ of each record with eval
+    # at import, 15 of each when the plain records were built that way. A
+    # call counts when the package made it, directly or through the standard
+    # library: the nearest frame of the package or of the import system
+    # decides, so the import system compiling a module does not count, nor
+    # does a standard-library module that builds a namedtuple as it loads.
+    counted = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import builtins, collections, sys\n"
+            "calls = dict.fromkeys(('namedtuple', 'eval', 'compile', 'exec'), 0)\n"
+            "def made_by_the_package():\n"
+            "    frame = sys._getframe(2)\n"
+            "    while frame is not None:\n"
+            "        name = frame.f_globals.get('__name__', '')\n"
+            "        if name.partition('.')[0] == 'wittcurves':\n"
+            "            return True\n"
+            "        if name.startswith(('importlib', '_frozen_importlib')):\n"
+            "            return False\n"
+            "        frame = frame.f_back\n"
+            "    return False\n"
+            "def counting(name, real):\n"
+            "    def call(*args, **kwargs):\n"
+            "        calls[name] += made_by_the_package()\n"
+            "        return real(*args, **kwargs)\n"
+            "    return call\n"
+            "collections.namedtuple = counting('namedtuple', collections.namedtuple)\n"
+            "for name in ('eval', 'compile', 'exec'):\n"
+            "    setattr(builtins, name, counting(name, getattr(builtins, name)))\n"
+            "import wittcurves.cli\n"
+            "print(*calls.values())\n",
+        ],
+        capture_output=True, text=True, check=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))),
+    ).stdout.split()
+    assert counted == ["0", "0", "0", "0"]
 
 
 def test_importing_the_command_line_reads_no_surface():
@@ -423,14 +464,16 @@ def test_the_scan_sees_validation_errors_without_a_code():
     assert uncoded_validation_errors({"m": tree}) == ["m:2", "m:3", "m:4"]
 
 
-# A plain record is a collections.namedtuple class, and a record that
-# checks, normalises or derives a field is a FrozenRecord, built through its
-# own __init__. A namedtuple that checks itself would need a second __new__
-# around the tuple's, which every build, copy and unpickling pays for. No
-# record is a typing.NamedTuple: that class compiles every string annotation
-# into a ForwardRef at import, which once took a third of the import time of
-# the package, and nothing reads the annotations.
-NAMEDTUPLE_HOOKS = frozenset({"__new__", "__post_init__"})
+# A plain record is a Record, and a record that checks, normalises or
+# derives a field is a FrozenRecord, built through its own __init__. A plain
+# record never checks or normalises: its __new__ only packs its parameters,
+# in order, into the tuple, it has no __init__ or __post_init__, and no
+# class extends one, so a build, a copy or an unpickling runs nothing more.
+# No record is made by collections.namedtuple, which compiles the __new__ of
+# each record with eval at import, nor is one a typing.NamedTuple, which
+# also compiles every string annotation into a ForwardRef that nothing
+# reads; each took a large share of the import time of the package.
+RECORD_HOOKS = frozenset({"__init__", "__post_init__"})
 PLAIN_RECORDS = [
     "algebra.DivisionAlgebraKind",
     "ktheory.SlopeOrbits",
@@ -458,14 +501,6 @@ def _base_names(node: ast.ClassDef) -> set[str]:
     return {_name(base) for base in node.bases}
 
 
-def _is_namedtuple(node: ast.ClassDef) -> bool:
-    """Whether a base of the class is NamedTuple or a namedtuple(...) call."""
-    return any(
-        _name(base.func) == "namedtuple" if isinstance(base, ast.Call) else _name(base) == "NamedTuple"
-        for base in node.bases
-    )
-
-
 def _classes(modules: dict[str, ast.Module]) -> list[tuple[str, ast.ClassDef]]:
     return [
         (module, node) for module, tree in modules.items() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
@@ -473,25 +508,59 @@ def _classes(modules: dict[str, ast.Module]) -> list[tuple[str, ast.ClassDef]]:
 
 
 def plain_records(modules: dict[str, ast.Module]) -> list[str]:
-    """module.Class for every class whose base is NamedTuple or a
-    namedtuple(...) call."""
-    return sorted(f"{module}.{node.name}" for module, node in _classes(modules) if _is_namedtuple(node))
+    """module.Class for every class with Record among its bases."""
+    return sorted(f"{module}.{node.name}" for module, node in _classes(modules) if "Record" in _base_names(node))
 
 
-def checked_namedtuples(modules: dict[str, ast.Module]) -> list[str]:
-    """module.Class for every class that extends a namedtuple class of the
-    scanned modules, and every namedtuple class that defines __new__ or
+def _only_packs(node: ast.ClassDef) -> bool:
+    """Whether the class defines no hook and one undecorated __new__ that is
+    exactly ``def __new__(cls, <fields>): return _tuple_new(cls, (<fields>))``,
+    with the fields in the order of its parameters."""
+    methods = [stmt for stmt in node.body if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    news = [stmt for stmt in methods if stmt.name == "__new__"]
+    if len(news) != 1 or any(stmt.name in RECORD_HOOKS for stmt in methods):
+        return False
+    new, = news
+    args = new.args
+    params = [arg.arg for arg in args.args]
+    if new.decorator_list or args.posonlyargs or args.vararg or args.kwonlyargs or args.kwarg or params[:1] != ["cls"]:
+        return False
+    packed = ast.Return(ast.Call(
+        ast.Name("_tuple_new", ast.Load()),
+        [ast.Name("cls", ast.Load()), ast.Tuple([ast.Name(p, ast.Load()) for p in params[1:]], ast.Load())],
+        [],
+    ))
+    return [ast.dump(stmt) for stmt in new.body] == [ast.dump(packed)]
+
+
+def checked_records(modules: dict[str, ast.Module]) -> list[str]:
+    """module.Class for every class that extends a plain record of the
+    scanned modules, and every plain record whose __new__ does more than
+    pack its parameters in order, or that defines __init__ or
     __post_init__."""
     classes = _classes(modules)
-    namedtuples = {node.name for _, node in classes if _is_namedtuple(node)}
-    found = []
-    for module, node in classes:
-        defines_hook = any(
-            isinstance(stmt, ast.FunctionDef) and stmt.name in NAMEDTUPLE_HOOKS for stmt in node.body
+    records = {node.name for _, node in classes if "Record" in _base_names(node)}
+    return sorted(
+        f"{module}.{node.name}"
+        for module, node in classes
+        if _base_names(node) & records or ("Record" in _base_names(node) and not _only_packs(node))
+    )
+
+
+def namedtuple_factories(modules: dict[str, ast.Module]) -> list[str]:
+    """module:line for every import of namedtuple from collections and every
+    collections.namedtuple read."""
+    return sorted(
+        f"{module}:{node.lineno}"
+        for module, tree in modules.items()
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "collections"
+            and any(alias.name == "namedtuple" for alias in node.names)
         )
-        if _base_names(node) & namedtuples or (_is_namedtuple(node) and defines_hook):
-            found.append(f"{module}.{node.name}")
-    return sorted(found)
+        or (isinstance(node, ast.Attribute) and node.attr == "namedtuple" and _name(node.value) == "collections")
+    )
 
 
 def typing_namedtuples(modules: dict[str, ast.Module]) -> list[str]:
@@ -517,59 +586,90 @@ def test_no_record_extends_or_hooks_a_namedtuple():
     }
     # the scan sees every plain record, so a form it cannot read fails here
     assert plain_records(modules) == PLAIN_RECORDS
-    assert checked_namedtuples(modules) == []
+    assert checked_records(modules) == []
+    assert namedtuple_factories(modules) == []
     assert typing_namedtuples(modules) == []
 
 
 def test_the_scan_sees_checked_namedtuples():
-    fields = ast.parse(
-        "class _Fields(NamedTuple):\n"
-        "    x: int\n"
-        "class Plain(typing.NamedTuple):\n"
-        "    x: int\n"
-        "    def total(self):\n"
-        "        return self.x\n"
-        "class Normalised(NamedTuple):\n"
-        "    x: int\n"
-        "    def __new__(cls, x):\n"
-        "        return super().__new__(cls, int(x))\n"
-        "class Hooked(typing.NamedTuple):\n"
-        "    x: int\n"
-        "    def __post_init__(self):\n"
-        "        pass\n"
-    )
-    calls = ast.parse(
-        "class _Point(namedtuple('_Point', 'x y')):\n"
-        "    __slots__ = ()\n"
-        "class Counted(collections.namedtuple('Counted', ['n'], defaults=(0,))):\n"
-        "    __slots__ = ()\n"
-        "    def total(self):\n"
-        "        return self.n\n"
-        "class Rebuilt(namedtuple('Rebuilt', 'x')):\n"
-        "    def __new__(cls, x):\n"
-        "        return super().__new__(cls, int(x))\n"
-        "class Posted(collections.namedtuple('Posted', 'x')):\n"
-        "    def __post_init__(self):\n"
-        "        pass\n"
-        "class Called(make_record('Called', 'x')):\n"
-        "    __slots__ = ()\n"
-    )
     records = ast.parse(
-        "class Checked(CheckedRecord, _Fields):\n"
+        "class Plain(Record):\n"
+        "    __slots__ = ()\n"
+        "    def __new__(cls, x, y=0):\n"
+        "        return _tuple_new(cls, (x, y))\n"
+        "    def total(self):\n"
+        "        return self.x + self.y\n"
+        "class Single(errors.Record):\n"
+        "    def __new__(cls, x):\n"
+        "        return _tuple_new(cls, (x,))\n"
+        "class Normalised(Record):\n"
+        "    def __new__(cls, x):\n"
+        "        return _tuple_new(cls, (int(x),))\n"
+        "class Checked(Record):\n"
+        "    def __new__(cls, x):\n"
+        "        if x < 0:\n"
+        "            raise ValueError(x)\n"
+        "        return _tuple_new(cls, (x,))\n"
+        "class Swapped(Record):\n"
+        "    def __new__(cls, x, y):\n"
+        "        return _tuple_new(cls, (y, x))\n"
+        "class Inherited(Record):\n"
+        "    def __new__(cls, x):\n"
+        "        return super().__new__(cls, (x,))\n"
+        "class Starred(Record):\n"
+        "    def __new__(cls, *x):\n"
+        "        return _tuple_new(cls, x)\n"
+        "class Wrapped(Record):\n"
+        "    @functools.cache\n"
+        "    def __new__(cls, x):\n"
+        "        return _tuple_new(cls, (x,))\n"
+        "class Bare(Record):\n"
+        "    __slots__ = ()\n"
+        "class Posted(Record):\n"
+        "    def __new__(cls, x):\n"
+        "        return _tuple_new(cls, (x,))\n"
+        "    def __post_init__(self):\n"
+        "        pass\n"
+        "class Initialised(Record):\n"
+        "    def __new__(cls, x):\n"
+        "        return _tuple_new(cls, (x,))\n"
+        "    def __init__(self, x):\n"
+        "        assert x\n"
+    )
+    others = ast.parse(
+        "class Moved(Plain):\n"
         "    __slots__ = ()\n"
         "class Frozen(FrozenRecord):\n"
         "    def __init__(self, x):\n"
         "        self._set(x)\n"
         "    def __post_init__(self):\n"
         "        pass\n"
-        "class Moved(_Point):\n"
-        "    __slots__ = ()\n"
+        "class Point(namedtuple('Point', 'x y')):\n"
+        "    def __new__(cls, x, y):\n"
+        "        return super().__new__(cls, int(x), y)\n"
     )
-    modules = {"a": fields, "b": records, "c": calls}
-    assert checked_namedtuples(modules) == ["a.Hooked", "a.Normalised", "b.Checked", "b.Moved", "c.Posted", "c.Rebuilt"]
-    assert plain_records(modules) == [
-        "a.Hooked", "a.Normalised", "a.Plain", "a._Fields", "c.Counted", "c.Posted", "c.Rebuilt", "c._Point",
+    modules = {"a": records, "b": others}
+    assert checked_records(modules) == [
+        "a.Bare", "a.Checked", "a.Inherited", "a.Initialised", "a.Normalised", "a.Posted", "a.Starred",
+        "a.Swapped", "a.Wrapped", "b.Moved",
     ]
+    assert plain_records(modules) == [
+        "a.Bare", "a.Checked", "a.Inherited", "a.Initialised", "a.Normalised", "a.Plain", "a.Posted", "a.Single",
+        "a.Starred", "a.Swapped", "a.Wrapped",
+    ]
+
+
+def test_the_scan_sees_namedtuple_factories():
+    tree = ast.parse(
+        "from collections import namedtuple\n"
+        "from collections import OrderedDict, namedtuple as nt\n"
+        "import collections\n"
+        "Point = collections.namedtuple('Point', 'x y')\n"
+        "from collections import _tuplegetter\n"
+        "from typing import NamedTuple\n"
+        "namedtuple = make_record\n"
+    )
+    assert namedtuple_factories({"m": tree}) == ["m:1", "m:2", "m:4"]
 
 
 def test_the_scan_sees_typing_namedtuples():

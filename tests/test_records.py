@@ -1,8 +1,9 @@
 """The semantics of every public record class.
 
-A plain record is a collections.namedtuple class; one that checks,
-normalises or derives a field is a FrozenRecord, which names its fields
-and defaults the same way. Each is built by position and by keyword,
+A plain record is a Record and one that checks, normalises or derives a
+field is a FrozenRecord; each reads its fields and their defaults off its
+constructor, and a plain record reads each field with the getter of a
+collections.namedtuple field. Each is built by position and by keyword,
 compares and hashes by value, refuses assignment, has no instance
 __dict__ and prints as Name(field=value, ...). A plain record is a tuple
 of its fields, in a fixed order: it equals and hashes as that tuple, and
@@ -13,7 +14,9 @@ copy and pickle alike.
 """
 
 import copy
+import inspect
 import pickle
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -288,6 +291,30 @@ def test_plain_records_are_tuples_of_their_fields(cls):
     ]
     for built in rebuilt:
         assert type(built) is cls and built == sample
+
+
+@pytest.mark.parametrize("cls", PLAIN_FIELDS, ids=lambda cls: cls.__name__)
+def test_plain_records_read_their_fields_off_the_constructor(cls):
+    # each field is read by the C getter of a collections.namedtuple field,
+    # kept on the record's own class: no second class is built for it
+    getter = type(namedtuple("_T", "x").x)
+    assert all(type(vars(cls)[name]) is getter for name in cls._fields)
+    assert cls.__match_args__ == cls._fields
+    parameters = list(inspect.signature(cls.__new__).parameters.values())[1:]
+    assert tuple(p.name for p in parameters) == cls._fields
+    assert {p.name: p.default for p in parameters if p.default is not p.empty} == cls._field_defaults
+
+
+@pytest.mark.parametrize("cls", PLAIN_FIELDS, ids=lambda cls: cls.__name__)
+def test_plain_records_refuse_what_a_namedtuple_refuses(cls):
+    sample = PLAIN_SAMPLES[cls]
+    n = len(cls._fields)
+    assert sample._asdict() == dict(zip(cls._fields, sample))
+    for values in (tuple(sample)[:-1], (*sample, None)):
+        with pytest.raises(TypeError, match=f"^Expected {n} arguments, got {len(values)}$"):
+            cls._make(values)
+    with pytest.raises(ValueError, match=r"^Got unexpected field names: \['colour'\]$"):
+        sample._replace(colour=None)
 
 
 def test_plain_records_keep_their_methods():

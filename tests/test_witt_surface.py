@@ -479,3 +479,41 @@ def test_a_surface_that_cannot_exist_raises_on_every_read(w, code):
                 read(w)
             assert exc.value.code == code
             assert w._reading is None
+
+
+def _commutative_surfaces(rng, count):
+    """Fresh copies of the commutative catalog surfaces, then random
+    commutative topologies with whole real ovals, those that exist."""
+    surfaces = [copy.copy(catalog(name)) for name in CATALOG_NAMES if getattr(catalog(name), "commutative", False)]
+    while len(surfaces) < count:
+        g = rng.randint(0, 6)
+        t = rng.randint(0, g + 2)
+        w = WittSurface(KleinTopology(g, t, rng.choice((0, 1))), (whole_oval("+"),) * t, True)
+        try:
+            read_base(copy.copy(w))
+        except ValidationError:
+            continue
+        surfaces.append(w)
+    return surfaces
+
+
+def test_a_commutative_surface_builds_one_fraction_for_its_three_characteristics(monkeypatch):
+    # kappa = s = 1 and the genus upstairs is g, so chi = chi_centre = chi'
+    built = []
+    monkeypatch.setattr(ws, "Fraction", lambda *args: built.append(args) or Fraction(*args))
+    surfaces = _commutative_surfaces(random.Random(3511), 60)
+    assert [w.topology for w in surfaces[:5]] == [catalog(name).topology for name in ("D", "RP2", "A", "M", "K")]
+    for w in surfaces:
+        built.clear()
+        numerics = read_base(w).numerics
+        values = (numerics.chi, numerics.chi_centre, numerics.chi_prime)
+        assert all(type(value) is Fraction for value in values)
+        assert values == (1 - w.topology.g,) * 3
+        # the first read builds the one Fraction, and a later read none
+        assert len(built) == 1
+        read_base(w)
+        assert len(built) == 1
+    # a noncommutative surface builds one for each
+    built.clear()
+    numerics = read_base(copy.copy(catalog("D_22"))).numerics
+    assert len(built) == 3 and (numerics.chi, numerics.chi_centre, numerics.chi_prime) == (2, 1, Fraction(1, 2))
