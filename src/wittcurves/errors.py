@@ -178,6 +178,8 @@ class Record(tuple):
             raise ValueError(f"Got unexpected field names: {list(changes)!r}")
         return result
 
+    __replace__ = _replace
+
     def _asdict(self) -> dict:
         return dict(zip(self._fields, self))
 

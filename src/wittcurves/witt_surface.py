@@ -268,12 +268,9 @@ def read_base(w: WittSurface | ComplexCentreBase) -> _Reading:
             f"normalized characteristic {Fraction(chi, s * s)} "
             f"!= downstairs count {Fraction(downstairs, 2)}"
         )
-    if w.commutative:
-        # kappa = s = 1 and the genus upstairs is g: chi, chi_centre and chi' are one value
-        chi = chi_centre = chi_prime = Fraction(chi)
-    else:
-        chi, chi_centre, chi_prime = Fraction(chi), Fraction(1 - g), Fraction(chi, s * s)
-    numerics = BaseNumerics(constants, kappa, epsilon, s, upstairs, "R", g, t, chi, chi_centre, chi_prime)
+    numerics = BaseNumerics(
+        constants, kappa, epsilon, s, upstairs, "R", g, t, Fraction(chi), Fraction(1 - g), Fraction(chi, s * s)
+    )
     points = tuple((oi, si) for oi, oval in enumerate(w.ovals) for si in range(len(oval.segments)))
     reading = _Reading(numerics, surface_counts, points, w.ovals)
     object.__setattr__(w, "_reading", reading)

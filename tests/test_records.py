@@ -317,6 +317,18 @@ def test_plain_records_refuse_what_a_namedtuple_refuses(cls):
         sample._replace(colour=None)
 
 
+@pytest.mark.parametrize("cls", PLAIN_FIELDS, ids=lambda cls: cls.__name__)
+def test_plain_records_are_replaced_by_copy_replace(cls):
+    # copy.replace (Python 3.13) calls __replace__, which a namedtuple binds to _replace
+    replace = getattr(copy, "replace", lambda obj, /, **changes: type(obj).__replace__(obj, **changes))
+    sample = PLAIN_SAMPLES[cls]
+    change = {cls._fields[0]: None}
+    replaced = replace(sample, **change)
+    assert type(replaced) is cls and replaced == sample._replace(**change)
+    with pytest.raises(ValueError, match=r"^Got unexpected field names: \['colour'\]$"):
+        replace(sample, colour=None)
+
+
 def test_plain_records_keep_their_methods():
     assert repr(QUATERNION) == str(QUATERNION) == "ℍ"
     assert f"{COMPLEX}" == "ℂ" and repr((QUATERNION,)) == "(ℍ,)"
