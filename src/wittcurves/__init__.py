@@ -42,7 +42,6 @@ from .ktheory import (
     ClassVector,
     CurveNumerics,
     SlopeOrbits,
-    apply_slope_matrix,
     average_euler_form,
     elliptic_numerics,
     euler_form,
@@ -64,9 +63,7 @@ from .skew_series import (
     TwistedSeries,
     centre_basis,
     dim_over_centre,
-    monomial,
     series,
-    valuation,
     verify_jordan_twist,
 )
 from .weighted_curve import (

@@ -407,9 +407,6 @@ class Automorphism(FrozenRecord):
         self._set(kind, action, unit)
         object.__setattr__(self, "rotation", rotation)
 
-    def __call__(self, a: AlgebraElement) -> AlgebraElement:
-        return apply(self, a)
-
 
 def identity(kind: DivisionAlgebraKind) -> Automorphism:
     return Automorphism(kind, "identity")

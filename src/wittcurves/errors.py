@@ -92,10 +92,9 @@ class FrozenRecord:
     is read from it, as a namedtuple holds them. ``__init__`` stores the
     fields with one call of ``_set``, or one ``object.__setattr__`` each
     where the record is built once per curve, then runs the record's checks.
-    Equality, hash, repr, ``_replace`` and pickling read ``_fields``;
-    ``_make``, ``_replace``, copies and unpickling all build the record
-    again through its constructor, so none of them skips a check, and a
-    derived value is derived again.
+    Equality, hash and repr read ``_fields``; ``_make``, ``_replace``,
+    ``__replace__`` (``copy.replace``), copies and unpickling build it again
+    through its constructor: none skips a check or keeps a derived value.
     """
 
     __slots__ = ()
@@ -137,6 +136,8 @@ class FrozenRecord:
 
     def _replace(self, **changes):
         return self.__class__(**dict(zip(self._fields, self._values), **changes))
+
+    __replace__ = _replace
 
     def __reduce__(self):
         return self.__class__, self._values

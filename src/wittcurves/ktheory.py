@@ -43,7 +43,6 @@ class _Infinity:
 
 INFINITY = _Infinity()
 
-Matrix = tuple[tuple[int, int], tuple[int, int]]
 
 class ClassVector(FrozenRecord):
     """A (degree, rank) class in the lattice; both entries are ints."""
@@ -127,8 +126,8 @@ def _simple_coefficient(n: CurveNumerics) -> int:
     return num // n.end_S_dim
 
 
-def mutation_matrices(n: CurveNumerics) -> tuple[Matrix, Matrix]:
-    """Tubular mutations on (degree, rank) columns of an elliptic curve.
+def mutation_matrices(n: CurveNumerics) -> tuple[tuple, tuple]:
+    """Tubular mutations of an elliptic curve on (degree, rank) columns, as int rows.
 
     M_L adds epsilon*deg to the rank, M_S subtracts
     (kappa epsilon / end_S_dim) * rank from the degree.
@@ -139,32 +138,6 @@ def mutation_matrices(n: CurveNumerics) -> tuple[Matrix, Matrix]:
     m_l = ((1, 0), (n.epsilon, 1))
     m_s = ((1, -c), (0, 1))
     return m_l, m_s
-
-
-def apply_slope_matrix(matrix: Matrix, slope):
-    """Moebius action of a unimodular matrix on a slope in Q union {infinity};
-    the matrix is a pair of rows of two entries each, and the entries and a
-    finite slope are ints or Fractions, as in algebra."""
-    if not (
-        isinstance(matrix, (tuple, list))
-        and len(matrix) == 2
-        and all(isinstance(row, (tuple, list)) and len(row) == 2 for row in matrix)
-    ):
-        raise KindMismatchError(f"a slope matrix is a pair of rows of two entries, got {matrix!r}")
-    (a, b), (c, d) = matrix
-    for x in (a, b, c, d) if slope is INFINITY else (a, b, c, d, slope):
-        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-            raise KindMismatchError(f"slopes and matrix entries must be ints or Fractions, got {x!r}")
-    if a * d - b * c not in (1, -1):
-        raise ValidationError("matrix is not unimodular", code="unimodular")
-    if slope is INFINITY:
-        num, den = Fraction(a), Fraction(c)
-    else:
-        mu = Fraction(slope)
-        num, den = a * mu + b, c * mu + d
-    if den == 0:
-        return INFINITY
-    return num / den
 
 
 # slope_orbits checks height_bound against [50, MAX_HEIGHT_BOUND], echoes it and sizes nothing by it

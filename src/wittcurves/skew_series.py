@@ -32,7 +32,6 @@ of a I.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .algebra import (
     COMPLEX,
@@ -110,25 +109,12 @@ class TwistedSeries(FrozenRecord):
                 return c
         return zero(self.kind)
 
-    def low(self) -> int | None:
-        """Least exponent with a nonzero coefficient, or None for the zero series."""
-        return self.coeffs[0][0] if self.coeffs else None
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __add__(self, other: "TwistedSeries") -> "TwistedSeries":
         _require_same_ring(self, other)
         acc = dict(self.coeffs)
         for e, c in other.coeffs:
             acc[e] = acc.get(e, zero(self.kind)) + c
         return series(self.kind, self.twist, self.truncation, acc)
-
-    def __neg__(self) -> "TwistedSeries":
-        return _trusted(self.kind, self.twist, self.truncation, tuple((e, -c) for e, c in self.coeffs))
-
-    def __sub__(self, other: "TwistedSeries") -> "TwistedSeries":
-        return self + (-other)
 
     def __mul__(self, other: "TwistedSeries") -> "TwistedSeries":
         """Twisted Cauchy product, c_k = sum over i+j=k of a_i sigma^i(b_j),
@@ -243,18 +229,6 @@ def series(kind, twist, truncation, coeffs) -> TwistedSeries:
         if not c.is_zero():
             cleaned[e] = c
     return _trusted(kind, twist, truncation, tuple(sorted(cleaned.items())))
-
-
-def monomial(kind, twist, truncation, exponent: int, coefficient=1) -> TwistedSeries:
-    return series(kind, twist, truncation, {exponent: coefficient})
-
-
-def valuation(f: TwistedSeries) -> Fraction:
-    """Exponential valuation v(f) = (1/2)^l, l the least exponent present."""
-    low = f.low()
-    if low is None:
-        raise DomainError("the zero series has no valuation")
-    return Fraction(1, 2) ** low
 
 
 # ---------------------------------------------------------------------------

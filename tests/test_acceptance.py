@@ -39,7 +39,6 @@ from wittcurves.skew_series import (
     centre_basis,
     dim_over_centre,
     series,
-    valuation,
     verify_jordan_twist,
 )
 from wittcurves.weighted_curve import (
@@ -361,8 +360,9 @@ def test_c12_property_suites():
         f, g = rand_series(), rand_series()
         h = rand_series()
         assert (f * g) * h == f * (g * h)
-        if not f.is_zero() and not g.is_zero() and not (f * g).is_zero():
-            assert valuation(f * g) == valuation(f) * valuation(g)
+        # the valuation (1/2)^l is multiplicative: the least exponents add
+        if f.coeffs and g.coeffs and (f * g).coeffs:
+            assert (f * g).coeffs[0][0] == f.coeffs[0][0] + g.coeffs[0][0]
 
     for n in range(1, 6):
         assert verify_jordan_twist(COMPLEX, complex_conjugation(), n)

@@ -218,7 +218,7 @@ def test_direct_inner_automorphism_applies():
         for _ in range(20):
             a = _random_quat(rng)
             assert apply(phi, a) == u.inverse() * a * u
-            assert phi(a) == apply(inner(u), a)
+            assert apply(phi, a) == apply(inner(u), a)
     with pytest.raises(ValidationError) as exc:
         Automorphism(QUATERNION, "inner", zero(QUATERNION))
     assert exc.value.code == "zero-unit"

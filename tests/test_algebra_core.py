@@ -38,7 +38,7 @@ from wittcurves.algebra import (
     zero,
 )
 from wittcurves.errors import KindMismatchError, ValidationError
-from wittcurves.skew_series import MAX_TRUNCATION, monomial, series
+from wittcurves.skew_series import MAX_TRUNCATION, series
 
 KINDS = [REAL, COMPLEX, QUATERNION]
 KIND_IDS = ["R", "C", "H"]
@@ -315,7 +315,7 @@ def test_series_coefficients_reject_inexact_values(bad):
     with pytest.raises(KindMismatchError):
         series(QUATERNION, twist, 4, {0: 1, 2: bad})
     with pytest.raises(KindMismatchError):
-        monomial(COMPLEX, complex_conjugation(), 4, 1, bad)
+        series(COMPLEX, complex_conjugation(), 4, {1: bad})
 
 
 def test_series_coefficients_accept_ints_and_fractions():

@@ -14,7 +14,6 @@ from wittcurves.ktheory import (
     MAX_HEIGHT_BOUND,
     ClassVector,
     CurveNumerics,
-    apply_slope_matrix,
     average_euler_form,
     elliptic_numerics,
     euler_form,
@@ -111,27 +110,7 @@ def test_infinity_survives_copies_and_pickling_as_itself():
         *(pickle.loads(pickle.dumps(INFINITY, protocol=p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)),
     ):
         assert built is INFINITY
-    m = ((0, -1), (1, -1))
-    assert apply_slope_matrix(m, pickle.loads(pickle.dumps(INFINITY))) == 0
-
-
-def test_three_cycle_on_slopes():
-    m = ((0, -1), (1, -1))
-    assert apply_slope_matrix(m, INFINITY) == 0
-    assert apply_slope_matrix(m, 0) == 1
-    assert apply_slope_matrix(m, 1) == INFINITY
-
-
-def test_slope_matrix_must_be_unimodular():
-    with pytest.raises(ValidationError) as exc:
-        apply_slope_matrix(((1, 1), (1, 1)), 0)
-    assert exc.value.code == "unimodular"
-
-
-@pytest.mark.parametrize("matrix", [((1, 0),), (1, 2), ((1, 0), (0, 1, 0)), ((1, 0), 1)])
-def test_slope_matrix_must_be_two_by_two(matrix):
-    with pytest.raises(KindMismatchError):
-        apply_slope_matrix(matrix, 0)
+    assert pickle.loads(pickle.dumps(ClassVector(5, 0).slope())) is INFINITY
 
 
 def test_orbit_counts():

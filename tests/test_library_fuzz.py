@@ -9,8 +9,7 @@ zero, negative or above MAX_ORDER_LCM, and whose p runs from 0 to one
 above MAX_POINT_VALUE; every domestic family with its parameters, and
 others, given ints, bools, None or strings; inner twists by units of
 small entries raised to small powers, to powers about MAX_INNER_POWER
-and to huge ones; class vectors, slope
-matrices and slopes of small or huge ints and Fractions, in pairs or in
+and to huge ones; class vectors of small or huge ints, in pairs or in
 other shapes; CurveNumerics of every range; and PointDatum on every
 built-in kind and on kinds of any small dimensions, square or not. Every
 call must return or raise a CurveError; every genus-zero answer is at
@@ -37,10 +36,8 @@ from wittcurves.algebra import (
 )
 from wittcurves.errors import CurveError
 from wittcurves.ktheory import (
-    INFINITY,
     ClassVector,
     CurveNumerics,
-    apply_slope_matrix,
     euler_form,
     mutation_matrices,
     reduce_class,
@@ -151,24 +148,6 @@ def test_class_reductions_end_in_a_form_or_a_curve_error(vector, k):
         return
     assert form in ((1, 0), (0, 1))
     assert all(letter in "LS" and type(e) is int for letter, e in word)
-
-
-_SLOPE_ENTRY = _ENTRY | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
-_MATRIX = _mostly(
-    st.tuples(st.tuples(_SLOPE_ENTRY, _SLOPE_ENTRY), st.tuples(_SLOPE_ENTRY, _SLOPE_ENTRY))
-    | st.sampled_from([((1, 0), (1, 1)), ((1, -2), (0, 1)), ((0, 1), (-1, 0))]),
-    st.one_of(st.tuples(st.tuples(_SLOPE_ENTRY, _SLOPE_ENTRY)), st.tuples(_VECTOR, _VECTOR, _VECTOR), st.none()),
-)
-
-
-@_SETTINGS
-@given(matrix=_MATRIX, slope=st.just(INFINITY) | _SLOPE_ENTRY)
-def test_slope_matrices_end_in_a_slope_or_a_curve_error(matrix, slope):
-    try:
-        image = apply_slope_matrix(matrix, slope)
-    except CurveError:
-        return
-    assert image is INFINITY or type(image) is Fraction
 
 
 _UNIT = st.tuples(*[_mostly(st.integers(-3, 3), st.just(10**6))] * 4).filter(any)

@@ -5,8 +5,8 @@ call of float(), complex() or round(), and any use of a math function
 outside its exact integer ones (gcd, lcm, isqrt, ...): sqrt, log, exp,
 pi and the rest all work in floating point.
 
-A float handed to the library in place of a size, an exponent, a slope or
-a matrix entry is refused, not carried into an answer.
+A float handed to the library in place of a size, an exponent or a class
+vector entry is refused, not carried into an answer.
 """
 
 import ast
@@ -15,11 +15,10 @@ from pathlib import Path
 import pytest
 
 from wittcurves.algebra import COMPLEX, REAL, abstract_kind, complex_conjugation, identity
-from wittcurves.errors import KindMismatchError, ValidationError
+from wittcurves.errors import ValidationError
 from wittcurves.ktheory import (
     ClassVector,
     CurveNumerics,
-    apply_slope_matrix,
     elliptic_numerics,
     euler_form,
     slope_orbits,
@@ -86,9 +85,6 @@ e = math.gcd(4, 6)
 
 # (what is handed in, the error it raises, the ValidationError code or None)
 _INEXACT = {
-    "matrix-entry": (lambda: apply_slope_matrix(((1.0, 0), (0, 1)), 1), KindMismatchError, None),
-    "matrix-entry-bool": (lambda: apply_slope_matrix(((True, 0), (0, 1)), 1), KindMismatchError, None),
-    "slope": (lambda: apply_slope_matrix(((1, 0), (0, 1)), 0.5), KindMismatchError, None),
     "class-vector": (
         lambda: euler_form(ClassVector(1.5, 2), ClassVector(1, 1), elliptic_numerics("K")),
         ValidationError, "not-integer",

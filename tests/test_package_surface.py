@@ -20,21 +20,45 @@ eighth keeps every record on slots: each FrozenRecord subclass declares
 __slots__, and nothing uses cached_property, which needs an instance
 __dict__. A ninth keeps one reader per base: only witt_surface.read_base
 reads the reading a surface keeps. The command line starts without click, dataclasses, inspect,
-ast or dis, as a fresh interpreter's sys.modules shows, builds no
-typing.ForwardRef, and makes no call of collections.namedtuple, eval,
-compile or exec.
+ast or dis: importing it in a fresh interpreter adds none of them to
+sys.modules. It builds no typing.ForwardRef, and makes no call of
+collections.namedtuple, eval, compile or exec. Two guards keep src/ from regrowing quietly: its
+logical lines (NEWLINE tokens) stay within SRC_LOGICAL_LINES, and every
+module-level public function is read by another statement of src/ or by
+bench/, or is named in UNREAD_PUBLIC with the reason it stays.
 """
 
 import ast
+import io
 import os
 import subprocess
 import sys
+import tokenize
 import types
 from pathlib import Path
 
 import wittcurves
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wittcurves"
+BENCH = SRC.parent.parent / "bench"
+# The logical lines of src/wittcurves/*.py. A change that deletes code
+# lowers it; one that raises it says by how much and why in CHANGES.md.
+SRC_LOGICAL_LINES = 1851
+# module-level public functions of src/ that nothing in src/ or bench/
+# reads, each with why it stays
+UNREAD_PUBLIC = {
+    "algebra.abstract_kind": "the one way to describe a division algebra beyond R, C and H by its dimensions",
+    "algebra.cplx": "one constructor family with real and quat, which the benchmark calls",
+    "ktheory.euler_form": "the Euler form on K_0 of an elliptic curve, an invariant answered in its own right",
+    "ktheory.average_euler_form": "the averaged Euler form, which the second route through K_0 on the ROADMAP calls",
+}
+
+
+def parse_modules(directory: Path) -> dict[str, ast.Module]:
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(directory.glob("*.py"))
+    }
 
 
 def test_export_list_names_each_public_object_once():
@@ -101,10 +125,7 @@ def unused_private_names(modules: dict[str, ast.Module]) -> list[str]:
 
 
 def test_every_private_name_in_src_is_read():
-    modules = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in sorted(SRC.glob("*.py"))
-    }
+    modules = parse_modules(SRC)
     assert unused_private_names(modules) == []
 
 
@@ -125,6 +146,98 @@ def test_the_scan_sees_unused_private_names():
     assert sorted(unused_private_names({"a": used, "b": other})) == ["a._B", "a._Tag", "a._helper"]
 
 
+def logical_lines(source: str) -> int:
+    """The NEWLINE tokens of a module: one per logical line, however many
+    physical lines it spans; blank lines and comments have none."""
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return sum(token.type == tokenize.NEWLINE for token in tokens)
+
+
+def test_src_stays_within_its_logical_line_budget():
+    total = sum(logical_lines(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py"))
+    assert total <= SRC_LOGICAL_LINES, f"src/ has {total} logical lines, over its budget of {SRC_LOGICAL_LINES}"
+
+
+def test_the_scan_sees_logical_lines():
+    flat = "total = f(1, 2, 3)\nprint(total)\n"
+    reflowed = "# a comment\ntotal = f(\n    1,\n    2,\n    3,\n)\n\nprint(\n    total\n)\n"
+    assert logical_lines(flat) == logical_lines(reflowed) == 2
+    assert logical_lines('def f():\n    """one\n    docstring"""\n    return 1\n') == 3
+
+
+def _traced_functions(tracing: ast.Module) -> set[str]:
+    """layer.name of each function that the FUNCTIONS table of bench/tracing.py wraps."""
+    table = next(
+        stmt.value
+        for stmt in tracing.body
+        if isinstance(stmt, ast.Assign) and [ast.unparse(t) for t in stmt.targets] == ["FUNCTIONS"]
+    )
+    return {f"{layer}.{name}" for layer, names in ast.literal_eval(table).items() for name in names}
+
+
+def public_function_readers(modules: dict[str, ast.Module], bench: dict[str, ast.Module]) -> dict[str, str | None]:
+    """module.name of each module-level public function of src/, mapped to
+    its reader: "src" when another statement of src/ reads it (the
+    re-export in __init__ does not count), "bench" when bench/ reads it in
+    its code or traces it by name, and None when nothing does."""
+    reads = {
+        module: [_read_names(stmt) for stmt in tree.body] for module, tree in modules.items() if module != "__init__"
+    }
+    bench_reads = set().union(*map(_read_names, bench.values())) | _traced_functions(bench["tracing"])
+    readers = {}
+    for module, tree in modules.items():
+        for i, stmt in enumerate(tree.body):
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) or stmt.name.startswith("_"):
+                continue
+            name = f"{module}.{stmt.name}"
+            if any(
+                stmt.name in r
+                for other, stmt_reads in reads.items()
+                for j, r in enumerate(stmt_reads)
+                if (other, j) != (module, i)
+            ):
+                readers[name] = "src"
+            elif stmt.name in bench_reads or name in bench_reads:
+                readers[name] = "bench"
+            else:
+                readers[name] = None
+    return readers
+
+
+def test_every_public_function_in_src_has_a_reader_or_a_reason():
+    readers = public_function_readers(parse_modules(SRC), parse_modules(BENCH))
+    assert sorted(name for name, reader in readers.items() if reader is None) == sorted(UNREAD_PUBLIC)
+    assert all(UNREAD_PUBLIC.values())
+
+
+def test_the_scan_sees_public_functions_without_a_reader():
+    src = {
+        "__init__": ast.parse("from .a import exported, unread\n"),
+        "a": ast.parse(
+            "def called():\n    return 1\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "def exported():\n    return called()\n"
+            "def traced():\n    pass\n"
+            "def benched():\n    pass\n"
+            "def unread():\n    pass\n"
+            "def _private():\n    pass\n"
+            "class Public:\n    def method(self):\n        pass\n"
+        ),
+    }
+    bench = {
+        "tracing": ast.parse("FUNCTIONS = {'a': ('traced',), 'b': ('unread',)}\n"),
+        "workloads": ast.parse("from wittcurves.a import benched\n"),
+    }
+    assert public_function_readers(src, bench) == {
+        "a.called": "src",
+        "a.recursive": None,
+        "a.exported": None,
+        "a.traced": "bench",
+        "a.benched": "bench",
+        "a.unread": None,
+    }
+
+
 # attributes of a surface and its ovals that only witt_surface reads
 SURFACE_INTERNALS = frozenset({"topology", "commutative", "segments", "sign"})
 
@@ -140,11 +253,7 @@ def surface_internal_reads(modules: dict[str, ast.Module]) -> list[str]:
 
 
 def test_only_witt_surface_reads_a_surface():
-    modules = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in sorted(SRC.glob("*.py"))
-        if path.stem != "witt_surface"
-    }
+    modules = {module: tree for module, tree in parse_modules(SRC).items() if module != "witt_surface"}
     assert surface_internal_reads(modules) == []
 
 
@@ -168,9 +277,7 @@ def base_kind_checks(modules: dict[str, ast.Module]) -> list[str]:
 
 def test_only_the_base_modules_branch_on_the_kind_of_a_base():
     modules = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in sorted(SRC.glob("*.py"))
-        if path.stem not in ("witt_surface", "weighted_curve")
+        module: tree for module, tree in parse_modules(SRC).items() if module not in ("witt_surface", "weighted_curve")
     }
     assert base_kind_checks(modules) == []
 
@@ -225,11 +332,7 @@ def curve_rereads(modules: dict[str, ast.Module]) -> list[str]:
 
 
 def test_only_weighted_curve_reads_a_curve():
-    modules = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in sorted(SRC.glob("*.py"))
-        if path.stem != "weighted_curve"
-    }
+    modules = {module: tree for module, tree in parse_modules(SRC).items() if module != "weighted_curve"}
     assert curve_rereads(modules) == []
 
 
@@ -274,10 +377,7 @@ def kept_reading_reads(modules: dict[str, ast.Module]) -> list[str]:
 
 
 def test_only_read_base_reads_a_kept_reading():
-    modules = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in sorted(SRC.glob("*.py"))
-    }
+    modules = parse_modules(SRC)
     assert kept_reading_reads(modules) == []
 
 
@@ -323,21 +423,26 @@ def dataclass_classes(modules: dict[str, ast.Module]) -> list[str]:
 
 
 def test_only_the_allowed_classes_are_dataclasses():
-    modules = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in sorted(SRC.glob("*.py"))
-    }
+    modules = parse_modules(SRC)
     assert dataclass_classes(modules) == sorted(DATACLASS_ALLOWED)
 
 
 def test_the_command_line_loads_no_framework():
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, wittcurves.cli; print(' '.join(sorted(sys.modules)))"],
-        capture_output=True, text=True, check=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))),
-    ).stdout.split()
+    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
+
+    def modules_after(imports: str) -> set[str]:
+        return set(subprocess.run(
+            [sys.executable, "-c", f"import {imports}; print(' '.join(sorted(sys.modules)))"],
+            capture_output=True, text=True, check=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+        ).stdout.split())
+
+    # a bare interpreter may load some of them already (3.12 and 3.13 load
+    # ast, dis and inspect at start with another Python's site-packages on
+    # PYTHONPATH): only what the import adds counts
+    bare = modules_after("sys")
+    loaded = modules_after("sys, wittcurves.cli")
     assert "wittcurves.cli" in loaded
-    assert {"click", "dataclasses", "inspect", "ast", "dis"}.isdisjoint(loaded)
+    assert {"click", "dataclasses", "inspect", "ast", "dis"}.isdisjoint(loaded - bare)
 
 
 def test_importing_the_command_line_builds_no_forward_reference():
@@ -444,10 +549,7 @@ def uncoded_validation_errors(modules: dict[str, ast.Module]) -> list[str]:
 
 
 def test_every_validation_error_has_a_code():
-    modules = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in sorted(SRC.glob("*.py"))
-    }
+    modules = parse_modules(SRC)
     assert uncoded_validation_errors(modules) == []
 
 
@@ -580,10 +682,7 @@ def typing_namedtuples(modules: dict[str, ast.Module]) -> list[str]:
 
 
 def test_no_record_extends_or_hooks_a_namedtuple():
-    modules = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in sorted(SRC.glob("*.py"))
-    }
+    modules = parse_modules(SRC)
     # the scan sees every plain record, so a form it cannot read fails here
     assert plain_records(modules) == PLAIN_RECORDS
     assert checked_records(modules) == []
@@ -716,10 +815,7 @@ def dict_storage(modules: dict[str, ast.Module]) -> list[str]:
 
 
 def test_every_record_keeps_its_values_in_slots():
-    modules = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in sorted(SRC.glob("*.py"))
-    }
+    modules = parse_modules(SRC)
     assert dict_storage(modules) == []
 
 

@@ -10,7 +10,8 @@ of its fields, in a fixed order: it equals and hashes as that tuple, and
 _make, _replace, copy and pickle give back its own class. A FrozenRecord
 is copied, replaced, remade and unpickled through its constructor, so a
 checked one rejects bad fields through its constructor, _make, _replace,
-copy and pickle alike.
+__replace__ (which copy.replace calls on Python 3.13), copy and pickle
+alike.
 """
 
 import copy
@@ -149,6 +150,8 @@ def test_frozen_records_copy_and_replace_by_their_fields(cls, monkeypatch):
         copy.copy(sample),
         copy.deepcopy(sample),
         sample._replace(),
+        sample.__replace__(),
+        *([copy.replace(sample)] if hasattr(copy, "replace") else []),
         cls._make(sample._values),
         *(pickle.loads(pickle.dumps(sample, protocol=p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)),
     ]
@@ -165,8 +168,11 @@ def test_frozen_records_copy_and_replace_by_their_fields(cls, monkeypatch):
     if cls is WeightedCurve:
         assert len(checked) == len(rebuilt) and all(c is b for c, b in zip(checked, rebuilt))
         assert sample.profile.numerics == surface_numerics(sample.base)
-        moved = WeightedCurve(catalog("D"))._replace(base=catalog("K"))
-        assert moved.profile.numerics == surface_numerics(catalog("K"))
+        for moved in (
+            WeightedCurve(catalog("D"))._replace(base=catalog("K")),
+            WeightedCurve(catalog("D")).__replace__(base=catalog("K")),
+        ):
+            assert moved.profile.numerics == surface_numerics(catalog("K"))
     with pytest.raises(FrozenInstanceError):
         delattr(sample, cls._fields[0])
 
@@ -218,6 +224,7 @@ def test_checked_records_reject_bad_fields_however_built(record, field, value, c
         "keywords": lambda: cls(**dict(zip(cls._fields, values))),
         "_make": lambda: cls._make(values),
         "_replace": lambda: record._replace(**{field: value}),
+        "__replace__": lambda: record.__replace__(**{field: value}),
         "copy": lambda: copy.copy(bad),
         "deepcopy": lambda: copy.deepcopy(bad),
         **{
@@ -225,6 +232,8 @@ def test_checked_records_reject_bad_fields_however_built(record, field, value, c
             for p in range(pickle.HIGHEST_PROTOCOL + 1)
         },
     }
+    if hasattr(copy, "replace"):
+        attempts["copy.replace"] = lambda: copy.replace(record, **{field: value})
     for how, attempt in attempts.items():
         with pytest.raises(ValidationError) as exc:
             attempt()

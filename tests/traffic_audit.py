@@ -15,11 +15,15 @@ sys.settrace twice in this one process:
 It prints every line that the second run reaches and the first does not,
 leaving out raise statements: first the functions the workloads never
 enter, marked private or public, and then the lines the workloads skip
-inside functions they do enter. bench/ is imported and read, never
-written; the CLI ops write their input files under a temporary directory.
-It starts no threads and no processes. Tier-1 does not run it, since its
-name does not start with test_; it takes a few minutes, most of them in
-the traced tier-1.
+inside functions they do enter. It ends with the size of src/: its
+logical lines (counted as the budget test of test_package_surface.py
+counts them), its physical lines, the length of wittcurves.__all__,
+and, for each public function the workloads never enter, the reader that
+the public-function scan of test_package_surface.py finds for it.
+bench/ is imported and read, never written; the CLI ops write their
+input files under a temporary directory. It starts no threads and no
+processes. Tier-1 does not run it, since its name does not start with
+test_; it takes a few minutes, most of them in the traced tier-1.
 """
 
 from __future__ import annotations
@@ -134,12 +138,14 @@ def _private(name: str) -> bool:
     return any(part.startswith("_") and not part.endswith("__") for part in name.split("."))
 
 
-def report(bench_lines, test_lines) -> None:
+def report(bench_lines, test_lines) -> list[str]:
+    """Print what only tier-1 reaches; return the public functions the
+    workloads never enter, as module.qualified_name."""
     gone = sorted(test_lines - bench_lines)
     by_file: dict[str, list[int]] = {}
     for filename, line in gone:
         by_file.setdefault(filename, []).append(line)
-    never, skipped = [], []
+    never, skipped, never_public = [], [], []
     for filename, lines in sorted(by_file.items()):
         source = Path(filename).read_text(encoding="utf-8")
         text = source.splitlines()
@@ -162,11 +168,42 @@ def report(bench_lines, test_lines) -> None:
                 skipped.extend(f"  {module}.py:{n} in {name}: {text[n - 1].strip()}" for n in found)
             else:
                 kind = "private" if _private(name) else "public"
+                if kind == "public":
+                    never_public.append(f"{module}.{name}")
                 never.append(f"  {module}.{name} ({kind}; lines {first}-{last}; {len(found)} reached by tier-1)")
     print("functions the workloads never enter and tier-1 does, raise statements left out:")
     print("\n".join(never) or "  none")
     print("lines inside functions the workloads enter that only tier-1 reaches, raise statements left out:")
     print("\n".join(skipped) or "  none")
+    return never_public
+
+
+def size_report(never_public: list[str]) -> None:
+    """The size metrics of src/, and a reader for each public function in
+    never_public."""
+    import wittcurves
+    from test_package_surface import (
+        BENCH, SRC_LOGICAL_LINES, UNREAD_PUBLIC, logical_lines, parse_modules, public_function_readers,
+    )
+
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    print(
+        f"size of src/: {sum(map(logical_lines, sources))} logical lines (SRC_LOGICAL_LINES = {SRC_LOGICAL_LINES}), "
+        f"{sum(len(source.splitlines()) for source in sources)} physical lines, "
+        f"{len(wittcurves.__all__)} names in wittcurves.__all__"
+    )
+    readers = public_function_readers(parse_modules(SRC), parse_modules(BENCH))
+    print("readers of the public functions the workloads never enter:")
+    for name in never_public:
+        if name not in readers:
+            reader = "not module-level, not scanned"
+        elif readers[name] is not None:
+            reader = f"read in {readers[name]}/"
+        else:
+            reader = f"no reader; kept: {UNREAD_PUBLIC[name]}" if name in UNREAD_PUBLIC else "no reader"
+        print(f"  {name}: {reader}")
+    if not never_public:
+        print("  none")
 
 
 def main() -> int:
@@ -185,7 +222,7 @@ def main() -> int:
         status = run_tier1()
     total = sum(counts.values())
     print(f"workload ops: {total} ({', '.join(f'{k} {v}' for k, v in counts.items())}); tier-1 exit status {status}")
-    report(bench_lines, test_lines)
+    size_report(report(bench_lines, test_lines))
     return 0
 
 
