@@ -10,7 +10,7 @@ above MAX_POINT_VALUE; every domestic family with its parameters, and
 others, given ints, bools, None or strings; inner twists by units of
 small entries raised to small powers, to powers about MAX_INNER_POWER
 and to huge ones; class vectors of small or huge ints, in pairs or in
-other shapes; CurveNumerics of every range; and PointDatum on every
+other shapes, and the slopes of pairs of ints or Fractions; CurveNumerics of every range; and PointDatum on every
 built-in kind and on kinds of any small dimensions, square or not. Every
 call must return or raise a CurveError; every genus-zero answer is at
 most kappa/s^2, since each point takes a positive share, every power of
@@ -36,6 +36,7 @@ from wittcurves.algebra import (
 )
 from wittcurves.errors import CurveError
 from wittcurves.ktheory import (
+    INFINITY,
     ClassVector,
     CurveNumerics,
     euler_form,
@@ -148,6 +149,19 @@ def test_class_reductions_end_in_a_form_or_a_curve_error(vector, k):
         return
     assert form in ((1, 0), (0, 1))
     assert all(letter in "LS" and type(e) is int for letter, e in word)
+
+
+_SLOPE_ENTRY = _ENTRY | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@_SETTINGS
+@given(degree=_SLOPE_ENTRY, rank=_SLOPE_ENTRY)
+def test_class_slopes_end_in_a_slope_or_a_curve_error(degree, rank):
+    try:
+        image = ClassVector(degree, rank).slope()
+    except CurveError:
+        return
+    assert image is INFINITY or type(image) is Fraction
 
 
 _UNIT = st.tuples(*[_mostly(st.integers(-3, 3), st.just(10**6))] * 4).filter(any)

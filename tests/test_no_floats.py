@@ -5,8 +5,8 @@ call of float(), complex() or round(), and any use of a math function
 outside its exact integer ones (gcd, lcm, isqrt, ...): sqrt, log, exp,
 pi and the rest all work in floating point.
 
-A float handed to the library in place of a size, an exponent or a class
-vector entry is refused, not carried into an answer.
+A float handed to the library in place of a size, an exponent, a class
+vector entry or a coefficient is refused, not carried into an answer.
 """
 
 import ast
@@ -14,13 +14,14 @@ from pathlib import Path
 
 import pytest
 
-from wittcurves.algebra import COMPLEX, REAL, abstract_kind, complex_conjugation, identity
-from wittcurves.errors import ValidationError
+from wittcurves.algebra import COMPLEX, REAL, abstract_kind, complex_conjugation, identity, quat
+from wittcurves.errors import KindMismatchError, ValidationError
 from wittcurves.ktheory import (
     ClassVector,
     CurveNumerics,
     elliptic_numerics,
     euler_form,
+    reduce_class,
     slope_orbits,
 )
 from wittcurves.skew_series import centre_basis, series, verify_jordan_twist
@@ -89,12 +90,17 @@ _INEXACT = {
         lambda: euler_form(ClassVector(1.5, 2), ClassVector(1, 1), elliptic_numerics("K")),
         ValidationError, "not-integer",
     ),
+    "class-vector-bool": (lambda: ClassVector(True, 2), ValidationError, "not-integer"),
+    "reduced-vector": (lambda: reduce_class((1.0, 2), 2), ValidationError, "not-integer"),
+    "reduction-coefficient": (lambda: reduce_class((1, 2), 2.0), ValidationError, "not-integer"),
     "g-orb": (lambda: CurveNumerics(1, 1, 1, g_orb=0.5), ValidationError, "not-integer"),
     "g-orb-string": (lambda: CurveNumerics(1, 1, 1, g_orb="x"), ValidationError, "not-integer"),
     "height-bound": (lambda: slope_orbits(elliptic_numerics("A"), height_bound=100.5), ValidationError, "not-integer"),
     "truncation": (lambda: series(REAL, identity(REAL), 4.5, {0: 1}), ValidationError, "not-integer"),
     "truncation-bool": (lambda: series(REAL, identity(REAL), True, {0: 1}), ValidationError, "not-integer"),
     "exponent": (lambda: series(REAL, identity(REAL), 4, {1.0: 1}), ValidationError, "not-integer"),
+    "coefficient": (lambda: series(REAL, identity(REAL), 4, {0: 0.5}), KindMismatchError, None),
+    "quaternion-coordinate": (lambda: quat(0.5, 0, 0, 0), KindMismatchError, None),
     "centre-truncation": (
         lambda: centre_basis(COMPLEX, complex_conjugation(), 8.5), ValidationError, "not-integer",
     ),

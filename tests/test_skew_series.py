@@ -68,6 +68,15 @@ def test_laurent_exponents_allowed():
     assert (f * g).coeff(0) == cplx(1)
 
 
+def test_valuation_values():
+    # the valuation is (1/2)^l for the least exponent l of the series
+    t = series(REAL, identity(REAL), 8, {1: 1})
+    assert (t + t * t).coeffs[0][0] == 1
+    assert (t * t).coeffs[0][0] == 2
+    inv = series(REAL, identity(REAL), 8, {-1: 1})
+    assert (inv + series(REAL, identity(REAL), 8, {0: real(1)})).coeffs[0][0] == -1
+
+
 def test_factory_rejects_bad_input():
     with pytest.raises(KindMismatchError):
         series(QUATERNION, CONJ, 8, {})
