@@ -23,13 +23,19 @@ class WittPointClass(enum.Enum):
     SEGMENTATION = "segmentation"
 
 
-# The short name of each class: the prefix of its point labels and its name
-# in the zoo's weight lists.
+# placement marker for weights on a complex-centre base
+COMPLEX_POINT = "point"
+
+# The short name of each placement class, the four of a real base and the
+# point of a complex-centre base: the prefix of its point labels on a real
+# base and its name in the zoo's weight lists. Its order is the zoo's one
+# order of weights: segmentation slots, inner, real, quat, point.
 SHORT_NAMES = {
+    WittPointClass.SEGMENTATION: "seg",
     WittPointClass.INNER: "inner",
     WittPointClass.REAL_BOUNDARY: "real",
     WittPointClass.QUATERNION_BOUNDARY: "quat",
-    WittPointClass.SEGMENTATION: "seg",
+    COMPLEX_POINT: "point",
 }
 
 

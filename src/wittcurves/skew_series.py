@@ -103,12 +103,6 @@ class TwistedSeries(FrozenRecord):
             terms.append((e, c))
         self._set(kind, twist, truncation, tuple(terms))
 
-    def coeff(self, exponent: int) -> AlgebraElement:
-        for e, c in self.coeffs:
-            if e == exponent:
-                return c
-        return zero(self.kind)
-
     def __add__(self, other: "TwistedSeries") -> "TwistedSeries":
         _require_same_ring(self, other)
         acc = dict(self.coeffs)

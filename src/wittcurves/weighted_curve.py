@@ -66,7 +66,7 @@ from .errors import (
     require_ints,
     require_sequence,
 )
-from .local_data import SHORT_NAMES, WittPointClass, witt_local_datum
+from .local_data import COMPLEX_POINT, SHORT_NAMES, WittPointClass, witt_local_datum
 from .witt_surface import (
     MINUS,
     PLUS,
@@ -76,9 +76,6 @@ from .witt_surface import (
     _Reading,
     read_base,
 )
-
-# placement marker for weights on a complex-centre base
-COMPLEX_POINT = "point"
 
 # The largest e_tau, residue degree or weight a point may have. The
 # weight-ramification vector repeats an entry residue-degree times, so

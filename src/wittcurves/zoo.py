@@ -33,7 +33,9 @@ vector (2, 2, n) is named n, after Geigle-Lenzing. Weights are recorded
 per placement class as multisets, which identifies configurations up to
 the colour-preserving symmetries of the base (a reflection swaps the two
 segmentation points of the segmented disc). Placement classes go by the
-short names of local_data, plus "point" on a complex-centre base.
+short names of local_data, and every entry, tubular or domestic, writes
+its weights in the one order of that table: segmentation slots, inner,
+real, quat, point, and in each class ints ascending before symbols.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from math import lcm
 from .errors import Record, ValidationError, _tuple_new
 from .local_data import SHORT_NAMES, WittPointClass
 from .weighted_curve import (
-    COMPLEX_POINT,
     WeightedCurve,
     WeightedPoint,
     _SEGMENTATION_SHAPE,
@@ -54,9 +55,11 @@ from .weighted_curve import (
 )
 from .witt_surface import CATALOG_NAMES, catalog, euler_characteristics, read_base
 
-_LOCATION = {short: cls for cls, short in SHORT_NAMES.items()} | {"point": COMPLEX_POINT}
+_LOCATION = {short: cls for cls, short in SHORT_NAMES.items()}
 _SEG = SHORT_NAMES[WittPointClass.SEGMENTATION]
-_CLASS_ORDER = {"seg": 0, "real": 1, "quat": 2, "inner": 3, "point": 4}
+# the one order of weights: by class in the order of SHORT_NAMES, and in
+# each class ints ascending before symbols
+_RANK = {short: r for r, short in enumerate(_LOCATION)}
 
 # a weight entry is (placement class, p) with p an int, or a parameter
 # name for the symbolic domestic families
@@ -72,9 +75,7 @@ class ZooEntry(Record):
 
 def _weight_key(pair):
     cls, w = pair
-    if isinstance(w, int):
-        return (_CLASS_ORDER[cls], 0, w, "")
-    return (_CLASS_ORDER[cls], 1, 0, str(w))
+    return _RANK[cls], isinstance(w, str), w
 
 
 def entry_key(entry: ZooEntry):
@@ -85,12 +86,12 @@ def _build_curve(base_name: str, weights: Weights) -> WeightedCurve:
     base = catalog(base_name)
     slots = iter(read_base(base).points)
     pts = []
+    # an unknown class goes to the check as its own location, and a
+    # segmentation weight past the slots with no indices: both are refused
     for cls, w in weights:
-        if cls == _SEG:
-            oval, segment = next(slots)
-            pts.append(WeightedPoint(_LOCATION[cls], w, oval=oval, segment=segment))
-        else:
-            pts.append(WeightedPoint(_LOCATION[cls], w))
+        location = _LOCATION[cls] if cls in _LOCATION else cls
+        oval, segment = next(slots, (None, None)) if cls == _SEG else (None, None)
+        pts.append(WeightedPoint(location, w, oval, segment))
     return WeightedCurve(base, tuple(pts))
 
 
@@ -208,15 +209,16 @@ def enumerate_chi_zero() -> list[ZooEntry]:
     return sorted(entries, key=entry_key)
 
 
-def _family_entry(bare: ZooEntry, places, rank, ints: Weights, left) -> ZooEntry:
-    """The family of a pattern: its entries by place rank, ints ascending
-    before symbols, which are named p, q, ... in turn, or n when the lone
-    symbol of a vector (2, 2, n). A weight w at a place of (e_tau, f) adds
-    w * e_tau to the vector f times, a symbol e_tau times its name, and a
-    free segmentation slot counts as weight 1."""
+def _family_entry(bare: ZooEntry, places, ints: Weights, left) -> ZooEntry:
+    """The family of a pattern: its entries in the one order of weights,
+    which is the order of its places, ints ascending before symbols; the
+    symbols are named p, q, ... in turn, or n when the lone symbol of a
+    vector (2, 2, n). A weight w at a place of (e_tau, f) adds w * e_tau
+    to the vector f times, a symbol e_tau times its name, and a free
+    segmentation slot counts as weight 1."""
     names = iter("pqrstuvwxyz")
     weights = ints + tuple((cls, next(names)) for cls, k in zip(places, left) for _ in range(k))
-    weights = sorted(weights, key=lambda w: (rank[w[0]], isinstance(w[1], str), w[1]))
+    weights = sorted(weights, key=_weight_key)
     if not any(left):
         return _entry_for(bare.base, tuple(weights)) if weights else bare
     free = places[_SEG][2] - sum(cls == _SEG for cls, _ in weights) if _SEG in places else 0
@@ -242,8 +244,8 @@ def enumerate_domestic() -> list[ZooEntry]:
     for name, chi in _bases():
         if chi.numerator > 0:
             places, patterns = _zoo(name, chi)
-            bare, rank = _entry_for(name, ()), {cls: r for r, cls in enumerate(places)}
-            entries.extend(_family_entry(bare, places, rank, ws, left) for ws, left, exact in patterns if not exact)
+            bare = _entry_for(name, ())
+            entries.extend(_family_entry(bare, places, ws, left) for ws, left, exact in patterns if not exact)
     return sorted(entries, key=entry_key)
 
 

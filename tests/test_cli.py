@@ -136,11 +136,11 @@ def test_zoo_json_first_tubular_entry():
         "centre": "R",
         "chi_orb": {"den": 1, "num": 0},
         "class": "TUBULAR",
-        "cy": [4, 4],
+        "cy": [2, 2],
         "s": 1,
-        "tau_order": 4,
-        "weights": [["real", 2], ["inner", 4]],
-        "wrv": [2, 4, 4],
+        "tau_order": 2,
+        "weights": [["inner", 2], ["inner", 2]],
+        "wrv": [2, 2, 2, 2],
     }
 
 

@@ -189,12 +189,12 @@ EXPECTED_CURVES = {
 EXPECTED_ZOO = {
     ('elliptic', 'table'): ('ad0c1a23cfc410998cc188e6032b9a93a0d1933f4128ef4a0767e5ed69e7743e', 559),
     ('elliptic', 'json'): ('902a5257e3691fd3d91235b79e463148eeb19f4d215741fb9a67580fa797ecff', 1210),
-    ('tubular', 'table'): ('18890285c50e61379c0d04a5eff171ec1917aa6d1db06ad26c080e63c5f59cd2', 2705),
-    ('tubular', 'json'): ('3f95080b8bc3df5204b2dca1108084193f23c2190c765df70e1da4a7e58252e2', 5867),
-    ('domestic', 'table'): ('4ceb2ebb753aa20ccbef71ecb3201a2de05b92b01261425abfbf287b242e18ec', 2842),
-    ('domestic', 'json'): ('b5ea8b6d8f24ee21ec4299c6f330b71147212395394fc681c054471b3c8b8af5', 6574),
-    ('all', 'table'): ('c678874876883413a52e5333ee9ce5a313eb371baa1f532fe1dd4b8c46fffdf1', 6638),
-    ('all', 'json'): ('dc5e36305204041f96a3b4fea3bb9563ff863e275e6e244cd5b93f9e477a6cb9', 13649),
+    ('tubular', 'table'): ('85af12fe14af86c91ee807e080c22b55812f946b9ef32d2cb3b7ec0f9bfc082e', 2705),
+    ('tubular', 'json'): ('d5ebc2ff07a55ab57745fccd0dca7bed53134170504ecac605e77995a005d443', 5867),
+    ('domestic', 'table'): ('53816e94c4dbee127c1c0e18b8631fdf1cb4d345fb942e17afe442eec92b52b8', 2842),
+    ('domestic', 'json'): ('890507fc611e302e6e216d95e83547aa373fed7f8c78307e2a1179e1a0f28134', 6574),
+    ('all', 'table'): ('ae81b51905a43db243cc70a8cb7b590a8f790b05fd2f2e38fa635676c7591658', 6638),
+    ('all', 'json'): ('392662413717999a92951b21d18a35810ad6d6f65d8d0ad4e8cbfcfe36b2f2c6', 13649),
 }
 
 

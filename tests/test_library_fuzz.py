@@ -7,7 +7,9 @@ one above MAX_POINT_VALUE, with every efficient index from -1 to the
 number of points; genus-zero triples whose e and f are ints or Fractions,
 zero, negative or above MAX_ORDER_LCM, and whose p runs from 0 to one
 above MAX_POINT_VALUE; every domestic family with its parameters, and
-others, given ints, bools, None or strings; inner twists by units of
+others, given ints, bools, None or strings, and some with a weight of an
+unknown class or one segmentation weight more than the base has slots,
+which never make a curve; inner twists by units of
 small entries raised to small powers, to powers about MAX_INNER_POWER
 and to huge ones; class vectors of small or huge ints, in pairs or in
 other shapes, and the slopes of pairs of ints or Fractions; CurveNumerics of every range; and PointDatum on every
@@ -52,6 +54,7 @@ from wittcurves.weighted_curve import (
     genus_zero_orbifold_euler,
     ghost_group,
 )
+from wittcurves.witt_surface import catalog, read_base
 from wittcurves.zoo import enumerate_domestic, instantiate_domestic
 
 _SETTINGS = settings(derandomize=True, database=None, max_examples=300, deadline=timedelta(seconds=2))
@@ -118,17 +121,31 @@ _VALUE = _mostly(
     st.one_of(st.integers(-2, 1), st.just(MAX_POINT_VALUE + 1), st.booleans(), st.none(), st.sampled_from(["3", "p"])),
 )
 _ASSIGNMENTS = st.dictionaries(st.sampled_from("npqr"), _VALUE, max_size=3)
+
+
+def _off_places(family):
+    """(family, False) nine times in ten; otherwise (entry, True) for the
+    family with a weight of an unknown class, or with one segmentation
+    weight more than its base has slots."""
+    slots = len(read_base(catalog(family.base)).points)
+    past = (("seg", 2),) * (slots + 1 - sum(cls == "seg" for cls, _ in family.weights))
+    off = [family._replace(weights=family.weights + extra) for extra in ((("bogus", 2),), past)]
+    return _mostly(st.just((family, False)), st.sampled_from([(entry, True) for entry in off]))
+
+
 # read when the test first draws, so that importing this module runs no enumeration
-_FAMILY = st.deferred(lambda: st.sampled_from(enumerate_domestic()))
+_FAMILY = st.deferred(lambda: st.sampled_from(enumerate_domestic()).flatmap(_off_places))
 
 
 @_SETTINGS
-@given(family=_FAMILY, assignments=st.none() | _ASSIGNMENTS)
-def test_domestic_families_end_in_a_curve_or_a_curve_error(family, assignments):
+@given(drawn=_FAMILY, assignments=st.none() | _ASSIGNMENTS)
+def test_domestic_families_end_in_a_curve_or_a_curve_error(drawn, assignments):
+    family, off_places = drawn
     try:
         curve = instantiate_domestic(family, assignments)
     except CurveError:
         return
+    assert not off_places
     assert isinstance(curve, WeightedCurve)
 
 

@@ -25,13 +25,19 @@ sys.modules. It builds no typing.ForwardRef, and makes no call of
 collections.namedtuple, eval, compile or exec. Two guards keep src/ from regrowing quietly: its
 logical lines (NEWLINE tokens) stay within SRC_LOGICAL_LINES, and every
 module-level public function is read by another statement of src/ or by
-bench/, or is named in UNREAD_PUBLIC with the reason it stays.
+bench/, or is named in UNREAD_PUBLIC with the reason it stays; so is
+every module-level public constant, and every method that is not a
+dunder is read by an attribute in src/ or bench/, or each is named in
+UNREAD_MEMBERS. A bare name counts as a read only where it refers to a
+module-level binding, not to a parameter, local or comprehension
+variable that shadows it.
 """
 
 import ast
 import io
 import os
 import subprocess
+import symtable
 import sys
 import tokenize
 import types
@@ -43,14 +49,24 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "wittcurves"
 BENCH = SRC.parent.parent / "bench"
 # The logical lines of src/wittcurves/*.py. A change that deletes code
 # lowers it; one that raises it says by how much and why in CHANGES.md.
-SRC_LOGICAL_LINES = 1851
+SRC_LOGICAL_LINES = 1842
 # module-level public functions of src/ that nothing in src/ or bench/
 # reads, each with why it stays
 UNREAD_PUBLIC = {
     "algebra.abstract_kind": "the one way to describe a division algebra beyond R, C and H by its dimensions",
     "algebra.cplx": "one constructor family with real and quat, which the benchmark calls",
+    "algebra.real": "one constructor family with cplx and quat, which the benchmark calls",
     "ktheory.euler_form": "the Euler form on K_0 of an elliptic curve, an invariant answered in its own right",
     "ktheory.average_euler_form": "the averaged Euler form, which the second route through K_0 on the ROADMAP calls",
+}
+# methods and module-level public constants of src/ that nothing in src/
+# or bench/ reads, each with why it stays
+UNREAD_MEMBERS = {
+    "algebra.AlgebraElement.norm": "the multiplicative norm of the division algebras, checked by the property suites",
+    "algebra.AlgebraElement.inverse": "the inverse in the division algebras, checked by the property suites",
+    "errors.Record._asdict": "part of the namedtuple API that every plain record has, as the README says",
+    "weighted_curve.CurveProfile.chi_routes": "the value of every route to chi'_orb, which the README shows and "
+    "invariants --explain on the ROADMAP prints",
 }
 
 
@@ -89,12 +105,26 @@ def _defined_names(stmt: ast.stmt) -> list[str]:
     return []
 
 
+def _module_level_reads(table: symtable.SymbolTable) -> set[str]:
+    """The bare names that a scope and the scopes inside it read off module
+    level, as the compiler resolves them: a parameter, a local, a
+    comprehension variable or a name of a class body shadows the binding
+    where it is in scope, and is not one. (From Python 3.12 a
+    comprehension outside a function is inlined, so its variables count
+    as module-level reads: the scan may then see a reader too many.)"""
+    module = table.get_type() == "module"
+    names = {s.get_name() for s in table.get_symbols() if s.is_referenced() and (module or s.is_global())}
+    for child in table.get_children():
+        names |= _module_level_reads(child)
+    return names
+
+
 def _read_names(tree: ast.AST) -> set[str]:
-    names = set()
+    """Every bare name that tree reads off module level, every attribute
+    name and every name imported from a module."""
+    names = _module_level_reads(symtable.symtable(ast.unparse(tree), "<scan>", "exec"))
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
@@ -175,32 +205,37 @@ def _traced_functions(tracing: ast.Module) -> set[str]:
     return {f"{layer}.{name}" for layer, names in ast.literal_eval(table).items() for name in names}
 
 
+def _statement_reads(modules: dict[str, ast.Module]) -> dict[str, list[set[str]]]:
+    """The names each top-level statement of src/ reads, module by module;
+    __init__, whose reads are its re-exports, is left out."""
+    return {
+        module: [_read_names(stmt) for stmt in tree.body] for module, tree in modules.items() if module != "__init__"
+    }
+
+
+def _read_elsewhere(reads: dict[str, list[set[str]]], module: str, i: int, name: str) -> bool:
+    """Whether a statement of src/ other than statement i of module reads name."""
+    return any(name in r for other, rs in reads.items() for j, r in enumerate(rs) if (other, j) != (module, i))
+
+
+def _reader(in_src: bool, in_bench: bool) -> str | None:
+    return "src" if in_src else "bench" if in_bench else None
+
+
 def public_function_readers(modules: dict[str, ast.Module], bench: dict[str, ast.Module]) -> dict[str, str | None]:
     """module.name of each module-level public function of src/, mapped to
     its reader: "src" when another statement of src/ reads it (the
     re-export in __init__ does not count), "bench" when bench/ reads it in
     its code or traces it by name, and None when nothing does."""
-    reads = {
-        module: [_read_names(stmt) for stmt in tree.body] for module, tree in modules.items() if module != "__init__"
-    }
+    reads = _statement_reads(modules)
     bench_reads = set().union(*map(_read_names, bench.values())) | _traced_functions(bench["tracing"])
     readers = {}
     for module, tree in modules.items():
         for i, stmt in enumerate(tree.body):
-            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) or stmt.name.startswith("_"):
-                continue
-            name = f"{module}.{stmt.name}"
-            if any(
-                stmt.name in r
-                for other, stmt_reads in reads.items()
-                for j, r in enumerate(stmt_reads)
-                if (other, j) != (module, i)
-            ):
-                readers[name] = "src"
-            elif stmt.name in bench_reads or name in bench_reads:
-                readers[name] = "bench"
-            else:
-                readers[name] = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and not stmt.name.startswith("_"):
+                name = f"{module}.{stmt.name}"
+                in_bench = stmt.name in bench_reads or name in bench_reads
+                readers[name] = _reader(_read_elsewhere(reads, module, i, stmt.name), in_bench)
     return readers
 
 
@@ -222,6 +257,15 @@ def test_the_scan_sees_public_functions_without_a_reader():
             "def unread():\n    pass\n"
             "def _private():\n    pass\n"
             "class Public:\n    def method(self):\n        pass\n"
+            "def shadowed():\n    pass\n"
+            "def global_read():\n    pass\n"
+        ),
+        # each read of shadowed is of a parameter, a local or a comprehension variable
+        "b": ast.parse(
+            "def f(shadowed, g=global_read):\n    return shadowed\n"
+            "def g():\n    shadowed = 1\n    return shadowed\n"
+            "def h():\n    return [shadowed for shadowed in ()], lambda shadowed: shadowed\n"
+            "class C:\n    shadowed = 1\n    doubled = 2 * shadowed\n"
         ),
     }
     bench = {
@@ -235,7 +279,87 @@ def test_the_scan_sees_public_functions_without_a_reader():
         "a.traced": "bench",
         "a.benched": "bench",
         "a.unread": None,
+        "a.shadowed": None,
+        "a.global_read": "src",
+        "b.f": None,
+        "b.g": None,
+        "b.h": None,
     }
+
+
+def test_the_scan_sees_methods_and_constants_without_a_reader():
+    src = {
+        "__init__": ast.parse("from .a import EXPORTED\n"),
+        "a": ast.parse(
+            "READ = 1\n"
+            "EXPORTED = 2\n"
+            "BENCHED, _PRIVATE = 3, 4\n"
+            "SHADOWED = 5\n"
+            "def f(SHADOWED=READ):\n    return SHADOWED\n"
+            "class Thing:\n"
+            "    LIMIT = 5\n"
+            "    def called(self):\n        return self.helper()\n"
+            "    def helper(self):\n        return 1\n"
+            "    def recursive(self):\n        return self.recursive()\n"
+            "    def benched(self):\n        pass\n"
+            "    def unread(self):\n        pass\n"
+            "    def __repr__(self):\n        return 'Thing'\n"
+        ),
+        "b": ast.parse("from .a import Thing\nTOTAL = Thing().called()\n"),
+    }
+    bench = {"workloads": ast.parse("from wittcurves.a import BENCHED\nthing.benched()\n")}
+    assert member_readers(src, bench) == {
+        "a.READ": "src",
+        "a.EXPORTED": None,
+        "a.BENCHED": "bench",
+        "a.SHADOWED": None,
+        "a.Thing.called": "src",
+        "a.Thing.helper": "src",
+        "a.Thing.recursive": None,
+        "a.Thing.benched": "bench",
+        "a.Thing.unread": None,
+        "b.TOTAL": None,
+    }
+
+
+def _attributes(trees) -> list[ast.Attribute]:
+    return [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+
+
+def member_readers(modules: dict[str, ast.Module], bench: dict[str, ast.Module]) -> dict[str, str | None]:
+    """module.NAME of each module-level public constant of src/ and
+    module.Class.name of each method of a class of src/ that is not a
+    dunder, mapped to its reader: "src" when src/ reads it, "bench" when
+    bench/ does, and None when nothing does. A constant is read as a
+    public function is, by another statement of src/ than the one that
+    binds it and the re-export in __init__; a method by an attribute of
+    its name outside its own body."""
+    reads = _statement_reads(modules)
+    attributes = _attributes(modules.values())
+    bench_reads = set().union(*map(_read_names, bench.values()))
+    bench_attributes = {node.attr for node in _attributes(bench.values())}
+    readers = {}
+    for module, tree in modules.items():
+        for i, stmt in enumerate(tree.body):
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                for name in _defined_names(stmt):
+                    if not name.startswith("_"):
+                        in_src = _read_elsewhere(reads, module, i, name)
+                        readers[f"{module}.{name}"] = _reader(in_src, name in bench_reads)
+            elif isinstance(stmt, ast.ClassDef):
+                for method in stmt.body:
+                    if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) and not method.name.startswith("__"):
+                        own = set(map(id, ast.walk(method)))
+                        in_src = any(node.attr == method.name and id(node) not in own for node in attributes)
+                        in_bench = method.name in bench_attributes
+                        readers[f"{module}.{stmt.name}.{method.name}"] = _reader(in_src, in_bench)
+    return readers
+
+
+def test_every_method_and_public_constant_in_src_has_a_reader_or_a_reason():
+    readers = member_readers(parse_modules(SRC), parse_modules(BENCH))
+    assert sorted(name for name, reader in readers.items() if reader is None) == sorted(UNREAD_MEMBERS)
+    assert all(UNREAD_MEMBERS.values())
 
 
 # attributes of a surface and its ovals that only witt_surface reads

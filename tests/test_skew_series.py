@@ -65,7 +65,7 @@ def test_products_truncate():
 def test_laurent_exponents_allowed():
     f = series(COMPLEX, CONJ, 8, {-2: cplx(1)}) + series(COMPLEX, CONJ, 8, {3: cplx(0, 1)})
     g = series(COMPLEX, CONJ, 8, {2: cplx(1)})
-    assert (f * g).coeff(0) == cplx(1)
+    assert dict((f * g).coeffs)[0] == cplx(1)
 
 
 def test_valuation_values():
@@ -106,7 +106,7 @@ def test_factory_rejects_bad_input():
 
 def test_coefficient_lookups_and_the_zero_series():
     f = series(COMPLEX, CONJ, 8, {0: 1, 3: cplx(2, -1)})
-    assert f.coeff(3) == cplx(2, -1) and f.coeff(5) == cplx(0)
+    assert dict(f.coeffs)[3] == cplx(2, -1) and 5 not in dict(f.coeffs)
     zero_series = series(COMPLEX, CONJ, 8, {0: cplx(0)})
     assert not zero_series.coeffs and repr(zero_series) == "0"
 
@@ -316,7 +316,7 @@ def test_coprime_denominators_sum_on_one_exponent(twist):
     product = f * g
     oracle = _oracle_product(f, g)
     assert _terms(product) == oracle
-    assert 2 in oracle and product.coeff(2).den == math.lcm(*(c.denominator for c in oracle[2]))
+    assert 2 in oracle and dict(product.coeffs)[2].den == math.lcm(*(c.denominator for c in oracle[2]))
 
 
 @pytest.mark.parametrize("twist", TWISTS_OF_H, ids=["id", "i", "1+2i-j+3k"])

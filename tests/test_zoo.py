@@ -77,7 +77,6 @@ _ORACLE_CLASSES = (
     WittPointClass.QUATERNION_BOUNDARY,
     COMPLEX_POINT,
 )
-_ORACLE_NAMES = SHORT_NAMES | {COMPLEX_POINT: "point"}
 
 
 def _accepts(base, location) -> bool:
@@ -113,7 +112,7 @@ def oracle_configurations() -> dict[tuple, object]:
                 # a further weight lowers chi'_orb and never shortens the vector
                 if profile.chi_orb < 0 or len(profile.weight_ram_vector) > ORACLE_WRV_LENGTH:
                     continue
-                weights = tuple(sorted((_ORACLE_NAMES[loc], p) for loc, p in config))
+                weights = tuple(sorted((SHORT_NAMES[loc], p) for loc, p in config))
                 assert (name, weights) not in found
                 found[name, weights] = profile.chi_orb
                 extend(config, k)
@@ -276,6 +275,25 @@ def test_instantiation_refuses_parameters_the_family_does_not_have():
             instantiate_domestic(entry, assignments)
         assert exc.value.code == "parameter"
         assert str(exc.value) == f"the family has no parameter {named}"
+
+
+def test_instantiation_refuses_weights_off_the_places_of_the_base():
+    bare = next(e for e in enumerate_domestic() if e.base == "D" and not e.weights)
+    # an unknown class, and a third segmentation weight on the two slots of D_22
+    for entry in (bare._replace(weights=(("bogus", 2),)), bare._replace(base="D_22", weights=(("seg", 2),) * 3)):
+        with pytest.raises(ValidationError) as exc:
+            instantiate_domestic(entry)
+        assert exc.value.code == "placement"
+
+
+def test_every_entry_writes_its_weights_in_the_one_order():
+    """By class in the order of SHORT_NAMES (seg, inner, real, quat,
+    point), ints ascending before symbols."""
+    rank = list(SHORT_NAMES.values())
+    assert rank == ["seg", "inner", "real", "quat", "point"]
+    for entry in enumerate_chi_zero() + enumerate_domestic():
+        keys = [(rank.index(cls), isinstance(w, str), w) for cls, w in entry.weights]
+        assert keys == sorted(keys), entry
 
 
 def test_single_segment_family_value():
