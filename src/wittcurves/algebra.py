@@ -37,6 +37,7 @@ from .errors import (
     ValidationError,
     _tuple_new,
     require_ints,
+    require_positive,
 )
 
 
@@ -82,9 +83,7 @@ def comultiplicity(kind: DivisionAlgebraKind) -> int:
     that is not a square (``not-square``).
     """
     dim_over_k, dim_centre_over_k = kind.dim_over_k, kind.dim_centre_over_k
-    require_ints(dim_over_k=dim_over_k, dim_centre_over_k=dim_centre_over_k)
-    if dim_over_k < 1 or dim_centre_over_k < 1:
-        raise ValidationError("dimensions must be positive", code="nonpositive")
+    require_positive(dim_over_k=dim_over_k, dim_centre_over_k=dim_centre_over_k)
     ratio, rem = divmod(dim_over_k, dim_centre_over_k)
     if rem != 0:
         raise ValidationError(
@@ -313,12 +312,7 @@ def _unit_vectors(kind: DivisionAlgebraKind) -> tuple[AlgebraElement, ...]:
 
 
 # Elements never change, so one copy of each constant serves every caller.
-_ZERO = {kind: _make(kind, (0,) * kind.dim_over_k, 1) for kind in BUILTIN_KINDS}
 _BASIS = {kind: _unit_vectors(kind) for kind in BUILTIN_KINDS}
-
-
-def zero(kind: DivisionAlgebraKind) -> AlgebraElement:
-    return _ZERO[_builtin(kind)]
 
 
 def one(kind: DivisionAlgebraKind) -> AlgebraElement:

@@ -1,7 +1,7 @@
-"""Error types shared across the package, the integer and sequence checks
-of record fields, and the two bases of the records: Record, of the plain
-records that only hold their fields, and FrozenRecord, of the records that
-do more.
+"""Error types shared across the package, the checks of record fields
+(require_ints, require_positive and require_sequence), and the two bases
+of the records: Record, of the plain records that only hold their fields,
+and FrozenRecord, of the records that do more.
 
 A plain record is a Record: a tuple of its fields, with empty __slots__,
 built by a __new__ whose signature is the field list and that only packs
@@ -73,6 +73,18 @@ def require_ints(optional: tuple[str, ...] = (), **fields) -> None:
             continue
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValidationError(f"{name} must be an integer, got {value!r}", code="not-integer")
+
+
+def require_positive(**fields) -> None:
+    """require_ints, then ValidationError (code "nonpositive") unless every
+    field is at least 1; a field named epsilon is held to 1 or 2 (code
+    "epsilon")."""
+    require_ints(**fields)
+    for name, value in fields.items():
+        if value < 1:
+            raise ValidationError(f"{name} must be a positive integer", code="nonpositive")
+    if fields.get("epsilon", 1) > 2:
+        raise ValidationError(f"epsilon must be 1 or 2, got {fields['epsilon']}", code="epsilon")
 
 
 def require_sequence(value, name: str, code: str) -> tuple:

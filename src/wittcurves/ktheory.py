@@ -24,6 +24,7 @@ from .errors import (
     ValidationError,
     _tuple_new,
     require_ints,
+    require_positive,
 )
 from .witt_surface import catalog, validate
 
@@ -77,13 +78,12 @@ class CurveNumerics(FrozenRecord):
         self, kappa: int, epsilon: int, genus: int, end_S_dim: int = 1, pbar: int = 1, g_orb: Fraction | None = None
     ):
         self._set(kappa, epsilon, genus, end_S_dim, pbar, g_orb)
-        require_ints(kappa=kappa, epsilon=epsilon, genus=genus, end_S_dim=end_S_dim, pbar=pbar)
+        require_positive(kappa=kappa, epsilon=epsilon, end_S_dim=end_S_dim, pbar=pbar)
+        require_ints(genus=genus)
         if not isinstance(g_orb, Fraction):
             require_ints(("g_orb",), g_orb=g_orb)
-        if kappa < 1 or genus < 0 or end_S_dim < 1 or pbar < 1:
-            raise ValidationError("numerics entries out of range", code="nonpositive")
-        if epsilon not in (1, 2):
-            raise ValidationError(f"epsilon must be 1 or 2, got {epsilon}", code="epsilon")
+        if genus < 0:
+            raise ValidationError("genus must be nonnegative", code="nonpositive")
 
 
 # real dimension of End(S) for the designated degree-one simple object S

@@ -13,7 +13,7 @@ import enum
 from fractions import Fraction
 
 from .algebra import COMPLEX, QUATERNION, REAL, DivisionAlgebraKind, comultiplicity
-from .errors import FrozenRecord, KindMismatchError, ValidationError, require_ints
+from .errors import FrozenRecord, KindMismatchError, ValidationError, require_positive
 
 
 class WittPointClass(enum.Enum):
@@ -52,11 +52,7 @@ class PointDatum(FrozenRecord):
         self, e: int, e_star: int, e_tau: int, residue_degree: int, simple_end: DivisionAlgebraKind, weight: int = 1
     ):
         self._set(e, e_star, e_tau, residue_degree, simple_end, weight)
-        ints = dict(e=e, e_star=e_star, e_tau=e_tau, residue_degree=residue_degree, weight=weight)
-        require_ints(**ints)
-        for name, value in ints.items():
-            if value < 1:
-                raise ValidationError(f"{name} must be a positive integer", code="nonpositive")
+        require_positive(e=e, e_star=e_star, e_tau=e_tau, residue_degree=residue_degree, weight=weight)
         if not isinstance(simple_end, DivisionAlgebraKind):
             raise KindMismatchError(f"simple_end must be a DivisionAlgebraKind, got {type(simple_end).__name__}")
         if comultiplicity(simple_end) != e_star:
@@ -104,10 +100,9 @@ def degree_of_simple(d: PointDatum, kappa: int, epsilon: int, pbar: int) -> Frac
     deg S_x = (pbar * s) / (p * kappa * epsilon) * e_star * [k(x):k],
     with s the ambient skewness and p the point's weight. The result is
     rational in general but integral whenever epsilon was normalized
-    correctly for the curve. kappa, epsilon and pbar are positive ints.
+    correctly for the curve. kappa and pbar are positive ints, epsilon is
+    1 or 2.
     """
-    require_ints(kappa=kappa, epsilon=epsilon, pbar=pbar)
-    if kappa < 1 or epsilon < 1 or pbar < 1:
-        raise ValidationError("kappa, epsilon and pbar must be positive", code="nonpositive")
+    require_positive(kappa=kappa, epsilon=epsilon, pbar=pbar)
     s = skewness(d)
     return Fraction(pbar * s, d.weight * kappa * epsilon) * d.e_star * d.residue_degree

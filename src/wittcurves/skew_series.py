@@ -49,7 +49,6 @@ from .algebra import (
     element,
     galois_order,
     one,
-    zero,
 )
 from .errors import (
     DomainError,
@@ -107,7 +106,7 @@ class TwistedSeries(FrozenRecord):
         _require_same_ring(self, other)
         acc = dict(self.coeffs)
         for e, c in other.coeffs:
-            acc[e] = acc.get(e, zero(self.kind)) + c
+            acc[e] = acc[e] + c if e in acc else c
         return series(self.kind, self.twist, self.truncation, acc)
 
     def __mul__(self, other: "TwistedSeries") -> "TwistedSeries":
@@ -193,14 +192,6 @@ def _term(kind, truncation: int, exponent, value) -> AlgebraElement:
     return element(kind, value, *(0,) * (kind.dim_over_k - 1))
 
 
-def _trusted(kind, twist, truncation, coeffs: tuple) -> TwistedSeries:
-    """A series from terms its caller has checked, sorted and stripped of
-    zeros, built past the constructor's checks."""
-    f = object.__new__(TwistedSeries)
-    f._set(kind, twist, truncation, coeffs)
-    return f
-
-
 def series(kind, twist, truncation, coeffs) -> TwistedSeries:
     """Build a series from an {exponent: coefficient} mapping.
 
@@ -222,7 +213,7 @@ def series(kind, twist, truncation, coeffs) -> TwistedSeries:
         c = _term(kind, truncation, e, v)
         if not c.is_zero():
             cleaned[e] = c
-    return _trusted(kind, twist, truncation, tuple(sorted(cleaned.items())))
+    return TwistedSeries(kind, twist, truncation, sorted(cleaned.items()))
 
 
 # ---------------------------------------------------------------------------

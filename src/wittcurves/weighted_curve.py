@@ -64,6 +64,7 @@ from .errors import (
     ValidationError,
     _tuple_new,
     require_ints,
+    require_positive,
     require_sequence,
 )
 from .local_data import COMPLEX_POINT, SHORT_NAMES, WittPointClass, witt_local_datum
@@ -342,18 +343,13 @@ def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[Effectiv
             ps.append(p)
             orders.append(o)
     s, kappa, epsilon, cg, chi_x = base.s, base.kappa, base.epsilon, base.centre_genus, base.chi_x
-    # plain ints pass here, and a Fraction chi_x is taken as it is
-    if not (s.__class__ is int and kappa.__class__ is int and epsilon.__class__ is int
-            and (cg is None or cg.__class__ is int)):
-        require_ints(("centre_genus",), s=s, kappa=kappa, epsilon=epsilon, centre_genus=cg)
+    require_positive(s=s, kappa=kappa, epsilon=epsilon)
+    require_ints(("centre_genus",), centre_genus=cg)
+    # a Fraction chi_x is taken as it is
     if chi_x.__class__ is not Fraction:
         if not isinstance(chi_x, Fraction):
             require_ints(chi_x=chi_x)
         chi_x = Fraction(chi_x)
-    if s < 1 or kappa < 1 or epsilon < 1:
-        raise ValidationError("base numerics must be positive", code="nonpositive")
-    if epsilon not in (1, 2):
-        raise ValidationError(f"epsilon must be 1 or 2, got {epsilon}", code="epsilon")
     if cg is not None and cg < 0:
         raise ValidationError("the centre genus must be nonnegative", code="negative-genus")
     if max(abs(chi_x.numerator), chi_x.denominator) > MAX_ORDER_LCM:
@@ -606,16 +602,14 @@ def genus_zero_orbifold_euler(kappa, s, epsilon, points) -> Fraction:
     """Normalized orbifold characteristic over any field, genus-zero case.
 
     points is an iterable of (e, f, p) triples, e and f positive integers
-    or Fractions; only the product e*f enters. kappa, s, epsilon and every
-    p are positive integers. No separability assumption is needed here. The
-    terms e f (p - 1) / p are summed as one integer numerator over the lcm
-    of their denominators. At most MAX_VECTOR_LENGTH points are taken, each
+    or Fractions; only the product e*f enters. kappa, s and every p are
+    positive integers, and epsilon is 1 or 2. No separability assumption is
+    needed here. The terms e f (p - 1) / p are summed as one integer
+    numerator over the lcm of their denominators. At most MAX_VECTOR_LENGTH points are taken, each
     p at most MAX_POINT_VALUE, the numerators and denominators of e and f
     and that lcm at most MAX_ORDER_LCM.
     """
-    require_ints(kappa=kappa, s=s, epsilon=epsilon)
-    if kappa < 1 or s < 1 or epsilon < 1:
-        raise ValidationError("kappa, s and epsilon must be positive", code="nonpositive")
+    require_positive(kappa=kappa, s=s, epsilon=epsilon)
     points = require_sequence(points, "the points", "placement")
     _refuse_too_many_points(len(points))
     terms = []
@@ -631,9 +625,7 @@ def genus_zero_orbifold_euler(kappa, s, epsilon, points) -> Fraction:
             raise ValidationError("e and f must be positive", code="nonpositive")
         if max(e.numerator, e.denominator, f.numerator, f.denominator) > MAX_ORDER_LCM:
             raise ValidationError("e and f have a numerator or a denominator above MAX_ORDER_LCM", code="too-large")
-        require_ints(p=p)
-        if p < 1:
-            raise ValidationError("a weight p must be positive", code="nonpositive")
+        require_positive(p=p)
         if p > MAX_POINT_VALUE:
             raise ValidationError(f"a weight p must be at most {MAX_POINT_VALUE}", code="too-large")
         den = e.denominator * f.denominator * p
@@ -771,9 +763,7 @@ def ghost_group(points, efficient_index: int) -> GhostGroup:
         if not isinstance(pt, (tuple, list)) or len(pt) != 2:
             raise ValidationError(f"a point must be an (e_tau, f) pair, got {pt!r}", code="placement")
         e, f = pt
-        require_ints(e_tau=e, residue_degree=f)
-        if e < 1 or f < 1:
-            raise ValidationError("e_tau and residue degrees must be positive", code="nonpositive")
+        require_positive(e_tau=e, residue_degree=f)
         if max(e, f) > MAX_POINT_VALUE:
             raise ValidationError(f"e_tau and residue degrees must be at most {MAX_POINT_VALUE}", code="too-large")
     require_ints(efficient_index=efficient_index)

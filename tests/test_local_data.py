@@ -133,6 +133,7 @@ def test_point_datum_simple_end_must_be_a_division_algebra():
 
 @pytest.mark.parametrize("kappa, epsilon, pbar, code", [
     (0, 1, 1, "nonpositive"), (1, 0, 1, "nonpositive"), (1, 1, 0, "nonpositive"), (-2, 1, 1, "nonpositive"),
+    (1, 3, 1, "epsilon"),
     (1.5, 1, 1, "not-integer"), (1, True, 1, "not-integer"), (1, 1, Fraction(1), "not-integer"),
 ])
 def test_degree_of_simple_needs_positive_int_numerics(kappa, epsilon, pbar, code):

@@ -32,7 +32,6 @@ from wittcurves.algebra import (
     one,
     power,
     quat,
-    zero,
 )
 from wittcurves.errors import CurveError, DomainError, InvariantViolation, ValidationError
 from wittcurves.skew_series import (
@@ -78,10 +77,11 @@ def _series(draw, kind, twist, truncation):
 def _product_oracle(f, g):
     """c_k = sum over i+j=k of a_i sigma^i(b_j), sigma^i taken afresh for every term."""
     acc = {}
+    z = element(f.kind, *(0,) * f.kind.dim_over_k)
     for i, a in f.coeffs:
         for j, b in g.coeffs:
             if i + j < f.truncation:
-                acc[i + j] = acc.get(i + j, zero(f.kind)) + a * apply(power(f.twist, i), b)
+                acc[i + j] = acc.get(i + j, z) + a * apply(power(f.twist, i), b)
     return series(f.kind, f.twist, f.truncation, acc)
 
 
@@ -101,7 +101,7 @@ def _centre_oracle(kind, twist, truncation):
 def _jordan_oracle(kind, twist, n):
     """J^l (a I) = sigma^l(a) J^l on dense list matrices, sigma^i taken afresh."""
     powers = [power(twist, i) for i in range(n)]
-    z = zero(kind)
+    z = element(kind, *(0,) * kind.dim_over_k)
 
     def side(b, offset):
         return [[apply(powers[i], b) if j == i + offset else z for j in range(n)] for i in range(n)]

@@ -21,7 +21,8 @@ from wittcurves.errors import (
     ValidationError,
     require_ints,
 )
-from wittcurves.local_data import WittPointClass
+from wittcurves.ktheory import CurveNumerics
+from wittcurves.local_data import WittPointClass, degree_of_simple, witt_local_datum
 from wittcurves.weighted_curve import (
     MAX_ORDER_LCM,
     MAX_POINT_VALUE,
@@ -314,6 +315,7 @@ def test_ghost_group_points_must_be_pairs(points):
     ((1, 0, 1, []), "nonpositive"),
     ((0, 1, 1, []), "nonpositive"),
     ((1, 1, -1, []), "nonpositive"),
+    ((1, 1, 3, []), "epsilon"),
     ((1, 1, 1, [(1, 1, 0)]), "nonpositive"),
     ((1.0, 1, 1, []), "not-integer"),
     ((1, 1, 1, [(1, 1, 2.0)]), "not-integer"),
@@ -324,11 +326,38 @@ def test_ghost_group_points_must_be_pairs(points):
     ((1, 1, 1, [(MAX_ORDER_LCM + 1, 1, 2)]), "too-large"),
     ((1, 1, 1, [(1, Fraction(1, MAX_ORDER_LCM + 1), 2)]), "too-large"),
     ((1, 1, 1, [(10**50000, 10**50000, 2)] * 50), "too-large"),
-], ids=["s-zero", "kappa-zero", "epsilon-negative", "p-zero", "float-kappa", "float-p", "e-zero", "e-negative",
-        "f-negative-fraction", "f-zero", "e-above-the-ceiling", "f-denominator-above-the-ceiling", "e-and-f-huge"])
+], ids=["s-zero", "kappa-zero", "epsilon-negative", "epsilon-three", "p-zero", "float-kappa", "float-p", "e-zero",
+        "e-negative", "f-negative-fraction", "f-zero", "e-above-the-ceiling", "f-denominator-above-the-ceiling",
+        "e-and-f-huge"])
 def test_genus_zero_formula_checks_its_integers(args, code):
     with pytest.raises(ValidationError) as exc:
         genus_zero_orbifold_euler(*args)
+    assert exc.value.code == code
+
+
+# every entry point that takes the base numerics, by the fields it takes;
+# each builds an answer from the defaults
+_TAKES_NUMERICS = {
+    "AbstractBase": lambda kappa=1, s=1, epsilon=1: WeightedCurve(AbstractBase(Fraction(1), s, kappa, epsilon, ())),
+    "CurveNumerics": lambda kappa=1, epsilon=1: CurveNumerics(kappa, epsilon, 0),
+    "genus_zero_orbifold_euler": lambda kappa=1, s=1, epsilon=1: genus_zero_orbifold_euler(kappa, s, epsilon, []),
+    "degree_of_simple": lambda kappa=1, epsilon=1: degree_of_simple(witt_local_datum(INNER), kappa, epsilon, 1),
+}
+
+
+@pytest.mark.parametrize("entry, field, value, code", [
+    (entry, field, value, code)
+    for field, value, code in (
+        ("kappa", 0, "nonpositive"), ("epsilon", 0, "nonpositive"), ("epsilon", 3, "epsilon"),
+        ("kappa", 1.5, "not-integer"), ("s", 1.5, "not-integer"),
+    )
+    for entry, call in _TAKES_NUMERICS.items() if field in call.__code__.co_varnames
+], ids=lambda v: repr(v) if isinstance(v, float) else None)
+def test_every_entry_point_refuses_the_same_numerics_with_the_same_code(entry, field, value, code):
+    call = _TAKES_NUMERICS[entry]
+    call()
+    with pytest.raises(ValidationError) as exc:
+        call(**{field: value})
     assert exc.value.code == code
 
 
