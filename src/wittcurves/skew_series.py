@@ -59,6 +59,7 @@ from .errors import (
     ValidationError,
     _tuple_new,
     require_ints,
+    require_positive,
 )
 
 
@@ -169,9 +170,7 @@ def _check_ring(kind, twist, truncation) -> None:
     integer from 1 to MAX_TRUNCATION."""
     if twist.kind is not kind:
         raise KindMismatchError("twist acts on a different algebra")
-    require_ints(truncation=truncation)
-    if truncation < 1:
-        raise DomainError("truncation must be a positive integer")
+    require_positive(truncation=truncation)
     if truncation > MAX_TRUNCATION:
         raise ValidationError(f"truncation must be at most {MAX_TRUNCATION}", code="truncation")
 

@@ -12,7 +12,10 @@ of the curve in as few passes as it can:
 - the base, by one call to witt_surface.read_base for a surface or a
   complex-centre base; an abstract base is checked here, with its point
   records in one loop that builds the effective points and gathers the
-  weights and orders p * e_tau of those with an order above 1;
+  weights and orders p * e_tau of those with an order above 1, and its
+  numerics s, kappa and epsilon skip the keyword checks require_positive
+  and require_ints when they are plain ints in range and the centre
+  genus is None or a plain int;
 - the weights of a surface base, in one loop that checks each record,
   asks the reading where it may sit, builds its effective point, gathers
   its weight and its order and adds up the vector length the weighted
@@ -20,7 +23,8 @@ of the curve in as few passes as it can:
   length and their count are held to MAX_VECTOR_LENGTH and the lcm of
   the orders to MAX_ORDER_LCM, walked once to build theirs;
 - so on either kind of base both ceilings are held on what one loop
-  gathered, before any route is summed; an abstract base then walks its
+  gathered, before any route is summed, each compared in place, with its
+  refusal called only to raise; an abstract base then walks its
   points once more, to sum its chi' over that lcm;
 - the effective points, once, when the CurveProfile is built: one walk
   sums every chi'_orb route and gathers the vector.
@@ -248,7 +252,9 @@ def _validate_weights(reading: _Reading, weights) -> tuple[tuple[EffectivePoint,
     take e_tau, the residue degree and the label prefix from local_data,
     or are plain points on a complex-centre base. Every effective point
     has p * e_tau > 1, so each adds f entries to the vector."""
-    _refuse_too_many_weights(len(weights))
+    # each ceiling is compared here, and its refusal called only to raise
+    if len(weights) > MAX_VECTOR_LENGTH:
+        _refuse_too_many_weights(len(weights))
     seg_weight: dict[tuple[int, int], int] = {}
     weighted: list[EffectivePoint] = []
     counters: dict[str, int] = {}
@@ -289,9 +295,11 @@ def _validate_weights(reading: _Reading, weights) -> tuple[tuple[EffectivePoint,
     # held before they are built: with e_tau = 2, each point is f entries of
     # the vector, and an unweighted one has order e_tau
     points = reading.points
-    _refuse_long_vector(f * len(points) + length)
+    if (total := f * len(points) + length) > MAX_VECTOR_LENGTH:
+        _refuse_long_vector(total)
     order_lcm = lcm(e_tau if points else 1, *orders)
-    _refuse_large_order_lcm(order_lcm)
+    if order_lcm > MAX_ORDER_LCM:
+        _refuse_large_order_lcm(order_lcm)
     effective = [
         EffectivePoint(f"{prefix}{oi}.{si}", kind, e_tau, f, seg_weight.get((oi, si), 1)) for oi, si in points
     ]
@@ -312,7 +320,9 @@ def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[Effectiv
     records = base.points
     if records.__class__ is not tuple:
         records = require_sequence(records, "the points of an abstract base", "placement")
-    _refuse_too_many_points(len(records))
+    # each ceiling is compared here, and its refusal called only to raise
+    if len(records) > MAX_VECTOR_LENGTH:
+        _refuse_too_many_points(len(records))
     ps: list[int] = []
     orders: list[int] = []
     # the length of the weight-ramification vector
@@ -343,8 +353,11 @@ def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[Effectiv
             ps.append(p)
             orders.append(o)
     s, kappa, epsilon, cg, chi_x = base.s, base.kappa, base.epsilon, base.centre_genus, base.chi_x
-    require_positive(s=s, kappa=kappa, epsilon=epsilon)
-    require_ints(("centre_genus",), centre_genus=cg)
+    # plain ints in range pass here; anything else, an int subclass too, goes to the full checks
+    if not (s.__class__ is int and kappa.__class__ is int and epsilon.__class__ is int and s >= 1 and kappa >= 1
+            and 0 < epsilon < 3 and (cg is None or cg.__class__ is int)):
+        require_positive(s=s, kappa=kappa, epsilon=epsilon)
+        require_ints(("centre_genus",), centre_genus=cg)
     # a Fraction chi_x is taken as it is
     if chi_x.__class__ is not Fraction:
         if not isinstance(chi_x, Fraction):
@@ -354,9 +367,11 @@ def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[Effectiv
         raise ValidationError("the centre genus must be nonnegative", code="negative-genus")
     if max(abs(chi_x.numerator), chi_x.denominator) > MAX_ORDER_LCM:
         raise ValidationError("chi_x has a numerator or a denominator above MAX_ORDER_LCM", code="too-large")
-    _refuse_long_vector(length)
+    if length > MAX_VECTOR_LENGTH:
+        _refuse_long_vector(length)
     n = lcm(*orders)
-    _refuse_large_order_lcm(n)
+    if n > MAX_ORDER_LCM:
+        _refuse_large_order_lcm(n)
     # (1 - 1/e) f = (e - 1) f / e, over the lcm of the point orders, which every e_tau divides
     drops = 0
     for pt in points:

@@ -10,8 +10,10 @@ alternating sign. Commutative curves carry no minus signs at all.
 All invariants down the line (constants field, genus of the function field,
 Euler characteristics) are computed from this combinatorial data alone, by
 read_base, the one reader of a base: it checks that a base exists and
-reads it in one pass, into the _Reading that every view reads and that
-answers the placement questions of a curve. A surface keeps its reading
+reads it into the _Reading that every view reads and that answers the
+placement questions of a curve. On a surface it walks the ovals twice:
+one loop checks each cut oval and gathers the segmentation points, and
+counts reads (m, r, q) in one loop of its own. A surface keeps its reading
 on its first read; a complex-centre base is read afresh. Only this module
 reads the topology and the ovals of a surface, and only read_base the
 reading a surface keeps.
@@ -20,6 +22,7 @@ reading a surface keeps.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 
 from .algebra import COMPLEX, QUATERNION, REAL, DivisionAlgebraKind
 from .errors import (
@@ -53,7 +56,8 @@ class Oval(FrozenRecord):
     def __init__(self, segments: tuple[str, ...] = (), sign: str | None = None):
         if segments.__class__ is not tuple:
             segments = require_sequence(segments, "the segments", "oval-shape")
-        self._set(segments, sign)
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "sign", sign)
         if segments and sign is not None:
             raise ValidationError("an oval is segmented or whole, not both", code="oval-shape")
         if not segments and sign is None:
@@ -90,7 +94,9 @@ class WittSurface(FrozenRecord):
     def __init__(self, topology: KleinTopology, ovals: tuple[Oval, ...], commutative: bool):
         if ovals.__class__ is not tuple:
             ovals = require_sequence(ovals, "the ovals", "oval-shape")
-        self._set(topology, ovals, commutative)
+        object.__setattr__(self, "topology", topology)
+        object.__setattr__(self, "ovals", ovals)
+        object.__setattr__(self, "commutative", commutative)
         object.__setattr__(self, "_reading", None)
         if not isinstance(topology, KleinTopology):
             raise ValidationError(
@@ -187,17 +193,26 @@ class _Reading(Record):
 # Checking and reading
 
 def counts(w: WittSurface | ComplexCentreBase) -> SurfaceCounts:
+    """The SurfaceCounts of a base, in one walk of the ovals of a surface."""
     if isinstance(w, ComplexCentreBase):
         return SurfaceCounts(0, 0, 0)
-    n = sum([len(oval.segments) for oval in w.ovals])
-    signs = [oval.sign for oval in w.ovals]
-    return SurfaceCounts(n // 2, signs.count(PLUS), signs.count(MINUS))
+    n = r = q = 0
+    for oval in w.ovals:
+        if segments := oval.segments:
+            n += len(segments)
+        elif oval.sign == PLUS:
+            r += 1
+        else:
+            q += 1
+    return SurfaceCounts(n // 2, r, q)
 
 
 def read_base(w: WittSurface | ComplexCentreBase) -> _Reading:
-    """Check that a base exists and read every invariant of it, counting
-    the ovals of a surface once; a base that cannot exist raises
-    ValidationError with a stable code.
+    """Check that a base exists and read every invariant of it; a base
+    that cannot exist raises ValidationError with a stable code. The
+    ovals of a surface are walked twice: once to check each cut oval, in
+    oval order, and gather its segmentation points, and once by a single
+    call of counts.
 
     The genus of the function field comes from the Hurwitz count, and
     chi = kappa (1 - genus upstairs), chi' = chi / s^2 are cross-checked
@@ -230,13 +245,18 @@ def read_base(w: WittSurface | ComplexCentreBase) -> _Reading:
     weichold_ok = (flag == 0 and t <= g) or (flag == 1 and t % 2 == (g + 1) % 2 and 1 <= t <= g + 1)
     if not weichold_ok:
         raise ValidationError(f"(g={g}, t={t}, s={flag}) is not realizable", code="weichold")
-    for segs in [oval.segments for oval in w.ovals if oval.segments]:
-        k = len(segs)
-        if k % 2 != 0:
-            raise ValidationError("segment count per oval must be even", code="odd-segments")
-        # of signs + and -, an even cycle alternates iff it repeats two that differ
-        if segs[0] == segs[1] or segs != segs[:2] * (k // 2):
-            raise ValidationError("segment signs must alternate around the oval", code="non-alternating")
+    # one walk checks each cut oval, in oval order, and gathers its
+    # segmentation points (oval, segment)
+    points: list[tuple[int, int]] = []
+    for oi, oval in enumerate(w.ovals):
+        if segs := oval.segments:
+            k = len(segs)
+            if k % 2 != 0:
+                raise ValidationError("segment count per oval must be even", code="odd-segments")
+            # of signs + and -, an even cycle alternates iff it repeats two that differ
+            if segs[0] == segs[1] or segs != segs[:2] * (k // 2):
+                raise ValidationError("segment signs must alternate around the oval", code="non-alternating")
+            points += zip(repeat(oi), range(k))
     # a segmented oval that passed the checks above carries both signs, so
     # the surface has a quaternion locus exactly when m or q is nonzero;
     # epsilon is 2 exactly when no rational section of odd degree exists: a
@@ -271,8 +291,7 @@ def read_base(w: WittSurface | ComplexCentreBase) -> _Reading:
     numerics = BaseNumerics(
         constants, kappa, epsilon, s, upstairs, "R", g, t, Fraction(chi), Fraction(1 - g), Fraction(chi, s * s)
     )
-    points = tuple((oi, si) for oi, oval in enumerate(w.ovals) for si in range(len(oval.segments)))
-    reading = _Reading(numerics, surface_counts, points, w.ovals)
+    reading = _Reading(numerics, surface_counts, tuple(points), w.ovals)
     object.__setattr__(w, "_reading", reading)
     return reading
 

@@ -80,8 +80,10 @@ def test_valuation_values():
 def test_factory_rejects_bad_input():
     with pytest.raises(KindMismatchError):
         series(QUATERNION, CONJ, 8, {})
-    with pytest.raises(DomainError):
+    # a truncation below 1 is refused as every other positivity check refuses
+    with pytest.raises(ValidationError) as exc:
         series(REAL, identity(REAL), 0, {})
+    assert (exc.value.code, str(exc.value)) == ("nonpositive", "truncation must be a positive integer")
     with pytest.raises(KindMismatchError):
         series(REAL, identity(REAL), 4, {4: real(1)})
     with pytest.raises(KindMismatchError):

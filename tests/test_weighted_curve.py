@@ -767,7 +767,27 @@ def test_the_check_of_a_curve_makes_few_calls():
     # the surface is read by the first check; the second is counted
     WeightedCurve(base, _D22_WEIGHTS)
     calls = _calls(WeightedCurve, base, _D22_WEIGHTS)
-    assert len(calls) <= 63, calls
+    assert len(calls) <= 60, calls
+
+
+def test_the_check_of_an_abstract_curve_with_plain_int_numerics_makes_few_calls():
+    points = (AbstractPoint("x0", 2, 1, 3), AbstractPoint("x1", 1, 2, 2))
+    for centre_genus in (None, 0):
+        calls = _calls(WeightedCurve, AbstractBase(Fraction(1, 2), 2, 1, 2, points, centre_genus))
+        # the numerics are plain ints in range, so no keyword check is called, and no ceiling is reached
+        assert not {"require_positive", "require_ints"} & set(calls), calls
+        assert not [c for c in calls if str(c).startswith("_refuse_")], calls
+        assert len(calls) <= 45, calls
+
+
+def test_the_first_read_of_a_fresh_surface_makes_few_calls():
+    w = WittSurface(KleinTopology(1, 2, 1), (segmented_oval("+", "-", "+", "-"), whole_oval("-")), False)
+    calls = _calls(ws.read_base, w)
+    # one walk checks the cut oval and gathers its points, and counts walks the ovals once more
+    assert calls.count("counts") == 1, calls
+    assert not {"<listcomp>", "<genexpr>"} & set(calls), calls
+    assert len(calls) <= 20, calls
+    assert ws.read_base(w).points == ((0, 0), (0, 1), (0, 2), (0, 3))
 
 
 def test_the_report_of_a_curve_makes_few_calls():
@@ -782,7 +802,7 @@ def test_a_zoo_entry_makes_few_calls():
     weights = (("inner", 2),)
     zoo._entry_for("D_22", weights)
     calls = _calls(zoo._entry_for, "D_22", weights)
-    assert len(calls) <= 71, calls
+    assert len(calls) <= 68, calls
 
 
 def primes_below(n: int) -> list[int]:
@@ -1035,6 +1055,29 @@ def test_an_abstract_base_field_that_is_no_plain_int_takes_the_full_check(field,
         assert type(numerics.chi_centre) is Fraction
     else:
         assert _error(curve) == _full_check_error(**{field: value})
+
+
+@pytest.mark.parametrize("fields, code, message", [
+    *((
+        {field: value}, "not-integer", f"{field} must be an integer, got {value!r}"
+    ) for field in ("s", "kappa", "epsilon") for value in (True, 2.0, Fraction(2))),
+    *((
+        {field: value}, "nonpositive", f"{field} must be a positive integer"
+    ) for field in ("s", "kappa", "epsilon") for value in (0, Small.ZERO, -1)),
+    ({"epsilon": 3}, "epsilon", "epsilon must be 1 or 2, got 3"),
+    ({"centre_genus": -1}, "negative-genus", "the centre genus must be nonnegative"),
+    ({"centre_genus": "0"}, "not-integer", "centre_genus must be an integer, got '0'"),
+    ({"centre_genus": True}, "not-integer", "centre_genus must be an integer, got True"),
+    # the integer checks of the three numerics come before their ranges, and all before the centre genus
+    ({"s": 0, "epsilon": 2.0}, "not-integer", "epsilon must be an integer, got 2.0"),
+    ({"kappa": 0, "centre_genus": "0"}, "nonpositive", "kappa must be a positive integer"),
+    ({"epsilon": 3, "centre_genus": -1}, "epsilon", "epsilon must be 1 or 2, got 3"),
+])
+def test_the_numerics_of_an_abstract_base_are_refused_as_the_full_checks_refuse_them(fields, code, message):
+    base = AbstractBase(Fraction(1), 1, 1, 1, (AbstractPoint("x0", 2),))._replace(**fields)
+    with pytest.raises(ValidationError) as exc:
+        WeightedCurve(base)
+    assert type(exc.value) is ValidationError and (exc.value.code, str(exc.value)) == (code, message)
 
 
 @pytest.mark.parametrize("chi_x", [1, Small.ONE, Fraction(1, 2), Exact(1, 2)], ids=["int", "int-subclass", "fraction",

@@ -118,6 +118,22 @@ def test_segment_shape_enforced():
     assert exc.value.code == "non-alternating"
 
 
+# two cut ovals of a topology that exists: one of odd length, one that does not alternate
+_ODD, _SAME = segmented_oval("+", "-", "+"), segmented_oval("+", "+")
+
+
+@pytest.mark.parametrize("topology, ovals, code", [
+    (KleinTopology(1, 2, 1), (_ODD, _SAME), "odd-segments"),
+    (KleinTopology(1, 2, 1), (_SAME, _ODD), "non-alternating"),
+    (KleinTopology(1, 2, 1), (whole_oval("-"), _ODD, _SAME), "oval-count"),
+    (KleinTopology(0, 1, 1), (_SAME, _ODD), "oval-count"),
+])
+def test_the_first_bad_cut_oval_is_refused_and_a_bad_oval_count_before_it(topology, ovals, code):
+    with pytest.raises(ValidationError) as exc:
+        read_base(WittSurface(topology, ovals, commutative=False))
+    assert exc.value.code == code
+
+
 def test_commutative_surfaces_carry_no_signs():
     with pytest.raises(ValidationError) as exc:
         validate(WittSurface(KleinTopology(0, 1, 1), (whole_oval("-"),), commutative=True))
