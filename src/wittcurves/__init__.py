@@ -20,7 +20,6 @@ from .algebra import (
     AlgebraElement,
     Automorphism,
     DivisionAlgebraKind,
-    abstract_kind,
     comultiplicity,
     complex_conjugation,
     cplx,

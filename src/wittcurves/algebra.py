@@ -3,6 +3,8 @@
 Elements of R, C and H carry rational coefficients over the bases {1},
 {1, i} and {1, i, j, ij}, with the defining relations i^2 = -1 = j^2 and
 ij = -ji. All arithmetic is exact; nothing in this package ever rounds.
+By Frobenius these three are all the division algebras over R, so they
+are the only kinds; the comultiplicity e* of each is read off it.
 
 An element is stored as a tuple of integer numerators ``num`` over one
 positive denominator ``den``, reduced so that gcd(den, *num) = 1 (zero is
@@ -17,10 +19,6 @@ built by ``_make``, which trusts its caller and checks nothing.
 An inner automorphism a -> u^-1 a u holds its unit as a primitive integer
 vector and its rotation of the i, j, k part as integers over the unit's
 norm, so applying it and taking its powers stay on ints as well.
-
-Division algebras over other base fields (finite fields, number fields)
-appear only through their dimension data, as ``abstract_kind`` descriptors
-without element arithmetic.
 """
 
 from __future__ import annotations
@@ -37,15 +35,17 @@ from .errors import (
     ValidationError,
     _tuple_new,
     require_ints,
-    require_positive,
 )
 
 
 class DivisionAlgebraKind(Record):
-    """A division algebra over a base field k, seen through its dimensions.
+    """One of the division algebras over R, seen through its dimensions.
 
-    ``dim_over_k`` and ``dim_centre_over_k`` are dimensions over k; their
-    ratio is a perfect square (the comultiplicity squared).
+    By Frobenius these are R, C and H, the three built-in kinds below, and
+    they are the only kinds: every function that takes a kind refuses any
+    other, a hand-built one or a plain tuple of the same fields included,
+    with KindMismatchError. ``dim_over_k`` and ``dim_centre_over_k`` are
+    dimensions over R; their ratio is the comultiplicity squared.
     """
 
     __slots__ = ()
@@ -65,43 +65,19 @@ BUILTIN_KINDS = (REAL, COMPLEX, QUATERNION)
 _BUILTIN = {kind: kind for kind in BUILTIN_KINDS}
 
 
-def abstract_kind(dim_over_k: int, dim_centre_over_k: int, display_name: str = "D") -> DivisionAlgebraKind:
-    """Dimension-only descriptor for a division algebra over an implicit base
-    field; dimensions that no division algebra has are refused as
-    ``comultiplicity`` refuses them."""
-    kind = DivisionAlgebraKind("ABSTRACT", dim_over_k, dim_centre_over_k, display_name)
-    comultiplicity(kind)
-    return kind
+def _builtin(kind: DivisionAlgebraKind) -> DivisionAlgebraKind:
+    """The built-in kind equal to ``kind``; anything else, a plain tuple of
+    the same fields included, is no division algebra over R."""
+    builtin = _BUILTIN.get(kind) if isinstance(kind, DivisionAlgebraKind) else None
+    if builtin is None:
+        raise KindMismatchError("the only division algebras over R are R, C and H")
+    return builtin
 
 
 def comultiplicity(kind: DivisionAlgebraKind) -> int:
-    """e*: the square root of [D : Z(D)].
-
-    Dimensions that no division algebra has raise ValidationError: not ints
-    (``not-integer``), not positive (``nonpositive``), a centre dimension
-    that does not divide the dimension (``centre-dimension``) or a ratio
-    that is not a square (``not-square``).
-    """
-    dim_over_k, dim_centre_over_k = kind.dim_over_k, kind.dim_centre_over_k
-    require_positive(dim_over_k=dim_over_k, dim_centre_over_k=dim_centre_over_k)
-    ratio, rem = divmod(dim_over_k, dim_centre_over_k)
-    if rem != 0:
-        raise ValidationError(
-            f"centre dimension {dim_centre_over_k} does not divide {dim_over_k}", code="centre-dimension"
-        )
-    root = math.isqrt(ratio)
-    if root * root != ratio:
-        raise ValidationError(f"[D:Z(D)] = {ratio} is not a perfect square", code="not-square")
-    return root
-
-
-def _builtin(kind: DivisionAlgebraKind) -> DivisionAlgebraKind:
-    """The built-in kind equal to ``kind``; anything else, a plain tuple of
-    the same fields included, has no element arithmetic."""
-    builtin = _BUILTIN.get(kind) if isinstance(kind, DivisionAlgebraKind) else None
-    if builtin is None:
-        raise KindMismatchError("element arithmetic exists only for R, C, H")
-    return builtin
+    """e*: the square root of [D : Z(D)], 2 for H and 1 for R and C."""
+    kind = _builtin(kind)
+    return math.isqrt(kind.dim_over_k // kind.dim_centre_over_k)
 
 
 class AlgebraElement:

@@ -1,9 +1,10 @@
 """Local numerical invariants of points and the identities tying them together.
 
-A point carries a multiplicity e, a comultiplicity e*, a tau-multiplicity
-e_tau (the ramification index of the real structure), the residue degree
-[k(x):k] and the division algebra D_x acting on its simple object. For
-points of a Witt curve these come in exactly four flavours, tabulated
+A point carries a multiplicity e, a tau-multiplicity e_tau (the
+ramification index of the real structure), the residue degree [k(x):k]
+and the division algebra D_x = End(S_x) acting on its simple object,
+which is R, C or H; its comultiplicity e* is read off D_x, never stated.
+For points of a Witt curve these come in exactly four flavours, tabulated
 below; the product e * e* * e_tau always recovers the ambient skewness.
 """
 
@@ -13,7 +14,7 @@ import enum
 from fractions import Fraction
 
 from .algebra import COMPLEX, QUATERNION, REAL, DivisionAlgebraKind, comultiplicity
-from .errors import FrozenRecord, KindMismatchError, ValidationError, require_positive
+from .errors import FrozenRecord, ValidationError, require_positive
 
 
 class WittPointClass(enum.Enum):
@@ -43,33 +44,28 @@ class PointDatum(FrozenRecord):
     """Numerical data of one closed point.
 
     weight = 1 marks an ordinary point; weight > 1 an inserted orbifold
-    weight.
+    weight. ``e_star`` is the comultiplicity of ``simple_end``, which must
+    be R, C or H (KindMismatchError otherwise). It is derived from that
+    field, so it is no field and takes no part in equality, hash or repr.
     """
 
-    __slots__ = _fields = ("e", "e_star", "e_tau", "residue_degree", "simple_end", "weight")
+    _fields = ("e", "e_tau", "residue_degree", "simple_end", "weight")
+    __slots__ = (*_fields, "e_star")
 
-    def __init__(
-        self, e: int, e_star: int, e_tau: int, residue_degree: int, simple_end: DivisionAlgebraKind, weight: int = 1
-    ):
-        self._set(e, e_star, e_tau, residue_degree, simple_end, weight)
-        require_positive(e=e, e_star=e_star, e_tau=e_tau, residue_degree=residue_degree, weight=weight)
-        if not isinstance(simple_end, DivisionAlgebraKind):
-            raise KindMismatchError(f"simple_end must be a DivisionAlgebraKind, got {type(simple_end).__name__}")
-        if comultiplicity(simple_end) != e_star:
-            raise ValidationError(
-                f"e_star={e_star} contradicts the comultiplicity of {simple_end!r}",
-                code="e-star-mismatch",
-            )
+    def __init__(self, e: int, e_tau: int, residue_degree: int, simple_end: DivisionAlgebraKind, weight: int = 1):
+        self._set(e, e_tau, residue_degree, simple_end, weight)
+        require_positive(e=e, e_tau=e_tau, residue_degree=residue_degree, weight=weight)
+        object.__setattr__(self, "e_star", comultiplicity(simple_end))
         if simple_end.dim_over_k % residue_degree:
             message = f"residue degree {residue_degree} does not divide dim {simple_end.dim_over_k} of {simple_end!r}"
             raise ValidationError(message, code="residue-degree")
 
 
 _TABLE = {
-    WittPointClass.INNER: PointDatum(e=2, e_star=1, e_tau=1, residue_degree=2, simple_end=COMPLEX),
-    WittPointClass.REAL_BOUNDARY: PointDatum(e=2, e_star=1, e_tau=1, residue_degree=1, simple_end=REAL),
-    WittPointClass.QUATERNION_BOUNDARY: PointDatum(e=1, e_star=2, e_tau=1, residue_degree=1, simple_end=QUATERNION),
-    WittPointClass.SEGMENTATION: PointDatum(e=1, e_star=1, e_tau=2, residue_degree=1, simple_end=COMPLEX),
+    WittPointClass.INNER: PointDatum(e=2, e_tau=1, residue_degree=2, simple_end=COMPLEX),
+    WittPointClass.REAL_BOUNDARY: PointDatum(e=2, e_tau=1, residue_degree=1, simple_end=REAL),
+    WittPointClass.QUATERNION_BOUNDARY: PointDatum(e=1, e_tau=1, residue_degree=1, simple_end=QUATERNION),
+    WittPointClass.SEGMENTATION: PointDatum(e=1, e_tau=2, residue_degree=1, simple_end=COMPLEX),
 }
 
 

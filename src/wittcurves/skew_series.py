@@ -85,8 +85,7 @@ class TwistedSeries(FrozenRecord):
     __slots__ = _fields = ("kind", "twist", "truncation", "coeffs")
 
     def __init__(self, kind: DivisionAlgebraKind, twist: Automorphism, truncation: int, coeffs: tuple):
-        kind = _builtin(kind)  # a copied kind is the built-in one again
-        _check_ring(kind, twist, truncation)
+        kind = _check_ring(kind, twist, truncation)
         try:
             pairs = [(e, c) for e, c in coeffs]
         except (TypeError, ValueError):
@@ -96,8 +95,10 @@ class TwistedSeries(FrozenRecord):
         for e, v in pairs:
             c = _term(kind, truncation, e, v)
             if terms and e <= terms[-1][0]:
-                code = "repeated-exponent" if e == terms[-1][0] else "exponent-order"
-                raise ValidationError(f"exponent {e} follows {terms[-1][0]}: exponents must ascend", code=code)
+                raise ValidationError(
+                    f"exponent {e} follows {terms[-1][0]}: exponents must ascend",
+                    code="repeated-exponent" if e == terms[-1][0] else "exponent-order",
+                )
             if c.is_zero():
                 raise ValidationError(f"the coefficient of T^{e} is zero", code="zero-coefficient")
             terms.append((e, c))
@@ -165,14 +166,23 @@ def _require_same_ring(f: TwistedSeries, g: TwistedSeries) -> None:
         raise KindMismatchError("series live in different twisted rings")
 
 
-def _check_ring(kind, twist, truncation) -> None:
-    """Refuse a twist on another algebra and a truncation that is no
-    integer from 1 to MAX_TRUNCATION."""
+def _ring_kind(kind, twist) -> DivisionAlgebraKind:
+    """The built-in kind equal to ``kind``, a copied kind included, once
+    ``twist`` is checked to act on it: the one gate of every entry point."""
+    kind = _builtin(kind)
     if twist.kind is not kind:
         raise KindMismatchError("twist acts on a different algebra")
+    return kind
+
+
+def _check_ring(kind, twist, truncation) -> DivisionAlgebraKind:
+    """The ring's built-in kind, once the twist is checked to act on it and
+    the truncation to be an integer from 1 to MAX_TRUNCATION."""
+    kind = _ring_kind(kind, twist)
     require_positive(truncation=truncation)
     if truncation > MAX_TRUNCATION:
         raise ValidationError(f"truncation must be at most {MAX_TRUNCATION}", code="truncation")
+    return kind
 
 
 def _term(kind, truncation: int, exponent, value) -> AlgebraElement:
@@ -200,19 +210,27 @@ def series(kind, twist, truncation, coeffs) -> TwistedSeries:
     produce Laurent series. A truncation above MAX_TRUNCATION or an exponent
     below its negative, also of a sum or product, raises code "truncation".
     Zero coefficients are dropped.
+
+    Each term is checked once: a zero one here, before it is dropped, and
+    every other one by the constructor, which gets the terms by exponent.
+    An exponent that is no int sorts below every exponent the constructor
+    takes, so the sort compares ints alone.
     """
-    _check_ring(kind, twist, truncation)
+    kind = _check_ring(kind, twist, truncation)
     try:
         items = coeffs.items()
     except AttributeError:
         message = f"coefficients must be an {{exponent: coefficient}} mapping, got {type(coeffs).__name__}"
         raise KindMismatchError(message) from None
-    cleaned = {}
+    terms = []
     for e, v in items:
-        c = _term(kind, truncation, e, v)
-        if not c.is_zero():
-            cleaned[e] = c
-    return TwistedSeries(kind, twist, truncation, sorted(cleaned.items()))
+        if v.is_zero() if isinstance(v, AlgebraElement) else v == 0:
+            _term(kind, truncation, e, v)
+        else:
+            terms.append((e, v))
+    return TwistedSeries(
+        kind, twist, truncation, sorted(terms, key=lambda t: t[0] if isinstance(t[0], int) else -MAX_TRUNCATION - 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +373,7 @@ def centre_basis(kind: DivisionAlgebraKind, twist: Automorphism, truncation: int
     truncation above MAX_TRUNCATION, or too short to show two periods,
     raises ValidationError.
     """
-    if twist.kind is not kind:
-        raise KindMismatchError("twist acts on a different algebra")
+    kind = _ring_kind(kind, twist)
     if twist.action == "inner":
         raise DomainError("centre with a nontrivial unit is not supported")
     require_ints(truncation=truncation)
@@ -392,8 +409,7 @@ def dim_over_centre(kind: DivisionAlgebraKind, twist: Automorphism) -> int:
     Cross-checked against the basis count [D : K] * r coming from the basis
     {d_alpha T^s, 0 <= s < r} over K((T^r)).
     """
-    if twist.kind is not kind:
-        raise KindMismatchError("twist acts on a different algebra")
+    kind = _ring_kind(kind, twist)
     e_star = comultiplicity(kind)
     r = galois_order(twist)
     formula = e_star * e_star * r * r
@@ -432,8 +448,7 @@ def verify_jordan_twist(kind: DivisionAlgebraKind, twist: Automorphism, n: int) 
     require_ints(n=n)
     if not 1 <= n <= 6:
         raise DomainError("matrix size n must be between 1 and 6")
-    if twist.kind is not kind:
-        raise KindMismatchError("twist acts on a different algebra")
+    kind = _ring_kind(kind, twist)
     powers = list(_powers(twist, range(n)))
     unit = one(kind)
     j = [unit] * (n - 1)

@@ -10,7 +10,6 @@ from wittcurves.algebra import (
     AlgebraElement,
     Automorphism,
     DivisionAlgebraKind,
-    abstract_kind,
     apply,
     apply_power,
     basis,
@@ -97,20 +96,6 @@ def test_comultiplicity_squares_to_dimension_ratio():
     for kind in (REAL, COMPLEX, QUATERNION):
         e_star = comultiplicity(kind)
         assert e_star * e_star * kind.dim_centre_over_k == kind.dim_over_k
-
-
-def test_abstract_kind_validation():
-    k = abstract_kind(8, 2, "M2(F)")
-    assert comultiplicity(k) == 2
-    for dims, code in (((3, 1), "not-square"), ((4, 3), "centre-dimension")):
-        with pytest.raises(ValidationError) as exc:
-            abstract_kind(*dims)
-        assert exc.value.code == code
-    # a kind built past abstract_kind is refused by comultiplicity with the same codes
-    for dims, code in (((3, 1), "not-square"), ((4, 3), "centre-dimension"), ((4, 0), "nonpositive")):
-        with pytest.raises(ValidationError) as exc:
-            comultiplicity(DivisionAlgebraKind("ABSTRACT", *dims, "D"))
-        assert exc.value.code == code
 
 
 def test_galois_orders():
@@ -242,10 +227,10 @@ def test_rotation_leaves_equality_hash_and_repr_alone():
     (lambda: Automorphism(QUATERNION, "identity", quat(1)), DomainError),
     (lambda: inner(None), KindMismatchError),
     (lambda: Automorphism(QUATERNION, "inner"), KindMismatchError),
-    (lambda: Automorphism(abstract_kind(4, 1), "identity"), KindMismatchError),
+    (lambda: Automorphism(DivisionAlgebraKind("ABSTRACT", 4, 1, "D"), "identity"), KindMismatchError),
 ], ids=[
     "conj-on-H", "conj-on-R", "unknown-action", "inner-on-C", "unit-with-conj", "unit-with-identity",
-    "inner-of-None", "inner-without-unit", "abstract-kind",
+    "inner-of-None", "inner-without-unit", "hand-built-kind",
 ])
 def test_an_automorphism_the_algebra_lacks_is_refused_when_built(make, error):
     # conjugation of H reverses products, so it is no automorphism of H

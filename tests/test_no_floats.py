@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from wittcurves.algebra import COMPLEX, REAL, abstract_kind, complex_conjugation, identity, quat
+from wittcurves.algebra import COMPLEX, REAL, complex_conjugation, identity, quat
 from wittcurves.errors import KindMismatchError, ValidationError
 from wittcurves.ktheory import (
     ClassVector,
@@ -108,8 +108,6 @@ _INEXACT = {
     "jordan-size-bool": (
         lambda: verify_jordan_twist(COMPLEX, complex_conjugation(), True), ValidationError, "not-integer",
     ),
-    "abstract-dimension": (lambda: abstract_kind(4.0, 1), ValidationError, "not-integer"),
-    "abstract-zero-centre": (lambda: abstract_kind(3, 0), ValidationError, "nonpositive"),
 }
 
 

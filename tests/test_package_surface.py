@@ -7,7 +7,8 @@ again: a helper whose last caller is gone is deleted with it. A second
 scan keeps the reading of a surface in witt_surface: no other module
 reads the topology, the commutative flag or the signs of its ovals. A
 third keeps dataclasses out, a fourth gives every ValidationError
-raised in src/ a stable code, and a fifth keeps one base for the records
+raised in src/ a stable code, one of those the README lists under "Error
+codes", which are exactly the codes src/ raises, and a fifth keeps one base for the records
 that check themselves: it sees exactly the plain records, each a Record
 whose __new__ only packs its parameters, in order; no class extends one,
 none defines __init__ or __post_init__, and no module imports
@@ -36,6 +37,7 @@ variable that shadows it.
 import ast
 import io
 import os
+import re
 import subprocess
 import symtable
 import sys
@@ -50,11 +52,10 @@ BENCH = SRC.parent.parent / "bench"
 # The logical lines of src/wittcurves/*.py, held exactly, so that no
 # deletion leaves slack for a later change to spend. A change that deletes
 # code lowers it; one that raises it says by how much and why in CHANGES.md.
-SRC_LOGICAL_LINES = 1841
+SRC_LOGICAL_LINES = 1829
 # module-level public functions of src/ that nothing in src/ or bench/
 # reads, each with why it stays
 UNREAD_PUBLIC = {
-    "algebra.abstract_kind": "the one way to describe a division algebra beyond R, C and H by its dimensions",
     "algebra.cplx": "one constructor family with real and quat, which the benchmark calls",
     "algebra.real": "one constructor family with cplx and quat, which the benchmark calls",
     "ktheory.euler_form": "the Euler form on K_0 of an elliptic curve, an invariant answered in its own right",
@@ -692,6 +693,58 @@ def test_the_scan_sees_validation_errors_without_a_code():
         "    pass\n"
     )
     assert uncoded_validation_errors({"m": tree}) == ["m:2", "m:3", "m:4"]
+
+
+def validation_codes(modules: dict[str, ast.Module]) -> tuple[set[str], list[str]]:
+    """The string codes src/ passes to ValidationError (code=) and to
+    require_sequence (its third argument or code=), both branches of a
+    conditional expression there included; and the source of every other
+    expression passed in that place."""
+    codes, other = set(), []
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name not in ("ValidationError", "require_sequence"):
+                continue
+            values = node.args[2:] if name == "require_sequence" else []
+            for value in values + [keyword.value for keyword in node.keywords if keyword.arg == "code"]:
+                for leaf in (value.body, value.orelse) if isinstance(value, ast.IfExp) else (value,):
+                    if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str):
+                        codes.add(leaf.value)
+                    else:
+                        other.append(ast.unparse(leaf))
+    return codes, other
+
+
+def readme_codes() -> list[str]:
+    """The codes listed in the README's "Error codes" section, in order."""
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Error codes\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^- `([a-z-]+)`: \S", section, flags=re.M)
+
+
+def test_the_readme_lists_each_validation_code_that_src_raises_once():
+    codes, other = validation_codes(parse_modules(SRC))
+    listed = readme_codes()
+    assert len(listed) == len(set(listed)), listed
+    assert sorted(listed) == sorted(codes)
+    # require_sequence passes on the code its caller hands it
+    assert other == ["code"]
+
+
+def test_the_scan_sees_validation_codes():
+    tree = ast.parse(
+        "raise ValidationError('bad', code='weight')\n"
+        "raise errors.ValidationError('bad', code='a' if x else 'b')\n"
+        "require_sequence(v, 'the points', 'placement')\n"
+        "require_sequence(v, 'the ovals', code='oval-shape')\n"
+        "raise ValidationError('bad', code=name)\n"
+        "raise DomainError('bad', code='not-this')\n"
+        "f(v, 'x', 'not-this-either')\n"
+    )
+    assert validation_codes({"m": tree}) == ({"weight", "a", "b", "placement", "oval-shape"}, ["name"])
 
 
 # A plain record is a Record, and a record that checks, normalises or

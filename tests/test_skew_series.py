@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from wittcurves.algebra import (
     quat,
     real,
 )
-from wittcurves.errors import DomainError, InvariantViolation, KindMismatchError, ValidationError
+from wittcurves.errors import CurveError, DomainError, InvariantViolation, KindMismatchError, ValidationError
 from wittcurves.skew_series import (
     MAX_TRUNCATION,
     TwistedSeries,
@@ -159,6 +160,55 @@ def test_the_constructor_refuses_what_series_refuses(truncation, twist, coeffs):
     by_constructor = _refusal(lambda: TwistedSeries(QUATERNION, twist, truncation, tuple(coeffs.items())))
     assert by_constructor == by_series
     assert by_series[0] in (KindMismatchError, ValidationError, DomainError)
+
+
+def test_series_checks_each_term_once(monkeypatch):
+    checked = []
+    real_term = skew_series._term
+    monkeypatch.setattr(skew_series, "_term", lambda *args: checked.append(args[2]) or real_term(*args))
+    f = series(QUATERNION, identity(QUATERNION), 8, {5: 1, 0: quat(0), 2: quat(1, 2), -1: Fraction(0), 3: 4})
+    # the zero terms here, before they are dropped, and the others by the constructor
+    assert checked == [0, -1, 2, 3, 5]
+    assert [e for e, _ in f.coeffs] == [2, 3, 5]
+
+
+@pytest.mark.parametrize("exponent", ["a", None, 1.5, Fraction(1, 2), (1,)])
+def test_series_refuses_an_exponent_that_is_no_int_among_int_ones(exponent):
+    for coeffs in ({0: 1, exponent: 1, 3: 2}, {3: 2, exponent: 0}):
+        with pytest.raises(ValidationError) as exc:
+            series(QUATERNION, identity(QUATERNION), 8, coeffs)
+        assert exc.value.code == "not-integer"
+
+
+# every entry point that takes a kind and a twist, on a fixed truncation and terms
+ENTRY_POINTS = {
+    "TwistedSeries": lambda kind, twist: TwistedSeries(kind, twist, 8, ((0, 1), (3, 2))),
+    "series": lambda kind, twist: series(kind, twist, 8, {3: 2, 0: 1}),
+    "centre_basis": lambda kind, twist: centre_basis(kind, twist, 8),
+    "dim_over_centre": dim_over_centre,
+    "verify_jordan_twist": lambda kind, twist: verify_jordan_twist(kind, twist, 3),
+}
+
+
+def _outcome(call):
+    try:
+        return call()
+    except CurveError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("kind, twist", BUILTIN_PAIRS + [
+    (QUATERNION, inner(quat(1, 1))), (QUATERNION, CONJ), (REAL, CONJ),
+], ids=PAIR_IDS + ["H-inner", "H-conj", "R-conj"])
+def test_a_copied_kind_gets_what_the_built_in_gets(entry, kind, twist):
+    copied = pickle.loads(pickle.dumps(kind))
+    assert copied == kind and copied is not kind
+    call = ENTRY_POINTS[entry]
+    by_copy = _outcome(lambda: call(copied, twist))
+    assert by_copy == _outcome(lambda: call(kind, twist))
+    if isinstance(by_copy, TwistedSeries):
+        assert by_copy.kind is kind
 
 
 def test_the_constructor_refuses_malformed_records():
