@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from .algebra import COMPLEX, QUATERNION, REAL, DivisionAlgebraKind, comultiplicity
+from .algebra import COMPLEX, QUATERNION, REAL, DivisionAlgebraKind, _builtin, comultiplicity
 from .errors import FrozenRecord, ValidationError, require_positive
 
 
@@ -44,8 +44,9 @@ class PointDatum(FrozenRecord):
     """Numerical data of one closed point.
 
     weight = 1 marks an ordinary point; weight > 1 an inserted orbifold
-    weight. ``e_star`` is the comultiplicity of ``simple_end``, which must
-    be R, C or H (KindMismatchError otherwise). It is derived from that
+    weight. ``simple_end`` must be R, C or H (KindMismatchError otherwise),
+    and is stored as the built-in kind, also when given a copy of it.
+    ``e_star`` is its comultiplicity. It is derived from that
     field, so it is no field and takes no part in equality, hash or repr.
     """
 
@@ -53,8 +54,9 @@ class PointDatum(FrozenRecord):
     __slots__ = (*_fields, "e_star")
 
     def __init__(self, e: int, e_tau: int, residue_degree: int, simple_end: DivisionAlgebraKind, weight: int = 1):
-        self._set(e, e_tau, residue_degree, simple_end, weight)
         require_positive(e=e, e_tau=e_tau, residue_degree=residue_degree, weight=weight)
+        # the built-in kind, a copied one mapped back to it
+        self._set(e, e_tau, residue_degree, simple_end := _builtin(simple_end), weight)
         object.__setattr__(self, "e_star", comultiplicity(simple_end))
         if simple_end.dim_over_k % residue_degree:
             message = f"residue degree {residue_degree} does not divide dim {simple_end.dim_over_k} of {simple_end!r}"

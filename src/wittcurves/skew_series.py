@@ -109,7 +109,15 @@ class TwistedSeries(FrozenRecord):
         acc = dict(self.coeffs)
         for e, c in other.coeffs:
             acc[e] = acc[e] + c if e in acc else c
-        return series(self.kind, self.twist, self.truncation, acc)
+        return self._of_terms(acc)
+
+    def _of_terms(self, coeffs: dict) -> TwistedSeries:
+        """The series of this ring with the nonzero terms of an {exponent:
+        element} mapping, by exponent: the result of a sum or a product,
+        whose ring is already checked, built through the constructor
+        alone, which checks the ring and each term once."""
+        terms = sorted([(e, c) for e, c in coeffs.items() if not c.is_zero()])
+        return TwistedSeries(self.kind, self.twist, self.truncation, terms)
 
     def __mul__(self, other: "TwistedSeries") -> "TwistedSeries":
         """Twisted Cauchy product, c_k = sum over i+j=k of a_i sigma^i(b_j),
@@ -145,8 +153,7 @@ class TwistedSeries(FrozenRecord):
                         num = [x * p + y * q for x, y in zip(s_num, num)]
                         den = lcm
                 sums[k] = num, den
-        coeffs = {k: _reduced(kind, tuple(num), den) for k, (num, den) in sums.items()}
-        return series(kind, self.twist, truncation, coeffs)
+        return self._of_terms({k: _reduced(kind, tuple(num), den) for k, (num, den) in sums.items()})
 
     def __repr__(self):
         if not self.coeffs:

@@ -3,53 +3,58 @@
 A weighted curve is a base (a real surface from witt_surface, a complex
 base, or an explicit abstract record for other ground fields) together with
 weight insertions p >= 2 at chosen points. Every numerical invariant is
-driven by the effective point list: each point contributes through its
-weight p, its ramification index e_tau, and its residue degree f.
+driven by the shapes of its points: each point contributes through its
+weight p, its ramification index e_tau, and its residue degree f, never
+through a label.
 
 A WeightedCurve checks itself when built, and the check reads each list
-of the curve in as few passes as it can:
+of the curve in as few passes as it can, and builds no labelled point:
 
 - the base, by one call to witt_surface.read_base for a surface or a
   complex-centre base; an abstract base is checked here, with its point
-  records in one loop that builds the effective points and gathers the
-  weights and orders p * e_tau of those with an order above 1, and its
-  numerics s, kappa and epsilon skip the keyword checks require_positive
-  and require_ints when they are plain ints in range and the centre
-  genus is None or a plain int;
+  records in one loop that gathers the shape (kind, e_tau, f, p), the
+  weight and the order p * e_tau of each point with an order above 1,
+  and its numerics s, kappa and epsilon skip the keyword checks
+  require_positive and require_ints when they are plain ints in range and
+  the centre genus is None or a plain int;
 - the weights of a surface base, in one loop that checks each record,
-  asks the reading where it may sit, builds its effective point, gathers
-  its weight and its order and adds up the vector length the weighted
-  points give; then the segmentation points of the reading, once that
-  length and their count are held to MAX_VECTOR_LENGTH and the lcm of
-  the orders to MAX_ORDER_LCM, walked once to build theirs;
+  asks the reading where it may sit, and gathers its shape, its weight
+  and its order and adds up the vector length the weighted points give;
+  the segmentation points of the reading that carry no weight, the bare
+  ones, are counted, not walked;
 - so on either kind of base both ceilings are held on what one loop
-  gathered, before any route is summed, each compared in place, with its
-  refusal called only to raise; an abstract base then walks its
-  points once more, to sum its chi' over that lcm;
-- the effective points, once, when the CurveProfile is built: one walk
-  sums every chi'_orb route and gathers the vector.
+  gathered and that count, before any route is summed, each compared in
+  place, with its refusal called only to raise; an abstract base then
+  walks its shapes once more, to sum its chi' over the lcm of the orders;
+- the shapes, once, when the CurveProfile is built: one walk sums every
+  chi'_orb route and gathers the vector, and the bare segmentation points
+  are added in closed form after it.
 
 What the check read is the curve's CurveProfile, kept in curve.profile:
-the effective points, their lcm weight pbar, the lcm of their orders,
-the BaseNumerics of the base, and chi'_orb and the weight-ramification
-vector, which the profile derives when it is built. A surface keeps the
-reading of its first read_base, so a second curve on it reads nothing
-of it again; nothing here reads the ovals or topology of a surface.
-Every public invariant is a view of the profile, and a report reads all
-of its entries from it; the class of a curve and the order of tau are
-read off the sign of the int numerator of chi'_orb, with no Fraction
-comparison.
+the shapes and the count of bare segmentation points, the lcm weight
+pbar, the lcm of the orders, the BaseNumerics of the base, and chi'_orb
+and the weight-ramification vector, which the profile derives when it is
+built. A surface keeps the reading of its first read_base, so a second
+curve on it reads nothing of it again; nothing here reads the ovals or
+topology of a surface. Every numerical invariant is a view of the
+profile, and a report reads all of its entries from it; the class of a
+curve and the order of tau are read off the sign of the int numerator of
+chi'_orb, with no Fraction comparison. The labelled points, which only
+tau_exponents and tau_word read, are built on request by
+effective_points from the curve's own fields.
 
 The normalized orbifold Euler characteristic is computed by three
 independent routes (the general formula over the centre, the split through
 the non-weighted curve, and a Thurston-style count for real bases) which
 must agree exactly; a fourth genus-zero route is checked where it applies.
-Each route sums its point terms in an integer accumulator of its own, as
-one numerator over the lcm of their denominators, giving an int
-(numerator, denominator) pair; the pairs are compared by
-cross-multiplying, and one Fraction is built for the answer. The chi' of
-an abstract base is summed the same way. A profile runs the routes once,
-when it is built.
+Each of the three sums its point terms in an integer accumulator of its
+own, as one numerator over the lcm of their denominators, giving an int
+(numerator, denominator) pair; the genus-zero form's point terms are s^2
+times the split's, term by term, so its sum is read off the split's once
+the walk is done, over its own denominator and constants. The pairs are
+compared by cross-multiplying, and one Fraction is built for the answer.
+The chi' of an abstract base is summed the same way. A profile runs the
+routes once, when it is built.
 """
 
 from __future__ import annotations
@@ -153,6 +158,8 @@ class AbstractBase(Record):
 
 
 class EffectivePoint(Record):
+    """A labelled point of a curve, as effective_points builds it on request."""
+
     __slots__ = ()
 
     def __new__(cls, label, kind, e_tau, residue_degree, weight):
@@ -188,19 +195,20 @@ class WeightedCurve(FrozenRecord):
         if isinstance(base, (WittSurface, ComplexCentreBase)):
             reading = read_base(base)
             numerics = reading.numerics
-            points, pbar, order_lcm = _validate_weights(reading, self.points)
+            shapes, bare, pbar, order_lcm = _validate_weights(reading, self.points)
         elif isinstance(base, AbstractBase):
             if self.points:
                 raise ValidationError(
                     "weights on an abstract base belong in its point records",
                     code="placement",
                 )
-            numerics, points, pbar, order_lcm = _validate_abstract(base)
+            numerics, shapes, pbar, order_lcm = _validate_abstract(base)
+            bare = 0
         else:
             raise ValidationError(
                 f"a curve base must be a surface or an abstract base, got {type(base).__name__}", code="base"
             )
-        object.__setattr__(self, "profile", CurveProfile(points, pbar, order_lcm, numerics))
+        object.__setattr__(self, "profile", CurveProfile(shapes, bare, pbar, order_lcm, numerics))
 
 
 def _refuse_large_order_lcm(n: int) -> None:
@@ -241,23 +249,23 @@ _INNER_SHAPE, _REAL_SHAPE, _QUATERNION_SHAPE, _SEGMENTATION_SHAPE = (
 _POINT_SHAPE = ("pt", COMPLEX_POINT, 1, 1)
 
 
-def _validate_weights(reading: _Reading, weights) -> tuple[tuple[EffectivePoint, ...], int, int]:
+def _validate_weights(reading: _Reading, weights) -> tuple[tuple[tuple, ...], int, int, int]:
     """Check the weights against the reading of a surface base, too many
     on their count first, then each in one loop, its record and then its
-    placement, gathering its weight and its order p * e_tau; hold the
-    weight-ramification vector to MAX_VECTOR_LENGTH and the lcm of the
-    orders to MAX_ORDER_LCM, and return the effective points, pbar and
-    that lcm. The effective points are every segmentation point, with its
-    weight or 1, then each other weight in turn. Points of a surface base
-    take e_tau, the residue degree and the label prefix from local_data,
-    or are plain points on a complex-centre base. Every effective point
-    has p * e_tau > 1, so each adds f entries to the vector."""
+    placement, gathering its shape, its weight and its order p * e_tau;
+    hold the weight-ramification vector to MAX_VECTOR_LENGTH and the lcm of
+    the orders to MAX_ORDER_LCM, and return the shapes, the count of bare
+    segmentation points, pbar and that lcm. A shape is the (kind, e_tau,
+    residue degree, weight) of a weighted point, in the order of the
+    weights: a point of a surface base takes e_tau and the residue degree
+    from local_data, a plain point of a complex-centre base 1 and 1. A bare
+    segmentation point is one with no weight; it is counted, not built.
+    Every point has p * e_tau > 1, so each adds f entries to the vector."""
     # each ceiling is compared here, and its refusal called only to raise
     if len(weights) > MAX_VECTOR_LENGTH:
         _refuse_too_many_weights(len(weights))
-    seg_weight: dict[tuple[int, int], int] = {}
-    weighted: list[EffectivePoint] = []
-    counters: dict[str, int] = {}
+    seg_weighted: set[tuple[int, int]] = set()
+    shapes: list[tuple] = []
     ps: list[int] = []
     orders: list[int] = []
     # the length of the vector the weighted points give
@@ -276,49 +284,45 @@ def _validate_weights(reading: _Reading, weights) -> tuple[tuple[EffectivePoint,
             raise ValidationError("an inserted weight must be at least 2", code="weight")
         if p > MAX_POINT_VALUE:
             raise ValidationError(f"an inserted weight must be at most {MAX_POINT_VALUE}", code="too-large")
-        prefix, kind, e_tau, f = _validate_placement(reading, wp)
-        ps.append(p)
-        orders.append(p * e_tau)
+        _, kind, e_tau, f = _validate_placement(reading, wp)
         if location is _SEGMENTATION:
-            key = (oval, segment)
-            if key in seg_weight:
+            if (key := (oval, segment)) in seg_weighted:
                 raise ValidationError(
                     "two weights on the same segmentation point", code="duplicate-placement"
                 )
-            seg_weight[key] = p
-        else:
-            n = counters.get(prefix, 0)
-            counters[prefix] = n + 1
-            weighted.append(EffectivePoint(f"{prefix}{n}", kind, e_tau, f, p))
-            length += f
-    prefix, kind, e_tau, f = _SEGMENTATION_SHAPE
-    # held before they are built: with e_tau = 2, each point is f entries of
-    # the vector, and an unweighted one has order e_tau
-    points = reading.points
-    if (total := f * len(points) + length) > MAX_VECTOR_LENGTH:
+            seg_weighted.add(key)
+        shapes.append((kind, e_tau, f, p))
+        ps.append(p)
+        orders.append(p * e_tau)
+        length += f
+    _, _, e_tau, f = _SEGMENTATION_SHAPE
+    # held before the profile is built: with e_tau = 2, each bare point is f
+    # entries of the vector and has order e_tau
+    bare = len(points := reading.points) - len(seg_weighted)
+    if (total := f * bare + length) > MAX_VECTOR_LENGTH:
         _refuse_long_vector(total)
     order_lcm = lcm(e_tau if points else 1, *orders)
     if order_lcm > MAX_ORDER_LCM:
         _refuse_large_order_lcm(order_lcm)
-    effective = [
-        EffectivePoint(f"{prefix}{oi}.{si}", kind, e_tau, f, seg_weight.get((oi, si), 1)) for oi, si in points
-    ]
-    effective += weighted
     # each weight divides its order, so pbar divides the lcm
-    return tuple(effective), lcm(*ps), order_lcm
+    return tuple(shapes), bare, lcm(*ps), order_lcm
 
 
-def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[EffectivePoint, ...], int, int]:
+def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[tuple, ...], int, int]:
     """Check an abstract base, its points in one loop that also gathers
-    the weights and orders p * e_tau of those with an order above 1, and
-    return its numerics, its points, pbar and the lcm of their orders.
-    The weight-ramification vector and that lcm are held to their
-    ceilings before chi' is summed from chi_x and the points' e_tau and
-    residue degrees."""
-    points: list[EffectivePoint] = []
+    the shapes, weights and orders p * e_tau of those with an order above
+    1, and return its numerics, those shapes, pbar and the lcm of their
+    orders. A point of order 1 adds nothing to any route or to the vector,
+    so it leaves no shape. The weight-ramification vector and that lcm are
+    held to their ceilings before chi' is summed from chi_x and the shapes'
+    e_tau and residue degrees."""
+    shapes: list[tuple] = []
     labels: set[str] = set()
     records = base.points
     if records.__class__ is not tuple:
+        # effective_points reads the records again, which a one-shot iterator could not give
+        if hasattr(records, "__next__"):
+            raise ValidationError("the points of an abstract base must be a sequence, got an iterator", code="placement")
         records = require_sequence(records, "the points of an abstract base", "placement")
     # each ceiling is compared here, and its refusal called only to raise
     if len(records) > MAX_VECTOR_LENGTH:
@@ -347,8 +351,8 @@ def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[Effectiv
             raise ValidationError(
                 f"point {label} has an entry above {MAX_POINT_VALUE}", code="too-large"
             )
-        points.append(EffectivePoint(label, "abstract", e, f, p))
         if (o := p * e) > 1:
+            shapes.append(("abstract", e, f, p))
             length += f
             ps.append(p)
             orders.append(o)
@@ -374,13 +378,13 @@ def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[Effectiv
         _refuse_large_order_lcm(n)
     # (1 - 1/e) f = (e - 1) f / e, over the lcm of the point orders, which every e_tau divides
     drops = 0
-    for pt in points:
-        if (e := pt.e_tau) > 1:
-            drops += (e - 1) * pt.residue_degree * (n // e)
+    for _, e, f, _ in shapes:
+        if e > 1:
+            drops += (e - 1) * f * (n // e)
     chi_prime = Fraction(*_less_half(chi_x, drops, n))
     numerics = BaseNumerics(None, kappa, epsilon, s, None, None, cg, None, None, chi_x, chi_prime)
     # each weight divides its order, so pbar divides n
-    return numerics, tuple(points), lcm(*ps), n
+    return numerics, tuple(shapes), lcm(*ps), n
 
 
 def _validate_placement(reading: _Reading, wp: WeightedPoint) -> tuple[str, str, int, int]:
@@ -443,26 +447,30 @@ def _less_half(x: Fraction, num: int, den: int) -> tuple[int, int]:
 class CurveProfile(FrozenRecord):
     """Everything the invariants of one curve are read from.
 
-    points lists every point that can contribute to an invariant: the
-    segmentation points and the weighted ones (an unweighted boundary or
-    inner point has e_tau = 1 and weight 1 and adds nothing), pbar is the
-    lcm of their weights and order_lcm the lcm of their orders p * e_tau,
-    which the check bounds by MAX_ORDER_LCM and the general and split
-    routes sum over. numerics is the curve's BaseNumerics, as its check
-    read them. A curve's check builds its profile, and the curve keeps it
-    in ``curve.profile``. The constructor runs the cross-checked routes
-    once and keeps chi_orb, the general route once every other route has
-    been checked equal to it by cross-multiplying the integer pairs, and
-    weight_ram_vector, the sorted multiset of p * e_tau > 1, each counted
-    residue-degree times. Both are derived from the fields, so they are no
-    fields and take no part in equality, hash or repr.
+    shapes holds the (kind, e_tau, residue degree, weight) of each point
+    of order p * e_tau > 1 but the bare segmentation points, those with no
+    weight, which bare counts (an unweighted boundary or inner point, or an
+    abstract point of order 1, adds nothing and is not held). No point is
+    labelled here: effective_points builds the labelled points of a curve
+    from its own fields, on request. pbar is the lcm of the weights and
+    order_lcm the lcm of the orders p * e_tau, which the check bounds by
+    MAX_ORDER_LCM and the general and split routes sum over. numerics is
+    the curve's BaseNumerics, as its check read them. A curve's check
+    builds its profile, and the curve keeps it in ``curve.profile``. The
+    constructor runs the cross-checked routes once and keeps chi_orb, the
+    general route once every other route has been checked equal to it by
+    cross-multiplying the integer pairs, and weight_ram_vector, the sorted
+    multiset of p * e_tau > 1, each counted residue-degree times. Both are
+    derived from the fields, so they are no fields and take no part in
+    equality, hash or repr.
     """
 
-    _fields = ("points", "pbar", "order_lcm", "numerics")
+    _fields = ("shapes", "bare", "pbar", "order_lcm", "numerics")
     __slots__ = (*_fields, "chi_orb", "weight_ram_vector")
 
-    def __init__(self, points: tuple[EffectivePoint, ...], pbar: int, order_lcm: int, numerics: BaseNumerics):
-        object.__setattr__(self, "points", points)
+    def __init__(self, shapes: tuple[tuple, ...], bare: int, pbar: int, order_lcm: int, numerics: BaseNumerics):
+        object.__setattr__(self, "shapes", shapes)
+        object.__setattr__(self, "bare", bare)
         object.__setattr__(self, "pbar", pbar)
         object.__setattr__(self, "order_lcm", order_lcm)
         object.__setattr__(self, "numerics", numerics)
@@ -481,37 +489,40 @@ class CurveProfile(FrozenRecord):
         """Every chi'_orb route that applies, the general one first, as a
         short list of the name its mismatch message gives it and an int
         (numerator, denominator) pair with a positive denominator, and the
-        weight-ramification vector, unsorted. One walk over the points reads
+        weight-ramification vector, unsorted. One walk over the shapes reads
         them all: each route sums its point terms in an integer accumulator
-        of its own, as one numerator over the lcm of their denominators."""
+        of its own, as one numerator over the lcm of their denominators,
+        but the genus-zero form, whose sum is s^2 times the split's. The
+        bare segmentation points are added in closed form after the walk."""
         nums, n, pbar = self.numerics, self.order_lcm, self.pbar
-        real, zero = nums.centre == "R", nums.genus == 0
-        s, kappa, epsilon = nums.skewness, nums.kappa, nums.epsilon
-        s2 = s * s
-        general = split = boundary = form = 0
+        real = nums.centre == "R"
+        general = split = boundary = 0
         vector: list[int] = []
-        for pt in self.points:
-            p, f = pt.weight, pt.residue_degree
-            o = p * pt.e_tau
+        for kind, e, f, p in self.shapes:
+            o = p * e
             m = n // o
             # (1 - 1/(p e)) f = (p e - 1) f / (p e) and (1 - 1/p) f / e = (p - 1) f / (p e)
             general += (o - 1) * f * m
             split += (p - 1) * f * m
             if real:
                 # the share of the point (1/4, 1 or 1/2) times 1 - 1/p, over 4 pbar
-                boundary += _QUARTERS.get(pt.kind, 2) * (p - 1) * (pbar // p)
-            if zero:
-                # e f (p - 1) / p with e = 1 and f = s^2 f_res / (kappa epsilon e_tau),
-                # over kappa epsilon n, the lcm of the kappa epsilon e_tau p
-                form += s2 * f * (p - 1) * m
-            if o > 1:
-                vector += [o] * f
+                boundary += _QUARTERS.get(kind, 2) * (p - 1) * (pbar // p)
+            vector += [o] * f
+        if bare := self.bare:
+            # p = 1: (e - 1) f / e each in the general route, and 0 in every
+            # other route, which sums p - 1
+            _, _, e, f = _SEGMENTATION_SHAPE
+            general += bare * (e - 1) * f * (n // e)
+            vector += [e] * (bare * f)
         routes = [("general", _less_half(nums.chi_centre, general, n)),
                   ("split", _less_half(nums.chi_prime, split, n))]
         if real:
             routes.append(("boundary count", _less_half(nums.chi_prime, boundary, 2 * pbar)))
-        if zero:
-            routes.append(("genus-zero form", _genus_zero(kappa, s, epsilon, form, kappa * epsilon * n)))
+        if nums.genus == 0:
+            # e f (p - 1) / p with e = 1 and f = s^2 f_res / (kappa epsilon e_tau), over
+            # kappa epsilon n, the lcm of the kappa epsilon e_tau p: term by term s^2 times split's
+            s, kappa, epsilon = nums.skewness, nums.kappa, nums.epsilon
+            routes.append(("genus-zero form", _genus_zero(kappa, s, epsilon, s * s * split, kappa * epsilon * n)))
         return routes, vector
 
     def chi_routes(self) -> dict[str, Fraction]:
@@ -548,14 +559,6 @@ class CurveProfile(FrozenRecord):
         abstract base, a bug on a surface base."""
         return (InconsistentDataError if self.numerics.centre is None else InvariantViolation)(message)
 
-    def tau_exponents(self) -> dict[str, int]:
-        out = {}
-        for pt in self.points:
-            exp = pt.weight * pt.e_tau - 1
-            if exp:
-                out[pt.label] = exp
-        return out
-
     def tau_order(self) -> int:
         if self.chi_orb.numerator:
             raise DomainError("tau has finite order only when the orbifold characteristic vanishes")
@@ -571,9 +574,9 @@ class CurveProfile(FrozenRecord):
         fg = cg == 0
         base_part = "Z" if fg else "not finitely generated (Pic_0 of positive-genus X)"
         # a weightless curve over a real centre of genus 0 has one oval at
-        # most (Weichold), and its effective points are its segmentation
-        # points; four of them make the bare D_2222
-        bare_d2222 = self.numerics.centre == "R" and fg and self.pbar == 1 and len(self.points) == 4
+        # most (Weichold), and its points are its bare segmentation points;
+        # four of them make the bare D_2222
+        bare_d2222 = self.numerics.centre == "R" and fg and self.pbar == 1 and self.bare == 4
         return PicardDescriptor(
             base_part=base_part,
             torsion_quotient=self.weight_ram_vector,
@@ -606,11 +609,29 @@ class CurveProfile(FrozenRecord):
 
 
 # ---------------------------------------------------------------------------
-# Views of the profile
+# Views of a curve: its labelled points, built from its fields, and the rest read off its profile
 
 def effective_points(c: WeightedCurve) -> tuple[EffectivePoint, ...]:
-    """All points that can contribute to an invariant."""
-    return c.profile.points
+    """All points that can contribute to an invariant, labelled, built on
+    request from the curve's own fields: on an abstract base each point
+    record; on a surface base every segmentation point, seg<oval>.<segment>
+    with its weight or 1, then each other weight in turn, labelled by its
+    class (pt on a complex-centre base) and its count within the class."""
+    base = c.base
+    if isinstance(base, AbstractBase):
+        return tuple(EffectivePoint(pt.label, "abstract", pt.e_tau, pt.residue_degree, pt.weight) for pt in base.points)
+    reading = read_base(base)
+    seg_weight = {(wp.oval, wp.segment): wp.weight for wp in c.points if wp.location is _SEGMENTATION}
+    prefix, kind, e_tau, f = _SEGMENTATION_SHAPE
+    points = [EffectivePoint(f"{prefix}{oi}.{si}", kind, e_tau, f, seg_weight.get((oi, si), 1))
+              for oi, si in reading.points]
+    counters: dict[str, int] = {}
+    for wp in c.points:
+        if wp.location is not _SEGMENTATION:
+            prefix, kind, e_tau, f = _validate_placement(reading, wp)
+            counters[prefix] = n = counters.get(prefix, -1) + 1
+            points.append(EffectivePoint(f"{prefix}{n}", kind, e_tau, f, wp.weight))
+    return tuple(points)
 
 
 def genus_zero_orbifold_euler(kappa, s, epsilon, points) -> Fraction:
@@ -685,8 +706,8 @@ def classify(c: WeightedCurve) -> CurveClass:
 
 
 def tau_exponents(c: WeightedCurve) -> dict[str, int]:
-    """Exponent p(x)*e_tau(x) - 1 of the Picard-shift at each point; zeros omitted."""
-    return c.profile.tau_exponents()
+    """Exponent p(x)*e_tau(x) - 1 of the Picard-shift at each labelled point; zeros omitted."""
+    return {pt.label: exp for pt in effective_points(c) if (exp := pt.weight * pt.e_tau - 1)}
 
 
 def tau_word(c: WeightedCurve) -> tuple[tuple[str, int], ...]:
@@ -703,7 +724,7 @@ def tau_word(c: WeightedCurve) -> tuple[tuple[str, int], ...]:
     if profile.numerics.ovals == 0:
         raise DomainError("no rational point without ramification or weight exists")
     prefix = ("x0", -(2 // profile.numerics.epsilon))
-    body = tuple(sorted(profile.tau_exponents().items()))
+    body = tuple(sorted(tau_exponents(c).items()))
     return (prefix,) + body
 
 

@@ -8,10 +8,11 @@ integer core against it on seeded random elements.
 
 The second part is the orbifold Euler characteristic and the tubular
 search as they were before they ran on integer numerators: the chi'_orb
-routes of CurveProfile, the chi' of an abstract base and
-genus_zero_orbifold_euler summed term by term on Fractions (the (e, f, p)
-triples of the genus-zero route are built from a profile's points here,
-by any_field_triples), and the zoo's _fill/_search on Fraction shares
+routes of a curve, the chi' of an abstract base and
+genus_zero_orbifold_euler summed term by term on Fractions over the
+curve's labelled points as tests/point_oracle.py builds them (the
+(e, f, p) triples of the genus-zero route are built from those points
+here, by any_field_triples), and the zoo's _fill/_search on Fraction shares
 and budgets (the exact patterns only, which are the tubular weights).
 patterns, last, enumerates every pattern of the zoo's rule on Fractions
 another way: the symbols first, then int weights that use up exactly the
@@ -37,6 +38,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+
+from point_oracle import eager_points
 
 from wittcurves.errors import DomainError, InconsistentDataError, InvariantViolation
 
@@ -162,9 +165,11 @@ def power(phi: OracleAutomorphism, n: int) -> OracleAutomorphism:
 # ---------------------------------------------------------------------------
 # The orbifold Euler characteristic and the tubular search on Fractions
 
-def chi_routes(profile) -> dict[str, Fraction]:
-    """The chi'_orb routes of a CurveProfile, each term its own Fraction."""
-    pts, n = profile.points, profile.numerics
+def chi_routes(curve) -> dict[str, Fraction]:
+    """The chi'_orb routes of a curve, each term its own Fraction, summed
+    over its labelled points as tests/point_oracle.py builds them, every
+    bare segmentation point on its own, with the numerics of its profile."""
+    pts, n = eager_points(curve), curve.profile.numerics
     routes = {
         "general": n.chi_centre - Fraction(1, 2) * sum(
             Fraction((pt.weight * pt.e_tau - 1) * pt.residue_degree, pt.weight * pt.e_tau)
@@ -186,19 +191,19 @@ def chi_routes(profile) -> dict[str, Fraction]:
         routes["boundary count"] = thurston
     if n.genus == 0:
         routes["genus-zero form"] = genus_zero_orbifold_euler(
-            n.kappa, n.skewness, n.epsilon, any_field_triples(profile)
+            n.kappa, n.skewness, n.epsilon, any_field_triples(curve)
         )
     return routes
 
 
-def any_field_triples(profile) -> tuple[tuple[int, Fraction, int], ...]:
-    """The (e, f, p) triples of the genus-zero formula for the points of a
-    CurveProfile, with e f recovered from the real local data as
+def any_field_triples(curve) -> tuple[tuple[int, Fraction, int], ...]:
+    """The (e, f, p) triples of the genus-zero formula for the labelled
+    points of a curve, with e f recovered from the real local data as
     e f = (s^2 / (kappa epsilon)) f_res / e_tau."""
-    n = profile.numerics
+    n = curve.profile.numerics
     return tuple(
         (1, Fraction(n.skewness**2 * pt.residue_degree, n.kappa * n.epsilon * pt.e_tau), pt.weight)
-        for pt in profile.points
+        for pt in eager_points(curve)
     )
 
 

@@ -1,0 +1,165 @@
+"""Bytecode counted per op, by source file, on a fixed seeded sample of the
+benchmark's in-process workloads.
+
+    python tests/opcount.py [--seed N] [--cycles N] [--kernel-cycles N] [--ops N]
+
+Run it from the root of a checkout. It imports bench/workloads.py and,
+through it, bench/model.py and bench/tracing.py, and writes nothing. For
+curve_reports and exact_kernels in turn it sets the workload up with the
+seed, as the benchmark does, draws its first cycles (--cycles of
+curve_reports, 20 by default, which is one pool of 1000 curves, and
+--kernel-cycles of exact_kernels, 1 by default, 17 jobs), keeps the first
+--ops ops of them if that is given, and runs each op once under
+sys.settrace with opcode events on. Each opcode that runs is counted
+against the file of its code: wittcurves/<module>.py for the package,
+bench/<file> for the benchmark's own code, a path below the standard
+library for the standard library (fractions.py, json/decoder.py) and the
+file name of anything else. The checks of the ops are not run, so the
+benchmark's model costs nothing here. It prints one JSON object: the
+Python version, the arguments, and for each workload the ops counted,
+how many of them ended in an exception, by its class (a refused curve
+among them), and their opcodes, in all and per op, by file and by op
+kind.
+
+The counts are deterministic: one checkout, Python and set of arguments
+give the same counts on every run, where wall time on a shared host
+moves by several percent from run to run. Only Python bytecode is
+counted; C work (int arithmetic, dict and list operations, the calls of
+built-in functions) costs no opcode of its own. Before the sample, a
+traced warm-up region runs one small function, since on CPython 3.12 the
+first region traced counts no opcode at all. On 3.13 the first call of
+each code object counts none, so a count there leaves out code that runs
+for the first time in the sample, as the package's code does after
+exact_kernels imports it afresh for a cycle: compare counts taken on one
+Python only. It starts no thread and no process. Tier-1 does not run it
+as a test, since its name does not start with test_;
+tests/test_opcount.py runs it twice on a tiny sample.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import sys
+import sysconfig
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "wittcurves"
+BENCH = ROOT / "bench"
+STDLIB = sysconfig.get_paths()["stdlib"]
+
+
+def file_key(filename: str) -> str:
+    """The row an opcode of code from this file is counted in."""
+    path = Path(filename)
+    if path.is_relative_to(SRC):
+        return f"wittcurves/{path.relative_to(SRC).as_posix()}"
+    if path.is_relative_to(BENCH):
+        return f"bench/{path.relative_to(BENCH).as_posix()}"
+    if path.is_relative_to(STDLIB):
+        return Path(os.path.relpath(filename, STDLIB)).as_posix()
+    return path.name
+
+
+class OpcodeCount:
+    """Opcodes run while recording, by file_key of their code's file."""
+
+    def __init__(self):
+        self.counts: Counter = Counter()
+        self._tracers: dict = {}
+
+    def _global(self, frame, event, arg):
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        filename = frame.f_code.co_filename
+        tracer = self._tracers.get(filename)
+        if tracer is None:
+            tracer = self._tracers[filename] = self._local(file_key(filename))
+        return tracer
+
+    def _local(self, key: str):
+        counts = self.counts
+
+        def local(frame, event, arg):
+            if event == "opcode":
+                counts[key] += 1
+            return local
+
+        return local
+
+    def run(self, call) -> str | None:
+        """call() under the trace; the name of the class of the exception
+        that ended it, if one did. A curve the program refuses is an op
+        like any other, so the exception is reported, not raised."""
+        sys.settrace(self._global)
+        try:
+            call()
+        except Exception as exc:  # counted by class in the output, as the benchmark counts rejections
+            return type(exc).__name__
+        finally:
+            sys.settrace(None)
+        return None
+
+
+def _warm_up() -> int:
+    return sum(range(3))
+
+
+def count_workload(workload, cycles: int, ops_limit: int | None) -> dict:
+    """The opcodes of the first ops of the workload's first cycles, each op run once."""
+    workload.setup(lambda: None)
+    ops = [op for index in range(cycles) for op in workload.cycle(index)]
+    ops = ops[:ops_limit]
+    OpcodeCount().run(_warm_up)
+    total = OpcodeCount()
+    by_kind: Counter = Counter()
+    kinds: Counter = Counter()
+    raised: Counter = Counter()
+    for op in ops:
+        before = sum(total.counts.values())
+        if (name := total.run(op.run)) is not None:
+            raised[name] += 1
+        by_kind[op.kind] += sum(total.counts.values()) - before
+        kinds[op.kind] += 1
+    workload.close()
+    opcodes = sum(total.counts.values())
+    return {
+        "ops": len(ops),
+        "raised": dict(sorted(raised.items())),
+        "opcodes": opcodes,
+        "opcodes_per_op": round(opcodes / len(ops), 1),
+        "by_file": {key: round(n / len(ops), 1) for key, n in sorted(total.counts.items())},
+        "by_kind": {kind: {"ops": kinds[kind], "opcodes_per_op": round(by_kind[kind] / kinds[kind], 1)}
+                    for kind in sorted(kinds)},
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--cycles", type=int, default=20, help="cycles of curve_reports (50 ops each)")
+    parser.add_argument("--kernel-cycles", type=int, default=1, help="cycles of exact_kernels (17 ops each)")
+    parser.add_argument("--ops", type=int, default=None, help="count at most this many ops of each workload")
+    args = parser.parse_args(argv)
+    sys.path[:0] = [str(ROOT / "src"), str(BENCH)]
+    import workloads
+
+    result = {
+        "python": platform.python_version(),
+        "seed": args.seed,
+        "cycles": {"curve_reports": args.cycles, "exact_kernels": args.kernel_cycles},
+        "ops_limit": args.ops,
+        "workloads": {},
+    }
+    for cls, cycles in ((workloads.CurveReports, args.cycles), (workloads.ExactKernels, args.kernel_cycles)):
+        result["workloads"][cls.name] = count_workload(cls(ROOT, args.seed), cycles, args.ops)
+    print(json.dumps(result, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

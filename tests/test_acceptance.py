@@ -247,7 +247,7 @@ def test_c05_orbifold_euler_formulas_agree():
         chi = orbifold_euler(c)
         if genus(c.base) == 0:
             profile = c.profile
-            triples = fo.any_field_triples(profile)
+            triples = fo.any_field_triples(c)
             n = profile.numerics
             assert genus_zero_orbifold_euler(n.kappa, n.skewness, n.epsilon, triples) == chi
     assert orbifold_euler(_example_a()) == 0

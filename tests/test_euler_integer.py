@@ -118,7 +118,7 @@ def test_every_route_matches_the_fraction_oracle(make):
         c = make(rng)
         profile = c.profile
         routes = profile.chi_routes()
-        assert routes == fo.chi_routes(profile)
+        assert routes == fo.chi_routes(c)
         assert all(type(v) is Fraction for v in routes.values())
         assert profile.chi_orb == routes["general"]
         if isinstance(c.base, AbstractBase):
@@ -287,9 +287,19 @@ def test_a_shifted_chi_prime_breaks_the_split_route():
 
 def test_a_changed_point_kind_breaks_the_boundary_count():
     profile = _disc_profile()
-    points = (profile.points[0]._replace(kind=INNER.value),) + profile.points[1:]
+    shapes = ((INNER.value, *profile.shapes[0][1:]),) + profile.shapes[1:]
     with pytest.raises(InvariantViolation, match="general .*, boundary count "):
-        profile._replace(points=points).chi_orb
+        profile._replace(shapes=shapes).chi_orb
+
+
+@pytest.mark.parametrize("bare", [0, 1, 3])
+def test_a_changed_count_of_bare_points_breaks_the_split_route(bare):
+    """A bare segmentation point adds only to the general route, in closed
+    form, so a count that the surface does not have puts it out of step."""
+    profile = WeightedCurve(catalog("D_22"), (WeightedPoint(INNER, 3),)).profile
+    assert profile.bare == 2
+    with pytest.raises(InvariantViolation, match="general .*, split "):
+        profile._replace(bare=bare).chi_orb
 
 
 def test_a_changed_kappa_breaks_the_genus_zero_route():

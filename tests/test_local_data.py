@@ -105,6 +105,24 @@ def test_e_star_is_read_off_the_simple_end(kind):
         assert PointDatum(1, 1, 1, end).e_star == comultiplicity(end) == (2 if kind is QUATERNION else 1)
 
 
+@pytest.mark.parametrize("kind", [REAL, COMPLEX, QUATERNION], ids=repr)
+def test_a_datum_holds_the_built_in_kind_when_given_a_pickled_copy(kind):
+    copy = pickle.loads(pickle.dumps(kind))
+    assert copy == kind and copy is not kind
+    datum = PointDatum(1, 1, 1, copy)
+    assert datum.simple_end is kind
+    assert datum == PointDatum(1, 1, 1, kind) and repr(datum) == repr(PointDatum(1, 1, 1, kind))
+    for again in (pickle.loads(pickle.dumps(datum)), datum._replace(simple_end=copy)):
+        assert again.simple_end is kind
+
+
+def test_a_nonpositive_field_is_refused_before_the_kind():
+    # one input with both faults: the positivity check comes first, as before the kind was mapped
+    with pytest.raises(ValidationError) as exc:
+        PointDatum(0, 1, 1, (4, 1))
+    assert exc.value.code == "nonpositive"
+
+
 @pytest.mark.parametrize("kind", [
     DivisionAlgebraKind("ABSTRACT", 4, 1, "D"),
     DivisionAlgebraKind("ABSTRACT", 3, 1, "D"),

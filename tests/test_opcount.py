@@ -1,0 +1,32 @@
+"""tests/opcount.py counts the same opcodes on every run of one sample."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TINY = ["--seed", "3", "--cycles", "1", "--kernel-cycles", "1", "--ops", "4"]
+
+
+def _count() -> dict:
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "opcount.py"), *TINY],
+        cwd=ROOT, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def test_two_runs_of_a_tiny_sample_count_the_same_opcodes_by_file():
+    first, second = _count(), _count()
+    assert set(first["workloads"]) == set(second["workloads"]) == {"curve_reports", "exact_kernels"}
+    for name, counted in first["workloads"].items():
+        again = second["workloads"][name]
+        assert counted["ops"] == again["ops"] == 4
+        assert counted["opcodes"] == again["opcodes"] > 0
+        assert counted["by_file"].keys() == again["by_file"].keys()
+        assert counted["by_file"] == again["by_file"] and counted["by_kind"] == again["by_kind"]
+        # every opcode is counted against one file
+        assert abs(sum(counted["by_file"].values()) - counted["opcodes_per_op"]) < 1
+    assert "wittcurves/weighted_curve.py" in first["workloads"]["curve_reports"]["by_file"]
+    assert first["ops_limit"] == 4 and first["seed"] == 3

@@ -36,6 +36,7 @@ from wittcurves.weighted_curve import (
     PicardDescriptor,
     WeightedCurve,
     WeightedPoint,
+    effective_points,
     ghost_group,
     picard_structure,
 )
@@ -74,7 +75,7 @@ RECORDS = {
     WeightedPoint: (WeightedPoint(SEG, 3, oval=0, segment=0), {"oval": None, "segment": None}),
     AbstractPoint: (AbstractPoint("x0", 2, 1, 3), {"e_tau": 1, "residue_degree": 1, "weight": 1}),
     AbstractBase: (AbstractBase(Fraction(1), 1, 1, 1, (AbstractPoint("x0"),), 0), {"centre_genus": None}),
-    EffectivePoint: (_CURVE.profile.points[0], {}),
+    EffectivePoint: (effective_points(_CURVE)[0], {}),
     WeightedCurve: (_CURVE, {"points": ()}),
     CurveProfile: (_CURVE.profile, {}),
     PicardDescriptor: (picard_structure(WeightedCurve(catalog("D_2222"))), {"pic_zero": None}),

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import fraction_oracle as fo
 import pytest
+from test_weighted_curve import _calls
 
 from wittcurves import algebra, skew_series
 from wittcurves.algebra import (
@@ -408,6 +409,36 @@ def test_product_sums_on_numerators_without_elements(monkeypatch):
     assert products == [] and sums == []
     monkeypatch.undo()
     assert _terms(product) == _oracle_product(f, g)
+
+
+def _sum_and_product_factors():
+    twist = inner(quat(1, 1, 0, 0))
+    f = series(QUATERNION, twist, 8, {0: quat(1, 2), 1: 3, 5: quat(0, 0, 1)})
+    g = series(QUATERNION, twist, 8, {0: 2, 2: quat(1, 0, 0, 1), 3: quat(0, 1)})
+    return f, g
+
+
+def test_a_sum_and_a_product_check_their_ring_once(monkeypatch):
+    f, g = _sum_and_product_factors()
+    checks = _counted(monkeypatch, skew_series, "_check_ring")
+    total, product = f + g, f * g
+    # one check each, by the constructor: series, which checks it too, is not called
+    assert len(checks) == 2
+    monkeypatch.undo()
+    assert _terms(product) == _oracle_product(f, g)
+    assert total == series(QUATERNION, f.twist, 8, {0: quat(3, 2), 1: 3, 2: quat(1, 0, 0, 1), 3: quat(0, 1),
+                                                    5: quat(0, 0, 1)})
+
+
+# Guards on the Python and C calls of one sum and one product on CPython
+# 3.11, set at what they make; a second ring check shows.
+@pytest.mark.parametrize("op, bound", [("__add__", 87), ("__mul__", 277)], ids=["sum", "product"])
+def test_a_sum_and_a_product_make_few_calls(op, bound):
+    f, g = _sum_and_product_factors()
+    getattr(f, op)(g)
+    calls = _calls(getattr(f, op), g)
+    assert "series" not in calls and calls.count("_check_ring") == 1, calls
+    assert len(calls) <= bound, calls
 
 
 def _fraction_kernel(rows, n):

@@ -30,6 +30,7 @@ from wittcurves.weighted_curve import (
     AbstractBase,
     AbstractPoint,
     CurveClass,
+    EffectivePoint,
     WeightedCurve,
     WeightedPoint,
     classify,
@@ -91,7 +92,7 @@ def test_weighted_disc_with_orders_two_four_four():
     assert weight_ram_vector(c) == (2, 4, 4)
     assert tau_order(c) == 4
     profile = c.profile
-    triples = fo.any_field_triples(profile)
+    triples = fo.any_field_triples(c)
     assert sorted(e * f for e, f, _ in triples) == [1, 1, 2]
     assert genus_zero_orbifold_euler(profile.numerics.kappa, 2, profile.numerics.epsilon, triples) == 0
 
@@ -402,6 +403,16 @@ def test_genus_zero_formula_refuses_the_common_denominator_as_it_passes_the_ceil
         assert exc.value.code == "too-large"
 
 
+def test_the_labelled_points_of_an_abstract_base_are_its_records_in_any_sequence():
+    records = [AbstractPoint("b", 2), AbstractPoint("a", 1, 2, 3), AbstractPoint("c")]
+    expected = (EffectivePoint("b", "abstract", 2, 1, 1), EffectivePoint("a", "abstract", 1, 2, 3),
+                EffectivePoint("c", "abstract", 1, 1, 1))
+    for points in (records, tuple(records)):
+        curve = WeightedCurve(AbstractBase(Fraction(1), 1, 1, 1, points))
+        assert effective_points(curve) == effective_points(curve) == expected
+        assert tau_exponents(curve) == {"b": 1, "a": 2}
+
+
 def test_effective_points_of_the_wild_example():
     c = WeightedCurve(catalog("D_22"), (WeightedPoint(INNER, 7),))
     rows = [(p.kind, p.e_tau, p.residue_degree, p.weight) for p in effective_points(c)]
@@ -574,7 +585,8 @@ def test_too_many_weights_are_refused_before_any_is_read(monkeypatch):
 
 
 def _counted_effective_points(monkeypatch) -> list:
-    """Log the fields of every EffectivePoint a curve's check builds from here on."""
+    """Log the fields of every EffectivePoint built from here on: by
+    effective_points, on request, and never by a curve's check."""
     built = []
     real = wc.EffectivePoint
     monkeypatch.setattr(wc, "EffectivePoint", lambda *fields: built.append(fields) or real(*fields))
@@ -586,7 +598,9 @@ def test_too_many_abstract_points_are_refused_before_any_is_read(monkeypatch):
     built = _counted_effective_points(monkeypatch)
     trivial = tuple(AbstractPoint(f"x{i}") for i in range(MAX_VECTOR_LENGTH + 1))
     at = WeightedCurve(AbstractBase(Fraction(1), 1, 1, 1, trivial[:-1]))
-    assert len(at.profile.points) == len(built) == MAX_VECTOR_LENGTH and at.profile.weight_ram_vector == ()
+    # the check labels no point, and a point of order 1 leaves no shape
+    assert built == [] and at.profile.shapes == () and at.profile.weight_ram_vector == ()
+    assert len(effective_points(at)) == len(built) == MAX_VECTOR_LENGTH
     built.clear()
     for points in (trivial, (None,) * (MAX_VECTOR_LENGTH + 1)):
         with pytest.raises(ValidationError) as exc:
@@ -603,12 +617,17 @@ def test_too_many_segmentation_points_are_refused_before_any_is_built(monkeypatc
 
     built = _counted_effective_points(monkeypatch)
     at = WeightedCurve(cut(MAX_VECTOR_LENGTH))
-    assert len(at.profile.weight_ram_vector) == len(built) == MAX_VECTOR_LENGTH
+    # the check counts the bare points and labels none
+    assert len(at.profile.weight_ram_vector) == at.profile.bare == MAX_VECTOR_LENGTH and built == []
+    assert len(effective_points(at)) == len(built) == MAX_VECTOR_LENGTH
     # segments come in pairs: the least count above the ceiling, and the ceiling with one weight more
     for count, weights, length in ((MAX_VECTOR_LENGTH + 2, [], MAX_VECTOR_LENGTH + 2),
                                    (MAX_VECTOR_LENGTH, [WeightedPoint(REAL_B, 2)], MAX_VECTOR_LENGTH + 1)):
         surface = cut(count)
         ws.surface_numerics(surface)
+        walks: list = []
+        object.__setattr__(surface, "_reading", surface._reading._replace(
+            points=_WalkedPoints(surface._reading.points, walks)))
         built.clear()
         with pytest.raises(ValidationError) as exc:
             WeightedCurve(surface, weights)
@@ -616,8 +635,8 @@ def test_too_many_segmentation_points_are_refused_before_any_is_built(monkeypatc
         assert str(exc.value) == (
             f"the weight-ramification vector would have {length} entries, more than {MAX_VECTOR_LENGTH}"
         )
-        # the weight's own point only, and no segmentation point
-        assert len(built) == len(weights)
+        # no point labelled, and no segmentation point walked: they are counted
+        assert built == [] and walks == []
 
 
 class _WalkedPoints(tuple):
@@ -676,10 +695,10 @@ def test_a_placement_reads_one_oval_and_no_list_of_points(monkeypatch):
         for _ in range(2):
             reads.clear()
             WeightedCurve(w, weights)
-            # at most a sign and the segments of the one oval each weight names,
-            # and the kept segmentation points walked once, for the profile
-            assert reads.count("walk") == 1
-            assert len(reads) - 1 <= 2 * len(weights)
+            # at most a sign and the segments of the one oval each weight names;
+            # the kept segmentation points are counted, never walked
+            assert reads.count("walk") == 0
+            assert len(reads) <= 2 * len(weights)
     # each surface object read once, when it was built above
     assert len(surface_reads) == 2 and surface_reads[0] is whole and surface_reads[1] is cut
 
@@ -714,13 +733,13 @@ def test_a_curve_over_a_ceiling_is_refused_before_any_route_is_summed(monkeypatc
 _D22_WEIGHTS = (WeightedPoint(REAL_B, 2), WeightedPoint(INNER, 3), WeightedPoint(SEG, 5, oval=0, segment=1))
 
 
-def test_a_surface_curve_walks_its_effective_points_once(monkeypatch):
+def test_a_surface_curve_walks_its_shapes_once(monkeypatch):
     walks = []
     real_validate = wc._validate_weights
 
     def validate(reading, weights):
-        points, pbar, order_lcm = real_validate(reading, weights)
-        return _WalkedPoints(points, walks), pbar, order_lcm
+        shapes, bare, pbar, order_lcm = real_validate(reading, weights)
+        return _WalkedPoints(shapes, walks), bare, pbar, order_lcm
 
     monkeypatch.setattr(wc, "_validate_weights", validate)
     for name, weights in (("D_22", (WeightedPoint(REAL_B, 2), WeightedPoint(SEG, 5, oval=0, segment=1))),
@@ -729,16 +748,17 @@ def test_a_surface_curve_walks_its_effective_points_once(monkeypatch):
         c = WeightedCurve(catalog(name), weights)
         # once, for every route and the vector: the ceilings are held as the weights are read
         assert walks == ["walk"]
-        assert c.profile.order_lcm == lcm(*(pt.weight * pt.e_tau for pt in c.profile.points))
-        assert c.profile.pbar == lcm(*(pt.weight for pt in c.profile.points))
+        points = effective_points(c)
+        assert c.profile.order_lcm == lcm(*(pt.weight * pt.e_tau for pt in points))
+        assert c.profile.pbar == lcm(*(pt.weight for pt in points))
 
 
-def test_a_profile_walks_its_points_once():
+def test_a_profile_walks_its_shapes_once():
     walks = []
     abstract = AbstractBase(Fraction(1), 1, 1, 1, (AbstractPoint("x0", 2, 3),))
     for c in (WeightedCurve(catalog("D_22"), _D22_WEIGHTS), WeightedCurve(abstract)):
         walks.clear()
-        profile = c.profile._replace(points=_WalkedPoints(c.profile.points, walks))
+        profile = c.profile._replace(shapes=_WalkedPoints(c.profile.shapes, walks))
         assert walks == ["walk"]
         assert profile.chi_orb == c.profile.chi_orb and profile.weight_ram_vector == c.profile.weight_ram_vector
 
@@ -759,15 +779,15 @@ def _calls(call, *args) -> list:
     return calls
 
 
-# The guards below count Python and C calls on CPython 3.11, the effective
-# points built included; a Fraction comparison or a pass more shows as calls.
+# The guards below count Python and C calls on CPython 3.11, the shapes of
+# the points built included; a Fraction comparison or a pass more shows as calls.
 
 def test_the_check_of_a_curve_makes_few_calls():
     base = catalog("D_22")
     # the surface is read by the first check; the second is counted
     WeightedCurve(base, _D22_WEIGHTS)
     calls = _calls(WeightedCurve, base, _D22_WEIGHTS)
-    assert len(calls) <= 60, calls
+    assert len(calls) <= 49, calls
 
 
 def test_the_check_of_an_abstract_curve_with_plain_int_numerics_makes_few_calls():
@@ -777,7 +797,7 @@ def test_the_check_of_an_abstract_curve_with_plain_int_numerics_makes_few_calls(
         # the numerics are plain ints in range, so no keyword check is called, and no ceiling is reached
         assert not {"require_positive", "require_ints"} & set(calls), calls
         assert not [c for c in calls if str(c).startswith("_refuse_")], calls
-        assert len(calls) <= 45, calls
+        assert len(calls) <= 41, calls
 
 
 def test_the_first_read_of_a_fresh_surface_makes_few_calls():
@@ -802,7 +822,7 @@ def test_a_zoo_entry_makes_few_calls():
     weights = (("inner", 2),)
     zoo._entry_for("D_22", weights)
     calls = _calls(zoo._entry_for, "D_22", weights)
-    assert len(calls) <= 68, calls
+    assert len(calls) <= 57, calls
 
 
 def primes_below(n: int) -> list[int]:
@@ -930,7 +950,7 @@ def test_a_weight_field_of_an_int_subclass_is_read_as_its_int(field):
     plain = WeightedCurve(catalog("D_22"), (WeightedPoint(SEG, **_SEG_WEIGHT),))
     member = Small(_SEG_WEIGHT[field])
     curve = WeightedCurve(catalog("D_22"), (WeightedPoint(SEG, **{**_SEG_WEIGHT, field: member}),))
-    assert curve.profile.points == plain.profile.points
+    assert curve.profile == plain.profile and effective_points(curve) == effective_points(plain)
     assert invariants_report(curve) == invariants_report(plain)
 
 
@@ -1145,9 +1165,10 @@ def test_a_curve_keeps_the_numerics_its_check_read():
     (lambda: WeightedCurve(catalog("D_22"), WeightedPoint(WittPointClass.INNER, 2)), "placement"),
     (lambda: WeightedCurve(AbstractBase(Fraction(1), 1, 1, 1, None)), "placement"),
     (lambda: WeightedCurve(AbstractBase(Fraction(1), 1, 1, 1, ((1,),))), "placement"),
+    (lambda: WeightedCurve(AbstractBase(Fraction(1), 1, 1, 1, iter((AbstractPoint("x0", 2),)))), "placement"),
 ], ids=[
     "name-for-base", "none-for-base", "one-point-for-the-sequence", "none-for-abstract-points",
-    "tuple-for-an-abstract-point",
+    "tuple-for-an-abstract-point", "iterator-for-abstract-points",
 ])
 def test_records_of_the_wrong_kind_raise_validation_errors(make, code):
     # one WeightedPoint where the sequence belongs would be read field by field
