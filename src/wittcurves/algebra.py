@@ -14,7 +14,10 @@ is sixteen integer products and one gcd. ``coeffs`` shows the same
 element as a tuple of ``Fraction``s. The public constructor
 ``AlgebraElement(kind, coeffs)`` checks the kind, the arity and that
 every coefficient is an int or a ``Fraction``; results computed here are
-built by ``_make``, which trusts its caller and checks nothing.
+built by ``_make``, which trusts its caller and checks nothing. The
+package builds a ``Fraction`` from an int pair it has summed, such as an
+orbifold Euler characteristic, by ``_rational``, which trusts its caller
+in the same way.
 
 An inner automorphism a -> u^-1 a u holds its unit as a primitive integer
 vector and its rotation of the i, j, k part as integers over the unit's
@@ -228,6 +231,19 @@ def _reduced(kind: DivisionAlgebraKind, num: tuple[int, ...], den: int) -> Algeb
             num = tuple([x // g for x in num])
             den //= g
     return _make(kind, num, den)
+
+
+def _rational(n: int, d: int) -> Fraction:
+    """The Fraction n / d from ints n and d > 0, brought to lowest terms by
+    one gcd and unchecked. Its two slots are set directly, as Fraction's own
+    constructor sets them on CPython 3.10 to 3.13, so its Python-level
+    normalisation is skipped."""
+    if d != 1 and (g := math.gcd(n, d)) != 1:
+        n, d = n // g, d // g
+    x = _new(Fraction)
+    x._numerator = n
+    x._denominator = d
+    return x
 
 
 def _hamilton(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

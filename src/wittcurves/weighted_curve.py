@@ -39,9 +39,9 @@ curve on it reads nothing of it again; nothing here reads the ovals or
 topology of a surface. Every numerical invariant is a view of the
 profile, and a report reads all of its entries from it; the class of a
 curve and the order of tau are read off the sign of the int numerator of
-chi'_orb, with no Fraction comparison. The labelled points, which only
-tau_exponents and tau_word read, are built on request by
-effective_points from the curve's own fields.
+chi'_orb, through its slot, with no Fraction comparison. The labelled
+points, which only tau_exponents and tau_word read, are built on request
+by effective_points from the curve's own fields.
 
 The normalized orbifold Euler characteristic is computed by three
 independent routes (the general formula over the centre, the split through
@@ -52,9 +52,10 @@ own, as one numerator over the lcm of their denominators, giving an int
 (numerator, denominator) pair; the genus-zero form's point terms are s^2
 times the split's, term by term, so its sum is read off the split's once
 the walk is done, over its own denominator and constants. The pairs are
-compared by cross-multiplying, and one Fraction is built for the answer.
-The chi' of an abstract base is summed the same way. A profile runs the
-routes once, when it is built.
+compared by cross-multiplying, and one Fraction is built for the answer,
+by algebra._rational from the pair, with no call of Fraction's Python
+constructor. The chi' of an abstract base is summed and built the same
+way. A profile runs the routes once, when it is built.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ import enum
 from fractions import Fraction
 from math import lcm
 
+from .algebra import _rational
 from .errors import (
     DomainError,
     KindMismatchError,
@@ -78,6 +80,7 @@ from .errors import (
 )
 from .local_data import COMPLEX_POINT, SHORT_NAMES, WittPointClass, witt_local_datum
 from .witt_surface import (
+    MAX_ORDER_LCM,
     MINUS,
     PLUS,
     BaseNumerics,
@@ -97,12 +100,8 @@ MAX_POINT_VALUE = 10_000
 # surface base f is 1 or 2, and the count of weights is refused above it
 # before any weight is read.
 MAX_VECTOR_LENGTH = MAX_POINT_VALUE
-# The largest lcm of the point orders p * e_tau of a curve. pbar and the
-# lcm of the e_tau divide it, and the denominator of chi'_orb divides
-# twice it over a surface; the numerator and denominator of an abstract
-# chi_x are held to it too. So chi'_orb has at most about 200 digits
-# however many points a curve has, and every answer prints as JSON.
-MAX_ORDER_LCM = 10**100
+# MAX_ORDER_LCM, the ceiling of the lcm of the point orders, is witt_surface's:
+# it holds the genus of a base too.
 
 class CurveClass(enum.Enum):
     DOMESTIC = "domestic"
@@ -381,7 +380,7 @@ def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[tuple, .
     for _, e, f, _ in shapes:
         if e > 1:
             drops += (e - 1) * f * (n // e)
-    chi_prime = Fraction(*_less_half(chi_x, drops, n))
+    chi_prime = _rational(*_less_half(chi_x, drops, n))
     numerics = BaseNumerics(None, kappa, epsilon, s, None, None, cg, None, None, chi_x, chi_prime)
     # each weight divides its order, so pbar divides n
     return numerics, tuple(shapes), lcm(*ps), n
@@ -440,7 +439,7 @@ _QUARTERS = {_SEGMENTATION.value: 1, _INNER.value: 4}
 
 def _less_half(x: Fraction, num: int, den: int) -> tuple[int, int]:
     """x - num / (2 den), as an int (numerator, denominator) pair."""
-    n, d = x.as_integer_ratio()
+    n, d = x._numerator, x._denominator
     return n * 2 * den - d * num, d * 2 * den
 
 
@@ -481,7 +480,7 @@ class CurveProfile(FrozenRecord):
                 raise InvariantViolation(
                     f"Euler characteristic mismatch: general {Fraction(gn, gd)}, {name} {Fraction(num, den)}"
                 )
-        object.__setattr__(self, "chi_orb", Fraction(gn, gd))
+        object.__setattr__(self, "chi_orb", _rational(gn, gd))
         vector.sort()
         object.__setattr__(self, "weight_ram_vector", tuple(vector))
 
@@ -536,7 +535,7 @@ class CurveProfile(FrozenRecord):
 
     def curve_class(self) -> CurveClass:
         # the sign of chi'_orb, read off its int numerator
-        sign = self.chi_orb.numerator
+        sign = self.chi_orb._numerator
         if sign > 0:
             result = _DOMESTIC
         elif not sign:
@@ -560,7 +559,7 @@ class CurveProfile(FrozenRecord):
         return (InconsistentDataError if self.numerics.centre is None else InvariantViolation)(message)
 
     def tau_order(self) -> int:
-        if self.chi_orb.numerator:
+        if self.chi_orb._numerator:
             raise DomainError("tau has finite order only when the orbifold characteristic vanishes")
         order = max(self.weight_ram_vector, default=1)
         if order not in (1, 2, 3, 4, 6):
@@ -599,7 +598,7 @@ class CurveProfile(FrozenRecord):
             "cy_dimension": None,
             "picard": None,
         }
-        if not chi.numerator:
+        if not chi._numerator:
             order = self.tau_order()
             report["tau_order"] = order
             report["cy_dimension"] = (order, order)

@@ -16,7 +16,10 @@ one loop checks each cut oval and gathers the segmentation points, and
 counts reads (m, r, q) in one loop of its own. A surface keeps its reading
 on its first read; a complex-centre base is read afresh. Only this module
 reads the topology and the ovals of a surface, and only read_base the
-reading a surface keeps.
+reading a surface keeps. The genus of a base is held to MAX_ORDER_LCM,
+the ceiling weighted_curve holds the lcm of the point orders of a curve
+to, so every Euler characteristic of a curve prints; read_base builds
+each of its Fractions from an int pair by algebra._rational.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 
-from .algebra import COMPLEX, QUATERNION, REAL, DivisionAlgebraKind
+from .algebra import COMPLEX, QUATERNION, REAL, DivisionAlgebraKind, _rational
 from .errors import (
     FrozenRecord,
     InvariantViolation,
@@ -37,6 +40,15 @@ from .errors import (
 
 PLUS = "+"
 MINUS = "-"
+
+# The largest genus g of a base, and the largest lcm of the point orders
+# p * e_tau of a weighted curve, which weighted_curve reads from here. pbar
+# and the lcm of the e_tau divide that lcm, and the denominator of chi'_orb
+# divides twice it over a surface; the numerator and denominator of an
+# abstract chi_x are held to it too. So chi'_orb has at most about 200
+# digits however large the base or however many points a curve has, and
+# every answer prints as JSON.
+MAX_ORDER_LCM = 10**100
 
 
 class KleinTopology(Record):
@@ -218,18 +230,21 @@ def read_base(w: WittSurface | ComplexCentreBase) -> _Reading:
     chi = kappa (1 - genus upstairs), chi' = chi / s^2 are cross-checked
     against the downstairs count (1 - g) - m/2, compared on integers as
     2 kappa (1 - genus upstairs) = s^2 (2(1 - g) - m); the two must agree
-    for every valid surface. The first read of a surface object keeps
-    what it read, and later reads return it; a complex-centre base has
-    no ovals and is read afresh each time.
+    for every valid surface. A genus above MAX_ORDER_LCM, of a surface or
+    of a complex-centre base, is refused with code "too-large". The first
+    read of a surface object keeps what it read, and later reads return
+    it; a complex-centre base has no ovals and is read afresh each time.
     """
     if isinstance(w, ComplexCentreBase):
         if w.genus.__class__ is not int:
             require_ints(genus=w.genus)
         if w.genus < 0:
             raise ValidationError("genus must be nonnegative", code="weichold")
+        if w.genus > MAX_ORDER_LCM:
+            raise ValidationError("the genus is above MAX_ORDER_LCM", code="too-large")
         # such a curve lives over its own constants field, so the constants
         # contribute dimension 1, not [C:R]
-        chi = Fraction(1 - w.genus)
+        chi = _rational(1 - w.genus, 1)
         numerics = BaseNumerics(COMPLEX, 1, 1, 1, w.genus, "C", w.genus, None, chi, chi, chi)
         return _Reading(numerics, SurfaceCounts(0, 0, 0), (), ())
     if w._reading is not None:
@@ -240,6 +255,8 @@ def read_base(w: WittSurface | ComplexCentreBase) -> _Reading:
         require_ints(g=g, t=t, s=flag)
     if g < 0 or t < 0 or flag not in (0, 1):
         raise ValidationError("topology entries out of range", code="weichold")
+    if g > MAX_ORDER_LCM:
+        raise ValidationError("the genus g is above MAX_ORDER_LCM", code="too-large")
     if len(w.ovals) != t:
         raise ValidationError(f"expected {t} ovals, got {len(w.ovals)}", code="oval-count")
     weichold_ok = (flag == 0 and t <= g) or (flag == 1 and t % 2 == (g + 1) % 2 and 1 <= t <= g + 1)
@@ -289,7 +306,7 @@ def read_base(w: WittSurface | ComplexCentreBase) -> _Reading:
             f"!= downstairs count {Fraction(downstairs, 2)}"
         )
     numerics = BaseNumerics(
-        constants, kappa, epsilon, s, upstairs, "R", g, t, Fraction(chi), Fraction(1 - g), Fraction(chi, s * s)
+        constants, kappa, epsilon, s, upstairs, "R", g, t, _rational(chi, 1), _rational(1 - g, 1), _rational(chi, s * s)
     )
     reading = _Reading(numerics, surface_counts, tuple(points), w.ovals)
     object.__setattr__(w, "_reading", reading)

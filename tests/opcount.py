@@ -1,7 +1,7 @@
 """Bytecode counted per op, by source file, on a fixed seeded sample of the
 benchmark's in-process workloads.
 
-    python tests/opcount.py [--seed N] [--cycles N] [--kernel-cycles N] [--ops N]
+    python tests/opcount.py [--seed N] [--cycles N] [--kernel-cycles N] [--ops N] [--by function]
 
 Run it from the root of a checkout. It imports bench/workloads.py and,
 through it, bench/model.py and bench/tracing.py, and writes nothing. For
@@ -19,7 +19,9 @@ benchmark's model costs nothing here. It prints one JSON object: the
 Python version, the arguments, and for each workload the ops counted,
 how many of them ended in an exception, by its class (a refused curve
 among them), and their opcodes, in all and per op, by file and by op
-kind.
+kind. With --by function it adds, for each workload, one row per
+(file, function), keyed "<file>:<qualified name of the code>", so a row
+of by_file splits into the functions whose code ran there.
 
 The counts are deterministic: one checkout, Python and set of arguments
 give the same counts on every run, where wall time on a shared host
@@ -33,7 +35,8 @@ for the first time in the sample, as the package's code does after
 exact_kernels imports it afresh for a cycle: compare counts taken on one
 Python only. It starts no thread and no process. Tier-1 does not run it
 as a test, since its name does not start with test_;
-tests/test_opcount.py runs it twice on a tiny sample.
+tests/test_opcount.py runs it on a tiny sample, by file and by
+function.
 """
 
 from __future__ import annotations
@@ -65,8 +68,14 @@ def file_key(filename: str) -> str:
     return path.name
 
 
+def function_key(code) -> str:
+    """The (file, function) row an opcode of this code is counted in; 3.10
+    has no co_qualname, so its rows name the function alone."""
+    return f"{file_key(code.co_filename)}:{getattr(code, 'co_qualname', code.co_name)}"
+
+
 class OpcodeCount:
-    """Opcodes run while recording, by file_key of their code's file."""
+    """Opcodes run while recording, by function_key of their code."""
 
     def __init__(self):
         self.counts: Counter = Counter()
@@ -75,10 +84,10 @@ class OpcodeCount:
     def _global(self, frame, event, arg):
         frame.f_trace_opcodes = True
         frame.f_trace_lines = False
-        filename = frame.f_code.co_filename
-        tracer = self._tracers.get(filename)
+        code = frame.f_code
+        tracer = self._tracers.get(code)
         if tracer is None:
-            tracer = self._tracers[filename] = self._local(file_key(filename))
+            tracer = self._tracers[code] = self._local(function_key(code))
         return tracer
 
     def _local(self, key: str):
@@ -109,8 +118,9 @@ def _warm_up() -> int:
     return sum(range(3))
 
 
-def count_workload(workload, cycles: int, ops_limit: int | None) -> dict:
-    """The opcodes of the first ops of the workload's first cycles, each op run once."""
+def count_workload(workload, cycles: int, ops_limit: int | None, by_function: bool = False) -> dict:
+    """The opcodes of the first ops of the workload's first cycles, each op
+    run once; with by_function, by function as well as by file."""
     workload.setup(lambda: None)
     ops = [op for index in range(cycles) for op in workload.cycle(index)]
     ops = ops[:ops_limit]
@@ -127,15 +137,21 @@ def count_workload(workload, cycles: int, ops_limit: int | None) -> dict:
         kinds[op.kind] += 1
     workload.close()
     opcodes = sum(total.counts.values())
-    return {
+    by_file: Counter = Counter()
+    for key, n in total.counts.items():
+        by_file[key.rpartition(":")[0]] += n
+    result = {
         "ops": len(ops),
         "raised": dict(sorted(raised.items())),
         "opcodes": opcodes,
         "opcodes_per_op": round(opcodes / len(ops), 1),
-        "by_file": {key: round(n / len(ops), 1) for key, n in sorted(total.counts.items())},
+        "by_file": {key: round(n / len(ops), 1) for key, n in sorted(by_file.items())},
         "by_kind": {kind: {"ops": kinds[kind], "opcodes_per_op": round(by_kind[kind] / kinds[kind], 1)}
                     for kind in sorted(kinds)},
     }
+    if by_function:
+        result["by_function"] = {key: round(n / len(ops), 1) for key, n in sorted(total.counts.items())}
+    return result
 
 
 def main(argv=None) -> int:
@@ -144,6 +160,8 @@ def main(argv=None) -> int:
     parser.add_argument("--cycles", type=int, default=20, help="cycles of curve_reports (50 ops each)")
     parser.add_argument("--kernel-cycles", type=int, default=1, help="cycles of exact_kernels (17 ops each)")
     parser.add_argument("--ops", type=int, default=None, help="count at most this many ops of each workload")
+    parser.add_argument("--by", choices=("file", "function"), default="file",
+                        help="function adds one row per (file, function) to the rows per file")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(BENCH)]
     import workloads
@@ -153,10 +171,12 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "cycles": {"curve_reports": args.cycles, "exact_kernels": args.kernel_cycles},
         "ops_limit": args.ops,
+        "by": args.by,
         "workloads": {},
     }
     for cls, cycles in ((workloads.CurveReports, args.cycles), (workloads.ExactKernels, args.kernel_cycles)):
-        result["workloads"][cls.name] = count_workload(cls(ROOT, args.seed), cycles, args.ops)
+        result["workloads"][cls.name] = count_workload(
+            cls(ROOT, args.seed), cycles, args.ops, args.by == "function")
     print(json.dumps(result, indent=1))
     return 0
 

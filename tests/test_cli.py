@@ -463,6 +463,21 @@ def test_abstract_chi_x_has_a_ceiling(tmp_path, chi_x, command):
     assert res.output == "error: chi_x has a numerator or a denominator above MAX_ORDER_LCM\n"
 
 
+@pytest.mark.parametrize("command", ["invariants", "classify"])
+def test_the_genus_of_a_base_has_a_ceiling(tmp_path, command):
+    # a genus of 4251 digits with 25 inner weights gave a chi'_orb past
+    # Python's 4300 digits for printing an int, and a traceback
+    base = {"g": MAX_ORDER_LCM, "t": 0, "s": 0, "ovals": [], "commutative": True}
+    curve = {"base": base, "weights": [{"class": "inner", "p": p} for p in orders_at_the_ceiling()]}
+    res = invoke([command, _write(tmp_path, "at.json", curve)])
+    assert res.exit_code == 0
+    for g in (MAX_ORDER_LCM + 1, 10**4250):
+        base["g"] = g
+        res = invoke([command, _write(tmp_path, "above.json", curve)])
+        assert res.exit_code == 2
+        assert res.output == "error: the genus g is above MAX_ORDER_LCM\n"
+
+
 def test_an_answer_at_every_ceiling_stays_short(tmp_path):
     chi_x = {"num": -MAX_ORDER_LCM, "den": MAX_ORDER_LCM - 1}
     path = _write(tmp_path, "a.json", _e_tau_points(orders_at_the_ceiling(), chi_x))

@@ -1,4 +1,5 @@
-"""tests/opcount.py counts the same opcodes on every run of one sample."""
+"""tests/opcount.py counts the same opcodes on every run of one sample,
+and its rows by function add up to its rows by file."""
 
 import json
 import subprocess
@@ -9,9 +10,9 @@ ROOT = Path(__file__).resolve().parent.parent
 TINY = ["--seed", "3", "--cycles", "1", "--kernel-cycles", "1", "--ops", "4"]
 
 
-def _count() -> dict:
+def _count(*extra: str) -> dict:
     done = subprocess.run(
-        [sys.executable, str(ROOT / "tests" / "opcount.py"), *TINY],
+        [sys.executable, str(ROOT / "tests" / "opcount.py"), *TINY, *extra],
         cwd=ROOT, capture_output=True, text=True, timeout=120, check=True,
     )
     return json.loads(done.stdout)
@@ -30,3 +31,24 @@ def test_two_runs_of_a_tiny_sample_count_the_same_opcodes_by_file():
         assert abs(sum(counted["by_file"].values()) - counted["opcodes_per_op"]) < 1
     assert "wittcurves/weighted_curve.py" in first["workloads"]["curve_reports"]["by_file"]
     assert first["ops_limit"] == 4 and first["seed"] == 3
+    assert first["by"] == "file" and all("by_function" not in counted for counted in first["workloads"].values())
+
+
+def test_rows_by_function_split_the_rows_by_file():
+    by_file, by_function = _count(), _count("--by", "function")
+    assert by_function["by"] == "function"
+    for name, counted in by_function["workloads"].items():
+        # the same opcodes, counted by file as without the mode
+        assert {key: counted[key] for key in by_file["workloads"][name]} == by_file["workloads"][name]
+        sums: dict = {}
+        for key, per_op in counted["by_function"].items():
+            file, _, function = key.rpartition(":")
+            assert file in counted["by_file"] and function
+            sums[file] = sums.get(file, 0) + per_op
+        assert sums.keys() == counted["by_file"].keys()
+        # each row is rounded to a tenth of an opcode per op
+        for file, total in sums.items():
+            assert abs(total - counted["by_file"][file]) <= 0.05 * (len(counted["by_function"]) + 1)
+    rows = by_function["workloads"]["curve_reports"]["by_function"]
+    assert "wittcurves/weighted_curve.py:CurveProfile.__init__" in rows
+    assert "wittcurves/algebra.py:_rational" in rows

@@ -8,9 +8,11 @@ import pytest
 
 from wittcurves.algebra import COMPLEX, QUATERNION, REAL
 from wittcurves.errors import ValidationError
+from wittcurves.weighted_curve import WeightedCurve, orbifold_euler
 import wittcurves.witt_surface as ws
 from wittcurves.witt_surface import (
     CATALOG_NAMES,
+    MAX_ORDER_LCM,
     ComplexCentreBase,
     KleinTopology,
     Oval,
@@ -174,6 +176,20 @@ def test_complex_centre_bases():
     assert genus(ComplexCentreBase(2)) == 2
     assert euler_characteristics(ComplexCentreBase(2)) == (-1, -1)
     assert surface_skewness(ComplexCentreBase(2)) == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda g: WittSurface(KleinTopology(g, 0, 0), (), commutative=True), ComplexCentreBase,
+], ids=["weichold", "complex-centre"])
+def test_the_genus_of_a_base_has_a_ceiling(make):
+    # at the ceiling chi'_orb = 1 - g prints; above it, a genus of 5001
+    # digits would give a chi'_orb past Python's 4300 for printing an int
+    assert str(orbifold_euler(WeightedCurve(make(MAX_ORDER_LCM)))) == str(1 - MAX_ORDER_LCM)
+    for g in (MAX_ORDER_LCM + 1, 10**5000):
+        for read in (read_base, WeightedCurve):
+            with pytest.raises(ValidationError) as exc:
+                read(make(g))
+            assert exc.value.code == "too-large"
 
 
 def _random_surface(rng):
