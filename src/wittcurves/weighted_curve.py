@@ -100,8 +100,6 @@ MAX_POINT_VALUE = 10_000
 # surface base f is 1 or 2, and the count of weights is refused above it
 # before any weight is read.
 MAX_VECTOR_LENGTH = MAX_POINT_VALUE
-# MAX_ORDER_LCM, the ceiling of the lcm of the point orders, is witt_surface's:
-# it holds the genus of a base too.
 
 class CurveClass(enum.Enum):
     DOMESTIC = "domestic"
@@ -357,10 +355,13 @@ def _validate_abstract(base: AbstractBase) -> tuple[BaseNumerics, tuple[tuple, .
             orders.append(o)
     s, kappa, epsilon, cg, chi_x = base.s, base.kappa, base.epsilon, base.centre_genus, base.chi_x
     # plain ints in range pass here; anything else, an int subclass too, goes to the full checks
-    if not (s.__class__ is int and kappa.__class__ is int and epsilon.__class__ is int and s >= 1 and kappa >= 1
+    if not (s.__class__ is int and kappa.__class__ is int and epsilon.__class__ is int
+            and 1 <= s <= MAX_ORDER_LCM and 1 <= kappa <= MAX_ORDER_LCM
             and 0 < epsilon < 3 and (cg is None or cg.__class__ is int)):
         require_positive(s=s, kappa=kappa, epsilon=epsilon)
         require_ints(("centre_genus",), centre_genus=cg)
+        if max(s, kappa) > MAX_ORDER_LCM:
+            raise ValidationError("s or kappa is above MAX_ORDER_LCM", code="too-large")
     # a Fraction chi_x is taken as it is
     if chi_x.__class__ is not Fraction:
         if not isinstance(chi_x, Fraction):

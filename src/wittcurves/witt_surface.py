@@ -45,9 +45,9 @@ MINUS = "-"
 # p * e_tau of a weighted curve, which weighted_curve reads from here. pbar
 # and the lcm of the e_tau divide that lcm, and the denominator of chi'_orb
 # divides twice it over a surface; the numerator and denominator of an
-# abstract chi_x are held to it too. So chi'_orb has at most about 200
-# digits however large the base or however many points a curve has, and
-# every answer prints as JSON.
+# abstract chi_x, and its s and kappa, are held to it too. So chi'_orb has
+# at most about 200 digits however large the base or however many points a
+# curve has, and every answer prints as JSON.
 MAX_ORDER_LCM = 10**100
 
 

@@ -1,7 +1,7 @@
 """Bytecode counted per op, by source file, on a fixed seeded sample of the
 benchmark's in-process workloads.
 
-    python tests/opcount.py [--seed N] [--cycles N] [--kernel-cycles N] [--ops N] [--by function]
+    python tests/opcount.py [--seed N] [--cycles N] [--kernel-cycles N] [--ops N]
 
 Run it from the root of a checkout. It imports bench/workloads.py and,
 through it, bench/model.py and bench/tracing.py, and writes nothing. For
@@ -18,10 +18,9 @@ file name of anything else. The checks of the ops are not run, so the
 benchmark's model costs nothing here. It prints one JSON object: the
 Python version, the arguments, and for each workload the ops counted,
 how many of them ended in an exception, by its class (a refused curve
-among them), and their opcodes, in all and per op, by file and by op
-kind. With --by function it adds, for each workload, one row per
-(file, function), keyed "<file>:<qualified name of the code>", so a row
-of by_file splits into the functions whose code ran there.
+among them), and their opcodes, in all and per op, by file, by op kind and
+by (file, function), keyed "<file>:<qualified name of the code>", so a
+row of by_file splits into the functions whose code ran there.
 
 The counts are deterministic: one checkout, Python and set of arguments
 give the same counts on every run, where wall time on a shared host
@@ -35,8 +34,7 @@ for the first time in the sample, as the package's code does after
 exact_kernels imports it afresh for a cycle: compare counts taken on one
 Python only. It starts no thread and no process. Tier-1 does not run it
 as a test, since its name does not start with test_;
-tests/test_opcount.py runs it on a tiny sample, by file and by
-function.
+tests/test_opcount.py runs it on a tiny sample.
 """
 
 from __future__ import annotations
@@ -118,9 +116,9 @@ def _warm_up() -> int:
     return sum(range(3))
 
 
-def count_workload(workload, cycles: int, ops_limit: int | None, by_function: bool = False) -> dict:
+def count_workload(workload, cycles: int, ops_limit: int | None) -> dict:
     """The opcodes of the first ops of the workload's first cycles, each op
-    run once; with by_function, by function as well as by file."""
+    run once."""
     workload.setup(lambda: None)
     ops = [op for index in range(cycles) for op in workload.cycle(index)]
     ops = ops[:ops_limit]
@@ -140,7 +138,7 @@ def count_workload(workload, cycles: int, ops_limit: int | None, by_function: bo
     by_file: Counter = Counter()
     for key, n in total.counts.items():
         by_file[key.rpartition(":")[0]] += n
-    result = {
+    return {
         "ops": len(ops),
         "raised": dict(sorted(raised.items())),
         "opcodes": opcodes,
@@ -148,10 +146,8 @@ def count_workload(workload, cycles: int, ops_limit: int | None, by_function: bo
         "by_file": {key: round(n / len(ops), 1) for key, n in sorted(by_file.items())},
         "by_kind": {kind: {"ops": kinds[kind], "opcodes_per_op": round(by_kind[kind] / kinds[kind], 1)}
                     for kind in sorted(kinds)},
+        "by_function": {key: round(n / len(ops), 1) for key, n in sorted(total.counts.items())},
     }
-    if by_function:
-        result["by_function"] = {key: round(n / len(ops), 1) for key, n in sorted(total.counts.items())}
-    return result
 
 
 def main(argv=None) -> int:
@@ -160,8 +156,6 @@ def main(argv=None) -> int:
     parser.add_argument("--cycles", type=int, default=20, help="cycles of curve_reports (50 ops each)")
     parser.add_argument("--kernel-cycles", type=int, default=1, help="cycles of exact_kernels (17 ops each)")
     parser.add_argument("--ops", type=int, default=None, help="count at most this many ops of each workload")
-    parser.add_argument("--by", choices=("file", "function"), default="file",
-                        help="function adds one row per (file, function) to the rows per file")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(BENCH)]
     import workloads
@@ -171,12 +165,10 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "cycles": {"curve_reports": args.cycles, "exact_kernels": args.kernel_cycles},
         "ops_limit": args.ops,
-        "by": args.by,
         "workloads": {},
     }
     for cls, cycles in ((workloads.CurveReports, args.cycles), (workloads.ExactKernels, args.kernel_cycles)):
-        result["workloads"][cls.name] = count_workload(
-            cls(ROOT, args.seed), cycles, args.ops, args.by == "function")
+        result["workloads"][cls.name] = count_workload(cls(ROOT, args.seed), cycles, args.ops)
     print(json.dumps(result, indent=1))
     return 0
 

@@ -10,9 +10,9 @@ ROOT = Path(__file__).resolve().parent.parent
 TINY = ["--seed", "3", "--cycles", "1", "--kernel-cycles", "1", "--ops", "4"]
 
 
-def _count(*extra: str) -> dict:
+def _count() -> dict:
     done = subprocess.run(
-        [sys.executable, str(ROOT / "tests" / "opcount.py"), *TINY, *extra],
+        [sys.executable, str(ROOT / "tests" / "opcount.py"), *TINY],
         cwd=ROOT, capture_output=True, text=True, timeout=120, check=True,
     )
     return json.loads(done.stdout)
@@ -27,19 +27,16 @@ def test_two_runs_of_a_tiny_sample_count_the_same_opcodes_by_file():
         assert counted["opcodes"] == again["opcodes"] > 0
         assert counted["by_file"].keys() == again["by_file"].keys()
         assert counted["by_file"] == again["by_file"] and counted["by_kind"] == again["by_kind"]
+        assert counted["by_function"] == again["by_function"]
         # every opcode is counted against one file
         assert abs(sum(counted["by_file"].values()) - counted["opcodes_per_op"]) < 1
     assert "wittcurves/weighted_curve.py" in first["workloads"]["curve_reports"]["by_file"]
     assert first["ops_limit"] == 4 and first["seed"] == 3
-    assert first["by"] == "file" and all("by_function" not in counted for counted in first["workloads"].values())
 
 
 def test_rows_by_function_split_the_rows_by_file():
-    by_file, by_function = _count(), _count("--by", "function")
-    assert by_function["by"] == "function"
-    for name, counted in by_function["workloads"].items():
-        # the same opcodes, counted by file as without the mode
-        assert {key: counted[key] for key in by_file["workloads"][name]} == by_file["workloads"][name]
+    counts = _count()
+    for counted in counts["workloads"].values():
         sums: dict = {}
         for key, per_op in counted["by_function"].items():
             file, _, function = key.rpartition(":")
@@ -49,6 +46,6 @@ def test_rows_by_function_split_the_rows_by_file():
         # each row is rounded to a tenth of an opcode per op
         for file, total in sums.items():
             assert abs(total - counted["by_file"][file]) <= 0.05 * (len(counted["by_function"]) + 1)
-    rows = by_function["workloads"]["curve_reports"]["by_function"]
+    rows = counts["workloads"]["curve_reports"]["by_function"]
     assert "wittcurves/weighted_curve.py:CurveProfile.__init__" in rows
     assert "wittcurves/algebra.py:_rational" in rows

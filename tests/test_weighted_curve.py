@@ -893,6 +893,25 @@ def test_abstract_chi_x_is_bounded(chi_x):
     WeightedCurve(AbstractBase(Fraction(-MAX_ORDER_LCM, MAX_ORDER_LCM - 1), 1, 1, 1, ()))
 
 
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("field", ["s", "kappa"])
+def test_abstract_s_and_kappa_are_bounded(field):
+    # the report echoes both: at the ceiling it prints, and a value of 5001
+    # digits would be past Python's 4300 for printing an int
+    def curve(value):
+        return WeightedCurve(AbstractBase(Fraction(1), **{"s": 1, "kappa": 1, field: value}, epsilon=1, points=()))
+
+    assert str(MAX_ORDER_LCM) in str(invariants_report(curve(MAX_ORDER_LCM)))
+    for value in (MAX_ORDER_LCM + 1, _Int(MAX_ORDER_LCM + 1), 10**5000):
+        with pytest.raises(ValidationError) as exc:
+            curve(value)
+        assert exc.value.code == "too-large"
+        assert str(exc.value) == "s or kappa is above MAX_ORDER_LCM"
+
+
 # ---------------------------------------------------------------------------
 # Integer fields take ints only: no float, no bool, no truncation
 
