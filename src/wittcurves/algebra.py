@@ -16,12 +16,17 @@ element as a tuple of ``Fraction``s. The public constructor
 every coefficient is an int or a ``Fraction``; results computed here are
 built by ``_make``, which trusts its caller and checks nothing. The
 package builds a ``Fraction`` from an int pair it has summed, such as an
-orbifold Euler characteristic, by ``_rational``, which trusts its caller
-in the same way.
+orbifold Euler characteristic, by ``_rational``, and an inner automorphism
+from a unit vector it has computed, such as a power of a unit, by
+``_inner_of``; both trust their callers in the same way.
 
 An inner automorphism a -> u^-1 a u holds its unit as a primitive integer
 vector and its rotation of the i, j, k part as integers over the unit's
 norm, so applying it and taking its powers stay on ints as well.
+``_image`` applies an automorphism to a (numerators, denominator) pair
+and returns the pair of the image, so a kernel that reads only numerators,
+such as a twisted product, builds no element for an image; ``apply`` is
+``_image`` wrapped in one element.
 """
 
 from __future__ import annotations
@@ -100,15 +105,20 @@ class AlgebraElement:
             raise KindMismatchError(
                 f"{kind.display_name} needs {kind.dim_over_k} coefficients, got {len(coeffs)}"
             )
+        plain = True
         for c in coeffs:
-            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-                raise KindMismatchError(
-                    f"coefficients must be ints or Fractions, got {type(c).__name__} {c!r}"
-                )
-        # over the lcm of reduced denominators the numerators share no factor with it
-        den = math.lcm(*(c.denominator for c in coeffs))
+            # plain ints pass here; anything else goes to the full check
+            if c.__class__ is not int:
+                if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                    raise KindMismatchError(
+                        f"coefficients must be ints or Fractions, got {type(c).__name__} {c!r}"
+                    )
+                plain = False
+        # plain ints are their own numerators over 1; over the lcm of reduced
+        # denominators the numerators share no factor with it
+        den = 1 if plain else math.lcm(*(c.denominator for c in coeffs))
         _set_kind(self, kind)
-        _set_num(self, tuple(c.numerator * (den // c.denominator) for c in coeffs))
+        _set_num(self, coeffs if plain else tuple(c.numerator * (den // c.denominator) for c in coeffs))
         _set_den(self, den)
 
     def __setattr__(self, name, value):
@@ -211,6 +221,7 @@ _set_kind = AlgebraElement.kind.__set__
 _set_num = AlgebraElement.num.__set__
 _set_den = AlgebraElement.den.__set__
 _new = object.__new__
+_set_slot = object.__setattr__
 
 
 def _make(kind: DivisionAlgebraKind, num: tuple[int, ...], den: int) -> AlgebraElement:
@@ -222,15 +233,18 @@ def _make(kind: DivisionAlgebraKind, num: tuple[int, ...], den: int) -> AlgebraE
     return a
 
 
+def _lowest(num: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
+    """Integer numerators over den > 0, brought to lowest terms by one gcd,
+    as a (numerators, denominator) pair."""
+    if den != 1 and (g := math.gcd(den, *num)) != 1:
+        # a list comprehension builds the tuple faster than a generator would
+        return tuple([x // g for x in num]), den // g
+    return num, den
+
+
 def _reduced(kind: DivisionAlgebraKind, num: tuple[int, ...], den: int) -> AlgebraElement:
     """An element from integer numerators over den > 0, brought to lowest terms."""
-    if den != 1:
-        g = math.gcd(den, *num)
-        if g != 1:
-            # a list comprehension builds the tuple faster than a generator would
-            num = tuple([x // g for x in num])
-            den //= g
-    return _make(kind, num, den)
+    return _make(kind, *_lowest(num, den))
 
 
 def _rational(n: int, d: int) -> Fraction:
@@ -331,11 +345,17 @@ def _normalize_unit(unit: AlgebraElement) -> AlgebraElement:
         raise KindMismatchError(f"an inner automorphism needs a unit in H, got {unit!r}")
     if unit.is_zero():
         raise ValidationError("an inner automorphism needs a nonzero unit", code="zero-unit")
-    num = unit.num
+    return _unit_of(unit.num)
+
+
+def _unit_of(num: tuple[int, ...]) -> AlgebraElement:
+    """The unit of a nonzero integer 4-vector, divided by its content and
+    with its first nonzero coordinate made positive: the one normalisation
+    of inner() and _inner_of."""
     g = math.gcd(*num)
-    if next(v for v in num if v != 0) < 0:
+    if next(v for v in num if v) < 0:
         g = -g
-    return _make(QUATERNION, tuple([v // g for v in num]), 1)
+    return _make(QUATERNION, num if g == 1 else tuple([v // g for v in num]), 1)
 
 
 def _inner_rotation(unit: AlgebraElement) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -391,7 +411,21 @@ class Automorphism(FrozenRecord):
             unit = _normalize_unit(unit)
             rotation = _inner_rotation(unit)
         self._set(kind, action, unit)
-        object.__setattr__(self, "rotation", rotation)
+        _set_slot(self, "rotation", rotation)
+
+
+def _inner_of(vector: tuple[int, ...]) -> Automorphism:
+    """inner(quat(*vector)) for a nonzero integer 4-vector that the package
+    computed, a _unit_power or a Hamilton product of two units, unchecked:
+    the unit is normalised as inner() normalises it, and the slots are set
+    past the frozen __setattr__."""
+    phi = _new(Automorphism)
+    unit = _unit_of(vector)
+    _set_slot(phi, "kind", QUATERNION)
+    _set_slot(phi, "action", "inner")
+    _set_slot(phi, "unit", unit)
+    _set_slot(phi, "rotation", _inner_rotation(unit))
+    return phi
 
 
 def identity(kind: DivisionAlgebraKind) -> Automorphism:
@@ -414,20 +448,27 @@ def apply(phi: Automorphism, a: AlgebraElement) -> AlgebraElement:
         )
     if phi.action == "identity":
         return a
-    if phi.action == "conj":
-        return a.conjugate()
-    rows, norm = phi.rotation
-    (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = rows
-    c0, c1, c2, c3 = a.num
-    return _reduced(
-        QUATERNION,
+    return _make(a.kind, *_image(phi, a.num, a.den))
+
+
+def _image(phi: Automorphism, num: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
+    """The (numerators, denominator) pair of phi(a), in lowest terms, for
+    the element a = num / den of phi's algebra, whose kind the caller has
+    matched with phi's: the identity, conjugation, or the integer rotation
+    of an inner phi, the only action with a rotation, reduced by one gcd."""
+    rotation = phi.rotation
+    if rotation is None:
+        return ((num[0], -num[1]), den) if phi.action == "conj" else (num, den)
+    ((x0, x1, x2), (y0, y1, y2), (z0, z1, z2)), norm = rotation
+    c0, c1, c2, c3 = num
+    return _lowest(
         (
             c0 * norm,
             x0 * c1 + x1 * c2 + x2 * c3,
             y0 * c1 + y1 * c2 + y2 * c3,
             z0 * c1 + z1 * c2 + z2 * c3,
         ),
-        a.den * norm,
+        den * norm,
     )
 
 
@@ -478,7 +519,7 @@ def power(phi: Automorphism, n: int) -> Automorphism:
     if abs(n) > MAX_INNER_POWER and 4 * unit[0] ** 2 not in [k * sum(v * v for v in unit) for k in (4, 0, 1, 2, 3)]:
         message = f"an inner twist of infinite order takes powers of size up to {MAX_INNER_POWER}, got {n}"
         raise ValidationError(message, code="too-large")
-    return inner(_make(QUATERNION, _unit_power(unit, n), 1))
+    return _inner_of(_unit_power(unit, n))
 
 
 def _powers(phi: Automorphism, exponents):
@@ -489,7 +530,7 @@ def _powers(phi: Automorphism, exponents):
     identity. An inner phi starts from power(phi, e) at the first
     exponent; every later unit is the unit before times u^gap, gap the
     step from the exponent before, in one Hamilton product normalised by
-    inner(). u^gap is taken once per distinct gap, and is u itself over
+    _inner_of. u^gap is taken once per distinct gap, and is u itself over
     consecutive exponents. So an inner phi builds one automorphism per
     exponent, where one power() per exponent would redo the binary
     powering each time.
@@ -512,7 +553,7 @@ def _powers(phi: Automorphism, exponents):
                 gap = e - last
                 if gap not in steps:
                     steps[gap] = _unit_power(unit, gap)
-                current = inner(_make(QUATERNION, _hamilton(current.unit.num, steps[gap]), 1))
+                current = _inner_of(_hamilton(current.unit.num, steps[gap]))
             last = e
             yield current
 

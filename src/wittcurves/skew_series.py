@@ -16,10 +16,15 @@ solved (one or two for the built-in twists), their rows built from
 integer products of basis numerators. The check at T^s depends only on
 s mod p and on whether r divides s, so it is made at the exponents below
 lcm(p, r) alone. The powers sigma^i are built each from the one before,
-for the centre search, the twisted products and the Jordan check alike,
-and all of it runs on the integer numerators of ``algebra``: a product
-sums each coefficient on numerators over the lcm of its terms'
-denominators and reduces it once.
+by ``algebra._inner_of`` for an inner sigma, for the centre search, the
+twisted products and the Jordan check alike.
+
+The three kernels run on integer numerators: each takes sigma^i(b) as a
+(numerators, denominator) pair by ``algebra._image`` and builds an
+element only where it returns one. A product sums each coefficient on
+numerators over the lcm of its terms' denominators and builds it once,
+reduced; the centre rows are integer products of basis numerators; the
+Jordan check compares pairs of ints.
 
 The Jordan check models D[[T, sigma]] by n x n matrices in which T acts
 as the Jordan block J and a scalar a as diag(a, sigma(a), ...,
@@ -40,10 +45,11 @@ from .algebra import (
     Automorphism,
     DivisionAlgebraKind,
     _builtin,
+    _image,
+    _lowest,
     _powers,
     _product,
     _reduced,
-    apply,
     basis,
     comultiplicity,
     element,
@@ -125,24 +131,25 @@ class TwistedSeries(FrozenRecord):
         one before.
 
         Each term is taken on integer numerators, ``_product`` of those of
-        a_i and sigma^i(b_j) over the product of their denominators, and
-        added into c_k over the lcm of the denominators; c_k is reduced
-        once, when all its terms are in. The exponents of ``other``
-        ascend, so the first j with i + j at or above the truncation ends
-        the row.
+        a_i and of the pair ``_image`` gives for sigma^i(b_j), over the
+        product of their denominators, and added into c_k over the lcm of
+        the denominators; c_k is reduced once, when all its terms are in.
+        The exponents of ``other`` ascend, so the first j with i + j at or
+        above the truncation ends the row.
         """
         _require_same_ring(self, other)
         kind, truncation = self.kind, self.truncation
+        right = [(j, b.num, b.den) for j, b in other.coeffs]
         sums: dict[int, tuple[list[int], int]] = {}
         for (i, a), sigma_i in zip(self.coeffs, _powers(self.twist, [i for i, _ in self.coeffs])):
             a_num, a_den = a.num, a.den
-            for j, b in other.coeffs:
+            for j, b_num, b_den in right:
                 k = i + j
                 if k >= truncation:
                     break
-                image = apply(sigma_i, b)
-                num = _product(kind, a_num, image.num)
-                den = a_den * image.den
+                b_num, b_den = _image(sigma_i, b_num, b_den)
+                num = _product(kind, a_num, b_num)
+                den = a_den * b_den
                 if k in sums:
                     s_num, s_den = sums[k]
                     if s_den == den:
@@ -186,9 +193,11 @@ def _check_ring(kind, twist, truncation) -> DivisionAlgebraKind:
     """The ring's built-in kind, once the twist is checked to act on it and
     the truncation to be an integer from 1 to MAX_TRUNCATION."""
     kind = _ring_kind(kind, twist)
-    require_positive(truncation=truncation)
-    if truncation > MAX_TRUNCATION:
-        raise ValidationError(f"truncation must be at most {MAX_TRUNCATION}", code="truncation")
+    # a plain int in range passes here; anything else goes to the full check
+    if not (truncation.__class__ is int and 1 <= truncation <= MAX_TRUNCATION):
+        require_positive(truncation=truncation)
+        if truncation > MAX_TRUNCATION:
+            raise ValidationError(f"truncation must be at most {MAX_TRUNCATION}", code="truncation")
     return kind
 
 
@@ -196,11 +205,13 @@ def _term(kind, truncation: int, exponent, value) -> AlgebraElement:
     """The coefficient of one term as an element of ``kind``, once its
     exponent is checked to be an integer below the truncation and not
     below -MAX_TRUNCATION."""
-    require_ints(exponent=exponent)
-    if exponent >= truncation:
-        raise KindMismatchError(f"exponent {exponent} is not below the truncation {truncation}")
-    if exponent < -MAX_TRUNCATION:
-        raise ValidationError(f"exponent {exponent} is below {-MAX_TRUNCATION}", code="truncation")
+    # a plain int in range passes here; anything else goes to the full check
+    if not (exponent.__class__ is int and -MAX_TRUNCATION <= exponent < truncation):
+        require_ints(exponent=exponent)
+        if exponent >= truncation:
+            raise KindMismatchError(f"exponent {exponent} is not below the truncation {truncation}")
+        if exponent < -MAX_TRUNCATION:
+            raise ValidationError(f"exponent {exponent} is below {-MAX_TRUNCATION}", code="truncation")
     if isinstance(value, AlgebraElement):
         if value.kind is not kind:
             raise KindMismatchError("coefficient kind does not match the series ring")
@@ -331,19 +342,18 @@ def _centre_kernels(kind: DivisionAlgebraKind, twist: Automorphism, truncation: 
     kernels[s % p]. The period is witnessed, not assumed, and a twist
     that never repeats below the truncation is solved at every exponent.
 
-    The rows are integers: the products d e and e sigma^s(d) of basis
-    elements are taken on numerators by ``algebra._product``, the left
-    ones once per call and the right ones once per system, and each
-    equation is scaled by the denominator of sigma^s(d), which leaves its
-    solutions alone.
+    The rows are integers: sigma^s(d) is taken on numerators by
+    ``algebra._image``, the products d e and e sigma^s(d) of basis
+    elements by ``algebra._product``, the left ones once per call and the
+    right ones once per system, and each equation is scaled by the
+    denominator of sigma^s(d), which leaves its solutions alone.
     """
     n = kind.dim_over_k
-    units = basis(kind)
-    nums = [e.num for e in units]
-    images = [apply(twist, e) for e in units]
-    scale = math.lcm(*(image.den for image in images))
+    nums = [e.num for e in basis(kind)]
+    images = [_image(twist, e, 1) for e in nums]
+    scale = math.lcm(*(den for _, den in images))
     fix_rows = [
-        [image.num[i] * (scale // image.den) - scale * (i == j) for j, image in enumerate(images)]
+        [num[i] * (scale // den) - scale * (i == j) for j, (num, den) in enumerate(images)]
         for i in range(n)
     ]
     # lefts[a][i]: row i of left multiplication by e_a, whose column j is e_a e_j
@@ -356,9 +366,8 @@ def _centre_kernels(kind: DivisionAlgebraKind, twist: Automorphism, truncation: 
         elif sigma_s == first:
             break
         rows = list(fix_rows)
-        for d, left in zip(units, lefts):
-            image = apply(sigma_s, d)
-            den, b = image.den, image.num
+        for d, left in zip(nums, lefts):
+            b, den = _image(sigma_s, d, 1)
             right = zip(*(_product(kind, e, b) for e in nums))
             rows += [[x - den * y for x, y in zip(r, l)] for r, l in zip(right, left)]
         kernels.append(_kernel(rows, n))
@@ -431,12 +440,17 @@ def dim_over_centre(kind: DivisionAlgebraKind, twist: Automorphism) -> int:
 # ---------------------------------------------------------------------------
 # Jordan blocks under a twist
 
-def _side_product(unit: AlgebraElement, x: list, y: list, offset: int) -> list:
+def _side_product(kind, unit: tuple, x: list, y: list, offset: int) -> list:
     """The entries of XY for side-diagonal n x n matrices X at ``offset``
-    and Y at any offset, each held as the list of its entries from row 0:
-    (XY)_i = X_i Y_(i+offset), one fewer entry for each step of Y's
-    offset. A product by ``unit`` (1) is not formed."""
-    return [b if a == unit else a if b == unit else a * b for a, b in zip(x, y[offset:])]
+    and Y at any offset over ``kind``, each held as the list of its
+    entries from row 0, every entry a (numerators, denominator) pair in
+    lowest terms: (XY)_i = X_i Y_(i+offset), one fewer entry for each
+    step of Y's offset. A product by ``unit``, the pair of 1, is not
+    formed."""
+    return [
+        b if a == unit else a if b == unit else _lowest(_product(kind, a[0], b[0]), a[1] * b[1])
+        for a, b in zip(x, y[offset:])
+    ]
 
 
 def verify_jordan_twist(kind: DivisionAlgebraKind, twist: Automorphism, n: int) -> bool:
@@ -451,21 +465,24 @@ def verify_jordan_twist(kind: DivisionAlgebraKind, twist: Automorphism, n: int) 
     are all 1. The right-hand side sigma^l(a) J^l has the entries
     sigma^i(sigma^l(a)), sigma^l(a) being read from the list of a I. The
     identity is checked for every l < n and a running over the basis.
+    Each entry is the (numerators, denominator) pair of an element in
+    lowest terms, so sigma^i(a) is taken by ``algebra._image`` and
+    entries compare as pairs of ints, with no element built.
     """
     require_ints(n=n)
     if not 1 <= n <= 6:
         raise DomainError("matrix size n must be between 1 and 6")
     kind = _ring_kind(kind, twist)
     powers = list(_powers(twist, range(n)))
-    unit = one(kind)
+    unit = (one(kind).num, 1)
     j = [unit] * (n - 1)
     j_power = [unit] * n  # J^0, the identity matrix
-    scalars = [[apply(sigma, a) for sigma in powers] for a in basis(kind)]
+    scalars = [[_image(sigma, a.num, 1) for sigma in powers] for a in basis(kind)]
     for offset in range(n):
         for a_scalar in scalars:
-            shifted = a_scalar[offset]  # sigma^offset(a)
-            rhs = [apply(sigma, shifted) for sigma in powers[: n - offset]]
-            if _side_product(unit, j_power, a_scalar, offset) != rhs:
+            num, den = a_scalar[offset]  # sigma^offset(a)
+            rhs = [_image(sigma, num, den) for sigma in powers[: n - offset]]
+            if _side_product(kind, unit, j_power, a_scalar, offset) != rhs:
                 return False
-        j_power = _side_product(unit, j_power, j, offset)
+        j_power = _side_product(kind, unit, j_power, j, offset)
     return True

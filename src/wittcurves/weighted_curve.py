@@ -641,11 +641,14 @@ def genus_zero_orbifold_euler(kappa, s, epsilon, points) -> Fraction:
     or Fractions; only the product e*f enters. kappa, s and every p are
     positive integers, and epsilon is 1 or 2. No separability assumption is
     needed here. The terms e f (p - 1) / p are summed as one integer
-    numerator over the lcm of their denominators. At most MAX_VECTOR_LENGTH points are taken, each
-    p at most MAX_POINT_VALUE, the numerators and denominators of e and f
-    and that lcm at most MAX_ORDER_LCM.
+    numerator over the lcm of their denominators, and the answer is built
+    from its int pair by ``_rational``. At most MAX_VECTOR_LENGTH points
+    are taken, each p at most MAX_POINT_VALUE; kappa, s, the numerators
+    and denominators of e and f and that lcm are at most MAX_ORDER_LCM.
     """
     require_positive(kappa=kappa, s=s, epsilon=epsilon)
+    if max(s, kappa) > MAX_ORDER_LCM:
+        raise ValidationError("s or kappa is above MAX_ORDER_LCM", code="too-large")
     points = require_sequence(points, "the points", "placement")
     _refuse_too_many_points(len(points))
     terms = []
@@ -669,7 +672,7 @@ def genus_zero_orbifold_euler(kappa, s, epsilon, points) -> Fraction:
         d = lcm(d, den)
         if d > MAX_ORDER_LCM:
             raise ValidationError("the common denominator of the points is above MAX_ORDER_LCM", code="too-large")
-    return Fraction(*_genus_zero(kappa, s, epsilon, sum(num * (d // den) for num, den in terms), d))
+    return _rational(*_genus_zero(kappa, s, epsilon, sum(num * (d // den) for num, den in terms), d))
 
 
 def _genus_zero(kappa: int, s: int, epsilon: int, total: int, d: int) -> tuple[int, int]:

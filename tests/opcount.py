@@ -20,7 +20,9 @@ Python version, the arguments, and for each workload the ops counted,
 how many of them ended in an exception, by its class (a refused curve
 among them), and their opcodes, in all and per op, by file, by op kind and
 by (file, function), keyed "<file>:<qualified name of the code>", so a
-row of by_file splits into the functions whose code ran there.
+row of by_file splits into the functions whose code ran there. Each op
+kind splits the same way: its by_function rows are its opcodes per op of
+that kind, by (file, function), and add up to its opcodes_per_op.
 
 The counts are deterministic: one checkout, Python and set of arguments
 give the same counts on every run, where wall time on a shared host
@@ -123,30 +125,38 @@ def count_workload(workload, cycles: int, ops_limit: int | None) -> dict:
     ops = [op for index in range(cycles) for op in workload.cycle(index)]
     ops = ops[:ops_limit]
     OpcodeCount().run(_warm_up)
-    total = OpcodeCount()
-    by_kind: Counter = Counter()
+    by_kind: dict[str, OpcodeCount] = {}
     kinds: Counter = Counter()
     raised: Counter = Counter()
     for op in ops:
-        before = sum(total.counts.values())
-        if (name := total.run(op.run)) is not None:
+        if (name := by_kind.setdefault(op.kind, OpcodeCount()).run(op.run)) is not None:
             raised[name] += 1
-        by_kind[op.kind] += sum(total.counts.values()) - before
         kinds[op.kind] += 1
     workload.close()
-    opcodes = sum(total.counts.values())
+    total: Counter = sum((count.counts for count in by_kind.values()), Counter())
+    opcodes = sum(total.values())
     by_file: Counter = Counter()
-    for key, n in total.counts.items():
+    for key, n in total.items():
         by_file[key.rpartition(":")[0]] += n
+
+    def per_op(counts: Counter, n: int) -> dict:
+        return {key: round(v / n, 1) for key, v in sorted(counts.items())}
+
     return {
         "ops": len(ops),
         "raised": dict(sorted(raised.items())),
         "opcodes": opcodes,
         "opcodes_per_op": round(opcodes / len(ops), 1),
-        "by_file": {key: round(n / len(ops), 1) for key, n in sorted(by_file.items())},
-        "by_kind": {kind: {"ops": kinds[kind], "opcodes_per_op": round(by_kind[kind] / kinds[kind], 1)}
-                    for kind in sorted(kinds)},
-        "by_function": {key: round(n / len(ops), 1) for key, n in sorted(total.counts.items())},
+        "by_file": per_op(by_file, len(ops)),
+        "by_kind": {
+            kind: {
+                "ops": kinds[kind],
+                "opcodes_per_op": round(sum(by_kind[kind].counts.values()) / kinds[kind], 1),
+                "by_function": per_op(by_kind[kind].counts, kinds[kind]),
+            }
+            for kind in sorted(kinds)
+        },
+        "by_function": per_op(total, len(ops)),
     }
 
 

@@ -46,6 +46,13 @@ def test_rows_by_function_split_the_rows_by_file():
         # each row is rounded to a tenth of an opcode per op
         for file, total in sums.items():
             assert abs(total - counted["by_file"][file]) <= 0.05 * (len(counted["by_function"]) + 1)
+    for counted in counts["workloads"].values():
+        # each op kind splits by function the same way, into its own total
+        for kind, split in counted["by_kind"].items():
+            assert split["by_function"] and all(key.rpartition(":")[0] in counted["by_file"]
+                                                for key in split["by_function"])
+            total = sum(split["by_function"].values())
+            assert abs(total - split["opcodes_per_op"]) <= 0.05 * (len(split["by_function"]) + 1), kind
     rows = counts["workloads"]["curve_reports"]["by_function"]
     assert "wittcurves/weighted_curve.py:CurveProfile.__init__" in rows
     assert "wittcurves/algebra.py:_rational" in rows

@@ -52,7 +52,7 @@ BENCH = SRC.parent.parent / "bench"
 # The logical lines of src/wittcurves/*.py, held exactly, so that no
 # deletion leaves slack for a later change to spend. A change that deletes
 # code lowers it; one that raises it says by how much and why in CHANGES.md.
-SRC_LOGICAL_LINES = 1850
+SRC_LOGICAL_LINES = 1871
 # module-level public functions of src/ that nothing in src/ or bench/
 # reads, each with why it stays
 UNREAD_PUBLIC = {
@@ -64,6 +64,8 @@ UNREAD_PUBLIC = {
 # methods and module-level public constants of src/ that nothing in src/
 # or bench/ reads, each with why it stays
 UNREAD_MEMBERS = {
+    "algebra.AlgebraElement.conjugate": "the standard involution of the division algebras, checked by the property "
+    "suites; apply and the twisted kernels conjugate on numerators by algebra._image",
     "algebra.AlgebraElement.norm": "the multiplicative norm of the division algebras, checked by the property suites",
     "algebra.AlgebraElement.inverse": "the inverse in the division algebras, checked by the property suites",
     "errors.Record._asdict": "part of the namedtuple API that every plain record has, as the README says",

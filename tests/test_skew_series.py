@@ -302,16 +302,24 @@ def test_jordan_twist_holds_for_every_size_and_several_units():
             assert verify_jordan_twist(QUATERNION, inner(quat(*unit)), n), (n, unit)
 
 
-def _dense(entries, offset, n):
+def _dense(entries, offset, n, zero=quat(0)):
     """The n x n list-of-rows matrix with entries[i] at (i, i + offset), zero elsewhere."""
-    rows = [[quat(0)] * n for _ in range(n)]
+    rows = [[zero] * n for _ in range(n)]
     for i, v in enumerate(entries):
         rows[i][i + offset] = v
     return rows
 
 
+def _pair(a):
+    """The (numerators, denominator) pair of an element, as the Jordan check holds it."""
+    return a.num, a.den
+
+
 def test_side_diagonal_product_matches_the_dense_product():
+    # the side-diagonal entries are numerator pairs; the dense product is
+    # formed on elements and read back as pairs in lowest terms
     rng = random.Random(5)
+    unit = _pair(quat(1))
 
     def entry():
         if rng.random() < 0.4:
@@ -326,16 +334,16 @@ def test_side_diagonal_product_matches_the_dense_product():
                     y = [entry() for _ in range(n - m)]
                     a, b = _dense(x, l, n), _dense(y, m, n)
                     dense = [
-                        [sum((a[i][k] * b[k][j] for k in range(n)), quat(0)) for j in range(n)]
+                        [_pair(sum((a[i][k] * b[k][j] for k in range(n)), quat(0))) for j in range(n)]
                         for i in range(n)
                     ]
-                    product = _side_product(quat(1), x, y, l)
+                    product = _side_product(QUATERNION, unit, list(map(_pair, x)), list(map(_pair, y)), l)
                     assert len(product) == n - l - m
-                    assert _dense(product, l + m, n) == dense
+                    assert _dense(product, l + m, n, _pair(quat(0))) == dense
     # J's side diagonal is all ones, and a product by 1 is not formed
-    x = [quat(1), quat(0, 1), quat(1, 2, 3, 4)]
-    assert _side_product(quat(1), [quat(1)] * 3, x, 0) == x
-    assert _side_product(quat(1), x, [quat(1)] * 3, 0) == x
+    x = [_pair(quat(1)), _pair(quat(0, 1)), _pair(quat(1, 2, 3, 4))]
+    assert _side_product(QUATERNION, unit, [unit] * 3, x, 0) == x
+    assert _side_product(QUATERNION, unit, x, [unit] * 3, 0) == x
 
 
 def _oracle_product(f, g):
@@ -432,7 +440,7 @@ def test_a_sum_and_a_product_check_their_ring_once(monkeypatch):
 
 # Guards on the Python and C calls of one sum and one product on CPython
 # 3.11, set at what they make; a second ring check shows.
-@pytest.mark.parametrize("op, bound", [("__add__", 87), ("__mul__", 277)], ids=["sum", "product"])
+@pytest.mark.parametrize("op, bound", [("__add__", 61), ("__mul__", 205)], ids=["sum", "product"])
 def test_a_sum_and_a_product_make_few_calls(op, bound):
     f, g = _sum_and_product_factors()
     getattr(f, op)(g)
@@ -712,13 +720,40 @@ def test_a_period_seen_too_early_trips_the_centre_check(monkeypatch):
 def test_product_builds_one_automorphism_per_exponent(monkeypatch):
     twist = inner(quat(1, 2, -1, 3))
     g = series(QUATERNION, twist, 24, {0: quat(0, 1), 3: quat(2, 0, 1)})
-    built = _counted(monkeypatch, Automorphism, "__init__")
+    built = _counted(monkeypatch, algebra, "_inner_of")
+    checked = _counted(monkeypatch, Automorphism, "__init__")
     for exponents in (range(21), range(0, 21, 2), (-5, -4, 0, 1, 9, 13, 20)):
         f = series(QUATERNION, twist, 24, {e: quat(1, e, 0, -1) for e in exponents})
         built.clear()
         f * g
         # one per exponent of the left factor: at most m + 1 if it reaches m
         assert len(built) == len(exponents)
+        # and each by the trusted constructor, none through the checked one
+        assert checked == []
+
+
+def test_a_product_and_a_jordan_check_build_no_element_per_image(monkeypatch):
+    # _make builds the unit of each power (in _inner_of) and each term of
+    # a product's result, and nothing else: never one element per image
+    twist = inner(quat(1, 2, -1, 3))
+    f = series(QUATERNION, twist, 24, {e: quat(1, e, Fraction(1, e + 2), -1) for e in range(0, 21, 2)})
+    g = series(QUATERNION, twist, 24, {e: quat(2, 0, Fraction(1, e + 3), 1) for e in range(14)})
+    images = sum(i + j < 24 for i, _ in f.coeffs for j, _ in g.coeffs)
+    made = _counted(monkeypatch, algebra, "_make")
+    units = _counted(monkeypatch, algebra, "_inner_of")
+    product = f * g
+    assert len(units) == len(f.coeffs)
+    assert len(made) == len(f.coeffs) + len(product.coeffs) < images
+    for n in range(1, 7):
+        made.clear()
+        assert verify_jordan_twist(QUATERNION, twist, n)
+        assert len(made) == n
+        for kind, other in BUILTIN_PAIRS:
+            made.clear()
+            assert verify_jordan_twist(kind, other, n)
+            assert made == []
+    monkeypatch.undo()
+    assert _terms(product) == _oracle_product(f, g)
 
 
 def test_jordan_check_builds_each_power_by_one_hamilton_product(monkeypatch):

@@ -327,9 +327,12 @@ def test_ghost_group_points_must_be_pairs(points):
     ((1, 1, 1, [(MAX_ORDER_LCM + 1, 1, 2)]), "too-large"),
     ((1, 1, 1, [(1, Fraction(1, MAX_ORDER_LCM + 1), 2)]), "too-large"),
     ((1, 1, 1, [(10**50000, 10**50000, 2)] * 50), "too-large"),
+    ((1, MAX_ORDER_LCM + 1, 1, []), "too-large"),
+    ((MAX_ORDER_LCM + 1, 1, 1, []), "too-large"),
+    ((1, 10**3000, 1, []), "too-large"),
 ], ids=["s-zero", "kappa-zero", "epsilon-negative", "epsilon-three", "p-zero", "float-kappa", "float-p", "e-zero",
         "e-negative", "f-negative-fraction", "f-zero", "e-above-the-ceiling", "f-denominator-above-the-ceiling",
-        "e-and-f-huge"])
+        "e-and-f-huge", "s-above-the-ceiling", "kappa-above-the-ceiling", "s-of-3001-digits"])
 def test_genus_zero_formula_checks_its_integers(args, code):
     with pytest.raises(ValidationError) as exc:
         genus_zero_orbifold_euler(*args)
@@ -908,6 +911,24 @@ def test_abstract_s_and_kappa_are_bounded(field):
     for value in (MAX_ORDER_LCM + 1, _Int(MAX_ORDER_LCM + 1), 10**5000):
         with pytest.raises(ValidationError) as exc:
             curve(value)
+        assert exc.value.code == "too-large"
+        assert str(exc.value) == "s or kappa is above MAX_ORDER_LCM"
+
+
+@pytest.mark.parametrize("field", ["s", "kappa"])
+def test_genus_zero_formula_bounds_s_and_kappa(field):
+    # kappa / s^2 with s of 3001 digits has a denominator of 6001, past
+    # Python's 4300 for printing an int
+    def chi(value):
+        return genus_zero_orbifold_euler(**{"kappa": 1, "s": 1, field: value}, epsilon=1, points=[(1, 1, 2)])
+
+    at_ceiling = chi(MAX_ORDER_LCM)
+    assert type(at_ceiling) is Fraction and str(at_ceiling)
+    assert at_ceiling == fo.genus_zero_orbifold_euler(**{"kappa": 1, "s": 1, field: MAX_ORDER_LCM}, epsilon=1,
+                                                      points=[(1, 1, 2)])
+    for value in (MAX_ORDER_LCM + 1, _Int(MAX_ORDER_LCM + 1), 10**3000):
+        with pytest.raises(ValidationError) as exc:
+            chi(value)
         assert exc.value.code == "too-large"
         assert str(exc.value) == "s or kappa is above MAX_ORDER_LCM"
 
