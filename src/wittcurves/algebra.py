@@ -149,8 +149,6 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _require_same_kind(self, other)
         da, db = self.den, other.den
-        if da == db:
-            return _reduced(self.kind, tuple(x + y for x, y in zip(self.num, other.num)), da)
         return _reduced(
             self.kind, tuple(x * db + y * da for x, y in zip(self.num, other.num)), da * db
         )
@@ -446,8 +444,6 @@ def apply(phi: Automorphism, a: AlgebraElement) -> AlgebraElement:
         raise KindMismatchError(
             f"automorphism on {phi.kind.display_name} applied to {a.kind.display_name}"
         )
-    if phi.action == "identity":
-        return a
     return _make(a.kind, *_image(phi, a.num, a.den))
 
 

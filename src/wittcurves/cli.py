@@ -230,12 +230,11 @@ def _ghost_point(record) -> tuple[int, int]:
 def _rational_json(value) -> dict | None:
     if value is None:
         return None
-    value = Fraction(value)
     return {"num": value.numerator, "den": value.denominator}
 
 
 def _slope_str(slope) -> str:
-    return "inf" if slope == INFINITY else str(Fraction(slope))
+    return "inf" if slope is INFINITY else str(slope)
 
 
 def _curve_payload(c: WeightedCurve) -> dict:

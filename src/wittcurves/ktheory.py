@@ -94,7 +94,8 @@ ELLIPTIC_TYPES = tuple(_END_S_DIM)
 def elliptic_numerics(name: str) -> CurveNumerics:
     """Riemann-Roch data of a real elliptic type; kappa, epsilon and the
     genus are those of its catalog surface."""
-    if name not in _END_S_DIM:
+    # membership of the tuple compares and does not hash, so a list is refused too
+    if name not in ELLIPTIC_TYPES:
         raise ValidationError(f"{name!r} is not a real elliptic type", code="unknown-name")
     n = validate(catalog(name))
     return CurveNumerics(kappa=n.kappa, epsilon=n.epsilon, genus=n.genus, end_S_dim=_END_S_DIM[name])
@@ -230,5 +231,5 @@ def fm_partners(name: str) -> frozenset[str]:
     """Fourier-Mukai partners among the real elliptic types."""
     try:
         return _FM_PARTNERS[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValidationError(f"{name!r} is not a real elliptic type", code="unknown-name") from None

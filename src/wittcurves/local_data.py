@@ -72,7 +72,10 @@ _TABLE = {
 
 
 def witt_local_datum(point_class: WittPointClass) -> PointDatum:
-    """Table row for one of the four point classes of a Witt curve."""
+    """Table row for one of the four point classes of a Witt curve;
+    anything else is refused with code "placement"."""
+    if point_class.__class__ is not WittPointClass:
+        raise ValidationError(f"{point_class!r} is not a Witt point class", code="placement")
     return _TABLE[point_class]
 
 

@@ -27,11 +27,11 @@ reduced; the centre rows are integer products of basis numerators; the
 Jordan check compares pairs of ints.
 
 The Jordan check models D[[T, sigma]] by n x n matrices in which T acts
-as the Jordan block J and a scalar a as diag(a, sigma(a), ...,
-sigma^(n-1)(a)). Every matrix of that model is side-diagonal, so each is
-held as the list of its entries at one offset, and products are formed
-entry by entry; sigma^l(a) on the right-hand side is read from the list
-of a I.
+as the Jordan block J and a scalar a as a I = diag(a, sigma(a), ...,
+sigma^(n-1)(a)). J's entries are all 1, so J^l (a I) is a I shifted l
+places along its diagonal: the check reads the list of a I from place l
+and forms no product, and sigma^l(a) on the right-hand side is read from
+that list too.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .algebra import (
     DivisionAlgebraKind,
     _builtin,
     _image,
-    _lowest,
     _powers,
     _product,
     _reduced,
@@ -440,49 +439,29 @@ def dim_over_centre(kind: DivisionAlgebraKind, twist: Automorphism) -> int:
 # ---------------------------------------------------------------------------
 # Jordan blocks under a twist
 
-def _side_product(kind, unit: tuple, x: list, y: list, offset: int) -> list:
-    """The entries of XY for side-diagonal n x n matrices X at ``offset``
-    and Y at any offset over ``kind``, each held as the list of its
-    entries from row 0, every entry a (numerators, denominator) pair in
-    lowest terms: (XY)_i = X_i Y_(i+offset), one fewer entry for each
-    step of Y's offset. A product by ``unit``, the pair of 1, is not
-    formed."""
-    return [
-        b if a == unit else a if b == unit else _lowest(_product(kind, a[0], b[0]), a[1] * b[1])
-        for a, b in zip(x, y[offset:])
-    ]
-
-
 def verify_jordan_twist(kind: DivisionAlgebraKind, twist: Automorphism, n: int) -> bool:
     """Check J^l (a I) = sigma^l(a) J^l on the twisted side-diagonal model.
 
-    Every matrix of the model is side-diagonal, so each is held as the
-    list of its entries (i, i + offset): J at offset 1, J^l at offset l,
-    and a scalar a at offset 0 as a I = diag(a, sigma(a), ...,
-    sigma^(n-1)(a)). A product of side-diagonal matrices at offsets l and
-    m is side-diagonal at offset l + m with entries (XY)_i = X_i Y_(i+l),
-    formed entry by entry, and a product by 1 is not formed: J's entries
-    are all 1. The right-hand side sigma^l(a) J^l has the entries
-    sigma^i(sigma^l(a)), sigma^l(a) being read from the list of a I. The
-    identity is checked for every l < n and a running over the basis.
-    Each entry is the (numerators, denominator) pair of an element in
-    lowest terms, so sigma^i(a) is taken by ``algebra._image`` and
-    entries compare as pairs of ints, with no element built.
+    A scalar a acts as a I = diag(a, sigma(a), ..., sigma^(n-1)(a)) and T
+    as the Jordan block J, whose entries are all 1. So the product
+    J^l (a I) is a I shifted: its entry in row i is sigma^(i+l)(a), the
+    entry l places further along the list of a I, and reading that list
+    from place l is the whole product. The entry of sigma^l(a) J^l in row
+    i is sigma^i(sigma^l(a)). The identity is checked for every l < n and
+    a running over the basis. Each entry is the (numerators, denominator)
+    pair of an element in lowest terms, so sigma^i(a) is taken once for
+    each i by ``algebra._image`` and entries compare as pairs of ints,
+    with no element built.
     """
     require_ints(n=n)
     if not 1 <= n <= 6:
         raise DomainError("matrix size n must be between 1 and 6")
     kind = _ring_kind(kind, twist)
     powers = list(_powers(twist, range(n)))
-    unit = (one(kind).num, 1)
-    j = [unit] * (n - 1)
-    j_power = [unit] * n  # J^0, the identity matrix
-    scalars = [[_image(sigma, a.num, 1) for sigma in powers] for a in basis(kind)]
-    for offset in range(n):
-        for a_scalar in scalars:
-            num, den = a_scalar[offset]  # sigma^offset(a)
-            rhs = [_image(sigma, num, den) for sigma in powers[: n - offset]]
-            if _side_product(kind, unit, j_power, a_scalar, offset) != rhs:
+    for a in basis(kind):
+        images = [_image(sigma, a.num, 1) for sigma in powers]
+        for l in range(n):
+            num, den = images[l]
+            if images[l:] != [_image(sigma, num, den) for sigma in powers[: n - l]]:
                 return False
-        j_power = _side_product(kind, unit, j_power, j, offset)
     return True

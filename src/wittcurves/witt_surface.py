@@ -377,7 +377,7 @@ CATALOG_NAMES = tuple(_CATALOG)
 def catalog(name: str) -> WittSurface | ComplexCentreBase:
     try:
         return _CATALOG[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValidationError(f"unknown catalog name {name!r}", code="unknown-name") from None
 
 

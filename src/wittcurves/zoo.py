@@ -56,6 +56,9 @@ from .weighted_curve import (
 from .witt_surface import CATALOG_NAMES, catalog, euler_characteristics, read_base
 
 _LOCATION = {short: cls for cls, short in SHORT_NAMES.items()}
+# membership of the tuple of short names compares and does not hash, so an
+# unhashable class goes to the check as an unknown one does
+_SHORT = tuple(_LOCATION)
 _SEG = SHORT_NAMES[WittPointClass.SEGMENTATION]
 # the one order of weights: by class in the order of SHORT_NAMES, and in
 # each class ints ascending before symbols
@@ -89,7 +92,7 @@ def _build_curve(base_name: str, weights: Weights) -> WeightedCurve:
     # an unknown class goes to the check as its own location, and a
     # segmentation weight past the slots with no indices: both are refused
     for cls, w in weights:
-        location = _LOCATION[cls] if cls in _LOCATION else cls
+        location = _LOCATION[cls] if cls in _SHORT else cls
         oval, segment = next(slots, (None, None)) if cls == _SEG else (None, None)
         pts.append(WeightedPoint(location, w, oval, segment))
     return WeightedCurve(base, tuple(pts))
@@ -250,13 +253,19 @@ def enumerate_domestic() -> list[ZooEntry]:
 
 
 def instantiate_domestic(entry: ZooEntry, assignments: dict[str, int] | None = None) -> WeightedCurve:
-    """Substitute numeric weights for a family's parameters, and no others, and build the curve."""
+    """Substitute numeric weights for a family's parameters, and no others,
+    and build the curve. Weights that are not (class, weight) pairs are
+    refused with code "placement", as a weight of an unknown class is."""
+    try:
+        pairs = [(cls, w) for cls, w in entry.weights]
+    except (TypeError, ValueError):
+        raise ValidationError(f"weights must be (class, weight) pairs, got {entry.weights!r}", code="placement") from None
     assignments = assignments or {}
-    unknown = set(assignments) - {w for _, w in entry.weights if isinstance(w, str)}
+    unknown = set(assignments) - {w for _, w in pairs if isinstance(w, str)}
     if unknown:
         raise ValidationError(f"the family has no parameter {', '.join(sorted(map(str, unknown)))}", code="parameter")
     weights = []
-    for cls, w in entry.weights:
+    for cls, w in pairs:
         if isinstance(w, str):
             if w not in assignments:
                 raise ValidationError(f"no value given for parameter {w}", code="parameter")

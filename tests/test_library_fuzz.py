@@ -18,13 +18,20 @@ no kind at all and are refused. Every
 call must return or raise a CurveError; every genus-zero answer is at
 most kappa/s^2, since each point takes a positive share, every power of
 a twist of finite order is the power by the exponent mod the order, and
-every PointDatum has e_star = comultiplicity(simple_end). The sizes are capped
+every PointDatum has e_star = comultiplicity(simple_end). The name
+lookups (catalog, elliptic_numerics, fm_partners) and witt_local_datum are
+called with values of every shape: strings, names they know, ints, bools,
+None, point classes, and lists, tuples and dicts of these; and a domestic
+family is given such a value as its weights, as the class or the weight
+of one of them, as its base, or as an assignment. A lookup answers only a
+string, witt_local_datum only a point class. The sizes are capped
 so that every draw ends quickly.
 """
 
 from datetime import timedelta
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,15 +46,18 @@ from wittcurves.algebra import (
 )
 from wittcurves.errors import CurveError
 from wittcurves.ktheory import (
+    ELLIPTIC_TYPES,
     INFINITY,
     ClassVector,
     CurveNumerics,
+    elliptic_numerics,
     euler_form,
+    fm_partners,
     mutation_matrices,
     reduce_class,
     slope_orbits,
 )
-from wittcurves.local_data import PointDatum, degree_of_simple
+from wittcurves.local_data import SHORT_NAMES, PointDatum, WittPointClass, degree_of_simple, witt_local_datum
 from wittcurves.weighted_curve import (
     MAX_ORDER_LCM,
     MAX_POINT_VALUE,
@@ -55,7 +65,7 @@ from wittcurves.weighted_curve import (
     genus_zero_orbifold_euler,
     ghost_group,
 )
-from wittcurves.witt_surface import catalog, read_base
+from wittcurves.witt_surface import CATALOG_NAMES, catalog, read_base
 from wittcurves.zoo import enumerate_domestic, instantiate_domestic
 
 _SETTINGS = settings(derandomize=True, database=None, max_examples=300, deadline=timedelta(seconds=2))
@@ -260,3 +270,61 @@ def test_point_data_end_in_a_datum_or_a_curve_error(fields, kappa, epsilon, pbar
     except CurveError:
         return
     assert type(degree) is Fraction and degree > 0
+
+
+_NAMES = [*CATALOG_NAMES, *ELLIPTIC_TYPES, *SHORT_NAMES.values(), *(c.value for c in WittPointClass)]
+_SCALAR = st.one_of(
+    st.sampled_from(_NAMES), st.text(max_size=3), st.integers(-2, 9), st.booleans(), st.none(),
+    st.sampled_from(WittPointClass),
+)
+_ANY = st.recursive(
+    _SCALAR,
+    lambda items: st.lists(items, max_size=3) | st.lists(items, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=2) | st.integers(0, 3), items, max_size=2),
+    max_leaves=5,
+)
+
+
+@pytest.mark.parametrize(
+    "lookup, accepted",
+    [(catalog, str), (elliptic_numerics, str), (fm_partners, str), (witt_local_datum, WittPointClass)],
+    ids=["catalog", "elliptic_numerics", "fm_partners", "witt_local_datum"],
+)
+@_SETTINGS
+@given(value=_ANY)
+def test_lookups_end_in_an_answer_or_a_curve_error(lookup, accepted, value):
+    try:
+        lookup(value)
+    except CurveError:
+        return
+    assert isinstance(value, accepted)
+
+
+def _hand_built(family, value, where):
+    """The family with value put in where, and the assignments to try it
+    with: 2 for each parameter, or value for the first one."""
+    weights = family.weights
+    assignments = {w: 2 for _, w in weights if isinstance(w, str)}
+    if where == "weights":
+        return family._replace(weights=value), assignments
+    if where == "class":
+        return family._replace(weights=((value, 2),) + weights), assignments
+    if where == "weight":
+        return family._replace(weights=(("inner", value),) + weights), assignments
+    if where == "base":
+        return family._replace(base=value), assignments
+    return family, {**assignments, next(iter(assignments), "n"): value}
+
+
+_WHERE = st.sampled_from(["weights", "class", "weight", "base", "assignment"])
+
+
+@_SETTINGS
+@given(family=st.deferred(lambda: st.sampled_from(enumerate_domestic())), value=_ANY, where=_WHERE)
+def test_hand_built_families_end_in_a_curve_or_a_curve_error(family, value, where):
+    entry, assignments = _hand_built(family, value, where)
+    try:
+        curve = instantiate_domestic(entry, assignments)
+    except CurveError:
+        return
+    assert isinstance(curve, WeightedCurve)

@@ -32,7 +32,6 @@ from wittcurves.skew_series import (
     _centre_kernels,
     _in_span,
     _kernel,
-    _side_product,
     centre_basis,
     dim_over_centre,
     series,
@@ -300,50 +299,6 @@ def test_jordan_twist_holds_for_every_size_and_several_units():
     for n in range(1, 7):
         for unit in units:
             assert verify_jordan_twist(QUATERNION, inner(quat(*unit)), n), (n, unit)
-
-
-def _dense(entries, offset, n, zero=quat(0)):
-    """The n x n list-of-rows matrix with entries[i] at (i, i + offset), zero elsewhere."""
-    rows = [[zero] * n for _ in range(n)]
-    for i, v in enumerate(entries):
-        rows[i][i + offset] = v
-    return rows
-
-
-def _pair(a):
-    """The (numerators, denominator) pair of an element, as the Jordan check holds it."""
-    return a.num, a.den
-
-
-def test_side_diagonal_product_matches_the_dense_product():
-    # the side-diagonal entries are numerator pairs; the dense product is
-    # formed on elements and read back as pairs in lowest terms
-    rng = random.Random(5)
-    unit = _pair(quat(1))
-
-    def entry():
-        if rng.random() < 0.4:
-            return quat(1)
-        return quat(*(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(4)))
-
-    for n in range(1, 7):
-        for l in range(n):
-            for m in range(n - l):
-                for _ in range(4):
-                    x = [entry() for _ in range(n - l)]
-                    y = [entry() for _ in range(n - m)]
-                    a, b = _dense(x, l, n), _dense(y, m, n)
-                    dense = [
-                        [_pair(sum((a[i][k] * b[k][j] for k in range(n)), quat(0))) for j in range(n)]
-                        for i in range(n)
-                    ]
-                    product = _side_product(QUATERNION, unit, list(map(_pair, x)), list(map(_pair, y)), l)
-                    assert len(product) == n - l - m
-                    assert _dense(product, l + m, n, _pair(quat(0))) == dense
-    # J's side diagonal is all ones, and a product by 1 is not formed
-    x = [_pair(quat(1)), _pair(quat(0, 1)), _pair(quat(1, 2, 3, 4))]
-    assert _side_product(QUATERNION, unit, [unit] * 3, x, 0) == x
-    assert _side_product(QUATERNION, unit, x, [unit] * 3, 0) == x
 
 
 def _oracle_product(f, g):
@@ -757,8 +712,9 @@ def test_a_product_and_a_jordan_check_build_no_element_per_image(monkeypatch):
 
 
 def test_jordan_check_builds_each_power_by_one_hamilton_product(monkeypatch):
-    # the side-diagonal products are all by 1, so every Hamilton product
-    # left builds a power; power(twist, 0) squares the unit vector once
+    # J's entries are all 1, so the check reads J^l (a I) off the list of
+    # a I and forms no product: every Hamilton product builds a power, and
+    # power(twist, 0) squares the unit vector once
     products = _counted(monkeypatch, algebra, "_hamilton")
     for n in range(1, 7):
         products.clear()
