@@ -563,6 +563,9 @@ def galois_order(phi: Automorphism) -> int:
     """Order of the automorphism's class in Aut(D)/Inn(D) = Gal(Z-fixed data).
 
     Identity is trivial; conjugation on C has order two; every inner
-    automorphism of H is trivial in the quotient.
+    automorphism of H is trivial in the quotient. Anything but an
+    Automorphism raises KindMismatchError.
     """
+    if phi.__class__ is not Automorphism:
+        raise KindMismatchError(f"a twist must be an Automorphism, got {type(phi).__name__}")
     return 2 if phi.action == "conj" else 1

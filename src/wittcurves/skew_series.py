@@ -13,11 +13,14 @@ r = the order of sigma modulo inner automorphisms. The system at T^s
 depends on s only through sigma^s, so the powers are walked only until
 sigma^p == sigma^0 is witnessed and the p systems of that period are
 solved (one or two for the built-in twists), their rows built from
-integer products of basis numerators. The check at T^s depends only on
-s mod p and on whether r divides s, so it is made at the exponents below
-lcm(p, r) alone. The powers sigma^i are built each from the one before,
-by ``algebra._inner_of`` for an inner sigma, for the centre search, the
-twisted products and the Jordan check alike.
+integer products of basis numerators. The solve returns a canonical
+basis, and the closed form is written in that same form, so the two are
+compared as lists: stricter than span membership, since a kernel in the
+right span but not in canonical form fails too. The comparison at T^s
+depends only on s mod p and on whether r divides s, so it is made at the
+exponents below lcm(p, r) alone. The powers sigma^i are built each from
+the one before, by ``algebra._inner_of`` for an inner sigma, for the
+centre search, the twisted products and the Jordan check alike.
 
 The three kernels run on integer numerators: each takes sigma^i(b) as a
 (numerators, denominator) pair by ``algebra._image`` and builds an
@@ -181,8 +184,11 @@ def _require_same_ring(f: TwistedSeries, g: TwistedSeries) -> None:
 
 def _ring_kind(kind, twist) -> DivisionAlgebraKind:
     """The built-in kind equal to ``kind``, a copied kind included, once
-    ``twist`` is checked to act on it: the one gate of every entry point."""
+    ``twist`` is checked to be an Automorphism that acts on it: the one
+    gate of every entry point."""
     kind = _builtin(kind)
+    if twist.__class__ is not Automorphism:
+        raise KindMismatchError(f"a twist must be an Automorphism, got {type(twist).__name__}")
     if twist.kind is not kind:
         raise KindMismatchError("twist acts on a different algebra")
     return kind
@@ -302,32 +308,14 @@ def _kernel(rows: list[list[int]], n: int) -> list[list[int]]:
 
 
 def _constant_subfield_basis(kind, twist) -> list[list[int]]:
-    """Closed-form basis of K = Z(D) intersect Fix(twist), as coordinate vectors."""
+    """Closed-form basis of K = Z(D) intersect Fix(twist), as coordinate
+    vectors in the canonical form ``_kernel`` gives its bases."""
     n = kind.dim_over_k
     e0 = [1] + [0] * (n - 1)
     if kind is COMPLEX and twist.action == "identity":
         return [e0, [0, 1]]
     # every remaining built-in case has K = R
     return [e0]
-
-
-def _in_span(vec, span_basis) -> bool:
-    """Membership test by eliminating against the (echelonized) span basis.
-
-    Fraction-free: target becomes b[lead] * target - target[lead] * b,
-    a nonzero multiple of target - (target[lead] / b[lead]) * b, which
-    leaves the final test for zero unchanged.
-    """
-    target = list(vec)
-    # reduce target against each basis vector's leading coordinate; no
-    # basis vector is zero, as _constant_subfield_basis builds them
-    for b in span_basis:
-        lead = next(i for i, v in enumerate(b) if v != 0)
-        t = target[lead]
-        if t != 0:
-            p = b[lead]
-            target = [x * p - t * v for x, v in zip(target, b)]
-    return not any(target)
 
 
 def _centre_kernels(kind: DivisionAlgebraKind, twist: Automorphism, truncation: int):
@@ -378,15 +366,18 @@ def centre_basis(kind: DivisionAlgebraKind, twist: Automorphism, truncation: int
 
     Solves the exact linear system "commutes with T and with every basis
     element of D" on integer rows once per sigma^s up to the period p that
-    _centre_kernels witnesses (sigma^p == sigma^0), and checks the solution
-    at T^s against K[[T^r]]. The system repeats with period p and the
-    expected answer (K, or 0 when r does not divide s) with period r, so
-    the exponents s < lcm(p, r) meet every pair that any exponent below
-    the truncation meets. A disagreement raises InvariantViolation; inner
-    twists are rejected because their centre involves a nontrivial unit
-    (centre R[[uT]] rather than R[[T]]), which is out of scope here. A
-    truncation above MAX_TRUNCATION, or too short to show two periods,
-    raises ValidationError.
+    _centre_kernels witnesses (sigma^p == sigma^0), and compares the
+    solution at T^s with K[[T^r]] as a canonical basis: ``_kernel``'s
+    basis of the solutions must equal ``_constant_subfield_basis`` (or be
+    empty when r does not divide s) as a list, which a kernel in the right
+    span but in another form fails. The system repeats with period p and
+    the expected answer with period r, so the exponents s < lcm(p, r) meet
+    every pair that any exponent below the truncation meets, and each
+    class of s mod lcm(p, r) is compared once. A disagreement raises
+    InvariantViolation; inner twists are rejected because their centre
+    involves a nontrivial unit (centre R[[uT]] rather than R[[T]]), which
+    is out of scope here. A truncation above MAX_TRUNCATION, or too short
+    to show two periods, raises ValidationError.
     """
     kind = _ring_kind(kind, twist)
     if twist.action == "inner":
@@ -404,15 +395,9 @@ def centre_basis(kind: DivisionAlgebraKind, twist: Automorphism, truncation: int
     kernels = _centre_kernels(kind, twist, truncation)
     p = len(kernels)
     for s in range(min(truncation, math.lcm(p, r))):
-        kernel = kernels[s % p]
-        expected = expected_k if s % r == 0 else []
-        if len(kernel) != len(expected):
-            raise InvariantViolation(
-                f"centre dimension at T^{s} is {len(kernel)}, expected {len(expected)}"
-            )
-        for vec in kernel:
-            if not _in_span(vec, expected):
-                raise InvariantViolation(f"unexpected central coefficient at T^{s}: {vec}")
+        found, expected = kernels[s % p], (expected_k if s % r == 0 else [])
+        if found != expected:
+            raise InvariantViolation(f"centre basis at T^{s} is {found}, expected {expected}")
 
     subfield = REAL if len(expected_k) == 1 else COMPLEX
     return CentreDescription(constant_subfield=subfield, period=r)

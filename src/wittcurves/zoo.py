@@ -254,13 +254,19 @@ def enumerate_domestic() -> list[ZooEntry]:
 
 def instantiate_domestic(entry: ZooEntry, assignments: dict[str, int] | None = None) -> WeightedCurve:
     """Substitute numeric weights for a family's parameters, and no others,
-    and build the curve. Weights that are not (class, weight) pairs are
-    refused with code "placement", as a weight of an unknown class is."""
+    and build the curve. An entry that is no ZooEntry, and weights that
+    are not (class, weight) pairs, are refused with code "placement", as a
+    weight of an unknown class is; assignments that are neither None nor a
+    dict, with code "parameter"."""
+    if not isinstance(entry, ZooEntry):
+        raise ValidationError(f"a family must be a ZooEntry, got {type(entry).__name__}", code="placement")
+    if assignments is not None and not isinstance(assignments, dict):
+        raise ValidationError(f"assignments must be a dict, got {type(assignments).__name__}", code="parameter")
+    assignments = assignments or {}
     try:
         pairs = [(cls, w) for cls, w in entry.weights]
     except (TypeError, ValueError):
         raise ValidationError(f"weights must be (class, weight) pairs, got {entry.weights!r}", code="placement") from None
-    assignments = assignments or {}
     unknown = set(assignments) - {w for _, w in pairs if isinstance(w, str)}
     if unknown:
         raise ValidationError(f"the family has no parameter {', '.join(sorted(map(str, unknown)))}", code="parameter")

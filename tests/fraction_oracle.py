@@ -29,7 +29,9 @@ of the basis, here on the Fraction elements of the first part and
 sigma^s taken afresh by its power, and int_rows, which scales its
 rational rows to the integer rows the library's kernel takes.
 tests/test_skew_series.py and tests/test_skew_fuzz.py solve it at every
-exponent against the library.
+exponent against the library. _in_span, last, is the span membership test
+the library's centre check made before it compared canonical bases as
+lists; those tests use it to judge a kernel by its span alone.
 """
 
 from __future__ import annotations
@@ -395,3 +397,22 @@ def int_rows(rows: list[list[Fraction]]) -> list[list[int]]:
         scale = math.lcm(*(v.denominator for v in row))
         scaled.append([v.numerator * (scale // v.denominator) for v in row])
     return scaled
+
+
+def _in_span(vec, span_basis) -> bool:
+    """Membership test by eliminating against the (echelonized) span basis.
+
+    Fraction-free: target becomes b[lead] * target - target[lead] * b,
+    a nonzero multiple of target - (target[lead] / b[lead]) * b, which
+    leaves the final test for zero unchanged.
+    """
+    target = list(vec)
+    # reduce target against each basis vector's leading coordinate; no
+    # basis vector is zero, as _constant_subfield_basis builds them
+    for b in span_basis:
+        lead = next(i for i, v in enumerate(b) if v != 0)
+        t = target[lead]
+        if t != 0:
+            p = b[lead]
+            target = [x * p - t * v for x, v in zip(target, b)]
+    return not any(target)

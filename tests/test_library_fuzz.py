@@ -23,9 +23,10 @@ lookups (catalog, elliptic_numerics, fm_partners) and witt_local_datum are
 called with values of every shape: strings, names they know, ints, bools,
 None, point classes, and lists, tuples and dicts of these; and a domestic
 family is given such a value as its weights, as the class or the weight
-of one of them, as its base, or as an assignment. A lookup answers only a
-string, witt_local_datum only a point class. The sizes are capped
-so that every draw ends quickly.
+of one of them, as its base, or as an assignment, and such a value is
+passed as the family itself and as the whole assignments. A lookup
+answers only a string, witt_local_datum only a point class. The sizes
+are capped so that every draw ends quickly.
 """
 
 from datetime import timedelta
@@ -302,9 +303,14 @@ def test_lookups_end_in_an_answer_or_a_curve_error(lookup, accepted, value):
 
 def _hand_built(family, value, where):
     """The family with value put in where, and the assignments to try it
-    with: 2 for each parameter, or value for the first one."""
+    with: 2 for each parameter, or value for the first one; or value
+    itself as the family or as the whole assignments."""
     weights = family.weights
     assignments = {w: 2 for _, w in weights if isinstance(w, str)}
+    if where == "entry":
+        return value, assignments
+    if where == "assignments":
+        return family, value
     if where == "weights":
         return family._replace(weights=value), assignments
     if where == "class":
@@ -316,7 +322,7 @@ def _hand_built(family, value, where):
     return family, {**assignments, next(iter(assignments), "n"): value}
 
 
-_WHERE = st.sampled_from(["weights", "class", "weight", "base", "assignment"])
+_WHERE = st.sampled_from(["weights", "class", "weight", "base", "assignment", "entry", "assignments"])
 
 
 @_SETTINGS

@@ -15,6 +15,7 @@ from datetime import timedelta
 from fractions import Fraction
 
 import fraction_oracle as fo
+from fraction_oracle import _in_span
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,7 +38,6 @@ from wittcurves.errors import CurveError, DomainError, InvariantViolation, Valid
 from wittcurves.skew_series import (
     CentreDescription,
     _constant_subfield_basis,
-    _in_span,
     _kernel,
     centre_basis,
     series,

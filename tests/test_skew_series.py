@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import fraction_oracle as fo
+from fraction_oracle import _in_span
 import pytest
 from test_weighted_curve import _calls
 
@@ -30,7 +31,7 @@ from wittcurves.skew_series import (
     MAX_TRUNCATION,
     TwistedSeries,
     _centre_kernels,
-    _in_span,
+    _constant_subfield_basis,
     _kernel,
     centre_basis,
     dim_over_centre,
@@ -209,6 +210,20 @@ def test_a_copied_kind_gets_what_the_built_in_gets(entry, kind, twist):
     assert by_copy == _outcome(lambda: call(kind, twist))
     if isinstance(by_copy, TwistedSeries):
         assert by_copy.kind is kind
+
+
+class _LookAlike:
+    """No Automorphism, though it carries the fields the entry points read."""
+
+    kind, action, unit = REAL, "identity", None
+
+
+@pytest.mark.parametrize("entry", [*ENTRY_POINTS, "galois_order"])
+@pytest.mark.parametrize("twist", [5, None, "conj", _LookAlike()], ids=["int", "None", "str", "look-alike"])
+def test_a_twist_that_is_no_automorphism_is_a_kind_mismatch(entry, twist):
+    call = ENTRY_POINTS.get(entry, lambda kind, phi: galois_order(phi))
+    with pytest.raises(KindMismatchError):
+        call(REAL, twist)
 
 
 def test_the_constructor_refuses_malformed_records():
@@ -553,17 +568,6 @@ def _counted(monkeypatch, owner, name):
     return calls
 
 
-def test_centre_check_runs_once_per_distinct_system(monkeypatch):
-    spans = _counted(monkeypatch, skew_series, "_in_span")
-    centre_basis(QUATERNION, identity(QUATERNION), MAX_TRUNCATION)
-    assert len(spans) == 1
-    spans.clear()
-    centre_basis(COMPLEX, CONJ, 64)
-    kernels = _centre_kernels(COMPLEX, CONJ, 64)
-    pairs = {(tuple(map(tuple, kernel)), s % 2 == 0) for s, kernel in enumerate(_every_exponent(kernels, 64))}
-    assert len(spans) == sum(len(kernel) for kernel, _ in pairs) == 1
-
-
 class _CountedKernels(list):
     """One period of kernels that counts the lookups made in it."""
 
@@ -741,6 +745,32 @@ def test_one_corrupted_kernel_trips_the_centre_check(monkeypatch, kind, twist):
             monkeypatch.setattr(skew_series, "_centre_kernels", lambda k, t, m, kernels=kernels: kernels)
             with pytest.raises(InvariantViolation):
                 centre_basis(kind, twist, truncation)
+
+
+@pytest.mark.parametrize("kind, twist", BUILTIN_PAIRS, ids=PAIR_IDS)
+def test_the_solve_gives_the_closed_form_as_a_canonical_basis(kind, twist):
+    # the contract centre_basis compares by: at every exponent the kernel
+    # is the closed form (or empty) as a list, not just of the same span
+    r = galois_order(twist)
+    kernels = _centre_kernels(kind, twist, MAX_TRUNCATION)
+    p = len(kernels)
+    expected_k = _constant_subfield_basis(kind, twist)
+    for s in range(2 * math.lcm(p, r)):
+        assert kernels[s % p] == (expected_k if s % r == 0 else [])
+
+
+@pytest.mark.parametrize(
+    "kind, twist, kernel",
+    [(QUATERNION, identity(QUATERNION), [[2, 0, 0, 0]]), (COMPLEX, identity(COMPLEX), [[0, 1], [1, 0]])],
+    ids=["H-id", "C-id"],
+)
+def test_a_kernel_of_the_right_span_in_another_form_trips_the_centre_check(monkeypatch, kind, twist, kernel):
+    expected_k = _constant_subfield_basis(kind, twist)
+    assert len(kernel) == len(expected_k) and all(_in_span(v, expected_k) for v in kernel)
+    monkeypatch.setattr(skew_series, "_centre_kernels", lambda k, t, m: [kernel])
+    with pytest.raises(InvariantViolation) as exc:
+        centre_basis(kind, twist, 8)
+    assert str(exc.value) == f"centre basis at T^0 is {kernel}, expected {expected_k}"
 
 
 @pytest.mark.parametrize(

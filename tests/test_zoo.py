@@ -286,6 +286,18 @@ def test_instantiation_refuses_weights_off_the_places_of_the_base():
         assert exc.value.code == "placement"
 
 
+def test_instantiation_refuses_what_is_no_family_or_no_assignment_dict():
+    family = next(e for e in enumerate_domestic() if e.base == "D" and e.weights == (("inner", "p"),))
+    for assignments in (5, [["n"]], ["p"], "p"):
+        with pytest.raises(ValidationError) as exc:
+            instantiate_domestic(family, assignments)
+        assert exc.value.code == "parameter", assignments
+    for entry in ("abc", None, ("D", ())):
+        with pytest.raises(ValidationError) as exc:
+            instantiate_domestic(entry, {"p": 3})
+        assert exc.value.code == "placement", entry
+
+
 def test_every_entry_writes_its_weights_in_the_one_order():
     """By class in the order of SHORT_NAMES (seg, inner, real, quat,
     point), ints ascending before symbols."""
