@@ -11,14 +11,18 @@ positive denominator ``den``, reduced so that gcd(den, *num) = 1 (zero is
 all zeros over 1). The form is unique, so equality and hashing compare
 the integers, and the arithmetic runs on plain ints: a Hamilton product
 is sixteen integer products and one gcd. ``coeffs`` shows the same
-element as a tuple of ``Fraction``s. The public constructor
-``AlgebraElement(kind, coeffs)`` checks the kind, the arity and that
-every coefficient is an int or a ``Fraction``; results computed here are
-built by ``_make``, which trusts its caller and checks nothing. The
-package builds a ``Fraction`` from an int pair it has summed, such as an
-orbifold Euler characteristic, by ``_rational``, and an inner automorphism
-from a unit vector it has computed, such as a power of a unit, by
-``_inner_of``; both trust their callers in the same way.
+element as a tuple of ``Fraction``s. ``AlgebraElement`` is a
+``FrozenRecord`` whose fields, kind and coeffs, are its constructor's
+arguments, so a copy, a pickle or ``_replace`` goes through the
+constructor. The public constructor ``AlgebraElement(kind, coeffs)``
+checks the kind, the arity and that every coefficient is an int or a
+``Fraction``; results computed here are built by ``_make``, from
+numerators that ``_lowest`` has reduced where they need it, and
+``_make`` trusts its caller and checks nothing. The package builds a
+``Fraction`` from an int pair it has summed, such as an orbifold Euler
+characteristic, by ``_rational``, and an inner automorphism from a unit
+vector it has computed, such as a power of a unit, by ``_inner_of``;
+both trust their callers in the same way.
 
 An inner automorphism a -> u^-1 a u holds its unit as a primitive integer
 vector and its rotation of the i, j, k part as integers over the unit's
@@ -26,7 +30,9 @@ norm, so applying it and taking its powers stay on ints as well.
 ``_image`` applies an automorphism to a (numerators, denominator) pair
 and returns the pair of the image, so a kernel that reads only numerators,
 such as a twisted product, builds no element for an image; ``apply`` is
-``_image`` wrapped in one element.
+``_image`` wrapped in one element. Every power of an automorphism comes
+from one walk, ``_powers``, which builds each power of an ascending run
+of exponents from the one before; ``power(phi, n)`` is its one step at n.
 """
 
 from __future__ import annotations
@@ -36,7 +42,6 @@ from fractions import Fraction
 
 from .errors import (
     DomainError,
-    FrozenInstanceError,
     FrozenRecord,
     KindMismatchError,
     Record,
@@ -88,10 +93,18 @@ def comultiplicity(kind: DivisionAlgebraKind) -> int:
     return math.isqrt(kind.dim_over_k // kind.dim_centre_over_k)
 
 
-class AlgebraElement:
+class AlgebraElement(FrozenRecord):
     """An element of R, C or H: integer numerators ``num`` over one positive
-    denominator ``den``, in lowest terms (see the module docstring)."""
+    denominator ``den``, in lowest terms (see the module docstring).
 
+    A FrozenRecord whose fields are its constructor's arguments, the kind
+    and the coefficients, kept normalised in the slots ``kind``, ``num``
+    and ``den``; ``coeffs`` reads them back as Fractions. Copies, pickles,
+    ``_make`` and ``_replace`` rebuild it through the constructor, while
+    equality and hash compare the integers.
+    """
+
+    _fields = ("kind", "coeffs")
     __slots__ = ("kind", "num", "den")
 
     def __init__(self, kind: DivisionAlgebraKind, coeffs):
@@ -121,16 +134,6 @@ class AlgebraElement:
         _set_num(self, coeffs if plain else tuple(c.numerator * (den // c.denominator) for c in coeffs))
         _set_den(self, den)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # rebuilt by the public constructor, which maps a copied kind back to its built-in
-        return AlgebraElement, (self.kind, self.coeffs)
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         den = self.den
@@ -149,8 +152,8 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _require_same_kind(self, other)
         da, db = self.den, other.den
-        return _reduced(
-            self.kind, tuple(x * db + y * da for x, y in zip(self.num, other.num)), da * db
+        return _make(
+            self.kind, *_lowest(tuple(x * db + y * da for x, y in zip(self.num, other.num)), da * db)
         )
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -162,15 +165,14 @@ class AlgebraElement:
     def __mul__(self, other):
         if other.__class__ is not AlgebraElement:
             if isinstance(other, (int, Fraction)):
-                return _reduced(
+                return _make(
                     self.kind,
-                    tuple(x * other.numerator for x in self.num),
-                    self.den * other.denominator,
+                    *_lowest(tuple(x * other.numerator for x in self.num), self.den * other.denominator),
                 )
             return NotImplemented
         _require_same_kind(self, other)
         kind = self.kind
-        return _reduced(kind, _product(kind, self.num, other.num), self.den * other.den)
+        return _make(kind, *_lowest(_product(kind, self.num, other.num), self.den * other.den))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -194,7 +196,7 @@ class AlgebraElement:
         n = sum(x * x for x in num)
         if n == 0:
             raise ZeroDivisionError("zero has no inverse")
-        return _reduced(self.kind, (num[0] * den,) + tuple(-x * den for x in num[1:]), n)
+        return _make(self.kind, *_lowest((num[0] * den,) + tuple(-x * den for x in num[1:]), n))
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -238,11 +240,6 @@ def _lowest(num: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
         # a list comprehension builds the tuple faster than a generator would
         return tuple([x // g for x in num]), den // g
     return num, den
-
-
-def _reduced(kind: DivisionAlgebraKind, num: tuple[int, ...], den: int) -> AlgebraElement:
-    """An element from integer numerators over den > 0, brought to lowest terms."""
-    return _make(kind, *_lowest(num, den))
 
 
 def _rational(n: int, d: int) -> Fraction:
@@ -439,7 +436,12 @@ def inner(unit: AlgebraElement) -> Automorphism:
 
 
 def apply(phi: Automorphism, a: AlgebraElement) -> AlgebraElement:
-    """Apply an automorphism to an element of the same algebra."""
+    """Apply an automorphism to an element of the same algebra; anything
+    but an Automorphism and an AlgebraElement raises KindMismatchError."""
+    if phi.__class__ is not Automorphism:
+        raise _not_a_twist(phi)
+    if a.__class__ is not AlgebraElement:
+        raise KindMismatchError(f"an automorphism applies to an AlgebraElement, got {type(a).__name__}")
     if phi.kind is not a.kind:
         raise KindMismatchError(
             f"automorphism on {phi.kind.display_name} applied to {a.kind.display_name}"
@@ -500,42 +502,44 @@ MAX_INNER_POWER = 1024
 
 
 def power(phi: Automorphism, n: int) -> Automorphism:
-    """phi^n, negative n giving powers of the inverse; an inner phi has unit
-    u^n (``_unit_power``). An inner phi of infinite order, by Niven's theorem
-    one whose rotation has cosine 2w^2/N - 1 outside {1, -1, -1/2, 0, 1/2}
-    for the unit w + xi + yj + zk of norm N, refuses |n| above
-    MAX_INNER_POWER with ValidationError (code "too-large"); an n that is
-    not an int, a bool included, raises ValidationError (``not-integer``)."""
+    """phi^n, negative n giving powers of the inverse: the one step of
+    ``_powers`` at n, the walk every power comes from. An inner phi of
+    infinite order, by Niven's theorem one whose rotation has cosine
+    2w^2/N - 1 outside {1, -1, -1/2, 0, 1/2} for the unit w + xi + yj + zk
+    of norm N, refuses |n| above MAX_INNER_POWER with ValidationError (code
+    "too-large"); an n that is not an int, a bool included, raises
+    ValidationError (``not-integer``), and a phi that is not an
+    Automorphism KindMismatchError."""
     require_ints(n=n)
-    if phi.action == "identity":
-        return phi
-    if phi.action == "conj":
-        return phi if n % 2 else identity(phi.kind)
-    unit = phi.unit.num
-    if abs(n) > MAX_INNER_POWER and 4 * unit[0] ** 2 not in [k * sum(v * v for v in unit) for k in (4, 0, 1, 2, 3)]:
-        message = f"an inner twist of infinite order takes powers of size up to {MAX_INNER_POWER}, got {n}"
-        raise ValidationError(message, code="too-large")
-    return _inner_of(_unit_power(unit, n))
+    if phi.__class__ is not Automorphism:
+        raise _not_a_twist(phi)
+    unit = phi.unit.num if phi.action == "inner" else None
+    if unit is not None and abs(n) > MAX_INNER_POWER and (
+        4 * unit[0] ** 2 not in [k * sum(v * v for v in unit) for k in (4, 0, 1, 2, 3)]
+    ):
+        raise ValidationError(
+            f"an inner twist of infinite order takes powers of size up to {MAX_INNER_POWER}, got {n}", code="too-large"
+        )
+    return next(_powers(phi, (n,)))
 
 
 def _powers(phi: Automorphism, exponents):
     """Yield phi^e for each e of an ascending sequence of exponents, each
-    built from the one before.
+    built from the one before: the one walk that builds every power of an
+    automorphism, ``power`` included, for a phi the caller has checked.
 
-    The identity yields itself and conjugation alternates with one
-    identity. An inner phi starts from power(phi, e) at the first
-    exponent; every later unit is the unit before times u^gap, gap the
-    step from the exponent before, in one Hamilton product normalised by
-    _inner_of. u^gap is taken once per distinct gap, and is u itself over
-    consecutive exponents. So an inner phi builds one automorphism per
-    exponent, where one power() per exponent would redo the binary
-    powering each time.
+    The identity and conjugation yield phi at odd exponents and the
+    identity at even ones, the identity being its own even power. An
+    inner phi starts from the unit u^e at the first exponent e, by
+    ``_unit_power``; every later unit is the unit before times u^gap, gap
+    the step from the exponent before, in one Hamilton product normalised
+    by _inner_of. u^gap is taken once per distinct gap, and is
+    u itself over consecutive exponents. So an inner phi builds one
+    automorphism per exponent, where one binary powering per exponent
+    would redo the powering each time.
     """
-    if phi.action == "identity":
-        for _ in exponents:
-            yield phi
-    elif phi.action == "conj":
-        even = identity(phi.kind)
+    if phi.action != "inner":
+        even = phi if phi.action == "identity" else identity(phi.kind)
         for e in exponents:
             yield phi if e % 2 else even
     else:
@@ -544,7 +548,7 @@ def _powers(phi: Automorphism, exponents):
         current = None
         for e in exponents:
             if current is None:
-                current = power(phi, e)
+                current = _inner_of(_unit_power(unit, e))
             else:
                 gap = e - last
                 if gap not in steps:
@@ -567,5 +571,9 @@ def galois_order(phi: Automorphism) -> int:
     Automorphism raises KindMismatchError.
     """
     if phi.__class__ is not Automorphism:
-        raise KindMismatchError(f"a twist must be an Automorphism, got {type(phi).__name__}")
+        raise _not_a_twist(phi)
     return 2 if phi.action == "conj" else 1
+
+
+def _not_a_twist(phi) -> KindMismatchError:
+    return KindMismatchError(f"a twist must be an Automorphism, got {type(phi).__name__}")

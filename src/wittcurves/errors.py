@@ -104,7 +104,12 @@ class FrozenRecord:
     is read from it, as a namedtuple holds them. ``__init__`` stores the
     fields with one call of ``_set``, or one ``object.__setattr__`` each
     where the record is built once per curve, then runs the record's checks.
-    Equality, hash and repr read ``_fields``; ``_make``, ``_replace``,
+    A record may instead keep its fields in normalised slots of its own,
+    with ``_fields`` naming what reads them back: an AlgebraElement keeps
+    its coefficients as integer numerators over one denominator, and its
+    ``coeffs`` property reads them back as Fractions.
+    Equality, hash and repr read ``_fields`` where the record does not
+    state its own; ``_make``, ``_replace``,
     ``__replace__`` (``copy.replace``), copies and unpickling build it again
     through its constructor: none skips a check or keeps a derived value.
     """

@@ -49,9 +49,10 @@ from .algebra import (
     DivisionAlgebraKind,
     _builtin,
     _image,
+    _lowest,
+    _make,
     _powers,
     _product,
-    _reduced,
     basis,
     comultiplicity,
     element,
@@ -162,7 +163,7 @@ class TwistedSeries(FrozenRecord):
                         num = [x * p + y * q for x, y in zip(s_num, num)]
                         den = lcm
                 sums[k] = num, den
-        return self._of_terms({k: _reduced(kind, tuple(num), den) for k, (num, den) in sums.items()})
+        return self._of_terms({k: _make(kind, *_lowest(tuple(num), den)) for k, (num, den) in sums.items()})
 
     def __repr__(self):
         if not self.coeffs:

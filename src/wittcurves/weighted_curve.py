@@ -189,11 +189,7 @@ class WeightedCurve(FrozenRecord):
     def __post_init__(self):
         """Check the curve and keep what the check read, its profile."""
         base = self.base
-        if isinstance(base, (WittSurface, ComplexCentreBase)):
-            reading = read_base(base)
-            numerics = reading.numerics
-            shapes, bare, pbar, order_lcm = _validate_weights(reading, self.points)
-        elif isinstance(base, AbstractBase):
+        if isinstance(base, AbstractBase):
             if self.points:
                 raise ValidationError(
                     "weights on an abstract base belong in its point records",
@@ -202,9 +198,10 @@ class WeightedCurve(FrozenRecord):
             numerics, shapes, pbar, order_lcm = _validate_abstract(base)
             bare = 0
         else:
-            raise ValidationError(
-                f"a curve base must be a surface or an abstract base, got {type(base).__name__}", code="base"
-            )
+            # read_base refuses anything but a surface (code "base")
+            reading = read_base(base)
+            numerics = reading.numerics
+            shapes, bare, pbar, order_lcm = _validate_weights(reading, self.points)
         object.__setattr__(self, "profile", CurveProfile(shapes, bare, pbar, order_lcm, numerics))
 
 

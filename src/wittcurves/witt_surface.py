@@ -204,9 +204,20 @@ class _Reading(Record):
 # ---------------------------------------------------------------------------
 # Checking and reading
 
+def _complex_centre(w) -> bool:
+    """Whether a base that is no plain WittSurface is a complex-centre base;
+    anything but a base raises ValidationError (code "base")."""
+    if not isinstance(w, (WittSurface, ComplexCentreBase)):
+        raise ValidationError(
+            f"a curve base must be a surface or an abstract base, got {type(w).__name__}", code="base"
+        )
+    return isinstance(w, ComplexCentreBase)
+
+
 def counts(w: WittSurface | ComplexCentreBase) -> SurfaceCounts:
-    """The SurfaceCounts of a base, in one walk of the ovals of a surface."""
-    if isinstance(w, ComplexCentreBase):
+    """The SurfaceCounts of a base, in one walk of the ovals of a surface;
+    anything but a base raises ValidationError (code "base")."""
+    if w.__class__ is not WittSurface and _complex_centre(w):
         return SurfaceCounts(0, 0, 0)
     n = r = q = 0
     for oval in w.ovals:
@@ -234,8 +245,11 @@ def read_base(w: WittSurface | ComplexCentreBase) -> _Reading:
     of a complex-centre base, is refused with code "too-large". The first
     read of a surface object keeps what it read, and later reads return
     it; a complex-centre base has no ovals and is read afresh each time.
+    Anything but a surface or a complex-centre base raises ValidationError
+    (code "base").
     """
-    if isinstance(w, ComplexCentreBase):
+    # a plain surface, the common case, is told by its class alone
+    if w.__class__ is not WittSurface and _complex_centre(w):
         if w.genus.__class__ is not int:
             require_ints(genus=w.genus)
         if w.genus < 0:

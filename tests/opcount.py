@@ -1,7 +1,7 @@
 """Bytecode counted per op, by source file, on a fixed seeded sample of the
 benchmark's in-process workloads.
 
-    python tests/opcount.py [--seed N] [--cycles N] [--kernel-cycles N] [--ops N]
+    python tests/opcount.py [--seed N] [--cycles N] [--kernel-cycles N] [--ops N] [--against BASE.json]
 
 Run it from the root of a checkout. It imports bench/workloads.py and,
 through it, bench/model.py and bench/tracing.py, and writes nothing. For
@@ -23,6 +23,13 @@ by (file, function), keyed "<file>:<qualified name of the code>", so a
 row of by_file splits into the functions whose code ran there. Each op
 kind splits the same way: its by_function rows are its opcodes per op of
 that kind, by (file, function), and add up to its opcodes_per_op.
+
+--against BASE.json reads an earlier run's output, say of a parent
+checkout, and adds an "against" block: for each workload, its opcodes
+per op and those of each op kind as {"base", "this", "delta"}, and the
+ten (file, function) rows whose opcodes per op moved most, largest move
+first. A base taken with another Python, seed or sample (cycles and
+--ops) counts another thing, so it is refused before anything is counted.
 
 The counts are deterministic: one checkout, Python and set of arguments
 give the same counts on every run, where wall time on a shared host
@@ -160,12 +167,47 @@ def count_workload(workload, cycles: int, ops_limit: int | None) -> dict:
     }
 
 
+# the fields of a run that fix what it counts; a base must match them all
+SAMPLE_FIELDS = ("python", "seed", "cycles", "ops_limit")
+MOVED_ROWS = 10
+
+
+def _beside(base: float, this: float) -> dict:
+    return {"base": base, "this": this, "delta": round(this - base, 1)}
+
+
+def compare(base: dict, this: dict) -> dict:
+    """The "against" block: for each workload of this run, its opcodes
+    per op, in all and by op kind, beside the base's, and the function
+    rows that moved most. A row or kind missing on one side counts 0."""
+    block = {}
+    for name, counted in this["workloads"].items():
+        old = base["workloads"][name]
+        kinds = sorted(old["by_kind"].keys() | counted["by_kind"].keys())
+        rows = old["by_function"].keys() | counted["by_function"].keys()
+        moves = [(key, _beside(old["by_function"].get(key, 0), counted["by_function"].get(key, 0))) for key in rows]
+        moves.sort(key=lambda move: (-abs(move[1]["delta"]), move[0]))
+        block[name] = {
+            **_beside(old["opcodes_per_op"], counted["opcodes_per_op"]),
+            "by_kind": {
+                kind: _beside(
+                    old["by_kind"].get(kind, {}).get("opcodes_per_op", 0),
+                    counted["by_kind"].get(kind, {}).get("opcodes_per_op", 0),
+                )
+                for kind in kinds
+            },
+            "moved": [{"function": key, **move} for key, move in moves[:MOVED_ROWS]],
+        }
+    return block
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--cycles", type=int, default=20, help="cycles of curve_reports (50 ops each)")
     parser.add_argument("--kernel-cycles", type=int, default=1, help="cycles of exact_kernels (17 ops each)")
     parser.add_argument("--ops", type=int, default=None, help="count at most this many ops of each workload")
+    parser.add_argument("--against", type=Path, default=None, help="the JSON of an earlier run to compare with")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(BENCH)]
     import workloads
@@ -177,8 +219,16 @@ def main(argv=None) -> int:
         "ops_limit": args.ops,
         "workloads": {},
     }
+    base = None
+    if args.against is not None:
+        base = json.loads(args.against.read_text(encoding="utf-8"))
+        for field in SAMPLE_FIELDS:
+            if base.get(field) != result[field]:
+                parser.error(f"{args.against} has {field} {base.get(field)!r}, this run {result[field]!r}")
     for cls, cycles in ((workloads.CurveReports, args.cycles), (workloads.ExactKernels, args.kernel_cycles)):
         result["workloads"][cls.name] = count_workload(cls(ROOT, args.seed), cycles, args.ops)
+    if base is not None:
+        result["against"] = compare(base, result)
     print(json.dumps(result, indent=1))
     return 0
 

@@ -26,7 +26,9 @@ family is given such a value as its weights, as the class or the weight
 of one of them, as its base, or as an assignment, and such a value is
 passed as the family itself and as the whole assignments. A lookup
 answers only a string, witt_local_datum only a point class. The sizes
-are capped so that every draw ends quickly.
+are capped so that every draw ends quickly. The readers of a base and
+of a twist, given what is not their record, refuse it with a coded
+ValidationError and a KindMismatchError.
 """
 
 from datetime import timedelta
@@ -39,13 +41,18 @@ from hypothesis import strategies as st
 from wittcurves.algebra import (
     BUILTIN_KINDS,
     MAX_INNER_POWER,
+    REAL,
     DivisionAlgebraKind,
+    apply,
+    apply_power,
+    complex_conjugation,
     comultiplicity,
+    identity,
     inner,
     power,
     quat,
 )
-from wittcurves.errors import CurveError
+from wittcurves.errors import CurveError, KindMismatchError, ValidationError
 from wittcurves.ktheory import (
     ELLIPTIC_TYPES,
     INFINITY,
@@ -66,7 +73,16 @@ from wittcurves.weighted_curve import (
     genus_zero_orbifold_euler,
     ghost_group,
 )
-from wittcurves.witt_surface import CATALOG_NAMES, catalog, read_base
+from wittcurves.witt_surface import (
+    CATALOG_NAMES,
+    KleinTopology,
+    canonical_key,
+    catalog,
+    counts,
+    genus,
+    read_base,
+    validate,
+)
 from wittcurves.zoo import enumerate_domestic, instantiate_domestic
 
 _SETTINGS = settings(derandomize=True, database=None, max_examples=300, deadline=timedelta(seconds=2))
@@ -334,3 +350,42 @@ def test_hand_built_families_end_in_a_curve_or_a_curve_error(family, value, wher
     except CurveError:
         return
     assert isinstance(curve, WeightedCurve)
+
+
+_NOT_A_BASE = "a curve base must be a surface or an abstract base, got "
+_NOT_A_TWIST = "a twist must be an Automorphism, got "
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: validate(None), ValidationError, _NOT_A_BASE + "NoneType", id="validate(None)"),
+        pytest.param(lambda: validate("D"), ValidationError, _NOT_A_BASE + "str", id="validate-name"),
+        pytest.param(lambda: counts(None), ValidationError, _NOT_A_BASE + "NoneType", id="counts(None)"),
+        pytest.param(lambda: canonical_key(5), ValidationError, _NOT_A_BASE + "int", id="canonical_key(5)"),
+        pytest.param(
+            lambda: genus(KleinTopology(0, 1, 1)), ValidationError, _NOT_A_BASE + "KleinTopology", id="genus-topology"
+        ),
+        pytest.param(lambda: apply(None, quat(1)), KindMismatchError, _NOT_A_TWIST + "NoneType", id="apply(None)"),
+        pytest.param(
+            lambda: apply(identity(REAL), 3),
+            KindMismatchError,
+            "an automorphism applies to an AlgebraElement, got int",
+            id="apply-to-int",
+        ),
+        pytest.param(
+            lambda: apply_power(complex_conjugation(), 1, None),
+            KindMismatchError,
+            "an automorphism applies to an AlgebraElement, got NoneType",
+            id="apply_power-to-None",
+        ),
+        pytest.param(lambda: power(None, 2), KindMismatchError, _NOT_A_TWIST + "NoneType", id="power(None)"),
+        pytest.param(lambda: power("conj", 2), KindMismatchError, _NOT_A_TWIST + "str", id="power-name"),
+    ],
+)
+def test_readers_refuse_what_is_not_their_record(call, error, message):
+    with pytest.raises(error) as refused:
+        call()
+    assert type(refused.value) is error and str(refused.value) == message
+    if error is ValidationError:
+        assert refused.value.code == "base"

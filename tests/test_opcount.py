@@ -1,5 +1,7 @@
 """tests/opcount.py counts the same opcodes on every run of one sample,
-and its rows by function add up to its rows by file."""
+and its rows by function add up to its rows by file. Compared with
+itself by --against, a sample moves by nothing; a base of another seed
+is refused."""
 
 import json
 import subprocess
@@ -10,12 +12,15 @@ ROOT = Path(__file__).resolve().parent.parent
 TINY = ["--seed", "3", "--cycles", "1", "--kernel-cycles", "1", "--ops", "4"]
 
 
-def _count() -> dict:
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "tests" / "opcount.py"), *TINY],
-        cwd=ROOT, capture_output=True, text=True, timeout=120, check=True,
+def _run(*extra: str, check: bool = True) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "opcount.py"), *TINY, *extra],
+        cwd=ROOT, capture_output=True, text=True, timeout=120, check=check,
     )
-    return json.loads(done.stdout)
+
+
+def _count(*extra: str) -> dict:
+    return json.loads(_run(*extra).stdout)
 
 
 def test_two_runs_of_a_tiny_sample_count_the_same_opcodes_by_file():
@@ -56,3 +61,23 @@ def test_rows_by_function_split_the_rows_by_file():
     rows = counts["workloads"]["curve_reports"]["by_function"]
     assert "wittcurves/weighted_curve.py:CurveProfile.__init__" in rows
     assert "wittcurves/algebra.py:_rational" in rows
+
+
+def test_a_sample_compared_with_itself_moves_by_nothing(tmp_path):
+    base = _count()
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(base), encoding="utf-8")
+    against = _count("--against", str(path))["against"]
+    assert against.keys() == base["workloads"].keys()
+    for name, compared in against.items():
+        counted = base["workloads"][name]
+        assert compared["base"] == compared["this"] == counted["opcodes_per_op"] and compared["delta"] == 0
+        assert compared["by_kind"].keys() == counted["by_kind"].keys()
+        assert all(row["delta"] == 0 for row in compared["by_kind"].values())
+        moved = compared["moved"]
+        assert len(moved) == min(10, len(counted["by_function"]))
+        assert all(row["delta"] == 0 and row["base"] == counted["by_function"][row["function"]] for row in moved)
+    base["seed"] += 1
+    path.write_text(json.dumps(base), encoding="utf-8")
+    refused = _run("--against", str(path), check=False)
+    assert refused.returncode == 2 and "seed" in refused.stderr and not refused.stdout

@@ -52,7 +52,7 @@ BENCH = SRC.parent.parent / "bench"
 # The logical lines of src/wittcurves/*.py, held exactly, so that no
 # deletion leaves slack for a later change to spend. A change that deletes
 # code lowers it; one that raises it says by how much and why in CHANGES.md.
-SRC_LOGICAL_LINES = 1859
+SRC_LOGICAL_LINES = 1854
 # module-level public functions of src/ that nothing in src/ or bench/
 # reads, each with why it stays
 UNREAD_PUBLIC = {

@@ -11,7 +11,9 @@ _make, _replace, copy and pickle give back its own class. A FrozenRecord
 is copied, replaced, remade and unpickled through its constructor, so a
 checked one rejects bad fields through its constructor, _make, _replace,
 __replace__ (which copy.replace calls on Python 3.13), copy and pickle
-alike.
+alike; an element, whose fields are its kind and its coefficients, refuses
+bad coefficients with KindMismatchError by each of _make, _replace and
+__replace__ as by its constructor.
 """
 
 import copy
@@ -22,8 +24,17 @@ from fractions import Fraction
 
 import pytest
 
-from wittcurves.algebra import COMPLEX, QUATERNION, Automorphism, DivisionAlgebraKind, complex_conjugation, inner, quat
-from wittcurves.errors import FrozenInstanceError, FrozenRecord, ValidationError
+from wittcurves.algebra import (
+    COMPLEX,
+    QUATERNION,
+    AlgebraElement,
+    Automorphism,
+    DivisionAlgebraKind,
+    complex_conjugation,
+    inner,
+    quat,
+)
+from wittcurves.errors import FrozenInstanceError, FrozenRecord, KindMismatchError, ValidationError
 from wittcurves.ktheory import ClassVector, CurveNumerics, SlopeOrbits, elliptic_numerics, slope_orbits
 from wittcurves.local_data import PointDatum, WittPointClass, witt_local_datum
 from wittcurves.skew_series import CentreDescription, TwistedSeries, centre_basis, series
@@ -64,6 +75,7 @@ _CURVE = WeightedCurve(catalog("D_22"), (WeightedPoint(SEG, 3, oval=0, segment=0
 # class -> (a sample instance, the defaults of its constructor today)
 RECORDS = {
     DivisionAlgebraKind: (QUATERNION, {}),
+    AlgebraElement: (quat(1, Fraction(1, 2), 0, -3), {}),
     Automorphism: (inner(quat(1, 1, 0, 0)), {"unit": None}),
     KleinTopology: (KleinTopology(0, 1, 1), {}),
     Oval: (segmented_oval("+", "-"), {"segments": (), "sign": None}),
@@ -88,7 +100,7 @@ RECORDS = {
     ZooEntry: (enumerate_chi_zero()[0], {}),
 }
 # the records whose repr is their own, not Name(field=value, ...)
-CUSTOM_REPR = {DivisionAlgebraKind: "ℍ", TwistedSeries: "(1) + (3)T^2"}
+CUSTOM_REPR = {DivisionAlgebraKind: "ℍ", AlgebraElement: "1 + 1/2i - 3k", TwistedSeries: "(1) + (3)T^2"}
 
 _REQUIRED = object()
 
@@ -136,6 +148,7 @@ def test_record_semantics(cls):
 
 # the slots each FrozenRecord derives from its fields, if any
 DERIVED = {
+    AlgebraElement: ("num", "den"),
     Automorphism: ("rotation",),
     PointDatum: ("e_star",),
     WeightedCurve: ("profile",),
@@ -243,6 +256,30 @@ def test_checked_records_reject_bad_fields_however_built(record, field, value, c
         with pytest.raises(ValidationError) as exc:
             attempt()
         assert exc.value.code == code, how
+
+
+@pytest.mark.parametrize(
+    "coeffs", [(Fraction(1, 2), 1.5, 0, 0), (1, 0, True, 0), (1, 0, 0)], ids=["float", "bool", "arity"]
+)
+def test_an_element_refuses_bad_coefficients_however_built(coeffs):
+    sample = quat(1)
+    attempts = {
+        "constructor": lambda: AlgebraElement(QUATERNION, coeffs),
+        "_make": lambda: AlgebraElement._make((QUATERNION, coeffs)),
+        "_replace": lambda: sample._replace(coeffs=coeffs),
+        "__replace__": lambda: sample.__replace__(coeffs=coeffs),
+    }
+    if hasattr(copy, "replace"):
+        attempts["copy.replace"] = lambda: copy.replace(sample, coeffs=coeffs)
+    refused = []
+    for how, attempt in attempts.items():
+        try:
+            attempt()
+        except KindMismatchError:
+            refused.append(how)
+    assert refused == list(attempts)
+    # a replaced element is brought to lowest terms, as a constructed one is
+    assert quat(1)._replace(coeffs=(Fraction(2, 2), 0, 0, 0)) == quat(1)
 
 
 def test_checked_records_normalise_however_built():
